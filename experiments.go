@@ -335,8 +335,8 @@ func runServe(w io.Writer, sc ExperimentScale) error {
 		res.Points[len(res.Points)-1].Shards, res.Speedup)
 	if c := res.Chunked; c != nil {
 		_, err = fmt.Fprintf(w,
-			"chunked clients (%d B submits, %d shards): %.2f GB/s wall, %.0f%% of %d tasks coalesced\n",
-			c.ChunkBytes, c.Shards, c.WallGBs, 100*c.CoalescedFrac, c.Submitted)
+			"chunked clients (%d B submits, %d shards): %.2f GB/s wall, %.0f%% of %d tasks coalesced, %d served in place\n",
+			c.ChunkBytes, c.Shards, c.WallGBs, 100*c.CoalescedFrac, c.Submitted, c.Inline)
 	}
 	return err
 }

@@ -51,9 +51,16 @@ type spanJob struct {
 	err atomic.Pointer[error]
 }
 
+// run executes one chunk and records the job's first error. The error is
+// copied into a branch-local before its address is taken: &err on the
+// if-scoped variable would move it to the heap on every chunk, failed or
+// not.
+//
+//buddy:hotpath
 func (j *spanJob) run(lo, hi int) {
 	if err := j.r.runSpan(lo, hi); err != nil {
-		j.err.CompareAndSwap(nil, &err)
+		first := err
+		j.err.CompareAndSwap(nil, &first)
 	}
 	j.wg.Done()
 }

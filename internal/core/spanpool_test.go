@@ -127,3 +127,35 @@ func TestSpanPoolErrorPropagation(t *testing.T) {
 		}
 	})
 }
+
+// TestSpanDispatchSteadyStateZeroAlloc pins the partitioned batch path at
+// zero allocations: a WriteEntries wide enough to be split across the span
+// workers checks its job out of a pool and hands chunks over a channel, and
+// spanJob.run must not heap-allocate its error slot per chunk.
+func TestSpanDispatchSteadyStateZeroAlloc(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	withWideGOMAXPROCS(t, func() {
+		d := NewDevice(Config{DeviceBytes: 16 << 20})
+		defer d.Close()
+		const span = 4 * bulkGrainEntries
+		a, err := d.Malloc("steady", int64(span*EntryBytes), Target2x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, span*EntryBytes)
+		gen.SparseFP16{ZeroFrac: 0.5}.Fill(data, gen.NewRNG(4, 1))
+		// First touch allocates the retained stream buffers; not measured.
+		if err := a.WriteEntries(0, data); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := a.WriteEntries(0, data); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("steady-state partitioned WriteEntries allocates %.1f/op, want 0", n)
+		}
+	})
+}

@@ -80,9 +80,12 @@ type ServeChunked struct {
 	// modeled GPUs).
 	WallSeconds float64
 	WallGBs     float64
-	// Submitted counts tasks accepted onto the submission queues;
-	// CoalescedFrac is the fraction that executed inside a coalesced run.
+	// Submitted counts accepted operations; Inline is how many of them
+	// were served in place on their submitter (none at this chunk size: a
+	// 4 KiB submit always queues), and CoalescedFrac the fraction that
+	// executed inside a coalesced run.
 	Submitted     uint64
+	Inline        uint64
 	CoalescedFrac float64
 }
 
@@ -404,6 +407,7 @@ func Serve(scale, shards int) (*ServeResult, error) {
 		WallSeconds:   wall.Seconds(),
 		WallGBs:       float64(payload) / wall.Seconds() / 1e9,
 		Submitted:     st.Async.Submitted,
+		Inline:        st.Async.Inline,
 		CoalescedFrac: st.Async.CoalescedFrac(),
 	}
 	return res, nil

@@ -45,6 +45,10 @@ func TestServeShardedThroughput(t *testing.T) {
 		t.Fatalf("chunked leg coalesced %.0f%% of %d tasks; adjacent 4 KiB submits must coalesce",
 			100*c.CoalescedFrac, c.Submitted)
 	}
+	if c.Inline != 0 {
+		t.Fatalf("%d of %d 4 KiB submits were served in place; they are above the in-place threshold and must queue",
+			c.Inline, c.Submitted)
+	}
 }
 
 // TestServeWidthSelection covers the shards<=0 fallback the cmds rely on

@@ -28,9 +28,11 @@ func newAsyncPool(t *testing.T, shards, workers, depth int) *Pool {
 }
 
 // TestSubmitSteadyStateZeroAlloc proves the tentpole acceptance criterion:
-// after warm-up, the submit→complete round trip allocates nothing on the
-// caller side — tasks and futures come from pools, completion is
-// channel-free, and the worker stages coalesced runs in pooled buffers.
+// after warm-up, the submit→complete round trip allocates nothing on either
+// path. Queued (an operation above inPlaceMaxBytes): tasks and futures come
+// from pools, completion is channel-free, and the worker stages coalesced
+// runs in pooled buffers. In place (a one-entry operation on a quiescent
+// shard): no task at all, and the future is recycled by Wait.
 // AllocsPerRun counts allocations process-wide, so worker-side allocations
 // would fail this test too. The tenant leg submits through a configured
 // non-default tenant in a higher priority class, so the classed
@@ -72,33 +74,52 @@ func TestSubmitSteadyStateZeroAlloc(t *testing.T) {
 	})
 }
 
+// checkSteadyZeroAlloc measures both dispatch paths on one closed-loop
+// caller: Wait returning means the operation is no longer pending, so the
+// shard is quiescent at every submit and the buffer size alone picks the
+// path — which the Inline counter confirms.
 func checkSteadyZeroAlloc(t *testing.T, p *Pool, h *Handle) {
 	t.Helper()
-	buf := make([]byte, core.EntryBytes)
-	pattern(buf, 3)
-	// Warm up: first touches allocate retained stream buffers and pool
-	// entries.
-	for i := 0; i < 32; i++ {
-		if _, err := p.SubmitWrite(h, buf, int64(i%4)*core.EntryBytes).Wait(); err != nil {
-			t.Fatal(err)
+	for _, leg := range []struct {
+		name    string
+		bytes   int
+		inPlace bool
+	}{
+		{"queued", 2 * inPlaceMaxBytes, false},
+		{"in-place", core.EntryBytes, true},
+	} {
+		buf := make([]byte, leg.bytes)
+		pattern(buf, 3)
+		// Warm up: first touches allocate retained stream buffers and pool
+		// entries.
+		for i := 0; i < 32; i++ {
+			if _, err := p.SubmitWrite(h, buf, int64(i%2*leg.bytes)).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.SubmitRead(h, buf, int64(i%2*leg.bytes)).Wait(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := p.SubmitRead(h, buf, int64(i%4)*core.EntryBytes).Wait(); err != nil {
-			t.Fatal(err)
+		before := p.Stats().Async
+		if a := testing.AllocsPerRun(200, func() {
+			if _, err := p.SubmitWrite(h, buf, 0).Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s: steady-state SubmitWrite+Wait allocates %.1f/op, want 0", leg.name, a)
 		}
-	}
-	if a := testing.AllocsPerRun(200, func() {
-		if _, err := p.SubmitWrite(h, buf, 0).Wait(); err != nil {
-			t.Fatal(err)
+		if a := testing.AllocsPerRun(200, func() {
+			if _, err := p.SubmitRead(h, buf, 0).Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s: steady-state SubmitRead+Wait allocates %.1f/op, want 0", leg.name, a)
 		}
-	}); a != 0 {
-		t.Errorf("steady-state SubmitWrite+Wait allocates %.1f/op, want 0", a)
-	}
-	if a := testing.AllocsPerRun(200, func() {
-		if _, err := p.SubmitRead(h, buf, 0).Wait(); err != nil {
-			t.Fatal(err)
+		after := p.Stats().Async
+		ops, inline := after.Submitted-before.Submitted, after.Inline-before.Inline
+		if leg.inPlace && inline != ops || !leg.inPlace && inline != 0 {
+			t.Errorf("%s: %d of %d operations served in place", leg.name, inline, ops)
 		}
-	}); a != 0 {
-		t.Errorf("steady-state SubmitRead+Wait allocates %.1f/op, want 0", a)
 	}
 }
 
@@ -106,11 +127,13 @@ func checkSteadyZeroAlloc(t *testing.T, p *Pool, h *Handle) {
 // clients interleave contiguous entry-aligned streams (coalescible) with
 // unaligned single writes (not coalescible) against shared shard queues, and
 // every byte must read back exactly. Workers:1 keeps each shard FIFO so
-// last-write-wins holds per offset.
+// last-write-wins holds per offset. Chunks are above inPlaceMaxBytes, so
+// every one of them is queued; the 3-byte tail write is not, and lands on
+// whichever path the shard's backlog dictates.
 func TestCoalescingStress(t *testing.T) {
 	p := newAsyncPool(t, 2, 1, defaultQueueDepth)
 	const clients = 8
-	const chunk = 2 * core.EntryBytes
+	const chunk = inPlaceMaxBytes + 2*core.EntryBytes
 	const chunks = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -191,9 +214,11 @@ func TestCoalescingStress(t *testing.T) {
 func TestCoalescedCompletionParity(t *testing.T) {
 	p := newAsyncPool(t, 1, 1, defaultQueueDepth)
 	const chunks = 8
+	// Unequal chunks, all above inPlaceMaxBytes so each is queued.
+	const base = inPlaceMaxBytes
 	sizes := []int{
-		core.EntryBytes, 2 * core.EntryBytes, core.EntryBytes, 3 * core.EntryBytes,
-		core.EntryBytes, core.EntryBytes, 2 * core.EntryBytes, core.EntryBytes,
+		base + core.EntryBytes, base + 2*core.EntryBytes, base + core.EntryBytes, base + 3*core.EntryBytes,
+		base + core.EntryBytes, base + core.EntryBytes, base + 2*core.EntryBytes, base + core.EntryBytes,
 	}
 	total := 0
 	for _, s := range sizes {
@@ -270,17 +295,18 @@ func TestCloseDuringBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 16 submitters against a depth-2 queue: well past the queue depth, so
-	// some goroutines are blocked inside the channel send when Close fires.
+	// some goroutines are parked on the full ring when Close fires. The
+	// writes are above inPlaceMaxBytes, so none of them bypasses the queue.
 	const submitters = 16
 	var wg sync.WaitGroup
 	results := make(chan error, submitters)
-	buf := make([]byte, core.EntryBytes)
+	buf := make([]byte, 2*inPlaceMaxBytes)
 	pattern(buf, 1)
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := p.SubmitWrite(h, buf, int64(i%8)*core.EntryBytes).Wait()
+			_, err := p.SubmitWrite(h, buf, int64(i%4)*int64(len(buf))).Wait()
 			results <- err
 		}(i)
 	}

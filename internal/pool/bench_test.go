@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,8 +17,11 @@ import (
 // transfers" shape of ML serving traffic, which only reaches the batch
 // primitives through worker-side coalescing). BenchmarkSubmitWrite pins
 // the submit→complete control-path cost per entry at zero allocations.
-// The per-shape ns/entry (and SubmitWrite's allocs/op) are what
-// BENCH_baseline.json pins via `make bench-gate`.
+// The rpc leg is the opposite shape: synchronous 1-4-entry operations at
+// random offsets, where nothing coalesces and the pool's own per-operation
+// cost dominates the codec's. The per-shape ns/entry (and SubmitWrite's and
+// the rpc leg's allocs/op) are what BENCH_baseline.json pins via
+// `make bench-gate`.
 
 // benchServe drives 8 concurrent clients, each streaming a 256 KiB
 // working set (write + read-back) into a 4-shard pool in chunkBytes
@@ -117,7 +121,88 @@ func benchServe(b *testing.B, chunkBytes int, rebalEvery time.Duration, tenants 
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
 }
 
+// benchRPC drives eight synchronous callers, four per tenant of a
+// latency-class and a batch tenant, against a 4-shard pool: every caller
+// issues b.N Submit*(...).Wait() operations of 1-4 entries at a random
+// entry-aligned offset of its own 256 KiB allocation, 70 % reads. An op
+// here is one operation per caller, so allocs/op is per eight operations
+// and must be zero: small operations on a quiescent shard run in place,
+// with no task checked out and the future recycled by Wait.
+func benchRPC(b *testing.B) {
+	const (
+		callers   = 8
+		perCaller = 256 << 10
+		maxOp     = 4 * core.EntryBytes
+	)
+	devices := make([]*core.Device, 4)
+	for i := range devices {
+		devices[i] = core.NewDevice(core.Config{DeviceBytes: 4 << 20})
+	}
+	p, err := New(devices, Config{Tenants: map[string]TenantConfig{
+		"lat":   {Priority: 2},
+		"batch": {Weight: 1},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	handles := make([]*Handle, callers)
+	data := make([]byte, perCaller)
+	(gen.SparseFP16{ZeroFrac: 0.9}).Fill(data, gen.NewRNG(7, 1))
+	for c := range handles {
+		door, err := p.Tenant([]string{"lat", "batch"}[c%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if handles[c], err = door.Malloc(fmt.Sprintf("c%d", c), perCaller, core.Target2x); err != nil {
+			b.Fatal(err)
+		}
+		// First touch allocates each entry's retained stream buffer.
+		if _, err := handles[c].WriteAt(data, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var entries [callers]int64
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := gen.NewRNG(11, uint64(c))
+			var buf [maxOp]byte
+			for i := 0; i < b.N; i++ {
+				n := 1 + rng.Intn(4)
+				e := rng.Intn(perCaller/core.EntryBytes - n + 1)
+				submit := p.SubmitRead
+				if rng.Intn(10) < 3 {
+					submit = p.SubmitWrite
+					copy(buf[:], data[e*core.EntryBytes:(e+n)*core.EntryBytes])
+				}
+				if _, err := submit(handles[c], buf[:n*core.EntryBytes], int64(e)*core.EntryBytes).Wait(); err != nil {
+					errs[c] = err
+					return
+				}
+				entries[c] += int64(n)
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	var total int64
+	for c := range entries {
+		if errs[c] != nil {
+			b.Fatal(errs[c])
+		}
+		total += entries[c]
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/entry")
+}
+
 func BenchmarkPoolServe(b *testing.B) {
+	b.Run("rpc", benchRPC)
 	b.Run("bulk", func(b *testing.B) { benchServe(b, 64<<10, 0, nil) })
 	b.Run("chunked", func(b *testing.B) { benchServe(b, 4<<10, 0, nil) })
 	// Same bulk traffic with the rebalancer watcher ticking every 100 µs —

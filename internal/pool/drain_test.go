@@ -141,9 +141,11 @@ func TestKillMidCoalescedSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = p.Close() })
+	// Chunks above inPlaceMaxBytes: every write is queued, so adjacent ones
+	// meet in a worker's window and coalesce.
 	const (
-		entries = 512
-		chunk   = 4 * core.EntryBytes
+		entries = 2048
+		chunk   = 2 * inPlaceMaxBytes
 		nWrites = entries * core.EntryBytes / chunk
 	)
 	h, err := p.Malloc("serve", entries*core.EntryBytes, core.Target2x)
@@ -233,12 +235,12 @@ func TestDrainDuringBackpressure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		buf := make([]byte, 1<<10)
+		buf := make([]byte, 2<<10) // above inPlaceMaxBytes: always queued
 		pattern(buf, 9)
 		for i := 0; i < nWrites; i++ {
 			// Blocks whenever the depth-2 queue is full — the drain below
 			// runs against sustained backpressure.
-			futs <- p.SubmitWrite(h, buf, int64(i%32)<<10)
+			futs <- p.SubmitWrite(h, buf, int64(i%16)<<11)
 		}
 		close(futs)
 	}()

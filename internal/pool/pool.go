@@ -108,12 +108,15 @@ type Pool struct {
 
 	// Close protocol: closed flips first, then stop retires the maintenance
 	// supervisor and each shard's scheduler shuts down (waking submitters
-	// parked on full rings, which fail with ErrClosed), then subWG drains
-	// in-flight submits while the workers finish the queued backlog and
-	// exit.
+	// parked on full rings, which fail with ErrClosed), then Close takes
+	// subMu exclusively — every submit holds it shared from its closed check
+	// to its return, whether it enqueues or runs in place — so no submit is
+	// in flight past that point, while the workers finish the queued backlog
+	// and exit. An RWMutex, not a WaitGroup: submits keep arriving after
+	// Close has begun waiting, which a WaitGroup does not allow.
 	closed atomic.Bool
 	stop   chan struct{}
-	subWG  sync.WaitGroup // in-flight submit calls
+	subMu  sync.RWMutex
 	scheds []*sched
 	wg     sync.WaitGroup // shard workers
 
@@ -131,7 +134,8 @@ type Pool struct {
 
 // asyncCounters is the async serving path's telemetry.
 type asyncCounters struct {
-	submitted      atomic.Uint64
+	queued         atomic.Uint64 // operations accepted onto a scheduler ring
+	inline         atomic.Uint64 // operations served in place by their submitter
 	coalescedTasks atomic.Uint64
 	coalescedRuns  atomic.Uint64
 }
@@ -389,7 +393,10 @@ func (p *Pool) Close() error {
 	for _, s := range p.scheds {
 		s.shutdown()
 	}
-	p.subWG.Wait() // no submit is mid-enqueue past this point
+	// Barrier, nothing to protect: in-flight submits finish before the lock
+	// is granted, later ones observe closed.
+	p.subMu.Lock()
+	p.subMu.Unlock()
 	p.wg.Wait()
 	p.maintWG.Wait()
 	return nil

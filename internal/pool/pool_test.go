@@ -168,7 +168,12 @@ func TestAsyncSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 8 << 10
+	// Writes above inPlaceMaxBytes: every one takes the scheduler, so the
+	// depth-2 queue genuinely backs up.
+	const (
+		chunk = 2 * inPlaceMaxBytes
+		n     = 16 * chunk
+	)
 	h, err := p.Malloc("async", n, core.Target2x)
 	if err != nil {
 		t.Fatal(err)
@@ -179,21 +184,21 @@ func TestAsyncSubmit(t *testing.T) {
 	futs := make([]*Future, 0, ops)
 	bufs := make([][]byte, ops)
 	for i := 0; i < ops; i++ {
-		bufs[i] = make([]byte, 512)
+		bufs[i] = make([]byte, chunk)
 		pattern(bufs[i], byte(i))
-		futs = append(futs, p.SubmitWrite(h, bufs[i], int64(i)*512%n))
+		futs = append(futs, p.SubmitWrite(h, bufs[i], int64(i)*chunk%n))
 	}
 	for i, f := range futs {
-		if wn, err := f.Wait(); err != nil || wn != 512 {
+		if wn, err := f.Wait(); err != nil || wn != chunk {
 			t.Fatalf("write %d: n=%d err=%v", i, wn, err)
 		}
 	}
 	// The last write to each offset wins; read one offset back async.
-	got := make([]byte, 512)
+	got := make([]byte, chunk)
 	if _, err := p.SubmitRead(h, got, 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]byte, 512)
+	want := make([]byte, chunk)
 	pattern(want, byte(ops-16)) // offset 0 last written by i=ops-16
 	if !bytes.Equal(got, want) {
 		t.Fatal("async read-back mismatch")

@@ -106,16 +106,22 @@ type sched struct {
 
 	tens    []*tenant // pool's tenants, by index
 	rings   []taskRing
-	total   int                 // queued tasks across all rings
-	count   [numClasses]int     // queued tasks per class
-	classes [numClasses][]int   // tenant indexes per class
-	cursor  [numClasses]int     // DRR rotation point per class
-	hiRuns  int                 // consecutive higher-class dequeues over waiting lower-class work
-	valve   int                 // rotates escape-valve grants among starved classes
+	total   int               // queued tasks across all rings
+	count   [numClasses]int   // queued tasks per class
+	classes [numClasses][]int // tenant indexes per class
+	cursor  [numClasses]int   // DRR rotation point per class
+	hiRuns  int               // consecutive higher-class dequeues over waiting lower-class work
+	valve   int               // rotates escape-valve grants among starved classes
 
 	// clock is the shard's modeled virtual time in device+link cycles;
 	// see advance.
 	clock atomic.Uint64
+
+	// pending counts the shard's unfinished queued work: tasks on any ring
+	// plus dequeued tasks a worker has not finished executing. Zero means
+	// the shard is quiescent, which is what lets a small operation run in
+	// place without overtaking anything (Pool.serveInPlace).
+	pending atomic.Int64
 }
 
 func newSched(tens []*tenant, depth int) *sched {
@@ -157,6 +163,7 @@ func (s *sched) enqueue(t *task, tn *tenant) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	s.pending.Add(1)
 	r.push(t)
 	s.total++
 	s.count[tn.cls]++
@@ -283,16 +290,16 @@ func (s *sched) drr(c int, run *[maxRunTasks]*task) int {
 func taskCost(t *task) int64 { return int64(len(t.buf)) + taskCostFloor }
 
 // advance moves the shard's modeled clock by the service cycles of n
-// payload bytes moved through handle h — the device-resident fraction of
-// each entry at HBM2 bandwidth plus the overflow fraction at link
-// bandwidth, per the allocation's target ratio — and returns the new
+// payload bytes moved through an allocation with the given target ratio —
+// the device-resident fraction of each entry at HBM2 bandwidth plus the
+// overflow fraction at link bandwidth — and returns the new
 // clock reading. Completion latency is the distance from the submitting
 // clock stamp to this reading, so queueing behind other tenants' runs is
 // part of the modeled latency.
 //
 //buddy:hotpath
-func (s *sched) advance(h *Handle, n int) uint64 {
-	devFrac := float64(h.Alloc().Target().DeviceBytes()) / float64(core.EntryBytes)
+func (s *sched) advance(target core.TargetRatio, n int) uint64 {
+	devFrac := float64(target.DeviceBytes()) / float64(core.EntryBytes)
 	cycles := float64(n) * (devFrac*devCyclesPerByte + (1-devFrac)*linkCyclesPerByte)
 	c := uint64(cycles)
 	if c == 0 {

@@ -37,8 +37,13 @@ type ShardStats struct {
 // AsyncStats is the async serving path's telemetry: how much of the
 // submitted traffic the shard workers managed to batch.
 type AsyncStats struct {
-	// Submitted counts tasks accepted onto the submission queues.
+	// Submitted counts accepted operations, whichever path served them.
 	Submitted uint64
+	// Inline counts the submitted operations that were served in place: small
+	// operations that found their shard with nothing pending and ran to
+	// completion on the submitter's goroutine, never touching a queue. The
+	// rest, Submitted - Inline, went through the scheduler.
+	Inline uint64
 	// CoalescedTasks counts submitted tasks that executed inside a
 	// coalesced run (a batch of 2+ adjacent tasks dispatched as one entry
 	// span); CoalescedRuns counts the runs themselves.
@@ -134,8 +139,10 @@ func (p *Pool) Stats() Stats {
 	if weight > 0 {
 		st.MetadataCacheHitRate = weightedHits / weight
 	}
+	inline := p.async.inline.Load()
 	st.Async = AsyncStats{
-		Submitted:      p.async.submitted.Load(),
+		Submitted:      p.async.queued.Load() + inline,
+		Inline:         inline,
 		CoalescedTasks: p.async.coalescedTasks.Load(),
 		CoalescedRuns:  p.async.coalescedRuns.Load(),
 	}

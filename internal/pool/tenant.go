@@ -119,7 +119,7 @@ type tenant struct {
 
 	rejected    atomic.Uint64 // Mallocs refused by admission control
 	queued      atomic.Int64  // tasks currently on submission queues
-	submitted   atomic.Uint64 // tasks accepted onto submission queues
+	submitted   atomic.Uint64 // operations accepted, queued or served in place
 	servedBytes atomic.Uint64 // payload bytes of completed operations
 	lat         latHist
 }
@@ -171,8 +171,8 @@ type TenantStats struct {
 	StoredBytes   int64
 	// Rejected counts Mallocs refused by admission control.
 	Rejected uint64
-	// Submitted counts tasks accepted onto the submission queues and
-	// QueueDepth the tasks queued at snapshot time.
+	// Submitted counts accepted operations — queued or served in place on
+	// their submitter — and QueueDepth the tasks queued at snapshot time.
 	Submitted  uint64
 	QueueDepth int64
 	// ServedBytes is the payload of completed operations.

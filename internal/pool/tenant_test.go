@@ -171,13 +171,15 @@ func TestTenantStarvationEscapeValve(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			b := make([]byte, core.EntryBytes)
+			// Above inPlaceMaxBytes, so the flood is a standing backlog on
+			// the high-priority ring and never runs on its submitters.
+			b := make([]byte, 2*inPlaceMaxBytes)
 			pattern(b, byte(w+1))
 			const window = 16
 			futs := make([]*Future, 0, window)
 			for !stop.Load() {
 				for k := 0; k < window; k++ {
-					futs = append(futs, p.SubmitWrite(hi, b, int64(k)*core.EntryBytes))
+					futs = append(futs, p.SubmitWrite(hi, b, int64(k*len(b))))
 				}
 				for _, f := range futs {
 					if _, err := f.Wait(); err != nil {
