@@ -192,6 +192,31 @@ func (b *CarveoutBackend) Load(entry int, n int) {
 	b.mu.Unlock()
 }
 
+// accessSpan replays a relocation sub-batch's overflow accesses in order
+// under one acquisition of the link mutex: the same per-access Request and
+// Drain calls Load and Store issue, so the link's busy cycles per direction
+// are bit-identical, and one add per meter counter.
+func (b *CarveoutBackend) accessSpan(ops []tierOp) {
+	var loads, stores, read, written uint64
+	b.mu.Lock()
+	for _, op := range ops {
+		if op.store {
+			stores++
+			written += uint64(op.n)
+			b.link.Drain(0, nvlink.Write, int(op.n))
+		} else {
+			loads++
+			read += uint64(op.n)
+			b.link.Request(0, nvlink.Read, int(op.n))
+		}
+	}
+	b.mu.Unlock()
+	b.loads.Add(loads)
+	b.readBytes.Add(read)
+	b.stores.Add(stores)
+	b.writtenBytes.Add(written)
+}
+
 // LinkOccupancy returns the modeled busy core-cycles per link direction:
 // how long the interconnect has been transferring in each direction since
 // the last reset. Idle gaps between transfers are not occupancy.

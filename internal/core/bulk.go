@@ -83,8 +83,13 @@ type spanPool struct {
 	width  int            // total workers including the caller; chunk divisor
 	chunks chan spanChunk // nil when width <= 1
 	closed atomic.Bool
-	active sync.WaitGroup // in-flight run() calls, gates close
-	wg     sync.WaitGroup // background workers
+	// runMu brackets partitioned runs against close: a run read-holds it
+	// from its closed check until its chunks are done, close flips closed
+	// and then takes it exclusively as a barrier. An RWMutex, not a
+	// WaitGroup: runs keep arriving after close has begun waiting, which a
+	// WaitGroup does not allow (Add from zero concurrent with Wait).
+	runMu sync.RWMutex
+	wg    sync.WaitGroup // background workers
 }
 
 func newSpanPool(width int) *spanPool {
@@ -117,13 +122,13 @@ func (sp *spanPool) run(n int, r spanRunner) error {
 	if width <= 1 || sp.chunks == nil {
 		return r.runSpan(0, n)
 	}
-	// active.Add happens before the closed check; close stores the flag
-	// before waiting on active — either this run sees closed and stays
+	// The read lock is taken before the closed check; close stores the
+	// flag before its barrier — either this run sees closed and stays
 	// inline, or close waits for its chunks to finish before closing the
 	// channel. Same protocol as the pool's submit/Close.
-	sp.active.Add(1)
+	sp.runMu.RLock()
 	if sp.closed.Load() {
-		sp.active.Done()
+		sp.runMu.RUnlock()
 		return r.runSpan(0, n)
 	}
 	j := spanJobPool.Get().(*spanJob)
@@ -143,7 +148,7 @@ func (sp *spanPool) run(n int, r spanRunner) error {
 	j.wg.Add(1)
 	j.run(0, chunk)
 	j.wg.Wait()
-	sp.active.Done()
+	sp.runMu.RUnlock()
 	var err error
 	if p := j.err.Load(); p != nil {
 		err = *p
@@ -159,7 +164,10 @@ func (sp *spanPool) close() {
 	if sp.chunks == nil || !sp.closed.CompareAndSwap(false, true) {
 		return
 	}
-	sp.active.Wait()
+	// Barrier, nothing to protect: in-flight runs finish before the lock is
+	// granted, later ones observe closed.
+	sp.runMu.Lock()
+	sp.runMu.Unlock()
 	close(sp.chunks)
 	sp.wg.Wait()
 }

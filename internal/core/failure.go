@@ -45,47 +45,22 @@ func (d *Device) Fail() { d.failed.Store(true) }
 func (d *Device) Failed() bool { return d.failed.Load() }
 
 // rebuildSpan is the spanRunner that re-streams one allocation's entries
-// from the buddy carve-out copy into the rebuilt device tier.
+// from the buddy carve-out copy into the rebuilt device tier, as a pass of
+// the relocation kernel.
 type rebuildSpan struct {
-	d       *Device
 	a       *Allocation
 	entries atomic.Int64
 	bytes   atomic.Int64
 }
 
+//buddy:hotpath
 func (s *rebuildSpan) runSpan(lo, hi int) error {
-	d, a := s.d, s.a
-	var n, moved int64
-	d.mu.RLock()
-	if a.freed {
-		d.mu.RUnlock()
-		return nil // freed mid-recovery: nothing left to rebuild
-	}
-	for i := lo; i < hi; i++ {
-		sh := a.shard(i)
-		sh.Lock()
-		g, t := a.entryHome(i)
-		sectors := d.meta.Get(g)
-		written := d.streams[g] != nil
-		sh.Unlock()
-		if !written {
-			continue
-		}
-		// The whole stored stream crosses the link from the carve-out copy;
-		// the in-budget sectors are re-stored device-side.
-		stored := storedBytes(sectors)
-		dev, _ := splitBytes(t, sectors)
-		d.traffic.buddyReadBytes.Add(uint64(stored))
-		d.overflow.Load(g, stored)
-		d.traffic.deviceWriteBytes.Add(uint64(dev))
-		d.primary.Store(g, dev)
-		n++
-		moved += int64(stored)
-	}
-	d.mu.RUnlock()
-	s.entries.Add(n)
-	s.bytes.Add(moved)
-	return nil
+	var ops [spanBatchEntries]tierOp
+	p := relocPass{kind: relocRebuild, tally: relocTally{ops: ops[:]}}
+	_, err := s.a.relocate(&p, nil, lo, hi)
+	s.entries.Add(int64(p.entries))
+	s.bytes.Add(p.bytes)
+	return err
 }
 
 // Recover rebuilds a failed device tier from the buddy carve-out: every
@@ -105,8 +80,9 @@ func (d *Device) Recover() (entries int, rebuilt int64, err error) {
 		return 0, 0, fmt.Errorf("core: Recover on a device that has not failed")
 	}
 	for _, a := range d.Allocations() {
-		s := &rebuildSpan{d: d, a: a}
-		_ = d.span.run(a.EntryCount, s) // rebuildSpan has no error path
+		s := &rebuildSpan{a: a}
+		// The pass's only error is ErrFreed, and Free waits on migMu.
+		_ = d.span.run(a.EntryCount, s)
 		entries += int(s.entries.Load())
 		rebuilt += s.bytes.Load()
 	}

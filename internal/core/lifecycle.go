@@ -19,13 +19,13 @@ import (
 // (lock order migMu -> mu -> entry shards). A migration installs a
 // per-allocation epoch — the mig pointer with its moved[] bitmap — under
 // dev.mu held exclusively, then streams entries to the new layout on the
-// same GOMAXPROCS-bounded span pool as the batch data path. Each entry
-// moves under its shard lock, the same lock every reader and writer takes,
-// and the shard key comes from the immutable shardBase rather than the
-// layout, so an in-flight WriteAt simply lands in whichever layout owns the
-// entry when it commits. The final layout swap happens under dev.mu held
-// exclusively, after which the old region's reservations are released and
-// its slots become a hole.
+// same GOMAXPROCS-bounded span pool as the batch data path, as passes of the
+// relocation kernel (relocate.go). Each entry moves under its shard lock,
+// the same lock every reader and writer takes, and the shard key comes from
+// the immutable shardBase rather than the layout, so an in-flight WriteAt
+// simply lands in whichever layout owns the entry when it commits. The
+// final layout swap happens under dev.mu held exclusively, after which the
+// old region's reservations are released and its slots become a hole.
 
 // ErrFreed is returned (wrapped) by every I/O operation on an allocation
 // that has been released with Free or Close.
@@ -62,18 +62,19 @@ type migration struct {
 // migrateSpan is the spanRunner that streams one allocation's entries to
 // its migration's new layout across the device's span-worker pool.
 type migrateSpan struct {
-	d   *Device
 	a   *Allocation
 	mig *migration
 }
 
+//buddy:hotpath
 func (s *migrateSpan) runSpan(lo, hi int) error {
-	var moved int64
-	for i := lo; i < hi; i++ {
-		moved += s.d.migrateEntry(s.a, s.mig, i)
-	}
-	s.mig.bytes.Add(moved)
-	return nil
+	// Each moved entry reads its old placement and writes its new one: at
+	// most two overflow accesses per entry of a sub-batch.
+	var ops [2 * spanBatchEntries]tierOp
+	p := relocPass{kind: relocMigrate, mig: s.mig, tally: relocTally{ops: ops[:]}}
+	_, err := s.a.relocate(&p, nil, lo, hi)
+	s.mig.bytes.Add(p.bytes)
+	return err
 }
 
 // grabRegion hands out a region of the given shape, reusing the first
@@ -236,91 +237,57 @@ func (d *Device) retarget(a *Allocation, target TargetRatio, expectOld *TargetRa
 		return 0, nil
 	}
 
+	mig, err := d.beginMigration(a, target)
+	if err != nil {
+		return 0, err
+	}
+	// Stream every entry to the new layout. The span workers cannot fail
+	// here (the pass's only error is ErrFreed, and Free waits on migMu),
+	// and entries written concurrently after their move land in the new
+	// layout directly.
+	_ = d.span.run(a.EntryCount, &migrateSpan{a: a, mig: mig})
+	return d.commitMigration(a, mig), nil
+}
+
+// beginMigration reserves a's layout under the new target and installs the
+// migration epoch; from here every entry operation resolves its home
+// through it. Both layouts are reserved while the migration runs; the old
+// bytes return only after the swap, so a failure can always roll forward.
+// Caller holds migMu.
+func (d *Device) beginMigration(a *Allocation, target TargetRatio) (*migration, error) {
 	entries := a.EntryCount
 	devBytes := int64(entries) * int64(target.DeviceBytes())
 	buddyBytes := int64(entries) * int64(target.BuddySlotBytes())
-	// Both layouts are reserved while the migration runs; the old bytes
-	// return only after the swap, so a failure can always roll forward.
 	if err := d.primary.Reserve(devBytes); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if err := d.overflow.Reserve(buddyBytes); err != nil {
 		d.primary.Release(devBytes)
-		return 0, err
+		return nil, err
 	}
-
 	mig := &migration{target: target, moved: make([]bool, entries)}
 	d.mu.Lock()
 	mig.reg = d.grabRegion(regionSlots(entries), devBytes, buddyBytes)
 	a.mig = mig
 	d.mu.Unlock()
+	return mig, nil
+}
 
-	// Stream every entry to the new layout. The span workers cannot fail
-	// here (migrateEntry has no error path), and entries written
-	// concurrently after their move land in the new layout directly.
-	_ = d.span.run(entries, &migrateSpan{d: d, a: a, mig: mig})
-
-	// Commit: swap the layout and retire the old region.
+// commitMigration swaps a onto the migration's layout once every entry has
+// moved, retires the old region and returns the stored bytes re-packed.
+// Caller holds migMu.
+func (d *Device) commitMigration(a *Allocation, mig *migration) int64 {
 	d.mu.Lock()
 	oldReg := a.reg
-	a.target = target
+	a.target = mig.target
 	a.reg = mig.reg
 	a.mig = nil
-	moved := mig.bytes.Load()
 	d.freeRegion(oldReg)
 	d.mu.Unlock()
 
 	d.primary.Release(oldReg.devBytes)
 	d.overflow.Release(oldReg.buddyBytes)
-	return moved, nil
-}
-
-// migrateEntry hands one entry from the old layout to the new one and
-// returns the stored bytes it moved. The handoff happens under the entry's
-// shard lock — the same lock readers and writers take — so it is atomic
-// with respect to concurrent I/O; the traffic modeling (read the old
-// placement, write the new one) happens after the lock drops, like the
-// regular data path.
-func (d *Device) migrateEntry(a *Allocation, mig *migration, i int) int64 {
-	d.mu.RLock()
-	sh := a.shard(i)
-	sh.Lock()
-	gOld := a.reg.firstEntry + i
-	gNew := mig.reg.firstEntry + i
-	var devR, budR, devW, budW, stored int
-	if !mig.moved[i] {
-		if stream := d.streams[gOld]; stream != nil {
-			sectors := d.meta.Get(gOld)
-			d.streams[gNew] = stream
-			d.streams[gOld] = nil
-			d.meta.Set(gNew, sectors)
-			d.meta.Set(gOld, 0)
-			devR, budR = splitBytes(a.target, sectors)
-			devW, budW = splitBytes(mig.target, sectors)
-			stored = storedBytes(sectors)
-		}
-		// Never-written entries have nothing to move; flipping the epoch
-		// bit is enough to hand them to the new layout.
-		mig.moved[i] = true
-	}
-	sh.Unlock()
-	if stored > 0 {
-		d.traffic.migrationBytes.Add(uint64(stored))
-		d.traffic.deviceReadBytes.Add(uint64(devR))
-		d.traffic.deviceWriteBytes.Add(uint64(devW))
-		d.primary.Load(gOld, devR)
-		d.primary.Store(gNew, devW)
-		if budR > 0 {
-			d.traffic.buddyReadBytes.Add(uint64(budR))
-			d.overflow.Load(gOld, budR)
-		}
-		if budW > 0 {
-			d.traffic.buddyWriteBytes.Add(uint64(budW))
-			d.overflow.Store(gNew, budW)
-		}
-	}
-	d.mu.RUnlock()
-	return int64(stored)
+	return mig.bytes.Load()
 }
 
 // MigrationStats reports what ApplyReprofile actually did.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -344,14 +345,30 @@ func TestApplyReprofileFromPlan(t *testing.T) {
 	}
 }
 
+// retryWhileFailed runs op until it stops failing with ErrDeviceFailed: what
+// a client of a device whose tier is killed and rebuilt under it does.
+func retryWhileFailed(op func() error) error {
+	for {
+		err := op()
+		if !errors.Is(err, ErrDeviceFailed) {
+			return err
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestMigrationRaceStress hammers byte-addressed reads, writes and Memcpy
 // on an allocation while Retarget migrates it back and forth between
-// layouts. Run under -race this is the concurrency proof for live
-// migration; after quiesce, contents must match the final writes
-// byte-for-byte and every tier's Reserve/Release accounting must be exact.
+// layouts and the device tier is killed and rebuilt in between. The
+// writers' ranges start on odd entries and straddle the relocation kernel's
+// sub-batch boundaries (multiples of spanBatchEntries), so their spans meet
+// the migrate passes mid-pair and mid-sub-batch. Run under -race this is
+// the concurrency proof for live migration; after quiesce, contents must
+// match the final writes byte-for-byte and every tier's Reserve/Release
+// accounting must be exact.
 func TestMigrationRaceStress(t *testing.T) {
 	d := newTestDevice(8 << 20)
-	const entries = 1024
+	const entries = 4 * spanBatchEntries
 	a, err := d.Malloc("hot", entries*EntryBytes, Target2x)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +380,11 @@ func TestMigrationRaceStress(t *testing.T) {
 
 	const writers = 4
 	const iters = 24
-	perWriter := entries / writers
+	// Writer w owns [first+w*perWriter, first+(w+1)*perWriter): odd starts,
+	// an odd length, and entries 256, 512 and 768 each inside one writer's
+	// range. Entries below first are never written.
+	const first = 101
+	const perWriter = (entries - first) / writers
 	phases := []gen.Generator{
 		gen.Zeros{}, gen.Noisy64{NoiseBits: 8, HiStep: 1}, gen.Random{}, gen.Ramp{Step: 7},
 	}
@@ -375,14 +396,17 @@ func TestMigrationRaceStress(t *testing.T) {
 		writerWG.Add(1)
 		go func(w int) {
 			defer writerWG.Done()
-			lo := int64(w*perWriter) * EntryBytes
+			lo := int64(first+w*perWriter) * EntryBytes
 			span := perWriter * EntryBytes
 			for i := 0; i < iters; i++ {
 				data := fillEntries(perWriter, []gen.Generator{phases[(w+i)%len(phases)]}, uint64(w*1000+i))
 				if i == iters-1 {
 					copy(final[lo:], data)
 				}
-				if _, err := a.WriteAt(data[:span], lo); err != nil {
+				if err := retryWhileFailed(func() error {
+					_, err := a.WriteAt(data[:span], lo)
+					return err
+				}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -402,7 +426,10 @@ func TestMigrationRaceStress(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := a.ReadAt(buf, off); err != nil {
+				if err := retryWhileFailed(func() error {
+					_, err := a.ReadAt(buf, off)
+					return err
+				}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -418,7 +445,10 @@ func TestMigrationRaceStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := Memcpy(scratch, a, entries*EntryBytes); err != nil {
+			if err := retryWhileFailed(func() error {
+				_, err := Memcpy(scratch, a, entries*EntryBytes)
+				return err
+			}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -428,6 +458,12 @@ func TestMigrationRaceStress(t *testing.T) {
 	// The migration loop runs concurrently with all of the above.
 	for _, target := range []TargetRatio{Target4x, Target1x, Target16x, Target4by3x, Target2x} {
 		if _, err := d.Retarget(a, target); err != nil {
+			t.Error(err)
+		}
+		// Kill and rebuild the device tier between migrations: the rebuild
+		// passes walk the same table while the clients retry.
+		d.Fail()
+		if _, _, err := d.Recover(); err != nil {
 			t.Error(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"buddy/internal/gen"
+	"buddy/internal/race"
 )
 
 // withWideGOMAXPROCS forces a multi-worker span pool on single-CPU test
@@ -136,6 +137,9 @@ func TestSpanDispatchSteadyStateZeroAlloc(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
+	if race.Enabled {
+		t.Skip("race instrumentation allocates (sync.Pool drops items under -race)")
+	}
 	withWideGOMAXPROCS(t, func() {
 		d := NewDevice(Config{DeviceBytes: 16 << 20})
 		defer d.Close()
@@ -156,6 +160,58 @@ func TestSpanDispatchSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("steady-state partitioned WriteEntries allocates %.1f/op, want 0", n)
+		}
+	})
+}
+
+// TestSpanRunsRaceDeviceClose keeps partitioned span runs arriving from
+// several goroutines while Device.Close retires the workers: runs that
+// started before the close finish on the pool, later ones run inline, every
+// span round-trips, and (under -race) the close barrier is not a WaitGroup
+// whose counter leaves zero while Close waits on it.
+func TestSpanRunsRaceDeviceClose(t *testing.T) {
+	withWideGOMAXPROCS(t, func() {
+		const span = 4 * bulkGrainEntries
+		const runners = 4
+		data := make([]byte, span*EntryBytes)
+		gen.SparseFP16{ZeroFrac: 0.5}.Fill(data, gen.NewRNG(6, 1))
+		for round := 0; round < 8; round++ {
+			d := NewDevice(Config{DeviceBytes: 16 << 20})
+			a, err := d.Malloc("racing", int64(runners*span*EntryBytes), Target2x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			started := make(chan struct{}, runners)
+			var wg sync.WaitGroup
+			for r := 0; r < runners; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					got := make([]byte, len(data))
+					for i := 0; i < 12; i++ {
+						if err := a.WriteEntries(r*span, data); err != nil {
+							t.Error(err)
+							return
+						}
+						if i == 0 {
+							started <- struct{}{}
+						}
+						if err := a.ReadEntries(r*span, got); err != nil {
+							t.Error(err)
+							return
+						}
+						if !bytes.Equal(got, data) {
+							t.Errorf("round %d runner %d: span corrupted across Close", round, r)
+							return
+						}
+					}
+				}(r)
+			}
+			<-started // at least one run is in flight or done; the rest keep coming
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
 		}
 	})
 }

@@ -224,6 +224,88 @@ func BenchmarkPoolServe(b *testing.B) {
 	})
 }
 
+// BenchmarkRelocate pins the three movers that run on core's relocation
+// kernel, each at steady state on one 16 Ki-entry allocation of mixed
+// compressibility in a two-shard pool: retarget (one Device.Retarget per
+// iteration, alternating between two neighbouring ratios), transfer (one
+// MigrateHandle per iteration, back and forth: destination Malloc, chunked
+// framed-stream handoff, source Free) and recover (Kill plus Recover of the
+// serving shard). ns/entry is wall time over the allocation's entries;
+// allocs/op is per whole move, so the transfer leg also pins that import
+// buffers come a chunk, not an entry, at a time.
+func BenchmarkRelocate(b *testing.B) {
+	const entries = 16 << 10
+	setup := func(b *testing.B) (*Pool, *FailureInjector, *Handle) {
+		fi := NewFailureInjector()
+		devices := []*core.Device{
+			core.NewDevice(core.Config{DeviceBytes: 8 << 20}),
+			core.NewDevice(core.Config{DeviceBytes: 8 << 20}),
+		}
+		p, err := New(devices, Config{Placement: Explicit(0), Injector: fi})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = p.Close() })
+		data := make([]byte, entries*core.EntryBytes)
+		shapes := []gen.Generator{
+			gen.SparseFP16{ZeroFrac: 0.7}, gen.Zeros{}, gen.Ramp{Start: 1, Step: 5},
+			gen.Noisy64{NoiseBits: 8, HiStep: 1}, gen.Random{},
+		}
+		r := gen.NewRNG(9, 1)
+		for e := 0; e < entries; e++ {
+			shapes[e/8%len(shapes)].Fill(data[e*core.EntryBytes:(e+1)*core.EntryBytes], r)
+		}
+		h, err := p.Malloc("moving", int64(len(data)), core.Target2x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := h.WriteAt(data, 0); err != nil {
+			b.Fatal(err)
+		}
+		return p, fi, h
+	}
+	// run times b.N moves after two untimed ones (first touch of the
+	// destination tables and the region holes the steady state reuses).
+	run := func(b *testing.B, move func(i int) error) {
+		for i := 0; i < 2; i++ {
+			if err := move(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := move(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+	}
+	b.Run("retarget", func(b *testing.B) {
+		p, _, h := setup(b)
+		targets := [2]core.TargetRatio{core.Target4by3x, core.Target2x}
+		run(b, func(i int) error {
+			_, err := p.Device(0).Retarget(h.Alloc(), targets[i%2])
+			return err
+		})
+	})
+	b.Run("transfer", func(b *testing.B) {
+		p, _, h := setup(b)
+		run(b, func(i int) error { return p.MigrateHandle(h, (i+1)%2) })
+	})
+	b.Run("recover", func(b *testing.B) {
+		p, fi, _ := setup(b)
+		run(b, func(int) error {
+			if err := fi.Kill(0); err != nil {
+				return err
+			}
+			_, err := p.Recover(0)
+			return err
+		})
+	})
+}
+
 // BenchmarkQoSDequeue pins the scheduler's control-path cost in
 // isolation: one enqueue plus its dequeue per task, cycled across four
 // tenants in two priority classes so every window exercises class

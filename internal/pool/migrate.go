@@ -11,19 +11,20 @@ import (
 // framed compressed entries from one shard's device to another while the
 // pool keeps serving it. Because entries live as framed streams, a
 // codec-matched move is a pure stream handoff over the modeled interconnect
-// — ExportEntry/ImportEntry, zero decode round-trips — and both devices
+// — core's TransferEntries, zero decode round-trips — and both devices
 // account the move in Traffic.MigrationBytes (equal on source and
-// destination for a clean move). Devices with different codecs fall back to
-// a decode/re-encode copy per entry.
+// destination, whether the move commits or rolls back). Devices with
+// different codecs fall back to a decode/re-encode copy per chunk.
 //
 // Concurrency: the destination layout is reserved up front (clean
 // ErrOutOfMemory rollback before anything moves), then a migration epoch is
-// installed in the handle's route. The mover advances an entry watermark
-// only while holding the handle's route lock exclusively; every concurrent
-// ReadAt/WriteAt/Submit holds it shared and splits at the watermark, so
-// each entry is served by exactly one device at any instant and no update
-// is ever lost. An error mid-move (destination killed, say) migrates the
-// moved prefix back and leaves the handle where it started.
+// installed in the handle's route. The mover advances an entry watermark,
+// a whole chunk at a time, only while holding the handle's route lock
+// exclusively; every concurrent ReadAt/WriteAt/Submit holds it shared and
+// splits at the watermark, so each entry is served by exactly one device at
+// any instant and no update is ever lost. An error mid-move (destination
+// killed, say) migrates the moved prefix back and leaves the handle where
+// it started.
 
 // migrateChunkEntries is the mover's lock window: entries transferred per
 // exclusive acquisition of the handle's route lock. Small enough that
@@ -104,57 +105,63 @@ func (p *Pool) MigrateHandle(h *Handle, dstShard int) error {
 	return h.migrateTo(dstShard)
 }
 
-// moveEntry transfers entry i between allocations: a framed-stream handoff
-// when the codecs match (no decode), decode/re-encode when they differ.
-// streamBuf must have MaxStreamBytes capacity; entryBuf is one entry.
-func moveEntry(from, to *core.Allocation, i int, sameCodec bool, streamBuf, entryBuf []byte) error {
-	if sameCodec {
-		stream, sectors, written, err := from.ExportEntry(i, streamBuf[:0])
-		if err != nil {
-			return err
-		}
-		if !written {
-			return nil // never-written entries read as zero on both sides
-		}
-		return to.ImportEntry(i, stream, sectors)
+// moveChunk transfers entries [lo, hi) between allocations and returns how
+// many leading entries moved: a framed-stream handoff (core's
+// TransferEntries, no decode, all or nothing per chunk) when buf is nil,
+// decode/re-encode through buf — one entry's bytes per entry of the chunk —
+// when the codecs differ. A transcode that fails part-way counts as
+// nothing moved: the watermark stays put, so the chunk keeps being served
+// from where it was.
+func moveChunk(from, to *core.Allocation, lo, hi int, buf []byte) (int, error) {
+	if buf == nil {
+		return from.TransferEntries(to, lo, hi)
 	}
-	if err := from.ReadEntry(i, entryBuf); err != nil {
-		return err
+	buf = buf[:(hi-lo)*core.EntryBytes]
+	if err := from.ReadEntries(lo, buf); err != nil {
+		return 0, err
 	}
-	return to.WriteEntry(i, entryBuf)
+	if err := to.WriteEntries(lo, buf); err != nil {
+		return 0, err
+	}
+	return hi - lo, nil
 }
 
-// migrateEntries runs the mover: chunks of migrateChunkEntries moved under
-// the route lock held exclusively, watermark advanced per entry.
+// transcodeBuf returns moveChunk's buffer: nil for a codec-matched move.
+func transcodeBuf(sameCodec bool) []byte {
+	if sameCodec {
+		return nil
+	}
+	return make([]byte, migrateChunkEntries*core.EntryBytes)
+}
+
+// migrateEntries runs the mover: one chunk of migrateChunkEntries per
+// exclusive acquisition of the route lock, the watermark advanced by what
+// the chunk moved.
 func (h *Handle) migrateEntries(src, dst *core.Allocation, sameCodec bool) error {
 	n := src.EntryCount
-	streamBuf := make([]byte, 0, core.MaxStreamBytes)
-	entryBuf := make([]byte, core.EntryBytes)
+	buf := transcodeBuf(sameCodec)
 	for base := 0; base < n; base += migrateChunkEntries {
 		end := min(base+migrateChunkEntries, n)
 		h.mu.Lock()
-		m := h.rt.mig
-		for i := base; i < end; i++ {
-			if err := moveEntry(src, dst, i, sameCodec, streamBuf, entryBuf); err != nil {
-				h.mu.Unlock()
-				return fmt.Errorf("pool: migrate %q entry %d: %w", h.name, i, err)
-			}
-			m.moved = i + 1
-		}
+		moved, err := moveChunk(src, dst, base, end, buf)
+		h.rt.mig.moved = base + moved
 		h.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("pool: migrate %q entries [%d,%d): %w", h.name, base+moved, end, err)
+		}
 	}
 	return nil
 }
 
 // rollbackMigration undoes a partial move: entries [0, moved) are copied
 // back from the destination — which holds their freshest contents, since
-// post-watermark writes landed there — and the epoch is cleared, restoring
-// the pre-migration route. Best effort: an entry that cannot be copied back
-// (e.g. a mismatched-codec rollback off a killed destination) is reported
-// and the source keeps its pre-move copy of that entry.
+// post-watermark writes landed there — a chunk at a time, and the epoch is
+// cleared, restoring the pre-migration route. Best effort: a chunk that
+// cannot be copied back (e.g. a mismatched-codec rollback off a killed
+// destination) is reported and the source keeps its pre-move copy of those
+// entries.
 func (h *Handle) rollbackMigration(src, dst *core.Allocation, sameCodec bool) error {
-	streamBuf := make([]byte, 0, core.MaxStreamBytes)
-	entryBuf := make([]byte, core.EntryBytes)
+	buf := transcodeBuf(sameCodec)
 	var errs []error
 	for {
 		h.mu.Lock()
@@ -165,12 +172,10 @@ func (h *Handle) rollbackMigration(src, dst *core.Allocation, sameCodec bool) er
 			return errors.Join(errs...)
 		}
 		base := max(0, m.moved-migrateChunkEntries)
-		for i := m.moved - 1; i >= base; i-- {
-			if err := moveEntry(dst, src, i, sameCodec, streamBuf, entryBuf); err != nil && len(errs) < 8 {
-				errs = append(errs, fmt.Errorf("pool: rollback %q entry %d: %w", h.name, i, err))
-			}
-			m.moved = i
+		if _, err := moveChunk(dst, src, base, m.moved, buf); err != nil && len(errs) < 8 {
+			errs = append(errs, fmt.Errorf("pool: rollback %q entries [%d,%d): %w", h.name, base, m.moved, err))
 		}
+		m.moved = base
 		h.mu.Unlock()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,28 @@ func newCodecPool(t *testing.T, codecs ...compress.Codec) *Pool {
 	}
 	t.Cleanup(func() { _ = p.Close() })
 	return p
+}
+
+// moveEntry is the mover as it was before it moved in chunks — one entry per
+// call, ExportEntry+ImportEntry when the codecs match, decode/re-encode when
+// they differ — kept as the reference the chunked mover is tested against
+// and as the tool for installing a half-finished move by hand. streamBuf
+// must have MaxStreamBytes capacity; entryBuf is one entry.
+func moveEntry(from, to *core.Allocation, i int, sameCodec bool, streamBuf, entryBuf []byte) error {
+	if sameCodec {
+		stream, sectors, written, err := from.ExportEntry(i, streamBuf[:0])
+		if err != nil {
+			return err
+		}
+		if !written {
+			return nil // never-written entries read as zero on both sides
+		}
+		return to.ImportEntry(i, stream, sectors)
+	}
+	if err := from.ReadEntry(i, entryBuf); err != nil {
+		return err
+	}
+	return to.WriteEntry(i, entryBuf)
 }
 
 // TestMigrateHandleMovesData pins the basic contract: after MigrateHandle
@@ -236,6 +259,95 @@ func TestMigrateOOMRollback(t *testing.T) {
 	}
 }
 
+// TestMigrateDestinationKilledBetweenChunks kills the destination shard
+// while the mover is between two chunks. The move must fail with the typed
+// device error, roll back, and leave the handle whole on its source with
+// byte-exact contents — and the migration identity must survive the
+// failure: what left each device equals what arrived at the other, so both
+// shards read the same MigrationBytes (forward prefix out of the source
+// plus rollback into it; forward prefix into the destination plus rollback
+// out of it). A mover that charged the source for the refused chunk's
+// export breaks that by the refused entries.
+func TestMigrateDestinationKilledBetweenChunks(t *testing.T) {
+	fi := NewFailureInjector()
+	devices := []*core.Device{
+		core.NewDevice(core.Config{DeviceBytes: 1 << 20}),
+		core.NewDevice(core.Config{DeviceBytes: 1 << 20}),
+	}
+	p, err := New(devices, Config{Placement: Explicit(0), Injector: fi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	const entries = 64*migrateChunkEntries + 5
+	want := make([]byte, entries*core.EntryBytes)
+	pattern(want, 21)
+	h, err := p.Malloc("doomed", int64(len(want)), core.Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range devices {
+		d.ResetTraffic()
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- p.MigrateHandle(h, 1) }()
+	// Catch the mover between chunks: it needs the route lock exclusively
+	// for its next chunk, so while this goroutine holds it shared with the
+	// watermark part-way, the destination dies between two chunks.
+	killedAt := 0
+	for killedAt == 0 {
+		h.mu.RLock()
+		if m := h.rt.mig; m != nil && m.moved > 0 && m.moved < entries {
+			if err := fi.Kill(1); err != nil {
+				t.Error(err)
+			}
+			killedAt = m.moved
+		}
+		moved := h.rt.shard == 1
+		h.mu.RUnlock()
+		if moved {
+			t.Fatal("the move committed before the watcher saw a watermark")
+		}
+	}
+	err = <-done
+	if !errors.Is(err, core.ErrDeviceFailed) {
+		t.Fatalf("move into a killed shard: %v, want core.ErrDeviceFailed", err)
+	}
+	if killedAt%migrateChunkEntries != 0 {
+		t.Errorf("watermark seen at %d, not a chunk boundary", killedAt)
+	}
+	if h.Shard() != 0 || h.Migrating() {
+		t.Fatalf("after rollback: shard %d, migrating %v", h.Shard(), h.Migrating())
+	}
+	got := make([]byte, len(want))
+	if _, err := h.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("contents differ after the rolled-back move")
+	}
+	if used := devices[1].DeviceUsed(); used != 0 {
+		t.Errorf("killed destination still reserves %d device bytes", used)
+	}
+	out, in := devices[0].Traffic().MigrationBytes, devices[1].Traffic().MigrationBytes
+	if out == 0 || out != in {
+		t.Errorf("MigrationBytes shard 0 = %d, shard 1 = %d; want equal and nonzero", out, in)
+	}
+	if _, err := p.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.MigrateHandle(h, 1); err != nil {
+		t.Fatalf("move after recovery: %v", err)
+	}
+	if _, err := h.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read after the second move: err=%v match=%v", err, bytes.Equal(got, want))
+	}
+}
+
 // TestMigrateRejects covers the argument guards: foreign handles, bad
 // shard indexes, draining and failed destinations.
 func TestMigrateRejects(t *testing.T) {
@@ -267,74 +379,138 @@ func TestMigrateRejects(t *testing.T) {
 	}
 }
 
+// refusedByFailure reports whether err only says the serving shard's device
+// tier is down right now — the one error the stress clients retry.
+func refusedByFailure(err error) bool {
+	return errors.Is(err, core.ErrDeviceFailed) || errors.Is(err, ErrShardFailed)
+}
+
 // TestMigrateUnderConcurrentIO is the stale-shard-routing regression under
-// load: goroutines hammer disjoint regions of one handle — sync byte I/O at
+// load: goroutines hammer disjoint ranges of one handle — sync byte I/O at
 // unaligned offsets plus async submissions — while the allocation live-
-// migrates back and forth between shards. Every read must observe that
-// region's latest write; run with -race this also proves the watermark
-// handoff publishes safely.
+// migrates back and forth between shards, is retargeted in place, has a
+// half-finished move rolled back, and loses and recovers its device tier.
+// Every range straddles a mover boundary — a multiple of
+// migrateChunkEntries, one of them also the core kernel's sub-batch
+// boundary — so each client's operations split at the watermark while a
+// chunk lands. Every read must observe that range's latest write; run with
+// -race this also proves the chunk-granular watermark handoff publishes
+// safely.
 func TestMigrateUnderConcurrentIO(t *testing.T) {
+	fi := NewFailureInjector()
 	p, err := New([]*core.Device{
 		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
 		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
-	}, Config{Placement: Explicit(0), QueueDepth: 8, Workers: 2})
+	}, Config{Placement: Explicit(0), QueueDepth: 8, Workers: 2, Injector: fi})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = p.Close() })
 	const (
-		regions    = 4
-		regionSize = 4 << 10
-		rounds     = 40
+		entries    = 6 * migrateChunkEntries
+		spanBytes  = 48 * core.EntryBytes // one client's range
+		ioBytes    = spanBytes - 64       // leaves room for the unaligned offset
+		minRounds  = 40
+		subBatch   = 4 * migrateChunkEntries // core's spanBatchEntries
+		moverIters = 10
 	)
-	h, err := p.Malloc("hot", regions*regionSize, core.Target2x)
+	// First entry of each client's range: the ranges straddle entries 64,
+	// 128, 256 (a chunk and a sub-batch boundary) and 320.
+	starts := []int{40, 104, subBatch - 24, 296}
+	h, err := p.Malloc("hot", entries*core.EntryBytes, core.Target2x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	errc := make(chan error, regions+1)
-	for r := 0; r < regions; r++ {
+	var moverDone atomic.Bool
+	errc := make(chan error, len(starts)+1)
+	for r, start := range starts {
 		wg.Add(1)
-		go func(r int) {
+		go func(r, start int) {
 			defer wg.Done()
-			base := int64(r * regionSize)
-			buf := make([]byte, regionSize/2)
-			got := make([]byte, regionSize/2)
-			for i := 0; i < rounds; i++ {
-				// Odd offset inside the region: the I/O spans entry
+			base := int64(start * core.EntryBytes)
+			buf := make([]byte, ioBytes)
+			got := make([]byte, ioBytes)
+			// At least minRounds, and on until the mover has been through
+			// every phase, so each phase meets live I/O.
+			for i := 0; i < minRounds || !moverDone.Load(); i++ {
+				// Odd offset inside the range: the I/O spans entry
 				// boundaries unaligned, crossing the migration watermark
 				// at arbitrary points.
 				off := base + int64(i%64)
-				pattern(buf, byte(r*rounds+i))
-				if r%2 == 0 {
-					if _, err := h.WriteAt(buf, off); err != nil {
-						errc <- fmt.Errorf("region %d write: %w", r, err)
+				pattern(buf, byte(r*minRounds+i))
+				for {
+					var err error
+					if r%2 == 0 {
+						_, err = h.WriteAt(buf, off)
+					} else {
+						_, err = p.SubmitWrite(h, buf, off).Wait()
+					}
+					if err == nil {
+						break
+					}
+					if !refusedByFailure(err) {
+						errc <- fmt.Errorf("range %d write: %w", r, err)
 						return
 					}
-				} else {
-					if _, err := p.SubmitWrite(h, buf, off).Wait(); err != nil {
-						errc <- fmt.Errorf("region %d submit: %w", r, err)
-						return
-					}
+					runtime.Gosched() // shard down: retry until Recover
 				}
-				if _, err := h.ReadAt(got, off); err != nil {
-					errc <- fmt.Errorf("region %d read: %w", r, err)
-					return
+				for {
+					_, err := h.ReadAt(got, off)
+					if err == nil {
+						break
+					}
+					if !refusedByFailure(err) {
+						errc <- fmt.Errorf("range %d read: %w", r, err)
+						return
+					}
+					runtime.Gosched()
 				}
 				if !bytes.Equal(got, buf) {
-					errc <- fmt.Errorf("region %d round %d: torn read during migration", r, i)
+					errc <- fmt.Errorf("range %d round %d: torn read during relocation", r, i)
 					return
 				}
 			}
-		}(r)
+		}(r, start)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 10; i++ {
+		defer moverDone.Store(true)
+		for i := 0; i < moverIters; i++ {
 			if err := p.MigrateHandle(h, (h.Shard()+1)%2); err != nil {
 				errc <- fmt.Errorf("migration %d: %w", i, err)
 				return
+			}
+			switch i % 3 {
+			case 0:
+				// Retarget in place and back: the core kernel's migrate
+				// passes under the same I/O.
+				dev, a := p.Device(h.Shard()), h.Alloc()
+				for _, target := range []core.TargetRatio{core.Target4by3x, core.Target2x} {
+					if _, err := dev.Retarget(a, target); err != nil {
+						errc <- fmt.Errorf("retarget %d: %w", i, err)
+						return
+					}
+				}
+			case 1:
+				// Half a move, then its rollback.
+				if err := halfMoveAndRollback(h, entries/2+migrateChunkEntries); err != nil {
+					errc <- fmt.Errorf("rollback %d: %w", i, err)
+					return
+				}
+			case 2:
+				// The serving shard loses its device tier and is rebuilt;
+				// clients retry what the dead tier refuses.
+				shard := h.Shard()
+				if err := fi.Kill(shard); err != nil {
+					errc <- fmt.Errorf("kill %d: %w", i, err)
+					return
+				}
+				if _, err := p.Recover(shard); err != nil {
+					errc <- fmt.Errorf("recover %d: %w", i, err)
+					return
+				}
 			}
 		}
 	}()
@@ -343,4 +519,41 @@ func TestMigrateUnderConcurrentIO(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
+	if h.Migrating() {
+		t.Error("handle still mid-move after the stress")
+	}
+	for i, d := range p.devices {
+		if i != h.Shard() && d.DeviceUsed() != 0 {
+			t.Errorf("shard %d still reserves %d device bytes", i, d.DeviceUsed())
+		}
+	}
+}
+
+// halfMoveAndRollback is migrateTo cut short: it reserves a destination on
+// the other shard, installs the epoch, moves entries [0, upTo) a chunk at a
+// time exactly as migrateEntries does, then rolls the move back and frees
+// the destination, under the control lock like any mover.
+func halfMoveAndRollback(h *Handle, upTo int) error {
+	h.ctl.Lock()
+	defer h.ctl.Unlock()
+	p := h.pool
+	src := h.Alloc()
+	other := (h.Shard() + 1) % 2
+	dst, err := p.devices[other].Malloc(h.name, h.size, src.Target())
+	if err != nil {
+		return err
+	}
+	h.mu.Lock()
+	h.rt.mig = &handleMigration{dstShard: other, dst: dst}
+	h.mu.Unlock()
+	for base := 0; base < upTo; base += migrateChunkEntries {
+		h.mu.Lock()
+		moved, err := moveChunk(src, dst, base, min(base+migrateChunkEntries, upTo), nil)
+		h.rt.mig.moved = base + moved
+		h.mu.Unlock()
+		if err != nil {
+			return errors.Join(err, h.rollbackMigration(src, dst, true), dst.Close())
+		}
+	}
+	return errors.Join(h.rollbackMigration(src, dst, true), dst.Close())
 }
