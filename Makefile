@@ -118,10 +118,11 @@ bench-baseline:
 # bench/ is a Go module of its own (the repository's benchmark, see
 # BENCHMARK.json), so `go build ./...` and `go test ./...` at the root never
 # compile it: a change to an exported signature it calls would otherwise
-# first fail when the benchmark is run. This vets it and runs its toy-scale
-# pass of every workload (~4 s).
+# first fail when the benchmark is run — and `make lint` never sees it. This
+# vets it, runs its toy-scale pass of every workload (~4 s) and runs
+# buddylint over it.
 bench-smoke:
-	cd bench && $(GO) vet ./... && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run buddy/cmd/buddylint ./...
 
 # Short fuzz pass over all six codecs.
 fuzz:

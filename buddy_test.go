@@ -65,10 +65,6 @@ func TestCodecsRegistry(t *testing.T) {
 	if _, err := CodecByName("no-such"); err == nil {
 		t.Error("CodecByName should reject unknown names")
 	}
-	// The deprecated alias stays callable for one release.
-	if len(Compressors()) != 6 {
-		t.Error("Compressors alias broken")
-	}
 }
 
 func TestRunExperimentQuick(t *testing.T) {

@@ -2,7 +2,7 @@ package compress
 
 import "encoding/binary"
 
-// BitWriter accumulates a big-endian bit stream. Compressors use it to
+// BitWriter accumulates a big-endian bit stream. Codecs use it to
 // produce the exact encoded bit layout, so compressed sizes are bit-accurate
 // rather than estimated.
 //

@@ -49,7 +49,7 @@ func u32(w *[entryWordCount]uint64, i int) uint32 {
 
 // EntryAllZero reports whether the 128 B entry is entirely zero with one
 // probe: sixteen word loads ORed together. It is the test the data path
-// runs ahead of codec dispatch (core.writeEntry, analysis.Build) so
+// runs ahead of codec dispatch (core's write pass, analysis.Build) so
 // activation-like mostly-zero traffic never enters a codec at all.
 // entry must be EntryBytes long.
 //

@@ -140,7 +140,7 @@ func NewSlabBackend(capacity int64) *SlabBackend {
 }
 
 // StoreSpan folds k entry writes totaling n bytes into the meter with one
-// pair of atomic adds — the batch span kernels' amortized accounting. The
+// pair of atomic adds — the walker's per-sub-batch accounting. The
 // totals are identical to k individual Store calls.
 func (b *SlabBackend) StoreSpan(k int, n uint64) {
 	b.stores.Add(uint64(k))
@@ -192,7 +192,7 @@ func (b *CarveoutBackend) Load(entry int, n int) {
 	b.mu.Unlock()
 }
 
-// accessSpan replays a relocation sub-batch's overflow accesses in order
+// accessSpan replays a walker sub-batch's overflow accesses in order
 // under one acquisition of the link mutex: the same per-access Request and
 // Drain calls Load and Store issue, so the link's busy cycles per direction
 // are bit-identical, and one add per meter counter.

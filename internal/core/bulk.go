@@ -4,26 +4,24 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"buddy/internal/compress"
 )
 
 // Batch entry primitives: WriteEntries and ReadEntries move whole spans of
 // 128 B entries through the compression pipeline, fanning the codec work
-// across the device's persistent span-worker pool. Compression and
-// decompression run outside the entry shard locks (each entry operation
-// only locks for its table update), so workers contend only on the striped
-// mutexes and the batch scales with the pool's width. ReadAt, WriteAt and
-// Memcpy route their aligned spans through these primitives, which is what
-// makes the byte-addressed bulk surface — and everything above it,
-// experiment sweeps included — parallel for free.
+// across the device's persistent span-worker pool. Each worker's chunk is a
+// write or read pass of the entry-table walker (relocate.go): compression
+// and decompression run outside the entry shard locks, so workers contend
+// only on the striped mutexes and the batch scales with the pool's width.
+// ReadAt, WriteAt and Memcpy route their aligned spans through these
+// primitives, which is what makes the byte-addressed bulk surface — and
+// everything above it, experiment sweeps included — parallel for free.
 //
-// Inside a span, the kernels amortize the device-table read lock and the
-// traffic-counter updates over sub-batches of spanBatchEntries entries:
-// the accounting totals are byte-identical to per-entry execution, only
-// the number of lock acquisitions and atomic operations changes. The
-// buddy tier stays per entry — the carve-out models per-access link
-// occupancy, which batching would distort.
+// A pass amortizes the device-table read lock and the traffic-counter
+// updates over sub-batches of spanBatchEntries entries; the overflow tier's
+// accesses are replayed one by one, in entry order, as each sub-batch's
+// lock drops. The accounting — link busy cycles and pager faults included —
+// is identical to per-entry execution; only the number of lock acquisitions
+// and atomic operations changes.
 
 // bulkGrainEntries is the smallest span a worker is given: 64 entries
 // (8 KB). Spans below two grains run inline — goroutine handoff costs more
@@ -31,7 +29,7 @@ import (
 const bulkGrainEntries = 64
 
 // spanBatchEntries bounds how many entries one dev.mu read-lock
-// acquisition (and one traffic flush) covers inside a span kernel, so a
+// acquisition (and one traffic flush) covers inside a walker pass, so a
 // large span cannot starve writers of the allocation table for its whole
 // duration.
 const spanBatchEntries = 256
@@ -172,32 +170,50 @@ func (sp *spanPool) close() {
 	sp.wg.Wait()
 }
 
+// spanScratch is one data pass's pooled staging: the two buffers a metadata
+// pair's framed streams are staged in — MaxStreamBytes each, so the
+// steady-state codec path never allocates — and the sub-batch's
+// overflow-tier op list.
+type spanScratch struct {
+	bufs [2][]byte
+	ops  [spanBatchEntries]tierOp
+}
+
+var spanScratchPool = sync.Pool{New: func() any {
+	x := new(spanScratch)
+	for k := range x.bufs {
+		x.bufs[k] = make([]byte, 0, MaxStreamBytes)
+	}
+	return x
+}}
+
+// dataPass runs one data pass of the walker — kind is relocWrite or relocRead
+// — over entries [lo, hi) of a; data is the flat buffer of a span whose
+// first entry is index base.
+//
+//buddy:hotpath
+func (a *Allocation) dataPass(kind relocKind, base int, data []byte, lo, hi int) error {
+	x := spanScratchPool.Get().(*spanScratch)
+	p := relocPass{kind: kind, base: base, tally: relocTally{ops: x.ops[:]}}
+	_, err := a.relocate(&p, &x.bufs, data, lo, hi)
+	spanScratchPool.Put(x)
+	return err
+}
+
 // entrySpan is the spanRunner behind WriteEntries/ReadEntries: a span of
 // contiguous entries of one allocation, backed by one flat buffer.
 type entrySpan struct {
 	a     *Allocation
+	kind  relocKind
 	start int
 	data  []byte
-	read  bool
 }
 
 var entrySpanPool = sync.Pool{New: func() any { return new(entrySpan) }}
 
 //buddy:hotpath
 func (s *entrySpan) runSpan(lo, hi int) error {
-	// Two scratch buffers, so the kernels can stage both entries of a
-	// metadata pair and take their shared shard lock once.
-	scratch := streamScratchPool.Get().(*[]byte)
-	scratch2 := streamScratchPool.Get().(*[]byte)
-	var err error
-	if s.read {
-		err = s.a.readEntrySpan(s.start, lo, hi, s.data, scratch, scratch2)
-	} else {
-		err = s.a.writeEntrySpan(s.start, lo, hi, s.data, scratch, scratch2)
-	}
-	streamScratchPool.Put(scratch)
-	streamScratchPool.Put(scratch2)
-	return err
+	return s.a.dataPass(s.kind, s.start, s.data, s.start+lo, s.start+hi)
 }
 
 func (a *Allocation) checkEntryRange(start, n int) error {
@@ -208,27 +224,15 @@ func (a *Allocation) checkEntryRange(start, n int) error {
 	return nil
 }
 
-// runEntrySpan dispatches an entry span through the device's span pool with
-// a pooled runner, so the steady-state batch path allocates nothing.
-func (a *Allocation) runEntrySpan(start int, data []byte, read bool, n int) error {
-	s := entrySpanPool.Get().(*entrySpan)
-	s.a, s.start, s.data, s.read = a, start, data, read
-	err := a.dev.span.run(n, s)
-	s.a, s.data = nil, nil
-	entrySpanPool.Put(s)
-	return err
-}
-
-// WriteEntries compresses and stores len(data)/128 consecutive entries
-// beginning at entry index start; len(data) must be a multiple of 128.
-// Entries are written in parallel across the device's span-worker pool,
-// each worker reusing one pooled scratch buffer for its whole span. Each
-// entry write is individually atomic (the usual torn-write contract at
-// 128 B granularity); on error a prefix-and-suffix subset of the span may
-// have been written.
-func (a *Allocation) WriteEntries(start int, data []byte) error {
+// accessEntries validates a span and runs it as a data pass. A span below
+// two bulk grains — which spanPool.run would keep inline anyway — calls the
+// walker directly; a longer one goes through the span pool with a pooled
+// runner, so the steady-state batch path allocates nothing either way.
+//
+//buddy:hotpath
+func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) error {
 	if len(data)%EntryBytes != 0 {
-		return fmt.Errorf("core: batch write length %d not a multiple of %d", len(data), EntryBytes)
+		return fmt.Errorf("core: batch length %d not a multiple of %d", len(data), EntryBytes)
 	}
 	n := len(data) / EntryBytes
 	if n == 0 {
@@ -237,7 +241,27 @@ func (a *Allocation) WriteEntries(start int, data []byte) error {
 	if err := a.checkEntryRange(start, n); err != nil {
 		return err
 	}
-	return a.runEntrySpan(start, data, false, n)
+	if n < 2*bulkGrainEntries {
+		return a.dataPass(kind, start, data, start, start+n)
+	}
+	s := entrySpanPool.Get().(*entrySpan)
+	s.a, s.kind, s.start, s.data = a, kind, start, data
+	err := a.dev.span.run(n, s)
+	s.a, s.data = nil, nil
+	entrySpanPool.Put(s)
+	return err
+}
+
+// WriteEntries compresses and stores len(data)/128 consecutive entries
+// beginning at entry index start; len(data) must be a multiple of 128.
+// Sectors beyond an entry's target budget are written to its fixed overflow
+// slot; no other entry is disturbed regardless of compressibility changes.
+// Entries are written in parallel across the device's span-worker pool.
+// Each entry write is individually atomic (the usual torn-write contract at
+// 128 B granularity); on error a prefix-and-suffix subset of the span may
+// have been written.
+func (a *Allocation) WriteEntries(start int, data []byte) error {
+	return a.accessEntries(relocWrite, start, data)
 }
 
 // ReadEntries fetches and decompresses len(dst)/128 consecutive entries
@@ -245,180 +269,33 @@ func (a *Allocation) WriteEntries(start int, data []byte) error {
 // of dst with no staging copies; len(dst) must be a multiple of 128. Entries
 // are read in parallel across the device's span-worker pool.
 func (a *Allocation) ReadEntries(start int, dst []byte) error {
-	if len(dst)%EntryBytes != 0 {
-		return fmt.Errorf("core: batch read length %d not a multiple of %d", len(dst), EntryBytes)
-	}
-	n := len(dst) / EntryBytes
-	if n == 0 {
-		return nil
-	}
-	if err := a.checkEntryRange(start, n); err != nil {
+	return a.accessEntries(relocRead, start, dst)
+}
+
+// WriteEntry compresses and stores one 128 B entry: WriteEntries as a span
+// of one.
+//
+//buddy:hotpath
+func (a *Allocation) WriteEntry(i int, data []byte) error {
+	if err := a.checkIndex(i); err != nil {
 		return err
 	}
-	return a.runEntrySpan(start, dst, true, n)
+	if len(data) != EntryBytes {
+		return fmt.Errorf("core: entry must be %d bytes, got %d", EntryBytes, len(data))
+	}
+	return a.dataPass(relocWrite, i, data, i, i+1)
 }
 
-// writeEntrySpan is the batch counterpart of writeEntry: it writes entries
-// [lo, hi) of a span whose first entry is index start and whose data is the
-// span-relative flat buffer. The device-table read lock is taken once per
-// sub-batch (never across one, so Malloc/Free/migration commits interleave)
-// and the device-tier traffic counters are flushed once per sub-batch; the
-// per-entry totals are identical to writeEntry's. Buddy-tier accounting
-// stays per entry: the carve-out models per-access link occupancy.
-//
-// Entries sharing a metadata byte share a shard (shardBase is even), so the
-// kernel encodes both halves of a pair into separate scratch buffers first
-// and then takes the pair's shard lock once for both table updates. Each
-// entry's stream+metadata update remains atomic under the shard lock, so the
-// torn-write contract is unchanged.
+// ReadEntry fetches and decompresses entry i into dst (128 bytes):
+// ReadEntries as a span of one.
 //
 //buddy:hotpath
-func (a *Allocation) writeEntrySpan(start, lo, hi int, data []byte, scratch, scratch2 *[]byte) error {
-	d := a.dev
-	bufs := [2]*[]byte{scratch, scratch2}
-	for b := lo; b < hi; {
-		e := min(b+spanBatchEntries, hi)
-		d.mu.RLock()
-		if a.freed {
-			d.mu.RUnlock()
-			return a.errFreed()
-		}
-		if d.failed.Load() {
-			d.mu.RUnlock()
-			return d.errFailed()
-		}
-		var devBytes uint64
-		for i := b; i < e; {
-			n := 1
-			if i+1 < e && (a.shardBase+start+i)&1 == 0 {
-				n = 2
-			}
-			var streams [2][]byte
-			var secs [2]int
-			for k := 0; k < n; k++ {
-				src := data[(i+k)*EntryBytes : (i+k+1)*EntryBytes]
-				// All-zero entries short-circuit the codec, exactly as in
-				// writeEntry: activation-like sparse traffic is dominated by
-				// this path.
-				var stream []byte
-				var bits int
-				if compress.EntryAllZero(src) {
-					stream, bits = compress.AppendZeroEntry((*bufs[k])[:0], d.cfg.Codec)
-				} else {
-					stream, bits = d.cfg.Codec.AppendCompressed((*bufs[k])[:0], src)
-				}
-				*bufs[k] = stream[:0]
-				streams[k] = stream
-				secs[k] = compress.SectorsForBits(bits)
-			}
-			var homes [2]int
-			var targets [2]TargetRatio
-			sh := a.shard(start + i)
-			sh.Lock()
-			for k := 0; k < n; k++ {
-				g, t := a.entryHome(start + i + k)
-				homes[k], targets[k] = g, t
-				d.streams[g] = append(d.streams[g][:0], streams[k]...)
-				d.meta.Set(g, secs[k])
-				a.sectorCount[start+i+k] = secs[k]
-			}
-			sh.Unlock()
-			for k := 0; k < n; k++ {
-				g := homes[k]
-				d.accessMetadata(g)
-				dev, buddy := splitBytes(targets[k], secs[k])
-				devBytes += uint64(dev)
-				if buddy > 0 {
-					d.traffic.buddyWriteBytes.Add(uint64(buddy))
-					d.traffic.buddyAccesses.Add(1)
-					d.overflow.Store(g, buddy)
-				}
-			}
-			i += n
-		}
-		d.mu.RUnlock()
-		d.traffic.writes.Add(uint64(e - b))
-		d.traffic.deviceWriteBytes.Add(devBytes)
-		d.slab.StoreSpan(e-b, devBytes)
-		b = e
+func (a *Allocation) ReadEntry(i int, dst []byte) error {
+	if err := a.checkIndex(i); err != nil {
+		return err
 	}
-	return nil
-}
-
-// readEntrySpan is the batch counterpart of readEntry, with the same
-// sub-batched lock and accounting amortization as writeEntrySpan. Each
-// stored stream is snapshotted into a scratch under its shard lock (writers
-// reuse stream buffers in place) and decoded outside it, straight into the
-// span buffer. Like the write kernel, both entries of a metadata pair are
-// snapshotted under one acquisition of their shared shard lock.
-//
-//buddy:hotpath
-func (a *Allocation) readEntrySpan(start, lo, hi int, dst []byte, scratch, scratch2 *[]byte) error {
-	d := a.dev
-	bufs := [2]*[]byte{scratch, scratch2}
-	for b := lo; b < hi; {
-		e := min(b+spanBatchEntries, hi)
-		d.mu.RLock()
-		if a.freed {
-			d.mu.RUnlock()
-			return a.errFreed()
-		}
-		if d.failed.Load() {
-			d.mu.RUnlock()
-			return d.errFailed()
-		}
-		var devBytes uint64
-		for i := b; i < e; {
-			n := 1
-			if i+1 < e && (a.shardBase+start+i)&1 == 0 {
-				n = 2
-			}
-			var homes [2]int
-			var targets [2]TargetRatio
-			var secs [2]int
-			var written [2]bool
-			sh := a.shard(start + i)
-			sh.Lock()
-			for k := 0; k < n; k++ {
-				g, t := a.entryHome(start + i + k)
-				homes[k], targets[k] = g, t
-				secs[k] = d.meta.Get(g)
-				written[k] = d.streams[g] != nil
-				*bufs[k] = append((*bufs[k])[:0], d.streams[g]...)
-			}
-			sh.Unlock()
-			for k := 0; k < n; k++ {
-				g := homes[k]
-				d.accessMetadata(g)
-				dev, buddy := splitBytes(targets[k], secs[k])
-				devBytes += uint64(dev)
-				if buddy > 0 {
-					d.traffic.buddyReadBytes.Add(uint64(buddy))
-					d.traffic.buddyAccesses.Add(1)
-					d.overflow.Load(g, buddy)
-				}
-				out := dst[(i+k)*EntryBytes : (i+k+1)*EntryBytes]
-				if !written[k] {
-					// Never-written entries read as zero, like fresh
-					// cudaMalloc pages.
-					clear(out)
-				} else if err := d.cfg.Codec.DecompressInto(out, *bufs[k]); err != nil {
-					d.mu.RUnlock()
-					// The failed entry's read was already accounted, like
-					// readEntry's counters-before-decode ordering.
-					d.traffic.reads.Add(uint64(i + k + 1 - b))
-					d.traffic.deviceReadBytes.Add(devBytes)
-					d.slab.LoadSpan(i+k+1-b, devBytes)
-					return fmt.Errorf("core: entry %d of %s: %w", start+i+k, a.Name, err)
-				}
-			}
-			i += n
-		}
-		d.mu.RUnlock()
-		d.traffic.reads.Add(uint64(e - b))
-		d.traffic.deviceReadBytes.Add(devBytes)
-		d.slab.LoadSpan(e-b, devBytes)
-		b = e
+	if len(dst) != EntryBytes {
+		return fmt.Errorf("core: dst must be %d bytes, got %d", EntryBytes, len(dst))
 	}
-	return nil
+	return a.dataPass(relocRead, i, dst, i, i+1)
 }

@@ -148,7 +148,10 @@ const entryShards = 64
 // modeled at the paper's sector granularity. The software keeps the
 // per-entry compressed streams in a side table because the model's 1-bit
 // stream framing would otherwise straddle slot boundaries that hardware
-// metadata absorbs.
+// metadata absorbs. Every read, write and move of an entry is a pass of one
+// walker over that table (relocate.go), which charges both tiers once per
+// sub-batch: the slab as sums, the overflow tier access by access, in entry
+// order.
 //
 // A Device is safe for concurrent use: the allocation table is guarded by a
 // reader-writer lock, per-entry state by sharded mutexes, and traffic by
@@ -454,159 +457,6 @@ func (a *Allocation) entryHome(i int) (global int, t TargetRatio) {
 
 func (a *Allocation) errFreed() error {
 	return fmt.Errorf("core: allocation %s: %w", a.Name, ErrFreed)
-}
-
-// streamScratchPool recycles codec scratch buffers across entry operations.
-// Each buffer holds one framed compressed stream; MaxStreamBytes capacity
-// means the steady-state compress/decompress path never allocates.
-var streamScratchPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, compress.MaxStreamBytes)
-		return &b
-	},
-}
-
-// WriteEntry compresses and stores a 128 B entry. Sectors beyond the target
-// budget are written to the entry's fixed overflow slot; no other entry is
-// disturbed regardless of compressibility changes.
-//
-//buddy:hotpath
-func (a *Allocation) WriteEntry(i int, data []byte) error {
-	scratch := streamScratchPool.Get().(*[]byte)
-	err := a.writeEntry(i, data, scratch)
-	streamScratchPool.Put(scratch)
-	return err
-}
-
-// writeEntry is WriteEntry with a caller-held scratch buffer, so batch
-// writers pay the pool round-trip once per span rather than per entry. The
-// entry is encoded exactly once — the framed stream and the sector count
-// both come out of the same AppendCompressed pass — and the encode runs
-// outside every lock; the shard lock covers only the table update.
-//
-//buddy:hotpath
-func (a *Allocation) writeEntry(i int, data []byte, scratch *[]byte) error {
-	if err := a.checkIndex(i); err != nil {
-		return err
-	}
-	if len(data) != EntryBytes {
-		return fmt.Errorf("core: entry must be %d bytes, got %d", EntryBytes, len(data))
-	}
-	d := a.dev
-	// All-zero entries short-circuit the codec: one 16-word probe replaces
-	// the full encode, and the precomputed per-codec zero stream is
-	// frame-identical to what AppendCompressed would produce. Activation-like
-	// sparse traffic is dominated by this path.
-	var stream []byte
-	var bits int
-	if compress.EntryAllZero(data) {
-		stream, bits = compress.AppendZeroEntry((*scratch)[:0], d.cfg.Codec)
-	} else {
-		stream, bits = d.cfg.Codec.AppendCompressed((*scratch)[:0], data)
-	}
-	*scratch = stream[:0]
-	sectors := compress.SectorsForBits(bits)
-
-	d.mu.RLock()
-	if a.freed {
-		d.mu.RUnlock()
-		return a.errFreed()
-	}
-	if d.failed.Load() {
-		d.mu.RUnlock()
-		return d.errFailed()
-	}
-	sh := a.shard(i)
-	sh.Lock()
-	// The entry's home (old or new layout, during a live migration) is
-	// resolved under the shard lock, so the write lands in whichever layout
-	// owns the entry at commit time. Copy into the entry's retained buffer
-	// (reused across rewrites) rather than retaining the scratch: readers
-	// snapshot under the same lock, so in-place reuse is safe and the
-	// steady state allocates nothing.
-	g, t := a.entryHome(i)
-	d.streams[g] = append(d.streams[g][:0], stream...)
-	d.meta.Set(g, sectors)
-	a.sectorCount[i] = sectors
-	sh.Unlock()
-	d.accessMetadata(g)
-	d.mu.RUnlock()
-
-	d.traffic.writes.Add(1)
-	dev, buddy := splitBytes(t, sectors)
-	d.traffic.deviceWriteBytes.Add(uint64(dev))
-	d.primary.Store(g, dev)
-	if buddy > 0 {
-		d.traffic.buddyWriteBytes.Add(uint64(buddy))
-		d.traffic.buddyAccesses.Add(1)
-		d.overflow.Store(g, buddy)
-	}
-	return nil
-}
-
-// ReadEntry fetches and decompresses entry i into dst (128 bytes).
-//
-//buddy:hotpath
-func (a *Allocation) ReadEntry(i int, dst []byte) error {
-	scratch := streamScratchPool.Get().(*[]byte)
-	err := a.readEntry(i, dst, scratch)
-	streamScratchPool.Put(scratch)
-	return err
-}
-
-// readEntry is ReadEntry with a caller-held scratch buffer. The stored
-// stream is snapshotted into the scratch under the shard lock (writers reuse
-// stream buffers in place, so the reference itself must not leave the
-// critical section) and decoded outside it, straight into dst.
-//
-//buddy:hotpath
-func (a *Allocation) readEntry(i int, dst []byte, scratch *[]byte) error {
-	if err := a.checkIndex(i); err != nil {
-		return err
-	}
-	if len(dst) != EntryBytes {
-		return fmt.Errorf("core: dst must be %d bytes, got %d", EntryBytes, len(dst))
-	}
-	d := a.dev
-
-	d.mu.RLock()
-	if a.freed {
-		d.mu.RUnlock()
-		return a.errFreed()
-	}
-	if d.failed.Load() {
-		d.mu.RUnlock()
-		return d.errFailed()
-	}
-	sh := a.shard(i)
-	sh.Lock()
-	g, t := a.entryHome(i)
-	sectors := d.meta.Get(g)
-	written := d.streams[g] != nil
-	*scratch = append((*scratch)[:0], d.streams[g]...)
-	sh.Unlock()
-	d.accessMetadata(g)
-	d.mu.RUnlock()
-
-	d.traffic.reads.Add(1)
-	dev, buddy := splitBytes(t, sectors)
-	d.traffic.deviceReadBytes.Add(uint64(dev))
-	d.primary.Load(g, dev)
-	if buddy > 0 {
-		d.traffic.buddyReadBytes.Add(uint64(buddy))
-		d.traffic.buddyAccesses.Add(1)
-		d.overflow.Load(g, buddy)
-	}
-
-	if !written {
-		// Never-written entries read as zero, like fresh cudaMalloc pages.
-		clear(dst)
-		return nil
-	}
-	if err := d.cfg.Codec.DecompressInto(dst, *scratch); err != nil {
-		return fmt.Errorf("core: entry %d of %s: %w", i, a.Name, err)
-	}
-	return nil
 }
 
 // splitBytes returns the device and overflow byte traffic for one access to

@@ -46,7 +46,7 @@ func (d *Device) Failed() bool { return d.failed.Load() }
 
 // rebuildSpan is the spanRunner that re-streams one allocation's entries
 // from the buddy carve-out copy into the rebuilt device tier, as a pass of
-// the relocation kernel.
+// the entry-table walker.
 type rebuildSpan struct {
 	a       *Allocation
 	entries atomic.Int64
@@ -57,7 +57,7 @@ type rebuildSpan struct {
 func (s *rebuildSpan) runSpan(lo, hi int) error {
 	var ops [spanBatchEntries]tierOp
 	p := relocPass{kind: relocRebuild, tally: relocTally{ops: ops[:]}}
-	_, err := s.a.relocate(&p, nil, lo, hi)
+	_, err := s.a.relocate(&p, nil, nil, lo, hi)
 	s.entries.Add(int64(p.entries))
 	s.bytes.Add(p.bytes)
 	return err

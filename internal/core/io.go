@@ -155,8 +155,8 @@ func (a *Allocation) WriteAt(p []byte, off int64) (int, error) {
 // across several bulk grains.
 const memcpyChunkEntries = 512
 
-// memcpyBufPool recycles Memcpy staging buffers, companion to the codec
-// scratch pool: the bulk copy path allocates nothing in steady state.
+// memcpyBufPool recycles Memcpy staging buffers, companion to the walker's
+// span scratch pool: the bulk copy path allocates nothing in steady state.
 var memcpyBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, memcpyChunkEntries*EntryBytes)

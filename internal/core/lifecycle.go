@@ -20,7 +20,7 @@ import (
 // per-allocation epoch — the mig pointer with its moved[] bitmap — under
 // dev.mu held exclusively, then streams entries to the new layout on the
 // same GOMAXPROCS-bounded span pool as the batch data path, as passes of the
-// relocation kernel (relocate.go). Each entry moves under its shard lock,
+// entry-table walker (relocate.go). Each entry moves under its shard lock,
 // the same lock every reader and writer takes, and the shard key comes from
 // the immutable shardBase rather than the layout, so an in-flight WriteAt
 // simply lands in whichever layout owns the entry when it commits. The
@@ -72,7 +72,7 @@ func (s *migrateSpan) runSpan(lo, hi int) error {
 	// most two overflow accesses per entry of a sub-batch.
 	var ops [2 * spanBatchEntries]tierOp
 	p := relocPass{kind: relocMigrate, mig: s.mig, tally: relocTally{ops: ops[:]}}
-	_, err := s.a.relocate(&p, nil, lo, hi)
+	_, err := s.a.relocate(&p, nil, nil, lo, hi)
 	s.mig.bytes.Add(p.bytes)
 	return err
 }

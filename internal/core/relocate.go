@@ -7,35 +7,46 @@ import (
 	"buddy/internal/compress"
 )
 
-// The relocation kernel: one span visitor, relocate, under every mover —
-// Retarget and ApplyReprofile (old layout to new layout on one device),
-// TransferEntries (framed streams between codec-matched devices, under the
-// pool's MigrateHandle and Drain) and Recover (re-stream from the carve-out
-// copy). They differ only in what happens to an entry under its shard lock.
+// The entry-table walker: one span visitor, relocate, is the only code that
+// walks the entry table. Every operation on an entry is the same five steps
+// (§3.3 gives each entry one fixed device slot and one fixed buddy slot):
+// lock its shard, resolve its home, touch its stream, set or read its
+// metadata, charge the two tiers. The data path (WriteEntries/ReadEntries,
+// and WriteEntry/ReadEntry as spans of one) and every mover — Retarget and
+// ApplyReprofile (old layout to new layout on one device), TransferEntries
+// (framed streams between codec-matched devices, under the pool's
+// MigrateHandle and Drain) and Recover (re-stream from the carve-out copy) —
+// are passes of it that differ only in what happens to an entry before,
+// under and after its shard lock (table in DESIGN.md "The entry-table
+// walker").
 //
-// A pass amortizes what the data-path span kernels in bulk.go amortize:
-// dev.mu is read-locked once per sub-batch of spanBatchEntries entries and
-// never across one, both entries of a metadata pair share one acquisition
-// of their shard lock, and the Traffic counters and the slab's meter are
-// flushed once per sub-batch from a relocTally. Per entry stay entryHome,
-// resolved under the shard lock (an in-flight Retarget splits a span
-// between two layouts), and the overflow tier: the carve-out models link
-// occupancy per access and the host tier pages per access, so the flush
-// replays their accesses one by one, in entry order. Every total, and the
-// link's busy cycles per direction, equal moving the entries one at a time.
+// A pass takes dev.mu read-locked once per sub-batch of spanBatchEntries
+// entries and never across one, both entries of a metadata pair share one
+// acquisition of their shard lock, and the Traffic counters and the slab's
+// meter are flushed once per sub-batch from a relocTally. Per entry stay
+// entryHome, resolved under the shard lock (an in-flight Retarget splits a
+// span between two layouts), the metadata-cache lookup of a data access, and
+// the overflow tier: the carve-out models link occupancy per access and the
+// host tier pages per access, so the flush replays their accesses one by
+// one, in entry order. Every total, and the link's busy cycles per
+// direction, equal visiting the entries one at a time.
 
-// relocKind selects what a relocation pass does to each entry.
+// relocKind selects what a pass does to each entry. The order matters twice:
+// kinds from relocImport on need a live device tier, kinds from relocWrite on
+// are the data path (counted as entry accesses, metadata cache consulted).
 type relocKind uint8
 
 const (
 	relocMigrate relocKind = iota // hand the entry to the migration's new layout
 	relocExport                   // snapshot the framed stream into the staging buffer
-	relocImport                   // install the staged framed stream
 	relocRebuild                  // re-stream from the carve-out copy into the device tier
+	relocImport                   // install the staged framed stream
+	relocWrite                    // encode from the span buffer and commit
+	relocRead                     // snapshot and decode into the span buffer
 )
 
-// tierOp is one overflow-tier access of a relocation pass, deferred to the
-// sub-batch's flush.
+// tierOp is one overflow-tier access of a pass, deferred to the sub-batch's
+// flush.
 type tierOp struct {
 	entry int // global entry index
 	n     int32
@@ -74,20 +85,31 @@ func (t *relocTally) access(store bool, g int, tr TargetRatio, sectors int) {
 	}
 }
 
-// flush charges the tally to d and empties it.
-func (t *relocTally) flush(d *Device) {
+// flush charges the tally to d and empties it. Only a data pass's accesses
+// count as Traffic.Reads/Writes/BuddyAccesses, the buddy-access fraction of
+// Fig. 7/9: a relocation moves stored bytes.
+func (t *relocTally) flush(d *Device, data bool) {
 	if t.migration != 0 {
 		d.traffic.migrationBytes.Add(t.migration)
 	}
 	if t.loads != 0 {
 		d.traffic.deviceReadBytes.Add(t.devRead)
 		d.slab.LoadSpan(t.loads, t.devRead)
+		if data {
+			d.traffic.reads.Add(uint64(t.loads))
+		}
 	}
 	if t.stores != 0 {
 		d.traffic.deviceWriteBytes.Add(t.devWrite)
 		d.slab.StoreSpan(t.stores, t.devWrite)
+		if data {
+			d.traffic.writes.Add(uint64(t.stores))
+		}
 	}
 	if t.nops != 0 {
+		if data {
+			d.traffic.buddyAccesses.Add(uint64(t.nops))
+		}
 		if t.budRead != 0 {
 			d.traffic.buddyReadBytes.Add(t.budRead)
 		}
@@ -111,7 +133,7 @@ func (t *relocTally) flush(d *Device) {
 	t.loads, t.stores, t.nops = 0, 0, 0
 }
 
-// relocPass is one pass of the kernel over a range of one allocation's
+// relocPass is one pass of the walker over a range of one allocation's
 // entries: what to do, the buffers to do it with, and what it did. Nothing
 // in one is shared between span workers.
 type relocPass struct {
@@ -121,27 +143,37 @@ type relocPass struct {
 	// relocExport and relocImport: entry base+k's framed stream is
 	// stage[offs[k]:offs[k+1]] of the staging buffer — empty for a
 	// never-written entry — and its sector class secs[k].
+	// relocWrite and relocRead: entry base+k's 128 bytes are
+	// stage[k*EntryBytes:][:EntryBytes], the span's flat buffer.
 	base int
 	offs []int32
 	secs []uint8
 
-	entries int   // entries that held a stream
+	entries int   // entries that held a stream (relocation kinds)
 	bytes   int64 // their stored bytes
 	tally   relocTally
 }
 
 // relocate runs pass p over entries [lo, hi) of a. stage is the staging
 // buffer: an export appends the framed streams to it and returns it
-// extended, an import reads them from it, the other kinds pass nil (it
-// travels beside the pass because a slice grown through p would move the
-// pass's buffers to the heap). A sub-batch is all or nothing: freed and,
-// for an import, failed are checked once under its dev.mu read lock, so an
-// error means no entry of that sub-batch or after it was touched. Every
-// kind but relocExport flushes its tally as each sub-batch's lock drops;
-// an export is charged by its caller once the import it feeds committed.
+// extended, an import reads them from it, a write encodes the entries in it
+// and a read decodes into it; the other kinds pass nil. pair is where the
+// data kinds stage a metadata pair's framed streams between the codec and
+// the table, nil for the rest. Both travel beside the pass: the codec is an
+// interface, so whatever reached it through p would move every buffer p
+// refers to — its builder's op list included — to the heap.
+//
+// A sub-batch is all or nothing: freed and, for the kinds that need the
+// device tier, failed are checked once under its dev.mu read lock, so
+// ErrFreed or ErrDeviceFailed means no entry of that sub-batch or after it
+// was touched. Every kind but relocExport flushes its tally as each
+// sub-batch's lock drops; an export is charged by its caller once the import
+// it feeds committed. A read's decode error ends the pass inside a
+// sub-batch: what was accounted up to and including the failing entry is
+// flushed, the entries before it are delivered.
 //
 //buddy:hotpath
-func (a *Allocation) relocate(p *relocPass, stage []byte, lo, hi int) ([]byte, error) {
+func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, hi int) ([]byte, error) {
 	d := a.dev
 	for b := lo; b < hi; {
 		e := min(b+spanBatchEntries, hi)
@@ -150,41 +182,131 @@ func (a *Allocation) relocate(p *relocPass, stage []byte, lo, hi int) ([]byte, e
 			d.mu.RUnlock()
 			return stage, a.errFreed()
 		}
-		if p.kind == relocImport && d.failed.Load() {
+		if p.kind >= relocImport && d.failed.Load() {
 			d.mu.RUnlock()
 			return stage, d.errFailed()
 		}
-		var blk []byte // relocImport: the sub-batch's block of fresh stream buffers
-		for i := b; i < e; {
-			n := 1
-			if i+1 < e && (a.shardBase+i)&1 == 0 {
-				n = 2
-			}
-			sh := a.shard(i)
-			sh.Lock()
-			for k := i; k < i+n; k++ {
-				g, tr := a.entryHome(k) // under the shard lock: whichever layout owns k now
-				switch p.kind {
-				case relocMigrate:
-					p.handOver(d, k, g, tr)
-				case relocExport:
-					stage = p.snapshot(d, k, g, tr, stage)
-				case relocImport:
-					blk = p.install(a, k, g, tr, stage, blk, e)
-				case relocRebuild:
-					p.restream(d, g, tr)
+		var err error
+		if p.kind >= relocWrite {
+			err = p.accessBatch(a, pair, stage, b, e)
+		} else {
+			var blk []byte // relocImport: the sub-batch's block of fresh stream buffers
+			for i := b; i < e; {
+				n := a.pairLen(i, e)
+				sh := a.shard(i)
+				sh.Lock()
+				for k := i; k < i+n; k++ {
+					g, tr := a.entryHome(k) // under the shard lock: whichever layout owns k now
+					switch p.kind {
+					case relocMigrate:
+						p.handOver(d, k, g, tr)
+					case relocExport:
+						stage = p.snapshot(d, k, g, tr, stage)
+					case relocImport:
+						blk = p.install(a, k, g, tr, stage, blk, e)
+					case relocRebuild:
+						p.restream(d, g, tr)
+					}
 				}
+				sh.Unlock()
+				i += n
 			}
-			sh.Unlock()
-			i += n
 		}
 		d.mu.RUnlock()
 		if p.kind != relocExport {
-			p.tally.flush(d)
+			p.tally.flush(d, p.kind >= relocWrite)
+		}
+		if err != nil {
+			return stage, err
 		}
 		b = e
 	}
 	return stage, nil
+}
+
+// pairLen is how many entries from i, within a sub-batch ending at e, share
+// one acquisition of their shard lock: two when i is the lower half of a
+// metadata pair (shardBase is even) and its upper half is in range.
+func (a *Allocation) pairLen(i, e int) int {
+	if i+1 < e && (a.shardBase+i)&1 == 0 {
+		return 2
+	}
+	return 1
+}
+
+// accessBatch is the data path's step over one sub-batch [b, e), pair by
+// pair. A write is an import with an encode before the lock: both entries of
+// a pair are encoded into the pair buffers first (all-zero entries
+// short-circuit the codec — one 16-word probe, and the precomputed per-codec
+// zero stream is frame-identical to an encode; sparse activation traffic is
+// mostly this), then stream, metadata and sectorCount commit under the lock,
+// into the entry's retained buffer so the steady state allocates nothing. A
+// read is an export with a decode after the lock: stream and metadata are
+// snapshotted under it (writers reuse stream buffers in place, so the
+// reference must not leave it) and decoded straight into the caller's
+// buffer. Never-written entries read as zero, like fresh cudaMalloc pages,
+// and still cost the minimum access. Each entry looks up the metadata cache
+// and is charged before its decode, so a decode error leaves exactly the
+// entries up to and including the failing one accounted. The pair loop and
+// its arrays live here, not in relocate's, where the relocation kinds would
+// pay for them (measured: +4 % on Recover's 20 ns per entry).
+//
+//buddy:hotpath
+func (p *relocPass) accessBatch(a *Allocation, pair *[2][]byte, data []byte, b, e int) error {
+	d := a.dev
+	write := p.kind == relocWrite
+	for i := b; i < e; {
+		n := a.pairLen(i, e)
+		var (
+			homes   [2]int
+			targets [2]TargetRatio
+			secs    [2]int
+			written [2]bool
+		)
+		if write {
+			for k := 0; k < n; k++ {
+				src := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
+				var bits int
+				if compress.EntryAllZero(src) {
+					pair[k], bits = compress.AppendZeroEntry(pair[k][:0], d.cfg.Codec)
+				} else {
+					pair[k], bits = d.cfg.Codec.AppendCompressed(pair[k][:0], src)
+				}
+				secs[k] = compress.SectorsForBits(bits)
+			}
+		}
+		sh := a.shard(i)
+		sh.Lock()
+		for k := 0; k < n; k++ {
+			g, tr := a.entryHome(i + k) // a write lands in whichever layout owns the entry at commit
+			homes[k], targets[k] = g, tr
+			if write {
+				d.streams[g] = append(d.streams[g][:0], pair[k]...)
+				d.meta.Set(g, secs[k])
+				a.sectorCount[i+k] = secs[k]
+			} else {
+				secs[k] = d.meta.Get(g)
+				written[k] = d.streams[g] != nil
+				pair[k] = append(pair[k][:0], d.streams[g]...)
+			}
+		}
+		sh.Unlock()
+		for k := 0; k < n; k++ {
+			d.accessMetadata(homes[k])
+			p.tally.access(write, homes[k], targets[k], secs[k])
+			if write {
+				continue
+			}
+			out := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
+			if !written[k] {
+				clear(out)
+			} else if err := d.cfg.Codec.DecompressInto(out, pair[k]); err != nil {
+				return fmt.Errorf("core: entry %d of %s: %w", i+k, a.Name, err)
+			}
+		}
+		i += n
+	}
+	return nil
 }
 
 // handOver gives entry k, at home g under target tr in the old layout, to
@@ -325,17 +447,17 @@ func (a *Allocation) TransferEntries(dst *Allocation, lo, hi int) (int, error) {
 	for b := lo; b < hi; {
 		e := min(b+spanBatchEntries, hi)
 		out := relocPass{kind: relocExport, base: b, offs: x.offs[:], secs: x.secs[:], tally: relocTally{ops: x.srcOps[:]}}
-		stage, err := a.relocate(&out, x.stage[:0], b, e)
+		stage, err := a.relocate(&out, nil, x.stage[:0], b, e)
 		x.stage = stage // keep the grown buffer
 		if err != nil {
 			return b - lo, err
 		}
 		if out.entries > 0 {
 			in := relocPass{kind: relocImport, base: b, offs: x.offs[:], secs: x.secs[:], tally: relocTally{ops: x.dstOps[:]}}
-			if _, err := dst.relocate(&in, stage, b, e); err != nil {
+			if _, err := dst.relocate(&in, nil, stage, b, e); err != nil {
 				return b - lo, err
 			}
-			out.tally.flush(a.dev)
+			out.tally.flush(a.dev, false)
 		}
 		b = e
 	}
@@ -358,11 +480,11 @@ func (a *Allocation) ExportEntry(i int, dst []byte) (stream []byte, sectors int,
 	)
 	offs[0] = int32(len(dst))
 	p := relocPass{kind: relocExport, base: i, offs: offs[:], secs: secs[:], tally: relocTally{ops: ops[:]}}
-	dst, err = a.relocate(&p, dst, i, i+1)
+	dst, err = a.relocate(&p, nil, dst, i, i+1)
 	if err != nil {
 		return dst, 0, false, err
 	}
-	p.tally.flush(a.dev)
+	p.tally.flush(a.dev, false)
 	return dst, int(secs[0]), p.entries == 1, nil
 }
 
@@ -385,6 +507,6 @@ func (a *Allocation) ImportEntry(i int, stream []byte, sectors int) error {
 	offs := [2]int32{0, int32(len(stream))}
 	secs := [1]uint8{uint8(sectors)}
 	p := relocPass{kind: relocImport, base: i, offs: offs[:], secs: secs[:], tally: relocTally{ops: ops[:]}}
-	_, err := a.relocate(&p, stream, i, i+1)
+	_, err := a.relocate(&p, nil, stream, i, i+1)
 	return err
 }

@@ -34,13 +34,12 @@ var NoLegacy = &analysis.Analyzer{
 
 The allocate-per-call Compressor interface (CompressedBits/Compress/
 Decompress) was deleted in favor of the single-pass, allocation-free
-Codec (AppendCompressed/DecompressInto); WithCompressor survives only as
-a deprecated alias next to its declaration. nolegacy flags any reference
-to Compressor through an import of the compress package (however the
-import is renamed), any re-declaration of the legacy method set or a
-Compressor interface inside the compress package, and any use of a
-WithCompressor function outside its declaring file (test files may cover
-the alias).`,
+Codec (AppendCompressed/DecompressInto), and the WithCompressor option
+alias that outlived it by a few releases is gone too. nolegacy flags any
+reference to Compressor through an import of the compress package
+(however the import is renamed), any re-declaration of the legacy method
+set or a Compressor interface inside the compress package, and any
+function declared under the name WithCompressor.`,
 	Run: runNoLegacy,
 }
 
@@ -72,9 +71,13 @@ func runNoLegacy(pass *analysis.Pass) (interface{}, error) {
 				}
 			case *ast.FuncDecl:
 				// Re-declaring the legacy method set inside the compress
-				// package grows the deleted surface back.
+				// package, or the option alias anywhere, grows the deleted
+				// surface back.
 				if inCompress && n.Recv != nil && legacyMethods[n.Name.Name] {
 					pass.Reportf(n.Pos(), "method %s re-declares the deleted legacy Compressor surface (use Codec: AppendCompressed/DecompressInto)", n.Name.Name)
+				}
+				if n.Recv == nil && n.Name.Name == "WithCompressor" {
+					pass.Reportf(n.Pos(), "the retired WithCompressor alias reappeared (use WithCodec)")
 				}
 			case *ast.TypeSpec:
 				if inCompress && n.Name.Name == "Compressor" {
@@ -82,24 +85,6 @@ func runNoLegacy(pass *analysis.Pass) (interface{}, error) {
 						pass.Reportf(n.Pos(), "the retired Compressor interface reappeared (use Codec)")
 					}
 				}
-			case *ast.Ident:
-				// WithCompressor used anywhere but its declaring file;
-				// tests may cover the deprecated alias.
-				if n.Name != "WithCompressor" {
-					return true
-				}
-				obj := pass.TypesInfo.Uses[n]
-				if obj == nil {
-					return true
-				}
-				pos := pass.Fset.Position(n.Pos())
-				if inTestFile(pos.Filename) {
-					return true
-				}
-				if declFile := pass.Fset.Position(obj.Pos()).Filename; declFile == pos.Filename {
-					return true
-				}
-				pass.Reportf(n.Pos(), "WithCompressor used outside its deprecated alias declaration (use WithCodec)")
 			}
 			return true
 		})

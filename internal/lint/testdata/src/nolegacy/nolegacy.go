@@ -12,6 +12,6 @@ var _ renamed.Compressor // want `reference to the retired compress\.Compressor 
 // The supported surface through the same renamed import is clean.
 var _ renamed.Codec
 
-// Using the deprecated alias away from its declaration (options.go) is
-// flagged.
-var legacyOpt = WithCompressor // want `WithCompressor used outside its deprecated alias declaration`
+// The alias that outlived the interface is retired too: declaring it again
+// is flagged.
+func WithCompressor() int { return 0 } // want `the retired WithCompressor alias reappeared`

@@ -59,21 +59,10 @@ type Future struct {
 	waited atomic.Bool
 }
 
-// depooled disables task/future recycling. Only the benchgate
-// demonstration test flips it, to prove the allocs/op gate catches a
-// de-pooled fast path. Atomic because workers read it while a test goroutine
-// restores it.
-var depooled atomic.Bool
-
 var futurePool = sync.Pool{New: func() any { return new(Future) }}
 
 func getFuture() *Future {
-	var f *Future
-	if depooled.Load() {
-		f = new(Future)
-	} else {
-		f = futurePool.Get().(*Future)
-	}
+	f := futurePool.Get().(*Future)
 	f.n, f.err = 0, nil
 	f.completed = false
 	f.ch = nil
@@ -108,9 +97,7 @@ func (f *Future) Wait() (int, error) {
 		panic("pool: Future.Wait called twice; the future was already consumed")
 	}
 	n, err := f.n, f.err
-	if !depooled.Load() {
-		futurePool.Put(f)
-	}
+	futurePool.Put(f)
 	return n, err
 }
 
@@ -140,17 +127,7 @@ type task struct {
 
 var taskPool = sync.Pool{New: func() any { return new(task) }}
 
-func getTask() *task {
-	if depooled.Load() {
-		return new(task)
-	}
-	return taskPool.Get().(*task)
-}
-
 func putTask(t *task) {
-	if depooled.Load() {
-		return
-	}
 	t.h = nil
 	t.buf = nil
 	t.fut = nil
@@ -238,12 +215,14 @@ func (p *Pool) worker(shard int) {
 
 // execRun executes one run of tasks. A single task goes straight through
 // the byte-addressed path; a coalesced run stages its payload in one pooled
-// buffer and moves it through the device's batch entry primitives, then
-// completes every constituent future with its own byte count. If the batch
-// fails, the run is replayed task by task so each future reports exactly
-// the n/err uncoalesced execution would have produced. On success the
-// shard's modeled clock advances by the run's service cycles and every
-// constituent task's latency is observed on its tenant.
+// buffer and moves it through the same path as one operation — the run is
+// span-eligible, entry-aligned whole entries, so ioLocked's WriteAt/ReadAt
+// hand it to the device's batch entry primitives undivided — then completes
+// every constituent future with its own byte count. If the batch fails, the
+// run is replayed task by task so each future reports exactly the n/err
+// uncoalesced execution would have produced. On success the shard's modeled
+// clock advances by the run's service cycles and every constituent task's
+// latency is observed on its tenant.
 //
 //buddy:hotpath
 func (p *Pool) execRun(s *sched, ts []*task) {
@@ -254,28 +233,23 @@ func (p *Pool) execRun(s *sched, ts []*task) {
 	p.async.coalescedRuns.Add(1)
 	p.async.coalescedTasks.Add(uint64(len(ts)))
 	h := ts[0].h
-	start := int(ts[0].off / core.EntryBytes)
 	total := 0
 	for _, t := range ts {
 		total += len(t.buf)
 	}
 	buf := coalesceBufPool.Get().(*[]byte)
 	span := (*buf)[:total]
-	var err error
-	// The route lock is read-held across the whole span, so a concurrent
-	// migration's watermark is frozen and the split executed here is
-	// consistent for every entry of the run.
 	if ts[0].kind == opWrite {
 		off := 0
 		for _, t := range ts {
 			off += copy(span[off:], t.buf)
 		}
-		h.mu.RLock()
-		err = h.writeEntriesLocked(start, span)
-	} else {
-		h.mu.RLock()
-		err = h.readEntriesLocked(start, span)
 	}
+	// The route lock is read-held across the whole span, so a concurrent
+	// migration's watermark is frozen and the split executed here is
+	// consistent for every entry of the run.
+	h.mu.RLock()
+	_, err := h.ioLocked(span, ts[0].off, ts[0].kind == opWrite)
 	target := h.rt.a.Target()
 	h.mu.RUnlock()
 	if err != nil {
@@ -368,7 +342,7 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 		return fut
 	}
 	if shard, served := p.serveInPlace(kind, h, buf, off, fut); !served {
-		t := getTask()
+		t := taskPool.Get().(*task)
 		t.kind, t.h, t.buf, t.off, t.fut = kind, h, buf, off, fut
 		s := p.scheds[shard]
 		t.stamp = s.clock.Load()

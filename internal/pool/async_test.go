@@ -360,10 +360,8 @@ func TestFutureDoneSelect(t *testing.T) {
 // TestFutureDoubleWaitPanics pins the recycled-future guard: a second Wait on
 // a consumed future must panic rather than silently corrupt a recycled one.
 func TestFutureDoubleWaitPanics(t *testing.T) {
-	// Keep the future out of the recycling pool so the second Wait hits the
-	// guard deterministically instead of racing a re-checkout.
-	depooled.Store(true)
-	defer depooled.Store(false)
+	// One goroutine, second Wait straight after the first: nothing can have
+	// checked the recycled future out in between, so waited is still set.
 	p := newAsyncPool(t, 1, 1, 4)
 	h, err := p.Malloc("dw", 8*core.EntryBytes, core.Target1x)
 	if err != nil {

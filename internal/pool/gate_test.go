@@ -11,10 +11,10 @@ import (
 // TestGateCatchesDepooledFuture demonstrates the allocs/op bench-gate end to
 // end, mirroring benchgate's TestGateCatchesSlowedCodec: measure the real
 // submit→complete path, pin it at its true allocation count (zero), then
-// deliberately disable the task/future pools and require the comparator to
-// fail. This is the in-tree proof that `make bench-gate` rejects a de-pooled
-// fast path — the exact regression that would silently reintroduce per-op
-// garbage on the serving path.
+// measure a submit path that allocates per operation — a fresh payload
+// buffer per call, what a de-pooled task or future would cost — and require
+// the comparator to fail. This is the in-tree proof that `make bench-gate`
+// rejects per-op garbage on the serving path.
 func TestGateCatchesDepooledFuture(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -52,20 +52,21 @@ func TestGateCatchesDepooledFuture(t *testing.T) {
 		t.Fatalf("healthy path failed its own gate: %v", vs)
 	}
 
-	// De-pool the fast path: every submit now allocates a fresh task and
-	// future, the regression the 0 pin exists to catch.
-	depooled.Store(true)
-	defer depooled.Store(false)
-	depooledAllocs := testing.AllocsPerRun(100, submit)
-	if depooledAllocs == 0 {
-		t.Fatal("de-pooled path reports 0 allocs/op; the hook is broken")
+	// The regression the 0 pin exists to catch: a submit path that allocates
+	// on every operation.
+	allocating := testing.AllocsPerRun(100, func() {
+		buf = append([]byte(nil), buf...)
+		submit()
+	})
+	if allocating == 0 {
+		t.Fatal("allocating path reports 0 allocs/op; the measurement is broken")
 	}
 	vs := benchgate.Compare(base, benchgate.Results{
-		AllocsPerOp: map[string]float64{"SubmitWrite": depooledAllocs},
+		AllocsPerOp: map[string]float64{"SubmitWrite": allocating},
 	})
 	if len(vs) != 1 {
-		t.Fatalf("de-pooled path (%.1f allocs/op vs pinned %.1f) passed the gate",
-			depooledAllocs, healthy)
+		t.Fatalf("allocating path (%.1f allocs/op vs pinned %.1f) passed the gate",
+			allocating, healthy)
 	}
-	t.Logf("gate caught the de-pooled path: %s", vs[0])
+	t.Logf("gate caught the allocating path: %s", vs[0])
 }

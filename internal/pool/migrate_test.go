@@ -289,28 +289,40 @@ func TestMigrateDestinationKilledBetweenChunks(t *testing.T) {
 	if _, err := h.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range devices {
-		d.ResetTraffic()
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- p.MigrateHandle(h, 1) }()
 	// Catch the mover between chunks: it needs the route lock exclusively
 	// for its next chunk, so while this goroutine holds it shared with the
-	// watermark part-way, the destination dies between two chunks.
+	// watermark part-way, the destination dies between two chunks. On a
+	// loaded box the whole move can commit before this goroutine runs again;
+	// then the handle moves home and the attempt repeats.
+	var done chan error
 	killedAt := 0
-	for killedAt == 0 {
-		h.mu.RLock()
-		if m := h.rt.mig; m != nil && m.moved > 0 && m.moved < entries {
-			if err := fi.Kill(1); err != nil {
-				t.Error(err)
-			}
-			killedAt = m.moved
+	for attempt := 0; killedAt == 0; attempt++ {
+		if attempt == 100 {
+			t.Fatal("100 moves committed before the watcher saw a watermark")
 		}
-		moved := h.rt.shard == 1
-		h.mu.RUnlock()
-		if moved {
-			t.Fatal("the move committed before the watcher saw a watermark")
+		for _, d := range devices {
+			d.ResetTraffic()
+		}
+		done = make(chan error, 1)
+		go func() { done <- p.MigrateHandle(h, 1) }()
+		for committed := false; killedAt == 0 && !committed; {
+			h.mu.RLock()
+			if m := h.rt.mig; m != nil && m.moved > 0 && m.moved < entries {
+				if err := fi.Kill(1); err != nil {
+					t.Error(err)
+				}
+				killedAt = m.moved
+			}
+			committed = h.rt.shard == 1
+			h.mu.RUnlock()
+		}
+		if killedAt == 0 {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := p.MigrateHandle(h, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	err = <-done

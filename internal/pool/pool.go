@@ -491,97 +491,34 @@ func (h *Handle) Target() core.TargetRatio { return h.Alloc().Target() }
 // splitting it at the migration watermark when a move is in flight: bytes
 // of entries already moved go to the destination allocation, the rest to
 // the source. The watermark is entry-aligned, so the split never tears a
-// partial-entry read-modify-write across devices. Caller holds h.mu (read).
+// partial-entry read-modify-write across devices — and a coalesced run's
+// whole-entry span reaches WriteEntries/ReadEntries on either side of it
+// unchanged. Caller holds h.mu (read).
 //
 //buddy:hotpath
 func (h *Handle) ioLocked(p []byte, off int64, write bool) (int, error) {
 	rt := &h.rt
-	m := rt.mig
-	if m == nil {
-		if write {
-			return rt.a.WriteAt(p, off)
-		}
-		return rt.a.ReadAt(p, off)
-	}
-	boundary := int64(m.moved) * core.EntryBytes
 	n := 0
-	if off < boundary {
-		c := len(p)
-		if int64(c) > boundary-off {
-			c = int(boundary - off)
-		}
-		var w int
-		var err error
-		if write {
-			w, err = m.dst.WriteAt(p[:c], off)
-		} else {
-			w, err = m.dst.ReadAt(p[:c], off)
-		}
-		n += w
-		if err != nil || w < c {
-			return n, err
+	if m := rt.mig; m != nil {
+		// The first c bytes of p lie below the watermark, on the destination.
+		if c := min(int64(len(p)), int64(m.moved)*core.EntryBytes-off); c > 0 {
+			w, err := rw(m.dst, p[:c], off, write)
+			if err != nil || int64(w) < c || w == len(p) {
+				return w, err // failed, short, or nothing left for the source
+			}
+			n = w
 		}
 	}
-	if n < len(p) {
-		var w int
-		var err error
-		if write {
-			w, err = rt.a.WriteAt(p[n:], off+int64(n))
-		} else {
-			w, err = rt.a.ReadAt(p[n:], off+int64(n))
-		}
-		n += w
-		return n, err
-	}
-	return n, nil
+	w, err := rw(rt.a, p[n:], off+int64(n), write)
+	return n + w, err
 }
 
-// writeEntriesLocked is the batch counterpart of ioLocked for coalesced
-// entry spans: whole entries starting at index start, split at the
-// migration watermark. Caller holds h.mu (read).
-//
-//buddy:hotpath
-func (h *Handle) writeEntriesLocked(start int, data []byte) error {
-	rt := &h.rt
-	m := rt.mig
-	if m == nil {
-		return rt.a.WriteEntries(start, data)
+// rw is one direction of ioLocked on one allocation.
+func rw(a *core.Allocation, p []byte, off int64, write bool) (int, error) {
+	if write {
+		return a.WriteAt(p, off)
 	}
-	n := len(data) / core.EntryBytes
-	low := m.moved - start
-	switch {
-	case low <= 0:
-		return rt.a.WriteEntries(start, data)
-	case low >= n:
-		return m.dst.WriteEntries(start, data)
-	}
-	if err := m.dst.WriteEntries(start, data[:low*core.EntryBytes]); err != nil {
-		return err
-	}
-	return rt.a.WriteEntries(start+low, data[low*core.EntryBytes:])
-}
-
-// readEntriesLocked mirrors writeEntriesLocked for reads.
-//
-//buddy:hotpath
-func (h *Handle) readEntriesLocked(start int, dst []byte) error {
-	rt := &h.rt
-	m := rt.mig
-	if m == nil {
-		return rt.a.ReadEntries(start, dst)
-	}
-	n := len(dst) / core.EntryBytes
-	low := m.moved - start
-	switch {
-	case low <= 0:
-		return rt.a.ReadEntries(start, dst)
-	case low >= n:
-		return m.dst.ReadEntries(start, dst)
-	}
-	if err := m.dst.ReadEntries(start, dst[:low*core.EntryBytes]); err != nil {
-		return err
-	}
-	return rt.a.ReadEntries(start+low, dst[low*core.EntryBytes:])
+	return a.ReadAt(p, off)
 }
 
 // ReadAt reads through whichever device currently owns each entry; see

@@ -59,27 +59,6 @@ func TestNewOptionsOverrideDefaults(t *testing.T) {
 	}
 }
 
-func TestDeprecatedCompressorAliases(t *testing.T) {
-	// WithCompressor and Compressors stay as thin aliases for one release;
-	// the lint gate exempts tests so this coverage can exist.
-	dev := New(WithDeviceBytes(1<<20), WithCompressor(Compressors()[1]))
-	a, err := dev.Malloc("alias", 8<<10, Target1x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := []byte("deprecated alias round trip")
-	if _, err := a.WriteAt(p, 3); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(p))
-	if _, err := a.ReadAt(got, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, p) {
-		t.Error("alias-configured device round-trip mismatch")
-	}
-}
-
 func TestWithHostFallback(t *testing.T) {
 	dev := New(WithDeviceBytes(1<<20), WithHostFallback(0, 64<<10))
 	_, overflow := dev.Tiers()
