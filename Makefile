@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-json bench-gate bench-baseline bench-smoke fuzz cover examples
+.PHONY: all build vet lint lint-fix test race bench bench-json bench-gate bench-baseline bench-smoke fuzz cover examples lines
 
 all: lint build test
 
@@ -13,9 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # lint = vet plus buddylint, the type-aware invariant suite in
-# internal/lint (nolegacy, lockorder, hotpathalloc, sentinelerr,
-# mustclose). It replaced the old grep rules for the retired Compressor
-# surface; see DESIGN.md "Invariants as analyzers". A finding can be
+# internal/lint (lockorder, hotpathalloc, sentinelerr, mustclose); see
+# DESIGN.md "Invariants as analyzers". A finding can be
 # suppressed one site at a time with a justified directive on or directly
 # above the flagged line:
 #
@@ -40,6 +39,12 @@ lint-fix:
 
 test:
 	$(GO) test ./...
+
+# The simplicity number: non-test Go lines outside bench/ (its own module,
+# the measuring instrument rather than the program). CI echoes it, so the
+# line count a PR quotes in CHANGES.md is reproducible.
+lines:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | sort -n | tail -1
 
 # Smoke-run every example binary at reduced scale (the sources are already
 # sized for seconds; serve additionally takes explicit small flags), plus

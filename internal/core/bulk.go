@@ -16,7 +16,7 @@ import (
 // primitives, which is what makes the byte-addressed bulk surface — and
 // everything above it, experiment sweeps included — parallel for free.
 //
-// A pass amortizes the device-table read lock and the traffic-counter
+// A pass amortizes the allocation's read lock and the traffic-counter
 // updates over sub-batches of spanBatchEntries entries; the overflow tier's
 // accesses are replayed one by one, in entry order, as each sub-batch's
 // lock drops. The accounting — link busy cycles and pager faults included —
@@ -28,10 +28,9 @@ import (
 // than compressing a handful of entries.
 const bulkGrainEntries = 64
 
-// spanBatchEntries bounds how many entries one dev.mu read-lock
-// acquisition (and one traffic flush) covers inside a walker pass, so a
-// large span cannot starve writers of the allocation table for its whole
-// duration.
+// spanBatchEntries bounds how many entries one a.mu read-lock acquisition
+// (and one traffic flush) covers inside a walker pass, so a large span
+// cannot hold off Free or a relayout's cutover for its whole duration.
 const spanBatchEntries = 256
 
 // spanRunner is one batch operation the span pool can partition: runSpan
@@ -173,10 +172,10 @@ func (sp *spanPool) close() {
 // spanScratch is one data pass's pooled staging: the two buffers a metadata
 // pair's framed streams are staged in — MaxStreamBytes each, so the
 // steady-state codec path never allocates — and the sub-batch's
-// overflow-tier op list.
+// overflow-tier op lists, one per tally.
 type spanScratch struct {
-	bufs [2][]byte
-	ops  [spanBatchEntries]tierOp
+	bufs     [2][]byte
+	ops, far [spanBatchEntries]tierOp
 }
 
 var spanScratchPool = sync.Pool{New: func() any {
@@ -194,7 +193,7 @@ var spanScratchPool = sync.Pool{New: func() any {
 //buddy:hotpath
 func (a *Allocation) dataPass(kind relocKind, base int, data []byte, lo, hi int) error {
 	x := spanScratchPool.Get().(*spanScratch)
-	p := relocPass{kind: kind, base: base, tally: relocTally{ops: x.ops[:]}}
+	p := relocPass{kind: kind, base: base, tally: relocTally{ops: x.ops[:]}, far: relocTally{ops: x.far[:]}}
 	_, err := a.relocate(&p, &x.bufs, data, lo, hi)
 	spanScratchPool.Put(x)
 	return err
@@ -246,7 +245,7 @@ func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) error
 	}
 	s := entrySpanPool.Get().(*entrySpan)
 	s.a, s.kind, s.start, s.data = a, kind, start, data
-	err := a.dev.span.run(n, s)
+	err := a.Device().span.run(n, s)
 	s.a, s.data = nil, nil
 	entrySpanPool.Put(s)
 	return err

@@ -203,11 +203,9 @@ func TestReadEntryDecodeErrorPropagates(t *testing.T) {
 	if err := a.WriteEntry(1, entry); err != nil {
 		t.Fatal(err)
 	}
-	// Reach into the side table and truncate the stored stream.
-	g := a.reg.firstEntry + 1
-	d.mu.Lock()
-	d.streams[g] = d.streams[g][:len(d.streams[g])/2]
-	d.mu.Unlock()
+	// Reach into the entry table and truncate the stored stream.
+	st := a.streams
+	st[1] = st[1][:len(st[1])/2]
 	dst := make([]byte, EntryBytes)
 	if err := a.ReadEntry(1, dst); err == nil {
 		t.Fatal("want decode error for truncated stored stream")

@@ -85,9 +85,9 @@ func dataScenario(t *testing.T, w *relocWorld, seed uint64) (steps []string, sta
 			// Hold a Retarget open: from here a span over a straddles the
 			// cut and resolves its entries' homes in two layouts.
 			held, heldK = w.allocs[k], k
-			next := AllRatios[(int(held.target)+1+r.Intn(len(AllRatios)-1))%len(AllRatios)]
+			next := AllRatios[(int(held.Target())+1+r.Intn(len(AllRatios)-1))%len(AllRatios)]
 			var err error
-			if mig, err = w.src.beginMigration(held, next); err != nil {
+			if mig, err = held.beginRelayout(w.src, next); err != nil {
 				t.Fatal(err)
 			}
 			cut := r.Intn(held.EntryCount + 1)
@@ -126,7 +126,7 @@ func dataScenario(t *testing.T, w *relocWorld, seed uint64) (steps []string, sta
 		note(fmt.Sprintf("read %s [%d,%d) %x", a.Name, start, start+cnt, h.Sum64()))
 	}
 	moved := w.migratePart(held, mig, 0, held.EntryCount)
-	w.src.commitMigration(held, mig)
+	held.commitRelayout(mig)
 	note(fmt.Sprintf("finish %s: %d bytes", held.Name, moved))
 	for k, a := range w.allocs {
 		dst := make([]byte, len(shadow[k]))
@@ -234,8 +234,7 @@ func TestSpanReadDecodeErrorAccounting(t *testing.T) {
 	// relocShapes[2], gen.Random: a raw stream, so half of one cannot decode.
 	for _, bad := range []int{spanBatchEntries + 6, spanBatchEntries + 11} {
 		d, a, data := corruptibleSpan(t, entries)
-		g := a.reg.firstEntry + bad
-		d.streams[g] = d.streams[g][:len(d.streams[g])/2]
+		a.streams[bad] = a.streams[bad][:len(a.streams[bad])/2]
 
 		dst := make([]byte, (entries-start)*EntryBytes)
 		err := a.ReadEntries(start, dst)
@@ -267,7 +266,7 @@ func TestSpanReadDecodeErrorAccounting(t *testing.T) {
 // TestSpanEndsAtSubBatchBoundary races Fail against a long write span and
 // Free against a long read span (run under -race): the span ends on the
 // typed error, and because freed and failed are checked once per sub-batch
-// under dev.mu — which Free takes exclusively — what it charged is a whole
+// under a.mu — which Free takes exclusively — what it charged is a whole
 // number of sub-batches: no entry of the refused sub-batch was touched.
 func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
 	const entries = 96 * spanBatchEntries
@@ -328,12 +327,12 @@ func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
 			if !tc.read {
 				// All or nothing: the charged prefix is stored, nothing past it.
 				for _, i := range []int{0, int(n) - 1} {
-					if d.streams[a.reg.firstEntry+i] == nil {
+					if a.streams[i] == nil {
 						t.Errorf("entry %d was charged but holds no stream", i)
 					}
 				}
 				for i := int(n); i < entries; i++ {
-					if d.streams[a.reg.firstEntry+i] != nil {
+					if a.streams[i] != nil {
 						t.Fatalf("entry %d, past the %d charged, holds a stream", i, n)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -145,20 +146,22 @@ const entryShards = 64
 // between a primary device-slab tier and an overflow tier (the NVLink buddy
 // carve-out in the paper's design) addressed from a global base register
 // (GBBR). Compressed streams are bit-exact; placement and traffic are
-// modeled at the paper's sector granularity. The software keeps the
-// per-entry compressed streams in a side table because the model's 1-bit
-// stream framing would otherwise straddle slot boundaries that hardware
-// metadata absorbs. Every read, write and move of an entry is a pass of one
-// walker over that table (relocate.go), which charges both tiers once per
+// modeled at the paper's sector granularity. The streams themselves live
+// with their allocation (see Allocation); the device holds what is placed
+// where. Every read, write and move of an entry is a pass of one walker over
+// an allocation's entries (relocate.go), which charges both tiers once per
 // sub-batch: the slab as sums, the overflow tier access by access, in entry
 // order.
 //
-// A Device is safe for concurrent use: the allocation table is guarded by a
-// reader-writer lock, per-entry state by sharded mutexes, and traffic by
-// atomic counters. Individual entry operations are atomic; a multi-entry
-// ReadAt/WriteAt is not one atomic unit against concurrent writers to the
-// same range. Control-plane operations (Free, Retarget, ApplyReprofile)
-// serialize on migMu; lock order is migMu -> mu -> entry shards.
+// A Device is safe for concurrent use. It owns the allocation list and the
+// modeled address allocator, both under mu; everything about one allocation
+// — which layout it is on, whether it is freed, the relayout in flight — is
+// the allocation's own (Allocation.mu), its control-plane operations
+// serialize on Allocation.ctl, per-entry state sits under the sharded entry
+// mutexes and traffic in atomic counters. Lock order: Allocation.ctl ->
+// Device.mu -> Allocation.mu -> entry shards. Individual entry operations
+// are atomic; a multi-entry ReadAt/WriteAt is not one atomic unit against
+// concurrent writers to the same range.
 type Device struct {
 	cfg      Config
 	primary  Backend
@@ -167,15 +170,14 @@ type Device struct {
 	mcache   *MetadataCache
 	span     *spanPool // persistent span-worker pool, sized at NewDevice
 
-	migMu sync.Mutex // serializes Free/Retarget/ApplyReprofile
-
-	mu         sync.RWMutex // guards the allocation table below
-	allocs     []*Allocation
+	mu     sync.RWMutex  // guards the allocation list and the address allocator below
+	allocs []*Allocation // every allocation with a layout here: residents, and arrivals mid-MoveTo
+	// The modeled address allocator: layouts are handed entry slots, slab
+	// bytes and carve-out bytes from here, which is what the metadata cache,
+	// the link and the host pager are addressed by. No data lives at them.
 	deviceOff  int64 // next free device-slab offset
 	buddyOff   int64 // next free overflow offset
 	totalEntry int
-	streams    [][]byte // side table of compressed streams, by global entry
-	meta       *MetadataStore
 	holes      []region // retired regions available for reuse
 
 	shards      [entryShards]sync.Mutex
@@ -183,6 +185,7 @@ type Device struct {
 	traffic     trafficCounters
 	metaEnabled atomic.Bool
 	failed      atomic.Bool // device tier killed by Fail, not yet Recovered
+	rebuilding  atomic.Bool // a Recover is running; a second one is refused
 }
 
 // ErrOutOfMemory is returned when an allocation does not fit a tier's
@@ -232,7 +235,6 @@ func NewDevice(cfg Config) *Device {
 		slab:     slab,
 		overflow: overflow,
 		span:     newSpanPool(runtime.GOMAXPROCS(0)),
-		meta:     NewMetadataStore(0),
 		mcache:   NewMetadataCache(cfg.MetadataCacheBytes, cfg.MetadataCacheSlices, cfg.MetadataCacheWays),
 		gbbr:     0x4000_0000_0000, // arbitrary carve-out base
 	}
@@ -255,44 +257,88 @@ func (d *Device) Close() error {
 	return nil
 }
 
-// Allocation is one compressed cudaMalloc region on a device. It lives
-// until Free/Close retires it; a live migration (Retarget, ApplyReprofile)
-// may move it to a new layout while I/O continues.
+// layout is one placement of an allocation's entries: a device, a target
+// ratio, and the region of that device's modeled address space in which
+// §3.3 gives every entry its fixed device slot and its fixed buddy slot. An
+// allocation is on exactly one layout, except while a relayout hands its
+// entries to the next one. A layout never changes once it is published.
+type layout struct {
+	dev    *Device
+	target TargetRatio
+	reg    region
+}
+
+// global is entry i's index in the device's modeled entry table: the
+// address the metadata cache, the link and the pager see.
+func (l *layout) global(i int) int { return l.reg.firstEntry + i }
+
+// Allocation is one compressed cudaMalloc region. It keeps its identity and
+// its entries until Free/Close retires it; what moves is its layout: Retarget
+// and ApplyReprofile re-lay it out under a new target ratio, MoveTo on
+// another device, both while I/O continues (lifecycle.go).
 type Allocation struct {
-	dev *Device
 	// Name identifies the allocation.
 	Name string
 	// EntryCount is the number of 128 B memory-entries.
 	EntryCount int
 
-	size      int64 // requested byte size (EntryCount*128 minus padding)
-	shardBase int   // immutable, even: keys the entry shard locks forever
+	size      int64                    // requested byte size (EntryCount*128 minus padding)
+	shardBase int                      // immutable, even: keys the entry shard locks forever
+	shards    *[entryShards]sync.Mutex // the stripes of the device it was born on, for life
 
-	// Current committed layout. Read under dev.mu (any mode); written only
-	// under dev.mu held exclusively (Malloc, migration commit).
-	target TargetRatio
-	reg    region // entry slots + device/buddy placement of the layout
-	freed  bool   // set by Free; all later I/O fails with ErrFreed
-	mig    *migration
+	// The entries: each one's framed compressed stream and its 4-bit sector
+	// count, entry i of both guarded by entry i's shard lock. The software
+	// keeps them here, beside the layout rather than at its addresses,
+	// because the model's 1-bit stream framing would otherwise straddle slot
+	// boundaries that hardware metadata absorbs; which layout an entry is
+	// placed in — whose slots its traffic is charged to, whose device has to
+	// be alive for it, whose codec framed it — is the relayout epoch's
+	// business (home).
+	streams [][]byte // nil: never written, reads as zero
+	meta    *MetadataStore
 
-	sectorCount []int // last committed compressed sector count per entry
+	// ctl serializes the control plane on this allocation: Free, a relayout
+	// (Retarget, MoveTo) and its device's Recover hold it from start to end.
+	ctl sync.Mutex
+	// mu guards the three fields below. A walker pass read-holds it for one
+	// sub-batch; the writers (Free, a relayout's begin, hand-back and commit)
+	// hold ctl as well.
+	mu    sync.RWMutex
+	cur   *layout    // the committed layout
+	freed bool       // set by Free; all later I/O fails with ErrFreed
+	mig   *migration // the relayout in flight, nil in steady state
 }
 
 // Size returns the allocation's requested byte size.
 func (a *Allocation) Size() int64 { return a.size }
 
+// layout returns the committed layout.
+func (a *Allocation) layout() *layout {
+	a.mu.RLock()
+	l := a.cur
+	a.mu.RUnlock()
+	return l
+}
+
 // Target returns the allocation's current target compression ratio. It can
 // change over the allocation's lifetime through Retarget/ApplyReprofile.
-func (a *Allocation) Target() TargetRatio {
-	a.dev.mu.RLock()
-	defer a.dev.mu.RUnlock()
-	return a.target
+func (a *Allocation) Target() TargetRatio { return a.layout().target }
+
+// Device returns the device the allocation currently lives on: the one it
+// was allocated on until a MoveTo commits.
+func (a *Allocation) Device() *Device { return a.layout().dev }
+
+// Migrating reports whether a relayout (Retarget, MoveTo) is in flight.
+func (a *Allocation) Migrating() bool {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.mig != nil
 }
 
 // Freed reports whether the allocation has been released with Free/Close.
 func (a *Allocation) Freed() bool {
-	a.dev.mu.RLock()
-	defer a.dev.mu.RUnlock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	return a.freed
 }
 
@@ -347,7 +393,7 @@ func (d *Device) CompressionRatio() float64 {
 	var orig, dev int64
 	for _, a := range d.allocs {
 		orig += int64(a.EntryCount) * EntryBytes
-		dev += int64(a.EntryCount) * int64(a.target.DeviceBytes())
+		dev += int64(a.EntryCount) * int64(a.Target().DeviceBytes())
 	}
 	if dev == 0 {
 		return 1
@@ -359,15 +405,38 @@ func (d *Device) CompressionRatio() float64 {
 // target ratio. The device reservation is size/target; the remainder of
 // each entry is reserved in the overflow tier (§3.2). Regions retired by
 // Free are reused when a fitting hole exists, so a steady alloc/free cycle
-// does not grow the entry table.
+// does not grow the modeled entry table.
 func (d *Device) Malloc(name string, size int64, target TargetRatio) (*Allocation, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: invalid allocation size %d", size)
 	}
+	entries := int((size + EntryBytes - 1) / EntryBytes)
+	l, err := d.newLayout(entries, target)
+	if err != nil {
+		return nil, err
+	}
+	a := &Allocation{
+		Name:       name,
+		EntryCount: entries,
+		size:       size,
+		shardBase:  l.reg.firstEntry,
+		shards:     &d.shards,
+		streams:    make([][]byte, entries),
+		meta:       NewMetadataStore(entries),
+		cur:        l,
+	}
+	d.list(a)
+	return a, nil
+}
+
+// newLayout reserves a layout for entries entries under target on d:
+// bytes on both tiers, then a region of the modeled address space. A failed
+// device takes no layouts, and a tier without room fails with
+// ErrOutOfMemory, nothing reserved.
+func (d *Device) newLayout(entries int, target TargetRatio) (*layout, error) {
 	if d.failed.Load() {
 		return nil, d.errFailed()
 	}
-	entries := int((size + EntryBytes - 1) / EntryBytes)
 	devBytes := int64(entries) * int64(target.DeviceBytes())
 	buddyBytes := int64(entries) * int64(target.BuddySlotBytes())
 	if err := d.primary.Reserve(devBytes); err != nil {
@@ -377,51 +446,57 @@ func (d *Device) Malloc(name string, size int64, target TargetRatio) (*Allocatio
 		d.primary.Release(devBytes)
 		return nil, err
 	}
+	l := &layout{dev: d, target: target}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	r := d.grabRegion(regionSlots(entries), devBytes, buddyBytes)
-	a := &Allocation{
-		dev:         d,
-		Name:        name,
-		EntryCount:  entries,
-		size:        size,
-		shardBase:   r.firstEntry,
-		target:      target,
-		reg:         r,
-		sectorCount: make([]int, entries),
-	}
-	d.allocs = append(d.allocs, a)
-	return a, nil
+	l.reg = d.grabRegion(regionSlots(entries), devBytes, buddyBytes)
+	d.mu.Unlock()
+	return l, nil
 }
 
-func growMetadata(old *MetadataStore, n int) *MetadataStore {
-	m := NewMetadataStore(n)
-	copy(m.packed, old.packed)
-	return m
+// list adds a to the device's allocation list.
+func (d *Device) list(a *Allocation) {
+	d.mu.Lock()
+	d.allocs = append(d.allocs, a)
+	d.mu.Unlock()
+}
+
+// retire takes layout l off d: its region becomes a reusable hole and its
+// reservations return to their tiers. A non-nil unlist leaves the
+// allocation list with it — the allocation was freed, or no longer has a
+// layout here.
+func (d *Device) retire(l *layout, unlist *Allocation) {
+	d.mu.Lock()
+	if unlist != nil {
+		if i := slices.Index(d.allocs, unlist); i >= 0 {
+			d.allocs = slices.Delete(d.allocs, i, i+1)
+		}
+	}
+	d.freeRegion(l.reg)
+	d.mu.Unlock()
+	d.primary.Release(l.reg.devBytes)
+	d.overflow.Release(l.reg.buddyBytes)
 }
 
 // DeviceAddress returns the device byte address of entry i's first sector.
 // Fixed for a given layout: compressibility changes never move data (§3.3);
-// only an explicit Retarget/ApplyReprofile migration relocates the region.
+// only an explicit relayout (Retarget, ApplyReprofile, MoveTo) relocates the
+// region.
 func (a *Allocation) DeviceAddress(i int) uint64 {
-	a.dev.mu.RLock()
-	defer a.dev.mu.RUnlock()
-	return uint64(a.reg.deviceOff) + uint64(i)*uint64(a.target.DeviceBytes())
+	l := a.layout()
+	return uint64(l.reg.deviceOff) + uint64(i)*uint64(l.target.DeviceBytes())
 }
 
 // BuddyAddress returns the buddy-memory address (GBBR + offset) of entry
 // i's overflow slot. Fixed for a given layout, like DeviceAddress.
 func (a *Allocation) BuddyAddress(i int) uint64 {
-	a.dev.mu.RLock()
-	defer a.dev.mu.RUnlock()
-	return a.dev.gbbr + uint64(a.reg.buddyOff) + uint64(i)*uint64(a.target.BuddySlotBytes())
+	l := a.layout()
+	return l.dev.gbbr + uint64(l.reg.buddyOff) + uint64(i)*uint64(l.target.BuddySlotBytes())
 }
 
 // PTEFor returns the extended page-table entry for the allocation's pages.
 func (a *Allocation) PTEFor() PTE {
-	a.dev.mu.RLock()
-	defer a.dev.mu.RUnlock()
-	return PTE{Compressed: true, Target: a.target, BuddyPageOffset: uint32(a.reg.buddyOff >> 16)}
+	l := a.layout()
+	return PTE{Compressed: true, Target: l.target, BuddyPageOffset: uint32(l.reg.buddyOff >> 16)}
 }
 
 func (a *Allocation) checkIndex(i int) error {
@@ -431,28 +506,28 @@ func (a *Allocation) checkIndex(i int) error {
 	return nil
 }
 
-// shard returns the mutex striping entry i of the allocation. The key is
-// derived from the immutable shardBase — not the current layout — so the
-// same entry keeps the same lock across live migrations, which is what lets
-// migration hand an entry from the old layout to the new one atomically.
-// Regions start at even global indexes and span an even number of slots
-// (regionSlots), so the two entries sharing a metadata byte always live in
-// one allocation and, because shardBase is even, always hash to the same
-// shard: the byte's read-modify-write stays serialized.
+// shard returns the mutex striping entry i of the allocation. The stripes
+// and the key are fixed at Malloc — the birth device's array, the immutable
+// shardBase — not taken from the current layout, so the same entry keeps the
+// same lock across every relayout, to another device included, which is what
+// lets a relayout hand an entry from the old layout to the new one
+// atomically. Both entries of a metadata pair (2j, 2j+1: shardBase is even)
+// hash to the same shard, so the read-modify-write of the byte they share in
+// the MetadataStore stays serialized.
 func (a *Allocation) shard(i int) *sync.Mutex {
-	return &a.dev.shards[(a.shardBase+i)/2%entryShards]
+	return &a.shards[(a.shardBase+i)/2%entryShards]
 }
 
-// entryHome resolves which layout currently owns entry i: during a live
-// migration, entries the migrator has already moved live in the new layout
-// while the rest remain in the old one. The caller must hold dev.mu (any
-// mode) and the entry's shard lock; the result is stable until both are
-// released.
-func (a *Allocation) entryHome(i int) (global int, t TargetRatio) {
-	if m := a.mig; m != nil && m.moved[i] {
-		return m.reg.firstEntry + i, m.target
+// home resolves which layout owns entry i: during a relayout, entries the
+// mover has already handed over live in the next layout while the rest
+// remain in the committed one. cur and m are a.cur and a.mig as read under
+// a.mu, which the caller still holds along with the entry's shard lock; the
+// result is stable until both are released.
+func home(cur *layout, m *migration, i int) *layout {
+	if m != nil && m.moved[i] {
+		return m.next
 	}
-	return a.reg.firstEntry + i, a.target
+	return cur
 }
 
 func (a *Allocation) errFreed() error {
@@ -524,5 +599,5 @@ func (a *Allocation) SectorCount(i int) int {
 	sh := a.shard(i)
 	sh.Lock()
 	defer sh.Unlock()
-	return a.sectorCount[i]
+	return a.meta.Get(i)
 }

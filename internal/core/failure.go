@@ -55,8 +55,8 @@ type rebuildSpan struct {
 
 //buddy:hotpath
 func (s *rebuildSpan) runSpan(lo, hi int) error {
-	var ops [spanBatchEntries]tierOp
-	p := relocPass{kind: relocRebuild, tally: relocTally{ops: ops[:]}}
+	var ops, far [spanBatchEntries]tierOp
+	p := relocPass{kind: relocRebuild, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
 	_, err := s.a.relocate(&p, nil, nil, lo, hi)
 	s.entries.Add(int64(p.entries))
 	s.bytes.Add(p.bytes)
@@ -64,28 +64,39 @@ func (s *rebuildSpan) runSpan(lo, hi int) error {
 }
 
 // Recover rebuilds a failed device tier from the buddy carve-out: every
-// written entry of every live allocation is streamed back over the link
-// (buddy-tier read of the stored bytes) and re-stored in the device slab
-// (device-tier write of the in-budget sectors), in parallel on the span
-// pool. It returns the entries rebuilt and the compressed bytes that
-// crossed the link, then reopens the data path. Recovering a device that
-// has not failed is an error.
+// written entry of every allocation living on the device is streamed back
+// over the link (buddy-tier read of the stored bytes) and re-stored in the
+// device slab (device-tier write of the in-budget sectors), in parallel on
+// the span pool. It returns the entries rebuilt and the compressed bytes
+// that crossed the link, then reopens the data path. Recovering a device
+// that has not failed, or that is being recovered already, is an error.
 func (d *Device) Recover() (entries int, rebuilt int64, err error) {
-	// Serializing on migMu keeps Free/Retarget/ApplyReprofile out of the
-	// rebuild window; the data path is still down (failed clears last), so
-	// no entry changes underneath the spans.
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
-	if !d.failed.Load() {
+	if !d.failed.Load() || !d.rebuilding.CompareAndSwap(false, true) {
 		return 0, 0, fmt.Errorf("core: Recover on a device that has not failed")
 	}
+	defer d.rebuilding.Store(false)
 	for _, a := range d.Allocations() {
-		s := &rebuildSpan{a: a}
-		// The pass's only error is ErrFreed, and Free waits on migMu.
-		_ = d.span.run(a.EntryCount, s)
-		entries += int(s.entries.Load())
-		rebuilt += s.bytes.Load()
+		n, b := a.rebuildOn(d)
+		entries += n
+		rebuilt += b
 	}
 	d.failed.Store(false)
 	return entries, rebuilt, nil
+}
+
+// rebuildOn is a's share of d's Recover. Holding ctl keeps Free and
+// relayouts off a while it is rebuilt, and waits out a MoveTo that was in
+// flight when the tier died: whichever way that ended, a is rebuilt here
+// only if it lives here now. The data path is still down (failed clears
+// last), so no entry changes underneath the spans.
+func (a *Allocation) rebuildOn(d *Device) (entries int, rebuilt int64) {
+	a.ctl.Lock()
+	defer a.ctl.Unlock()
+	if a.Freed() || a.Device() != d {
+		return 0, 0
+	}
+	s := &rebuildSpan{a: a}
+	// The pass's only error is ErrFreed, and Free waits on ctl.
+	_ = d.span.run(a.EntryCount, s)
+	return int(s.entries.Load()), s.bytes.Load()
 }

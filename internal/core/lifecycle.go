@@ -7,25 +7,30 @@ import (
 	"sync/atomic"
 )
 
-// Allocation lifecycle and live target-ratio migration (the §3.4 extension:
-// "the target ratios can be periodically updated for long running
-// applications"). Free retires an allocation — reservations return to their
-// tiers, the entry-table region becomes a reusable hole, and every later
-// I/O fails with ErrFreed. Retarget re-lays-out a live allocation under a
-// new target ratio while reader/writer traffic continues, and
-// ApplyReprofile drives Retarget from a checkpoint-time ReprofilePlan.
+// Allocation lifecycle and live relayout. Free retires an allocation —
+// reservations return to their tiers, its region of the modeled address
+// space becomes a reusable hole, and every later I/O fails with ErrFreed. A
+// relayout moves a live allocation onto a new layout while reader/writer
+// traffic continues: under a new target ratio (Retarget, and ApplyReprofile
+// driving it from a checkpoint-time ReprofilePlan — the §3.4 extension: "the
+// target ratios can be periodically updated for long running applications"),
+// on another device (MoveTo, under the pool's MigrateHandle and Drain), or
+// both. It is one mechanism whichever of the two changes.
 //
-// Concurrency scheme: control-plane operations serialize on dev.migMu
-// (lock order migMu -> mu -> entry shards). A migration installs a
-// per-allocation epoch — the mig pointer with its moved[] bitmap — under
-// dev.mu held exclusively, then streams entries to the new layout on the
-// same GOMAXPROCS-bounded span pool as the batch data path, as passes of the
+// Concurrency scheme: the control plane of one allocation serializes on its
+// ctl (lock order Allocation.ctl -> Device.mu -> Allocation.mu -> entry
+// shards). A relayout reserves the next layout, installs a per-allocation
+// epoch — the mig pointer with its moved[] bitmap — under a.mu held
+// exclusively, then streams entries to the next layout on the same
+// GOMAXPROCS-bounded span pool as the batch data path, as passes of the
 // entry-table walker (relocate.go). Each entry moves under its shard lock,
-// the same lock every reader and writer takes, and the shard key comes from
-// the immutable shardBase rather than the layout, so an in-flight WriteAt
+// the same lock every reader and writer takes, and the shard key is fixed
+// at Malloc rather than taken from the layout, so an in-flight WriteAt
 // simply lands in whichever layout owns the entry when it commits. The
-// final layout swap happens under dev.mu held exclusively, after which the
-// old region's reservations are released and its slots become a hole.
+// final swap of a.cur happens under a.mu held exclusively, after which the
+// old layout's reservations are released and its region becomes a hole. A
+// destination whose tier dies mid-move is undone by the same pass run the
+// other way (handBack).
 
 // ErrFreed is returned (wrapped) by every I/O operation on an allocation
 // that has been released with Free or Close.
@@ -48,38 +53,36 @@ type region struct {
 // occupies (see region).
 func regionSlots(entries int) int { return entries + entries%2 }
 
-// migration is the live-migration epoch of one allocation: the destination
-// layout plus the per-entry handoff bitmap. moved[i] is guarded by entry
-// i's shard lock; the struct itself is installed and cleared under dev.mu
-// held exclusively.
+// migration is the relayout epoch of one allocation: the layout its entries
+// are being handed to plus the per-entry handoff bitmap. moved[i] is guarded
+// by entry i's shard lock; the struct is installed, turned around
+// (handBack) and cleared under a.mu held exclusively. It is also the
+// spanRunner that streams the entries across on the span-worker pool.
 type migration struct {
-	target TargetRatio
-	reg    region
-	moved  []bool
-	bytes  atomic.Int64 // stored bytes re-packed so far
-}
-
-// migrateSpan is the spanRunner that streams one allocation's entries to
-// its migration's new layout across the device's span-worker pool.
-type migrateSpan struct {
-	a   *Allocation
-	mig *migration
+	a         *Allocation
+	next      *layout
+	moved     []bool       // moved[i]: entry i is placed in next
+	transcode bool         // the two layouts' devices frame streams with different codecs
+	back      bool         // handing back: next is the layout the move started from
+	bytes     atomic.Int64 // stored bytes re-packed so far
 }
 
 //buddy:hotpath
-func (s *migrateSpan) runSpan(lo, hi int) error {
+func (m *migration) runSpan(lo, hi int) error {
 	// Each moved entry reads its old placement and writes its new one: at
-	// most two overflow accesses per entry of a sub-batch.
+	// most two overflow accesses per entry of a sub-batch when both are on
+	// one device, one on each when they are not.
 	var ops [2 * spanBatchEntries]tierOp
-	p := relocPass{kind: relocMigrate, mig: s.mig, tally: relocTally{ops: ops[:]}}
-	_, err := s.a.relocate(&p, nil, nil, lo, hi)
-	s.mig.bytes.Add(p.bytes)
+	var far [spanBatchEntries]tierOp
+	p := relocPass{kind: relocMigrate, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
+	_, err := m.a.relocate(&p, nil, nil, lo, hi)
+	m.bytes.Add(p.bytes)
 	return err
 }
 
 // grabRegion hands out a region of the given shape, reusing the first
-// retired hole that fits in all three spaces and growing the entry table
-// only when none does. Caller must hold d.mu exclusively.
+// retired hole that fits in all three spaces and growing the modeled entry
+// table only when none does. Caller must hold d.mu exclusively.
 func (d *Device) grabRegion(slots int, devBytes, buddyBytes int64) region {
 	for i, h := range d.holes {
 		if h.slots >= slots && h.devBytes >= devBytes && h.buddyBytes >= buddyBytes {
@@ -107,8 +110,6 @@ func (d *Device) grabRegion(slots int, devBytes, buddyBytes int64) region {
 	d.totalEntry += slots
 	d.deviceOff += devBytes
 	d.buddyOff += buddyBytes
-	d.streams = append(d.streams, make([][]byte, slots)...)
-	d.meta = growMetadata(d.meta, d.totalEntry)
 	return r
 }
 
@@ -142,45 +143,46 @@ func (d *Device) freeRegion(r region) {
 }
 
 // Free releases an allocation: its device and buddy reservations return to
-// their tiers, its metadata is retired, its entry-table region becomes
-// reusable by later Mallocs, and every subsequent I/O on the allocation
-// fails with an error wrapping ErrFreed. Freeing twice is an error. An
-// in-flight ReadAt/WriteAt may complete its current entries; entries it
-// attempts after Free fail like any other I/O.
+// their tiers, its region becomes reusable by later Mallocs, and every
+// subsequent I/O on the allocation fails with an error wrapping ErrFreed.
+// Freeing twice is an error, and so is freeing through a device the
+// allocation does not live on. An in-flight ReadAt/WriteAt may complete its
+// current entries; entries it attempts after Free fail like any other I/O.
 func (d *Device) Free(a *Allocation) error {
-	if a == nil || a.dev != d {
-		return fmt.Errorf("core: Free of an allocation not owned by this device")
+	if a == nil {
+		return fmt.Errorf("core: Free of a nil allocation")
 	}
-	// Serializing against Retarget/ApplyReprofile guarantees no migration
-	// is in flight on a while it is dismantled.
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
-
-	d.mu.Lock()
-	if a.freed {
-		d.mu.Unlock()
-		return a.errFreed()
-	}
-	a.freed = true
-	for g := a.reg.firstEntry; g < a.reg.firstEntry+a.EntryCount; g++ {
-		d.streams[g] = nil
-		d.meta.Set(g, 0)
-	}
-	if i := slices.Index(d.allocs, a); i >= 0 {
-		d.allocs = slices.Delete(d.allocs, i, i+1)
-	}
-	r := a.reg
-	d.freeRegion(r)
-	d.mu.Unlock()
-
-	d.primary.Release(r.devBytes)
-	d.overflow.Release(r.buddyBytes)
-	return nil
+	return a.free(d)
 }
 
-// Close releases the allocation via Device.Free; Allocation satisfies
-// io.Closer so regions can sit behind defer and resource-managing helpers.
-func (a *Allocation) Close() error { return a.dev.Free(a) }
+// Close releases the allocation on whichever device it lives on; Allocation
+// satisfies io.Closer so regions can sit behind defer and resource-managing
+// helpers.
+func (a *Allocation) Close() error { return a.free(nil) }
+
+// free is Free; a non-nil owner must be the allocation's device. Holding ctl
+// guarantees no relayout is in flight on a while it is dismantled.
+func (a *Allocation) free(owner *Device) error {
+	a.ctl.Lock()
+	defer a.ctl.Unlock()
+	a.mu.Lock()
+	l := a.cur
+	switch {
+	case a.freed:
+		a.mu.Unlock()
+		return a.errFreed()
+	case owner != nil && l.dev != owner:
+		a.mu.Unlock()
+		return fmt.Errorf("core: Free of an allocation not owned by this device")
+	}
+	a.freed = true
+	// Every pass checks freed before it touches an entry, so the streams can
+	// go now rather than when the last *Allocation does.
+	a.streams = nil
+	a.mu.Unlock()
+	l.dev.retire(l, a)
+	return nil
+}
 
 // storedBytes is the stored footprint of an entry compressed to the given
 // sector count: the 8 B zero-page word for class 0, whole sectors
@@ -193,101 +195,140 @@ func storedBytes(sectors int) int {
 	return sectors * 32
 }
 
-// errStaleDecision marks a reprofile decision whose allocation changed
-// target between planning and application; ApplyReprofile maps it to a
-// skip.
-var errStaleDecision = errors.New("core: stale reprofile decision")
+// errStale marks a control-plane request the allocation outran between the
+// caller's look and ctl: it left the device the request came through, or its
+// target is no longer the one a reprofile decision was planned against.
+// ApplyReprofile maps it to a skip.
+var errStale = errors.New("core: the allocation changed since it was looked up")
 
-// Retarget migrates a live allocation to a new target compression ratio
-// (§3.4: "requires re-allocating the memory for that page and moving data").
-// The new layout's reservations are taken up front (failing with
-// ErrOutOfMemory leaves the allocation untouched); entries then stream to
-// their new placement on the same GOMAXPROCS-bounded span pool as the batch
-// data path, concurrently with reader/writer traffic; finally the layout is
-// swapped and the old region's reservations return to their tiers. It
-// returns the stored bytes re-packed (the migration cost a ReprofilePlan
-// estimates).
+// Retarget re-lays a live allocation out under a new target compression
+// ratio (§3.4: "requires re-allocating the memory for that page and moving
+// data"); see relayout. It returns the stored bytes re-packed (the migration
+// cost a ReprofilePlan estimates), 0 when the allocation is at target
+// already.
 func (d *Device) Retarget(a *Allocation, target TargetRatio) (int64, error) {
 	return d.retarget(a, target, nil)
 }
 
 // retarget is Retarget with an optional expected current target: when
 // expectOld is non-nil and the allocation's target no longer matches (a
-// concurrent Free/Retarget won the race since the caller looked), it fails
-// with errStaleDecision instead of migrating. The check runs under migMu,
-// where no control-plane operation can interleave.
+// concurrent Retarget won the race since the caller looked), it fails with
+// errStale instead of migrating, as it does for an allocation that has left
+// d. The checks run under ctl, where no control-plane operation can
+// interleave.
 func (d *Device) retarget(a *Allocation, target TargetRatio, expectOld *TargetRatio) (int64, error) {
-	if a == nil || a.dev != d {
-		return 0, fmt.Errorf("core: Retarget of an allocation not owned by this device")
+	if a == nil {
+		return 0, fmt.Errorf("core: Retarget of a nil allocation")
 	}
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
+	a.ctl.Lock()
+	defer a.ctl.Unlock()
+	cur := a.layout()
+	if cur.dev != d {
+		return 0, fmt.Errorf("core: Retarget of %s through a device it does not live on: %w", a.Name, errStale)
+	}
+	if expectOld != nil && cur.target != *expectOld {
+		return 0, fmt.Errorf("core: %s is at %s, plan expected %s: %w", a.Name, cur.target, *expectOld, errStale)
+	}
+	return a.relayout(d, target)
+}
 
-	d.mu.RLock()
-	freed, old := a.freed, a.target
-	d.mu.RUnlock()
+// MoveTo moves a live allocation to dst, target ratio unchanged; see
+// relayout. Moving to the device it is on is a no-op. Moving off a failed
+// device works: the streams are the carve-out mirror's surviving copy, which
+// is what evacuating a dead tier reads.
+func (a *Allocation) MoveTo(dst *Device) error {
+	a.ctl.Lock()
+	defer a.ctl.Unlock()
+	_, err := a.relayout(dst, a.layout().target)
+	return err
+}
+
+// relayout moves a onto a fresh layout on dev under target — the one
+// relocation mechanism. The next layout's reservations are taken up front
+// (ErrOutOfMemory, or ErrDeviceFailed for a dead destination, leaves the
+// allocation untouched); entries then stream to it on the span pool,
+// concurrently with reader/writer traffic, as framed streams — re-encoded
+// only when the two devices' codecs differ; finally a.cur is swapped and the
+// old layout retired. If the move cannot finish — the destination's tier
+// died under it, or a stream would not decode for re-encoding — the entries
+// already handed over are handed back by the same pass and the allocation
+// stays where it was. It returns the stored bytes re-packed. Caller holds
+// ctl.
+func (a *Allocation) relayout(dev *Device, target TargetRatio) (int64, error) {
+	a.mu.RLock()
+	cur, freed := a.cur, a.freed
+	a.mu.RUnlock()
 	if freed {
 		return 0, a.errFreed()
 	}
-	if expectOld != nil && old != *expectOld {
-		return 0, fmt.Errorf("core: %s is at %s, plan expected %s: %w",
-			a.Name, old, *expectOld, errStaleDecision)
-	}
-	if old == target {
+	if cur.dev == dev && cur.target == target {
 		return 0, nil
 	}
-
-	mig, err := d.beginMigration(a, target)
+	m, err := a.beginRelayout(dev, target)
 	if err != nil {
 		return 0, err
 	}
-	// Stream every entry to the new layout. The span workers cannot fail
-	// here (the pass's only error is ErrFreed, and Free waits on migMu),
-	// and entries written concurrently after their move land in the new
-	// layout directly.
-	_ = d.span.run(a.EntryCount, &migrateSpan{a: a, mig: mig})
-	return d.commitMigration(a, mig), nil
+	// The pass's other error is ErrFreed, and Free waits on ctl. Entries
+	// written concurrently after their move land in the next layout directly.
+	if err = cur.dev.span.run(a.EntryCount, m); err != nil {
+		a.handBack(m)
+		_ = cur.dev.span.run(a.EntryCount, m)
+	}
+	a.commitRelayout(m)
+	if err != nil {
+		return 0, fmt.Errorf("core: relayout of %s handed back: %w", a.Name, err)
+	}
+	return m.bytes.Load(), nil
 }
 
-// beginMigration reserves a's layout under the new target and installs the
-// migration epoch; from here every entry operation resolves its home
-// through it. Both layouts are reserved while the migration runs; the old
-// bytes return only after the swap, so a failure can always roll forward.
-// Caller holds migMu.
-func (d *Device) beginMigration(a *Allocation, target TargetRatio) (*migration, error) {
-	entries := a.EntryCount
-	devBytes := int64(entries) * int64(target.DeviceBytes())
-	buddyBytes := int64(entries) * int64(target.BuddySlotBytes())
-	if err := d.primary.Reserve(devBytes); err != nil {
+// beginRelayout reserves a's next layout and installs the epoch; from here
+// every entry operation resolves its home through it. Both layouts stay
+// reserved while the move runs, so it can always finish in one direction or
+// the other. An allocation arriving from another device is listed on dev
+// from now on: it holds reservations there, and dev's Recover must wait for
+// it.
+func (a *Allocation) beginRelayout(dev *Device, target TargetRatio) (*migration, error) {
+	next, err := dev.newLayout(a.EntryCount, target)
+	if err != nil {
 		return nil, err
 	}
-	if err := d.overflow.Reserve(buddyBytes); err != nil {
-		d.primary.Release(devBytes)
-		return nil, err
+	cur := a.layout()
+	if dev != cur.dev {
+		dev.list(a)
 	}
-	mig := &migration{target: target, moved: make([]bool, entries)}
-	d.mu.Lock()
-	mig.reg = d.grabRegion(regionSlots(entries), devBytes, buddyBytes)
-	a.mig = mig
-	d.mu.Unlock()
-	return mig, nil
+	m := &migration{a: a, next: next, moved: make([]bool, a.EntryCount), transcode: !cur.dev.SameCodecAs(dev)}
+	a.mu.Lock()
+	a.mig = m
+	a.mu.Unlock()
+	return m, nil
 }
 
-// commitMigration swaps a onto the migration's layout once every entry has
-// moved, retires the old region and returns the stored bytes re-packed.
-// Caller holds migMu.
-func (d *Device) commitMigration(a *Allocation, mig *migration) int64 {
-	d.mu.Lock()
-	oldReg := a.reg
-	a.target = mig.target
-	a.reg = mig.reg
-	a.mig = nil
-	d.freeRegion(oldReg)
-	d.mu.Unlock()
+// handBack turns a relayout around: the layouts trade places and every
+// moved bit flips, so "not yet moved" now names exactly the entries that had
+// reached the abandoned layout, and the same forward pass carries them home.
+// That pass checks no device — the allocation never left the side it is
+// going back to — so a hand-back cannot strand an entry.
+func (a *Allocation) handBack(m *migration) {
+	a.mu.Lock()
+	a.cur, m.next, m.back = m.next, a.cur, true
+	for i := range m.moved {
+		m.moved[i] = !m.moved[i]
+	}
+	a.mu.Unlock()
+}
 
-	d.primary.Release(oldReg.devBytes)
-	d.overflow.Release(oldReg.buddyBytes)
-	return mig.bytes.Load()
+// commitRelayout swaps a onto the epoch's next layout once every entry has
+// moved and retires the layout it left.
+func (a *Allocation) commitRelayout(m *migration) {
+	a.mu.Lock()
+	old := a.cur
+	a.cur, a.mig = m.next, nil
+	a.mu.Unlock()
+	var unlist *Allocation
+	if old.dev != m.next.dev {
+		unlist = a
+	}
+	old.dev.retire(old, unlist)
 }
 
 // MigrationStats reports what ApplyReprofile actually did.
@@ -304,10 +345,10 @@ type MigrationStats struct {
 // ApplyReprofile executes a checkpoint-time ReprofilePlan on the live
 // device: each decision's allocation is migrated from its Old target to its
 // New one with Retarget, concurrently with reader/writer traffic.
-// Decisions that no longer match the device (allocation freed, or its
-// target already changed) are skipped, so a stale plan degrades to a
-// partial application rather than corrupting accounting. On error the
-// already-applied decisions remain in force.
+// Decisions that no longer match the device (allocation freed, moved to
+// another device, or its target already changed) are skipped, so a stale
+// plan degrades to a partial application rather than corrupting accounting.
+// On error the already-applied decisions remain in force.
 func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 	var st MigrationStats
 	if plan == nil {
@@ -319,11 +360,11 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 			st.Skipped++
 			continue
 		}
-		// The stale check happens inside retarget, under migMu: a Free or
-		// Retarget racing in after the lookup turns into a skip, never a
+		// The stale check happens inside retarget, under ctl: a Free, MoveTo
+		// or Retarget racing in after the lookup turns into a skip, never a
 		// misdirected migration.
 		moved, err := d.retarget(a, dec.New, &dec.Old)
-		if errors.Is(err, ErrFreed) || errors.Is(err, errStaleDecision) {
+		if errors.Is(err, ErrFreed) || errors.Is(err, errStale) {
 			st.Skipped++
 			continue
 		}
@@ -336,8 +377,8 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 	return st, nil
 }
 
-// allocByName returns the first live allocation with the given name, nil if
-// none.
+// allocByName returns the first listed allocation with the given name, nil
+// if none.
 func (d *Device) allocByName(name string) *Allocation {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -358,7 +399,7 @@ func (d *Device) Targets() map[string]TargetRatio {
 	defer d.mu.RUnlock()
 	m := make(map[string]TargetRatio, len(d.allocs))
 	for _, a := range d.allocs {
-		m[a.Name] = a.target
+		m[a.Name] = a.Target()
 	}
 	return m
 }

@@ -2,42 +2,42 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"buddy/internal/compress"
 )
 
 // The entry-table walker: one span visitor, relocate, is the only code that
-// walks the entry table. Every operation on an entry is the same five steps
-// (§3.3 gives each entry one fixed device slot and one fixed buddy slot):
-// lock its shard, resolve its home, touch its stream, set or read its
+// walks an allocation's entries. Every operation on an entry is the same five
+// steps (§3.3 gives each entry one fixed device slot and one fixed buddy
+// slot): lock its shard, resolve its home, touch its stream, set or read its
 // metadata, charge the two tiers. The data path (WriteEntries/ReadEntries,
-// and WriteEntry/ReadEntry as spans of one) and every mover — Retarget and
-// ApplyReprofile (old layout to new layout on one device), TransferEntries
-// (framed streams between codec-matched devices, under the pool's
-// MigrateHandle and Drain) and Recover (re-stream from the carve-out copy) —
-// are passes of it that differ only in what happens to an entry before,
-// under and after its shard lock (table in DESIGN.md "The entry-table
-// walker").
+// and WriteEntry/ReadEntry as spans of one) and every mover — a relayout
+// (Retarget, ApplyReprofile and MoveTo: committed layout to next layout, on
+// one device or across two), ExportEntry/ImportEntry (a framed stream out of
+// or into an entry) and Recover (re-stream from the carve-out copy) — are
+// passes of it that differ only in what happens to an entry before, under
+// and after its shard lock (table in DESIGN.md "The entry-table walker").
 //
-// A pass takes dev.mu read-locked once per sub-batch of spanBatchEntries
+// A pass takes a.mu read-locked once per sub-batch of spanBatchEntries
 // entries and never across one, both entries of a metadata pair share one
 // acquisition of their shard lock, and the Traffic counters and the slab's
-// meter are flushed once per sub-batch from a relocTally. Per entry stay
-// entryHome, resolved under the shard lock (an in-flight Retarget splits a
-// span between two layouts), the metadata-cache lookup of a data access, and
-// the overflow tier: the carve-out models link occupancy per access and the
-// host tier pages per access, so the flush replays their accesses one by
-// one, in entry order. Every total, and the link's busy cycles per
-// direction, equal visiting the entries one at a time.
+// meter are flushed once per sub-batch from a relocTally — two of them while
+// a relayout has the allocation's entries on two devices. Per entry stay its
+// home, resolved under the shard lock (an in-flight relayout splits a span
+// between two layouts), the metadata-cache lookup of a data access, and the
+// overflow tier: the carve-out models link occupancy per access and the host
+// tier pages per access, so the flush replays their accesses one by one, in
+// entry order. Every total, and the link's busy cycles per direction, equal
+// visiting the entries one at a time.
 
 // relocKind selects what a pass does to each entry. The order matters twice:
-// kinds from relocImport on need a live device tier, kinds from relocWrite on
-// are the data path (counted as entry accesses, metadata cache consulted).
+// kinds from relocImport on need the entry's device tier alive, kinds from
+// relocWrite on are the data path (counted as entry accesses, metadata cache
+// consulted).
 type relocKind uint8
 
 const (
-	relocMigrate relocKind = iota // hand the entry to the migration's new layout
+	relocMigrate relocKind = iota // hand the entry to the relayout's next layout
 	relocExport                   // snapshot the framed stream into the staging buffer
 	relocRebuild                  // re-stream from the carve-out copy into the device tier
 	relocImport                   // install the staged framed stream
@@ -138,83 +138,120 @@ func (t *relocTally) flush(d *Device, data bool) {
 // in one is shared between span workers.
 type relocPass struct {
 	kind relocKind
-	mig  *migration // relocMigrate: the epoch being filled
 
-	// relocExport and relocImport: entry base+k's framed stream is
-	// stage[offs[k]:offs[k+1]] of the staging buffer — empty for a
-	// never-written entry — and its sector class secs[k].
 	// relocWrite and relocRead: entry base+k's 128 bytes are
 	// stage[k*EntryBytes:][:EntryBytes], the span's flat buffer.
-	base int
-	offs []int32
-	secs []uint8
+	// relocExport and relocImport are spans of one: the entry's framed
+	// stream is appended to, or is, the staging buffer, and sectors its
+	// sector class — out of an export, into an import.
+	base    int
+	sectors int
 
 	entries int   // entries that held a stream (relocation kinds)
 	bytes   int64 // their stored bytes
-	tally   relocTally
+	// tally is owed to the committed layout's device; far to the device of a
+	// relayout's next layout when that is another one. When it is the same
+	// device everything lands in tally: one list keeps an entry's read of
+	// its old slot and write of its new one in the order they happen, which
+	// the pager's residency and the per-entry reference depend on.
+	tally, far relocTally
+}
+
+// tallyOf is the tally accesses to layout l are charged to, cur being the
+// committed layout.
+func (p *relocPass) tallyOf(l, cur *layout) *relocTally {
+	if l.dev == cur.dev {
+		return &p.tally
+	}
+	return &p.far
 }
 
 // relocate runs pass p over entries [lo, hi) of a. stage is the staging
-// buffer: an export appends the framed streams to it and returns it
-// extended, an import reads them from it, a write encodes the entries in it
-// and a read decodes into it; the other kinds pass nil. pair is where the
-// data kinds stage a metadata pair's framed streams between the codec and
-// the table, nil for the rest. Both travel beside the pass: the codec is an
+// buffer: an export appends the framed stream to it and returns it extended,
+// an import reads the stream from it, a write encodes the entries in it and
+// a read decodes into it; the other kinds pass nil. pair is where the data
+// kinds stage a metadata pair's framed streams between the codec and the
+// table, nil for the rest. Both travel beside the pass: the codec is an
 // interface, so whatever reached it through p would move every buffer p
-// refers to — its builder's op list included — to the heap.
+// refers to — its builder's op lists included — to the heap.
 //
-// A sub-batch is all or nothing: freed and, for the kinds that need the
-// device tier, failed are checked once under its dev.mu read lock, so
-// ErrFreed or ErrDeviceFailed means no entry of that sub-batch or after it
-// was touched. Every kind but relocExport flushes its tally as each
-// sub-batch's lock drops; an export is charged by its caller once the import
-// it feeds committed. A read's decode error ends the pass inside a
-// sub-batch: what was accounted up to and including the failing entry is
-// flushed, the entries before it are delivered.
+// Liveness. freed is checked once per sub-batch under the a.mu read lock, so
+// ErrFreed means no entry of that sub-batch or after it was touched. With no
+// relayout in flight the same holds for ErrDeviceFailed: the kinds that need
+// the device tier check it once per sub-batch, all or nothing. While one is
+// in flight the entries may sit on two devices, so those kinds check each
+// entry's home instead and end the pass at the first entry whose device is
+// down, the way a decode error ends a read: what was accounted up to there is
+// flushed, the entries before it are delivered. The mover itself checks the
+// device it is moving to, once per sub-batch — never the one it is moving
+// off, which is how a dead tier is evacuated, and nothing at all when
+// handing back. A read's decode error, and a mover's when it has to
+// re-encode, ends the pass the same way.
 //
 //buddy:hotpath
 func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, hi int) ([]byte, error) {
-	d := a.dev
 	for b := lo; b < hi; {
 		e := min(b+spanBatchEntries, hi)
-		d.mu.RLock()
+		a.mu.RLock()
 		if a.freed {
-			d.mu.RUnlock()
+			a.mu.RUnlock()
 			return stage, a.errFreed()
 		}
-		if p.kind >= relocImport && d.failed.Load() {
-			d.mu.RUnlock()
-			return stage, d.errFailed()
+		cur, m := a.cur, a.mig
+		far := cur.dev // the other device a relayout has entries on, if it is another
+		if m != nil {
+			far = m.next.dev
+		}
+		var needs *Device // the device this whole sub-batch cannot run without, if any
+		switch {
+		case m == nil && p.kind >= relocImport:
+			needs = cur.dev
+		case m != nil && p.kind == relocMigrate && !m.back:
+			needs = far
+		}
+		if needs != nil && needs.failed.Load() {
+			a.mu.RUnlock()
+			return stage, needs.errFailed()
 		}
 		var err error
 		if p.kind >= relocWrite {
-			err = p.accessBatch(a, pair, stage, b, e)
+			err = p.accessBatch(a, cur, m, pair, stage, b, e)
 		} else {
-			var blk []byte // relocImport: the sub-batch's block of fresh stream buffers
-			for i := b; i < e; {
+			l, t := cur, &p.tally // every entry's home and tally, outside a relayout
+			for i := b; i < e && err == nil; {
 				n := a.pairLen(i, e)
 				sh := a.shard(i)
 				sh.Lock()
-				for k := i; k < i+n; k++ {
-					g, tr := a.entryHome(k) // under the shard lock: whichever layout owns k now
+				for k := i; k < i+n && err == nil; k++ {
+					if p.kind == relocMigrate {
+						err = p.handOver(a, cur, m, k)
+						continue
+					}
+					if m != nil {
+						l = home(cur, m, k) // under the shard lock: whichever layout owns k now
+						t = p.tallyOf(l, cur)
+					}
 					switch p.kind {
-					case relocMigrate:
-						p.handOver(d, k, g, tr)
 					case relocExport:
-						stage = p.snapshot(d, k, g, tr, stage)
+						stage = p.snapshot(a, l, t, k, stage)
 					case relocImport:
-						blk = p.install(a, k, g, tr, stage, blk, e)
+						if m != nil && l.dev.failed.Load() {
+							err = l.dev.errFailed()
+						} else {
+							p.install(a, l, t, k, stage)
+						}
 					case relocRebuild:
-						p.restream(d, g, tr)
+						p.restream(a, l, t, k)
 					}
 				}
 				sh.Unlock()
 				i += n
 			}
 		}
-		d.mu.RUnlock()
-		if p.kind != relocExport {
-			p.tally.flush(d, p.kind >= relocWrite)
+		a.mu.RUnlock()
+		p.tally.flush(cur.dev, p.kind >= relocWrite)
+		if far != cur.dev {
+			p.far.flush(far, p.kind >= relocWrite)
 		}
 		if err != nil {
 			return stage, err
@@ -234,158 +271,190 @@ func (a *Allocation) pairLen(i, e int) int {
 	return 1
 }
 
+// appendEntry appends src's framed stream under c to dst and returns it with
+// the entry's sector class. All-zero entries short-circuit the codec — one
+// 16-word probe, and the precomputed per-codec zero stream is
+// frame-identical to an encode; sparse activation traffic is mostly this.
+func appendEntry(c compress.Codec, dst, src []byte) ([]byte, int) {
+	var bits int
+	if compress.EntryAllZero(src) {
+		dst, bits = compress.AppendZeroEntry(dst, c)
+	} else {
+		dst, bits = c.AppendCompressed(dst, src)
+	}
+	return dst, compress.SectorsForBits(bits)
+}
+
 // accessBatch is the data path's step over one sub-batch [b, e), pair by
 // pair. A write is an import with an encode before the lock: both entries of
-// a pair are encoded into the pair buffers first (all-zero entries
-// short-circuit the codec — one 16-word probe, and the precomputed per-codec
-// zero stream is frame-identical to an encode; sparse activation traffic is
-// mostly this), then stream, metadata and sectorCount commit under the lock,
-// into the entry's retained buffer so the steady state allocates nothing. A
-// read is an export with a decode after the lock: stream and metadata are
-// snapshotted under it (writers reuse stream buffers in place, so the
-// reference must not leave it) and decoded straight into the caller's
-// buffer. Never-written entries read as zero, like fresh cudaMalloc pages,
-// and still cost the minimum access. Each entry looks up the metadata cache
-// and is charged before its decode, so a decode error leaves exactly the
-// entries up to and including the failing one accounted. The pair loop and
-// its arrays live here, not in relocate's, where the relocation kinds would
-// pay for them (measured: +4 % on Recover's 20 ns per entry).
+// a pair are encoded into the pair buffers first, then stream and metadata
+// commit under the lock, into the entry's retained buffer so the steady
+// state allocates nothing. A read is an export with a decode after the lock:
+// stream and metadata are snapshotted under it (writers reuse stream buffers
+// in place, so the reference must not leave it) and decoded straight into
+// the caller's buffer. Never-written entries read as zero, like fresh
+// cudaMalloc pages, and still cost the minimum access. Each entry looks up
+// its device's metadata cache and is charged before its decode, so a decode
+// error leaves exactly the entries up to and including the failing one
+// accounted. While a relayout is in flight an entry whose home device is
+// down ends the pass before it is touched, and a write that finds its home
+// under the other codec is encoded again, under the lock: only there is its
+// home known. The pair loop and its arrays live here, not in relocate's,
+// where the relocation kinds would pay for them (measured: +4 % on
+// Recover's 20 ns per entry).
 //
 //buddy:hotpath
-func (p *relocPass) accessBatch(a *Allocation, pair *[2][]byte, data []byte, b, e int) error {
-	d := a.dev
+func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *[2][]byte, data []byte, b, e int) error {
 	write := p.kind == relocWrite
 	for i := b; i < e; {
 		n := a.pairLen(i, e)
 		var (
-			homes   [2]int
-			targets [2]TargetRatio
+			homes   [2]*layout // set while a relayout is in flight
 			secs    [2]int
 			written [2]bool
+			down    error
 		)
 		if write {
 			for k := 0; k < n; k++ {
-				src := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
-				var bits int
-				if compress.EntryAllZero(src) {
-					pair[k], bits = compress.AppendZeroEntry(pair[k][:0], d.cfg.Codec)
-				} else {
-					pair[k], bits = d.cfg.Codec.AppendCompressed(pair[k][:0], src)
-				}
-				secs[k] = compress.SectorsForBits(bits)
+				pair[k], secs[k] = appendEntry(cur.dev.cfg.Codec, pair[k][:0], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
 			}
 		}
 		sh := a.shard(i)
 		sh.Lock()
 		for k := 0; k < n; k++ {
-			g, tr := a.entryHome(i + k) // a write lands in whichever layout owns the entry at commit
-			homes[k], targets[k] = g, tr
+			if m != nil {
+				l := home(cur, m, i+k) // a write lands in whichever layout owns the entry at commit
+				if l.dev.failed.Load() {
+					n, down = k, l.dev.errFailed()
+					break
+				}
+				if write && m.transcode && l != cur {
+					pair[k], secs[k] = appendEntry(l.dev.cfg.Codec, pair[k][:0], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
+				}
+				homes[k] = l
+			}
 			if write {
-				d.streams[g] = append(d.streams[g][:0], pair[k]...)
-				d.meta.Set(g, secs[k])
-				a.sectorCount[i+k] = secs[k]
+				a.streams[i+k] = append(a.streams[i+k][:0], pair[k]...)
+				a.meta.Set(i+k, secs[k])
 			} else {
-				secs[k] = d.meta.Get(g)
-				written[k] = d.streams[g] != nil
-				pair[k] = append(pair[k][:0], d.streams[g]...)
+				secs[k] = a.meta.Get(i + k)
+				written[k] = a.streams[i+k] != nil
+				pair[k] = append(pair[k][:0], a.streams[i+k]...)
 			}
 		}
 		sh.Unlock()
+		l, t := cur, &p.tally // every entry's home and tally, outside a relayout
 		for k := 0; k < n; k++ {
-			d.accessMetadata(homes[k])
-			p.tally.access(write, homes[k], targets[k], secs[k])
+			if m != nil {
+				l = homes[k]
+				t = p.tallyOf(l, cur)
+			}
+			g := l.global(i + k)
+			l.dev.accessMetadata(g)
+			t.access(write, g, l.target, secs[k])
 			if write {
 				continue
 			}
 			out := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
 			if !written[k] {
 				clear(out)
-			} else if err := d.cfg.Codec.DecompressInto(out, pair[k]); err != nil {
+			} else if err := l.dev.cfg.Codec.DecompressInto(out, pair[k]); err != nil {
 				return fmt.Errorf("core: entry %d of %s: %w", i+k, a.Name, err)
 			}
+		}
+		if down != nil {
+			return down
 		}
 		i += n
 	}
 	return nil
 }
 
-// handOver gives entry k, at home g under target tr in the old layout, to
-// the migration's new layout. Never-written entries have nothing to move;
-// flipping the epoch bit is enough.
-func (p *relocPass) handOver(d *Device, k, g int, tr TargetRatio) {
-	m := p.mig
+// handOver gives entry k, placed in the committed layout cur, to the
+// relayout's next layout. The stream stays where it is, untouched, unless the
+// two devices frame streams differently; what changes hands is the entry's
+// place: its old slot is read on cur's device and its new one written on
+// next's, and when those differ both count the stored bytes as migration
+// traffic. Never-written entries have nothing to move; flipping the epoch
+// bit is enough.
+func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, k int) error {
 	if m.moved[k] {
-		return
+		return nil
+	}
+	next := m.next
+	if a.streams[k] != nil {
+		sectors := a.meta.Get(k)
+		landed := sectors
+		if m.transcode {
+			s, n, err := transcode(cur.dev.cfg.Codec, next.dev.cfg.Codec, a.streams[k])
+			switch {
+			case err == nil:
+				a.streams[k], landed = s, n
+				a.meta.Set(k, n)
+			case !m.back:
+				return fmt.Errorf("core: entry %d: %w", k, err)
+			}
+			// Handing back, an entry that will not decode goes home as it
+			// is: it has to go somewhere, and its next read reports it.
+		}
+		to := p.tallyOf(next, cur)
+		p.tally.access(false, cur.global(k), cur.target, sectors)
+		to.access(true, next.global(k), next.target, landed)
+		p.count(&p.tally, sectors)
+		if to != &p.tally {
+			to.migration += uint64(storedBytes(landed))
+		}
 	}
 	m.moved[k] = true
-	stream := d.streams[g]
-	if stream == nil {
-		return
-	}
-	gNew := m.reg.firstEntry + k
-	sectors := d.meta.Get(g)
-	d.streams[gNew], d.streams[g] = stream, nil
-	d.meta.Set(gNew, sectors)
-	d.meta.Set(g, 0)
-	p.tally.access(false, g, tr, sectors)
-	p.tally.access(true, gNew, m.target, sectors)
-	p.count(sectors)
+	return nil
 }
 
-// snapshot appends entry k's framed stream to stage and records where.
-func (p *relocPass) snapshot(d *Device, k, g int, tr TargetRatio, stage []byte) []byte {
-	if stream := d.streams[g]; stream != nil {
-		sectors := d.meta.Get(g)
-		stage = append(stage, stream...)
-		p.secs[k-p.base] = uint8(sectors)
-		p.tally.access(false, g, tr, sectors)
-		p.count(sectors)
+// transcode re-frames one stored stream for another codec: decoded with
+// from, encoded afresh with to. The mover's only use of a codec, and only
+// between devices that disagree on one.
+func transcode(from, to compress.Codec, stream []byte) ([]byte, int, error) {
+	buf := entryScratchPool.Get().(*[EntryBytes]byte)
+	defer entryScratchPool.Put(buf)
+	if err := from.DecompressInto(buf[:], stream); err != nil {
+		return nil, 0, err
 	}
-	p.offs[k-p.base+1] = int32(len(stage))
+	out, sectors := appendEntry(to, nil, buf[:])
+	return out, sectors, nil
+}
+
+// snapshot appends entry k's framed stream to stage, charged to its place in
+// l.
+func (p *relocPass) snapshot(a *Allocation, l *layout, t *relocTally, k int, stage []byte) []byte {
+	if stream := a.streams[k]; stream != nil {
+		p.sectors = a.meta.Get(k)
+		stage = append(stage, stream...)
+		t.access(false, l.global(k), l.target, p.sectors)
+		p.count(t, p.sectors)
+	}
 	return stage
 }
 
-// install makes the staged stream entry k's contents. An entry that has a
-// buffer is overwritten in place; a fresh one is carved out of blk — one
-// block for the rest of the sub-batch, which ends at entry e, instead of an
-// allocation per entry — capped at its length, so a later, larger rewrite
-// reallocates that entry alone. It returns what is left of the block.
-func (p *relocPass) install(a *Allocation, k, g int, tr TargetRatio, stage, blk []byte, e int) []byte {
-	stream := stage[p.offs[k-p.base]:p.offs[k-p.base+1]]
-	if len(stream) == 0 {
-		return blk // never written at the source: nothing to install
-	}
-	d := a.dev
-	sectors := int(p.secs[k-p.base])
-	if d.streams[g] != nil {
-		d.streams[g] = append(d.streams[g][:0], stream...)
-	} else {
-		if len(blk) < len(stream) {
-			blk = make([]byte, p.offs[e-p.base]-p.offs[k-p.base])
-		}
-		copy(blk, stream)
-		d.streams[g], blk = blk[:len(stream):len(stream)], blk[len(stream):]
-	}
-	d.meta.Set(g, sectors)
-	a.sectorCount[k] = sectors
-	p.tally.access(true, g, tr, sectors)
-	p.count(sectors)
-	return blk
+// install makes the staged stream the contents of entry k, placed in l,
+// overwriting the entry's buffer in place when it has one.
+func (p *relocPass) install(a *Allocation, l *layout, t *relocTally, k int, stream []byte) {
+	a.streams[k] = append(a.streams[k][:0], stream...)
+	a.meta.Set(k, p.sectors)
+	t.access(true, l.global(k), l.target, p.sectors)
+	p.count(t, p.sectors)
 }
 
 // restream rebuilds one entry of a failed device tier: the whole stored
 // stream crosses the link from the carve-out copy, the in-budget sectors
 // are re-stored device-side.
-func (p *relocPass) restream(d *Device, g int, tr TargetRatio) {
-	if d.streams[g] == nil {
+func (p *relocPass) restream(a *Allocation, l *layout, t *relocTally, k int) {
+	if a.streams[k] == nil {
 		return
 	}
-	t := &p.tally
-	sectors := d.meta.Get(g)
+	sectors := a.meta.Get(k)
 	stored := storedBytes(sectors)
-	dev, _ := splitBytes(tr, sectors)
+	dev, _ := splitBytes(l.target, sectors)
 	t.budRead += uint64(stored)
-	t.ops[t.nops] = tierOp{entry: g, n: int32(stored)}
+	t.ops[t.nops] = tierOp{entry: l.global(k), n: int32(stored)}
 	t.nops++
 	t.devWrite += uint64(dev)
 	t.stores++
@@ -393,105 +462,39 @@ func (p *relocPass) restream(d *Device, g int, tr TargetRatio) {
 	p.bytes += int64(stored)
 }
 
-// count records one moved entry: its stored bytes are the migration cost
-// both Traffic.MigrationBytes and ReprofileDecision.MigrationBytes count.
-func (p *relocPass) count(sectors int) {
+// count records one moved entry on t: its stored bytes are the migration
+// cost both Traffic.MigrationBytes and ReprofileDecision.MigrationBytes
+// count.
+func (p *relocPass) count(t *relocTally, sectors int) {
 	stored := storedBytes(sectors)
-	p.tally.migration += uint64(stored)
+	t.migration += uint64(stored)
 	p.entries++
 	p.bytes += int64(stored)
-}
-
-// transferScratch is one TransferEntries call's staging: the flat buffer the
-// export fills and the import drains, its offsets and sector classes, and
-// both sides' overflow-tier op lists.
-type transferScratch struct {
-	stage  []byte
-	offs   [spanBatchEntries + 1]int32
-	secs   [spanBatchEntries]uint8
-	srcOps [spanBatchEntries]tierOp
-	dstOps [spanBatchEntries]tierOp
-}
-
-var transferScratchPool = sync.Pool{New: func() any { return new(transferScratch) }}
-
-// TransferEntries moves entries [lo, hi) of a to the same indexes of dst,
-// usually on another device, as framed compressed streams, without
-// decoding. Codec compatibility is the caller's contract (SameCodecAs); a
-// mismatched stream surfaces as a decode error on the next read.
-// Never-written entries are skipped: they read as zero on both sides.
-// Exporting off a failed device works — the streams are the carve-out
-// mirror's surviving copy, which is what evacuating a dead tier reads.
-//
-// The range moves in sub-batches of spanBatchEntries, each exported into
-// one staging buffer under a's device lock and then imported under dst's
-// (never both at once), all or nothing. It returns the number of leading
-// entries moved: on error — either side freed, dst's device tier failed —
-// a whole number of sub-batches, with nothing past them touched or
-// charged. Both devices account a move as migration traffic
-// (Traffic.MigrationBytes plus the placements read on the source and
-// written on the destination), and the source is charged only once the
-// destination committed, so bytes out of one device always equal bytes
-// into the other.
-//
-//buddy:hotpath
-func (a *Allocation) TransferEntries(dst *Allocation, lo, hi int) (int, error) {
-	if err := a.checkEntryRange(lo, hi-lo); err != nil {
-		return 0, err
-	}
-	if err := dst.checkEntryRange(lo, hi-lo); err != nil {
-		return 0, err
-	}
-	x := transferScratchPool.Get().(*transferScratch)
-	defer transferScratchPool.Put(x)
-	for b := lo; b < hi; {
-		e := min(b+spanBatchEntries, hi)
-		out := relocPass{kind: relocExport, base: b, offs: x.offs[:], secs: x.secs[:], tally: relocTally{ops: x.srcOps[:]}}
-		stage, err := a.relocate(&out, nil, x.stage[:0], b, e)
-		x.stage = stage // keep the grown buffer
-		if err != nil {
-			return b - lo, err
-		}
-		if out.entries > 0 {
-			in := relocPass{kind: relocImport, base: b, offs: x.offs[:], secs: x.secs[:], tally: relocTally{ops: x.dstOps[:]}}
-			if _, err := dst.relocate(&in, nil, stage, b, e); err != nil {
-				return b - lo, err
-			}
-			out.tally.flush(a.dev, false)
-		}
-		b = e
-	}
-	return hi - lo, nil
 }
 
 // ExportEntry appends entry i's committed framed compressed stream to dst
 // and returns the extended slice with the entry's sector count, without
 // decoding; written is false for a never-written entry (nothing appended,
-// nothing to transfer). It is TransferEntries' export side as a span of
-// one, charged to the source at once. Export works on a failed device.
+// nothing to transfer). The read of its placement and its stored bytes are
+// charged to the device it lives on as migration traffic. Export works on a
+// failed device.
 func (a *Allocation) ExportEntry(i int, dst []byte) (stream []byte, sectors int, written bool, err error) {
 	if err := a.checkIndex(i); err != nil {
 		return dst, 0, false, err
 	}
-	var (
-		offs [2]int32
-		secs [1]uint8
-		ops  [1]tierOp
-	)
-	offs[0] = int32(len(dst))
-	p := relocPass{kind: relocExport, base: i, offs: offs[:], secs: secs[:], tally: relocTally{ops: ops[:]}}
+	var ops, far [1]tierOp
+	p := relocPass{kind: relocExport, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
 	dst, err = a.relocate(&p, nil, dst, i, i+1)
 	if err != nil {
 		return dst, 0, false, err
 	}
-	p.tally.flush(a.dev, false)
-	return dst, int(secs[0]), p.entries == 1, nil
+	return dst, p.sectors, p.entries == 1, nil
 }
 
 // ImportEntry installs a framed compressed stream as entry i's contents
-// without decoding it: TransferEntries' import side as a span of one. The
-// stream and sector count must come from an ExportEntry on an allocation
-// whose device uses the same codec.
+// without decoding it, charged as migration traffic like the export it
+// undoes. The stream and sector count must come from an ExportEntry on an
+// allocation whose device uses the same codec.
 func (a *Allocation) ImportEntry(i int, stream []byte, sectors int) error {
 	if err := a.checkIndex(i); err != nil {
 		return err
@@ -503,10 +506,8 @@ func (a *Allocation) ImportEntry(i int, stream []byte, sectors int) error {
 	if len(stream) == 0 {
 		return fmt.Errorf("core: import of an empty stream (never-written entries need no import)")
 	}
-	var ops [1]tierOp
-	offs := [2]int32{0, int32(len(stream))}
-	secs := [1]uint8{uint8(sectors)}
-	p := relocPass{kind: relocImport, base: i, offs: offs[:], secs: secs[:], tally: relocTally{ops: ops[:]}}
+	var ops, far [1]tierOp
+	p := relocPass{kind: relocImport, sectors: sectors, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
 	_, err := a.relocate(&p, nil, stream, i, i+1)
 	return err
 }

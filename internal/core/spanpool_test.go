@@ -118,10 +118,8 @@ func TestSpanPoolErrorPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Truncate one stored stream mid-span.
-		g := a.reg.firstEntry + 3*bulkGrainEntries
-		d.mu.Lock()
-		d.streams[g] = d.streams[g][:len(d.streams[g])/2]
-		d.mu.Unlock()
+		st := a.streams
+		st[3*bulkGrainEntries] = st[3*bulkGrainEntries][:len(st[3*bulkGrainEntries])/2]
 		got := make([]byte, len(data))
 		if err := a.ReadEntries(0, got); err == nil {
 			t.Fatal("want decode error from partitioned batch read")

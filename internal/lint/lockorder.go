@@ -8,18 +8,20 @@ import (
 	"buddy/internal/lint/analysis"
 )
 
-// LockOrder enforces the Device lock hierarchy documented on core.Device —
-// control plane migMu, then the allocation-table mu, then the 64
-// entry-shard mutexes — and a release discipline for every sync.Mutex /
-// sync.RWMutex: a lock acquired in a function must be deferred-unlocked or
-// released on every return path of that function.
+// LockOrder enforces the lock hierarchy documented on core.Device — an
+// allocation's control-plane ctl, then the device's allocation-list mu, then
+// the allocation's own mu, then the 64 entry-shard mutexes — and a release
+// discipline for every sync.Mutex / sync.RWMutex: a lock acquired in a
+// function must be deferred-unlocked or released on every return path of
+// that function.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: `enforce the migMu -> mu -> entry-shard lock order and release discipline
+	Doc: `enforce the Allocation.ctl -> Device.mu -> Allocation.mu -> entry-shard lock order and release discipline
 
-Flags acquiring a Device lock while already holding one that ranks after
-it in the documented hierarchy (migMu before mu before the entry-shard
-locks), re-acquiring a lock already held (self-deadlock), mismatched
+Flags acquiring a core lock while already holding one that ranks after
+it in the documented hierarchy (an allocation's ctl before a device's mu
+before an allocation's mu before the entry-shard locks), re-acquiring a
+lock already held (self-deadlock), mismatched
 RLock/Unlock pairs, and any sync mutex Lock whose Unlock is neither
 deferred nor present on every return path. The walk is path-sensitive
 across if/else, switch and loops; function literals are independent
@@ -27,16 +29,19 @@ frames.`,
 	Run: runLockOrder,
 }
 
-// Device lock ranks; unranked locks participate only in the release and
+// Lock ranks; unranked locks participate only in the release and
 // double-acquire checks.
 const (
-	rankMigMu = iota
-	rankMu
+	rankCtl = iota
+	rankDeviceMu
+	rankAllocMu
 	rankShard
 	rankNone = -1
 )
 
-var rankNames = [...]string{"migMu", "mu", "entry-shard"}
+var rankNames = [...]string{"Allocation.ctl", "Device.mu", "Allocation.mu", "entry-shard"}
+
+const lockOrderText = "Allocation.ctl -> Device.mu -> Allocation.mu -> entry shards"
 
 type heldLock struct {
 	rank     int
@@ -102,7 +107,7 @@ func walkLockFrame(pass *analysis.Pass, body *ast.BlockStmt) {
 
 type lockWalker struct {
 	pass *analysis.Pass
-	// shardVars are locals assigned from Allocation.shard(i): rank-2 keys.
+	// shardVars are locals assigned from Allocation.shard(i): entry-shard keys.
 	shardVars map[types.Object]bool
 }
 
@@ -126,21 +131,27 @@ func (w *lockWalker) lockMethod(call *ast.CallExpr) (recv ast.Expr, name string,
 	return sel.X, sel.Sel.Name, true
 }
 
-// rankOf places a lock receiver in the Device hierarchy: fields migMu, mu
-// and shards of a type named Device, plus locals returned by a shard()
-// method. Everything else is unranked.
+// rankOf places a lock receiver in the hierarchy: field ctl and mu of a type
+// named Allocation, field mu of a type named Device, an element of either's
+// shards, plus locals returned by a shard() method. Everything else is
+// unranked.
 func (w *lockWalker) rankOf(recv ast.Expr) int {
 	switch recv := recv.(type) {
 	case *ast.IndexExpr:
-		if sel, ok := recv.X.(*ast.SelectorExpr); ok && w.deviceField(sel) == "shards" {
-			return rankShard
+		if sel, ok := recv.X.(*ast.SelectorExpr); ok {
+			switch w.coreField(sel) {
+			case "Device.shards", "Allocation.shards":
+				return rankShard
+			}
 		}
 	case *ast.SelectorExpr:
-		switch w.deviceField(recv) {
-		case "migMu":
-			return rankMigMu
-		case "mu":
-			return rankMu
+		switch w.coreField(recv) {
+		case "Allocation.ctl":
+			return rankCtl
+		case "Device.mu":
+			return rankDeviceMu
+		case "Allocation.mu":
+			return rankAllocMu
 		}
 	case *ast.Ident:
 		if w.shardVars[w.pass.TypesInfo.Uses[recv]] {
@@ -150,9 +161,9 @@ func (w *lockWalker) rankOf(recv ast.Expr) int {
 	return rankNone
 }
 
-// deviceField returns sel's field name when sel selects a field of a type
-// named Device, "" otherwise.
-func (w *lockWalker) deviceField(sel *ast.SelectorExpr) string {
+// coreField returns "Type.field" when sel selects a field of a named struct
+// type (through any pointers), "" otherwise.
+func (w *lockWalker) coreField(sel *ast.SelectorExpr) string {
 	s := w.pass.TypesInfo.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal {
 		return ""
@@ -166,10 +177,10 @@ func (w *lockWalker) deviceField(sel *ast.SelectorExpr) string {
 		break
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Device" {
+	if !ok {
 		return ""
 	}
-	return s.Obj().Name()
+	return named.Obj().Name() + "." + s.Obj().Name()
 }
 
 // keyOf renders the lock receiver as a stable textual key.
@@ -187,8 +198,8 @@ func (w *lockWalker) acquire(recv ast.Expr, name string, held lockState, pos tok
 	if rank != rankNone {
 		for k, h := range held {
 			if h.rank != rankNone && h.rank > rank {
-				w.pass.Reportf(pos, "acquiring %s (%s) while holding %s (%s) violates the lock order migMu -> mu -> entry shards",
-					key, rankNames[rank], k, rankNames[h.rank])
+				w.pass.Reportf(pos, "acquiring %s (%s) while holding %s (%s) violates the lock order %s",
+					key, rankNames[rank], k, rankNames[h.rank], lockOrderText)
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // suiteSize pins the analyzer count: growing the suite is deliberate —
 // update this constant together with the new analyzer's fixtures.
-const suiteSize = 5
+const suiteSize = 4
 
 func TestRegistryPinned(t *testing.T) {
 	as := Analyzers()

@@ -1,45 +1,96 @@
-// Package lockorder is the fixture for the Device lock hierarchy and the
+// Package lockorder is the fixture for the core lock hierarchy and the
 // release discipline.
 package lockorder
 
 import "sync"
 
-// Device mirrors core.Device's lock fields: control-plane migMu, then the
-// allocation-table mu, then the entry-shard locks.
+// Device mirrors core.Device's lock fields: the allocation-list mu and the
+// entry-shard stripes.
 type Device struct {
-	migMu  sync.Mutex
 	mu     sync.RWMutex
 	shards [8]sync.Mutex
 }
 
-func (d *Device) shard(i int) *sync.Mutex { return &d.shards[i%len(d.shards)] }
+// Allocation mirrors core.Allocation's: the control-plane ctl, its own mu,
+// and the stripes it borrows from the device it was born on.
+type Allocation struct {
+	ctl    sync.Mutex
+	mu     sync.RWMutex
+	shards *[8]sync.Mutex
+	dev    *Device
+}
+
+func (a *Allocation) shard(i int) *sync.Mutex { return &a.shards[i%len(a.shards)] }
 
 // The documented order with deferred unlocks: clean.
-func (d *Device) ordered(i int) {
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sh := d.shard(i)
+func (a *Allocation) ordered(i int) {
+	a.ctl.Lock()
+	defer a.ctl.Unlock()
+	a.dev.mu.Lock()
+	defer a.dev.mu.Unlock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	sh := a.shard(i)
 	sh.Lock()
 	defer sh.Unlock()
 }
 
-// Taking mu while holding an entry-shard lock inverts the hierarchy.
-func (d *Device) shardThenMu(i int) {
-	sh := d.shard(i)
+// Taking the allocation's mu while holding an entry-shard lock inverts the
+// hierarchy, whether the shard came from shard() or by index.
+func (a *Allocation) shardThenMu(i int) {
+	sh := a.shard(i)
 	sh.Lock()
 	defer sh.Unlock()
-	d.mu.Lock() // want `violates the lock order migMu -> mu -> entry shards`
-	defer d.mu.Unlock()
+	a.mu.Lock() // want `violates the lock order Allocation.ctl -> Device.mu -> Allocation.mu -> entry shards`
+	defer a.mu.Unlock()
 }
 
-// Taking migMu under mu inverts it one level up.
-func (d *Device) muThenMig() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.migMu.Lock() // want `violates the lock order migMu -> mu -> entry shards`
-	defer d.migMu.Unlock()
+func (a *Allocation) indexedShardThenMu(i int) {
+	a.dev.shards[i].Lock()
+	defer a.dev.shards[i].Unlock()
+	a.mu.RLock() // want `violates the lock order`
+	defer a.mu.RUnlock()
+}
+
+// Taking the device's mu under an allocation's mu inverts the middle: a pass
+// holds a.mu and must not reach for the allocation list.
+func (a *Allocation) allocMuThenDeviceMu() {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	a.dev.mu.Lock() // want `acquiring a.dev.mu \(Device.mu\) while holding a.mu \(Allocation.mu\) violates the lock order`
+	defer a.dev.mu.Unlock()
+}
+
+// Taking ctl under the device's mu inverts it one level up: Recover must not
+// hold the list while it waits for an allocation's control plane.
+func (d *Device) deviceMuThenCtl(a *Allocation) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	a.ctl.Lock() // want `acquiring a.ctl \(Allocation.ctl\) while holding d.mu \(Device.mu\) violates the lock order`
+	defer a.ctl.Unlock()
+}
+
+// And under its own mu, the top against the third rank.
+func (a *Allocation) allocMuThenCtl() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.ctl.Lock() // want `violates the lock order`
+	defer a.ctl.Unlock()
+}
+
+// Another type's ctl and mu are nobody's business: unranked, clean.
+type handle struct {
+	ctl sync.Mutex
+	mu  sync.Mutex
+}
+
+func (h *handle) unranked(a *Allocation) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.ctl.Lock()
+	defer h.ctl.Unlock()
 }
 
 // Re-acquiring a held lock self-deadlocks.
@@ -77,9 +128,9 @@ func (d *Device) leakyReturn(cond bool) int {
 }
 
 // A lock taken in a loop iteration must be released before the next one.
-func (d *Device) loopLocked(n int) {
+func (a *Allocation) loopLocked(n int) {
 	for i := 0; i < n; i++ {
-		d.migMu.Lock() // want `locked in a loop body is not released`
+		a.ctl.Lock() // want `locked in a loop body is not released`
 	}
 }
 

@@ -161,15 +161,14 @@ func spanEligible(t *task) bool {
 	if t.off%core.EntryBytes != 0 || len(t.buf)%core.EntryBytes != 0 {
 		return false
 	}
-	size := t.h.size // immutable, so eligibility needs no route lock
+	size := t.h.size
 	return t.off+int64(len(t.buf)) <= size-size%core.EntryBytes
 }
 
 // coalescible reports whether next extends the run ending in prev: same
 // operation, same handle, span-eligible, and byte-contiguous. Handles are
 // canonical (the pool returns one *Handle per allocation), so pointer
-// equality is allocation equality — and unlike comparing the routed
-// allocations, it stays stable mid-migration.
+// equality is allocation equality.
 //
 //buddy:hotpath
 func coalescible(prev, next *task) bool {
@@ -216,8 +215,8 @@ func (p *Pool) worker(shard int) {
 // execRun executes one run of tasks. A single task goes straight through
 // the byte-addressed path; a coalesced run stages its payload in one pooled
 // buffer and moves it through the same path as one operation — the run is
-// span-eligible, entry-aligned whole entries, so ioLocked's WriteAt/ReadAt
-// hand it to the device's batch entry primitives undivided — then completes
+// span-eligible, entry-aligned whole entries, so the allocation's
+// WriteAt/ReadAt hand it to the batch entry primitives undivided — then completes
 // every constituent future with its own byte count. If the batch fails, the
 // run is replayed task by task so each future reports exactly the n/err
 // uncoalesced execution would have produced. On success the shard's modeled
@@ -245,13 +244,7 @@ func (p *Pool) execRun(s *sched, ts []*task) {
 			off += copy(span[off:], t.buf)
 		}
 	}
-	// The route lock is read-held across the whole span, so a concurrent
-	// migration's watermark is frozen and the split executed here is
-	// consistent for every entry of the run.
-	h.mu.RLock()
-	_, err := h.ioLocked(span, ts[0].off, ts[0].kind == opWrite)
-	target := h.rt.a.Target()
-	h.mu.RUnlock()
+	_, err := rw(h.a, span, ts[0].off, ts[0].kind == opWrite)
 	if err != nil {
 		// Batch failed (e.g. the allocation was freed mid-run): replay
 		// individually for exact per-task results.
@@ -261,7 +254,7 @@ func (p *Pool) execRun(s *sched, ts []*task) {
 		}
 		return
 	}
-	end := s.advance(target, total)
+	end := s.advance(h.a.Target(), total)
 	// The run's effect on the device is complete: it stops counting as
 	// pending before its futures complete, so a caller returning from Wait
 	// finds the shard quiescent again.
@@ -281,15 +274,13 @@ func (p *Pool) execRun(s *sched, ts []*task) {
 }
 
 // execQueued executes one dequeued task on a worker and completes its
-// future. It routes through the handle again, not through the queue the
+// future. The I/O goes through the allocation, not through the queue the
 // task sat on, so a task queued just before a migration cutover still
 // lands on the right device.
 //
 //buddy:hotpath
 func (p *Pool) execQueued(s *sched, t *task) {
-	t.h.mu.RLock()
 	n, err := p.execOne(s, t)
-	t.h.mu.RUnlock()
 	s.pending.Add(-1)
 	t.fut.complete(n, err)
 	putTask(t)
@@ -299,18 +290,27 @@ func (p *Pool) execQueued(s *sched, t *task) {
 // byte-addressed path — the one route both the shard workers and the
 // in-place path take. A successful operation advances the shard's modeled
 // clock and observes its latency on the owning tenant; a failure touches
-// neither. The caller holds t.h.mu (read), so the I/O and the target ratio
-// the clock charges by resolve against one route.
+// neither.
 //
 //buddy:hotpath
 func (p *Pool) execOne(s *sched, t *task) (int, error) {
 	h := t.h
-	n, err := h.ioLocked(t.buf, t.off, t.kind == opWrite)
+	n, err := rw(h.a, t.buf, t.off, t.kind == opWrite)
 	if err == nil {
-		end := s.advance(h.rt.a.Target(), n)
+		end := s.advance(h.a.Target(), n)
 		h.tn.observe(end-t.stamp, n)
 	}
 	return n, err
+}
+
+// rw is one byte-addressed operation on an allocation.
+//
+//buddy:hotpath
+func rw(a *core.Allocation, p []byte, off int64, write bool) (int, error) {
+	if write {
+		return a.WriteAt(p, off)
+	}
+	return a.ReadAt(p, off)
 }
 
 // inPlaceMaxBytes is the largest operation the submitter may run to
@@ -370,23 +370,23 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 // never overtakes its own earlier submissions (one worker per shard keeps a
 // submitter's operations FIFO, exactly as when everything queued). "Ring
 // empty" alone would not do: a dequeued write still executing on a worker
-// would be overtaken. The owning shard is re-resolved per submission
-// through the handle's route — a migrated handle is served on, or enqueues
-// on, its new shard — and the route lock is taken once for the resolution,
-// the I/O and the clock charge.
+// would be overtaken. The owning shard is read per submission, one atomic
+// load and no lock: a migrated handle is served on, or enqueues on, its new
+// shard. The shard only picks the queue and the clock — the bytes go through
+// the allocation, where every entry is under its own lock — so a submit
+// racing a cutover is correct on either side of it. What a cutover does not
+// carry over is FIFO against operations still queued on the old shard
+// (DESIGN.md "Async fast path").
 //
 //buddy:hotpath
 func (p *Pool) serveInPlace(kind opKind, h *Handle, buf []byte, off int64, fut *Future) (shard int, served bool) {
-	h.mu.RLock()
-	shard = h.rt.shard
+	shard = h.Shard()
 	s := p.scheds[shard]
 	if len(buf) > inPlaceMaxBytes || s.pending.Load() != 0 {
-		h.mu.RUnlock()
 		return shard, false
 	}
 	t := task{kind: kind, h: h, buf: buf, off: off, stamp: s.clock.Load()}
 	n, err := p.execOne(s, &t)
-	h.mu.RUnlock()
 	p.async.inline.Add(1)
 	h.tn.submitted.Add(1)
 	fut.complete(n, err)

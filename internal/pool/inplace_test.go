@@ -221,43 +221,40 @@ func TestCloseWaitsForInPlaceOps(t *testing.T) {
 	}
 }
 
-// TestInPlaceSplitsAtMigrationWatermark freezes a cross-shard move halfway
-// and submits a small write straddling the watermark: the entry below it
-// must land on the destination device and the entries above it on the
-// source, in one in-place operation.
+// TestInPlaceSplitsAtMigrationWatermark holds a cross-shard move open after
+// its first sub-batch and submits a small write straddling the ownership cut
+// (the "watermark" of its name was the pool mover's; the cut is core's
+// per-entry epoch now): the entry below it must land on the destination
+// device and the entries above it on the source, in one in-place operation.
 func TestInPlaceSplitsAtMigrationWatermark(t *testing.T) {
-	p := newTestPool(t, 2, Explicit(0))
-	const entries, moved = 32, 16
+	p, trips := newTripwirePool(t, 256<<10, true, Config{})
+	const entries, cut = 2 * subBatch, subBatch
 	h, err := p.Malloc("moving", entries*core.EntryBytes, core.Target2x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := make([]byte, entries*core.EntryBytes)
-	pattern(base, 1)
+	noise(base, 1)
 	if _, err := h.WriteAt(base, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The mover's first half, by hand: reserve the destination, move
-	// entries [0, moved), install the epoch.
-	src := h.Alloc()
-	dst, err := p.Device(1).Malloc("moving", h.Size(), src.Target())
-	if err != nil {
-		t.Fatal(err)
+	// The mover stops where it charges the destination for its first
+	// sub-batch: entries [0, cut) have moved, the rest have not.
+	reached, release := make(chan struct{}), make(chan struct{})
+	trips[1].arm(1, func() {
+		close(reached)
+		<-release
+	})
+	moved := make(chan error, 1)
+	go func() { moved <- p.MigrateHandle(h, 1) }()
+	<-reached
+	if !h.Migrating() || h.Shard() != 0 {
+		t.Fatalf("held-open move: migrating %v, shard %d", h.Migrating(), h.Shard())
 	}
-	streamBuf := make([]byte, 0, core.MaxStreamBytes)
-	entryBuf := make([]byte, core.EntryBytes)
-	for i := 0; i < moved; i++ {
-		if err := moveEntry(src, dst, i, true, streamBuf, entryBuf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.mu.Lock()
-	h.rt.mig = &handleMigration{dstShard: 1, dst: dst, moved: moved}
-	h.mu.Unlock()
 
 	buf := make([]byte, 3*core.EntryBytes)
-	pattern(buf, 9)
-	off := int64(moved-1) * core.EntryBytes
+	noise(buf, 9)
+	off := int64(cut-1) * core.EntryBytes
 	w0, w1 := p.Device(0).Traffic().Writes, p.Device(1).Traffic().Writes
 	inline := p.Stats().Async.Inline
 	if n, err := p.SubmitWrite(h, buf, off).Wait(); err != nil || n != len(buf) {
@@ -273,17 +270,18 @@ func TestInPlaceSplitsAtMigrationWatermark(t *testing.T) {
 	if _, err := p.SubmitRead(h, got, off).Wait(); err != nil || !bytes.Equal(got, buf) {
 		t.Fatalf("straddling read: err=%v, match=%v", err, bytes.Equal(got, buf))
 	}
-	// Undo the half move; the handle is whole on its source again and holds
+	// Let the move finish; the handle is whole on the other shard and holds
 	// the straddling write.
-	if err := h.rollbackMigration(src, dst, true); err != nil {
+	close(release)
+	if err := <-moved; err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
+	if h.Shard() != 1 || h.Migrating() || p.Device(0).DeviceUsed() != 0 {
+		t.Fatalf("after the move: shard %d, migrating %v, %d bytes left behind", h.Shard(), h.Migrating(), p.Device(0).DeviceUsed())
 	}
 	copy(base[off:], buf)
 	all := make([]byte, len(base))
 	if _, err := h.ReadAt(all, 0); err != nil || !bytes.Equal(all, base) {
-		t.Fatalf("read after rollback: err=%v, match=%v", err, bytes.Equal(all, base))
+		t.Fatalf("read after the move: err=%v, match=%v", err, bytes.Equal(all, base))
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"buddy/internal/compress"
 	"buddy/internal/core"
+	"buddy/internal/nvlink"
 )
 
 // countingCodec wraps a Codec with encode/decode call counters — the
@@ -52,27 +53,77 @@ func newCodecPool(t *testing.T, codecs ...compress.Codec) *Pool {
 	return p
 }
 
-// moveEntry is the mover as it was before it moved in chunks — one entry per
-// call, ExportEntry+ImportEntry when the codecs match, decode/re-encode when
-// they differ — kept as the reference the chunked mover is tested against
-// and as the tool for installing a half-finished move by hand. streamBuf
-// must have MaxStreamBytes capacity; entryBuf is one entry.
-func moveEntry(from, to *core.Allocation, i int, sameCodec bool, streamBuf, entryBuf []byte) error {
-	if sameCodec {
-		stream, sectors, written, err := from.ExportEntry(i, streamBuf[:0])
-		if err != nil {
-			return err
-		}
-		if !written {
-			return nil // never-written entries read as zero on both sides
-		}
-		return to.ImportEntry(i, stream, sectors)
-	}
-	if err := from.ReadEntry(i, entryBuf); err != nil {
-		return err
-	}
-	return to.WriteEntry(i, entryBuf)
+// tripwire is an overflow tier that runs a hook on its nth Store from the
+// moment it is armed: how these tests stop a move at a known point without a
+// hook in the mover. The walker charges the overflow tier once per sub-batch,
+// after it has let go of every lock, so a hook that kills the device lands
+// between two sub-batches of the move, and one that blocks holds the move
+// open there. It needs entries that overflow their target (noise at 2x).
+type tripwire struct {
+	core.Backend
+	left atomic.Int64 // Stores until the hook runs
+	mu   sync.Mutex
+	hook func() // nil: disarmed
 }
+
+func (t *tripwire) Store(entry, n int) {
+	t.Backend.Store(entry, n)
+	if t.left.Add(-1) == 0 {
+		t.mu.Lock()
+		if t.hook != nil {
+			t.hook()
+		}
+		t.mu.Unlock()
+	}
+}
+
+// arm sets the hook to run on the nth Store from now; a nil hook disarms,
+// and once that returns no hook runs.
+func (t *tripwire) arm(n int64, hook func()) {
+	t.mu.Lock()
+	t.hook = hook
+	t.mu.Unlock()
+	t.left.Store(n)
+}
+
+// newTripwirePool builds a two-shard pool whose devices' overflow tiers are
+// tripwires over the default carve-out. inline retires the devices' span
+// workers first, so a move runs on its caller, sub-batch after sub-batch.
+func newTripwirePool(t *testing.T, deviceBytes int64, inline bool, cfg Config) (*Pool, [2]*tripwire) {
+	t.Helper()
+	var trips [2]*tripwire
+	devices := make([]*core.Device, 2)
+	for i := range devices {
+		trips[i] = &tripwire{Backend: core.NewCarveoutBackend(3*deviceBytes, nvlink.DefaultConfig())}
+		devices[i] = core.NewDevice(core.Config{DeviceBytes: deviceBytes, Overflow: trips[i]})
+		if inline {
+			_ = devices[i].Close()
+		}
+	}
+	cfg.Placement = Explicit(0)
+	p, err := New(devices, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	return p, trips
+}
+
+// noise fills b with incompressible bytes seeded by tag: four sectors an
+// entry, two of them past a 2x target.
+func noise(b []byte, tag byte) {
+	x := uint64(tag)*0x9E3779B97F4A7C15 + 1
+	for i := range b {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		b[i] = byte(x >> 32)
+	}
+}
+
+// subBatch is core's spanBatchEntries: the mover checks its destination, and
+// charges the tiers, once per this many entries.
+const subBatch = 256
 
 // TestMigrateHandleMovesData pins the basic contract: after MigrateHandle
 // the handle routes to the new shard, the data is intact, the source
@@ -260,28 +311,20 @@ func TestMigrateOOMRollback(t *testing.T) {
 }
 
 // TestMigrateDestinationKilledBetweenChunks kills the destination shard
-// while the mover is between two chunks. The move must fail with the typed
-// device error, roll back, and leave the handle whole on its source with
-// byte-exact contents — and the migration identity must survive the
-// failure: what left each device equals what arrived at the other, so both
-// shards read the same MigrationBytes (forward prefix out of the source
-// plus rollback into it; forward prefix into the destination plus rollback
-// out of it). A mover that charged the source for the refused chunk's
-// export breaks that by the refused entries.
+// while the mover is between two sub-batches (the "chunks" of its name were
+// the pool mover's, before the move became core's MoveTo). The move must
+// fail with the typed device error, be handed back, and leave the handle
+// whole on its source with byte-exact contents — and the migration identity
+// must survive the failure: what left each device equals what arrived at the
+// other, so both shards read the same MigrationBytes (forward prefix out of
+// the source plus hand-back into it; forward prefix into the destination
+// plus hand-back out of it).
 func TestMigrateDestinationKilledBetweenChunks(t *testing.T) {
 	fi := NewFailureInjector()
-	devices := []*core.Device{
-		core.NewDevice(core.Config{DeviceBytes: 1 << 20}),
-		core.NewDevice(core.Config{DeviceBytes: 1 << 20}),
-	}
-	p, err := New(devices, Config{Placement: Explicit(0), Injector: fi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = p.Close() })
-	const entries = 64*migrateChunkEntries + 5
+	p, trips := newTripwirePool(t, 1<<20, false, Config{Injector: fi})
+	const entries = 16*subBatch + 5
 	want := make([]byte, entries*core.EntryBytes)
-	pattern(want, 21)
+	noise(want, 21)
 	h, err := p.Malloc("doomed", int64(len(want)), core.Target2x)
 	if err != nil {
 		t.Fatal(err)
@@ -289,65 +332,37 @@ func TestMigrateDestinationKilledBetweenChunks(t *testing.T) {
 	if _, err := h.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Catch the mover between chunks: it needs the route lock exclusively
-	// for its next chunk, so while this goroutine holds it shared with the
-	// watermark part-way, the destination dies between two chunks. On a
-	// loaded box the whole move can commit before this goroutine runs again;
-	// then the handle moves home and the attempt repeats.
-	var done chan error
-	killedAt := 0
-	for attempt := 0; killedAt == 0; attempt++ {
-		if attempt == 100 {
-			t.Fatal("100 moves committed before the watcher saw a watermark")
+	p.ResetTraffic()
+	// The destination dies part-way through the charging of its second
+	// sub-batch; every mover's next one is refused.
+	trips[1].arm(subBatch+subBatch/2, func() {
+		if err := fi.Kill(1); err != nil {
+			t.Error(err)
 		}
-		for _, d := range devices {
-			d.ResetTraffic()
-		}
-		done = make(chan error, 1)
-		go func() { done <- p.MigrateHandle(h, 1) }()
-		for committed := false; killedAt == 0 && !committed; {
-			h.mu.RLock()
-			if m := h.rt.mig; m != nil && m.moved > 0 && m.moved < entries {
-				if err := fi.Kill(1); err != nil {
-					t.Error(err)
-				}
-				killedAt = m.moved
-			}
-			committed = h.rt.shard == 1
-			h.mu.RUnlock()
-		}
-		if killedAt == 0 {
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if err := p.MigrateHandle(h, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	err = <-done
+	})
+	err = p.MigrateHandle(h, 1)
 	if !errors.Is(err, core.ErrDeviceFailed) {
 		t.Fatalf("move into a killed shard: %v, want core.ErrDeviceFailed", err)
 	}
-	if killedAt%migrateChunkEntries != 0 {
-		t.Errorf("watermark seen at %d, not a chunk boundary", killedAt)
-	}
-	if h.Shard() != 0 || h.Migrating() {
-		t.Fatalf("after rollback: shard %d, migrating %v", h.Shard(), h.Migrating())
+	if h.Shard() != 0 || h.Migrating() || h.Alloc().Device() != p.Device(0) {
+		t.Fatalf("after the hand-back: shard %d, migrating %v", h.Shard(), h.Migrating())
 	}
 	got := make([]byte, len(want))
 	if _, err := h.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("contents differ after the rolled-back move")
+		t.Fatal("contents differ after the handed-back move")
 	}
-	if used := devices[1].DeviceUsed(); used != 0 {
+	if used := p.Device(1).DeviceUsed(); used != 0 {
 		t.Errorf("killed destination still reserves %d device bytes", used)
 	}
-	out, in := devices[0].Traffic().MigrationBytes, devices[1].Traffic().MigrationBytes
+	out, in := p.Device(0).Traffic().MigrationBytes, p.Device(1).Traffic().MigrationBytes
 	if out == 0 || out != in {
 		t.Errorf("MigrationBytes shard 0 = %d, shard 1 = %d; want equal and nonzero", out, in)
+	}
+	if moved := uint64(entries * 128); out >= 2*moved {
+		t.Errorf("MigrationBytes %d: the whole allocation (%d bytes) went over and back, the kill came too late to test anything", out, moved)
 	}
 	if _, err := p.Recover(1); err != nil {
 		t.Fatal(err)
@@ -401,34 +416,26 @@ func refusedByFailure(err error) bool {
 // load: goroutines hammer disjoint ranges of one handle — sync byte I/O at
 // unaligned offsets plus async submissions — while the allocation live-
 // migrates back and forth between shards, is retargeted in place, has a
-// half-finished move rolled back, and loses and recovers its device tier.
-// Every range straddles a mover boundary — a multiple of
-// migrateChunkEntries, one of them also the core kernel's sub-batch
-// boundary — so each client's operations split at the watermark while a
-// chunk lands. Every read must observe that range's latest write; run with
-// -race this also proves the chunk-granular watermark handoff publishes
-// safely.
+// half-finished move handed back, and loses and recovers its device tier.
+// Every range straddles a mover boundary — a multiple of core's sub-batch,
+// one of them also where the span pool splits the move between two workers
+// — so each client's operations find their entries on two devices while a
+// sub-batch lands. Every read must observe that range's latest write; run
+// with -race this also proves the per-entry handoff publishes safely.
 func TestMigrateUnderConcurrentIO(t *testing.T) {
 	fi := NewFailureInjector()
-	p, err := New([]*core.Device{
-		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
-		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
-	}, Config{Placement: Explicit(0), QueueDepth: 8, Workers: 2, Injector: fi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = p.Close() })
+	p, trips := newTripwirePool(t, 256<<10, false, Config{QueueDepth: 8, Workers: 2, Injector: fi})
 	const (
-		entries    = 6 * migrateChunkEntries
+		entries    = 4 * subBatch
 		spanBytes  = 48 * core.EntryBytes // one client's range
 		ioBytes    = spanBytes - 64       // leaves room for the unaligned offset
 		minRounds  = 40
-		subBatch   = 4 * migrateChunkEntries // core's spanBatchEntries
 		moverIters = 10
 	)
-	// First entry of each client's range: the ranges straddle entries 64,
-	// 128, 256 (a chunk and a sub-batch boundary) and 320.
-	starts := []int{40, 104, subBatch - 24, 296}
+	// First entry of each client's range: the ranges straddle entries 256,
+	// 512 (a sub-batch and a span-chunk boundary) and 768, and one sits
+	// inside the first sub-batch.
+	starts := []int{40, subBatch - 24, 2*subBatch - 24, 3*subBatch - 24}
 	h, err := p.Malloc("hot", entries*core.EntryBytes, core.Target2x)
 	if err != nil {
 		t.Fatal(err)
@@ -447,10 +454,11 @@ func TestMigrateUnderConcurrentIO(t *testing.T) {
 			// every phase, so each phase meets live I/O.
 			for i := 0; i < minRounds || !moverDone.Load(); i++ {
 				// Odd offset inside the range: the I/O spans entry
-				// boundaries unaligned, crossing the migration watermark
-				// at arbitrary points.
+				// boundaries unaligned, crossing the ownership cut of a move
+				// at arbitrary points. Noise, so every entry overflows its
+				// target and the tripwires see the moves.
 				off := base + int64(i%64)
-				pattern(buf, byte(r*minRounds+i))
+				noise(buf, byte(r*minRounds+i))
 				for {
 					var err error
 					if r%2 == 0 {
@@ -496,8 +504,8 @@ func TestMigrateUnderConcurrentIO(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				// Retarget in place and back: the core kernel's migrate
-				// passes under the same I/O.
+				// Retarget in place and back: the same relayout, one device,
+				// under the same I/O.
 				dev, a := p.Device(h.Shard()), h.Alloc()
 				for _, target := range []core.TargetRatio{core.Target4by3x, core.Target2x} {
 					if _, err := dev.Retarget(a, target); err != nil {
@@ -506,9 +514,9 @@ func TestMigrateUnderConcurrentIO(t *testing.T) {
 					}
 				}
 			case 1:
-				// Half a move, then its rollback.
-				if err := halfMoveAndRollback(h, entries/2+migrateChunkEntries); err != nil {
-					errc <- fmt.Errorf("rollback %d: %w", i, err)
+				// Half a move, then its hand-back.
+				if err := halfMoveAndRollback(h, trips); err != nil {
+					errc <- fmt.Errorf("hand-back %d: %w", i, err)
 					return
 				}
 			case 2:
@@ -541,31 +549,35 @@ func TestMigrateUnderConcurrentIO(t *testing.T) {
 	}
 }
 
-// halfMoveAndRollback is migrateTo cut short: it reserves a destination on
-// the other shard, installs the epoch, moves entries [0, upTo) a chunk at a
-// time exactly as migrateEntries does, then rolls the move back and frees
-// the destination, under the control lock like any mover.
-func halfMoveAndRollback(h *Handle, upTo int) error {
-	h.ctl.Lock()
-	defer h.ctl.Unlock()
+// halfMoveAndRollback drives a move that does not finish through the real
+// code — MigrateHandle: reserve, install the epoch, run part of the way, hand
+// back, release — by having the other shard's device tier die while the move
+// is charging its first sub-batch there; every span worker's next sub-batch
+// is refused. The tier is rebuilt before it returns. (The name is from when
+// the pool kept a mover and a rollback of its own.) A move the tripwire did
+// not stop — the clients had not yet written enough for it to see, or one of
+// their own stores tripped it too late — simply commits, which the caller's
+// loop takes in its stride.
+func halfMoveAndRollback(h *Handle, trips [2]*tripwire) error {
 	p := h.pool
-	src := h.Alloc()
 	other := (h.Shard() + 1) % 2
-	dst, err := p.devices[other].Malloc(h.name, h.size, src.Target())
-	if err != nil {
-		return err
-	}
-	h.mu.Lock()
-	h.rt.mig = &handleMigration{dstShard: other, dst: dst}
-	h.mu.Unlock()
-	for base := 0; base < upTo; base += migrateChunkEntries {
-		h.mu.Lock()
-		moved, err := moveChunk(src, dst, base, min(base+migrateChunkEntries, upTo), nil)
-		h.rt.mig.moved = base + moved
-		h.mu.Unlock()
-		if err != nil {
-			return errors.Join(err, h.rollbackMigration(src, dst, true), dst.Close())
+	dev := p.devices[other]
+	trips[other].arm(20, dev.Fail)
+	err := p.MigrateHandle(h, other)
+	trips[other].arm(0, nil)
+	if dev.Failed() {
+		if _, _, err := dev.Recover(); err != nil {
+			return err
 		}
 	}
-	return errors.Join(h.rollbackMigration(src, dst, true), dst.Close())
+	if err == nil {
+		return nil
+	}
+	if !errors.Is(err, core.ErrDeviceFailed) {
+		return err
+	}
+	if h.Shard() == other || h.Alloc().Device() == dev {
+		return fmt.Errorf("a refused move left the handle on shard %d", h.Shard())
+	}
+	return nil
 }

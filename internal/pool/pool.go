@@ -6,11 +6,11 @@
 // one GPU with one buddy-memory link; the pool is the front door a serving
 // system puts in front of the fleet.
 //
-// Placement is not final: MigrateHandle moves an allocation's framed
-// compressed entries to another shard while traffic continues, Drain
-// evacuates a shard for maintenance, and a failed shard's entries are
-// rebuilt from the buddy carve-out (see migrate.go, drain.go and
-// rebalance.go for the self-healing layer).
+// Placement is not final: MigrateHandle moves an allocation to another
+// shard's device while traffic continues (core's MoveTo), Drain evacuates a
+// shard for maintenance, and a failed shard's entries are rebuilt from the
+// buddy carve-out (see migrate.go, drain.go and rebalance.go for the
+// self-healing layer).
 package pool
 
 import (
@@ -89,10 +89,9 @@ type Pool struct {
 
 	allocMu sync.Mutex // serializes placement snapshot + reservation
 
-	// Routing registry: every live Handle the pool has issued, by id. The
-	// handles themselves carry the authoritative shard route (Handle.rt);
-	// the registry exists so maintenance (drain, rebalance) can find what
-	// lives where. Lock order: routeMu before any Handle.mu.
+	// Registry: every live Handle the pool has issued, by id, so maintenance
+	// (drain, rebalance, reprofile) can find what lives where. Nothing else
+	// is taken under routeMu.
 	routeMu sync.Mutex
 	handles map[uint64]*Handle
 	nextID  atomic.Uint64
@@ -321,9 +320,9 @@ func (p *Pool) place1(tn *tenant, need int64, name string, size int64, target co
 // adopt wraps a placed allocation in a registered canonical handle owned
 // by the given tenant, carrying the quota bytes charged for it.
 func (p *Pool) adopt(shard int, a *core.Allocation, tn *tenant, quota int64) *Handle {
-	h := &Handle{pool: p, id: p.nextID.Add(1), name: a.Name, size: a.Size(), tn: tn}
+	h := &Handle{pool: p, id: p.nextID.Add(1), name: a.Name, size: a.Size(), tn: tn, a: a}
 	h.quota.Store(quota)
-	h.rt = handleRoute{shard: shard, a: a}
+	h.shard.Store(int32(shard))
 	p.routeMu.Lock()
 	p.handles[h.id] = h
 	p.routeMu.Unlock()
@@ -339,8 +338,7 @@ func (p *Pool) forget(h *Handle) {
 
 // Handles returns the pool's live handles, ordered by current shard then by
 // allocation age. Handles are canonical: the pool returns the same *Handle
-// it issued at Malloc, so routing state (including an in-flight migration)
-// is shared with the original.
+// it issued at Malloc.
 func (p *Pool) Handles() []*Handle {
 	p.routeMu.Lock()
 	out := make([]*Handle, 0, len(p.handles))
@@ -402,81 +400,50 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// handleRoute is a handle's authoritative routing state: which shard and
-// device allocation own its bytes, plus the in-flight migration epoch (nil
-// in steady state). Guarded by Handle.mu.
-type handleRoute struct {
-	shard int
-	a     *core.Allocation
-	mig   *handleMigration
-}
-
-// handleMigration is the epoch installed for the duration of one
-// cross-shard move: entries [0, moved) already live on dst, the rest still
-// live on the source allocation. The watermark only advances while the
-// mover holds Handle.mu exclusively, so readers under RLock see a frozen
-// split.
-type handleMigration struct {
-	dstShard int
-	dst      *core.Allocation
-	moved    int // entries transferred so far (watermark)
-}
-
-// Handle is a placed allocation: it routes byte-addressed I/O and
-// lifecycle calls to whichever shard currently owns the allocation — the
-// route is re-resolved on every operation, so a live migration retargets
-// in-flight handles instead of stranding them on the old device. It
-// satisfies io.ReaderAt, io.WriterAt and io.Closer like the underlying
+// Handle is a placed allocation. The core allocation behind it is the same
+// one for the handle's whole life — a live migration moves the allocation's
+// layout to another device, not the handle to another allocation — so I/O
+// goes straight to it and lands on whichever device owns each entry. What
+// the handle adds is the pool's side of the placement: which shard's queue
+// and modeled clock serve it, the owning tenant and the quota charged there.
+// It satisfies io.ReaderAt, io.WriterAt and io.Closer like the underlying
 // Allocation.
 type Handle struct {
 	pool *Pool
-	id   uint64 // stable identity; orders two-handle lock acquisition
+	id   uint64 // stable identity: registry key, age order
 	name string
 	size int64
+	a    *core.Allocation
 
 	// tn is the owning tenant; quota is the stored compressed bytes
 	// charged against it — Swap'd to zero exactly once on Close, and
-	// re-derived by requota when a reprofile changes the target.
+	// adjusted under ctl when a reprofile changes the target.
 	tn    *tenant
 	quota atomic.Int64
 
-	// ctl serializes control-plane operations on the handle (MigrateHandle,
-	// Close, requota); mu guards the route and is read-held across every
-	// I/O so the mover's watermark can only advance between operations.
-	// Lock order: ctl before mu, and ctl before pool.routeMu (Close holds
-	// ctl across forget; nothing acquires ctl under routeMu).
-	ctl sync.Mutex
-	mu  sync.RWMutex
-	rt  handleRoute
+	// ctl serializes the pool's control plane on the handle (MigrateHandle,
+	// Close, ApplyReprofile's retarget); it is taken before the allocation's
+	// own ctl and before pool.routeMu (Close holds it across forget; nothing
+	// acquires it under routeMu). shard is written under it, once a move has
+	// committed, and read without it.
+	ctl   sync.Mutex
+	shard atomic.Int32
 }
 
-// Shard returns the index of the device currently holding the allocation.
-// During a live migration this is the source shard until cutover.
-func (h *Handle) Shard() int {
-	h.mu.RLock()
-	s := h.rt.shard
-	h.mu.RUnlock()
-	return s
-}
+// Shard returns the index of the shard serving the allocation: the one
+// whose device holds it, except during a live migration, when it stays the
+// source shard until the move has committed.
+func (h *Handle) Shard() int { return int(h.shard.Load()) }
 
-// Migrating reports whether a cross-shard move is in flight on the handle.
-func (h *Handle) Migrating() bool {
-	h.mu.RLock()
-	m := h.rt.mig != nil
-	h.mu.RUnlock()
-	return m
-}
+// Migrating reports whether a relayout — a cross-shard move, or a Retarget
+// — is in flight on the allocation.
+func (h *Handle) Migrating() bool { return h.a.Migrating() }
 
 // Alloc returns the underlying device allocation for entry-granular tools.
-// During a live migration this is the source allocation; entry-granular
-// callers that must not race a mover should serialize with their own
-// control plane.
-func (h *Handle) Alloc() *core.Allocation {
-	h.mu.RLock()
-	a := h.rt.a
-	h.mu.RUnlock()
-	return a
-}
+// It is the same allocation before, during and after a migration; ask it
+// (Allocation.Device) rather than Shard for the device it is on when the
+// two must agree.
+func (h *Handle) Alloc() *core.Allocation { return h.a }
 
 // Name returns the allocation's name.
 func (h *Handle) Name() string { return h.name }
@@ -485,78 +452,29 @@ func (h *Handle) Name() string { return h.name }
 func (h *Handle) Size() int64 { return h.size }
 
 // Target returns the allocation's current target compression ratio.
-func (h *Handle) Target() core.TargetRatio { return h.Alloc().Target() }
-
-// ioLocked routes one byte-addressed operation through the current route,
-// splitting it at the migration watermark when a move is in flight: bytes
-// of entries already moved go to the destination allocation, the rest to
-// the source. The watermark is entry-aligned, so the split never tears a
-// partial-entry read-modify-write across devices — and a coalesced run's
-// whole-entry span reaches WriteEntries/ReadEntries on either side of it
-// unchanged. Caller holds h.mu (read).
-//
-//buddy:hotpath
-func (h *Handle) ioLocked(p []byte, off int64, write bool) (int, error) {
-	rt := &h.rt
-	n := 0
-	if m := rt.mig; m != nil {
-		// The first c bytes of p lie below the watermark, on the destination.
-		if c := min(int64(len(p)), int64(m.moved)*core.EntryBytes-off); c > 0 {
-			w, err := rw(m.dst, p[:c], off, write)
-			if err != nil || int64(w) < c || w == len(p) {
-				return w, err // failed, short, or nothing left for the source
-			}
-			n = w
-		}
-	}
-	w, err := rw(rt.a, p[n:], off+int64(n), write)
-	return n + w, err
-}
-
-// rw is one direction of ioLocked on one allocation.
-func rw(a *core.Allocation, p []byte, off int64, write bool) (int, error) {
-	if write {
-		return a.WriteAt(p, off)
-	}
-	return a.ReadAt(p, off)
-}
+func (h *Handle) Target() core.TargetRatio { return h.a.Target() }
 
 // ReadAt reads through whichever device currently owns each entry; see
 // core.Allocation.ReadAt for the byte-addressing contract.
 //
 //buddy:hotpath
-func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
-	h.mu.RLock()
-	n, err := h.ioLocked(p, off, false)
-	h.mu.RUnlock()
-	return n, err
-}
+func (h *Handle) ReadAt(p []byte, off int64) (int, error) { return h.a.ReadAt(p, off) }
 
 // WriteAt writes through whichever device currently owns each entry; see
 // core.Allocation.WriteAt.
 //
 //buddy:hotpath
-func (h *Handle) WriteAt(p []byte, off int64) (int, error) {
-	h.mu.RLock()
-	n, err := h.ioLocked(p, off, true)
-	h.mu.RUnlock()
-	return n, err
-}
+func (h *Handle) WriteAt(p []byte, off int64) (int, error) { return h.a.WriteAt(p, off) }
 
 // Close frees the allocation on its owning device, returns its stored
 // bytes to the owning tenant's quota, and retires the handle from the
-// pool's routing registry. An in-flight migration completes (or rolls
-// back) before the free — ctl serializes the two.
+// pool's registry. An in-flight migration completes (or is handed back)
+// before the free — ctl serializes the two.
 func (h *Handle) Close() error {
 	h.ctl.Lock()
 	defer h.ctl.Unlock()
-	h.mu.RLock()
-	a := h.rt.a
-	h.mu.RUnlock()
-	err := a.Close()
+	err := h.a.Close()
 	h.pool.forget(h)
-	// Swap, not Load+Store: the quota is released exactly once even if a
-	// racing requota re-derived it a moment ago.
 	h.tn.release(h.quota.Swap(0))
 	return err
 }
@@ -566,59 +484,9 @@ func (h *Handle) Owner() string { return h.tn.name }
 
 // Memcpy copies n bytes from the start of src to the start of dst through
 // both compression pipelines; the handles may live on different shards
-// (the pool equivalent of a peer-to-peer cudaMemcpy). The copy is
-// migration-aware: a handle mid-move is read and written through the
-// watermark split.
+// (the pool equivalent of a peer-to-peer cudaMemcpy). A handle mid-move is
+// read and written like any other: each entry is served by the device that
+// owns it at that moment.
 func Memcpy(dst, src *Handle, n int64) (int64, error) {
-	if dst == src {
-		dst.mu.RLock()
-		defer dst.mu.RUnlock()
-		if dst.rt.mig == nil {
-			return core.Memcpy(dst.rt.a, dst.rt.a, n)
-		}
-		return memcpyLocked(dst, src, n)
-	}
-	// Two handles: take both route locks in id order so concurrent Memcpys
-	// in opposite directions cannot deadlock.
-	first, second := dst, src
-	if src.id < dst.id {
-		first, second = src, dst
-	}
-	first.mu.RLock()
-	defer first.mu.RUnlock()
-	second.mu.RLock()
-	defer second.mu.RUnlock()
-	if dst.rt.mig == nil && src.rt.mig == nil {
-		return core.Memcpy(dst.rt.a, src.rt.a, n)
-	}
-	return memcpyLocked(dst, src, n)
-}
-
-// memcpyLocked is the migration-aware staging copy; the caller holds both
-// handles' route locks (read).
-func memcpyLocked(dst, src *Handle, n int64) (int64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("pool: negative memcpy length %d", n)
-	}
-	if n > src.size || n > dst.size {
-		return 0, fmt.Errorf("pool: memcpy length %d exceeds src %d or dst %d",
-			n, src.size, dst.size)
-	}
-	buf := make([]byte, 64<<10) // migration-window path; off the hot path
-	var copied int64
-	for copied < n {
-		chunk := int64(len(buf))
-		if rem := n - copied; chunk > rem {
-			chunk = rem
-		}
-		if _, err := src.ioLocked(buf[:chunk], copied, false); err != nil {
-			return copied, err
-		}
-		w, err := dst.ioLocked(buf[:chunk], copied, true)
-		copied += int64(w)
-		if err != nil {
-			return copied, err
-		}
-	}
-	return copied, nil
+	return core.Memcpy(dst.a, src.a, n)
 }

@@ -1,9 +1,7 @@
 package pool
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"buddy/internal/core"
 )
@@ -168,11 +166,9 @@ func (p *Pool) ResetTraffic() {
 // shards.
 func (p *Pool) CompressionRatio() float64 {
 	var orig, dev float64
-	for _, d := range p.devices {
-		for _, a := range d.Allocations() {
-			orig += float64(a.EntryCount) * core.EntryBytes
-			dev += float64(a.EntryCount) * float64(a.Target().DeviceBytes())
-		}
+	for _, h := range p.Handles() {
+		orig += float64(h.a.EntryCount) * core.EntryBytes
+		dev += float64(h.a.EntryCount) * float64(h.Target().DeviceBytes())
 	}
 	if dev == 0 {
 		return 1
@@ -180,114 +176,78 @@ func (p *Pool) CompressionRatio() float64 {
 	return orig / dev
 }
 
+// byName resolves allocation names to live handles. Names are unique per
+// shard by convention but the pool does not enforce global uniqueness; a
+// duplicate name resolves to the handle on the highest shard (the newest
+// one there).
+func (p *Pool) byName() map[string]*Handle {
+	m := make(map[string]*Handle)
+	for _, h := range p.Handles() { // ascending shard, then age: the last one wins
+		m[h.name] = h
+	}
+	return m
+}
+
 // Targets returns the fleet-wide name -> target map of live allocations —
-// the "current" input for the next PlanReprofile. Names are unique per
-// shard but the pool does not enforce global uniqueness; a duplicate name
-// resolves to the highest shard's allocation, mirroring ApplyReprofile's
-// routing.
+// the "current" input for the next PlanReprofile — with duplicate names
+// resolved as ApplyReprofile resolves them (byName).
 func (p *Pool) Targets() map[string]core.TargetRatio {
 	m := make(map[string]core.TargetRatio)
-	for _, d := range p.devices {
-		for name, t := range d.Targets() {
-			m[name] = t
-		}
+	for name, h := range p.byName() {
+		m[name] = h.Target()
 	}
 	return m
 }
 
 // ApplyReprofile executes a checkpoint-time plan across the fleet: each
-// decision is routed to the shard owning the named allocation and the
-// per-shard sub-plans run in parallel, one goroutine per involved shard
-// (each shard serializes its own migrations internally). Decisions naming
-// no live allocation are skipped, like stale decisions on a single device.
+// decision is applied to the live handle of that name (byName), through the
+// device its allocation is on, and the owning tenant's quota follows the new
+// target on the spot. Decisions naming no live allocation, or one whose
+// target is no longer the decision's Old, are skipped, like stale decisions
+// on a single device. On error the already-applied decisions remain in
+// force.
 func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, error) {
 	var st core.MigrationStats
 	if plan == nil || len(plan.Decisions) == 0 {
 		return st, nil
 	}
-	// Route decisions to their owning shards.
-	sub := make([]*core.ReprofilePlan, len(p.devices))
-	owners := make([]map[string]bool, len(p.devices))
-	for i, d := range p.devices {
-		owners[i] = make(map[string]bool)
-		for name := range d.Targets() {
-			owners[i][name] = true
-		}
-	}
+	handles := p.byName()
 	for _, dec := range plan.Decisions {
-		placed := false
-		// Highest shard wins for duplicate names, mirroring how Targets()
-		// resolves them — the plan's Old target came from that shard, so
-		// the stale check below must run against the same allocation.
-		for i := len(p.devices) - 1; i >= 0; i-- {
-			if owners[i][dec.Name] {
-				if sub[i] == nil {
-					sub[i] = &core.ReprofilePlan{}
-				}
-				sub[i].Decisions = append(sub[i].Decisions, dec)
-				placed = true
-				break
-			}
-		}
-		if !placed {
+		h := handles[dec.Name]
+		if h == nil {
 			st.Skipped++
-		}
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-	)
-	for i, pl := range sub {
-		if pl == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(shard int, pl *core.ReprofilePlan) {
-			defer wg.Done()
-			got, err := p.devices[shard].ApplyReprofile(pl)
-			mu.Lock()
-			defer mu.Unlock()
-			st.Applied += got.Applied
-			st.Skipped += got.Skipped
-			st.MigratedBytes += got.MigratedBytes
-			if err != nil {
-				errs = append(errs, fmt.Errorf("pool: shard %d: %w", shard, err))
-			}
-		}(i, pl)
+		moved, applied, err := h.retarget(dec)
+		if err != nil {
+			return st, fmt.Errorf("pool: reprofile %s %s->%s on shard %d: %w", dec.Name, dec.Old, dec.New, h.Shard(), err)
+		}
+		if !applied {
+			st.Skipped++
+			continue
+		}
+		st.Applied++
+		st.MigratedBytes += moved
 	}
-	wg.Wait()
-	// Reprofiling changes what allocations reserve on the device, and
-	// tenant quotas are accounted in exactly those stored bytes — re-derive
-	// every handle's charge so the books match the new targets.
-	p.requota()
-	return st, errors.Join(errs...)
+	return st, nil
 }
 
-// requota re-derives every live handle's stored-bytes charge from its
-// current target and reconciles the owning tenant's counter by the delta.
-// Cross-shard migration never changes a reservation, so only reprofiles
-// need this.
-func (p *Pool) requota() {
-	p.routeMu.Lock()
-	hs := make([]*Handle, 0, len(p.handles))
-	for _, h := range p.handles {
-		hs = append(hs, h)
+// retarget applies one reprofile decision to the handle. Under ctl neither a
+// MigrateHandle nor a Close can interleave: the allocation stays on the
+// device the Retarget goes through, the target checked is the one retargeted,
+// and the quota — accounted in exactly the stored bytes a target reserves —
+// is adjusted by the delta the moment the new target is in force, so tenant
+// StoredBytes never disagrees with the handles it sums.
+func (h *Handle) retarget(dec core.ReprofileDecision) (moved int64, applied bool, err error) {
+	h.ctl.Lock()
+	defer h.ctl.Unlock()
+	if h.a.Freed() || h.a.Target() != dec.Old {
+		return 0, false, nil
 	}
-	p.routeMu.Unlock()
-	for _, h := range hs {
-		// ctl excludes a racing Handle.Close: once Close has run (the
-		// handle is forgotten), re-charging it would leak quota forever.
-		h.ctl.Lock()
-		p.routeMu.Lock()
-		_, live := p.handles[h.id]
-		p.routeMu.Unlock()
-		if live {
-			q := quotaFor(h.size, h.Target())
-			if d := q - h.quota.Swap(q); d != 0 {
-				h.tn.stored.Add(d)
-			}
-		}
-		h.ctl.Unlock()
+	if moved, err = h.a.Device().Retarget(h.a, dec.New); err != nil {
+		return 0, false, err
 	}
+	q := quotaFor(h.size, dec.New)
+	h.tn.stored.Add(q - h.quota.Swap(q))
+	return moved, true, nil
 }

@@ -348,3 +348,123 @@ func TestTenantLatencyStats(t *testing.T) {
 		t.Errorf("Owner = %q, want svc", got)
 	}
 }
+
+// TestApplyReprofileRacesMigration runs checkpoint reprofiles against a
+// mover that keeps every handle — two of them sharing a name — circling the
+// shards, and a churner closing and re-creating one. A reprofile that went
+// around the handle (by name, through whichever device listed it) could
+// retarget an allocation the pool was about to drop, or charge a handle for
+// a target it no longer had; through the handle's ctl the books must balance
+// at every quiescent point: each tenant's StoredBytes is the sum of what its
+// live handles reserve at their current targets, and a final reprofile with
+// nothing racing it leaves every handle at the target it names. Run under
+// -race.
+func TestApplyReprofileRacesMigration(t *testing.T) {
+	p := newTenantPool(t, 3, map[string]TenantConfig{"a": {}, "b": {}})
+	const allocBytes = 300 * core.EntryBytes
+	data := make([]byte, allocBytes)
+	pattern(data, 3)
+	var handles []*Handle
+	for i, name := range []string{"w0", "w1", "dup", "dup", "w4"} {
+		door, err := p.Tenant([]string{"a", "b"}[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := door.Malloc(name, allocBytes, core.Target2x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	balanced := func(when string) {
+		t.Helper()
+		want := map[string]int64{}
+		for _, h := range p.Handles() {
+			q := quotaFor(h.Size(), h.Target())
+			if got := h.quota.Load(); got != q {
+				t.Errorf("%s: %s on shard %d is charged %d bytes, its %s target reserves %d", when, h.Name(), h.Shard(), got, h.Target(), q)
+			}
+			want[h.Owner()] += q
+		}
+		for _, ts := range p.Stats().Tenants {
+			if ts.StoredBytes != want[ts.Name] {
+				t.Errorf("%s: tenant %s StoredBytes = %d, its live handles reserve %d", when, ts.Name, ts.StoredBytes, want[ts.Name])
+			}
+		}
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the mover
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			h := handles[i%(len(handles)-1)]
+			if err := p.MigrateHandle(h, (h.Shard()+1)%p.Shards()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // the churner, on the last handle
+		defer wg.Done()
+		door, _ := p.Tenant("a")
+		h := handles[len(handles)-1]
+		for !stop.Load() {
+			if err := h.Close(); err != nil {
+				t.Error(err)
+				return
+			}
+			var err error
+			if h, err = door.Malloc("w4", allocBytes, core.Target2x); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	flip := map[core.TargetRatio]core.TargetRatio{core.Target2x: core.Target4x, core.Target4x: core.Target2x}
+	applied := 0
+	for round := 0; round < 60; round++ {
+		plan := &core.ReprofilePlan{}
+		for name, old := range p.Targets() {
+			plan.Decisions = append(plan.Decisions, core.ReprofileDecision{Name: name, Old: old, New: flip[old]})
+		}
+		st, err := p.ApplyReprofile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied += st.Applied
+	}
+	stop.Store(true)
+	wg.Wait()
+	if applied == 0 {
+		t.Fatal("no reprofile decision was ever applied; the race was never run")
+	}
+	balanced("after the race")
+
+	final := &core.ReprofilePlan{}
+	for name, old := range p.Targets() {
+		if old != core.Target4x {
+			final.Decisions = append(final.Decisions, core.ReprofileDecision{Name: name, Old: old, New: core.Target4x})
+		}
+	}
+	if st, err := p.ApplyReprofile(final); err != nil || st.Applied != len(final.Decisions) {
+		t.Fatalf("final reprofile: %+v, err %v; want all %d decisions applied", st, err, len(final.Decisions))
+	}
+	named := p.byName()
+	for _, h := range p.Handles() {
+		if named[h.Name()] == h && h.Target() != core.Target4x {
+			t.Errorf("%s on shard %d is at %s after a reprofile that named it", h.Name(), h.Shard(), h.Target())
+		}
+		got := make([]byte, allocBytes)
+		if _, err := h.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if h.Name() != "w4" && string(got) != string(data) {
+			t.Errorf("%s lost its contents", h.Name())
+		}
+	}
+	balanced("after the final reprofile")
+}
