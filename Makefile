@@ -81,13 +81,14 @@ cover:
 	  awk -v t=$$total -v m=$(COVER_CORE_MIN) 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' \
 	    || { echo "cover: internal/core coverage $$total% fell below the $(COVER_CORE_MIN)% floor"; exit 1; }
 
-# Data-path, analysis-pipeline and serving-layer benchmarks (incl.
+# Data-path, analysis-pipeline (incl. BenchmarkAnalysisBuildRun and
+# BenchmarkGenerateRun) and serving-layer benchmarks (incl.
 # BenchmarkPoolServe), human-readable. Pass CPU=1,4 to see the GOMAXPROCS
 # scaling of the parallel bulk and index-build paths.
 CPU ?=
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(if $(CPU),-cpu $(CPU)) \
-		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/exp/ ./internal/pool/
+		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/workloads/ ./internal/exp/ ./internal/pool/
 
 # Same benchmarks as one-shot JSON, the artifact CI uploads per PR: codec
 # and bulk-I/O data path plus the analysis pipeline (BenchmarkAnalysisIndex,
@@ -95,7 +96,7 @@ bench:
 # heavy for PR CI.
 bench-json:
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime=1x -count=1 \
-		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/exp/ ./internal/pool/ > BENCH_pr.json
+		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/workloads/ ./internal/exp/ ./internal/pool/ > BENCH_pr.json
 
 # The bench-gate pins per-codec and data-path ns/entry — and, for benchmarks
 # that report them, allocs/op (the async submit path pins at 0, so a
@@ -109,7 +110,7 @@ bench-json:
 # overrides the tolerance for one run (CI uses a wider one to absorb shared
 # runner heterogeneity; a lost kernel fast path is a 2-15x cliff either way).
 BENCH_GATE_PKGS = ./internal/compress/ ./internal/core/ ./internal/pool/
-BENCH_GATE_RX = 'BenchmarkAppendCompressed|BenchmarkDecompressInto|BenchmarkVariedStream|BenchmarkWriteEntry|BenchmarkReadEntry|BenchmarkPoolServe|BenchmarkRelocate|BenchmarkSubmitWrite|BenchmarkRebalanceScan|BenchmarkQoSDequeue'
+BENCH_GATE_RX = 'BenchmarkAppendCompressed|BenchmarkDecompressInto|BenchmarkSizerBits|BenchmarkVariedStream|BenchmarkWriteEntry|BenchmarkReadEntry|BenchmarkPoolServe|BenchmarkRelocate|BenchmarkSubmitWrite|BenchmarkRebalanceScan|BenchmarkQoSDequeue'
 BENCH_TOL ?=
 bench-gate:
 	$(GO) test -run '^$$' -bench $(BENCH_GATE_RX) -benchtime 100ms -count 4 $(BENCH_GATE_PKGS) \
@@ -129,7 +130,11 @@ bench-baseline:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run buddy/cmd/buddylint ./...
 
-# Short fuzz pass over all six codecs.
+# Short fuzz pass over all six codecs: round trip plus Sizer.Bits == encoded
+# bits (FuzzRoundTrip), and no decoder reading past len(comp)
+# (FuzzDecompressArbitrary's canary suffix). FUZZTIME is per target; CI runs
+# it at 10s on every PR.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/compress/
-	$(GO) test -fuzz FuzzDecompressArbitrary -fuzztime 15s ./internal/compress/
+	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/
+	$(GO) test -fuzz FuzzDecompressArbitrary -fuzztime $(FUZZTIME) ./internal/compress/

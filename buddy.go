@@ -273,7 +273,9 @@ func Workloads() []Benchmark { return workloads.Table1() }
 func WorkloadByName(name string) (Benchmark, error) { return workloads.ByName(name) }
 
 // GenerateRun synthesizes a benchmark's ten profiling snapshots at 1/scale
-// of its true footprint (statistics are per-entry and scale-free).
+// of its true footprint (statistics are per-entry and scale-free). Treat the
+// snapshots as read-only: a region that does not change over the run is
+// synthesized once and the ten snapshots share its allocation.
 func GenerateRun(b Benchmark, scale int) []*Snapshot {
 	return workloads.GenerateRun(b, scale)
 }

@@ -2,19 +2,22 @@
 // study reduces to. The paper's profiling pass (§3.3-3.4) and all of its
 // capacity figures ask the same primitive question — "how many 32 B sectors
 // does this 128 B entry compress to?" — so the index answers it exactly
-// once per entry: Build compresses a snapshot across a GOMAXPROCS-bounded
+// once per entry: Build sizes a snapshot across a GOMAXPROCS-bounded
 // worker pool and records, per entry, the sector class, the exact
-// compressed byte size and an all-zero flag. Histograms, zero fractions,
-// per-page rollups and class-rounded compression ratios are then cheap
-// lookups, and every consumer (compression-ratio studies, sector
+// compressed byte size and an all-zero flag (BuildRun goes further and
+// sizes an allocation once per run while its bytes do not change).
+// Histograms, zero fractions, per-page rollups and class-rounded
+// compression ratios are then cheap lookups, and every consumer (compression-ratio studies, sector
 // histograms, heat-maps, the profiler, compress-point selection, the
 // figure sweeps) shares one index per snapshot x codec instead of
 // re-encoding the data.
 package analysis
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"buddy/internal/compress"
 	"buddy/internal/memory"
@@ -34,7 +37,9 @@ const (
 	zeroFlag  = 0x08
 )
 
-// AllocIndex is one allocation's per-entry compressibility record.
+// AllocIndex is one allocation's per-entry compressibility record. It is
+// immutable once built: BuildRun hands one AllocIndex to every snapshot of
+// the run in which the allocation holds the same bytes.
 type AllocIndex struct {
 	// Name of the allocation.
 	Name string
@@ -126,9 +131,10 @@ func (x *Index) Find(name string) *AllocIndex {
 	return nil
 }
 
-// buildGrain is the smallest entry span a worker claims: compressing one
-// entry costs microseconds, so a few hundred entries amortize the handoff
-// while keeping the tail balanced.
+// buildGrain is the entry span a worker claims with one atomic add: sizing
+// an entry costs on the order of 100 ns, so a grain is a few tens of
+// microseconds — enough to amortize the claim while keeping the tail
+// balanced.
 const buildGrain = 512
 
 // buildTask is one contiguous span of one allocation's entries.
@@ -138,16 +144,32 @@ type buildTask struct {
 	lo, hi int
 }
 
-// Build compresses every entry of s exactly once under codec c and returns
-// the snapshot's sector-class index. The encode work fans out across a
+// Build sizes every entry of s exactly once under codec c and returns the
+// snapshot's sector-class index. The sizing work fans out across a
 // GOMAXPROCS-bounded worker pool (each worker owns one compress.Sizer, so
 // the codec scratch never crosses goroutines); small snapshots run inline.
 // Like the driver's bulk data path, c must be safe for concurrent use —
 // all built-in codecs are stateless and qualify.
 func Build(s *memory.Snapshot, c compress.Codec) *Index {
+	return build(s, c, nil, nil)
+}
+
+// build is Build with the run's previous snapshot and its index at hand
+// (nil for the first): an allocation that kept its name and its bytes takes
+// the previous AllocIndex as is and is neither sized nor summarized again.
+// bytes.Equal returns at once on pointer-equal slices (a shared static
+// allocation) and within the first bytes of a region that churned.
+func build(s *memory.Snapshot, c compress.Codec, prev *memory.Snapshot, prevIdx *Index) *Index {
 	x := &Index{Codec: c.Name()}
 	var tasks []buildTask
-	for _, a := range s.Allocations {
+	var fresh []*AllocIndex
+	for j, a := range s.Allocations {
+		if prev != nil && j < len(prev.Allocations) {
+			if p := prev.Allocations[j]; p.Name == a.Name && bytes.Equal(p.Data, a.Data) {
+				x.Allocs = append(x.Allocs, prevIdx.Allocs[j])
+				continue
+			}
+		}
 		n := a.Entries()
 		ai := &AllocIndex{
 			Name:    a.Name,
@@ -156,7 +178,7 @@ func Build(s *memory.Snapshot, c compress.Codec) *Index {
 			pageMax: make([]uint8, (n+EntriesPerPage-1)/EntriesPerPage),
 		}
 		x.Allocs = append(x.Allocs, ai)
-		x.entries += n
+		fresh = append(fresh, ai)
 		for lo := 0; lo < n; lo += buildGrain {
 			tasks = append(tasks, buildTask{a: a, idx: ai, lo: lo, hi: min(lo+buildGrain, n)})
 		}
@@ -169,40 +191,26 @@ func Build(s *memory.Snapshot, c compress.Codec) *Index {
 			classify(t, sz)
 		}
 	} else {
-		var (
-			wg   sync.WaitGroup
-			next int
-			mu   sync.Mutex
-		)
-		claim := func() (buildTask, bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			if next >= len(tasks) {
-				return buildTask{}, false
-			}
-			t := tasks[next]
-			next++
-			return t, true
-		}
+		var wg sync.WaitGroup
+		var next atomic.Int64
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				sz := compress.NewSizer(c)
-				for {
-					t, ok := claim()
-					if !ok {
-						return
-					}
-					classify(t, sz)
+				for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+					classify(tasks[i], sz)
 				}
 			}()
 		}
 		wg.Wait()
 	}
 
-	for _, ai := range x.Allocs {
+	for _, ai := range fresh {
 		ai.summarize()
+	}
+	for _, ai := range x.Allocs {
+		x.entries += ai.Entries()
 		for cl, n := range ai.hist {
 			x.hist[cl] += n
 		}
@@ -211,7 +219,7 @@ func Build(s *memory.Snapshot, c compress.Codec) *Index {
 	return x
 }
 
-// classify fills one task's span: one encode per entry yields the exact
+// classify fills one task's span: one sizing per entry yields the exact
 // bit count, from which the sector class and byte size both derive. The
 // all-zero probe runs first and answers both the zero flag and (via the
 // Sizer's precomputed zero-entry size) the bit count, so zero-dominated
@@ -248,11 +256,18 @@ func (a *AllocIndex) summarize() {
 	}
 }
 
-// BuildRun indexes every snapshot of a run under codec c.
+// BuildRun indexes every snapshot of a run under codec c, sizing each
+// distinct allocation once: where snapshot t holds an allocation with the
+// same name and bytes as snapshot t-1 (static weights and grids — most of a
+// run), the two indexes share one AllocIndex. Each Index still carries its
+// own snapshot-wide totals, and the result equals a per-snapshot Build.
 func BuildRun(snaps []*memory.Snapshot, c compress.Codec) []*Index {
 	out := make([]*Index, len(snaps))
+	var prev *memory.Snapshot
+	var prevIdx *Index
 	for i, s := range snaps {
-		out[i] = Build(s, c)
+		out[i] = build(s, c, prev, prevIdx)
+		prev, prevIdx = s, out[i]
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -257,16 +259,68 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildRun indexes a multi-snapshot run.
+// TestBuildRun pins the run builder's sharing contract: BuildRun must equal
+// a per-snapshot Build in every recorded quantity (class, size, histogram,
+// zero count, pageMax, snapshot totals) while sizing an allocation only when
+// its name or bytes changed since the previous snapshot.
 func TestBuildRun(t *testing.T) {
-	snaps := []*memory.Snapshot{testSnapshot(8, 1), testSnapshot(8, 2)}
-	idx := BuildRun(snaps, compress.NewBPC())
-	if len(idx) != 2 {
-		t.Fatalf("want 2 indexes, got %d", len(idx))
+	const n = 2*buildGrain + 7 // several grains and a partial page
+	alloc := func(name string, g gen.Generator, entries int) *memory.Allocation {
+		a := memory.NewAllocation(name, entries*memory.EntryBytes)
+		g.Fill(a.Data, gen.NewRNG(11, 7))
+		return a
 	}
-	for i, x := range idx {
-		if x.Entries() != snaps[i].TotalEntries() {
-			t.Errorf("index %d: %d entries, want %d", i, x.Entries(), snaps[i].TotalEntries())
+	clone := func(a *memory.Allocation) *memory.Allocation {
+		return &memory.Allocation{Name: a.Name, Data: bytes.Clone(a.Data)}
+	}
+	shared := alloc("shared", gen.Noisy64{NoiseBits: 8, HiStep: 1}, n)
+	copied := alloc("copied", gen.Stripe{A: gen.Zeros{}, B: gen.Random{}, PeriodEntries: 8, AEntries: 4}, n)
+	flipped := alloc("flipped", gen.Weights32{Sigma: 0.02, QuantBits: 12}, n)
+	grown := alloc("grown", gen.Ramp{Start: -100, Step: 3}, n)
+	renamed := alloc("renamed", gen.Zeros{}, n)
+
+	flipped1 := clone(flipped)
+	flipped1.Data[len(flipped1.Data)-1] ^= 0x80
+	grown1 := alloc("grown", gen.Ramp{Start: -100, Step: 3}, 2*n)
+	renamed1 := clone(renamed)
+	renamed1.Name = "renamed-again"
+	snaps := []*memory.Snapshot{
+		{Index: 0, Allocations: []*memory.Allocation{shared, copied, flipped, grown, renamed}},
+		{Index: 1, Allocations: []*memory.Allocation{shared, clone(copied), flipped1, grown1, renamed1}},
+		{Index: 2, Allocations: []*memory.Allocation{shared, copied, clone(flipped1), clone(grown1), renamed1}},
+	}
+	// reused[t][j]: snapshot t's allocation j must be snapshot t-1's AllocIndex.
+	reused := [][]bool{
+		{false, false, false, false, false},
+		{true, true, false, false, false},
+		{true, true, true, true, true},
+	}
+	for _, c := range compress.Registry() {
+		run := BuildRun(snaps, c)
+		if len(run) != len(snaps) {
+			t.Fatalf("%s: %d indexes for %d snapshots", c.Name(), len(run), len(snaps))
+		}
+		for ti, s := range snaps {
+			if want := Build(s, c); !reflect.DeepEqual(run[ti], want) {
+				t.Errorf("%s: BuildRun[%d] differs from Build of the same snapshot:\n got %+v\nwant %+v", c.Name(), ti, run[ti], want)
+			}
+			if run[ti].Entries() != s.TotalEntries() {
+				t.Errorf("%s: index %d: %d entries, want %d", c.Name(), ti, run[ti].Entries(), s.TotalEntries())
+			}
+			for j, ai := range run[ti].Allocs {
+				if got := ti > 0 && ai == run[ti-1].Allocs[j]; got != reused[ti][j] {
+					t.Errorf("%s: snapshot %d allocation %q: reused = %v, want %v", c.Name(), ti, s.Allocations[j].Name, got, reused[ti][j])
+				}
+				// A shared AllocIndex is summarized once: its histogram still
+				// sums to its own entry count.
+				var sum int
+				for _, h := range ai.SectorHistogram() {
+					sum += h
+				}
+				if sum != ai.Entries() {
+					t.Errorf("%s: snapshot %d allocation %q: histogram sums to %d over %d entries", c.Name(), ti, ai.Name, sum, ai.Entries())
+				}
+			}
 		}
 	}
 }

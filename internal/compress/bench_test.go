@@ -64,6 +64,30 @@ func BenchmarkAppendCompressed(b *testing.B) {
 	}
 }
 
+// BenchmarkSizerBits measures the sizing pass the analysis pipeline runs:
+// Sizer.Bits per codec per shape — the size-only kernel where the codec has
+// one (bpc), the encode-and-discard fallback elsewhere. The bpc rows are
+// pinned in BENCH_baseline.json at 0 allocs/op.
+func BenchmarkSizerBits(b *testing.B) {
+	for _, c := range Registry() {
+		for _, s := range benchShapes() {
+			b.Run(c.Name()+"/"+s.name, func(b *testing.B) {
+				entry := shapeEntry(b, s)
+				sz := NewSizer(c)
+				b.SetBytes(EntryBytes)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sizerSink = sz.Bits(entry)
+				}
+				reportNsPerEntry(b)
+			})
+		}
+	}
+}
+
+var sizerSink int
+
 // BenchmarkVariedStream measures the BPC codec over 16384 distinct
 // 90%-sparse entries instead of one repeated entry: every iteration decodes
 // a different code sequence, so the branch-predictor warmth that makes

@@ -343,6 +343,96 @@ func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 	return bpcRaw(dst, entry)
 }
 
+// Bits is the size-only kernel Sizer resolves: AppendCompressed's exact
+// payload bit count with no stream, no transpose and no plane loop. Every
+// code length is a function of the pre-pass aggregates alone —
+//
+//	base symbol                         3 / 7 / 11 / 19 / 33
+//	maximal run of all-zero DBX planes  3 if one plane, else 7
+//	all-ones DBX, or DBP == 0           5
+//	one 1, or two adjacent 1s           10
+//	any other plane                     32
+//
+// — and the last discrimination, which the encoder makes per plane on
+// gathered bits (p = plane >> tz has its low bit set, so p|2 == 3 says no bit
+// above bit 1 survives: popcount 1, or popcount 2 with the ones adjacent),
+// reads here from per-plane counters kept bit-sliced across the 31 transition
+// masks: ones/twos are the count's two low bits, more is sticky once it
+// reaches four, and adj collects planes where two consecutive deltas both
+// carry a 1 (with a count of exactly two, those are the only two).
+//
+//buddy:hotpath
+func (BPC) Bits(entry []byte) int {
+	checkEntry(entry)
+	// Deltas stay sign-extended to 64 bits instead of masked to 33: then
+	// e = d ^ d>>1 carries planes 0..31 in its low half, plane 32 (the sign)
+	// in bit 63 and zeros between, every aggregate inherits that layout, and
+	// fold33 moves bit 63 down to bit 32 once per aggregate after the loop
+	// rather than masking once per delta inside it.
+	p := (*[EntryBytes]byte)(entry)
+	w64 := binary.LittleEndian.Uint64(p[:])
+	base := uint32(w64)
+	prev := int64(w64 >> 32)
+	// Delta 0 seeds every accumulator: a count of one wherever its mask is set.
+	orD := uint64(prev - int64(base))
+	prevE := orD ^ orD>>1
+	andE, ones := prevE, prevE
+	var twos, more, adj uint64
+	for k := 1; k < entryWordCount; k++ {
+		w64 := binary.LittleEndian.Uint64(p[k*8:])
+		lo := int64(uint32(w64))
+		hi := int64(w64 >> 32)
+		d := uint64(lo - prev)
+		e := d ^ d>>1
+		orD |= d
+		andE &= e
+		adj |= e & prevE
+		carry := ones & e
+		ones ^= e
+		more |= twos & carry
+		twos ^= carry
+
+		d = uint64(hi - lo)
+		prevE = d ^ d>>1
+		orD |= d
+		andE &= prevE
+		adj |= e & prevE
+		carry = ones & prevE
+		ones ^= prevE
+		more |= twos & carry
+		twos ^= carry
+		prev = hi
+	}
+	andE, orD = fold33(andE), fold33(orD)
+	ones, twos, more, adj = fold33(ones), fold33(twos), fold33(more), fold33(adj)
+	orE := ones | twos | more // a plane's count is non-zero
+
+	n := 33
+	switch v := int32(base); {
+	case v == 0:
+		n = 3
+	case v >= -8 && v < 8:
+		n = 7
+	case v >= -128 && v < 128:
+		n = 11
+	case v >= -32768 && v < 32768:
+		n = 19
+	}
+	z := ^orE & bpcMask33
+	starts := z &^ (z << 1)
+	iso := starts &^ (z >> 1)
+	need := orE &^ andE & orD
+	short := need &^ more & (ones&^twos | twos&^ones&adj)
+	n += 7*bits.OnesCount64(starts) - 4*bits.OnesCount64(iso) +
+		5*bits.OnesCount64(orE&^need) +
+		10*bits.OnesCount64(short) + 32*bits.OnesCount64(need&^short)
+	return min(n, bpcRawBits)
+}
+
+// fold33 maps Bits' in-loop aggregate layout (planes 0..31 in the low half,
+// plane 32 in bit 63) to the 33 contiguous plane bits.
+func fold33(x uint64) uint64 { return uint64(uint32(x)) | x>>63<<32 }
+
 // bpcPeekWord is the decoder's out-of-line peek for when byte pos>>3 lands
 // in the last 7 bytes of the stream (the caller's precondition): the 64-bit
 // window at bit pos, left-aligned (bit pos as MSB), zero-filled past the end

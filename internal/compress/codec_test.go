@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -160,6 +161,118 @@ func TestSizerMatchesSectorsNeeded(t *testing.T) {
 				t.Errorf("%s/%s: Sizer.Bits = %d, one-shot bits = %d", c.Name(), g.Name(), got, want)
 			}
 		}
+	}
+}
+
+// TestBPCBitsShapeSweep drives the closed-form size kernel against the
+// encoder over a million-odd seeded entries built to flip plane classes:
+// every code length in BPC.Bits is a popcount over an aggregate, so the
+// shapes walk each aggregate's decision boundary — zero-run starts and
+// isolated runs (steps at every bit position), the one/two-adjacent/raw
+// split of the counters (one step, two adjacent steps, two separated steps,
+// alternating words), all-ones and DBP-zero planes (alternation, ramps), and
+// the 1024-bit cap (wide noise, pure random).
+func TestBPCBitsShapeSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-entry sweep")
+	}
+	bpc := NewBPC()
+	sz := NewSizer(bpc)
+	scratch := make([]byte, 0, MaxStreamBytes)
+	entry := make([]byte, EntryBytes)
+	words := func(f func(i int) uint32) {
+		for i := 0; i < bpcWords; i++ {
+			binary.LittleEndian.PutUint32(entry[i*4:], f(i))
+		}
+	}
+	checked := 0
+	check := func(shape string) {
+		t.Helper()
+		stream, want := bpc.AppendCompressed(scratch[:0], entry)
+		scratch = stream[:0]
+		if got := sz.Bits(entry); got != want {
+			t.Fatalf("%s: Sizer.Bits = %d, AppendCompressed = %d\nentry %x", shape, got, want, entry)
+		}
+		checked++
+	}
+	r := gen.NewRNG(2020, 16)
+
+	// Steps at every bit position and every word position, on a flat and on
+	// a ramped background, rising and falling.
+	for bit := uint(0); bit < 32; bit++ {
+		for pos := 1; pos < bpcWords; pos++ {
+			for _, slope := range []uint32{0, 1, 0xFFFFFFFD} {
+				for _, step := range []uint32{1 << bit, -(1 << bit)} {
+					base := r.Uint32() >> (r.Uint32() & 31)
+					at := func(i int) uint32 { return base + uint32(i)*slope }
+					words(func(i int) uint32 { // one step
+						if i >= pos {
+							return at(i) + step
+						}
+						return at(i)
+					})
+					check("one-step")
+					words(func(i int) uint32 { // two adjacent steps
+						return at(i) + step*uint32(min(max(i-pos+1, 0), 2))
+					})
+					check("two-adjacent-steps")
+					far := 1 + r.Intn(bpcWords-1)
+					words(func(i int) uint32 { // two steps anywhere
+						v := at(i)
+						if i >= pos {
+							v += step
+						}
+						if i >= far {
+							v += step
+						}
+						return v
+					})
+					check("two-steps")
+					words(func(i int) uint32 { return at(i) ^ step*uint32((i+pos)&1) })
+					check("alternating")
+				}
+			}
+		}
+	}
+	// Ramps under 0..24 bits of noise.
+	for nb := uint(0); nb <= 24; nb++ {
+		for n := 0; n < 20480; n++ {
+			base, step := r.Uint32()>>(r.Uint32()&31), r.Uint32()>>(8+r.Uint32()&23)
+			words(func(i int) uint32 { return base + uint32(i)*step + r.Uint32()&(1<<nb-1) })
+			check("noisy-ramp")
+		}
+	}
+	// At most six non-zero bytes.
+	for n := 0; n < 200000; n++ {
+		clear(entry)
+		for k := r.Intn(7); k > 0; k-- {
+			entry[r.Intn(EntryBytes)] = byte(r.Uint32())
+		}
+		check("sparse")
+	}
+	// Two to four distinct words.
+	for n := 0; n < 200000; n++ {
+		var dict [4]uint32
+		for k := range dict {
+			dict[k] = r.Uint32() >> (r.Uint32() & 31)
+		}
+		k := 2 + r.Intn(3)
+		words(func(int) uint32 { return dict[r.Intn(k)] })
+		check("few-distinct")
+	}
+	// Float-like words with quantized mantissas, then pure random.
+	for _, g := range []gen.Generator{
+		gen.Weights32{Sigma: 1}, gen.Weights32{Sigma: 0.01, QuantBits: 4}, gen.Weights32{Sigma: 0.05, QuantBits: 8},
+		gen.Weights32{Sigma: 0.02, QuantBits: 12}, gen.Weights32{Sigma: 1, QuantBits: 16}, gen.Weights32{Sigma: 3, QuantBits: 20},
+		gen.SparseFP16{ZeroFrac: 0.7}, gen.Random{},
+	} {
+		for n := 0; n < 24576; n++ {
+			g.Fill(entry, r)
+			check(g.Name())
+		}
+	}
+	if checked < 1<<20 {
+		t.Fatalf("sweep covered %d entries, want >= %d", checked, 1<<20)
 	}
 }
 

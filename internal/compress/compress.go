@@ -115,19 +115,30 @@ func decodeRawEntry(dst []byte, r *BitReader) error {
 	return nil
 }
 
-// A Sizer measures compressed entry sizes with exactly one encode per entry,
-// reusing one scratch buffer across calls. It is the tool for profiling and
+// sizeOnly is the optional method a Codec may implement beside the interface:
+// AppendCompressed's exact bit count without producing the stream. BPC's is a
+// closed form of its pre-pass aggregates (bpc.go).
+type sizeOnly interface {
+	Bits(entry []byte) int
+}
+
+// A Sizer measures compressed entry sizes, touching each entry once: a codec
+// with a sizeOnly method is asked directly, any other is encoded once into a
+// scratch buffer reused across calls. It is the tool for profiling and
 // heat-map sweeps that only need sizes; it is not safe for concurrent use —
 // create one per goroutine.
 type Sizer struct {
 	c        Codec
+	direct   sizeOnly // nil: encode and discard
 	buf      []byte
 	zeroBits int
 }
 
-// NewSizer returns a Sizer over codec c.
+// NewSizer returns a Sizer over codec c, resolving c's size-only method once.
 func NewSizer(c Codec) *Sizer {
-	return &Sizer{c: c, buf: make([]byte, 0, MaxStreamBytes), zeroBits: ZeroEntryBits(c)}
+	s := &Sizer{c: c, buf: make([]byte, 0, MaxStreamBytes), zeroBits: ZeroEntryBits(c)}
+	s.direct, _ = c.(sizeOnly)
+	return s
 }
 
 // Bits returns the exact compressed payload size of entry in bits. All-zero
@@ -148,6 +159,9 @@ func (s *Sizer) Bits(entry []byte) int {
 //
 //buddy:hotpath
 func (s *Sizer) bitsEncoded(entry []byte) int {
+	if s.direct != nil {
+		return s.direct.Bits(entry)
+	}
 	stream, bits := s.c.AppendCompressed(s.buf[:0], entry)
 	s.buf = stream[:0]
 	return bits
@@ -211,10 +225,10 @@ func SectorsNeeded(c Codec, entry []byte) int {
 // ratio: 8 B kept out of each 128 B (§3.4).
 const ZeroPageBytes = 8
 
-// Ratio returns the compression ratio EntryBytes/size for a rounded size,
-// treating 0 as the metadata-only class (counted as EntryBytes/1 to avoid
-// infinities in aggregate statistics would distort; the paper's Fig. 3
-// assumes a 0 B class, so we return the ratio against 1 byte there).
+// Ratio returns the compression ratio EntryBytes/size for a rounded size.
+// The paper's Fig. 3 assumes a 0 B (metadata-only) class; its ratio would be
+// infinite and distort every aggregate, so size 0 is counted as 1 byte and
+// returns EntryBytes.
 func Ratio(size int) float64 {
 	if size <= 0 {
 		return float64(EntryBytes)

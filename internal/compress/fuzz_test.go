@@ -17,7 +17,8 @@ func fuzzEntry(data []byte) []byte {
 
 // FuzzRoundTrip drives every codec over arbitrary entries: the single-pass
 // stream must decode bit-exactly, encode deterministically, report
-// in-range metadata bits, and reject every truncated prefix with ErrCorrupt.
+// in-range metadata bits, size identically through a Sizer (the size-only
+// kernel where the codec has one), and reject every truncated prefix with ErrCorrupt.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, EntryBytes))
@@ -60,6 +61,9 @@ func FuzzRoundTrip(f *testing.F) {
 			if _, again := c.AppendCompressed(nil, entry); again != bits {
 				t.Fatalf("%s: nondeterministic bits %d != %d", c.Name(), again, bits)
 			}
+			if got := NewSizer(c).Bits(entry); got != bits {
+				t.Fatalf("%s: Sizer.Bits %d != encoded bits %d", c.Name(), got, bits)
+			}
 			for _, cut := range []int{0, len(stream) / 2, len(stream) - 1} {
 				if cut < 0 || cut >= len(stream) {
 					continue
@@ -79,7 +83,11 @@ func FuzzRoundTrip(f *testing.F) {
 
 // FuzzDecompressArbitrary feeds arbitrary bytes to every decoder: it must
 // either decode into some entry or return ErrCorrupt — never panic, never
-// read out of bounds.
+// read out of bounds. The no-over-read half is checked, not assumed: each
+// stream is decoded twice, once as a standalone copy and once as the prefix
+// (len < cap) of a buffer whose suffix is a canary pattern, and the two
+// outcomes — error class and the 128 bytes left in dst — must agree. A
+// decoder that peeks past len(comp) sees the canary in one and not the other.
 func FuzzDecompressArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
@@ -89,10 +97,31 @@ func FuzzDecompressArbitrary(f *testing.F) {
 	f.Add([]byte{0x00, 0x80})       // short stream with one set bit
 	f.Add([]byte{0x40, 0x00, 0x01}) // sparse stream: run codes then a one
 	f.Fuzz(func(t *testing.T, comp []byte) {
-		dst := make([]byte, EntryBytes)
+		const canaryLen = 64
+		alone := make([]byte, len(comp))
+		copy(alone, comp)
+		framed := make([]byte, len(comp)+canaryLen)
+		copy(framed, comp)
+		canary := framed[len(comp):]
+		for i := range canary {
+			canary[i] = 0xA5 ^ byte(i)
+		}
+		want := bytes.Clone(canary)
+		dst, dstFramed := make([]byte, EntryBytes), make([]byte, EntryBytes)
 		for _, c := range Registry() {
-			if err := c.DecompressInto(dst, comp); err != nil && !errors.Is(err, ErrCorrupt) {
+			clear(dst)
+			clear(dstFramed)
+			err := c.DecompressInto(dst, alone)
+			if err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s: unexpected error class: %v", c.Name(), err)
+			}
+			errFramed := c.DecompressInto(dstFramed, framed[:len(comp)])
+			if !errors.Is(errFramed, err) || !bytes.Equal(dstFramed, dst) {
+				t.Fatalf("%s: decode depends on bytes past len(comp): standalone (%v, %x), canary-suffixed (%v, %x)",
+					c.Name(), err, dst, errFramed, dstFramed)
+			}
+			if !bytes.Equal(canary, want) {
+				t.Fatalf("%s: decoder wrote past len(comp)", c.Name())
 			}
 		}
 	})

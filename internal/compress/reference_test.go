@@ -485,13 +485,17 @@ func refAppend(c Codec, dst, entry []byte) ([]byte, int) {
 }
 
 // checkAgainstReference fails the test if c's encode of entry differs from
-// the reference encoder in stream bytes or bit count.
+// the reference encoder in stream bytes or bit count, or if c's Sizer (the
+// size-only kernel, where c has one) disagrees with the reference bit count.
 func checkAgainstReference(t *testing.T, c Codec, entry []byte, label string) {
 	t.Helper()
 	stream, bits := c.AppendCompressed(nil, entry)
 	wantStream, wantBits := refAppend(c, nil, entry)
 	if bits != wantBits {
 		t.Fatalf("%s/%s: bits = %d, reference = %d", c.Name(), label, bits, wantBits)
+	}
+	if got := NewSizer(c).Bits(entry); got != wantBits {
+		t.Fatalf("%s/%s: Sizer.Bits = %d, reference = %d", c.Name(), label, got, wantBits)
 	}
 	if !bytes.Equal(stream, wantStream) {
 		t.Fatalf("%s/%s: stream differs from reference\n got %x\nwant %x",

@@ -48,7 +48,10 @@ func (a *Allocation) Pages() int {
 
 // A Snapshot is one memory dump: the set of live allocations at a point in
 // the workload's execution. The paper takes ten snapshots per benchmark at
-// kernel boundaries (§3.1).
+// kernel boundaries (§3.1). A dump is read-only to its consumers: the
+// snapshots of one run may hold the same *Allocation where a region did not
+// change between dumps (workloads.GenerateRun), and analysis.BuildRun relies
+// on an allocation's bytes staying what they were when it was indexed.
 type Snapshot struct {
 	// Index is the snapshot's position in the run (0..9 for the paper's
 	// ten equally distributed dumps).

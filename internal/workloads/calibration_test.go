@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"bytes"
 	"testing"
 
 	"buddy/internal/analysis"
 	"buddy/internal/compress"
+	"buddy/internal/memory"
 	"buddy/internal/stats"
 )
 
@@ -86,25 +88,43 @@ func TestIncompressibleBenchmarks(t *testing.T) {
 	}
 }
 
-// TestStaticRegionsStable: static regions must hold identical bytes across
-// snapshots; dynamic ones must differ.
+// TestStaticRegionsStable pins the two contracts the run-level sharing
+// rests on, for all sixteen benchmarks and every region: a region that is
+// not Dynamic holds identical bytes in the first and the last snapshot (so
+// synthesizing it once is sound) while a Dynamic one differs; and
+// GenerateRun's snapshot t is bytewise GenerateSnapshot(b, t), with the
+// static regions one shared allocation and the Dynamic ones distinct.
 func TestStaticRegionsStable(t *testing.T) {
-	b, err := ByName("ResNet50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := GenerateSnapshot(b, 0, testScale)
-	s1 := GenerateSnapshot(b, 1, testScale)
-	w0, w1 := s0.Find("conv_weights"), s1.Find("conv_weights")
-	if w0 == nil || w1 == nil {
-		t.Fatal("missing conv_weights")
-	}
-	if string(w0.Data) != string(w1.Data) {
-		t.Error("static region conv_weights changed between snapshots")
-	}
-	a0, a1 := s0.Find("activations"), s1.Find("activations")
-	if string(a0.Data) == string(a1.Data) {
-		t.Error("dynamic region activations identical between snapshots")
+	for _, b := range Table1() {
+		run := GenerateRun(b, testScale)
+		if len(run) != Snapshots {
+			t.Fatalf("%s: GenerateRun returned %d snapshots", b.Name, len(run))
+		}
+		var first, last *memory.Snapshot
+		for ti := range run {
+			s := GenerateSnapshot(b, ti, testScale)
+			if ti == 0 {
+				first = s
+			}
+			last = s
+			if run[ti].Index != ti || len(run[ti].Allocations) != len(b.Regions) {
+				t.Fatalf("%s: run[%d] has index %d and %d allocations", b.Name, ti, run[ti].Index, len(run[ti].Allocations))
+			}
+			for j, r := range b.Regions {
+				got, want := run[ti].Allocations[j], s.Allocations[j]
+				if got.Name != want.Name || !bytes.Equal(got.Data, want.Data) {
+					t.Errorf("%s/%s: GenerateRun[%d] differs from GenerateSnapshot(%d)", b.Name, r.Name, ti, ti)
+				}
+				if shared := got == run[0].Allocations[j]; ti > 0 && shared == r.Dynamic {
+					t.Errorf("%s/%s: Dynamic = %v but run[%d] shares run[0]'s allocation = %v", b.Name, r.Name, r.Dynamic, ti, shared)
+				}
+			}
+		}
+		for j, r := range b.Regions {
+			if same := bytes.Equal(first.Allocations[j].Data, last.Allocations[j].Data); same == r.Dynamic {
+				t.Errorf("%s/%s: Dynamic = %v but snapshots 0 and %d byte-equal = %v", b.Name, r.Name, r.Dynamic, Snapshots-1, same)
+			}
+		}
 	}
 }
 

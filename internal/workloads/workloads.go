@@ -61,7 +61,9 @@ type Region struct {
 	// Frac is the share of the benchmark footprint this region occupies.
 	Frac float64
 	// Gen returns the data generator for snapshot t (0..Snapshots-1),
-	// letting contents evolve over the run (e.g. 355.seismic's fill-in).
+	// letting a Dynamic region's contents evolve over the run (e.g.
+	// 355.seismic's fill-in). A region that is not Dynamic must return the
+	// same generator for every t: its bytes are synthesized once per run.
 	Gen func(t int) gen.Generator
 	// Dynamic regions are re-synthesized with a snapshot-dependent seed:
 	// per-entry contents churn between snapshots while the distribution
@@ -508,8 +510,16 @@ func seedFor(bench, region string) uint64 {
 // GenerateSnapshot synthesizes memory dump t (0..Snapshots-1) of benchmark
 // b at 1/scale of its true footprint. Static regions hold identical bytes
 // across snapshots (stable weights and grids); Dynamic regions reshuffle
-// per snapshot.
+// per snapshot. It is a pure function: every call returns freshly generated
+// bytes the caller owns.
 func GenerateSnapshot(b Benchmark, t int, scale int) *memory.Snapshot {
+	return generate(b, t, scale, nil)
+}
+
+// generate synthesizes dump t; where static is non-nil (an earlier dump of
+// the same run), a non-Dynamic region j takes static's allocation j instead
+// of being filled with the same bytes again.
+func generate(b Benchmark, t, scale int, static *memory.Snapshot) *memory.Snapshot {
 	if scale <= 0 {
 		scale = DefaultScale
 	}
@@ -518,7 +528,11 @@ func GenerateSnapshot(b Benchmark, t int, scale int) *memory.Snapshot {
 	if total < 64*memory.PageBytes {
 		total = 64 * memory.PageBytes
 	}
-	for _, r := range b.Regions {
+	for j, r := range b.Regions {
+		if static != nil && !r.Dynamic {
+			snap.Allocations = append(snap.Allocations, static.Allocations[j])
+			continue
+		}
 		size := int(float64(total) * r.Frac)
 		if size < 2*memory.PageBytes {
 			size = 2 * memory.PageBytes
@@ -534,11 +548,16 @@ func GenerateSnapshot(b Benchmark, t int, scale int) *memory.Snapshot {
 	return snap
 }
 
-// GenerateRun synthesizes all ten snapshots of benchmark b.
+// GenerateRun synthesizes all ten snapshots of benchmark b, bytewise equal
+// to GenerateSnapshot(b, t, scale) for every t. A non-Dynamic region is
+// synthesized once and the same *memory.Allocation appears in all ten
+// snapshots, so the run's snapshots are read-only: a write to one static
+// allocation's Data would show in every dump. (analysis.BuildRun recognizes
+// the shared allocation and classifies it once.)
 func GenerateRun(b Benchmark, scale int) []*memory.Snapshot {
 	out := make([]*memory.Snapshot, Snapshots)
-	for t := 0; t < Snapshots; t++ {
-		out[t] = GenerateSnapshot(b, t, scale)
+	for t := range out {
+		out[t] = generate(b, t, scale, out[0]) // out[0] is nil while t == 0
 	}
 	return out
 }
