@@ -56,8 +56,13 @@ type Device = core.Device
 type Allocation = core.Allocation
 
 // Backend is one pluggable storage tier (device slab, NVLink buddy
-// carve-out, host unified-memory fallback, ...).
+// carve-out, host unified-memory fallback, ...): a capacity meter plus
+// Access, which accounts a span of accesses in the order they happened.
 type Backend = core.Backend
+
+// TierOp is one access of a Backend.Access span: Bytes bytes of a device's
+// global entry index Entry, read or (Store) written.
+type TierOp = core.TierOp
 
 // BackendTraffic is a snapshot of one tier's access counters.
 type BackendTraffic = core.BackendTraffic

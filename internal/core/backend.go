@@ -16,8 +16,8 @@ import (
 // exists so other tiers (host unified memory, peer GPUs, disaggregated
 // appliances) slot in without touching the device.
 //
-// Implementations must be safe for concurrent use: the Device calls Store
-// and Load from many goroutines.
+// Implementations must be safe for concurrent use: the Device calls Access
+// from many goroutines, holding no lock of its own.
 type Backend interface {
 	// Name identifies the tier in stats and errors.
 	Name() string
@@ -31,16 +31,22 @@ type Backend interface {
 	// Release returns previously reserved bytes. Releasing more than is
 	// currently reserved is a lifecycle accounting bug and panics.
 	Release(n int64)
-	// Store accounts a write of n bytes belonging to global entry index
-	// entry.
-	Store(entry int, n int)
-	// Load accounts a read of n bytes belonging to global entry index
-	// entry.
-	Load(entry int, n int)
+	// Access accounts a span of accesses to the tier, in the order they
+	// happened: what one sub-batch of a walker pass (relocate.go) owes it.
+	// The slice is the caller's to reuse once Access returns.
+	Access(ops []TierOp)
 	// Traffic returns a snapshot of the tier's access counters.
 	Traffic() BackendTraffic
 	// ResetTraffic clears the access counters (reservations are kept).
 	ResetTraffic()
+}
+
+// TierOp is one access to a storage tier: Bytes bytes of global entry index
+// Entry read, or with Store written.
+type TierOp struct {
+	Entry int
+	Bytes int32
+	Store bool
 }
 
 // BackendTraffic is a snapshot of one tier's access counters.
@@ -101,14 +107,33 @@ type trafficMeter struct {
 	readBytes, writtenBytes atomic.Uint64
 }
 
-func (t *trafficMeter) Store(_ int, n int) {
-	t.stores.Add(1)
-	t.writtenBytes.Add(uint64(n))
+// add folds loads reads totaling read bytes and stores writes totaling
+// written bytes into the counters, touching only a direction that saw any.
+func (t *trafficMeter) add(loads, stores int, read, written uint64) {
+	if loads != 0 {
+		t.loads.Add(uint64(loads))
+		t.readBytes.Add(read)
+	}
+	if stores != 0 {
+		t.stores.Add(uint64(stores))
+		t.writtenBytes.Add(written)
+	}
 }
 
-func (t *trafficMeter) Load(_ int, n int) {
-	t.loads.Add(1)
-	t.readBytes.Add(uint64(n))
+// Access sums the span into the counters. Sums do not depend on order.
+func (t *trafficMeter) Access(ops []TierOp) {
+	var loads, stores int
+	var read, written uint64
+	for _, op := range ops {
+		if op.Store {
+			stores++
+			written += uint64(op.Bytes)
+		} else {
+			loads++
+			read += uint64(op.Bytes)
+		}
+	}
+	t.add(loads, stores, read, written)
 }
 
 func (t *trafficMeter) Traffic() BackendTraffic {
@@ -128,7 +153,8 @@ func (t *trafficMeter) ResetTraffic() {
 }
 
 // SlabBackend is the primary tier: the GPU's own device-memory slab, where
-// each entry's in-budget sectors live at fixed addresses.
+// each entry's in-budget sectors live at fixed addresses. Its meter is its
+// device's Traffic.DeviceReadBytes/DeviceWriteBytes (Device.Traffic).
 type SlabBackend struct {
 	capacityMeter
 	trafficMeter
@@ -139,31 +165,14 @@ func NewSlabBackend(capacity int64) *SlabBackend {
 	return &SlabBackend{capacityMeter: capacityMeter{name: "device-slab", capacity: capacity}}
 }
 
-// StoreSpan folds k entry writes totaling n bytes into the meter with one
-// pair of atomic adds — the walker's per-sub-batch accounting. The
-// totals are identical to k individual Store calls.
-func (b *SlabBackend) StoreSpan(k int, n uint64) {
-	b.stores.Add(uint64(k))
-	b.writtenBytes.Add(n)
-}
-
-// LoadSpan folds k entry reads totaling n bytes into the meter, like
-// StoreSpan.
-func (b *SlabBackend) LoadSpan(k int, n uint64) {
-	b.loads.Add(uint64(k))
-	b.readBytes.Add(n)
-}
-
 // CarveoutBackend is the paper's overflow tier: a carve-out of buddy memory
-// reached over the NVLink interconnect (§2.3). Transfers are pushed through
-// an nvlink.Link so link occupancy per direction is modeled alongside the
-// byte counters.
+// reached over the NVLink interconnect (§2.3). The link is full-duplex and
+// the GPU never waits on it for a write-back, so a direction's occupancy is
+// the bytes it carried over its rate: no queue, and no order to keep.
 type CarveoutBackend struct {
 	capacityMeter
 	trafficMeter
-
-	mu   sync.Mutex
-	link *nvlink.Link
+	bytesPerCycle float64 // per direction
 }
 
 // NewCarveoutBackend builds a buddy carve-out tier of the given capacity
@@ -171,67 +180,15 @@ type CarveoutBackend struct {
 func NewCarveoutBackend(capacity int64, link nvlink.Config) *CarveoutBackend {
 	return &CarveoutBackend{
 		capacityMeter: capacityMeter{name: "buddy-carveout", capacity: capacity},
-		link:          nvlink.New(link),
+		bytesPerCycle: nvlink.New(link).BytesPerCycle(), // nvlink defaults the rate fields
 	}
-}
-
-// Store accounts an overflow write: bytes drain to buddy memory on the
-// write direction of the link.
-func (b *CarveoutBackend) Store(entry int, n int) {
-	b.trafficMeter.Store(entry, n)
-	b.mu.Lock()
-	b.link.Drain(0, nvlink.Write, n)
-	b.mu.Unlock()
-}
-
-// Load accounts an overflow read on the read direction of the link.
-func (b *CarveoutBackend) Load(entry int, n int) {
-	b.trafficMeter.Load(entry, n)
-	b.mu.Lock()
-	b.link.Request(0, nvlink.Read, n)
-	b.mu.Unlock()
-}
-
-// accessSpan replays a walker sub-batch's overflow accesses in order
-// under one acquisition of the link mutex: the same per-access Request and
-// Drain calls Load and Store issue, so the link's busy cycles per direction
-// are bit-identical, and one add per meter counter.
-func (b *CarveoutBackend) accessSpan(ops []tierOp) {
-	var loads, stores, read, written uint64
-	b.mu.Lock()
-	for _, op := range ops {
-		if op.store {
-			stores++
-			written += uint64(op.n)
-			b.link.Drain(0, nvlink.Write, int(op.n))
-		} else {
-			loads++
-			read += uint64(op.n)
-			b.link.Request(0, nvlink.Read, int(op.n))
-		}
-	}
-	b.mu.Unlock()
-	b.loads.Add(loads)
-	b.readBytes.Add(read)
-	b.stores.Add(stores)
-	b.writtenBytes.Add(written)
 }
 
 // LinkOccupancy returns the modeled busy core-cycles per link direction:
 // how long the interconnect has been transferring in each direction since
 // the last reset. Idle gaps between transfers are not occupancy.
 func (b *CarveoutBackend) LinkOccupancy() (readCycles, writeCycles float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.link.BusyCycles(nvlink.Read), b.link.BusyCycles(nvlink.Write)
-}
-
-// ResetTraffic clears counters and the link queues.
-func (b *CarveoutBackend) ResetTraffic() {
-	b.trafficMeter.ResetTraffic()
-	b.mu.Lock()
-	b.link.Reset()
-	b.mu.Unlock()
+	return float64(b.readBytes.Load()) / b.bytesPerCycle, float64(b.writtenBytes.Load()) / b.bytesPerCycle
 }
 
 // HostBackend is the fallback overflow tier when no buddy memory is
@@ -255,16 +212,13 @@ func NewHostBackend(pageBytes int, residentBytes int64) *HostBackend {
 	}
 }
 
-// Store accounts an overflow write, touching the pager.
-func (b *HostBackend) Store(entry int, n int) {
-	b.trafficMeter.Store(entry, n)
-	b.pager.Touch(uint64(entry) * uint64(EntryBytes))
-}
-
-// Load accounts an overflow read, touching the pager.
-func (b *HostBackend) Load(entry int, n int) {
-	b.trafficMeter.Load(entry, n)
-	b.pager.Touch(uint64(entry) * uint64(EntryBytes))
+// Access accounts the span and touches the pager op by op: residency
+// depends on the order of accesses, which is why a span arrives in order.
+func (b *HostBackend) Access(ops []TierOp) {
+	b.trafficMeter.Access(ops)
+	for _, op := range ops {
+		b.pager.Touch(uint64(op.Entry) * uint64(EntryBytes))
+	}
 }
 
 // Traffic includes the pager's fault statistics.

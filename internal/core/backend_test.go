@@ -5,11 +5,12 @@ import (
 	"sync"
 	"testing"
 
+	"buddy/internal/gen"
 	"buddy/internal/nvlink"
 )
 
 // conformance is the shared Backend contract: every tier must account
-// capacity and traffic the same way, and survive concurrent Store/Load.
+// capacity and traffic the same way, and survive concurrent Access.
 func conformance(t *testing.T, name string, mk func(capacity int64) Backend) {
 	t.Run(name+"/identity", func(t *testing.T) {
 		b := mk(1 << 20)
@@ -50,9 +51,9 @@ func conformance(t *testing.T, name string, mk func(capacity int64) Backend) {
 
 	t.Run(name+"/traffic", func(t *testing.T) {
 		b := mk(1 << 20)
-		b.Store(0, 96)
-		b.Store(1, 32)
-		b.Load(0, 64)
+		b.Access([]TierOp{{Entry: 0, Bytes: 96, Store: true}, {Entry: 1, Bytes: 32, Store: true}})
+		b.Access(nil)
+		b.Access([]TierOp{{Entry: 0, Bytes: 64}})
 		tr := b.Traffic()
 		if tr.Stores != 2 || tr.WrittenBytes != 128 {
 			t.Errorf("stores=%d written=%d, want 2/128", tr.Stores, tr.WrittenBytes)
@@ -114,8 +115,7 @@ func conformance(t *testing.T, name string, mk func(capacity int64) Backend) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < ops; i++ {
-					b.Store(w*ops+i, 32)
-					b.Load(w*ops+i, 32)
+					b.Access([]TierOp{{Entry: w*ops + i, Bytes: 32, Store: true}, {Entry: w*ops + i, Bytes: 32}})
 					if err := b.Reserve(16); err == nil {
 						b.Release(16)
 					}
@@ -147,8 +147,7 @@ func TestBackendConformance(t *testing.T) {
 
 func TestCarveoutBackendModelsLink(t *testing.T) {
 	b := NewCarveoutBackend(1<<20, nvlink.DefaultConfig())
-	b.Store(0, 1<<16)
-	b.Load(1, 1<<16)
+	b.Access([]TierOp{{Entry: 0, Bytes: 1 << 16, Store: true}, {Entry: 1, Bytes: 1 << 16}})
 	r, w := b.LinkOccupancy()
 	if r <= 0 || w <= 0 {
 		t.Errorf("link occupancy read=%f write=%f, want both positive", r, w)
@@ -159,20 +158,90 @@ func TestCarveoutBackendModelsLink(t *testing.T) {
 	}
 }
 
+// TestCarveoutAccessOrderIndependent is why the carve-out needs no lock and
+// a walker's span workers no ordering between them: any permutation of the
+// same ops, cut into batches anywhere and handed over from any number of
+// goroutines, leaves the same meter, and link occupancy is that meter's
+// bytes over the link rate exactly — a quotient, not a running float sum.
+func TestCarveoutAccessOrderIndependent(t *testing.T) {
+	link := nvlink.Config{BandwidthGBs: 93, CoreClockGHz: 1.7} // a rate that is not a round number of bytes per cycle
+	bytesPerCycle := nvlink.New(link).BytesPerCycle()
+	r := gen.NewRNG(11, 3)
+	ops := make([]TierOp, 2000)
+	var want BackendTraffic
+	for i := range ops {
+		ops[i] = TierOp{Entry: r.Intn(1 << 20), Bytes: int32(32 * (1 + r.Intn(4))), Store: r.Intn(3) == 0}
+		if ops[i].Store {
+			want.Stores++
+			want.WrittenBytes += uint64(ops[i].Bytes)
+		} else {
+			want.Loads++
+			want.ReadBytes += uint64(ops[i].Bytes)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		for i := len(ops) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			ops[i], ops[j] = ops[j], ops[i]
+		}
+		b := NewCarveoutBackend(-1, link)
+		var wg sync.WaitGroup
+		for rest := ops; len(rest) > 0; {
+			n := 1 + r.Intn(min(len(rest), 300))
+			batch := rest[:n]
+			rest = rest[n:]
+			if trial%2 == 0 {
+				b.Access(batch)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b.Access(batch)
+			}()
+		}
+		wg.Wait()
+		if got := b.Traffic(); got != want {
+			t.Fatalf("trial %d: traffic %+v, want %+v", trial, got, want)
+		}
+		rd, wr := b.LinkOccupancy()
+		if rd != float64(want.ReadBytes)/bytesPerCycle || wr != float64(want.WrittenBytes)/bytesPerCycle {
+			t.Fatalf("trial %d: link occupancy %v/%v, want bytes over %v bytes per cycle exactly", trial, rd, wr, bytesPerCycle)
+		}
+	}
+}
+
+// TestHostBackendCountsFaults is the counterpart: why a span still arrives
+// in the order its accesses happened. With one resident page, ping-pong
+// between two pages faults on every touch; the same ops grouped by page
+// fault once per page.
 func TestHostBackendCountsFaults(t *testing.T) {
-	// One resident page: ping-pong between two pages faults every touch
-	// after the first.
-	b := NewHostBackend(4<<10, 4<<10)
-	pageEntries := (4 << 10) / EntryBytes
-	for i := 0; i < 10; i++ {
-		b.Store(0, 32)
-		b.Store(pageEntries, 32) // next page
+	const pageBytes, rounds = 4 << 10, 10
+	pageEntries := pageBytes / EntryBytes
+	var pingPong, grouped []TierOp
+	for i := 0; i < rounds; i++ {
+		pingPong = append(pingPong, TierOp{Entry: 0, Bytes: 32, Store: true}, TierOp{Entry: pageEntries, Bytes: 32, Store: true})
 	}
-	tr := b.Traffic()
-	if tr.Faults < 10 {
-		t.Errorf("ping-pong across a one-page pool faulted %d times, want >= 10", tr.Faults)
+	for _, entry := range []int{0, pageEntries} {
+		for i := 0; i < rounds; i++ {
+			grouped = append(grouped, TierOp{Entry: entry, Bytes: 32, Store: true})
+		}
 	}
-	if tr.MigratedBytes != tr.Faults*(4<<10) {
-		t.Errorf("migrated %d bytes for %d faults at 4 KiB pages", tr.MigratedBytes, tr.Faults)
+	for _, tc := range []struct {
+		name   string
+		ops    []TierOp
+		faults uint64
+	}{{"ping-pong", pingPong, 2 * rounds}, {"grouped by page", grouped, 2}} {
+		b := NewHostBackend(pageBytes, pageBytes)
+		b.Access(tc.ops[:rounds]) // the batching does not matter, the order does
+		b.Access(tc.ops[rounds:])
+		tr := b.Traffic()
+		if tr.Stores != 2*rounds || tr.WrittenBytes != 2*rounds*32 {
+			t.Errorf("%s: stores=%d written=%d, want %d/%d", tc.name, tr.Stores, tr.WrittenBytes, 2*rounds, 2*rounds*32)
+		}
+		if tr.Faults != tc.faults || tr.MigratedBytes != tc.faults*pageBytes {
+			t.Errorf("%s across a one-page pool: %d faults, %d bytes migrated, want %d faults of %d bytes",
+				tc.name, tr.Faults, tr.MigratedBytes, tc.faults, pageBytes)
+		}
 	}
 }

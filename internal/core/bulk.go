@@ -17,11 +17,11 @@ import (
 // everything above it, experiment sweeps included — parallel for free.
 //
 // A pass amortizes the allocation's read lock and the traffic-counter
-// updates over sub-batches of spanBatchEntries entries; the overflow tier's
-// accesses are replayed one by one, in entry order, as each sub-batch's
-// lock drops. The accounting — link busy cycles and pager faults included —
-// is identical to per-entry execution; only the number of lock acquisitions
-// and atomic operations changes.
+// updates over sub-batches of spanBatchEntries entries; the overflow tier
+// is handed each sub-batch's accesses as one span, in order, once the
+// sub-batch's lock has dropped. The accounting — link occupancy and pager
+// faults included — is identical to per-entry execution; only the number of
+// lock acquisitions and atomic operations changes.
 
 // bulkGrainEntries is the smallest span a worker is given: 64 entries
 // (8 KB). Spans below two grains run inline — goroutine handoff costs more
@@ -169,13 +169,15 @@ func (sp *spanPool) close() {
 	sp.wg.Wait()
 }
 
-// spanScratch is one data pass's pooled staging: the two buffers a metadata
+// spanScratch is one pass's pooled staging: the two buffers a metadata
 // pair's framed streams are staged in — MaxStreamBytes each, so the
 // steady-state codec path never allocates — and the sub-batch's
-// overflow-tier op lists, one per tally.
+// overflow-tier op lists, one per tally: pooled, not on a builder's stack,
+// because they reach the tier through an interface.
 type spanScratch struct {
-	bufs     [2][]byte
-	ops, far [spanBatchEntries]tierOp
+	bufs [2][]byte
+	ops  [2 * spanBatchEntries]TierOp // a same-device relayout reads the old slot and writes the new
+	far  [spanBatchEntries]TierOp
 }
 
 var spanScratchPool = sync.Pool{New: func() any {
@@ -186,16 +188,25 @@ var spanScratchPool = sync.Pool{New: func() any {
 	return x
 }}
 
+// runPass is relocate on pooled scratch: pass p over entries [lo, hi) of a.
+//
+//buddy:hotpath
+func (a *Allocation) runPass(p *relocPass, stage []byte, lo, hi int) ([]byte, error) {
+	x := spanScratchPool.Get().(*spanScratch)
+	p.tally.ops, p.far.ops = x.ops[:0], x.far[:0]
+	stage, err := a.relocate(p, &x.bufs, stage, lo, hi)
+	spanScratchPool.Put(x)
+	return stage, err
+}
+
 // dataPass runs one data pass of the walker — kind is relocWrite or relocRead
 // — over entries [lo, hi) of a; data is the flat buffer of a span whose
 // first entry is index base.
 //
 //buddy:hotpath
 func (a *Allocation) dataPass(kind relocKind, base int, data []byte, lo, hi int) error {
-	x := spanScratchPool.Get().(*spanScratch)
-	p := relocPass{kind: kind, base: base, tally: relocTally{ops: x.ops[:]}, far: relocTally{ops: x.far[:]}}
-	_, err := a.relocate(&p, &x.bufs, data, lo, hi)
-	spanScratchPool.Put(x)
+	p := relocPass{kind: kind, base: base}
+	_, err := a.runPass(&p, data, lo, hi)
 	return err
 }
 
@@ -271,30 +282,27 @@ func (a *Allocation) ReadEntries(start int, dst []byte) error {
 	return a.accessEntries(relocRead, start, dst)
 }
 
-// WriteEntry compresses and stores one 128 B entry: WriteEntries as a span
-// of one.
+// accessEntry is WriteEntry and ReadEntry: a data pass over a span of one.
 //
 //buddy:hotpath
-func (a *Allocation) WriteEntry(i int, data []byte) error {
+func (a *Allocation) accessEntry(kind relocKind, i int, buf []byte) error {
 	if err := a.checkIndex(i); err != nil {
 		return err
 	}
-	if len(data) != EntryBytes {
-		return fmt.Errorf("core: entry must be %d bytes, got %d", EntryBytes, len(data))
+	if len(buf) != EntryBytes {
+		return fmt.Errorf("core: entry buffer must be %d bytes, got %d", EntryBytes, len(buf))
 	}
-	return a.dataPass(relocWrite, i, data, i, i+1)
+	return a.dataPass(kind, i, buf, i, i+1)
+}
+
+// WriteEntry compresses and stores one 128 B entry: WriteEntries as a span
+// of one.
+func (a *Allocation) WriteEntry(i int, data []byte) error {
+	return a.accessEntry(relocWrite, i, data)
 }
 
 // ReadEntry fetches and decompresses entry i into dst (128 bytes):
 // ReadEntries as a span of one.
-//
-//buddy:hotpath
 func (a *Allocation) ReadEntry(i int, dst []byte) error {
-	if err := a.checkIndex(i); err != nil {
-		return err
-	}
-	if len(dst) != EntryBytes {
-		return fmt.Errorf("core: dst must be %d bytes, got %d", EntryBytes, len(dst))
-	}
-	return a.dataPass(relocRead, i, dst, i, i+1)
+	return a.accessEntry(relocRead, i, dst)
 }

@@ -96,12 +96,10 @@ func TestConcurrentDeviceStress(t *testing.T) {
 	if tr.Writes == 0 || tr.Reads == 0 {
 		t.Error("traffic counters lost operations")
 	}
-	primary, overflow := d.Tiers()
-	pt, ot := primary.Traffic(), overflow.Traffic()
-	if pt.WrittenBytes != tr.DeviceWriteBytes {
-		t.Errorf("primary tier wrote %d, device counter says %d", pt.WrittenBytes, tr.DeviceWriteBytes)
-	}
-	if ot.WrittenBytes != tr.BuddyWriteBytes {
+	// The overflow tier keeps its own ledger beside the device's (it may be
+	// shared between devices); the slab's meter is the device's.
+	_, overflow := d.Tiers()
+	if ot := overflow.Traffic(); ot.WrittenBytes != tr.BuddyWriteBytes {
 		t.Errorf("overflow tier wrote %d, device counter says %d", ot.WrittenBytes, tr.BuddyWriteBytes)
 	}
 }

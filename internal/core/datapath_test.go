@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"buddy/internal/gen"
+	"buddy/internal/nvlink"
 )
 
 // The data path's accounting oracle. WriteEntries/ReadEntries and
@@ -142,14 +143,11 @@ func dataScenario(t *testing.T, w *relocWorld, seed uint64) (steps []string, sta
 }
 
 func TestSpanMatchesSingles(t *testing.T) {
-	for _, tier := range []struct {
-		name string
-		host bool
-	}{{"carveout", false}, {"host-um", true}} {
+	for _, tier := range oracleTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
-				spanSteps, spans := dataScenario(t, newRelocWorld(false, tier.host), seed)
-				singleSteps, singles := dataScenario(t, newRelocWorld(true, tier.host), seed)
+				spanSteps, spans := dataScenario(t, newRelocWorld(false, tier), seed)
+				singleSteps, singles := dataScenario(t, newRelocWorld(true, tier), seed)
 				if !reflect.DeepEqual(spanSteps, singleSteps) {
 					t.Fatalf("seed %d: the two worlds did different things:\n spans   %q\n singles %q", seed, spanSteps, singleSteps)
 				}
@@ -185,20 +183,25 @@ func TestDataPathAccountingPinned(t *testing.T) {
 	overflow := BackendTraffic{Loads: 183, Stores: 442, ReadBytes: 23104, WrittenBytes: 52512}
 	paged := overflow
 	paged.Faults, paged.MigratedBytes = 16, 65536
+	// Link occupancy is the pinned bytes over the link rate, exactly: the two
+	// float literals that stood here (200.23466666666636, 455.10399999999777)
+	// were these quotients plus the residue of summing 625 per-access terms
+	// in entry order.
+	bytesPerCycle := nvlink.New(nvlink.DefaultConfig()).BytesPerCycle()
+	linkRead, linkWrite := float64(overflow.ReadBytes)/bytesPerCycle, float64(overflow.WrittenBytes)/bytesPerCycle
 	for _, tc := range []struct {
-		name string
-		host bool
+		tier oracleTier
 		want totals
 	}{
-		{"carveout", false, totals{traffic, slab, overflow, 200.23466666666636, 455.10399999999777}},
-		{"host-um", true, totals{traffic, slab, paged, 0, 0}},
+		{oracleTiers[0], totals{traffic, slab, overflow, linkRead, linkWrite}},
+		{oracleTiers[1], totals{traffic, slab, paged, 0, 0}},
 	} {
-		w := newRelocWorld(false, tc.host)
+		w := newRelocWorld(false, tc.tier)
 		_, states := dataScenario(t, w, 7)
 		s := states[len(states)-1]
 		got := totals{s.Traffic[0], s.Primary[0], s.Overflow[0], s.LinkRead[0], s.LinkWrit[0]}
 		if got != tc.want {
-			t.Errorf("%s: final accounting moved\n got  %#v\n want %#v", tc.name, got, tc.want)
+			t.Errorf("%s: final accounting moved\n got  %#v\n want %#v", tc.tier.name, got, tc.want)
 		}
 	}
 }
@@ -254,7 +257,7 @@ func TestSpanReadDecodeErrorAccounting(t *testing.T) {
 		if got, want := d.Traffic(), twin.Traffic(); got != want || got.Reads != uint64(bad+1-start) {
 			t.Errorf("corrupt entry %d: Traffic %+v, want %+v with %d reads", bad, got, want, bad+1-start)
 		}
-		if got, want := d.primary.Traffic(), twin.primary.Traffic(); got != want {
+		if got, want := d.slab.Traffic(), twin.slab.Traffic(); got != want {
 			t.Errorf("corrupt entry %d: slab traffic %+v, want %+v", bad, got, want)
 		}
 		if got, want := d.overflow.Traffic(), twin.overflow.Traffic(); got != want || got.Loads == 0 {
@@ -320,7 +323,7 @@ func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
 			if n == 0 || n >= entries || n%spanBatchEntries != 0 {
 				t.Errorf("span charged %d entries: want a whole number of %d-entry sub-batches short of %d", n, spanBatchEntries, entries)
 			}
-			if pt := d.primary.Traffic(); pt.Loads+pt.Stores-d.Traffic().MetadataFillBytes/MetadataLineBytes != n {
+			if pt := d.slab.Traffic(); pt.Loads+pt.Stores-d.Traffic().MetadataFillBytes/MetadataLineBytes != n {
 				t.Errorf("slab saw %d loads + %d stores (%d of them metadata fills) for %d entries charged",
 					pt.Loads, pt.Stores, d.Traffic().MetadataFillBytes/MetadataLineBytes, n)
 			}

@@ -36,9 +36,9 @@ type Config struct {
 	// ratio. Nil selects the paper's design: an NVLink buddy carve-out of
 	// DeviceBytes*CarveoutFactor.
 	Overflow Backend
-	// Link configures the interconnect of the default carve-out tier; the
-	// zero value is NVLink2 (150 GB/s full-duplex). Ignored when Overflow
-	// is set.
+	// Link configures the interconnect of the default carve-out tier; zero
+	// rate fields select NVLink2's (150 GB/s full-duplex, nvlink.New).
+	// Ignored when Overflow is set.
 	Link nvlink.Config
 	// MetadataCacheBytes is the total metadata cache capacity (§3.5:
 	// 4 KB per DRAM-channel slice).
@@ -102,32 +102,16 @@ func (t Traffic) BuddyAccessFraction() float64 {
 	return float64(t.BuddyAccesses) / float64(total)
 }
 
-// trafficCounters is the device's live (atomic) form of Traffic.
+// trafficCounters is the device's live (atomic) form of Traffic, less the
+// device bytes, which are the slab's meter (Device.Traffic).
 type trafficCounters struct {
-	deviceReadBytes, deviceWriteBytes atomic.Uint64
-	buddyReadBytes, buddyWriteBytes   atomic.Uint64
-	metadataFillBytes                 atomic.Uint64
-	migrationBytes                    atomic.Uint64
-	reads, writes, buddyAccesses      atomic.Uint64
-}
-
-func (t *trafficCounters) snapshot() Traffic {
-	return Traffic{
-		DeviceReadBytes:   t.deviceReadBytes.Load(),
-		DeviceWriteBytes:  t.deviceWriteBytes.Load(),
-		BuddyReadBytes:    t.buddyReadBytes.Load(),
-		BuddyWriteBytes:   t.buddyWriteBytes.Load(),
-		MetadataFillBytes: t.metadataFillBytes.Load(),
-		MigrationBytes:    t.migrationBytes.Load(),
-		Reads:             t.reads.Load(),
-		Writes:            t.writes.Load(),
-		BuddyAccesses:     t.buddyAccesses.Load(),
-	}
+	buddyReadBytes, buddyWriteBytes atomic.Uint64
+	metadataFillBytes               atomic.Uint64
+	migrationBytes                  atomic.Uint64
+	reads, writes, buddyAccesses    atomic.Uint64
 }
 
 func (t *trafficCounters) reset() {
-	t.deviceReadBytes.Store(0)
-	t.deviceWriteBytes.Store(0)
 	t.buddyReadBytes.Store(0)
 	t.buddyWriteBytes.Store(0)
 	t.metadataFillBytes.Store(0)
@@ -150,8 +134,8 @@ const entryShards = 64
 // with their allocation (see Allocation); the device holds what is placed
 // where. Every read, write and move of an entry is a pass of one walker over
 // an allocation's entries (relocate.go), which charges both tiers once per
-// sub-batch: the slab as sums, the overflow tier access by access, in entry
-// order.
+// sub-batch: the slab as sums, the overflow tier as one span of accesses, in
+// the order they happened.
 //
 // A Device is safe for concurrent use. It owns the allocation list and the
 // modeled address allocator, both under mu; everything about one allocation
@@ -164,9 +148,8 @@ const entryShards = 64
 // concurrent writers to the same range.
 type Device struct {
 	cfg      Config
-	primary  Backend
+	slab     *SlabBackend // primary tier; its meter is Traffic's device bytes
 	overflow Backend
-	slab     *SlabBackend // primary, concretely typed for span accounting
 	mcache   *MetadataCache
 	span     *spanPool // persistent span-worker pool, sized at NewDevice
 
@@ -205,13 +188,6 @@ func NewDevice(cfg Config) *Device {
 	if cfg.CarveoutFactor == 0 {
 		cfg.CarveoutFactor = def.CarveoutFactor
 	}
-	if cfg.Link == (nvlink.Config{}) {
-		// Untouched link config selects the paper's NVLink2 point, 700-cycle
-		// latency included. A partially specified config is passed through:
-		// nvlink.New defaults the rate fields individually and honors an
-		// explicit zero latency (a meaningful model point).
-		cfg.Link = def.Link
-	}
 	if cfg.MetadataCacheBytes == 0 {
 		cfg.MetadataCacheBytes = def.MetadataCacheBytes
 	}
@@ -228,11 +204,9 @@ func NewDevice(cfg Config) *Device {
 	if overflow == nil {
 		overflow = NewCarveoutBackend(cfg.DeviceBytes*int64(cfg.CarveoutFactor), cfg.Link)
 	}
-	slab := NewSlabBackend(cfg.DeviceBytes)
 	d := &Device{
 		cfg:      cfg,
-		primary:  slab,
-		slab:     slab,
+		slab:     NewSlabBackend(cfg.DeviceBytes),
 		overflow: overflow,
 		span:     newSpanPool(runtime.GOMAXPROCS(0)),
 		mcache:   NewMetadataCache(cfg.MetadataCacheBytes, cfg.MetadataCacheSlices, cfg.MetadataCacheWays),
@@ -344,7 +318,7 @@ func (a *Allocation) Freed() bool {
 
 // Tiers returns the device's primary (device-slab) and overflow storage
 // tiers for per-tier inspection.
-func (d *Device) Tiers() (primary, overflow Backend) { return d.primary, d.overflow }
+func (d *Device) Tiers() (primary, overflow Backend) { return d.slab, d.overflow }
 
 // Codec returns the device's memory compression codec.
 func (d *Device) Codec() compress.Codec { return d.cfg.Codec }
@@ -364,20 +338,45 @@ func (d *Device) Carveout() int64 {
 }
 
 // DeviceUsed returns the device bytes reserved by live allocations.
-func (d *Device) DeviceUsed() int64 { return d.primary.Used() }
+func (d *Device) DeviceUsed() int64 { return d.slab.Used() }
 
 // BuddyUsed returns the overflow bytes reserved by live allocations.
 func (d *Device) BuddyUsed() int64 { return d.overflow.Used() }
 
-// Traffic returns a snapshot of the accumulated traffic counters.
-func (d *Device) Traffic() Traffic { return d.traffic.snapshot() }
+// Traffic returns a snapshot of the accumulated traffic counters. The slab
+// has one device, so its meter is the device-byte ledger. Buddy bytes are
+// counted on the device as well: an overflow tier may be shared between
+// devices (a pool over one WithOverflowBackend), and its meter sums them.
+func (d *Device) Traffic() Traffic {
+	t := &d.traffic
+	return Traffic{
+		DeviceReadBytes:   d.slab.readBytes.Load(),
+		DeviceWriteBytes:  d.slab.writtenBytes.Load(),
+		BuddyReadBytes:    t.buddyReadBytes.Load(),
+		BuddyWriteBytes:   t.buddyWriteBytes.Load(),
+		MetadataFillBytes: t.metadataFillBytes.Load(),
+		MigrationBytes:    t.migrationBytes.Load(),
+		Reads:             t.reads.Load(),
+		Writes:            t.writes.Load(),
+		BuddyAccesses:     t.buddyAccesses.Load(),
+	}
+}
+
+// LinkOccupancy returns the overflow tier's modeled busy core-cycles per
+// link direction since the last reset; zeros for a tier without a link.
+func (d *Device) LinkOccupancy() (readCycles, writeCycles float64) {
+	if l, ok := d.overflow.(interface{ LinkOccupancy() (float64, float64) }); ok {
+		return l.LinkOccupancy()
+	}
+	return 0, 0
+}
 
 // ResetTraffic clears traffic counters, per-tier counters and the metadata
 // cache.
 func (d *Device) ResetTraffic() {
 	d.traffic.reset()
 	d.mcache.Reset()
-	d.primary.ResetTraffic()
+	d.slab.ResetTraffic()
 	d.overflow.ResetTraffic()
 }
 
@@ -439,11 +438,11 @@ func (d *Device) newLayout(entries int, target TargetRatio) (*layout, error) {
 	}
 	devBytes := int64(entries) * int64(target.DeviceBytes())
 	buddyBytes := int64(entries) * int64(target.BuddySlotBytes())
-	if err := d.primary.Reserve(devBytes); err != nil {
+	if err := d.slab.Reserve(devBytes); err != nil {
 		return nil, err
 	}
 	if err := d.overflow.Reserve(buddyBytes); err != nil {
-		d.primary.Release(devBytes)
+		d.slab.Release(devBytes)
 		return nil, err
 	}
 	l := &layout{dev: d, target: target}
@@ -473,7 +472,7 @@ func (d *Device) retire(l *layout, unlist *Allocation) {
 	}
 	d.freeRegion(l.reg)
 	d.mu.Unlock()
-	d.primary.Release(l.reg.devBytes)
+	d.slab.Release(l.reg.devBytes)
 	d.overflow.Release(l.reg.buddyBytes)
 }
 
@@ -562,8 +561,7 @@ func (d *Device) accessMetadata(globalEntry int) {
 	}
 	if !d.mcache.Access(globalEntry) {
 		d.traffic.metadataFillBytes.Add(MetadataLineBytes)
-		d.traffic.deviceReadBytes.Add(MetadataLineBytes)
-		d.primary.Load(globalEntry, MetadataLineBytes)
+		d.slab.add(1, 0, MetadataLineBytes, 0)
 	}
 }
 

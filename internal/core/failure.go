@@ -55,9 +55,8 @@ type rebuildSpan struct {
 
 //buddy:hotpath
 func (s *rebuildSpan) runSpan(lo, hi int) error {
-	var ops, far [spanBatchEntries]tierOp
-	p := relocPass{kind: relocRebuild, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
-	_, err := s.a.relocate(&p, nil, nil, lo, hi)
+	p := relocPass{kind: relocRebuild}
+	_, err := s.a.runPass(&p, nil, lo, hi)
 	s.entries.Add(int64(p.entries))
 	s.bytes.Add(p.bytes)
 	return err

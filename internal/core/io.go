@@ -82,72 +82,58 @@ func (a *Allocation) writePartial(e, within int, src []byte) error {
 	return err
 }
 
+// accessAt is ReadAt and WriteAt: len(p) bytes at byte offset off, the
+// aligned interior as one span through the batch primitives — whole entries
+// straight out of or into p, no read-back — and an entry only partially
+// covered (the unaligned head and tail, or anything within the final
+// padding entry) through the read-modify-write helpers. It stops at Size()
+// and returns short there.
+func (a *Allocation) accessAt(kind relocKind, p []byte, off int64, short error) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("core: negative offset %d", off)
+	}
+	n := 0
+	for n < len(p) && off < a.size {
+		var err error
+		step := a.alignedSpan(off, len(p)-n)
+		if step > 0 {
+			err = a.accessEntries(kind, int(off/EntryBytes), p[n:n+step])
+		} else {
+			var e, within int
+			e, within, step = a.partialSpan(off, len(p)-n)
+			if kind == relocWrite {
+				err = a.writePartial(e, within, p[n:n+step])
+			} else {
+				err = a.readPartial(e, within, p[n:n+step])
+			}
+		}
+		if err != nil {
+			return n, err
+		}
+		n += step
+		off += int64(step)
+	}
+	if n < len(p) {
+		return n, short
+	}
+	return n, nil
+}
+
 // ReadAt implements io.ReaderAt: it reads len(p) bytes starting at byte
 // offset off, decompressing the covering entries — the aligned interior in
 // parallel, straight into p. It returns io.EOF when the read reaches past
 // Size().
 func (a *Allocation) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("core: negative offset %d", off)
-	}
-	n := 0
-	for n < len(p) && off < a.size {
-		if full := a.alignedSpan(off, len(p)-n); full > 0 {
-			// Aligned interior: whole entries decode directly into p.
-			if err := a.ReadEntries(int(off/EntryBytes), p[n:n+full]); err != nil {
-				return n, err
-			}
-			n += full
-			off += int64(full)
-			continue
-		}
-		// Partial entry at an edge: decode and take the covered piece.
-		e, within, avail := a.partialSpan(off, len(p)-n)
-		if err := a.readPartial(e, within, p[n:n+avail]); err != nil {
-			return n, err
-		}
-		n += avail
-		off += int64(avail)
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return a.accessAt(relocRead, p, off, io.EOF)
 }
 
 // WriteAt implements io.WriterAt: it writes len(p) bytes starting at byte
 // offset off through the compression pipeline, compressing the aligned
-// interior in parallel. Entries only partially covered by the write (the
-// unaligned head and tail, or any write within an allocation's final
-// padding entry) are read-modified-written so neighbouring bytes are
-// preserved. Writes past Size() stop short and return io.ErrShortWrite.
+// interior in parallel. Entries only partially covered by the write are
+// read-modified-written so neighbouring bytes are preserved. Writes past
+// Size() stop short and return io.ErrShortWrite.
 func (a *Allocation) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("core: negative offset %d", off)
-	}
-	n := 0
-	for n < len(p) && off < a.size {
-		if full := a.alignedSpan(off, len(p)-n); full > 0 {
-			// Aligned interior: fully covered entries need no read-back.
-			if err := a.WriteEntries(int(off/EntryBytes), p[n:n+full]); err != nil {
-				return n, err
-			}
-			n += full
-			off += int64(full)
-			continue
-		}
-		// Partially covered entry at an edge: read-modify-write it.
-		e, within, avail := a.partialSpan(off, len(p)-n)
-		if err := a.writePartial(e, within, p[n:n+avail]); err != nil {
-			return n, err
-		}
-		n += avail
-		off += int64(avail)
-	}
-	if n < len(p) {
-		return n, io.ErrShortWrite
-	}
-	return n, nil
+	return a.accessAt(relocWrite, p, off, io.ErrShortWrite)
 }
 
 // memcpyChunkEntries sizes the Memcpy staging buffer: 512 entries (64 KB)

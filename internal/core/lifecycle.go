@@ -69,13 +69,8 @@ type migration struct {
 
 //buddy:hotpath
 func (m *migration) runSpan(lo, hi int) error {
-	// Each moved entry reads its old placement and writes its new one: at
-	// most two overflow accesses per entry of a sub-batch when both are on
-	// one device, one on each when they are not.
-	var ops [2 * spanBatchEntries]tierOp
-	var far [spanBatchEntries]tierOp
-	p := relocPass{kind: relocMigrate, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
-	_, err := m.a.relocate(&p, nil, nil, lo, hi)
+	p := relocPass{kind: relocMigrate}
+	_, err := m.a.runPass(&p, nil, lo, hi)
 	m.bytes.Add(p.bytes)
 	return err
 }

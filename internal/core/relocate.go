@@ -24,10 +24,10 @@ import (
 // meter are flushed once per sub-batch from a relocTally — two of them while
 // a relayout has the allocation's entries on two devices. Per entry stay its
 // home, resolved under the shard lock (an in-flight relayout splits a span
-// between two layouts), the metadata-cache lookup of a data access, and the
-// overflow tier: the carve-out models link occupancy per access and the host
-// tier pages per access, so the flush replays their accesses one by one, in
-// entry order. Every total, and the link's busy cycles per direction, equal
+// between two layouts), and the metadata-cache lookup of a data access. The
+// overflow tier gets the sub-batch's accesses as one span, Backend.Access, in
+// the order they happened: the carve-out only sums them (link occupancy is
+// bytes over rate), the host tier's pager replays them. Every total equals
 // visiting the entries one at a time.
 
 // relocKind selects what a pass does to each entry. The order matters twice:
@@ -45,25 +45,14 @@ const (
 	relocRead                     // snapshot and decode into the span buffer
 )
 
-// tierOp is one overflow-tier access of a pass, deferred to the sub-batch's
-// flush.
-type tierOp struct {
-	entry int // global entry index
-	n     int32
-	store bool
-}
-
-// relocTally is the traffic one sub-batch of a pass owes its device. ops is
-// sized by the pass's builder for one sub-batch and written by index: no
-// method here or on relocPass stores a pointer through its receiver, which
-// is what keeps a pass and its buffers on the builder's stack.
+// relocTally is the traffic one sub-batch of a pass owes its device. ops
+// grows into the pass's scratch, which has room for a whole sub-batch.
 type relocTally struct {
 	migration         uint64 // Traffic.MigrationBytes
 	devRead, devWrite uint64
 	budRead, budWrite uint64
 	loads, stores     int      // device-slab accesses behind devRead/devWrite
-	ops               []tierOp // overflow-tier accesses, in entry order
-	nops              int
+	ops               []TierOp // overflow-tier accesses, in the order they happened
 }
 
 // access charges a read (or, with store, a write) of an entry's placement
@@ -72,43 +61,44 @@ func (t *relocTally) access(store bool, g int, tr TargetRatio, sectors int) {
 	dev, bud := splitBytes(tr, sectors)
 	if store {
 		t.devWrite += uint64(dev)
-		t.budWrite += uint64(bud)
 		t.stores++
 	} else {
 		t.devRead += uint64(dev)
-		t.budRead += uint64(bud)
 		t.loads++
 	}
 	if bud > 0 {
-		t.ops[t.nops] = tierOp{entry: g, n: int32(bud), store: store}
-		t.nops++
+		t.tier(store, g, bud)
 	}
+}
+
+// tier records one overflow-tier access: the one place an op joins the list.
+func (t *relocTally) tier(store bool, g, n int) {
+	if store {
+		t.budWrite += uint64(n)
+	} else {
+		t.budRead += uint64(n)
+	}
+	t.ops = append(t.ops, TierOp{Entry: g, Bytes: int32(n), Store: store})
 }
 
 // flush charges the tally to d and empties it. Only a data pass's accesses
 // count as Traffic.Reads/Writes/BuddyAccesses, the buddy-access fraction of
-// Fig. 7/9: a relocation moves stored bytes.
+// Fig. 7/9: a relocation moves stored bytes. Device bytes go to the slab's
+// meter alone, buddy bytes to the device's and the tier's (Device.Traffic).
 func (t *relocTally) flush(d *Device, data bool) {
 	if t.migration != 0 {
 		d.traffic.migrationBytes.Add(t.migration)
 	}
-	if t.loads != 0 {
-		d.traffic.deviceReadBytes.Add(t.devRead)
-		d.slab.LoadSpan(t.loads, t.devRead)
-		if data {
-			d.traffic.reads.Add(uint64(t.loads))
-		}
+	d.slab.add(t.loads, t.stores, t.devRead, t.devWrite)
+	if data && t.loads != 0 {
+		d.traffic.reads.Add(uint64(t.loads))
 	}
-	if t.stores != 0 {
-		d.traffic.deviceWriteBytes.Add(t.devWrite)
-		d.slab.StoreSpan(t.stores, t.devWrite)
-		if data {
-			d.traffic.writes.Add(uint64(t.stores))
-		}
+	if data && t.stores != 0 {
+		d.traffic.writes.Add(uint64(t.stores))
 	}
-	if t.nops != 0 {
+	if len(t.ops) != 0 {
 		if data {
-			d.traffic.buddyAccesses.Add(uint64(t.nops))
+			d.traffic.buddyAccesses.Add(uint64(len(t.ops)))
 		}
 		if t.budRead != 0 {
 			d.traffic.buddyReadBytes.Add(t.budRead)
@@ -116,21 +106,9 @@ func (t *relocTally) flush(d *Device, data bool) {
 		if t.budWrite != 0 {
 			d.traffic.buddyWriteBytes.Add(t.budWrite)
 		}
-		ops := t.ops[:t.nops]
-		if c, ok := d.overflow.(*CarveoutBackend); ok {
-			c.accessSpan(ops)
-		} else {
-			for _, op := range ops {
-				if op.store {
-					d.overflow.Store(op.entry, int(op.n))
-				} else {
-					d.overflow.Load(op.entry, int(op.n))
-				}
-			}
-		}
+		d.overflow.Access(t.ops)
 	}
-	t.migration, t.devRead, t.devWrite, t.budRead, t.budWrite = 0, 0, 0, 0, 0
-	t.loads, t.stores, t.nops = 0, 0, 0
+	*t = relocTally{ops: t.ops[:0]}
 }
 
 // relocPass is one pass of the walker over a range of one allocation's
@@ -171,9 +149,9 @@ func (p *relocPass) tallyOf(l, cur *layout) *relocTally {
 // an import reads the stream from it, a write encodes the entries in it and
 // a read decodes into it; the other kinds pass nil. pair is where the data
 // kinds stage a metadata pair's framed streams between the codec and the
-// table, nil for the rest. Both travel beside the pass: the codec is an
+// table. Both travel beside the pass: the codec is an
 // interface, so whatever reached it through p would move every buffer p
-// refers to — its builder's op lists included — to the heap.
+// refers to — a ReadAt caller's buffer included — to the heap.
 //
 // Liveness. freed is checked once per sub-batch under the a.mu read lock, so
 // ErrFreed means no entry of that sub-batch or after it was touched. With no
@@ -453,9 +431,7 @@ func (p *relocPass) restream(a *Allocation, l *layout, t *relocTally, k int) {
 	sectors := a.meta.Get(k)
 	stored := storedBytes(sectors)
 	dev, _ := splitBytes(l.target, sectors)
-	t.budRead += uint64(stored)
-	t.ops[t.nops] = tierOp{entry: l.global(k), n: int32(stored)}
-	t.nops++
+	t.tier(false, l.global(k), stored)
 	t.devWrite += uint64(dev)
 	t.stores++
 	p.entries++
@@ -482,9 +458,8 @@ func (a *Allocation) ExportEntry(i int, dst []byte) (stream []byte, sectors int,
 	if err := a.checkIndex(i); err != nil {
 		return dst, 0, false, err
 	}
-	var ops, far [1]tierOp
-	p := relocPass{kind: relocExport, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
-	dst, err = a.relocate(&p, nil, dst, i, i+1)
+	p := relocPass{kind: relocExport}
+	dst, err = a.runPass(&p, dst, i, i+1)
 	if err != nil {
 		return dst, 0, false, err
 	}
@@ -506,8 +481,7 @@ func (a *Allocation) ImportEntry(i int, stream []byte, sectors int) error {
 	if len(stream) == 0 {
 		return fmt.Errorf("core: import of an empty stream (never-written entries need no import)")
 	}
-	var ops, far [1]tierOp
-	p := relocPass{kind: relocImport, sectors: sectors, tally: relocTally{ops: ops[:]}, far: relocTally{ops: far[:]}}
-	_, err := a.relocate(&p, nil, stream, i, i+1)
+	p := relocPass{kind: relocImport, sectors: sectors}
+	_, err := a.runPass(&p, stream, i, i+1)
 	return err
 }

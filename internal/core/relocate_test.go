@@ -25,6 +25,11 @@ import (
 // layouts and which entries each holds, its metadata and stored streams, and
 // every SectorCount.
 
+// refAccess is the reference's tier call: one access, a span of one.
+func refAccess(b Backend, store bool, g, n int) {
+	b.Access([]TierOp{{Entry: g, Bytes: int32(n), Store: store}})
+}
+
 // refMigrateEntry hands one entry from the committed layout to the epoch's
 // next one — on the same device or another — and returns the stored bytes it
 // moved.
@@ -51,17 +56,15 @@ func refMigrateEntry(a *Allocation, mig *migration, i int) int64 {
 		if to != from {
 			to.traffic.migrationBytes.Add(uint64(stored))
 		}
-		from.traffic.deviceReadBytes.Add(uint64(devR))
-		to.traffic.deviceWriteBytes.Add(uint64(devW))
-		from.primary.Load(gOld, devR)
-		to.primary.Store(gNew, devW)
+		refAccess(from.slab, false, gOld, devR)
+		refAccess(to.slab, true, gNew, devW)
 		if budR > 0 {
 			from.traffic.buddyReadBytes.Add(uint64(budR))
-			from.overflow.Load(gOld, budR)
+			refAccess(from.overflow, false, gOld, budR)
 		}
 		if budW > 0 {
 			to.traffic.buddyWriteBytes.Add(uint64(budW))
-			to.overflow.Store(gNew, budW)
+			refAccess(to.overflow, true, gNew, budW)
 		}
 	}
 	a.mu.RUnlock()
@@ -87,11 +90,10 @@ func refExportEntry(a *Allocation, i int, dst []byte) (stream []byte, sectors in
 		stored := storedBytes(sectors)
 		devR, budR := splitBytes(l.target, sectors)
 		d.traffic.migrationBytes.Add(uint64(stored))
-		d.traffic.deviceReadBytes.Add(uint64(devR))
-		d.primary.Load(g, devR)
+		refAccess(d.slab, false, g, devR)
 		if budR > 0 {
 			d.traffic.buddyReadBytes.Add(uint64(budR))
-			d.overflow.Load(g, budR)
+			refAccess(d.overflow, false, g, budR)
 		}
 	}
 	a.mu.RUnlock()
@@ -123,11 +125,10 @@ func refImportEntry(a *Allocation, i int, stream []byte, sectors int) error {
 	stored := storedBytes(sectors)
 	devW, budW := splitBytes(l.target, sectors)
 	d.traffic.migrationBytes.Add(uint64(stored))
-	d.traffic.deviceWriteBytes.Add(uint64(devW))
-	d.primary.Store(g, devW)
+	refAccess(d.slab, true, g, devW)
 	if budW > 0 {
 		d.traffic.buddyWriteBytes.Add(uint64(budW))
-		d.overflow.Store(g, budW)
+		refAccess(d.overflow, true, g, budW)
 	}
 	a.mu.RUnlock()
 	return nil
@@ -152,9 +153,8 @@ func refRebuild(a *Allocation, lo, hi int) (n, moved int64) {
 		stored := storedBytes(sectors)
 		dev, _ := splitBytes(l.target, sectors)
 		d.traffic.buddyReadBytes.Add(uint64(stored))
-		d.overflow.Load(g, stored)
-		d.traffic.deviceWriteBytes.Add(uint64(dev))
-		d.primary.Store(g, dev)
+		refAccess(d.overflow, false, g, stored)
+		refAccess(d.slab, true, g, dev)
 		n++
 		moved += int64(stored)
 	}
@@ -171,17 +171,38 @@ type relocWorld struct {
 	allocs   []*Allocation
 }
 
-// newRelocWorld builds a world. The span pools are closed at once so every
-// span runs inline, in entry order: link busy cycles are sums of floats, and
-// only a fixed order makes them comparable bit for bit.
-func newRelocWorld(ref, hostTier bool) *relocWorld {
+// oracleTier is one overflow-tier set-up the oracles run under.
+type oracleTier struct {
+	name string
+	host bool
+	// fanout keeps the kernel world's span workers (the reference stays
+	// inline, entry by entry): the carve-out's accounting is sums, so spans
+	// racing each other must still match it on every counter and on link
+	// occupancy. The host tier cannot play — residency depends on the order
+	// pages are touched in — and neither can the metadata cache, whose LRU
+	// fills do: it is modeled off in both worlds. Only `-cpu` above 1 gives a
+	// device span workers to keep.
+	fanout bool
+}
+
+var oracleTiers = []oracleTier{
+	{name: "carveout"}, {name: "host-um", host: true}, {name: "carveout-fanout", fanout: true},
+}
+
+// newRelocWorld builds a world. Outside fanout the span pools are closed at
+// once so every span runs inline, in entry order: the pager's residency and
+// the metadata cache's fills depend on it.
+func newRelocWorld(ref bool, tier oracleTier) *relocWorld {
 	mk := func() *Device {
 		cfg := Config{DeviceBytes: 8 << 20}
-		if hostTier {
+		if tier.host {
 			cfg.Overflow = NewHostBackend(4<<10, 64<<10)
 		}
 		d := NewDevice(cfg)
-		_ = d.Close()
+		d.SetMetadataCacheEnabled(!tier.fanout)
+		if ref || !tier.fanout {
+			_ = d.Close()
+		}
 		return d
 	}
 	return &relocWorld{ref: ref, src: mk(), dst: mk()}
@@ -302,11 +323,9 @@ func (w *relocWorld) state(extra ...*Allocation) relocState {
 	var s relocState
 	for k, d := range []*Device{w.src, w.dst} {
 		s.Traffic[k] = d.Traffic()
-		s.Primary[k] = d.primary.Traffic()
+		s.Primary[k] = d.slab.Traffic()
 		s.Overflow[k] = d.overflow.Traffic()
-		if c, ok := d.overflow.(*CarveoutBackend); ok {
-			s.LinkRead[k], s.LinkWrit[k] = c.LinkOccupancy()
-		}
+		s.LinkRead[k], s.LinkWrit[k] = d.LinkOccupancy()
 	}
 	for _, a := range append(append([]*Allocation{}, w.allocs...), extra...) {
 		ls := []layoutState{{a.cur.dev == w.dst, a.cur.target, a.cur.reg}}
@@ -365,13 +384,10 @@ func (w *relocWorld) populate(t *testing.T, r *gen.RNG, n int) {
 }
 
 func TestRelocationMatchesPerEntry(t *testing.T) {
-	for _, tier := range []struct {
-		name string
-		host bool
-	}{{"carveout", false}, {"host-um", true}} {
+	for _, tier := range oracleTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
-				worlds := [2]*relocWorld{newRelocWorld(false, tier.host), newRelocWorld(true, tier.host)}
+				worlds := [2]*relocWorld{newRelocWorld(false, tier), newRelocWorld(true, tier)}
 				var steps [2][]string
 				var states [2][]relocState
 				for k, w := range worlds {
@@ -551,7 +567,7 @@ func TestTransferChargesSourceAfterCommit(t *testing.T) {
 		if st, dt := src.Traffic(), dst.Traffic(); st != (Traffic{}) || dt != (Traffic{}) {
 			t.Fatalf("%s was charged: source %+v destination %+v", when, st, dt)
 		}
-		if p, o := src.primary.Traffic(), src.overflow.Traffic(); p != (BackendTraffic{}) || o != (BackendTraffic{}) {
+		if p, o := src.slab.Traffic(), src.overflow.Traffic(); p != (BackendTraffic{}) || o != (BackendTraffic{}) {
 			t.Fatalf("%s touched the source tiers: %+v %+v", when, p, o)
 		}
 		if dst.DeviceUsed() != 0 || dst.BuddyUsed() != 0 || dst.AllocationCount() != 0 {

@@ -57,6 +57,9 @@ func New(cfg Config) *Link {
 	return &Link{cfg: cfg, bytesPerCycle: cfg.BandwidthGBs / cfg.CoreClockGHz}
 }
 
+// BytesPerCycle returns the per-direction rate, New's defaults applied.
+func (l *Link) BytesPerCycle() float64 { return l.bytesPerCycle }
+
 // Request enqueues a transfer and returns its completion time.
 func (l *Link) Request(now float64, dir Direction, bytes int) float64 {
 	start := now

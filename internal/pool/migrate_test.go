@@ -66,14 +66,16 @@ type tripwire struct {
 	hook func() // nil: disarmed
 }
 
-func (t *tripwire) Store(entry, n int) {
-	t.Backend.Store(entry, n)
-	if t.left.Add(-1) == 0 {
-		t.mu.Lock()
-		if t.hook != nil {
-			t.hook()
+func (t *tripwire) Access(ops []core.TierOp) {
+	t.Backend.Access(ops)
+	for _, op := range ops {
+		if op.Store && t.left.Add(-1) == 0 {
+			t.mu.Lock()
+			if t.hook != nil {
+				t.hook()
+			}
+			t.mu.Unlock()
 		}
-		t.mu.Unlock()
 	}
 }
 

@@ -1,10 +1,6 @@
 package pool
 
-import (
-	"time"
-
-	"buddy/internal/core"
-)
+import "time"
 
 // The maintenance supervisor: one goroutine per pool (started only when
 // Config enables AutoRecover or rebalancing) that reacts to shard-failure
@@ -112,11 +108,8 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 	rb := p.rebal
 	var sumDelta float64
 	for i, d := range p.devices {
-		var busy float64
-		if c, isCarveout := carveoutOf(d); isCarveout {
-			r, w := c.LinkOccupancy()
-			busy = r + w
-		}
+		r, w := d.LinkOccupancy()
+		busy := r + w
 		delta := busy - rb.busy[i]
 		rb.busy[i] = busy
 		rb.score[i] = delta
@@ -155,16 +148,6 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 		return 0, 0, false
 	}
 	return src, dst, true
-}
-
-// carveoutOf returns the device's overflow tier as a carve-out, when it is
-// one.
-//
-//buddy:hotpath
-func carveoutOf(d *core.Device) (*core.CarveoutBackend, bool) {
-	_, overflow := d.Tiers()
-	c, ok := overflow.(*core.CarveoutBackend)
-	return c, ok
 }
 
 // rebalanceOnce runs one watcher tick: scan, and once the same hottest

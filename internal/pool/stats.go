@@ -115,9 +115,7 @@ func (p *Pool) Stats() Stats {
 			Traffic:              d.Traffic(),
 			MetadataCacheHitRate: d.MetadataCacheHitRate(),
 		}
-		if c, ok := overflow.(*core.CarveoutBackend); ok {
-			s.LinkReadBusyCycles, s.LinkWriteBusyCycles = c.LinkOccupancy()
-		}
+		s.LinkReadBusyCycles, s.LinkWriteBusyCycles = d.LinkOccupancy()
 		switch p.state[i].Load() {
 		case shardDraining:
 			s.Draining = true

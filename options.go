@@ -10,8 +10,9 @@ import (
 
 // config gathers everything the options configure: the per-device core
 // configuration plus the pool-level sharding and serving parameters. The
-// overflow tier is carried as a factory so every shard of a pool gets its
-// own instance (a Backend holds capacity and link state).
+// overflow tier is carried as a factory: WithHostFallback builds one per
+// shard of a pool (a Backend holds capacity and pager state), as the default
+// carve-out is; WithOverflowBackend hands every shard the same instance.
 type config struct {
 	core        core.Config
 	overflow    func() Backend
@@ -112,7 +113,7 @@ func WithPlacement(p Placement) Option {
 // WithQueueDepth bounds each shard's asynchronous submission queue:
 // Pool.SubmitRead/SubmitWrite block when the owning shard already has this
 // many operations queued (backpressure instead of unbounded buffering).
-// The default is GOMAXPROCS at pool construction.
+// The default is 64.
 func WithQueueDepth(n int) Option {
 	return func(cfg *config) { cfg.queueDepth = n }
 }
@@ -196,8 +197,8 @@ func WithCarveoutFactor(k int) Option {
 type LinkConfig = nvlink.Config
 
 // WithLink configures the interconnect of the default buddy carve-out tier
-// (bandwidth, clock, latency) — the Fig. 11 sweep variable. Each shard of a
-// pool gets its own link.
+// (bandwidth and clock; its occupancy model has no use for the latency) —
+// the Fig. 11 sweep variable. Each shard of a pool gets its own link.
 func WithLink(link LinkConfig) Option {
 	return func(cfg *config) { cfg.core.Link = link }
 }

@@ -179,6 +179,59 @@ func TestNewPoolOptions(t *testing.T) {
 	}
 }
 
+// TestSharedOverflowTierLedger is why buddy bytes are counted on the device
+// and not only in the tier, unlike device bytes (the slab's meter is the
+// device's, it has one owner): one carve-out shared by two shards meters the
+// sum of their traffic, and only each shard's own Traffic says whose it was.
+func TestSharedOverflowTierLedger(t *testing.T) {
+	shared := NewCarveoutBackend(8<<20, LinkConfig{})
+	p, err := NewPool(WithShards(2), WithDeviceBytes(1<<20), WithOverflowBackend(shared), WithPlacement(PlaceRoundRobin()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// Incompressible entries at 4x: one sector on the device, three spilled.
+	// Shard 0 writes 64 entries and reads them all back, shard 1 writes 192
+	// and reads a quarter.
+	var want [2]Traffic
+	for shard, n := range []int{64, 192} {
+		h, err := p.Malloc(fmt.Sprintf("s%d", shard), int64(n)*EntryBytes, Target4x)
+		if err != nil || h.Shard() != shard {
+			t.Fatalf("shard %d: placed on %d, err %v", shard, h.Shard(), err)
+		}
+		data := make([]byte, n*EntryBytes)
+		x := uint64(shard + 1)
+		for i := range data {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			data[i] = byte(x >> 32)
+		}
+		if _, err := h.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		reads := n >> (2 * shard)
+		if _, err := h.ReadAt(make([]byte, reads*EntryBytes), 0); err != nil {
+			t.Fatal(err)
+		}
+		want[shard].BuddyWriteBytes = uint64(n) * 3 * SectorBytes
+		want[shard].BuddyReadBytes = uint64(reads) * 3 * SectorBytes
+	}
+	var sum BackendTraffic
+	for shard, st := range p.Stats().Shards {
+		if st.Traffic.BuddyReadBytes != want[shard].BuddyReadBytes || st.Traffic.BuddyWriteBytes != want[shard].BuddyWriteBytes {
+			t.Errorf("shard %d counts %d buddy bytes read, %d written, want its own %d and %d", shard,
+				st.Traffic.BuddyReadBytes, st.Traffic.BuddyWriteBytes, want[shard].BuddyReadBytes, want[shard].BuddyWriteBytes)
+		}
+		sum.ReadBytes += st.Traffic.BuddyReadBytes
+		sum.WrittenBytes += st.Traffic.BuddyWriteBytes
+	}
+	if got := shared.Traffic(); got.ReadBytes != sum.ReadBytes || got.WrittenBytes != sum.WrittenBytes {
+		t.Errorf("the shared tier metered %d read, %d written, the shards' sum is %d and %d",
+			got.ReadBytes, got.WrittenBytes, sum.ReadBytes, sum.WrittenBytes)
+	}
+}
+
 func TestAllocationIsReaderWriterAt(t *testing.T) {
 	var _ io.ReaderAt = (*Allocation)(nil)
 	var _ io.WriterAt = (*Allocation)(nil)
