@@ -110,7 +110,7 @@ bench-json:
 # overrides the tolerance for one run (CI uses a wider one to absorb shared
 # runner heterogeneity; a lost kernel fast path is a 2-15x cliff either way).
 BENCH_GATE_PKGS = ./internal/compress/ ./internal/core/ ./internal/pool/
-BENCH_GATE_RX = 'BenchmarkAppendCompressed|BenchmarkDecompressInto|BenchmarkSizerBits|BenchmarkVariedStream|BenchmarkWriteEntry|BenchmarkReadEntry|BenchmarkPoolServe|BenchmarkRelocate|BenchmarkSubmitWrite|BenchmarkRebalanceScan|BenchmarkQoSDequeue'
+BENCH_GATE_RX = 'BenchmarkAppendCompressed|BenchmarkDecompressInto|BenchmarkSizerBits|BenchmarkVariedStream|BenchmarkWriteEntry|BenchmarkReadEntry|BenchmarkFirstWrite|BenchmarkPoolServe|BenchmarkRelocate|BenchmarkSubmitWrite|BenchmarkRebalanceScan|BenchmarkQoSDequeue'
 BENCH_TOL ?=
 bench-gate:
 	$(GO) test -run '^$$' -bench $(BENCH_GATE_RX) -benchtime 100ms -count 4 $(BENCH_GATE_PKGS) \
@@ -132,9 +132,11 @@ bench-smoke:
 
 # Short fuzz pass over all six codecs: round trip plus Sizer.Bits == encoded
 # bits (FuzzRoundTrip), and no decoder reading past len(comp)
-# (FuzzDecompressArbitrary's canary suffix). FUZZTIME is per target; CI runs
-# it at 10s on every PR.
+# (FuzzDecompressArbitrary's canary suffix); then the stream store against
+# its map oracle over arbitrary put/get sequences (FuzzStoreOps). FUZZTIME is
+# per target; CI runs it at 10s on every PR.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -fuzz FuzzDecompressArbitrary -fuzztime $(FUZZTIME) ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzStoreOps -fuzztime $(FUZZTIME) ./internal/core/

@@ -47,7 +47,8 @@ const EntryBytes = compress.EntryBytes
 const SectorBytes = compress.SectorBytes
 
 // Device is a Buddy Compression GPU memory device. It is safe for
-// concurrent use by multiple goroutines.
+// concurrent use by multiple goroutines. One Malloc takes at most about
+// 1.58 GiB (13.2 M entries); split anything larger.
 type Device = core.Device
 
 // Allocation is a compressed allocation on a Device. It satisfies

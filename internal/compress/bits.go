@@ -19,11 +19,6 @@ type BitWriter struct {
 	nbit int
 }
 
-// NewBitWriter returns a writer with capacity pre-allocated for n bits.
-func NewBitWriter(n int) *BitWriter {
-	return &BitWriter{buf: make([]byte, 0, (n+7)/8)}
-}
-
 // Reset points the writer at dst: subsequent writes append to dst starting
 // at the next byte boundary. Passing a truncated prefix of the writer's own
 // buffer rewinds it (the raw-fallback path of AppendCompressed).
@@ -106,12 +101,6 @@ type BitReader struct {
 // NewBitReader wraps buf for reading.
 func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
 
-// Reset rewinds the reader onto buf.
-func (r *BitReader) Reset(buf []byte) {
-	r.buf = buf
-	r.pos = 0
-}
-
 // ReadBits reads n bits and returns them right-aligned. Reading past the end
 // of the buffer yields zero bits, which callers treat as a framing error via
 // Overrun. The read is word-based: one unaligned 8-byte load covers any
@@ -152,18 +141,6 @@ func (r *BitReader) ReadBits(n int) uint64 {
 	return w>>(64-uint(n)) | uint64(b)>>(8-missing)
 }
 
-// PeekBits returns the next n bits without consuming them, zero-filled past
-// the end of the buffer like ReadBits. Decoders pair it with Skip to resolve
-// variable-length prefix codes with one table probe.
-//
-//buddy:hotpath
-func (r *BitReader) PeekBits(n int) uint64 {
-	pos := r.pos
-	v := r.ReadBits(n)
-	r.pos = pos
-	return v
-}
-
 // Skip consumes n bits without returning them.
 //
 //buddy:hotpath
@@ -199,9 +176,6 @@ func (r *BitReader) ReadBytes(dst []byte) {
 		cur = next
 	}
 }
-
-// Pos returns the number of bits consumed.
-func (r *BitReader) Pos() int { return r.pos }
 
 // Overrun reports whether more bits were read than the buffer holds.
 func (r *BitReader) Overrun() bool { return r.pos > len(r.buf)*8 }

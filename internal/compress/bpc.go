@@ -120,22 +120,6 @@ func bpcRaw(dst, entry []byte) ([]byte, int) {
 	return w.Bytes(), EntryBytes * 8
 }
 
-func bpcReadBase(r *BitReader) uint32 {
-	if r.ReadBits(1) == 1 {
-		return uint32(r.ReadBits(32))
-	}
-	switch r.ReadBits(2) {
-	case 0b00:
-		return 0
-	case 0b01:
-		return uint32(int64(r.ReadBits(4)) << 60 >> 60) // sign-extend 4
-	case 0b10:
-		return uint32(int32(int8(r.ReadBits(8))))
-	default:
-		return uint32(int32(int16(r.ReadBits(16))))
-	}
-}
-
 // AppendCompressed implements Codec: one encode produces both the framed
 // stream (first bit 0 = BPC stream, 1 = raw 128 bytes) and the payload bit
 // count, capped at the raw 1024 bits. The register buffer absorbs even the

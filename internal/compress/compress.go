@@ -36,11 +36,13 @@ const SectorBytes = 32
 // SectorsPerEntry is EntryBytes / SectorBytes = 4.
 const SectorsPerEntry = EntryBytes / SectorBytes
 
-// MaxStreamBytes bounds the framed stream any built-in codec appends for one
-// entry. The worst case is FVC's fully-missing dictionary stream: 3 bits of
-// count, 8 x 32 dictionary bits, 32 x 33 word bits plus the 1-bit framing =
-// 1316 bits = 165 bytes; the bound leaves headroom for future codecs.
-// Scratch buffers of this capacity make AppendCompressed allocation-free.
+// MaxStreamBytes bounds the framed stream any codec, built in or not, may
+// append for one entry. The built-ins' worst case is FVC's fully-missing
+// dictionary stream: 3 bits of count, 8 x 32 dictionary bits, 32 x 33 word
+// bits plus the 1-bit framing = 1316 bits = 165 bytes; the bound leaves
+// headroom for future codecs. Scratch buffers of this capacity make
+// AppendCompressed allocation-free, and the driver keeps a stream's length
+// in a byte (internal/core's stream store asserts that it fits).
 const MaxStreamBytes = 192
 
 // ErrCorrupt is returned when an encoded stream is malformed or truncated.
@@ -63,7 +65,10 @@ type Codec interface {
 	// slice together with the exact payload size in bits. The bit count
 	// excludes the software model's stream framing and is capped at
 	// EntryBytes*8 — the value the 4-bit Buddy metadata is derived from.
-	// entry must be EntryBytes long.
+	// entry must be EntryBytes long. The stream is 1 to MaxStreamBytes bytes:
+	// an encoding that would run longer must fall back to the raw frame (1
+	// framing bit plus the entry, 129 bytes), as every built-in does. The
+	// driver stores nothing else: such a write fails, wrapping ErrCorrupt.
 	AppendCompressed(dst, entry []byte) (stream []byte, bits int)
 	// DecompressInto decodes a stream produced by AppendCompressed into
 	// dst, which must be EntryBytes long. On error dst's contents are

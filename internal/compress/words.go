@@ -63,17 +63,6 @@ func EntryAllZero(entry []byte) bool {
 	return or == 0
 }
 
-// wordsAllZero is EntryAllZero over an already-loaded word view.
-//
-//buddy:hotpath
-func wordsAllZero(w *[entryWordCount]uint64) bool {
-	var or uint64
-	for i := 0; i < entryWordCount; i++ {
-		or |= w[i]
-	}
-	return or == 0
-}
-
 // transpose32 transposes a 32x32 bit matrix held two rows per 64-bit word —
 // row 2m in the low lane of w[m], row 2m+1 in the high lane — in place:
 // afterwards bit i of row b equals what bit b of row i was. The five

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"buddy/internal/gen"
@@ -56,7 +57,7 @@ func reportNsPerEntry(b *testing.B) {
 }
 
 // benchEntrySize keeps the per-shape warmup (first touch of every entry's
-// retained stream buffer) cheap while still cycling through thousands of
+// stream-store slot) cheap while still cycling through thousands of
 // distinct entries.
 const benchEntrySize = 1 << 20
 
@@ -69,7 +70,7 @@ func BenchmarkWriteEntry(b *testing.B) {
 			a := benchAlloc(b, benchEntrySize)
 			entry := make([]byte, EntryBytes)
 			s.g.Fill(entry, gen.NewRNG(2, 1))
-			// First touch allocates each entry's retained stream buffer;
+			// First touch takes each entry's slot in the stream store;
 			// steady state starts once every entry has been written.
 			for i := 0; i < a.EntryCount; i++ {
 				if err := a.WriteEntry(i, entry); err != nil {
@@ -171,5 +172,54 @@ func BenchmarkMemcpyBulk(b *testing.B) {
 		if _, err := Memcpy(dst, src, benchBulkBytes); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFirstWrite measures the first touch: a fresh allocation written
+// once, end to end, so every entry takes its slot from the stream store's
+// allocator — the cost a load pays and the steady-state benchmarks warm
+// away. Beside ns/entry it reports what the store then holds per entry:
+// index, chunks, table and free lists. The device is built one span worker
+// wide, so the write runs inline: which slot meets a chunk's end, and with it
+// which free lists the tails start, depends on how span workers interleave,
+// which would make the allocs/op pin a property of the machine's width.
+func BenchmarkFirstWrite(b *testing.B) {
+	const entries = 16 << 10
+	for _, s := range benchEntryShapes() {
+		switch s.name {
+		case "zeros", "pattern", "dense":
+		default:
+			continue
+		}
+		b.Run(s.name, func(b *testing.B) {
+			procs := runtime.GOMAXPROCS(1)
+			d := NewDevice(Config{DeviceBytes: 64 << 20})
+			runtime.GOMAXPROCS(procs)
+			data := make([]byte, entries*EntryBytes)
+			s.g.Fill(data, gen.NewRNG(2, 1))
+			var owned int
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a, err := d.Malloc("fresh", int64(len(data)), Target2x)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := a.WriteEntries(0, data); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				owned = a.store.ownedBytes()
+				if err := a.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+			b.ReportMetric(float64(owned)/entries, "store-B/entry")
+		})
 	}
 }

@@ -237,7 +237,7 @@ func TestSpanReadDecodeErrorAccounting(t *testing.T) {
 	// relocShapes[2], gen.Random: a raw stream, so half of one cannot decode.
 	for _, bad := range []int{spanBatchEntries + 6, spanBatchEntries + 11} {
 		d, a, data := corruptibleSpan(t, entries)
-		a.streams[bad] = a.streams[bad][:len(a.streams[bad])/2]
+		corruptStream(a, bad, len(a.store.get(bad))/2)
 
 		dst := make([]byte, (entries-start)*EntryBytes)
 		err := a.ReadEntries(start, dst)
@@ -330,12 +330,12 @@ func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
 			if !tc.read {
 				// All or nothing: the charged prefix is stored, nothing past it.
 				for _, i := range []int{0, int(n) - 1} {
-					if a.streams[i] == nil {
+					if a.store.get(i) == nil {
 						t.Errorf("entry %d was charged but holds no stream", i)
 					}
 				}
 				for i := int(n); i < entries; i++ {
-					if a.streams[i] != nil {
+					if a.store.get(i) != nil {
 						t.Fatalf("entry %d, past the %d charged, holds a stream", i, n)
 					}
 				}

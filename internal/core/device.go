@@ -143,9 +143,9 @@ const entryShards = 64
 // the allocation's own (Allocation.mu), its control-plane operations
 // serialize on Allocation.ctl, per-entry state sits under the sharded entry
 // mutexes and traffic in atomic counters. Lock order: Allocation.ctl ->
-// Device.mu -> Allocation.mu -> entry shards. Individual entry operations
-// are atomic; a multi-entry ReadAt/WriteAt is not one atomic unit against
-// concurrent writers to the same range.
+// Device.mu -> Allocation.mu -> entry shards -> streamStore.mu. Individual
+// entry operations are atomic; a multi-entry ReadAt/WriteAt is not one atomic
+// unit against concurrent writers to the same range.
 type Device struct {
 	cfg      Config
 	slab     *SlabBackend // primary tier; its meter is Traffic's device bytes
@@ -260,16 +260,17 @@ type Allocation struct {
 	shardBase int                      // immutable, even: keys the entry shard locks forever
 	shards    *[entryShards]sync.Mutex // the stripes of the device it was born on, for life
 
-	// The entries: each one's framed compressed stream and its 4-bit sector
-	// count, entry i of both guarded by entry i's shard lock. The software
-	// keeps them here, beside the layout rather than at its addresses,
-	// because the model's 1-bit stream framing would otherwise straddle slot
-	// boundaries that hardware metadata absorbs; which layout an entry is
-	// placed in — whose slots its traffic is charged to, whose device has to
-	// be alive for it, whose codec framed it — is the relayout epoch's
-	// business (home).
-	streams [][]byte // nil: never written, reads as zero
-	meta    *MetadataStore
+	// The entries: each one's framed compressed stream, in the stream store
+	// (store.go), and its 4-bit sector count, entry i of both guarded by entry
+	// i's shard lock; nothing whose size grows with EntryCount holds a
+	// pointer. The software keeps them here, beside the layout rather than at
+	// its addresses, because the model's 1-bit stream framing would otherwise
+	// straddle slot boundaries that hardware metadata absorbs; which layout an
+	// entry is placed in — whose slots its traffic is charged to, whose device
+	// has to be alive for it, whose codec framed it — is the relayout epoch's
+	// business (home). Free drops the store.
+	store streamStore
+	meta  *MetadataStore
 
 	// ctl serializes the control plane on this allocation: Free, a relayout
 	// (Retarget, MoveTo) and its device's Recover hold it from start to end.
@@ -404,10 +405,12 @@ func (d *Device) CompressionRatio() float64 {
 // target ratio. The device reservation is size/target; the remainder of
 // each entry is reserved in the overflow tier (§3.2). Regions retired by
 // Free are reused when a fitting hole exists, so a steady alloc/free cycle
-// does not grow the modeled entry table.
+// does not grow the modeled entry table. A size past maxStoreEntries entries
+// (about 1.58 GiB, what a stream store can index under any write pattern) is
+// refused like one below 1.
 func (d *Device) Malloc(name string, size int64, target TargetRatio) (*Allocation, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("core: invalid allocation size %d", size)
+	if size <= 0 || size > maxStoreEntries*EntryBytes {
+		return nil, fmt.Errorf("core: invalid allocation size %d, want 1 to %d", size, int64(maxStoreEntries)*EntryBytes)
 	}
 	entries := int((size + EntryBytes - 1) / EntryBytes)
 	l, err := d.newLayout(entries, target)
@@ -420,10 +423,10 @@ func (d *Device) Malloc(name string, size int64, target TargetRatio) (*Allocatio
 		size:       size,
 		shardBase:  l.reg.firstEntry,
 		shards:     &d.shards,
-		streams:    make([][]byte, entries),
 		meta:       NewMetadataStore(entries),
 		cur:        l,
 	}
+	a.store.init(entries)
 	d.list(a)
 	return a, nil
 }

@@ -173,7 +173,7 @@ func (a *Allocation) free(owner *Device) error {
 	a.freed = true
 	// Every pass checks freed before it touches an entry, so the streams can
 	// go now rather than when the last *Allocation does.
-	a.streams = nil
+	a.store = streamStore{}
 	a.mu.Unlock()
 	l.dev.retire(l, a)
 	return nil

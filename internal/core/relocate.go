@@ -202,7 +202,7 @@ func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, h
 				sh.Lock()
 				for k := i; k < i+n && err == nil; k++ {
 					if p.kind == relocMigrate {
-						err = p.handOver(a, cur, m, k)
+						err = p.handOver(a, cur, m, pair, k)
 						continue
 					}
 					if m != nil {
@@ -266,31 +266,31 @@ func appendEntry(c compress.Codec, dst, src []byte) ([]byte, int) {
 // accessBatch is the data path's step over one sub-batch [b, e), pair by
 // pair. A write is an import with an encode before the lock: both entries of
 // a pair are encoded into the pair buffers first, then stream and metadata
-// commit under the lock, into the entry's retained buffer so the steady
-// state allocates nothing. A read is an export with a decode after the lock:
-// stream and metadata are snapshotted under it (writers reuse stream buffers
-// in place, so the reference must not leave it) and decoded straight into
-// the caller's buffer. Never-written entries read as zero, like fresh
-// cudaMalloc pages, and still cost the minimum access. Each entry looks up
-// its device's metadata cache and is charged before its decode, so a decode
-// error leaves exactly the entries up to and including the failing one
-// accounted. While a relayout is in flight an entry whose home device is
-// down ends the pass before it is touched, and a write that finds its home
-// under the other codec is encoded again, under the lock: only there is its
-// home known. The pair loop and its arrays live here, not in relocate's,
-// where the relocation kinds would pay for them (measured: +4 % on
-// Recover's 20 ns per entry).
+// commit under the lock — into the entry's slot of the stream store, a copy in
+// place while the stream keeps its class, so the steady state allocates
+// nothing; a stream no entry can hold ends the pass before its entry is
+// touched. A read is an export with a decode after the lock: stream and
+// metadata are snapshotted under it (writers rewrite slots in place, so the
+// reference must not leave it) and decoded straight into the caller's buffer.
+// Never-written entries read as zero, like fresh cudaMalloc pages, and still
+// cost the minimum access. Each entry looks up its device's metadata cache
+// and is charged before its decode, so a decode error leaves exactly the
+// entries up to and including the failing one accounted. While a relayout is
+// in flight an entry whose home device is down ends the pass before it is
+// touched, and a write that finds its home under the other codec is encoded
+// again, under the lock: only there is its home known. The pair loop and its
+// arrays live here, not in relocate's, where the relocation kinds would pay
+// for them (measured: +4 % on Recover's 20 ns per entry).
 //
 //buddy:hotpath
 func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *[2][]byte, data []byte, b, e int) error {
-	write := p.kind == relocWrite
+	write, st := p.kind == relocWrite, &a.store
 	for i := b; i < e; {
 		n := a.pairLen(i, e)
 		var (
-			homes   [2]*layout // set while a relayout is in flight
-			secs    [2]int
-			written [2]bool
-			down    error
+			homes [2]*layout // set while a relayout is in flight
+			secs  [2]int
+			down  error // ends the pass after the pair's entries before it
 		)
 		if write {
 			for k := 0; k < n; k++ {
@@ -312,12 +312,15 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 				homes[k] = l
 			}
 			if write {
-				a.streams[i+k] = append(a.streams[i+k][:0], pair[k]...)
+				if len(pair[k]) == 0 || len(pair[k]) > MaxStreamBytes { // only here is the codec that framed it settled
+					n, down = k, a.errStream(i+k, len(pair[k]))
+					break
+				}
+				st.put(i+k, pair[k])
 				a.meta.Set(i+k, secs[k])
 			} else {
 				secs[k] = a.meta.Get(i + k)
-				written[k] = a.streams[i+k] != nil
-				pair[k] = append(pair[k][:0], a.streams[i+k]...)
+				pair[k] = append(pair[k][:0], st.get(i+k)...) // empty: never written
 			}
 		}
 		sh.Unlock()
@@ -334,7 +337,7 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 				continue
 			}
 			out := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
-			if !written[k] {
+			if len(pair[k]) == 0 {
 				clear(out)
 			} else if err := l.dev.cfg.Codec.DecompressInto(out, pair[k]); err != nil {
 				return fmt.Errorf("core: entry %d of %s: %w", i+k, a.Name, err)
@@ -355,19 +358,20 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 // next's, and when those differ both count the stored bytes as migration
 // traffic. Never-written entries have nothing to move; flipping the epoch
 // bit is enough.
-func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, k int) error {
+func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch *[2][]byte, k int) error {
 	if m.moved[k] {
 		return nil
 	}
 	next := m.next
-	if a.streams[k] != nil {
+	if st := &a.store; st.slot[k] != 0 {
 		sectors := a.meta.Get(k)
 		landed := sectors
 		if m.transcode {
-			s, n, err := transcode(cur.dev.cfg.Codec, next.dev.cfg.Codec, a.streams[k])
+			s, n, err := transcode(cur.dev.cfg.Codec, next.dev.cfg.Codec, st.get(k), scratch[0][:0])
 			switch {
 			case err == nil:
-				a.streams[k], landed = s, n
+				st.put(k, s)
+				landed = n
 				a.meta.Set(k, n)
 			case !m.back:
 				return fmt.Errorf("core: entry %d: %w", k, err)
@@ -388,22 +392,25 @@ func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, k int) er
 }
 
 // transcode re-frames one stored stream for another codec: decoded with
-// from, encoded afresh with to. The mover's only use of a codec, and only
-// between devices that disagree on one.
-func transcode(from, to compress.Codec, stream []byte) ([]byte, int, error) {
+// from, encoded afresh with to onto dst. The mover's only use of a codec, and
+// only between devices that disagree on one.
+func transcode(from, to compress.Codec, stream, dst []byte) ([]byte, int, error) {
 	buf := entryScratchPool.Get().(*[EntryBytes]byte)
 	defer entryScratchPool.Put(buf)
 	if err := from.DecompressInto(buf[:], stream); err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
-	out, sectors := appendEntry(to, nil, buf[:])
-	return out, sectors, nil
+	dst, sectors := appendEntry(to, dst, buf[:])
+	if len(dst) == 0 || len(dst) > MaxStreamBytes {
+		return dst, 0, fmt.Errorf("re-framed as %d bytes, want 1 to %d: %w", len(dst), MaxStreamBytes, compress.ErrCorrupt)
+	}
+	return dst, sectors, nil
 }
 
 // snapshot appends entry k's framed stream to stage, charged to its place in
 // l.
 func (p *relocPass) snapshot(a *Allocation, l *layout, t *relocTally, k int, stage []byte) []byte {
-	if stream := a.streams[k]; stream != nil {
+	if stream := a.store.get(k); stream != nil {
 		p.sectors = a.meta.Get(k)
 		stage = append(stage, stream...)
 		t.access(false, l.global(k), l.target, p.sectors)
@@ -412,10 +419,9 @@ func (p *relocPass) snapshot(a *Allocation, l *layout, t *relocTally, k int, sta
 	return stage
 }
 
-// install makes the staged stream the contents of entry k, placed in l,
-// overwriting the entry's buffer in place when it has one.
+// install makes the staged stream the contents of entry k, placed in l.
 func (p *relocPass) install(a *Allocation, l *layout, t *relocTally, k int, stream []byte) {
-	a.streams[k] = append(a.streams[k][:0], stream...)
+	a.store.put(k, stream)
 	a.meta.Set(k, p.sectors)
 	t.access(true, l.global(k), l.target, p.sectors)
 	p.count(t, p.sectors)
@@ -425,7 +431,7 @@ func (p *relocPass) install(a *Allocation, l *layout, t *relocTally, k int, stre
 // stream crosses the link from the carve-out copy, the in-budget sectors
 // are re-stored device-side.
 func (p *relocPass) restream(a *Allocation, l *layout, t *relocTally, k int) {
-	if a.streams[k] == nil {
+	if a.store.slot[k] == 0 {
 		return
 	}
 	sectors := a.meta.Get(k)
@@ -478,8 +484,8 @@ func (a *Allocation) ImportEntry(i int, stream []byte, sectors int) error {
 		return fmt.Errorf("core: import sector count %d out of range [0,%d]",
 			sectors, compress.SectorsPerEntry)
 	}
-	if len(stream) == 0 {
-		return fmt.Errorf("core: import of an empty stream (never-written entries need no import)")
+	if len(stream) == 0 || len(stream) > MaxStreamBytes { // never-written entries need no import
+		return a.errStream(i, len(stream))
 	}
 	p := relocPass{kind: relocImport, sectors: sectors}
 	_, err := a.runPass(&p, stream, i, i+1)

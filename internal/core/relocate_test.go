@@ -41,7 +41,7 @@ func refMigrateEntry(a *Allocation, mig *migration, i int) int64 {
 	gOld, gNew := old.global(i), next.global(i)
 	var devR, budR, devW, budW, stored int
 	if !mig.moved[i] {
-		if a.streams[i] != nil {
+		if a.store.get(i) != nil {
 			sectors := a.meta.Get(i)
 			devR, budR = splitBytes(old.target, sectors)
 			devW, budW = splitBytes(next.target, sectors)
@@ -83,8 +83,8 @@ func refExportEntry(a *Allocation, i int, dst []byte) (stream []byte, sectors in
 	l := home(a.cur, a.mig, i)
 	g, d := l.global(i), l.dev
 	sectors = a.meta.Get(i)
-	written = a.streams[i] != nil
-	dst = append(dst, a.streams[i]...)
+	written = a.store.get(i) != nil
+	dst = append(dst, a.store.get(i)...)
 	sh.Unlock()
 	if written {
 		stored := storedBytes(sectors)
@@ -119,7 +119,7 @@ func refImportEntry(a *Allocation, i int, stream []byte, sectors int) error {
 		a.mu.RUnlock()
 		return d.errFailed()
 	}
-	a.streams[i] = append(a.streams[i][:0], stream...)
+	a.store.put(i, stream)
 	a.meta.Set(i, sectors)
 	sh.Unlock()
 	stored := storedBytes(sectors)
@@ -144,7 +144,7 @@ func refRebuild(a *Allocation, lo, hi int) (n, moved int64) {
 		sh.Lock()
 		l := home(a.cur, a.mig, i)
 		sectors := a.meta.Get(i)
-		written := a.streams[i] != nil
+		written := a.store.get(i) != nil
 		sh.Unlock()
 		if !written {
 			continue
@@ -335,10 +335,10 @@ func (w *relocWorld) state(extra ...*Allocation) relocState {
 		}
 		s.Layouts = append(s.Layouts, ls)
 		s.Meta = append(s.Meta, bytes.Clone(a.meta.packed))
-		streams := make([][]byte, len(a.streams))
-		for i, st := range a.streams {
-			if st != nil {
-				streams[i] = append([]byte{}, st...) // non-nil even when empty
+		streams := make([][]byte, a.EntryCount)
+		for i := range streams {
+			if st := a.store.get(i); st != nil {
+				streams[i] = bytes.Clone(st)
 			}
 		}
 		s.Streams = append(s.Streams, streams)
@@ -796,7 +796,7 @@ func TestMoveToAcrossCodecs(t *testing.T) {
 
 	// Back again, through MoveTo, with one stream cut short.
 	bad := cut + 5
-	a.streams[bad] = a.streams[bad][:1]
+	corruptStream(a, bad, 1)
 	err = a.MoveTo(src)
 	if !errors.Is(err, compress.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("entry %d", bad)) {
 		t.Fatalf("move over a corrupt stream: %v, want ErrCorrupt naming entry %d", err, bad)

@@ -118,8 +118,7 @@ func TestSpanPoolErrorPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Truncate one stored stream mid-span.
-		st := a.streams
-		st[3*bulkGrainEntries] = st[3*bulkGrainEntries][:len(st[3*bulkGrainEntries])/2]
+		corruptStream(a, 3*bulkGrainEntries, len(a.store.get(3*bulkGrainEntries))/2)
 		got := make([]byte, len(data))
 		if err := a.ReadEntries(0, got); err == nil {
 			t.Fatal("want decode error from partitioned batch read")
@@ -148,7 +147,7 @@ func TestSpanDispatchSteadyStateZeroAlloc(t *testing.T) {
 		}
 		data := make([]byte, span*EntryBytes)
 		gen.SparseFP16{ZeroFrac: 0.5}.Fill(data, gen.NewRNG(4, 1))
-		// First touch allocates the retained stream buffers; not measured.
+		// First touch takes the entries' stream-store slots; not measured.
 		if err := a.WriteEntries(0, data); err != nil {
 			t.Fatal(err)
 		}

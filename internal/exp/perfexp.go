@@ -197,6 +197,10 @@ func Fig10(scale int, cfg gpusim.Config) *Fig10Result {
 	dm := gpusim.UncompressedModel(uint64(b.Footprint / fig11AddressScale))
 	fast := gpusim.Run(b.Trace, dm, gpusim.ModeIdeal, small)
 	det := gpusim.RunDetailed(b.Trace, dm, gpusim.ModeIdeal, small)
+	for rep := 1; rep < 3; rep++ { // deterministic runs: the fastest of three spares a neighbour's burst
+		fast.WallClockSeconds = min(fast.WallClockSeconds, gpusim.Run(b.Trace, dm, gpusim.ModeIdeal, small).WallClockSeconds)
+		det.WallClockSeconds = min(det.WallClockSeconds, gpusim.RunDetailed(b.Trace, dm, gpusim.ModeIdeal, small).WallClockSeconds)
+	}
 	res.FastWallSeconds = fast.WallClockSeconds
 	res.DetailedWallSeconds = det.WallClockSeconds
 	if fast.WallClockSeconds > 0 {

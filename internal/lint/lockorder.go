@@ -10,18 +10,18 @@ import (
 
 // LockOrder enforces the lock hierarchy documented on core.Device — an
 // allocation's control-plane ctl, then the device's allocation-list mu, then
-// the allocation's own mu, then the 64 entry-shard mutexes — and a release
-// discipline for every sync.Mutex / sync.RWMutex: a lock acquired in a
-// function must be deferred-unlocked or released on every return path of
-// that function.
+// the allocation's own mu, then the 64 entry-shard mutexes, then a stream
+// store's mu — and a release discipline for every sync.Mutex / sync.RWMutex:
+// a lock acquired in a function must be deferred-unlocked or released on
+// every return path of that function.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: `enforce the Allocation.ctl -> Device.mu -> Allocation.mu -> entry-shard lock order and release discipline
+	Doc: `enforce the Allocation.ctl -> Device.mu -> Allocation.mu -> entry-shard -> streamStore.mu lock order and release discipline
 
 Flags acquiring a core lock while already holding one that ranks after
 it in the documented hierarchy (an allocation's ctl before a device's mu
-before an allocation's mu before the entry-shard locks), re-acquiring a
-lock already held (self-deadlock), mismatched
+before an allocation's mu before the entry-shard locks before a stream
+store's mu), re-acquiring a lock already held (self-deadlock), mismatched
 RLock/Unlock pairs, and any sync mutex Lock whose Unlock is neither
 deferred nor present on every return path. The walk is path-sensitive
 across if/else, switch and loops; function literals are independent
@@ -36,12 +36,13 @@ const (
 	rankDeviceMu
 	rankAllocMu
 	rankShard
+	rankStoreMu
 	rankNone = -1
 )
 
-var rankNames = [...]string{"Allocation.ctl", "Device.mu", "Allocation.mu", "entry-shard"}
+var rankNames = [...]string{"Allocation.ctl", "Device.mu", "Allocation.mu", "entry-shard", "streamStore.mu"}
 
-const lockOrderText = "Allocation.ctl -> Device.mu -> Allocation.mu -> entry shards"
+const lockOrderText = "Allocation.ctl -> Device.mu -> Allocation.mu -> entry shards -> streamStore.mu"
 
 type heldLock struct {
 	rank     int
@@ -132,9 +133,9 @@ func (w *lockWalker) lockMethod(call *ast.CallExpr) (recv ast.Expr, name string,
 }
 
 // rankOf places a lock receiver in the hierarchy: field ctl and mu of a type
-// named Allocation, field mu of a type named Device, an element of either's
-// shards, plus locals returned by a shard() method. Everything else is
-// unranked.
+// named Allocation, field mu of a type named Device or streamStore, an
+// element of either's shards, plus locals returned by a shard() method.
+// Everything else is unranked.
 func (w *lockWalker) rankOf(recv ast.Expr) int {
 	switch recv := recv.(type) {
 	case *ast.IndexExpr:
@@ -152,6 +153,8 @@ func (w *lockWalker) rankOf(recv ast.Expr) int {
 			return rankDeviceMu
 		case "Allocation.mu":
 			return rankAllocMu
+		case "streamStore.mu":
+			return rankStoreMu
 		}
 	case *ast.Ident:
 		if w.shardVars[w.pass.TypesInfo.Uses[recv]] {

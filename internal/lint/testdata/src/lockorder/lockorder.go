@@ -22,6 +22,9 @@ type Allocation struct {
 
 func (a *Allocation) shard(i int) *sync.Mutex { return &a.shards[i%len(a.shards)] }
 
+// streamStore mirrors core's: mu is taken under a shard, never over one.
+type streamStore struct{ mu sync.Mutex }
+
 // The documented order with deferred unlocks: clean.
 func (a *Allocation) ordered(i int) {
 	a.ctl.Lock()
@@ -41,7 +44,7 @@ func (a *Allocation) shardThenMu(i int) {
 	sh := a.shard(i)
 	sh.Lock()
 	defer sh.Unlock()
-	a.mu.Lock() // want `violates the lock order Allocation.ctl -> Device.mu -> Allocation.mu -> entry shards`
+	a.mu.Lock() // want `violates the lock order Allocation.ctl -> Device.mu -> Allocation.mu -> entry shards -> streamStore.mu`
 	defer a.mu.Unlock()
 }
 
@@ -76,6 +79,18 @@ func (a *Allocation) allocMuThenCtl() {
 	defer a.mu.Unlock()
 	a.ctl.Lock() // want `violates the lock order`
 	defer a.ctl.Unlock()
+}
+
+func (a *Allocation) storeAndShard(s *streamStore, i int) {
+	sh := a.shard(i)
+	sh.Lock()
+	s.mu.Lock()
+	s.mu.Unlock()
+	sh.Unlock()
+	s.mu.Lock()
+	sh.Lock() // want `acquiring sh \(entry-shard\) while holding s.mu \(streamStore.mu\) violates the lock order`
+	sh.Unlock()
+	s.mu.Unlock()
 }
 
 // Another type's ctl and mu are nobody's business: unranked, clean.

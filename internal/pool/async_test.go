@@ -90,7 +90,7 @@ func checkSteadyZeroAlloc(t *testing.T, p *Pool, h *Handle) {
 	} {
 		buf := make([]byte, leg.bytes)
 		pattern(buf, 3)
-		// Warm up: first touches allocate retained stream buffers and pool
+		// Warm up: first touches take stream-store slots and pool
 		// entries.
 		for i := 0; i < 32; i++ {
 			if _, err := p.SubmitWrite(h, buf, int64(i%2*leg.bytes)).Wait(); err != nil {

@@ -157,7 +157,7 @@ func benchRPC(b *testing.B) {
 		if handles[c], err = door.Malloc(fmt.Sprintf("c%d", c), perCaller, core.Target2x); err != nil {
 			b.Fatal(err)
 		}
-		// First touch allocates each entry's retained stream buffer.
+		// First touch takes each entry's slot in the stream store.
 		if _, err := handles[c].WriteAt(data, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func BenchmarkSubmitWrite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// First touch allocates each entry's retained stream buffer.
+	// First touch takes each entry's slot in the stream store.
 	for off := int64(0); off < h.Size(); off += chunk {
 		if _, err := p.SubmitWrite(h, data, off).Wait(); err != nil {
 			b.Fatal(err)

@@ -35,7 +35,7 @@ func TestGateCatchesDepooledFuture(t *testing.T) {
 		}
 	}
 	for i := 0; i < 32; i++ {
-		submit() // warm the pools and the retained stream buffers
+		submit() // warm the pools and the stream store
 	}
 
 	healthy := testing.AllocsPerRun(100, submit)
