@@ -151,6 +151,21 @@ func TestBulkParallelConsistency(t *testing.T) {
 	}
 }
 
+// leastAllocs warms f's pools and returns the least of up to five
+// AllocsPerRun readings: under -race sync.Pool drops one Put in four, so a
+// single reading of a zero-alloc path comes to a whole allocation per run
+// about one time in six; a path that really allocates does so every time.
+func leastAllocs(f func()) float64 {
+	for k := 0; k < 8; k++ {
+		f()
+	}
+	least := testing.AllocsPerRun(100, f)
+	for k := 0; k < 4 && least != 0; k++ {
+		least = min(least, testing.AllocsPerRun(100, f))
+	}
+	return least
+}
+
 // TestEntryPathSteadyStateZeroAlloc proves the acceptance criterion: after
 // first touch, WriteEntry and ReadEntry allocate nothing — the codec runs in
 // pooled scratch and a rewrite within a slot class is a copy in place.
@@ -170,14 +185,14 @@ func TestEntryPathSteadyStateZeroAlloc(t *testing.T) {
 	if err := a.WriteEntry(0, entry); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := leastAllocs(func() {
 		if err := a.WriteEntry(0, entry); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Errorf("steady-state WriteEntry allocates %.1f/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := leastAllocs(func() {
 		if err := a.ReadEntry(0, dst); err != nil {
 			t.Fatal(err)
 		}
