@@ -45,12 +45,6 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 	}
 }
 
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Access looks up the line containing byte address addr, filling it on a
 // miss (evicting the LRU way). It reports whether the access hit.
 func (c *Cache) Access(addr uint64) bool {

@@ -53,11 +53,6 @@ var bdiEncodings = []bdiEncoding{
 	{7, 8, 32},
 }
 
-func bdiPayloadBits(e bdiEncoding) int {
-	elems := EntryBytes / e.baseBytes
-	return e.baseBytes*8 + elems + elems*e.deltaBits
-}
-
 // bdiMaxElems is the element count of the narrowest base (2 B): 64.
 const bdiMaxElems = EntryBytes / 2
 

@@ -230,17 +230,6 @@ func SectorsNeeded(c Codec, entry []byte) int {
 // ratio: 8 B kept out of each 128 B (§3.4).
 const ZeroPageBytes = 8
 
-// Ratio returns the compression ratio EntryBytes/size for a rounded size.
-// The paper's Fig. 3 assumes a 0 B (metadata-only) class; its ratio would be
-// infinite and distort every aggregate, so size 0 is counted as 1 byte and
-// returns EntryBytes.
-func Ratio(size int) float64 {
-	if size <= 0 {
-		return float64(EntryBytes)
-	}
-	return float64(EntryBytes) / float64(size)
-}
-
 // checkEntry panics if entry is not exactly EntryBytes long; compressors use
 // it to enforce their contract early.
 func checkEntry(entry []byte) {

@@ -225,7 +225,7 @@ func TestBDIKnownPatterns(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		binary.LittleEndian.PutUint64(near[i*8:], base+uint64(i))
 	}
-	want := 4 + bdiPayloadBits(bdiEncodings[0])
+	const want = 4 + 64 + 16 + 16*8 // the encoding's id, the base, a mask bit and an 8-bit delta per element
 	if got := bitsOf(bdi, near); got != want {
 		t.Errorf("base8-delta1 entry: got %d bits, want %d", got, want)
 	}

@@ -1,6 +1,9 @@
 package compress
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // The word view: every codec kernel operates on the 128 B entry as sixteen
 // little-endian 64-bit words loaded once up front, instead of re-reading
@@ -192,6 +195,16 @@ func AppendZeroEntry(dst []byte, c Codec) ([]byte, int) {
 	}
 	var zero [EntryBytes]byte
 	return c.AppendCompressed(dst, zero[:])
+}
+
+// IsZeroEntryStream reports whether stream is byte for byte codec c's
+// encoding of the all-zero entry, so a reader may clear its buffer instead of
+// decoding; false for every stream of a codec outside the table.
+//
+//buddy:hotpath
+func IsZeroEntryStream(c Codec, stream []byte) bool {
+	k := zeroEncIndex(c)
+	return k >= 0 && bytes.Equal(stream, zeroEncodings[k].stream[:zeroEncodings[k].n])
 }
 
 // ZeroEntryBits returns the exact payload bit count of codec c's all-zero

@@ -176,14 +176,21 @@ func BenchmarkMemcpyBulk(b *testing.B) {
 }
 
 // BenchmarkFirstWrite measures the first touch: a fresh allocation written
-// once, end to end, so every entry takes its slot from the stream store's
-// allocator — the cost a load pays and the steady-state benchmarks warm
-// away. Beside ns/entry it reports what the store then holds per entry:
-// index, chunks, table and free lists. The device is built one span worker
-// wide, so the write runs inline: which slot meets a chunk's end, and with it
-// which free lists the tails start, depends on how span workers interleave,
-// which would make the allocs/op pin a property of the machine's width.
-func BenchmarkFirstWrite(b *testing.B) {
+// once, end to end, so every entry that needs one takes its slot from the
+// stream store's allocator — the cost a load pays and the steady-state
+// benchmarks warm away. Beside ns/entry it reports what the store then holds
+// per entry: index, chunks, table and free lists. The device is built one span
+// worker wide, so the write runs inline: which slot meets a chunk's end, and
+// with it which free lists the tails start, depends on how span workers
+// interleave, which would make the allocs/op pin a property of the machine's
+// width.
+func BenchmarkFirstWrite(b *testing.B) { benchFirstWrite(b, 1) }
+
+// BenchmarkFirstWrite2 is the same load fanned out over two span workers, the
+// store's allocator lock contended: ns/entry only, for the reason above.
+func BenchmarkFirstWrite2(b *testing.B) { benchFirstWrite(b, 2) }
+
+func benchFirstWrite(b *testing.B, workers int) {
 	const entries = 16 << 10
 	for _, s := range benchEntryShapes() {
 		switch s.name {
@@ -192,14 +199,17 @@ func BenchmarkFirstWrite(b *testing.B) {
 			continue
 		}
 		b.Run(s.name, func(b *testing.B) {
-			procs := runtime.GOMAXPROCS(1)
+			procs := runtime.GOMAXPROCS(workers)
 			d := NewDevice(Config{DeviceBytes: 64 << 20})
 			runtime.GOMAXPROCS(procs)
+			defer d.Close()
 			data := make([]byte, entries*EntryBytes)
 			s.g.Fill(data, gen.NewRNG(2, 1))
 			var owned int
 			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
+			if workers == 1 {
+				b.ReportAllocs()
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -222,4 +232,25 @@ func BenchmarkFirstWrite(b *testing.B) {
 			b.ReportMetric(float64(owned)/entries, "store-B/entry")
 		})
 	}
+}
+
+// BenchmarkReadEntries reads a written span of all-zero entries back in one
+// call: what a sparse tensor's read costs per entry once nothing is decoded.
+func BenchmarkReadEntries(b *testing.B) {
+	b.Run("zeros", func(b *testing.B) {
+		a := benchAlloc(b, benchEntrySize)
+		data := make([]byte, benchEntrySize)
+		if err := a.WriteEntries(0, data); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(benchEntrySize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := a.ReadEntries(0, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.EntryCount), "ns/entry")
+	})
 }

@@ -321,9 +321,6 @@ func (a *Allocation) Freed() bool {
 // tiers for per-tier inspection.
 func (d *Device) Tiers() (primary, overflow Backend) { return d.slab, d.overflow }
 
-// Codec returns the device's memory compression codec.
-func (d *Device) Codec() compress.Codec { return d.cfg.Codec }
-
 // SameCodecAs reports whether two devices store interchangeable framed
 // streams. Codecs are registry identities, so name equality is the framing
 // contract; interface equality is deliberately not used (codec values need
@@ -493,12 +490,6 @@ func (a *Allocation) DeviceAddress(i int) uint64 {
 func (a *Allocation) BuddyAddress(i int) uint64 {
 	l := a.layout()
 	return l.dev.gbbr + uint64(l.reg.buddyOff) + uint64(i)*uint64(l.target.BuddySlotBytes())
-}
-
-// PTEFor returns the extended page-table entry for the allocation's pages.
-func (a *Allocation) PTEFor() PTE {
-	l := a.layout()
-	return PTE{Compressed: true, Target: l.target, BuddyPageOffset: uint32(l.reg.buddyOff >> 16)}
 }
 
 func (a *Allocation) checkIndex(i int) error {

@@ -118,18 +118,3 @@ func (t TargetRatio) String() string {
 		return fmt.Sprintf("TargetRatio(%d)", uint8(t))
 	}
 }
-
-// RatioForSectors returns the most aggressive non-zero-page ratio that fully
-// fits entries of the given compressed sector count.
-func RatioForSectors(sectors int) TargetRatio {
-	switch {
-	case sectors <= 1:
-		return Target4x
-	case sectors == 2:
-		return Target2x
-	case sectors == 3:
-		return Target4by3x
-	default:
-		return Target1x
-	}
-}

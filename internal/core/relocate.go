@@ -265,13 +265,15 @@ func appendEntry(c compress.Codec, dst, src []byte) ([]byte, int) {
 
 // accessBatch is the data path's step over one sub-batch [b, e), pair by
 // pair. A write is an import with an encode before the lock: both entries of
-// a pair are encoded into the pair buffers first, then stream and metadata
-// commit under the lock — into the entry's slot of the stream store, a copy in
-// place while the stream keeps its class, so the steady state allocates
-// nothing; a stream no entry can hold ends the pass before its entry is
-// touched. A read is an export with a decode after the lock: stream and
-// metadata are snapshotted under it (writers rewrite slots in place, so the
-// reference must not leave it) and decoded straight into the caller's buffer.
+// a pair are encoded into the pair buffers first, then metadata and streams
+// commit under the lock — the pair's streams in one put, a copy into the index
+// or in place in the entry's slot while the stream keeps its class, so the
+// steady state allocates nothing; a stream no entry can hold ends the pass
+// before its entry is touched. A read is an export with a decode after the
+// lock: stream and metadata are snapshotted under it (writers rewrite the
+// index and slots in place, so the reference must not leave it) and decoded
+// straight into the caller's buffer — cleared, not decoded, when the stream is
+// the codec's encoding of the all-zero entry, charged all the same.
 // Never-written entries read as zero, like fresh cudaMalloc pages, and still
 // cost the minimum access. Each entry looks up its device's metadata cache
 // and is charged before its decode, so a decode error leaves exactly the
@@ -316,12 +318,14 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 					n, down = k, a.errStream(i+k, len(pair[k]))
 					break
 				}
-				st.put(i+k, pair[k])
 				a.meta.Set(i+k, secs[k])
 			} else {
 				secs[k] = a.meta.Get(i + k)
 				pair[k] = append(pair[k][:0], st.get(i+k)...) // empty: never written
 			}
+		}
+		if write {
+			st.put(i, pair[:n]...) // the pair at once: the store's lock at most once
 		}
 		sh.Unlock()
 		l, t := cur, &p.tally // every entry's home and tally, outside a relayout
@@ -337,7 +341,7 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 				continue
 			}
 			out := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
-			if len(pair[k]) == 0 {
+			if len(pair[k]) == 0 || secs[k] == 0 && compress.IsZeroEntryStream(l.dev.cfg.Codec, pair[k]) {
 				clear(out)
 			} else if err := l.dev.cfg.Codec.DecompressInto(out, pair[k]); err != nil {
 				return fmt.Errorf("core: entry %d of %s: %w", i+k, a.Name, err)
@@ -363,7 +367,7 @@ func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch *
 		return nil
 	}
 	next := m.next
-	if st := &a.store; st.slot[k] != 0 {
+	if st := &a.store; st.written(k) {
 		sectors := a.meta.Get(k)
 		landed := sectors
 		if m.transcode {
@@ -431,7 +435,7 @@ func (p *relocPass) install(a *Allocation, l *layout, t *relocTally, k int, stre
 // stream crosses the link from the carve-out copy, the in-budget sectors
 // are re-stored device-side.
 func (p *relocPass) restream(a *Allocation, l *layout, t *relocTally, k int) {
-	if a.store.slot[k] == 0 {
+	if !a.store.written(k) {
 		return
 	}
 	sectors := a.meta.Get(k)

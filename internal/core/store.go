@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -10,21 +11,30 @@ import (
 	"buddy/internal/compress"
 )
 
-// The stream store keeps an allocation's framed streams: per entry a slot
-// reference and a length — five pointer-free bytes, entry i of both under
-// entry i's shard lock — and the bytes in chunks that never move, cut into
-// slots of whole granules. A slot's class is a function of the length it
-// holds, so there is no capacity to store and a rewrite within a class, every
+// The stream store keeps an allocation's framed streams behind one flat
+// index: five pointer-free bytes per entry, entry i's under entry i's shard
+// lock — a length, and four bytes that are the stream itself when it is that
+// short (class 0, inline: the small-string optimisation, which is where most
+// codecs' all-zero entry lands, though the store knows nothing of codecs or of
+// zero) and the reference of its slot otherwise. Slots are whole granules of
+// chunks that never move, and a slot's class is a function of the length it
+// holds, so there is no capacity to store: a rewrite within a class, every
 // steady-state write of a serving loop, is a copy in place under the shard
-// lock alone; only a first write or a change of class takes mu. Slots are
-// never split, merged or lent: an allocation holds at most one slot per entry
-// for every class its entries have been in (ROADMAP item 1).
+// lock alone, and so is any write of an inline stream over another or over a
+// never-written entry. Only an entry entering or leaving a slotted class takes
+// mu, once for both entries of a metadata pair. Slots are never split, merged
+// or lent: an allocation holds at most one slot per entry for every slotted
+// class its entries have been in (ROADMAP item 5).
 const (
 	// granuleBytes, the unit slots are cut in, is the 8 B zero-page word: the
 	// smallest thing §3.4 stores for an entry, so a constant and not a knob.
-	// An all-zero entry's 1-byte stream costs one; a 32 B sector, four.
+	// A 32 B sector takes four.
 	granuleBytes = compress.ZeroPageBytes
 	maxClass     = (MaxStreamBytes + granuleBytes - 1) / granuleBytes
+	// inlineBytes is what the index holds in a slot reference's place, so the
+	// index does not grow to have it; indexBytes is an entry's share of it.
+	inlineBytes = 4
+	indexBytes  = 1 + inlineBytes
 	// chunkShift makes a chunk 2048 granules, 16 KiB: the half chunk an
 	// allocation leaves unfilled is under 1 B per entry from 8 Ki entries up.
 	chunkShift = 11
@@ -35,12 +45,20 @@ const (
 	_               = uint8(MaxStreamBytes) // a stream's length is kept in a byte
 )
 
-// classOf is the slot class of an n-byte stream: its size in granules.
-func classOf(n int) int { return (n + granuleBytes - 1) / granuleBytes }
+// classOf is the slot class of an n-byte stream: its size in granules, 0 for
+// one the index holds itself (and for none: a never-written entry has no slot).
+func classOf(n int) int {
+	if n <= inlineBytes {
+		return 0
+	}
+	return (n + granuleBytes - 1) / granuleBytes
+}
 
 type streamStore struct {
-	slot   []uint32 // 1 + the slot's first granule, counted across the chunks; 0: never written
-	length []uint8  // the stream's length, and with it the slot's class
+	// Entry i's indexBytes: its stream's length, 0 while never written, then
+	// the stream itself if inlineBytes hold it, else its slot's first granule,
+	// counted across the chunks, little-endian.
+	index []byte
 
 	// The chunks in order, a table only ever appended to and published
 	// afresh: a reader, under its entry's shard lock alone, finds its slot's
@@ -50,7 +68,7 @@ type streamStore struct {
 	chunks atomic.Pointer[[][]byte]
 
 	// mu, a leaf below the entry shards, guards the free lists, the cursor
-	// and the table's growth — not slot, length or any stream byte; no codec
+	// and the table's growth — not the index or any stream byte; no codec
 	// call or other lock is taken under it.
 	mu     sync.Mutex
 	cursor uint32                 // the first granule never handed out
@@ -59,68 +77,104 @@ type streamStore struct {
 
 // init sizes the store, part of its Allocation, for entries entries.
 func (s *streamStore) init(entries int) {
-	s.slot, s.length, s.shift = make([]uint32, entries), make([]uint8, entries), chunkShift
+	s.index, s.shift = make([]byte, indexBytes*entries), chunkShift
 	if worst := entries * maxClass; worst < 1<<chunkShift {
 		s.shift = uint8(bits.Len(uint(worst - 1)))
 	}
 	s.chunks.Store(new([][]byte))
 }
 
-// at returns the chunk from slot ref's first byte on.
-func (s *streamStore) at(ref uint32) []byte {
-	g := ref - 1
+// entry is entry i's bytes of the index, capped: nothing appended to a slice
+// of them reaches the next entry's.
+func (s *streamStore) entry(i int) []byte {
+	return s.index[i*indexBytes:][:indexBytes:indexBytes]
+}
+
+// at returns the chunk from the first byte of the slot e refers to on.
+func (s *streamStore) at(e []byte) []byte {
+	g := binary.LittleEndian.Uint32(e[1:])
 	return (*s.chunks.Load())[g>>s.shift][g&(1<<s.shift-1)*granuleBytes:]
 }
+
+// written reports whether entry i holds a stream.
+func (s *streamStore) written(i int) bool { return s.index[i*indexBytes] != 0 }
 
 // get returns entry i's stream, nil if it was never written: the store's own
 // bytes, the caller's only while it holds entry i's shard lock.
 //
 //buddy:hotpath
 func (s *streamStore) get(i int) []byte {
-	if s.slot[i] == 0 {
+	e := s.entry(i)
+	switch n := int(e[0]); {
+	case n == 0:
 		return nil
+	case n <= inlineBytes:
+		return e[1 : 1+n : 1+n]
+	default:
+		return s.at(e)[:n:n]
 	}
-	return s.at(s.slot[i])[:s.length[i]]
 }
 
-// put makes stream — 1 to MaxStreamBytes bytes, not the store's own — entry
-// i's. Caller holds entry i's shard lock.
+// put makes streams — 1 to MaxStreamBytes bytes each, none the store's own —
+// the streams of entries i, i+1, …: one entry's, or a metadata pair's. Caller
+// holds their shard lock.
 //
 //buddy:hotpath
-func (s *streamStore) put(i int, stream []byte) {
-	if c := classOf(len(stream)); s.slot[i] == 0 || c != classOf(int(s.length[i])) {
-		s.reslot(i, c)
+func (s *streamStore) put(i int, streams ...[]byte) {
+	for k, stream := range streams {
+		if classOf(len(stream)) != classOf(int(s.entry(i + k)[0])) {
+			s.reslot(i+k, streams[k:])
+			break
+		}
 	}
-	copy(s.at(s.slot[i]), stream)
-	s.length[i] = uint8(len(stream))
+	for k, stream := range streams {
+		e := s.entry(i + k)
+		if len(stream) <= inlineBytes {
+			copy(e[1:], stream)
+		} else {
+			copy(s.at(e), stream)
+		}
+		e[0] = uint8(len(stream))
+	}
 }
 
-// reslot moves entry i to a slot of the given class: its old slot, if any,
-// joins its class's free list; the new one is the class's most recently
-// vacated or, when there is none, carved at the cursor, in a chunk made and
-// listed here. A chunk's tail too short for it becomes a vacant slot.
-func (s *streamStore) reslot(i, class int) {
+// reslot moves each entry from i on whose stream changes class, under one
+// acquisition of mu: its old slot, if it had one, joins its class's free
+// list; if it needs one, the new one is the class's most recently vacated or,
+// when there is none, carved at the cursor, in a chunk made and listed here.
+// A chunk's tail too short for it becomes a vacant slot.
+func (s *streamStore) reslot(i int, streams [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.slot[i]; old != 0 {
-		c := classOf(int(s.length[i]))
-		s.free[c] = append(s.free[c], old)
+	for k, stream := range streams {
+		e := s.entry(i + k)
+		old, class := classOf(int(e[0])), classOf(len(stream))
+		if old == class {
+			continue
+		}
+		if old != 0 {
+			s.free[old] = append(s.free[old], binary.LittleEndian.Uint32(e[1:]))
+		}
+		if class == 0 {
+			continue
+		}
+		if f := s.free[class]; len(f) > 0 {
+			binary.LittleEndian.PutUint32(e[1:], f[len(f)-1])
+			s.free[class] = f[:len(f)-1]
+			continue
+		}
+		per := uint32(1) << s.shift
+		if room := per - s.cursor&(per-1); room < uint32(class) {
+			s.free[room] = append(s.free[room], s.cursor)
+			s.cursor += room
+		}
+		if tbl := s.chunks.Load(); int(s.cursor>>s.shift) == len(*tbl) {
+			grown := append(*tbl, make([]byte, granuleBytes<<s.shift))
+			s.chunks.Store(&grown)
+		}
+		binary.LittleEndian.PutUint32(e[1:], s.cursor)
+		s.cursor += uint32(class)
 	}
-	if f := s.free[class]; len(f) > 0 {
-		s.slot[i], s.free[class] = f[len(f)-1], f[:len(f)-1]
-		return
-	}
-	per := uint32(1) << s.shift
-	if room := per - s.cursor&(per-1); room < uint32(class) {
-		s.free[room] = append(s.free[room], s.cursor+1)
-		s.cursor += room
-	}
-	if tbl := s.chunks.Load(); int(s.cursor>>s.shift) == len(*tbl) {
-		grown := append(*tbl, make([]byte, granuleBytes<<s.shift))
-		s.chunks.Store(&grown)
-	}
-	s.slot[i] = s.cursor + 1
-	s.cursor += uint32(class)
 }
 
 // errStream refuses a framed stream of n bytes for entry i: no entry holds an

@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"buddy/internal/compress"
 	"buddy/internal/gen"
@@ -26,7 +29,7 @@ func corruptStream(a *Allocation, i, n int) {
 // the chunks and the free lists.
 func (s *streamStore) ownedBytes() int {
 	tbl := *s.chunks.Load()
-	n := 4*cap(s.slot) + cap(s.length) + 24*cap(tbl)
+	n := cap(s.index) + 24*cap(tbl)
 	for _, c := range tbl {
 		n += cap(c)
 	}
@@ -36,26 +39,38 @@ func (s *streamStore) ownedBytes() int {
 	return n
 }
 
+// slotOf is the reference in entry i's index bytes: a slot's first granule
+// when the entry's class is not 0, part of the stream or stale otherwise.
+func (s *streamStore) slotOf(i int) uint32 {
+	return binary.LittleEndian.Uint32(s.entry(i)[1:])
+}
+
 // checkStore holds s against the oracle: every entry reads back as the oracle
-// has it, and the live slots and the vacant ones together tile the granules
-// below the cursor exactly — none overlaps another, none is lost — with no
-// slot across a chunk boundary.
+// has it — an inline one from the index, with no room to append into its
+// neighbour — and the live slots and the vacant ones together tile the
+// granules below the cursor exactly — none overlaps another, none is lost,
+// inline entries hold none — with no slot across a chunk boundary.
 func checkStore(t testing.TB, s *streamStore, want map[int][]byte) {
 	t.Helper()
 	type span struct{ lo, class uint32 }
 	var spans []span
-	for i := range s.slot {
+	for i := 0; i < len(s.index)/indexBytes; i++ {
 		got := s.get(i)
-		if !bytes.Equal(got, want[i]) || (got == nil) != (want[i] == nil) {
-			t.Fatalf("entry %d reads %d bytes %.8x, want %d bytes %.8x", i, len(got), got, len(want[i]), want[i])
+		if !bytes.Equal(got, want[i]) || (got == nil) != (want[i] == nil) || s.written(i) != (want[i] != nil) {
+			t.Fatalf("entry %d reads %d bytes %.8x (written=%v), want %d bytes %.8x", i, len(got), got, s.written(i), len(want[i]), want[i])
 		}
-		if got != nil {
-			spans = append(spans, span{s.slot[i] - 1, uint32(classOf(len(got)))})
+		if cap(got) != len(got) {
+			t.Fatalf("entry %d: a %d-byte stream in a slice of capacity %d", i, len(got), cap(got))
+		}
+		if c := classOf(len(got)); c != 0 {
+			spans = append(spans, span{s.slotOf(i), uint32(c)})
+		} else if got != nil && &got[0] != &s.index[i*indexBytes+1] {
+			t.Fatalf("entry %d: a %d-byte stream kept outside the index", i, len(got))
 		}
 	}
 	for c, f := range s.free {
 		for _, ref := range f {
-			spans = append(spans, span{ref - 1, uint32(c)})
+			spans = append(spans, span{ref, uint32(c)})
 		}
 	}
 	slices.SortFunc(spans, func(a, b span) int { return int(a.lo) - int(b.lo) })
@@ -75,24 +90,46 @@ func checkStore(t testing.TB, s *streamStore, want map[int][]byte) {
 
 // storeOps drives a fresh store of the given size through ops — two bytes
 // each, an entry and a length, 0 for a read — beside a map oracle. After
-// every op the store is checked whole, and the allocator's two promises with
-// it: a rewrite within a class takes no slot, and a class's vacant slots are
-// used up before the cursor moves for it.
+// every op the store is checked whole, and the allocator's promises with it:
+// a rewrite within a class takes no slot, a class's vacant slots are used up
+// before the cursor moves for it, an inline put moves neither the cursor nor
+// a free list unless it vacates the entry's slot, and then exactly that one.
 func storeOps(t testing.TB, entries int, ops []byte) (*streamStore, map[int][]byte) {
 	t.Helper()
 	s, want := new(streamStore), map[int][]byte{}
 	s.init(entries)
+	vacant := func() (n int) {
+		for _, f := range s.free {
+			n += len(f)
+		}
+		return n
+	}
 	for k := 0; k+1 < len(ops); k += 2 {
 		i, n := int(ops[k])%entries, int(ops[k+1])%(MaxStreamBytes+1)
 		if n > 0 {
-			c := classOf(n)
-			reslots := s.slot[i] == 0 || classOf(int(s.length[i])) != c
-			carves, cursor, slot := reslots && len(s.free[c]) == 0, s.cursor, s.slot[i]
+			old, c := classOf(len(want[i])), classOf(n)
+			carves, cursor, slot, free := c != old && c != 0 && len(s.free[c]) == 0, s.cursor, s.slotOf(i), vacant()
+			takes := slot // the slot it should end up in, if its class has one
+			if c != old && !carves && c != 0 {
+				takes = s.free[c][len(s.free[c])-1]
+			}
 			want[i] = bytes.Repeat([]byte{byte(k/2 + 1)}, n)
 			s.put(i, want[i])
-			if (s.cursor != cursor) != carves || (s.slot[i] != slot) != reslots {
-				t.Fatalf("op %d: put of %d bytes (class %d) at entry %d: reslots=%v carves=%v, cursor %d -> %d, slot %d -> %d",
-					k/2, n, c, i, reslots, carves, cursor, s.cursor, slot, s.slot[i])
+			if carves {
+				takes = s.cursor - uint32(c)
+			}
+			if (s.cursor != cursor) != carves || c != 0 && s.slotOf(i) != takes {
+				t.Fatalf("op %d: put of %d bytes (class %d -> %d) at entry %d: carves=%v, cursor %d -> %d, slot %d -> %d, want %d",
+					k/2, n, old, c, i, carves, cursor, s.cursor, slot, s.slotOf(i), takes)
+			}
+			if c == 0 {
+				if old != 0 {
+					free++ // its own slot, the last one vacated
+				}
+				if vacant() != free || old != 0 && s.free[old][len(s.free[old])-1] != slot {
+					t.Fatalf("op %d: inline put of %d bytes at entry %d of class %d: %d vacant slots, want %d, its own slot %d the last",
+						k/2, n, i, old, vacant(), free, slot)
+				}
 			}
 		}
 		checkStore(t, s, want)
@@ -100,18 +137,23 @@ func storeOps(t testing.TB, entries int, ops []byte) (*streamStore, map[int][]by
 	return s, want
 }
 
-// TestStoreModel is the store against its oracle: the lengths at the class
-// and sector edges, same-class rewrites, a shrink and a grow on one entry,
-// then a seeded random sequence — on a store with full-size chunks and on one
-// small enough to have chunks of its own size. Afterwards every entry is put
-// into another class and back, repeatedly: the store's bytes come back to
-// exactly what they were.
+// TestStoreModel is the store against its oracle: the lengths at the inline,
+// class and sector edges, same-class rewrites, a shrink and a grow on one
+// entry, then a seeded random sequence — on a store with full-size chunks and
+// on one small enough to have chunks of its own size. Afterwards every entry
+// is put into another class and back, repeatedly: the store's bytes come back
+// to exactly what they were.
 func TestStoreModel(t *testing.T) {
 	for _, entries := range []int{3, 200} {
-		ops := []byte{0, 8, 0, 9, 0, 8, 0, 128, 0, 129, 0, 192, 0, 192, 0, 185, 0, 1, 0, 192, 1, 0, 1, 8}
+		ops := []byte{0, 8, 0, 9, 0, 8, 0, 128, 0, 129, 0, 192, 0, 192, 0, 185, 0, 1, 0, 192, 1, 0, 1, 8,
+			1, 4, 1, 5, 1, 4, 1, 3, 2, 4, 2, 2, 2, 5, 2, 1, 2, 0}
 		r := gen.NewRNG(20, uint64(entries))
 		for k := 0; k < 6000; k++ {
-			ops = append(ops, byte(r.Intn(entries)), byte(r.Intn(MaxStreamBytes+1)))
+			n := r.Intn(MaxStreamBytes + 1)
+			if k%3 == 0 {
+				n = r.Intn(2 * granuleBytes) // about the inline edge, where the zero streams are
+			}
+			ops = append(ops, byte(r.Intn(entries)), byte(n))
 		}
 		s, want := storeOps(t, entries, ops)
 		if len(*s.chunks.Load()) < 2 {
@@ -145,13 +187,43 @@ func TestStoreModel(t *testing.T) {
 	}
 }
 
+// TestStorePairPut holds a metadata pair's put — both streams under one
+// acquisition of the store's lock at most — to two single puts on a twin
+// store, over a seeded sequence dense about the inline edge: same index
+// bytes, same cursor, same free lists after every pair.
+func TestStorePairPut(t *testing.T) {
+	const entries = 40
+	pair, twin, want := new(streamStore), new(streamStore), map[int][]byte{}
+	pair.init(entries)
+	twin.init(entries)
+	r := gen.NewRNG(21, 1)
+	length := func() int {
+		if r.Intn(2) == 0 {
+			return 1 + r.Intn(2*granuleBytes)
+		}
+		return 1 + r.Intn(MaxStreamBytes)
+	}
+	for k := 0; k < 4000; k++ {
+		i := 2 * r.Intn(entries/2)
+		want[i], want[i+1] = bytes.Repeat([]byte{byte(k)}, length()), bytes.Repeat([]byte{byte(k + 1)}, length())
+		pair.put(i, want[i], want[i+1])
+		twin.put(i, want[i])
+		twin.put(i+1, want[i+1])
+		checkStore(t, pair, want)
+		if !bytes.Equal(pair.index, twin.index) || pair.cursor != twin.cursor || !reflect.DeepEqual(pair.free, twin.free) {
+			t.Fatalf("pair %d: a pair put of %d and %d bytes at entry %d left the store unlike two single puts", k, len(want[i]), len(want[i+1]), i)
+		}
+	}
+}
+
 // TestStoreClassWalkBound walks a whole allocation through five classes in
 // bulk — zero words, raw frames, two sizes between, the longest stream — the
 // way a buffer reused for one tensor after another goes. Slots serve their
-// own class alone, so each class visited strands a slot per entry: the store
-// grows by exactly that class's granules per entry (chunk tails on top) the
-// first time round and by nothing the second, and never past the sum over
-// the classes it has seen — the limit ROADMAP item 1 records.
+// own class alone, so each slotted class visited strands a slot per entry —
+// the zero words, inline, strand nothing: the store grows by exactly that
+// class's granules per entry (chunk tails on top) the first time round and by
+// nothing the second, and never past the sum over the classes it has seen —
+// the limit ROADMAP item 5 records.
 func TestStoreClassWalkBound(t *testing.T) {
 	const entries = 5000
 	s := new(streamStore)
@@ -172,19 +244,22 @@ func TestStoreClassWalkBound(t *testing.T) {
 				t.Fatalf("round %d, %d-byte streams: cursor %d -> %d, want at most %d granules per entry plus %d of tails",
 					round, n, before, s.cursor, seen, tails)
 			}
-			if got, want := s.ownedBytes(), int(s.cursor+1<<s.shift)*granuleBytes+(5+8*5)*entries+1<<12; got > want {
+			if got, want := s.ownedBytes(), int(s.cursor+1<<s.shift)*granuleBytes+(indexBytes+8*4)*entries+1<<12; got > want {
 				t.Fatalf("round %d, %d-byte streams: the store owns %d bytes, want at most %d", round, n, got, want)
 			}
 		}
 	}
-	t.Logf("after classes 1, 17, 5, 9, 24: %d granules, %.1f store bytes per entry (a buffer per entry kept its largest: about %d)",
+	t.Logf("after classes 0, 17, 5, 9, 24: %d granules, %.1f store bytes per entry (a buffer per entry kept its largest: about %d)",
 		s.cursor, float64(s.ownedBytes())/entries, 24+208)
 }
 
-// FuzzStoreOps is the same oracle over arbitrary op bytes.
+// FuzzStoreOps is the same oracle over arbitrary op bytes; the seeds cross
+// the inline edge both ways, from a slot and from nothing.
 func FuzzStoreOps(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 8, 0, 9, 1, 192, 0, 8, 1, 1})
 	f.Add(uint8(199), []byte{7, 192, 8, 191, 7, 0, 9, 23, 7, 24, 8, 25})
+	f.Add(uint8(3), []byte{0, 4, 0, 5, 0, 4, 1, 5, 1, 4, 1, 5, 2, 1, 2, 2, 0, 9, 2, 8, 0, 0})
+	f.Add(uint8(0), []byte{0, 5, 0, 4, 0, 3, 0, 5, 0, 192, 0, 1, 0, 8})
 	f.Fuzz(func(t *testing.T, entries uint8, ops []byte) {
 		storeOps(t, 1+int(entries), ops)
 	})
@@ -469,5 +544,137 @@ func TestRelocationHeapFlat(t *testing.T) {
 				t.Errorf("HeapInuse %d at round 33, %d at round 3: grew more than 5 %%", heap, heap3)
 			}
 		}
+	}
+}
+
+// decodeCounter counts a codec's decodes. A wrapper is by construction outside
+// compress's table of zero encodings, so behind one the zero fast path is off:
+// the reference world of TestZeroReadNoDecode.
+type decodeCounter struct {
+	compress.Codec
+	decodes *atomic.Int64
+}
+
+func (c decodeCounter) DecompressInto(dst, comp []byte) error {
+	c.decodes.Add(1)
+	return c.Codec.DecompressInto(dst, comp)
+}
+
+// TestZeroReadNoDecode reads a span of written-zero, never-written and
+// non-zero entries, over a sub-batch edge and an odd pair, under every
+// built-in codec: the read that clears a written zero entry without decoding
+// it returns the same bytes and charges the same Traffic and the same
+// BackendTraffic on both tiers as the one that decodes every written entry,
+// fast path defeated by a wrapper codec — which counts one decode per written
+// entry and none for the never-written. (The fast side cannot be counted: a
+// counting codec is a wrapper. BenchmarkReadEntry/zeros pins its cost.) A zero
+// entry is still a written one — exported as its stream — and a zero stream cut
+// short is not a zero stream: it decodes, and fails naming the entry.
+func TestZeroReadNoDecode(t *testing.T) {
+	const entries, gapLo, gapHi = spanBatchEntries + 75, 40, 61
+	data := fillEntries(entries, []gen.Generator{gen.Zeros{}, gen.Random{}, gen.Zeros{}, gen.Zeros{}, gen.Ramp{Start: 3, Step: 11}}, 7)
+	clear(data[gapLo*EntryBytes : gapHi*EntryBytes])
+	type reading struct {
+		got            []byte
+		traffic        Traffic
+		slab, overflow BackendTraffic
+	}
+	for _, codec := range compress.Registry() {
+		var decodes atomic.Int64
+		read := func(c compress.Codec) (*Allocation, reading) {
+			d := NewDevice(Config{DeviceBytes: 16 << 20, Codec: c})
+			t.Cleanup(func() { d.Close() })
+			a, err := d.Malloc("z", entries*EntryBytes, Target4x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.WriteEntries(0, data[:gapLo*EntryBytes]); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.WriteEntries(gapHi, data[gapHi*EntryBytes:]); err != nil {
+				t.Fatal(err)
+			}
+			d.ResetTraffic()
+			r := reading{got: bytes.Repeat([]byte{0xEE}, len(data))}
+			if err := a.ReadEntries(0, r.got); err != nil {
+				t.Fatal(err)
+			}
+			slab, overflow := d.Tiers()
+			r.traffic, r.slab, r.overflow = d.Traffic(), slab.Traffic(), overflow.Traffic()
+			return a, r
+		}
+		a, fast := read(codec)
+		_, slow := read(decodeCounter{codec, &decodes})
+		if !bytes.Equal(fast.got, data) || !reflect.DeepEqual(fast, slow) {
+			t.Errorf("%s: read back right=%v; traffic %+v / %+v / %+v, decoding every entry %+v / %+v / %+v",
+				codec.Name(), bytes.Equal(fast.got, data), fast.traffic, fast.slab, fast.overflow, slow.traffic, slow.slab, slow.overflow)
+		}
+		if n := decodes.Load(); n != entries-(gapHi-gapLo) {
+			t.Errorf("%s: %d decodes behind the wrapper, want one per written entry: %d", codec.Name(), n, entries-(gapHi-gapLo))
+		}
+		zero, _ := compress.AppendZeroEntry(nil, codec)
+		if s, _, written, err := a.ExportEntry(0, nil); err != nil || !written || !bytes.Equal(s, zero) {
+			t.Errorf("%s: a written zero entry exports as %x (written=%v, err=%v), want its stream %x", codec.Name(), s, written, err, zero)
+		}
+		if _, _, written, _ := a.ExportEntry(gapLo, nil); written {
+			t.Errorf("%s: a never-written entry exports as written", codec.Name())
+		}
+	}
+
+	d := newBulkDevice(t, 1<<20)
+	a, err := d.Malloc("cut", 4*EntryBytes, Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteEntries(0, make([]byte, 4*EntryBytes)); err != nil {
+		t.Fatal(err)
+	}
+	corruptStream(a, 2, 1)
+	err = a.ReadEntries(0, make([]byte, 4*EntryBytes))
+	if !errors.Is(err, compress.ErrCorrupt) || !strings.Contains(err.Error(), "entry 2 of cut") {
+		t.Errorf("read of a zero stream cut to 1 byte: %v, want ErrCorrupt naming entry 2 of cut", err)
+	}
+}
+
+// TestZeroFirstWriteTakesNoStoreLock holds the store's allocator lock and
+// writes zeros: the first load of a fresh allocation and a rewrite of a loaded
+// one both finish, the streams living in the index; a stream that needs a slot
+// waits for the lock, which is what shows the zeros did not.
+func TestZeroFirstWriteTakesNoStoreLock(t *testing.T) {
+	const entries = 3 * bulkGrainEntries
+	d := newBulkDevice(t, 1<<20)
+	a, err := d.Malloc("z", entries*EntryBytes, Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(data []byte) chan error {
+		done := make(chan error, 1)
+		go func() { done <- a.WriteEntries(0, data) }()
+		return done
+	}
+	zeros := make([]byte, entries*EntryBytes)
+	a.store.mu.Lock()
+	for _, pass := range []string{"first write", "rewrite"} {
+		select {
+		case err := <-write(zeros):
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s of zeros waits for the store's lock", pass)
+		}
+	}
+	slotted := write(fillEntries(entries, []gen.Generator{gen.Random{}}, 1))
+	select {
+	case <-slotted:
+		t.Error("a write of raw frames finished with the store's lock held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	a.store.mu.Unlock()
+	if err := <-slotted; err != nil {
+		t.Fatal(err)
+	}
+	if a.store.cursor == 0 {
+		t.Error("raw frames took no slot")
 	}
 }

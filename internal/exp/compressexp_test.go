@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"buddy/internal/analysis"
+	"buddy/internal/compress"
+	"buddy/internal/core"
 	"buddy/internal/race"
 	"buddy/internal/workloads"
 )
@@ -263,5 +267,55 @@ func skipFidelitySweepUnderRace(t *testing.T) {
 	t.Helper()
 	if race.Enabled {
 		t.Skip("single-threaded fidelity sweep; skipped under -race")
+	}
+}
+
+// TestLiveBuddyFractionEqualsProfile holds the server to the reproduction:
+// one snapshot (the fourth) of five benchmarks, loaded into a live device at
+// the targets the profiler picks and read back once in full, moves exactly the
+// fraction of accesses through buddy memory that the profiling pass predicted
+// and that MeasureIndex measures on the index — Fig. 7's bars and the device's
+// Traffic are one number, whatever the data path does to an entry on the way.
+func TestLiveBuddyFractionEqualsProfile(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		frac float64
+	}{
+		{"VGG16", 0.06627010354703679}, {"351.palm", 0}, {"ResNet50", 0.10197439791711868},
+		{"355.seismic", 0.004311831666091756}, {"352.ep", 0.008521214273033907},
+	} {
+		b, err := workloads.ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := workloads.GenerateSnapshot(b, 3, 4096)
+		x := analysis.Build(snap, compress.NewBPC())
+		prof := core.ProfileIndexes([]*analysis.Index{x}, core.FinalDesign())
+		targets := prof.Targets()
+		d := core.NewDevice(core.Config{DeviceBytes: 2 * int64(snap.TotalBytes())})
+		var loaded []*core.Allocation
+		for _, ma := range snap.Allocations {
+			a, err := d.Malloc(ma.Name, int64(len(ma.Data)), targets[ma.Name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.WriteAt(ma.Data, 0); err != nil {
+				t.Fatal(err)
+			}
+			loaded = append(loaded, a)
+		}
+		d.ResetTraffic()
+		for k, a := range loaded {
+			got := make([]byte, len(snap.Allocations[k].Data))
+			if _, err := a.ReadAt(got, 0); err != nil || !bytes.Equal(got, snap.Allocations[k].Data) {
+				t.Fatalf("%s/%s: read back err=%v", c.name, a.Name, err)
+			}
+		}
+		live := d.Traffic().BuddyAccessFraction()
+		if _, measured := core.MeasureIndex(x, targets); live != measured || live != prof.BuddyAccessFraction || live != c.frac {
+			t.Errorf("%s: live buddy-access fraction %v, MeasureIndex %v, profile %v, pinned %v: want all four equal",
+				c.name, live, measured, prof.BuddyAccessFraction, c.frac)
+		}
+		d.Close()
 	}
 }

@@ -136,11 +136,3 @@ type Result struct {
 	// speed study).
 	WallClockSeconds float64
 }
-
-// IPC returns instructions per cycle.
-func (r Result) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Instructions) / r.Cycles
-}

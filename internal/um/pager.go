@@ -27,9 +27,6 @@ func NewPager(pageBytes int, residentBytes int64) *Pager {
 	return &Pager{pageBytes: pageBytes, pool: newClockPool(capacity)}
 }
 
-// PageBytes returns the migration granularity.
-func (p *Pager) PageBytes() int { return p.pageBytes }
-
 // Touch records an access to addr and reports whether its page was already
 // resident. A miss evicts (CLOCK) and migrates the page in, accounting one
 // fault and PageBytes of migration traffic.

@@ -109,28 +109,6 @@ func Table1() []Benchmark {
 	}
 }
 
-// HPCBenchmarks returns only the HPC subset.
-func HPCBenchmarks() []Benchmark {
-	var out []Benchmark
-	for _, b := range Table1() {
-		if b.Suite == HPC {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// DLBenchmarks returns only the DL subset.
-func DLBenchmarks() []Benchmark {
-	var out []Benchmark
-	for _, b := range Table1() {
-		if b.Suite == DL {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // ByName returns the named benchmark.
 func ByName(name string) (Benchmark, error) {
 	for _, b := range Table1() {
