@@ -22,8 +22,18 @@ vet:
 #
 # buddylint itself rejects reason-less or stale directives, so there is
 # no blanket escape hatch; `make lint-fix` prints the recipe.
+#
+# The last step keeps modeled time in one place: bytes become cycles in
+# internal/core/cost.go alone, so of the serving stack's non-test files only it
+# may name the Tab. 2 rates (and internal/exp/perfexp.go, which prints and
+# sweeps them for gpusim, a different model).
+ONE_COST_HOME = internal/core/cost.go internal/exp/perfexp.go
 lint: vet
 	$(GO) run ./cmd/buddylint ./...
+	@got=$$(find internal/core internal/pool internal/exp -name '*.go' -not -name '*_test.go' \
+	    | xargs grep -lE 'CoreClockGHz|BandwidthGBs' | sort | xargs); \
+	  [ "$$got" = "$(ONE_COST_HOME)" ] \
+	    || { echo "lint: CoreClockGHz|BandwidthGBs named in [$$got], want exactly [$(ONE_COST_HOME)]"; exit 1; }
 	@echo 'lint: ok'
 
 # buddylint has no automatic fixer: findings are fixed in code, or

@@ -71,6 +71,10 @@ type BackendTraffic = core.BackendTraffic
 // Traffic holds a snapshot of a Device's byte-level traffic counters.
 type Traffic = core.Traffic
 
+// Cost is what one operation charged the Traffic ledgers, as
+// Allocation.Access returns it; Device.Cycles prices it in modeled time.
+type Cost = core.Cost
+
 // TargetRatio is an allocation's annotated target compression ratio.
 type TargetRatio = core.TargetRatio
 

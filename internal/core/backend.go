@@ -168,11 +168,12 @@ func NewSlabBackend(capacity int64) *SlabBackend {
 // CarveoutBackend is the paper's overflow tier: a carve-out of buddy memory
 // reached over the NVLink interconnect (§2.3). The link is full-duplex and
 // the GPU never waits on it for a write-back, so a direction's occupancy is
-// the bytes it carried over its rate: no queue, and no order to keep.
+// the bytes it carried over its rate: no queue, and no order to keep. The
+// tier meters the bytes; its device prices them (Device.Cycles).
 type CarveoutBackend struct {
 	capacityMeter
 	trafficMeter
-	bytesPerCycle float64 // per direction
+	bytesPerCycle float64 // the link's rate per direction
 }
 
 // NewCarveoutBackend builds a buddy carve-out tier of the given capacity
@@ -182,13 +183,6 @@ func NewCarveoutBackend(capacity int64, link nvlink.Config) *CarveoutBackend {
 		capacityMeter: capacityMeter{name: "buddy-carveout", capacity: capacity},
 		bytesPerCycle: nvlink.New(link).BytesPerCycle(), // nvlink defaults the rate fields
 	}
-}
-
-// LinkOccupancy returns the modeled busy core-cycles per link direction:
-// how long the interconnect has been transferring in each direction since
-// the last reset. Idle gaps between transfers are not occupancy.
-func (b *CarveoutBackend) LinkOccupancy() (readCycles, writeCycles float64) {
-	return float64(b.readBytes.Load()) / b.bytesPerCycle, float64(b.writtenBytes.Load()) / b.bytesPerCycle
 }
 
 // HostBackend is the fallback overflow tier when no buddy memory is

@@ -147,13 +147,14 @@ func TestBackendConformance(t *testing.T) {
 
 func TestCarveoutBackendModelsLink(t *testing.T) {
 	b := NewCarveoutBackend(1<<20, nvlink.DefaultConfig())
+	d := NewDevice(Config{DeviceBytes: 1 << 20, Overflow: b})
 	b.Access([]TierOp{{Entry: 0, Bytes: 1 << 16, Store: true}, {Entry: 1, Bytes: 1 << 16}})
-	r, w := b.LinkOccupancy()
+	r, w := d.LinkOccupancy()
 	if r <= 0 || w <= 0 {
 		t.Errorf("link occupancy read=%f write=%f, want both positive", r, w)
 	}
 	b.ResetTraffic()
-	if r, w = b.LinkOccupancy(); r != 0 || w != 0 {
+	if r, w = d.LinkOccupancy(); r != 0 || w != 0 {
 		t.Errorf("reset left link occupancy read=%f write=%f", r, w)
 	}
 }
@@ -204,7 +205,9 @@ func TestCarveoutAccessOrderIndependent(t *testing.T) {
 		if got := b.Traffic(); got != want {
 			t.Fatalf("trial %d: traffic %+v, want %+v", trial, got, want)
 		}
-		rd, wr := b.LinkOccupancy()
+		d := NewDevice(Config{DeviceBytes: 1 << 20, Overflow: b})
+		rd, wr := d.LinkOccupancy()
+		_ = d.Close()
 		if rd != float64(want.ReadBytes)/bytesPerCycle || wr != float64(want.WrittenBytes)/bytesPerCycle {
 			t.Fatalf("trial %d: link occupancy %v/%v, want bytes over %v bytes per cycle exactly", trial, rd, wr, bytesPerCycle)
 		}

@@ -201,29 +201,37 @@ func (a *Allocation) runPass(p *relocPass, stage []byte, lo, hi int) ([]byte, er
 
 // dataPass runs one data pass of the walker — kind is relocWrite or relocRead
 // — over entries [lo, hi) of a; data is the flat buffer of a span whose
-// first entry is index base.
+// first entry is index base. It returns what the pass charged, which on an
+// error is the cost of the entries accounted before the pass ended.
 //
 //buddy:hotpath
-func (a *Allocation) dataPass(kind relocKind, base int, data []byte, lo, hi int) error {
+func (a *Allocation) dataPass(kind relocKind, base int, data []byte, lo, hi int) (Cost, error) {
 	p := relocPass{kind: kind, base: base}
 	_, err := a.runPass(&p, data, lo, hi)
-	return err
+	return p.cost, err
 }
 
 // entrySpan is the spanRunner behind WriteEntries/ReadEntries: a span of
-// contiguous entries of one allocation, backed by one flat buffer.
+// contiguous entries of one allocation, backed by one flat buffer. Its
+// workers' passes sum what they charged into the three counters.
 type entrySpan struct {
 	a     *Allocation
 	kind  relocKind
 	start int
 	data  []byte
+
+	deviceBytes, linkRead, linkWrite atomic.Uint64
 }
 
 var entrySpanPool = sync.Pool{New: func() any { return new(entrySpan) }}
 
 //buddy:hotpath
 func (s *entrySpan) runSpan(lo, hi int) error {
-	return s.a.dataPass(s.kind, s.start, s.data, s.start+lo, s.start+hi)
+	c, err := s.a.dataPass(s.kind, s.start, s.data, s.start+lo, s.start+hi)
+	s.deviceBytes.Add(c.DeviceBytes)
+	s.linkRead.Add(c.LinkRead)
+	s.linkWrite.Add(c.LinkWrite)
+	return err
 }
 
 func (a *Allocation) checkEntryRange(start, n int) error {
@@ -234,22 +242,23 @@ func (a *Allocation) checkEntryRange(start, n int) error {
 	return nil
 }
 
-// accessEntries validates a span and runs it as a data pass. A span below
-// two bulk grains — which spanPool.run would keep inline anyway — calls the
-// walker directly; a longer one goes through the span pool with a pooled
-// runner, so the steady-state batch path allocates nothing either way.
+// accessEntries validates a span and runs it as a data pass, returning what
+// it charged. A span below two bulk grains — which spanPool.run would keep
+// inline anyway — calls the walker directly; a longer one goes through the
+// span pool with a pooled runner, so the steady-state batch path allocates
+// nothing either way.
 //
 //buddy:hotpath
-func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) error {
+func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) (Cost, error) {
 	if len(data)%EntryBytes != 0 {
-		return fmt.Errorf("core: batch length %d not a multiple of %d", len(data), EntryBytes)
+		return Cost{}, fmt.Errorf("core: batch length %d not a multiple of %d", len(data), EntryBytes)
 	}
 	n := len(data) / EntryBytes
 	if n == 0 {
-		return nil
+		return Cost{}, nil
 	}
 	if err := a.checkEntryRange(start, n); err != nil {
-		return err
+		return Cost{}, err
 	}
 	if n < 2*bulkGrainEntries {
 		return a.dataPass(kind, start, data, start, start+n)
@@ -257,9 +266,10 @@ func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) error
 	s := entrySpanPool.Get().(*entrySpan)
 	s.a, s.kind, s.start, s.data = a, kind, start, data
 	err := a.Device().span.run(n, s)
+	c := Cost{DeviceBytes: s.deviceBytes.Swap(0), LinkRead: s.linkRead.Swap(0), LinkWrite: s.linkWrite.Swap(0)}
 	s.a, s.data = nil, nil
 	entrySpanPool.Put(s)
-	return err
+	return c, err
 }
 
 // WriteEntries compresses and stores len(data)/128 consecutive entries
@@ -271,7 +281,8 @@ func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) error
 // 128 B granularity); on error a prefix-and-suffix subset of the span may
 // have been written.
 func (a *Allocation) WriteEntries(start int, data []byte) error {
-	return a.accessEntries(relocWrite, start, data)
+	_, err := a.accessEntries(relocWrite, start, data)
+	return err
 }
 
 // ReadEntries fetches and decompresses len(dst)/128 consecutive entries
@@ -279,18 +290,19 @@ func (a *Allocation) WriteEntries(start int, data []byte) error {
 // of dst with no staging copies; len(dst) must be a multiple of 128. Entries
 // are read in parallel across the device's span-worker pool.
 func (a *Allocation) ReadEntries(start int, dst []byte) error {
-	return a.accessEntries(relocRead, start, dst)
+	_, err := a.accessEntries(relocRead, start, dst)
+	return err
 }
 
 // accessEntry is WriteEntry and ReadEntry: a data pass over a span of one.
 //
 //buddy:hotpath
-func (a *Allocation) accessEntry(kind relocKind, i int, buf []byte) error {
+func (a *Allocation) accessEntry(kind relocKind, i int, buf []byte) (Cost, error) {
 	if err := a.checkIndex(i); err != nil {
-		return err
+		return Cost{}, err
 	}
 	if len(buf) != EntryBytes {
-		return fmt.Errorf("core: entry buffer must be %d bytes, got %d", EntryBytes, len(buf))
+		return Cost{}, fmt.Errorf("core: entry buffer must be %d bytes, got %d", EntryBytes, len(buf))
 	}
 	return a.dataPass(kind, i, buf, i, i+1)
 }
@@ -298,11 +310,13 @@ func (a *Allocation) accessEntry(kind relocKind, i int, buf []byte) error {
 // WriteEntry compresses and stores one 128 B entry: WriteEntries as a span
 // of one.
 func (a *Allocation) WriteEntry(i int, data []byte) error {
-	return a.accessEntry(relocWrite, i, data)
+	_, err := a.accessEntry(relocWrite, i, data)
+	return err
 }
 
 // ReadEntry fetches and decompresses entry i into dst (128 bytes):
 // ReadEntries as a span of one.
 func (a *Allocation) ReadEntry(i int, dst []byte) error {
-	return a.accessEntry(relocRead, i, dst)
+	_, err := a.accessEntry(relocRead, i, dst)
+	return err
 }

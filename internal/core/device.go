@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -152,6 +153,9 @@ type Device struct {
 	overflow Backend
 	mcache   *MetadataCache
 	span     *spanPool // persistent span-worker pool, sized at NewDevice
+	// linkBytesPerCycle is the per-direction rate Cycles prices buddy bytes at:
+	// the carve-out's link, +Inf when the overflow tier is anything else.
+	linkBytesPerCycle float64
 
 	mu     sync.RWMutex  // guards the allocation list and the address allocator below
 	allocs []*Allocation // every allocation with a layout here: residents, and arrivals mid-MoveTo
@@ -205,12 +209,16 @@ func NewDevice(cfg Config) *Device {
 		overflow = NewCarveoutBackend(cfg.DeviceBytes*int64(cfg.CarveoutFactor), cfg.Link)
 	}
 	d := &Device{
-		cfg:      cfg,
-		slab:     NewSlabBackend(cfg.DeviceBytes),
-		overflow: overflow,
-		span:     newSpanPool(runtime.GOMAXPROCS(0)),
-		mcache:   NewMetadataCache(cfg.MetadataCacheBytes, cfg.MetadataCacheSlices, cfg.MetadataCacheWays),
-		gbbr:     0x4000_0000_0000, // arbitrary carve-out base
+		cfg:               cfg,
+		slab:              NewSlabBackend(cfg.DeviceBytes),
+		overflow:          overflow,
+		span:              newSpanPool(runtime.GOMAXPROCS(0)),
+		mcache:            NewMetadataCache(cfg.MetadataCacheBytes, cfg.MetadataCacheSlices, cfg.MetadataCacheWays),
+		linkBytesPerCycle: math.Inf(1),
+		gbbr:              0x4000_0000_0000, // arbitrary carve-out base
+	}
+	if c, ok := overflow.(*CarveoutBackend); ok {
+		d.linkBytesPerCycle = c.bytesPerCycle
 	}
 	d.metaEnabled.Store(true)
 	if d.span.chunks != nil {
@@ -361,12 +369,12 @@ func (d *Device) Traffic() Traffic {
 }
 
 // LinkOccupancy returns the overflow tier's modeled busy core-cycles per
-// link direction since the last reset; zeros for a tier without a link.
+// link direction since the last reset — the bytes its meter counted, priced by
+// Cycles; idle gaps between transfers are not occupancy. Zeros for a tier
+// without a link.
 func (d *Device) LinkOccupancy() (readCycles, writeCycles float64) {
-	if l, ok := d.overflow.(interface{ LinkOccupancy() (float64, float64) }); ok {
-		return l.LinkOccupancy()
-	}
-	return 0, 0
+	t := d.overflow.Traffic()
+	return d.Cycles(Cost{LinkRead: t.ReadBytes}), d.Cycles(Cost{LinkWrite: t.WrittenBytes})
 }
 
 // ResetTraffic clears traffic counters, per-tier counters and the metadata
@@ -546,17 +554,11 @@ func splitBytes(t TargetRatio, sectors int) (dev, buddy int) {
 	return devSectors * 32, t.OverflowSectors(sectors) * 32
 }
 
-// accessMetadata models the metadata-cache lookup on every memory access; a
-// miss costs one 32 B device read (§3.2), counted separately so the
-// simulator can weigh it.
-func (d *Device) accessMetadata(globalEntry int) {
-	if !d.metaEnabled.Load() {
-		return
-	}
-	if !d.mcache.Access(globalEntry) {
-		d.traffic.metadataFillBytes.Add(MetadataLineBytes)
-		d.slab.add(1, 0, MetadataLineBytes, 0)
-	}
+// metadataMiss models the metadata-cache lookup on every memory access and
+// reports a miss, which costs one 32 B device read (§3.2): the caller's tally
+// charges the line, counted separately so the simulator can weigh it.
+func (d *Device) metadataMiss(globalEntry int) bool {
+	return d.metaEnabled.Load() && !d.mcache.Access(globalEntry)
 }
 
 // SetMetadataCacheEnabled toggles metadata-cache modeling (used by the

@@ -59,64 +59,74 @@ var entryScratchPool = sync.Pool{New: func() any { return new([EntryBytes]byte) 
 
 // readPartial decodes the bounding entry of an unaligned edge into pooled
 // scratch and copies the window starting at within into dst.
-func (a *Allocation) readPartial(e, within int, dst []byte) error {
+func (a *Allocation) readPartial(e, within int, dst []byte) (Cost, error) {
 	buf := entryScratchPool.Get().(*[EntryBytes]byte)
-	err := a.ReadEntry(e, buf[:])
+	c, err := a.accessEntry(relocRead, e, buf[:])
 	if err == nil {
 		copy(dst, buf[within:])
 	}
 	entryScratchPool.Put(buf)
-	return err
+	return c, err
 }
 
 // writePartial read-modifies-writes the entry only partially covered by src
 // at offset within, preserving the neighbouring bytes.
-func (a *Allocation) writePartial(e, within int, src []byte) error {
+func (a *Allocation) writePartial(e, within int, src []byte) (Cost, error) {
 	buf := entryScratchPool.Get().(*[EntryBytes]byte)
-	err := a.ReadEntry(e, buf[:])
+	c, err := a.accessEntry(relocRead, e, buf[:])
 	if err == nil {
 		copy(buf[within:within+len(src)], src)
-		err = a.WriteEntry(e, buf[:])
+		var w Cost
+		w, err = a.accessEntry(relocWrite, e, buf[:])
+		c.add(w)
 	}
 	entryScratchPool.Put(buf)
-	return err
+	return c, err
 }
 
-// accessAt is ReadAt and WriteAt: len(p) bytes at byte offset off, the
-// aligned interior as one span through the batch primitives — whole entries
-// straight out of or into p, no read-back — and an entry only partially
-// covered (the unaligned head and tail, or anything within the final
-// padding entry) through the read-modify-write helpers. It stops at Size()
-// and returns short there.
-func (a *Allocation) accessAt(kind relocKind, p []byte, off int64, short error) (int, error) {
+// Access is ReadAt and, with write, WriteAt, returning beside them what the
+// operation charged the ledgers (Cost) — on an error, the cost of exactly what
+// was accounted before it. len(p) bytes at byte offset off: the aligned
+// interior as one span through the batch primitives — whole entries straight
+// out of or into p, no read-back — and an entry only partially covered (the
+// unaligned head and tail, or anything within the final padding entry) through
+// the read-modify-write helpers. It stops at Size() and returns io.EOF, or
+// io.ErrShortWrite, there.
+//
+//buddy:hotpath
+func (a *Allocation) Access(p []byte, off int64, write bool) (n int, c Cost, err error) {
 	if off < 0 {
-		return 0, fmt.Errorf("core: negative offset %d", off)
+		return 0, c, fmt.Errorf("core: negative offset %d", off)
 	}
-	n := 0
+	kind, short := relocRead, io.EOF
+	if write {
+		kind, short = relocWrite, io.ErrShortWrite
+	}
 	for n < len(p) && off < a.size {
-		var err error
+		var sc Cost
 		step := a.alignedSpan(off, len(p)-n)
 		if step > 0 {
-			err = a.accessEntries(kind, int(off/EntryBytes), p[n:n+step])
+			sc, err = a.accessEntries(kind, int(off/EntryBytes), p[n:n+step])
 		} else {
 			var e, within int
 			e, within, step = a.partialSpan(off, len(p)-n)
-			if kind == relocWrite {
-				err = a.writePartial(e, within, p[n:n+step])
+			if write {
+				sc, err = a.writePartial(e, within, p[n:n+step])
 			} else {
-				err = a.readPartial(e, within, p[n:n+step])
+				sc, err = a.readPartial(e, within, p[n:n+step])
 			}
 		}
+		c.add(sc)
 		if err != nil {
-			return n, err
+			return n, c, err
 		}
 		n += step
 		off += int64(step)
 	}
 	if n < len(p) {
-		return n, short
+		return n, c, short
 	}
-	return n, nil
+	return n, c, nil
 }
 
 // ReadAt implements io.ReaderAt: it reads len(p) bytes starting at byte
@@ -124,7 +134,8 @@ func (a *Allocation) accessAt(kind relocKind, p []byte, off int64, short error) 
 // parallel, straight into p. It returns io.EOF when the read reaches past
 // Size().
 func (a *Allocation) ReadAt(p []byte, off int64) (int, error) {
-	return a.accessAt(relocRead, p, off, io.EOF)
+	n, _, err := a.Access(p, off, false)
+	return n, err
 }
 
 // WriteAt implements io.WriterAt: it writes len(p) bytes starting at byte
@@ -133,7 +144,8 @@ func (a *Allocation) ReadAt(p []byte, off int64) (int, error) {
 // read-modified-written so neighbouring bytes are preserved. Writes past
 // Size() stop short and return io.ErrShortWrite.
 func (a *Allocation) WriteAt(p []byte, off int64) (int, error) {
-	return a.accessAt(relocWrite, p, off, io.ErrShortWrite)
+	n, _, err := a.Access(p, off, true)
+	return n, err
 }
 
 // memcpyChunkEntries sizes the Memcpy staging buffer: 512 entries (64 KB)

@@ -52,6 +52,7 @@ type relocTally struct {
 	devRead, devWrite uint64
 	budRead, budWrite uint64
 	loads, stores     int      // device-slab accesses behind devRead/devWrite
+	fills             int      // metadata-cache misses: one 32 B device read each (§3.2)
 	ops               []TierOp // overflow-tier accesses, in the order they happened
 }
 
@@ -81,15 +82,24 @@ func (t *relocTally) tier(store bool, g, n int) {
 	t.ops = append(t.ops, TierOp{Entry: g, Bytes: int32(n), Store: store})
 }
 
-// flush charges the tally to d and empties it. Only a data pass's accesses
-// count as Traffic.Reads/Writes/BuddyAccesses, the buddy-access fraction of
-// Fig. 7/9: a relocation moves stored bytes. Device bytes go to the slab's
-// meter alone, buddy bytes to the device's and the tier's (Device.Traffic).
-func (t *relocTally) flush(d *Device, data bool) {
+// flush charges the tally to d, empties it and returns what it charged: the
+// single place anything is charged, so the sum of a pass's flushes is the
+// ledgers' delta. Only a data pass's accesses count as
+// Traffic.Reads/Writes/BuddyAccesses, the buddy-access fraction of Fig. 7/9: a
+// relocation moves stored bytes. Device bytes go to the slab's meter alone,
+// metadata fills among them, buddy bytes to the device's and the tier's
+// (Device.Traffic).
+//
+//buddy:hotpath
+func (t *relocTally) flush(d *Device, data bool) Cost {
 	if t.migration != 0 {
 		d.traffic.migrationBytes.Add(t.migration)
 	}
-	d.slab.add(t.loads, t.stores, t.devRead, t.devWrite)
+	fill := uint64(t.fills) * MetadataLineBytes
+	if fill != 0 {
+		d.traffic.metadataFillBytes.Add(fill)
+	}
+	d.slab.add(t.loads+t.fills, t.stores, t.devRead+fill, t.devWrite)
 	if data && t.loads != 0 {
 		d.traffic.reads.Add(uint64(t.loads))
 	}
@@ -108,7 +118,9 @@ func (t *relocTally) flush(d *Device, data bool) {
 		}
 		d.overflow.Access(t.ops)
 	}
+	c := Cost{DeviceBytes: t.devRead + fill + t.devWrite, LinkRead: t.budRead, LinkWrite: t.budWrite}
 	*t = relocTally{ops: t.ops[:0]}
+	return c
 }
 
 // relocPass is one pass of the walker over a range of one allocation's
@@ -127,6 +139,7 @@ type relocPass struct {
 
 	entries int   // entries that held a stream (relocation kinds)
 	bytes   int64 // their stored bytes
+	cost    Cost  // what the pass's flushes charged, both devices together
 	// tally is owed to the committed layout's device; far to the device of a
 	// relayout's next layout when that is another one. When it is the same
 	// device everything lands in tally: one list keeps an entry's read of
@@ -227,9 +240,9 @@ func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, h
 			}
 		}
 		a.mu.RUnlock()
-		p.tally.flush(cur.dev, p.kind >= relocWrite)
+		p.cost.add(p.tally.flush(cur.dev, p.kind >= relocWrite))
 		if far != cur.dev {
-			p.far.flush(far, p.kind >= relocWrite)
+			p.cost.add(p.far.flush(far, p.kind >= relocWrite))
 		}
 		if err != nil {
 			return stage, err
@@ -335,7 +348,9 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 				t = p.tallyOf(l, cur)
 			}
 			g := l.global(i + k)
-			l.dev.accessMetadata(g)
+			if l.dev.metadataMiss(g) {
+				t.fills++
+			}
 			t.access(write, g, l.target, secs[k])
 			if write {
 				continue

@@ -30,9 +30,6 @@ type HBM2 struct {
 	cfg           Config
 	bytesPerCycle float64 // per channel
 	busyUntil     []float64
-	busyCycles    []float64
-	// TotalBytes accumulates data transferred (for bandwidth accounting).
-	TotalBytes uint64
 }
 
 // New constructs the channel model. Like nvlink.New, zero fields default
@@ -59,7 +56,6 @@ func New(cfg Config) *HBM2 {
 		cfg:           cfg,
 		bytesPerCycle: perChan,
 		busyUntil:     make([]float64, cfg.Channels),
-		busyCycles:    make([]float64, cfg.Channels),
 	}
 }
 
@@ -80,8 +76,6 @@ func (h *HBM2) Request(now float64, addr uint64, bytes int) float64 {
 	}
 	xfer := float64(bytes) / h.bytesPerCycle
 	h.busyUntil[ch] = start + xfer
-	h.busyCycles[ch] += xfer
-	h.TotalBytes += uint64(bytes)
 	return start + xfer + h.cfg.LatencyCycles
 }
 
@@ -95,45 +89,4 @@ func (h *HBM2) Drain(now float64, addr uint64, bytes int) {
 	}
 	xfer := float64(bytes) / h.bytesPerCycle
 	h.busyUntil[ch] = start + xfer
-	h.busyCycles[ch] += xfer
-	h.TotalBytes += uint64(bytes)
-}
-
-// BusyCycles returns the total cycles spent transferring across all
-// channels since the last Reset — accumulated service time, excluding idle
-// gaps between requests.
-func (h *HBM2) BusyCycles() float64 {
-	var sum float64
-	for _, b := range h.busyCycles {
-		sum += b
-	}
-	return sum
-}
-
-// Utilization reports mean channel busy fraction up to horizon cycles: the
-// cycles each channel actually spent transferring over the horizon. Idle
-// gaps between requests count as idle (busy [0,2], idle [2,8], busy [8,9]
-// is 0.3 of a 10-cycle horizon, not 0.9).
-func (h *HBM2) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	var sum float64
-	for _, b := range h.busyCycles {
-		u := b / horizon
-		if u > 1 {
-			u = 1
-		}
-		sum += u
-	}
-	return sum / float64(len(h.busyCycles))
-}
-
-// Reset clears queue state and counters.
-func (h *HBM2) Reset() {
-	for i := range h.busyUntil {
-		h.busyUntil[i] = 0
-		h.busyCycles[i] = 0
-	}
-	h.TotalBytes = 0
 }

@@ -40,21 +40,6 @@ func TestChannelHash(t *testing.T) {
 	}
 }
 
-func TestDrainAndUtilization(t *testing.T) {
-	h := New(DefaultConfig())
-	h.Drain(0, 0, 1<<20)
-	if h.TotalBytes != 1<<20 {
-		t.Errorf("TotalBytes = %d, want %d", h.TotalBytes, 1<<20)
-	}
-	if u := h.Utilization(1000); u <= 0 {
-		t.Error("utilization should be positive after traffic")
-	}
-	h.Reset()
-	if h.TotalBytes != 0 || h.Utilization(1000) != 0 {
-		t.Error("Reset should clear state")
-	}
-}
-
 func TestInvalidConfigFallsBack(t *testing.T) {
 	h := New(Config{})
 	if h.Request(0, 0, 128) <= 0 {
@@ -78,31 +63,5 @@ func TestPartialConfigKeepsExplicitFields(t *testing.T) {
 	if got, want := h.Request(0, 0, 4096)-h.cfg.LatencyCycles,
 		2*(full.Request(0, 0, 4096)-full.cfg.LatencyCycles); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("450 GB/s service time %.2f, want %.2f (2x the 900 GB/s time)", got, want)
-	}
-}
-
-func TestUtilizationIgnoresIdleGaps(t *testing.T) {
-	// One channel at 1 B/cycle: busy [0,2], idle [2,8], busy [8,9]. The old
-	// busyUntil/horizon accounting reported 0.9; the true busy fraction of
-	// the 10-cycle horizon is 0.3.
-	h := New(Config{Channels: 1, BandwidthGBs: 1.3, CoreClockGHz: 1.3})
-	h.Request(0, 0, 2)
-	h.Drain(8, 0, 1)
-	if got, want := h.Utilization(10), 0.3; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Utilization with idle gap = %.3f, want %.3f", got, want)
-	}
-	if got := h.BusyCycles(); math.Abs(got-3) > 1e-9 {
-		t.Errorf("BusyCycles = %.3f, want 3", got)
-	}
-	// Multi-channel: Utilization averages per-channel busy cycles.
-	h2 := New(Config{Channels: 2, BandwidthGBs: 2.6, CoreClockGHz: 1.3})
-	h2.Request(0, 0, 4)   // channel 0: busy 4 cycles
-	h2.Request(6, 256, 2) // channel 1: busy 2 cycles, after an idle gap
-	if got, want := h2.Utilization(10), (0.4+0.2)/2; math.Abs(got-want) > 1e-9 {
-		t.Errorf("mean channel utilization = %.3f, want %.3f", got, want)
-	}
-	h2.Reset()
-	if h2.BusyCycles() != 0 || h2.Utilization(10) != 0 {
-		t.Error("Reset should clear busy-cycle accounting")
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"buddy/internal/compress"
 	"buddy/internal/core"
-	"buddy/internal/dram"
 	"buddy/internal/pool"
 )
 
@@ -94,15 +93,9 @@ type HealResult struct {
 func healThroughput(p *pool.Pool, payload int64) float64 {
 	var worst float64
 	for _, s := range p.Stats().Shards {
-		if c := serviceCycles(s); c > worst {
-			worst = c
-		}
+		worst = max(worst, s.ServiceCycles)
 	}
-	if worst <= 0 {
-		return 0
-	}
-	clockHz := dram.DefaultConfig().CoreClockGHz * 1e9
-	return float64(payload) / (worst / clockHz) / 1e9
+	return core.ThroughputGBs(payload, worst)
 }
 
 // healRound streams one write+read-back pass of every client's resident
@@ -111,74 +104,57 @@ func healThroughput(p *pool.Pool, payload int64) float64 {
 // back; retried counts them. Returns the payload bytes acknowledged.
 func healRound(p *pool.Pool, handles [][]*pool.Handle, data [][][]byte, retried *atomic.Int64, started chan<- struct{}) (int64, error) {
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstE  error
-		payload int64
+		payload atomic.Int64
 		once    sync.Once
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstE == nil {
-			firstE = err
+	err := fanOut(len(handles), func(c int) error {
+		var moved int64
+		do := func(h *pool.Handle, buf []byte, read bool) error {
+			for {
+				var f *pool.Future
+				if read {
+					f = p.SubmitRead(h, buf, 0)
+				} else {
+					f = p.SubmitWrite(h, buf, 0)
+				}
+				if started != nil {
+					once.Do(func() { close(started) })
+				}
+				n, err := f.Wait()
+				if err == nil {
+					moved += int64(n)
+					return nil
+				}
+				if !errors.Is(err, core.ErrDeviceFailed) {
+					return err
+				}
+				// The shard died under us; the supervisor is rebuilding it.
+				// Back off and resubmit.
+				retried.Add(1)
+				time.Sleep(200 * time.Microsecond)
+			}
 		}
-		mu.Unlock()
-	}
-	for c := range handles {
-		wg.Add(1)
-		go func(hs []*pool.Handle, bufs [][]byte) {
-			defer wg.Done()
-			var moved int64
-			do := func(h *pool.Handle, buf []byte, read bool) bool {
-				for {
-					var f *pool.Future
-					if read {
-						f = p.SubmitRead(h, buf, 0)
-					} else {
-						f = p.SubmitWrite(h, buf, 0)
-					}
-					if started != nil {
-						once.Do(func() { close(started) })
-					}
-					n, err := f.Wait()
-					switch {
-					case err == nil:
-						moved += int64(n)
-						return true
-					case errors.Is(err, core.ErrDeviceFailed):
-						// The shard died under us; the supervisor is
-						// rebuilding it. Back off and resubmit.
-						retried.Add(1)
-						time.Sleep(200 * time.Microsecond)
-					default:
-						fail(err)
-						return false
-					}
-				}
+		var scratch []byte
+		for i, h := range handles[c] {
+			// Rewrite the resident contents (write-back), then read them
+			// back: the expected bytes never change, so a kill at any point
+			// leaves every region either acknowledged-new or untouched — both
+			// equal to the recorded contents.
+			buf := data[c][i]
+			if err := do(h, buf, false); err != nil {
+				return err
 			}
-			scratch := make([]byte, 0)
-			for i, h := range hs {
-				// Rewrite the resident contents (write-back), then read
-				// them back: the expected bytes never change, so a kill at
-				// any point leaves every region either acknowledged-new or
-				// untouched — both equal to bufs[i].
-				if !do(h, bufs[i], false) {
-					return
-				}
-				if cap(scratch) < len(bufs[i]) {
-					scratch = make([]byte, len(bufs[i]))
-				}
-				if !do(h, scratch[:len(bufs[i])], true) {
-					return
-				}
+			if cap(scratch) < len(buf) {
+				scratch = make([]byte, len(buf))
 			}
-			mu.Lock()
-			payload += moved
-			mu.Unlock()
-		}(handles[c], data[c])
-	}
-	wg.Wait()
-	return payload, firstE
+			if err := do(h, scratch[:len(buf)], true); err != nil {
+				return err
+			}
+		}
+		payload.Add(moved)
+		return nil
+	})
+	return payload.Load(), err
 }
 
 // Heal runs the failure-recovery experiment: the serve client population
@@ -193,17 +169,9 @@ func Heal(scale, shards int) (*HealResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	totalDevice := 2 * raw
-	devices := make([]*core.Device, shards)
-	for i := range devices {
-		devices[i] = core.NewDevice(core.Config{
-			Codec:       codec,
-			DeviceBytes: totalDevice / int64(shards),
-		})
-	}
 	fi := pool.NewFailureInjector()
 	recovered := make(chan pool.RecoveryStats, 1)
-	p, err := pool.New(devices, pool.Config{
+	p, err := newFleet(shards, 2*raw, codec, pool.Config{
 		Injector:    fi,
 		AutoRecover: true,
 		OnRecover:   func(rs pool.RecoveryStats) { recovered <- rs },
@@ -244,8 +212,8 @@ func Heal(scale, shards int) (*HealResult, error) {
 	// Round B: kill the busiest shard as soon as the round is in flight.
 	kill := 0
 	var most int64
-	for i, d := range devices {
-		if u := d.DeviceUsed(); u > most {
+	for i := 0; i < shards; i++ {
+		if u := p.Device(i).DeviceUsed(); u > most {
 			most, kill = u, i
 		}
 	}
@@ -332,8 +300,8 @@ func Heal(scale, shards int) (*HealResult, error) {
 		}
 		res.MigrateEncodes = codec.encodes.Load() - enc
 		res.MigrateDecodes = codec.decodes.Load() - dec
-		res.MigrationBytesSrc = devices[kill].Traffic().MigrationBytes
-		res.MigrationBytesDst = devices[dst].Traffic().MigrationBytes
+		res.MigrationBytesSrc = p.Device(kill).Traffic().MigrationBytes
+		res.MigrationBytesDst = p.Device(dst).Traffic().MigrationBytes
 		// The moved data must still match.
 		want := bytesOf(handles, data, pick)
 		if want != nil {

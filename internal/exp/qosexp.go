@@ -3,7 +3,6 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"buddy/internal/core"
@@ -48,8 +47,10 @@ const (
 
 	// QoSDefaultSLOCycles is the default p99 SLO bound for the latency
 	// tenant, in modeled device+link cycles; the cmds' -qos flag
-	// overrides it. A latency burst itself costs ~85 cycles at 2x — the
-	// bound is dominated by the batch runs the burst may queue behind.
+	// overrides it. A latency burst itself costs ~52 cycles at 2x (16 KiB of
+	// 90 %-zero fp16 charges 8 KB to the device and 4.6 KB to the link) and a
+	// 64 KiB batch chunk ~175 — the bound is dominated by the batch runs the
+	// burst may queue behind.
 	QoSDefaultSLOCycles = 4000
 
 	// qosBatchChunk is the batch streams' submit granularity and
@@ -157,17 +158,13 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	// Per-shard device capacity: every tenant's per-shard reservation at
 	// 2x, doubled for slack.
 	devPerShard := (wbShard*int64(nBatch)/2 + latRegion) * 2
-	devices := make([]*core.Device, shards)
-	for i := range devices {
-		devices[i] = core.NewDevice(core.Config{DeviceBytes: devPerShard})
-	}
 	// Rings deep enough to hold each batch stream's entire pre-submitted
 	// demand: the contention the scheduler arbitrates is a standing
 	// backlog, not a refill race between submitter goroutines and
 	// workers (on a small host the latter turns fair shares into
 	// lone-ring ping-pong).
 	depth := qosLaps * int(wbShard/qosBatchChunk)
-	p, err := pool.New(devices, pool.Config{
+	p, err := newFleet(shards, devPerShard*int64(shards), nil, pool.Config{
 		Placement:  pool.RoundRobin(),
 		QueueDepth: depth,
 		Tenants:    qosTenantConfigs(nBatch, shards, latRegion),
@@ -231,41 +228,31 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	// pre-submitting qosLaps rewrites of its whole region before waiting
 	// on anything. Every batch ring then holds a deep standing backlog
 	// for the measured window, so the shares observed are the
-	// scheduler's, not an artifact of how fast submitters refill.
-	var (
-		wg     sync.WaitGroup
-		errMu  sync.Mutex
-		firstE error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstE == nil {
-			firstE = err
-		}
-		errMu.Unlock()
-	}
+	// scheduler's, not an artifact of how fast submitters refill. batchExit
+	// closes when they are all done; it guards the polls below (a failed run
+	// exits the batch goroutines early).
 	chunksPerStream := qosLaps * int(wbShard/qosBatchChunk)
-	for i := 0; i < nBatch; i++ {
-		for s := 0; s < shards; s++ {
-			wg.Add(1)
-			go func(i, s int) {
-				defer wg.Done()
-				h := regions[i][s]
-				futs := make([]*pool.Future, 0, chunksPerStream)
-				var off int64
-				for c := 0; c < chunksPerStream; c++ {
-					futs = append(futs, p.SubmitWrite(h, batchData[off:off+qosBatchChunk], off))
-					off = (off + qosBatchChunk) % wbShard
+	var batchErr, latErr error
+	batchExit := make(chan struct{})
+	go func() {
+		defer close(batchExit)
+		batchErr = fanOut(nBatch*shards, func(k int) error {
+			i, s := k/shards, k%shards
+			h := regions[i][s]
+			futs := make([]*pool.Future, 0, chunksPerStream)
+			var off int64
+			for c := 0; c < chunksPerStream; c++ {
+				futs = append(futs, p.SubmitWrite(h, batchData[off:off+qosBatchChunk], off))
+				off = (off + qosBatchChunk) % wbShard
+			}
+			for _, f := range futs {
+				if _, err := f.Wait(); err != nil {
+					return fmt.Errorf("batch%d shard %d: %w", i, s, err)
 				}
-				for _, f := range futs {
-					if _, err := f.Wait(); err != nil {
-						fail(fmt.Errorf("batch%d shard %d: %w", i, s, err))
-						return
-					}
-				}
-			}(i, s)
-		}
-	}
+			}
+			return nil
+		})
+	}()
 	// Latency tenant: closed-loop bursts of qosLatChunks adjacent chunks
 	// against a rotating shard, each burst fully awaited before the next,
 	// until the batch demand drains.
@@ -287,7 +274,7 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 			}
 			for _, f := range futs {
 				if _, err := f.Wait(); err != nil {
-					fail(fmt.Errorf("latency burst %d: %w", bursts, err))
+					latErr = fmt.Errorf("latency burst %d: %w", bursts, err)
 					latDone <- bursts
 					return
 				}
@@ -304,10 +291,7 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	// measure served-byte deltas until the heavy tenant serves its
 	// batchBytes demand within the window. Every ring stays backlogged
 	// throughout, so plain round-robin (delta share 1/n) fails the pin
-	// and only a working DRR (share w/(w+n-1)) passes. batchExit guards
-	// the polls: a failed run exits the batch goroutines early.
-	batchExit := make(chan struct{})
-	go func() { wg.Wait(); close(batchExit) }()
+	// and only a working DRR (share w/(w+n-1)) passes.
 	poll := func(cond func() bool) bool {
 		for !cond() {
 			select {
@@ -344,12 +328,12 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	if sum > 0 {
 		res.HeavyShare = heavy / sum
 	}
-	wg.Wait()
+	<-batchExit
 	close(stop)
 	res.Bursts = <-latDone
 	res.WallSeconds = time.Since(start).Seconds()
-	if firstE != nil {
-		return nil, firstE
+	if err := errors.Join(batchErr, latErr); err != nil {
+		return nil, err
 	}
 
 	st := p.Stats()

@@ -3,12 +3,12 @@ package exp
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"buddy/internal/analysis"
 	"buddy/internal/compress"
 	"buddy/internal/core"
-	"buddy/internal/dram"
 	"buddy/internal/pool"
 	"buddy/internal/workloads"
 )
@@ -25,12 +25,11 @@ import (
 // capacity and once against N shards splitting the same capacity. The
 // figure of merit is modeled aggregate serving throughput: total payload
 // bytes over the fleet's modeled service time. Per shard, service time is
-// the device-memory transfer time (Tab. 2 HBM2 aggregate bandwidth)
-// plus the overflow link's accumulated busy cycles (full duplex, so the
-// busier direction bounds it); shards serve in parallel, so the pool's
-// time is the slowest shard's. The link term uses the carve-out's
-// accumulated busy-cycle telemetry — idle gaps excluded — which is what
-// the interconnect-accounting fix makes trustworthy.
+// pool.ShardStats.ServiceCycles — the shard's ledgers priced by
+// core.Device.Cycles: device bytes at the Tab. 2 HBM2 rate plus the busier
+// direction of the overflow link (full duplex; bytes carried over rate, so
+// idle gaps between requests are not counted). Shards serve in parallel, so
+// the pool's time is the slowest shard's.
 
 // ServeClients is the concurrent client population of the experiment.
 const ServeClients = 8
@@ -145,70 +144,84 @@ func buildServeClients(clients, scale int, codec compress.Codec) ([]serveClient,
 	return out, raw, nil
 }
 
+// fanOut runs f(0) … f(n-1) on n goroutines, waits for them all and returns
+// the first error any of them reported.
+func fanOut(n int, f func(i int) error) error {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := f(i); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+			}
+		}(i)
+	}
+	wg.Wait()
+	return first
+}
+
+// newFleet builds the experiments' pool: width devices splitting totalDevice
+// bytes evenly under one codec (nil: the default), so every width holds the
+// same fleet capacity.
+func newFleet(width int, totalDevice int64, codec compress.Codec, cfg pool.Config) (*pool.Pool, error) {
+	devices := make([]*core.Device, width)
+	for i := range devices {
+		devices[i] = core.NewDevice(core.Config{Codec: codec, DeviceBytes: totalDevice / int64(width)})
+	}
+	return pool.New(devices, cfg)
+}
+
 // servePool runs the full client population against one pool: each client
 // concurrently allocates its regions, streams every region in through the
 // async submission queues, then reads the whole working set back. It
 // returns the payload bytes moved.
 func servePool(p *pool.Pool, clients []serveClient) (int64, error) {
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstE  error
-		payload int64
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstE == nil {
-			firstE = err
+	var payload atomic.Int64
+	err := fanOut(len(clients), func(c int) error {
+		cl := &clients[c]
+		handles := make([]*pool.Handle, len(cl.names))
+		var futs []*pool.Future
+		for i, name := range cl.names {
+			h, err := p.Malloc(name, int64(len(cl.data[i])), cl.targets[name])
+			if err != nil {
+				return err
+			}
+			handles[i] = h
+			futs = append(futs, p.SubmitWrite(h, cl.data[i], 0))
 		}
-		mu.Unlock()
-	}
-	for c := range clients {
-		wg.Add(1)
-		go func(cl *serveClient) {
-			defer wg.Done()
-			handles := make([]*pool.Handle, len(cl.names))
-			var futs []*pool.Future
-			for i, name := range cl.names {
-				h, err := p.Malloc(name, int64(len(cl.data[i])), cl.targets[name])
-				if err != nil {
-					fail(err)
-					return
-				}
-				handles[i] = h
-				futs = append(futs, p.SubmitWrite(h, cl.data[i], 0))
+		var moved int64
+		for i, f := range futs {
+			n, err := f.Wait()
+			if err != nil {
+				return fmt.Errorf("write %s: %w", cl.names[i], err)
 			}
-			var moved int64
-			for i, f := range futs {
-				n, err := f.Wait()
-				if err != nil {
-					fail(fmt.Errorf("write %s: %w", cl.names[i], err))
-					return
-				}
-				moved += int64(n)
+			moved += int64(n)
+		}
+		// Read the working set back through the queues.
+		futs = futs[:0]
+		for _, h := range handles {
+			futs = append(futs, p.SubmitRead(h, make([]byte, h.Size()), 0))
+		}
+		for i, f := range futs {
+			n, err := f.Wait()
+			if err != nil {
+				return fmt.Errorf("read %s: %w", cl.names[i], err)
 			}
-			// Read the working set back through the queues.
-			futs = futs[:0]
-			bufs := make([][]byte, len(handles))
-			for i, h := range handles {
-				bufs[i] = make([]byte, h.Size())
-				futs = append(futs, p.SubmitRead(h, bufs[i], 0))
-			}
-			for i, f := range futs {
-				n, err := f.Wait()
-				if err != nil {
-					fail(fmt.Errorf("read %s: %w", cl.names[i], err))
-					return
-				}
-				moved += int64(n)
-			}
-			mu.Lock()
-			payload += moved
-			mu.Unlock()
-		}(&clients[c])
-	}
-	wg.Wait()
-	return payload, firstE
+			moved += int64(n)
+		}
+		payload.Add(moved)
+		return nil
+	})
+	return payload.Load(), err
 }
 
 // serveChunkBytes is the chunked leg's submit granularity: 4 KiB, 32
@@ -222,86 +235,54 @@ const serveChunkBytes = 4096
 // the shard queues always hold runs of adjacent tasks for the workers to
 // coalesce. Returns the payload bytes moved.
 func serveChunkedPool(p *pool.Pool, clients []serveClient) (int64, error) {
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstE  error
-		payload int64
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstE == nil {
-			firstE = err
+	var payload atomic.Int64
+	err := fanOut(len(clients), func(c int) error {
+		cl := &clients[c]
+		var moved int64
+		var futs []*pool.Future
+		stream := func(h *pool.Handle, buf []byte, read bool) {
+			for off := 0; off < len(buf); off += serveChunkBytes {
+				end := min(off+serveChunkBytes, len(buf))
+				if read {
+					futs = append(futs, p.SubmitRead(h, buf[off:end], int64(off)))
+				} else {
+					futs = append(futs, p.SubmitWrite(h, buf[off:end], int64(off)))
+				}
+			}
 		}
-		mu.Unlock()
-	}
-	for c := range clients {
-		wg.Add(1)
-		go func(cl *serveClient) {
-			defer wg.Done()
-			var moved int64
-			var futs []*pool.Future
-			stream := func(h *pool.Handle, buf []byte, read bool) {
-				for off := 0; off < len(buf); off += serveChunkBytes {
-					end := min(off+serveChunkBytes, len(buf))
-					if read {
-						futs = append(futs, p.SubmitRead(h, buf[off:end], int64(off)))
-					} else {
-						futs = append(futs, p.SubmitWrite(h, buf[off:end], int64(off)))
-					}
-				}
-			}
-			drain := func(what string) bool {
-				for _, f := range futs {
-					n, err := f.Wait()
-					if err != nil {
-						fail(fmt.Errorf("chunked %s: %w", what, err))
-						return false
-					}
-					moved += int64(n)
-				}
-				futs = futs[:0]
-				return true
-			}
-			handles := make([]*pool.Handle, len(cl.names))
-			for i, name := range cl.names {
-				h, err := p.Malloc(name, int64(len(cl.data[i])), cl.targets[name])
+		drain := func(what string) error {
+			for _, f := range futs {
+				n, err := f.Wait()
 				if err != nil {
-					fail(err)
-					return
+					return fmt.Errorf("chunked %s: %w", what, err)
 				}
-				handles[i] = h
-				stream(h, cl.data[i], false)
+				moved += int64(n)
 			}
-			if !drain("write") {
-				return
+			futs = futs[:0]
+			return nil
+		}
+		handles := make([]*pool.Handle, len(cl.names))
+		for i, name := range cl.names {
+			h, err := p.Malloc(name, int64(len(cl.data[i])), cl.targets[name])
+			if err != nil {
+				return err
 			}
-			for i, h := range handles {
-				stream(h, make([]byte, h.Size()), true)
-				if !drain("read " + cl.names[i]) {
-					return
-				}
+			handles[i] = h
+			stream(h, cl.data[i], false)
+		}
+		if err := drain("write"); err != nil {
+			return err
+		}
+		for i, h := range handles {
+			stream(h, make([]byte, h.Size()), true)
+			if err := drain("read " + cl.names[i]); err != nil {
+				return err
 			}
-			mu.Lock()
-			payload += moved
-			mu.Unlock()
-		}(&clients[c])
-	}
-	wg.Wait()
-	return payload, firstE
-}
-
-// serviceCycles models one shard's serving time from its telemetry:
-// device-memory bytes at the Tab. 2 aggregate HBM2 bandwidth plus the
-// overflow link's busier direction (full duplex). Link busy cycles come
-// from the accumulated-occupancy counters, so idle gaps between requests
-// do not inflate the estimate.
-func serviceCycles(s pool.ShardStats) float64 {
-	hbm := dram.DefaultConfig()
-	devBytesPerCycle := hbm.BandwidthGBs / hbm.CoreClockGHz
-	dev := float64(s.Traffic.DeviceReadBytes+s.Traffic.DeviceWriteBytes) / devBytesPerCycle
-	link := max(s.LinkReadBusyCycles, s.LinkWriteBusyCycles)
-	return dev + link
+		}
+		payload.Add(moved)
+		return nil
+	})
+	return payload.Load(), err
 }
 
 // Serve runs the sharded-serving experiment: ServeClients concurrent
@@ -331,14 +312,7 @@ func Serve(scale, shards int) (*ServeResult, error) {
 		widths = widths[:1]
 	}
 	for _, width := range widths {
-		devices := make([]*core.Device, width)
-		for i := range devices {
-			devices[i] = core.NewDevice(core.Config{
-				Codec:       codec,
-				DeviceBytes: totalDevice / int64(width),
-			})
-		}
-		p, err := pool.New(devices, pool.Config{})
+		p, err := newFleet(width, totalDevice, codec, pool.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -358,16 +332,10 @@ func Serve(scale, shards int) (*ServeResult, error) {
 			MetadataHitRate: st.MetadataCacheHitRate,
 		}
 		for _, s := range st.Shards {
-			c := serviceCycles(s)
-			pt.ShardServiceCycles = append(pt.ShardServiceCycles, c)
-			if c > pt.ServiceCycles {
-				pt.ServiceCycles = c
-			}
+			pt.ShardServiceCycles = append(pt.ShardServiceCycles, s.ServiceCycles)
+			pt.ServiceCycles = max(pt.ServiceCycles, s.ServiceCycles)
 		}
-		clockHz := dram.DefaultConfig().CoreClockGHz * 1e9
-		if pt.ServiceCycles > 0 {
-			pt.ThroughputGBs = float64(payload) / (pt.ServiceCycles / clockHz) / 1e9
-		}
+		pt.ThroughputGBs = core.ThroughputGBs(payload, pt.ServiceCycles)
 		res.PayloadBytes = payload
 		res.Points = append(res.Points, pt)
 	}
@@ -380,14 +348,7 @@ func Serve(scale, shards int) (*ServeResult, error) {
 	// client shape the workers' run coalescing serves; the telemetry reports
 	// how much of the submitted traffic it captured.
 	width := widths[len(widths)-1]
-	devices := make([]*core.Device, width)
-	for i := range devices {
-		devices[i] = core.NewDevice(core.Config{
-			Codec:       codec,
-			DeviceBytes: totalDevice / int64(width),
-		})
-	}
-	p, err := pool.New(devices, pool.Config{})
+	p, err := newFleet(width, totalDevice, codec, pool.Config{})
 	if err != nil {
 		return nil, err
 	}

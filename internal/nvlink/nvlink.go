@@ -37,9 +37,6 @@ type Link struct {
 	cfg           Config
 	bytesPerCycle float64
 	busyUntil     [2]float64
-	busyCycles    [2]float64
-	// TotalBytes per direction.
-	TotalBytes [2]uint64
 }
 
 // New constructs a link. The rate fields default individually to the
@@ -68,8 +65,6 @@ func (l *Link) Request(now float64, dir Direction, bytes int) float64 {
 	}
 	xfer := float64(bytes) / l.bytesPerCycle
 	l.busyUntil[dir] = start + xfer
-	l.busyCycles[dir] += xfer
-	l.TotalBytes[dir] += uint64(bytes)
 	return start + xfer + l.cfg.LatencyCycles
 }
 
@@ -82,38 +77,4 @@ func (l *Link) Drain(now float64, dir Direction, bytes int) {
 	}
 	xfer := float64(bytes) / l.bytesPerCycle
 	l.busyUntil[dir] = start + xfer
-	l.busyCycles[dir] += xfer
-	l.TotalBytes[dir] += uint64(bytes)
-}
-
-// BusyCycles returns the cycles a direction has spent transferring since
-// the last Reset — accumulated service time, not the end of the queue, so
-// idle gaps between requests are not counted.
-func (l *Link) BusyCycles(dir Direction) float64 { return l.busyCycles[dir] }
-
-// Utilization reports the busy fraction of a direction up to horizon: the
-// cycles actually spent transferring over the horizon. Idle gaps between
-// requests count as idle (busy [0,2], idle [2,8], busy [8,9] is 0.3 of a
-// 10-cycle horizon, not 0.9).
-func (l *Link) Utilization(dir Direction, horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	u := l.busyCycles[dir] / horizon
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Totals returns the per-direction transferred byte counts.
-func (l *Link) Totals() (read, written uint64) {
-	return l.TotalBytes[Read], l.TotalBytes[Write]
-}
-
-// Reset clears queues and counters.
-func (l *Link) Reset() {
-	l.busyUntil = [2]float64{}
-	l.busyCycles = [2]float64{}
-	l.TotalBytes = [2]uint64{}
 }

@@ -29,50 +29,6 @@ func TestBandwidthScaling(t *testing.T) {
 	}
 }
 
-func TestUtilizationAndReset(t *testing.T) {
-	l := New(DefaultConfig())
-	l.Drain(0, Write, 1<<20)
-	if l.TotalBytes[Write] != 1<<20 {
-		t.Errorf("write bytes = %d", l.TotalBytes[Write])
-	}
-	if l.Utilization(Write, 100) <= 0 {
-		t.Error("write direction should show utilization")
-	}
-	if l.Utilization(Read, 100) != 0 {
-		t.Error("read direction should be idle")
-	}
-	l.Reset()
-	if l.TotalBytes[Write] != 0 {
-		t.Error("Reset should clear counters")
-	}
-}
-
-func TestUtilizationIgnoresIdleGaps(t *testing.T) {
-	// 1 B/cycle link: busy [0,2], idle [2,8], busy [8,9]. The old
-	// busyUntil/horizon accounting reported 0.9; the true busy fraction of
-	// the 10-cycle horizon is 0.3.
-	l := New(Config{BandwidthGBs: 1.3, CoreClockGHz: 1.3, LatencyCycles: 0})
-	l.Request(0, Read, 2)
-	l.Request(8, Read, 1)
-	if got, want := l.Utilization(Read, 10), 0.3; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Utilization with idle gap = %.3f, want %.3f", got, want)
-	}
-	if got := l.BusyCycles(Read); math.Abs(got-3) > 1e-9 {
-		t.Errorf("BusyCycles = %.3f, want 3", got)
-	}
-	// Queued (back-to-back) requests still count their full service time.
-	l.Reset()
-	l.Request(0, Write, 2)
-	l.Drain(0, Write, 3) // queues behind the first: busy [0,5]
-	if got, want := l.Utilization(Write, 10), 0.5; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Utilization of queued requests = %.3f, want %.3f", got, want)
-	}
-	l.Reset()
-	if l.BusyCycles(Write) != 0 || l.Utilization(Write, 10) != 0 {
-		t.Error("Reset should clear busy-cycle accounting")
-	}
-}
-
 func TestStorageConfigs(t *testing.T) {
 	for _, k := range StorageKinds() {
 		cfg := StorageConfig(k, 150)

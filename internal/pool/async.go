@@ -115,7 +115,7 @@ func (f *Future) complete(n int, err error) {
 
 // task is one queued operation. stamp is the submitting shard's modeled
 // clock reading at enqueue time; completion latency is the clock distance
-// from stamp to the run's completion (sched.advance).
+// from stamp to the run's completion (sched.advance, latency).
 type task struct {
 	kind  opKind
 	h     *Handle
@@ -216,11 +216,11 @@ func (p *Pool) worker(shard int) {
 // the byte-addressed path; a coalesced run stages its payload in one pooled
 // buffer and moves it through the same path as one operation — the run is
 // span-eligible, entry-aligned whole entries, so the allocation's
-// WriteAt/ReadAt hand it to the batch entry primitives undivided — then completes
+// Access hands it to the batch entry primitives undivided — then completes
 // every constituent future with its own byte count. If the batch fails, the
 // run is replayed task by task so each future reports exactly the n/err
 // uncoalesced execution would have produced. On success the shard's modeled
-// clock advances by the run's service cycles and every constituent task's
+// clock advances by what the run charged and every constituent task's
 // latency is observed on its tenant.
 //
 //buddy:hotpath
@@ -244,7 +244,7 @@ func (p *Pool) execRun(s *sched, ts []*task) {
 			off += copy(span[off:], t.buf)
 		}
 	}
-	_, err := rw(h.a, span, ts[0].off, ts[0].kind == opWrite)
+	_, cost, err := h.a.Access(span, ts[0].off, ts[0].kind == opWrite)
 	if err != nil {
 		// Batch failed (e.g. the allocation was freed mid-run): replay
 		// individually for exact per-task results.
@@ -254,7 +254,7 @@ func (p *Pool) execRun(s *sched, ts []*task) {
 		}
 		return
 	}
-	end := s.advance(h.a.Target(), total)
+	end := s.advance(cost)
 	// The run's effect on the device is complete: it stops counting as
 	// pending before its futures complete, so a caller returning from Wait
 	// finds the shard quiescent again.
@@ -266,7 +266,7 @@ func (p *Pool) execRun(s *sched, ts []*task) {
 			copy(t.buf, span[off:off+len(t.buf)])
 		}
 		off += len(t.buf)
-		tn.observe(end-t.stamp, len(t.buf))
+		tn.observe(latency(end, t.stamp), len(t.buf))
 		t.fut.complete(len(t.buf), nil)
 		putTask(t)
 	}
@@ -295,22 +295,11 @@ func (p *Pool) execQueued(s *sched, t *task) {
 //buddy:hotpath
 func (p *Pool) execOne(s *sched, t *task) (int, error) {
 	h := t.h
-	n, err := rw(h.a, t.buf, t.off, t.kind == opWrite)
+	n, cost, err := h.a.Access(t.buf, t.off, t.kind == opWrite)
 	if err == nil {
-		end := s.advance(h.a.Target(), n)
-		h.tn.observe(end-t.stamp, n)
+		h.tn.observe(latency(s.advance(cost), t.stamp), n)
 	}
 	return n, err
-}
-
-// rw is one byte-addressed operation on an allocation.
-//
-//buddy:hotpath
-func rw(a *core.Allocation, p []byte, off int64, write bool) (int, error) {
-	if write {
-		return a.WriteAt(p, off)
-	}
-	return a.ReadAt(p, off)
 }
 
 // inPlaceMaxBytes is the largest operation the submitter may run to

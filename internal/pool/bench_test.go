@@ -318,7 +318,7 @@ func BenchmarkQoSDequeue(b *testing.B) {
 		"bulk":    {Weight: 1},
 		"latency": {Priority: 2},
 	})
-	s := newSched(tens, 64)
+	s := newSched(nil, tens, 64)
 	buf := make([]byte, 4<<10)
 	tasks := make([]*task, len(tens))
 	for i := range tasks {

@@ -177,7 +177,7 @@ func New(devices []*core.Device, cfg Config) (*Pool, error) {
 	}
 	p.tenants, p.tenantByName = buildTenants(cfg.Tenants)
 	for i := range p.scheds {
-		p.scheds[i] = newSched(p.tenants, cfg.QueueDepth)
+		p.scheds[i] = newSched(devices[i], p.tenants, cfg.QueueDepth)
 		for w := 0; w < workers; w++ {
 			p.wg.Add(1)
 			go p.worker(i)

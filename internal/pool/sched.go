@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 
 	"buddy/internal/core"
-	"buddy/internal/dram"
-	"buddy/internal/nvlink"
 )
 
 // Per-shard tenant-aware scheduler, replacing the FIFO submission
@@ -19,8 +17,8 @@ import (
 // one tenant it behaves exactly like the old FIFO window.
 //
 // The scheduler also owns the shard's modeled virtual clock: each
-// completed run advances it by the run's service cycles (device and link
-// portions split by the allocation's target ratio), and a task's modeled
+// completed run advances it by what the run's passes charged the ledgers,
+// priced by the shard's device (core.Device.Cycles), and a task's modeled
 // latency is the clock distance from submit to completion — queueing
 // included. Everything on the enqueue/dequeue path is allocation-free:
 // rings are preallocated, the DRR state is plain integers, and blocking
@@ -48,21 +46,6 @@ const (
 	// tiny-payload tasks still drain deficit (count-fairness floor of one
 	// entry per task).
 	taskCostFloor = core.EntryBytes
-)
-
-// Modeled cycle costs per payload byte, from the paper's Tab. 2 memory
-// system and NVLink2 link: the device portion of an entry moves at HBM2
-// bandwidth, the overflow portion at link bandwidth, both against the
-// core clock.
-var (
-	devCyclesPerByte = func() float64 {
-		c := dram.DefaultConfig()
-		return c.CoreClockGHz / c.BandwidthGBs
-	}()
-	linkCyclesPerByte = func() float64 {
-		c := nvlink.DefaultConfig()
-		return c.CoreClockGHz / c.BandwidthGBs
-	}()
 )
 
 // taskRing is one tenant's fixed-capacity FIFO on one shard.
@@ -113,9 +96,11 @@ type sched struct {
 	hiRuns  int               // consecutive higher-class dequeues over waiting lower-class work
 	valve   int               // rotates escape-valve grants among starved classes
 
-	// clock is the shard's modeled virtual time in device+link cycles;
-	// see advance.
+	// clock is the shard's modeled virtual time in device+link cycles, fixed
+	// point with clockFracBits fractional bits: an operation may cost a fraction of
+	// a cycle (one entry is 0.05 to 0.2). dev prices what advances it.
 	clock atomic.Uint64
+	dev   *core.Device
 
 	// pending counts the shard's unfinished queued work: tasks on any ring
 	// plus dequeued tasks a worker has not finished executing. Zero means
@@ -124,8 +109,8 @@ type sched struct {
 	pending atomic.Int64
 }
 
-func newSched(tens []*tenant, depth int) *sched {
-	s := &sched{tens: tens, rings: make([]taskRing, len(tens))}
+func newSched(dev *core.Device, tens []*tenant, depth int) *sched {
+	s := &sched{dev: dev, tens: tens, rings: make([]taskRing, len(tens))}
 	s.more.L = &s.mu
 	s.space.L = &s.mu
 	for i := range s.rings {
@@ -289,21 +274,23 @@ func (s *sched) drr(c int, run *[maxRunTasks]*task) int {
 //buddy:hotpath
 func taskCost(t *task) int64 { return int64(len(t.buf)) + taskCostFloor }
 
-// advance moves the shard's modeled clock by the service cycles of n
-// payload bytes moved through an allocation with the given target ratio —
-// the device-resident fraction of each entry at HBM2 bandwidth plus the
-// overflow fraction at link bandwidth — and returns the new
-// clock reading. Completion latency is the distance from the submitting
-// clock stamp to this reading, so queueing behind other tenants' runs is
-// part of the modeled latency.
+// clockFracBits is the clock's resolution: 1/1024 cycle.
+const clockFracBits = 10
+
+// advance moves the shard's modeled clock by the cycles cost is priced at on
+// the shard's device — what the operation's passes charged, wherever a
+// relayout in flight had its entries — and returns the new clock reading.
 //
 //buddy:hotpath
-func (s *sched) advance(target core.TargetRatio, n int) uint64 {
-	devFrac := float64(target.DeviceBytes()) / float64(core.EntryBytes)
-	cycles := float64(n) * (devFrac*devCyclesPerByte + (1-devFrac)*linkCyclesPerByte)
-	c := uint64(cycles)
-	if c == 0 {
-		c = 1
-	}
-	return s.clock.Add(c)
+func (s *sched) advance(cost core.Cost) uint64 {
+	return s.clock.Add(uint64(s.dev.Cycles(cost)*(1<<clockFracBits) + 0.5))
+}
+
+// latency is the modeled completion latency of a task stamped at stamp and
+// completed at clock reading end, in whole cycles rounded up: queueing behind
+// other tenants' runs is part of it, and no completed operation took zero.
+//
+//buddy:hotpath
+func latency(end, stamp uint64) uint64 {
+	return (end - stamp + 1<<clockFracBits - 1) >> clockFracBits
 }

@@ -26,6 +26,12 @@ type ShardStats struct {
 	// actually spent transferring — idle gaps between requests excluded —
 	// so they divide by a horizon to give true utilization.
 	LinkReadBusyCycles, LinkWriteBusyCycles float64
+	// ServiceCycles is the shard's modeled serving time since the last
+	// reset: its ledgers — device bytes, and the overflow tier's bytes per
+	// direction — priced by the function that advances its clock
+	// (core.Device.Cycles). Shards serve in parallel, so a fleet's time is
+	// its slowest shard's.
+	ServiceCycles float64
 	// Draining and Failed are the shard's lifecycle flags (see Drain and
 	// the failure injector); both false on a healthy shard.
 	Draining bool
@@ -116,6 +122,12 @@ func (p *Pool) Stats() Stats {
 			MetadataCacheHitRate: d.MetadataCacheHitRate(),
 		}
 		s.LinkReadBusyCycles, s.LinkWriteBusyCycles = d.LinkOccupancy()
+		link := overflow.Traffic()
+		s.ServiceCycles = d.Cycles(core.Cost{
+			DeviceBytes: s.Traffic.DeviceReadBytes + s.Traffic.DeviceWriteBytes,
+			LinkRead:    link.ReadBytes,
+			LinkWrite:   link.WrittenBytes,
+		})
 		switch p.state[i].Load() {
 		case shardDraining:
 			s.Draining = true

@@ -103,7 +103,7 @@ func TestSchedWeightedShares(t *testing.T) {
 		taskSize = 4 << 10
 		prefix   = 300 // tasks served while every ring stays non-empty
 	)
-	s := newSched(tens, depth)
+	s := newSched(nil, tens, depth)
 	buf := make([]byte, taskSize)
 	// Tenant indexes 1..3 are w1..w3 (default at 0 stays idle); tag each
 	// task with its tenant via off.
