@@ -110,7 +110,7 @@ bench-json:
 
 # The bench-gate pins per-codec and data-path ns/entry — and, for benchmarks
 # that report them, allocs/op (the async submit path pins at 0, so a
-# de-pooled task or future fails the gate) — so a lost fast path fails
+# de-pooled future fails the gate) — so a lost fast path fails
 # loudly instead of landing silently. BENCH_baseline.json holds the pinned
 # numbers (written by bench-baseline); bench-gate re-runs the same
 # benchmarks (min of -count 4 per benchmark) and fails when any pinned

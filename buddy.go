@@ -106,7 +106,10 @@ type Pool = pool.Pool
 // io.WriterAt and io.Closer.
 type Handle = pool.Handle
 
-// Future is the pending result of a Pool.SubmitRead/SubmitWrite.
+// Future is an operation submitted with Pool.SubmitRead/SubmitWrite and its
+// pending result. Wait is the only way to observe it and must be called
+// exactly once: it recycles the future, so a second Wait panics and a
+// retained pointer may already belong to a later submission.
 type Future = pool.Future
 
 // PoolStats is the pool-wide aggregate of per-shard telemetry: summed

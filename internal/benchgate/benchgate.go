@@ -2,7 +2,7 @@
 // regression fails CI instead of landing silently. The gate works on two
 // metrics: the ns/entry throughput metric the compress/core/pool benchmarks
 // report, and the allocs/op counts from -benchmem — pinned at 0 for the
-// allocation-free fast paths, so a de-pooled task or future fails the gate
+// allocation-free fast paths, so a de-pooled future fails the gate
 // the same way a lost codec kernel does. `make bench-baseline` records the
 // current machine's numbers into BENCH_baseline.json, and `make bench-gate`
 // re-runs the same benchmarks and fails when any pinned benchmark runs

@@ -33,17 +33,10 @@ const bulkGrainEntries = 64
 // cannot hold off Free or a relayout's cutover for its whole duration.
 const spanBatchEntries = 256
 
-// spanRunner is one batch operation the span pool can partition: runSpan
-// processes entries [lo, hi) of the operation's range. Implementations are
-// structs rather than closures so dispatching a span allocates nothing.
-type spanRunner interface {
-	runSpan(lo, hi int) error
-}
-
-// spanJob tracks one in-flight partitioned operation: the runner, a
-// completion counter, and the first error any chunk produced.
+// spanJob tracks one in-flight partitioned operation: the span being
+// partitioned, a completion counter, and the first error any chunk produced.
 type spanJob struct {
-	r   spanRunner
+	r   *entrySpan
 	wg  sync.WaitGroup
 	err atomic.Pointer[error]
 }
@@ -108,13 +101,13 @@ func (sp *spanPool) worker() {
 	}
 }
 
-// run partitions [0, n) into contiguous chunks across the pool's workers
-// and returns the first error. Small spans — and every span once the pool
+// run partitions r's n entries into contiguous chunks across the pool's
+// workers and returns the first error. Small spans — and every span once the pool
 // is closed — run inline on the caller's goroutine. Workers never block on
 // the chunk queue: when it is full the caller executes the chunk itself, so
 // concurrent batch operations degrade to inline work instead of queueing
 // behind each other.
-func (sp *spanPool) run(n int, r spanRunner) error {
+func (sp *spanPool) run(n int, r *entrySpan) error {
 	width := min(sp.width, n/bulkGrainEntries)
 	if width <= 1 || sp.chunks == nil {
 		return r.runSpan(0, n)
@@ -199,21 +192,11 @@ func (a *Allocation) runPass(p *relocPass, stage []byte, lo, hi int) ([]byte, er
 	return stage, err
 }
 
-// dataPass runs one data pass of the walker — kind is relocWrite or relocRead
-// — over entries [lo, hi) of a; data is the flat buffer of a span whose
-// first entry is index base. It returns what the pass charged, which on an
-// error is the cost of the entries accounted before the pass ended.
-//
-//buddy:hotpath
-func (a *Allocation) dataPass(kind relocKind, base int, data []byte, lo, hi int) (Cost, error) {
-	p := relocPass{kind: kind, base: base}
-	_, err := a.runPass(&p, data, lo, hi)
-	return p.cost, err
-}
-
-// entrySpan is the spanRunner behind WriteEntries/ReadEntries: a span of
-// contiguous entries of one allocation, backed by one flat buffer. Its
-// workers' passes sum what they charged into the three counters.
+// entrySpan is the one thing the span pool partitions: a pass of one kind
+// over a span of contiguous entries of one allocation, beginning at start —
+// backed, for the data kinds, by one flat buffer. A struct rather than a
+// closure, and pooled, so dispatching a span allocates nothing. Its workers'
+// passes sum what they charged and what they moved into the counters.
 type entrySpan struct {
 	a     *Allocation
 	kind  relocKind
@@ -221,17 +204,49 @@ type entrySpan struct {
 	data  []byte
 
 	deviceBytes, linkRead, linkWrite atomic.Uint64
+	entries, bytes                   atomic.Int64
 }
 
 var entrySpanPool = sync.Pool{New: func() any { return new(entrySpan) }}
 
+// runSpan runs the span's pass over its entries [lo, hi), counted from start.
+//
 //buddy:hotpath
 func (s *entrySpan) runSpan(lo, hi int) error {
-	c, err := s.a.dataPass(s.kind, s.start, s.data, s.start+lo, s.start+hi)
-	s.deviceBytes.Add(c.DeviceBytes)
-	s.linkRead.Add(c.LinkRead)
-	s.linkWrite.Add(c.LinkWrite)
+	p := relocPass{kind: s.kind, base: s.start}
+	_, err := s.a.runPass(&p, s.data, s.start+lo, s.start+hi)
+	s.deviceBytes.Add(p.cost.DeviceBytes)
+	s.linkRead.Add(p.cost.LinkRead)
+	s.linkWrite.Add(p.cost.LinkWrite)
+	s.entries.Add(int64(p.entries))
+	s.bytes.Add(p.bytes)
 	return err
+}
+
+// spanPass runs one pass of the walker, of any kind that takes a whole span,
+// over entries [start, start+n) of a; data is the span's flat buffer for
+// relocWrite and relocRead, nil otherwise. It returns what the pass charged
+// and, for the relocation kinds, the entries that held a stream and their
+// stored bytes — on an error, those of the entries accounted before it ended. A span below two bulk grains — which spanPool.run would
+// keep inline anyway — is one pass on the caller with the relocPass on its
+// stack; a longer one goes through the span pool of the device a is on with a
+// pooled runner, so the steady state allocates nothing either way.
+//
+//buddy:hotpath
+func (a *Allocation) spanPass(kind relocKind, start, n int, data []byte) (Cost, int, int64, error) {
+	if n < 2*bulkGrainEntries {
+		p := relocPass{kind: kind, base: start}
+		_, err := a.runPass(&p, data, start, start+n)
+		return p.cost, p.entries, p.bytes, err
+	}
+	s := entrySpanPool.Get().(*entrySpan)
+	s.a, s.kind, s.start, s.data = a, kind, start, data
+	err := a.Device().span.run(n, s)
+	c := Cost{DeviceBytes: s.deviceBytes.Swap(0), LinkRead: s.linkRead.Swap(0), LinkWrite: s.linkWrite.Swap(0)}
+	entries, bytes := int(s.entries.Swap(0)), s.bytes.Swap(0)
+	s.a, s.data = nil, nil
+	entrySpanPool.Put(s)
+	return c, entries, bytes, err
 }
 
 func (a *Allocation) checkEntryRange(start, n int) error {
@@ -243,10 +258,7 @@ func (a *Allocation) checkEntryRange(start, n int) error {
 }
 
 // accessEntries validates a span and runs it as a data pass, returning what
-// it charged. A span below two bulk grains — which spanPool.run would keep
-// inline anyway — calls the walker directly; a longer one goes through the
-// span pool with a pooled runner, so the steady-state batch path allocates
-// nothing either way.
+// it charged.
 //
 //buddy:hotpath
 func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) (Cost, error) {
@@ -260,15 +272,7 @@ func (a *Allocation) accessEntries(kind relocKind, start int, data []byte) (Cost
 	if err := a.checkEntryRange(start, n); err != nil {
 		return Cost{}, err
 	}
-	if n < 2*bulkGrainEntries {
-		return a.dataPass(kind, start, data, start, start+n)
-	}
-	s := entrySpanPool.Get().(*entrySpan)
-	s.a, s.kind, s.start, s.data = a, kind, start, data
-	err := a.Device().span.run(n, s)
-	c := Cost{DeviceBytes: s.deviceBytes.Swap(0), LinkRead: s.linkRead.Swap(0), LinkWrite: s.linkWrite.Swap(0)}
-	s.a, s.data = nil, nil
-	entrySpanPool.Put(s)
+	c, _, _, err := a.spanPass(kind, start, n, data)
 	return c, err
 }
 
@@ -304,7 +308,8 @@ func (a *Allocation) accessEntry(kind relocKind, i int, buf []byte) (Cost, error
 	if len(buf) != EntryBytes {
 		return Cost{}, fmt.Errorf("core: entry buffer must be %d bytes, got %d", EntryBytes, len(buf))
 	}
-	return a.dataPass(kind, i, buf, i, i+1)
+	c, _, _, err := a.spanPass(kind, i, 1, buf)
+	return c, err
 }
 
 // WriteEntry compresses and stores one 128 B entry: WriteEntries as a span

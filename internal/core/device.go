@@ -122,8 +122,8 @@ func (t *trafficCounters) reset() {
 	t.buddyAccesses.Store(0)
 }
 
-// entryShards is the number of mutexes striping the entry space. Entries
-// hash to shards by metadata byte (two entries per byte), so the
+// entryShards is the number of mutexes striping an allocation's entries.
+// Entries hash to shards by metadata byte (two entries per byte), so the
 // read-modify-write on a shared metadata byte is always serialized.
 const entryShards = 64
 
@@ -167,7 +167,6 @@ type Device struct {
 	totalEntry int
 	holes      []region // retired regions available for reuse
 
-	shards      [entryShards]sync.Mutex
 	gbbr        uint64 // global buddy base address (modeled)
 	traffic     trafficCounters
 	metaEnabled atomic.Bool
@@ -264,9 +263,8 @@ type Allocation struct {
 	// EntryCount is the number of 128 B memory-entries.
 	EntryCount int
 
-	size      int64                    // requested byte size (EntryCount*128 minus padding)
-	shardBase int                      // immutable, even: keys the entry shard locks forever
-	shards    *[entryShards]sync.Mutex // the stripes of the device it was born on, for life
+	size   int64                   // requested byte size (EntryCount*128 minus padding)
+	shards [entryShards]sync.Mutex // the entry shard locks: entry i under shards[i/2%entryShards]
 
 	// The entries: each one's framed compressed stream, in the stream store
 	// (store.go), and its 4-bit sector count, entry i of both guarded by entry
@@ -426,8 +424,6 @@ func (d *Device) Malloc(name string, size int64, target TargetRatio) (*Allocatio
 		Name:       name,
 		EntryCount: entries,
 		size:       size,
-		shardBase:  l.reg.firstEntry,
-		shards:     &d.shards,
 		meta:       NewMetadataStore(entries),
 		cur:        l,
 	}
@@ -507,16 +503,15 @@ func (a *Allocation) checkIndex(i int) error {
 	return nil
 }
 
-// shard returns the mutex striping entry i of the allocation. The stripes
-// and the key are fixed at Malloc — the birth device's array, the immutable
-// shardBase — not taken from the current layout, so the same entry keeps the
-// same lock across every relayout, to another device included, which is what
-// lets a relayout hand an entry from the old layout to the new one
-// atomically. Both entries of a metadata pair (2j, 2j+1: shardBase is even)
-// hash to the same shard, so the read-modify-write of the byte they share in
-// the MetadataStore stays serialized.
+// shard returns the mutex striping entry i of the allocation. The stripes are
+// the allocation's own and the key is the entry's index, nothing taken from
+// the current layout, so the same entry keeps the same lock across every
+// relayout, to another device included, which is what lets a relayout hand an
+// entry from the old layout to the new one atomically. Both entries of a
+// metadata pair (2j, 2j+1) hash to the same shard, so the read-modify-write
+// of the byte they share in the MetadataStore stays serialized.
 func (a *Allocation) shard(i int) *sync.Mutex {
-	return &a.shards[(a.shardBase+i)/2%entryShards]
+	return &a.shards[i/2%entryShards]
 }
 
 // home resolves which layout owns entry i: during a relayout, entries the

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Device-tier failure and rebuild-from-buddy recovery — the core half of the
@@ -44,24 +43,6 @@ func (d *Device) Fail() { d.failed.Store(true) }
 // Failed reports whether the device tier is currently down.
 func (d *Device) Failed() bool { return d.failed.Load() }
 
-// rebuildSpan is the spanRunner that re-streams one allocation's entries
-// from the buddy carve-out copy into the rebuilt device tier, as a pass of
-// the entry-table walker.
-type rebuildSpan struct {
-	a       *Allocation
-	entries atomic.Int64
-	bytes   atomic.Int64
-}
-
-//buddy:hotpath
-func (s *rebuildSpan) runSpan(lo, hi int) error {
-	p := relocPass{kind: relocRebuild}
-	_, err := s.a.runPass(&p, nil, lo, hi)
-	s.entries.Add(int64(p.entries))
-	s.bytes.Add(p.bytes)
-	return err
-}
-
 // Recover rebuilds a failed device tier from the buddy carve-out: every
 // written entry of every allocation living on the device is streamed back
 // over the link (buddy-tier read of the stored bytes) and re-stored in the
@@ -87,15 +68,15 @@ func (d *Device) Recover() (entries int, rebuilt int64, err error) {
 // relayouts off a while it is rebuilt, and waits out a MoveTo that was in
 // flight when the tier died: whichever way that ended, a is rebuilt here
 // only if it lives here now. The data path is still down (failed clears
-// last), so no entry changes underneath the spans.
+// last), so no entry changes underneath the spans: a relocRebuild pass
+// re-streams each from the carve-out copy into the rebuilt device tier.
 func (a *Allocation) rebuildOn(d *Device) (entries int, rebuilt int64) {
 	a.ctl.Lock()
 	defer a.ctl.Unlock()
 	if a.Freed() || a.Device() != d {
 		return 0, 0
 	}
-	s := &rebuildSpan{a: a}
 	// The pass's only error is ErrFreed, and Free waits on ctl.
-	_ = d.span.run(a.EntryCount, s)
-	return int(s.entries.Load()), s.bytes.Load()
+	_, entries, rebuilt, _ = a.spanPass(relocRebuild, 0, a.EntryCount, nil)
+	return entries, rebuilt
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Allocation lifecycle and live relayout. Free retires an allocation —
@@ -56,23 +55,13 @@ func regionSlots(entries int) int { return entries + entries%2 }
 // migration is the relayout epoch of one allocation: the layout its entries
 // are being handed to plus the per-entry handoff bitmap. moved[i] is guarded
 // by entry i's shard lock; the struct is installed, turned around
-// (handBack) and cleared under a.mu held exclusively. It is also the
-// spanRunner that streams the entries across on the span-worker pool.
+// (handBack) and cleared under a.mu held exclusively. relocMigrate passes
+// stream the entries across.
 type migration struct {
-	a         *Allocation
 	next      *layout
-	moved     []bool       // moved[i]: entry i is placed in next
-	transcode bool         // the two layouts' devices frame streams with different codecs
-	back      bool         // handing back: next is the layout the move started from
-	bytes     atomic.Int64 // stored bytes re-packed so far
-}
-
-//buddy:hotpath
-func (m *migration) runSpan(lo, hi int) error {
-	p := relocPass{kind: relocMigrate}
-	_, err := m.a.runPass(&p, nil, lo, hi)
-	m.bytes.Add(p.bytes)
-	return err
+	moved     []bool // moved[i]: entry i is placed in next
+	transcode bool   // the two layouts' devices frame streams with different codecs
+	back      bool   // handing back: next is the layout the move started from
 }
 
 // grabRegion hands out a region of the given shape, reusing the first
@@ -108,33 +97,41 @@ func (d *Device) grabRegion(slots int, devBytes, buddyBytes int64) region {
 	return r
 }
 
-// freeRegion returns a region to the hole list, coalescing with an adjacent
-// hole when the two are contiguous in all three spaces. Caller must hold
-// d.mu exclusively.
+// abuts reports whether next begins where r ends in all three spaces.
+func (r region) abuts(next region) bool {
+	return r.firstEntry+r.slots == next.firstEntry &&
+		r.deviceOff+r.devBytes == next.deviceOff &&
+		r.buddyOff+r.buddyBytes == next.buddyOff
+}
+
+// freeRegion returns a region to the hole list, coalescing it with the hole
+// before it and the hole after it where they are contiguous in all three
+// spaces; the merged hole takes the first one's place in the list. Caller
+// must hold d.mu exclusively.
 func (d *Device) freeRegion(r region) {
-	for i := range d.holes {
-		h := &d.holes[i]
-		if h.firstEntry+h.slots == r.firstEntry &&
-			h.deviceOff+h.devBytes == r.deviceOff &&
-			h.buddyOff+h.buddyBytes == r.buddyOff {
-			h.slots += r.slots
-			h.devBytes += r.devBytes
-			h.buddyBytes += r.buddyBytes
-			return
+	at := -1 // the neighbour r has been merged into, if any
+	for i, h := range d.holes {
+		switch {
+		case h.abuts(r):
+			r.firstEntry, r.deviceOff, r.buddyOff = h.firstEntry, h.deviceOff, h.buddyOff
+		case r.abuts(h):
+		default:
+			continue
 		}
-		if r.firstEntry+r.slots == h.firstEntry &&
-			r.deviceOff+r.devBytes == h.deviceOff &&
-			r.buddyOff+r.buddyBytes == h.buddyOff {
-			h.firstEntry = r.firstEntry
-			h.deviceOff = r.deviceOff
-			h.buddyOff = r.buddyOff
-			h.slots += r.slots
-			h.devBytes += r.devBytes
-			h.buddyBytes += r.buddyBytes
-			return
+		r.slots += h.slots
+		r.devBytes += h.devBytes
+		r.buddyBytes += h.buddyBytes
+		if at >= 0 {
+			d.holes = slices.Delete(d.holes, i, i+1)
+			break // a region has two neighbours at most
 		}
+		at = i
 	}
-	d.holes = append(d.holes, r)
+	if at < 0 {
+		d.holes = append(d.holes, r)
+	} else {
+		d.holes[at] = r
+	}
 }
 
 // Free releases an allocation: its device and buddy reservations return to
@@ -265,15 +262,16 @@ func (a *Allocation) relayout(dev *Device, target TargetRatio) (int64, error) {
 	}
 	// The pass's other error is ErrFreed, and Free waits on ctl. Entries
 	// written concurrently after their move land in the next layout directly.
-	if err = cur.dev.span.run(a.EntryCount, m); err != nil {
+	_, _, moved, err := a.spanPass(relocMigrate, 0, a.EntryCount, nil)
+	if err != nil {
 		a.handBack(m)
-		_ = cur.dev.span.run(a.EntryCount, m)
+		a.spanPass(relocMigrate, 0, a.EntryCount, nil) // checks no device: cannot fail
 	}
 	a.commitRelayout(m)
 	if err != nil {
 		return 0, fmt.Errorf("core: relayout of %s handed back: %w", a.Name, err)
 	}
-	return m.bytes.Load(), nil
+	return moved, nil
 }
 
 // beginRelayout reserves a's next layout and installs the epoch; from here
@@ -291,7 +289,7 @@ func (a *Allocation) beginRelayout(dev *Device, target TargetRatio) (*migration,
 	if dev != cur.dev {
 		dev.list(a)
 	}
-	m := &migration{a: a, next: next, moved: make([]bool, a.EntryCount), transcode: !cur.dev.SameCodecAs(dev)}
+	m := &migration{next: next, moved: make([]bool, a.EntryCount), transcode: !cur.dev.SameCodecAs(dev)}
 	a.mu.Lock()
 	a.mig = m
 	a.mu.Unlock()

@@ -152,6 +152,82 @@ func TestFreeMakesEntryTableReusable(t *testing.T) {
 	}
 }
 
+// TestFreeCoalescesBothNeighbours frees the middle of three adjacent
+// allocations last: the hole it leaves lies between two holes and must join
+// both, so an allocation of their combined size reuses the space instead of
+// growing the modeled entry table.
+func TestFreeCoalescesBothNeighbours(t *testing.T) {
+	d := newTestDevice(1 << 20)
+	var abc [3]*Allocation
+	for i := range abc {
+		a, err := d.Malloc(fmt.Sprintf("r%d", i), 16<<10, Target2x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abc[i] = a
+	}
+	for _, i := range []int{0, 2, 1} {
+		if err := d.Free(abc[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := d.totalEntry
+	if len(d.holes) != 1 || d.holes[0].slots != grown {
+		t.Errorf("holes after freeing everything: %+v, want one of %d slots", d.holes, grown)
+	}
+	if _, err := d.Malloc("all", 3*16<<10, Target2x); err != nil {
+		t.Fatal(err)
+	}
+	if d.totalEntry != grown {
+		t.Errorf("entry table grew %d -> %d: the three holes were not one", grown, d.totalEntry)
+	}
+}
+
+// TestStripesAreTheAllocations: the entry shard locks belong to the
+// allocation — two allocations of one device contend on no stripe, and an
+// allocation moved to another device and back locks entry i with the very
+// mutex it always did.
+func TestStripesAreTheAllocations(t *testing.T) {
+	d, other := newTestDevice(1<<20), newTestDevice(1<<20)
+	a, err := d.Malloc("a", 16<<10, Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.Malloc("b", 16<<10, Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripes := map[*sync.Mutex]bool{}
+	for i := 0; i < a.EntryCount; i++ {
+		stripes[a.shard(i)] = true
+		if a.shard(i) != a.shard(i^1) {
+			t.Fatalf("entries %d and %d share a metadata byte but not a stripe", i, i^1)
+		}
+	}
+	if len(stripes) != min(entryShards, a.EntryCount/2) {
+		t.Errorf("a's %d entries use %d stripes, want %d", a.EntryCount, len(stripes), min(entryShards, a.EntryCount/2))
+	}
+	for i := 0; i < b.EntryCount; i++ {
+		if stripes[b.shard(i)] {
+			t.Fatalf("entry %d of b is striped by a mutex of a", i)
+		}
+	}
+	before := make([]*sync.Mutex, a.EntryCount)
+	for i := range before {
+		before[i] = a.shard(i)
+	}
+	for _, to := range []*Device{other, d} {
+		if err := a.MoveTo(to); err != nil {
+			t.Fatal(err)
+		}
+		for i, sh := range before {
+			if a.shard(i) != sh {
+				t.Fatalf("entry %d changed stripes on the move to another device", i)
+			}
+		}
+	}
+}
+
 func TestRetargetPreservesContentsAndAccounting(t *testing.T) {
 	d := newTestDevice(4 << 20)
 	// Odd entry count (801) with an unaligned tail: pad slot in play.

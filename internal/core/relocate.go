@@ -254,9 +254,9 @@ func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, h
 
 // pairLen is how many entries from i, within a sub-batch ending at e, share
 // one acquisition of their shard lock: two when i is the lower half of a
-// metadata pair (shardBase is even) and its upper half is in range.
+// metadata pair and its upper half is in range.
 func (a *Allocation) pairLen(i, e int) int {
-	if i+1 < e && (a.shardBase+i)&1 == 0 {
+	if i+1 < e && i&1 == 0 {
 		return 2
 	}
 	return 1

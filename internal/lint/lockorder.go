@@ -10,7 +10,7 @@ import (
 
 // LockOrder enforces the lock hierarchy documented on core.Device — an
 // allocation's control-plane ctl, then the device's allocation-list mu, then
-// the allocation's own mu, then the 64 entry-shard mutexes, then a stream
+// the allocation's own mu, then its 64 entry-shard mutexes, then a stream
 // store's mu — and a release discipline for every sync.Mutex / sync.RWMutex:
 // a lock acquired in a function must be deferred-unlocked or released on
 // every return path of that function.
@@ -134,16 +134,13 @@ func (w *lockWalker) lockMethod(call *ast.CallExpr) (recv ast.Expr, name string,
 
 // rankOf places a lock receiver in the hierarchy: field ctl and mu of a type
 // named Allocation, field mu of a type named Device or streamStore, an
-// element of either's shards, plus locals returned by a shard() method.
+// element of an Allocation's shards, plus locals returned by a shard() method.
 // Everything else is unranked.
 func (w *lockWalker) rankOf(recv ast.Expr) int {
 	switch recv := recv.(type) {
 	case *ast.IndexExpr:
-		if sel, ok := recv.X.(*ast.SelectorExpr); ok {
-			switch w.coreField(sel) {
-			case "Device.shards", "Allocation.shards":
-				return rankShard
-			}
+		if sel, ok := recv.X.(*ast.SelectorExpr); ok && w.coreField(sel) == "Allocation.shards" {
+			return rankShard
 		}
 	case *ast.SelectorExpr:
 		switch w.coreField(recv) {

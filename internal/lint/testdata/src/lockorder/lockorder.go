@@ -4,19 +4,17 @@ package lockorder
 
 import "sync"
 
-// Device mirrors core.Device's lock fields: the allocation-list mu and the
-// entry-shard stripes.
+// Device mirrors core.Device's lock field: the allocation-list mu.
 type Device struct {
-	mu     sync.RWMutex
-	shards [8]sync.Mutex
+	mu sync.RWMutex
 }
 
 // Allocation mirrors core.Allocation's: the control-plane ctl, its own mu,
-// and the stripes it borrows from the device it was born on.
+// and its entry-shard stripes.
 type Allocation struct {
 	ctl    sync.Mutex
 	mu     sync.RWMutex
-	shards *[8]sync.Mutex
+	shards [8]sync.Mutex
 	dev    *Device
 }
 
@@ -49,8 +47,8 @@ func (a *Allocation) shardThenMu(i int) {
 }
 
 func (a *Allocation) indexedShardThenMu(i int) {
-	a.dev.shards[i].Lock()
-	defer a.dev.shards[i].Unlock()
+	a.shards[i].Lock()
+	defer a.shards[i].Unlock()
 	a.mu.RLock() // want `violates the lock order`
 	defer a.mu.RUnlock()
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"buddy/internal/compress"
 	"buddy/internal/core"
 	"buddy/internal/race"
 )
@@ -29,10 +31,10 @@ func newAsyncPool(t *testing.T, shards, workers, depth int) *Pool {
 
 // TestSubmitSteadyStateZeroAlloc proves the tentpole acceptance criterion:
 // after warm-up, the submit→complete round trip allocates nothing on either
-// path. Queued (an operation above inPlaceMaxBytes): tasks and futures come
-// from pools, completion is channel-free, and the worker stages coalesced
-// runs in pooled buffers. In place (a one-entry operation on a quiescent
-// shard): no task at all, and the future is recycled by Wait.
+// path. Queued (an operation above inPlaceMaxBytes): the future comes from a
+// pool and sits on the ring as itself, completion is channel-free, and the
+// worker stages coalesced runs in pooled buffers. In place (a one-entry
+// operation on a quiescent shard): the same future, never queued.
 // AllocsPerRun counts allocations process-wide, so worker-side allocations
 // would fail this test too. The tenant leg submits through a configured
 // non-default tenant in a higher priority class, so the classed
@@ -206,77 +208,188 @@ func TestCoalescingStress(t *testing.T) {
 	}
 }
 
-// TestCoalescedCompletionParity pins the per-task results of a coalesced run
-// to exactly what uncoalesced execution produces: each future reports its own
-// submission's byte count, and a failing run (allocation freed mid-flight)
-// replays task by task so each future carries the error WriteAt would have
-// returned.
-func TestCoalescedCompletionParity(t *testing.T) {
-	p := newAsyncPool(t, 1, 1, defaultQueueDepth)
-	const chunks = 8
-	// Unequal chunks, all above inPlaceMaxBytes so each is queued.
-	const base = inPlaceMaxBytes
-	sizes := []int{
-		base + core.EntryBytes, base + 2*core.EntryBytes, base + core.EntryBytes, base + 3*core.EntryBytes,
-		base + core.EntryBytes, base + core.EntryBytes, base + 2*core.EntryBytes, base + core.EntryBytes,
+// gatedCodec holds the one encode that finds it armed until release is
+// closed — how these tests stop a shard's worker mid-operation at a known
+// point: everything submitted meanwhile finds the shard pending, queues, and
+// comes off the ring as one window.
+type gatedCodec struct {
+	compress.Codec
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (c *gatedCodec) AppendCompressed(dst, entry []byte) ([]byte, int) {
+	if c.armed.CompareAndSwap(true, false) {
+		close(c.entered)
+		<-c.release
+	}
+	return c.Codec.AppendCompressed(dst, entry)
+}
+
+// completionCase is one way an operation gets from submit to finish: sizes
+// are the entry counts of contiguous writes submitted open-loop. gated holds
+// the worker mid-operation while they are submitted, so all of them queue and
+// are dequeued as one window; closed closes their handle before any of them
+// executes — before they are submitted, or, gated, once they are queued: the
+// coalesced batch fails and the run is replayed one by one.
+type completionCase struct {
+	sizes         []int
+	gated, closed bool
+}
+
+// checkCompletions runs one completionCase on a fresh one-shard pool and pins
+// what finish owes each operation, once: its future reports the (n, err) the
+// synchronous call does, and its tenant counts it submitted, its bytes served
+// and its latency sampled exactly once (a failure is submitted and nothing
+// else), with nothing left pending. It returns how the operations travelled.
+func checkCompletions(t *testing.T, c completionCase) AsyncStats {
+	t.Helper()
+	gc := &gatedCodec{Codec: compress.NewBPC(), entered: make(chan struct{}), release: make(chan struct{})}
+	dev := core.NewDevice(core.Config{DeviceBytes: 4 << 20, Codec: gc})
+	p, err := New([]*core.Device{dev}, Config{Workers: 1, Tenants: map[string]TenantConfig{"svc": {Priority: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	door, err := p.Tenant("svc")
+	if err != nil {
+		t.Fatal(err)
 	}
 	total := 0
-	for _, s := range sizes {
-		total += s
+	for _, n := range c.sizes {
+		total += n * core.EntryBytes
 	}
-	h, err := p.Malloc("parity", int64(total), core.Target2x)
+	h, err := door.Malloc("ops", int64(total), core.Target2x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := make([]byte, total)
 	pattern(data, 9)
-
-	// Uncoalesced reference: synchronous WriteAt per chunk.
-	wantN := make([]int, chunks)
-	off := 0
-	for i, s := range sizes {
-		n, err := h.WriteAt(data[off:off+s], int64(off))
+	// What the synchronous call returns for every operation, on the handle
+	// as the operations will find it.
+	syncCall := func() (ns []int, errs []error) {
+		off := 0
+		for _, entries := range c.sizes {
+			n, err := h.WriteAt(data[off:off+entries*core.EntryBytes], int64(off))
+			ns, errs = append(ns, n), append(errs, err)
+			off += entries * core.EntryBytes
+		}
+		return ns, errs
+	}
+	var wantN []int
+	var wantErr []error
+	if !c.closed {
+		wantN, wantErr = syncCall()
+	}
+	ops, served := uint64(len(c.sizes)), uint64(0)
+	var gate *Future
+	if c.gated {
+		gh, err := door.Malloc("gate", 2*inPlaceMaxBytes, core.Target2x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantN[i] = n
-		off += s
-	}
-
-	// Coalesced run: same chunks submitted open-loop; each future must
-	// report its own chunk's byte count, not the run total.
-	futs := make([]*Future, 0, chunks)
-	off = 0
-	for _, s := range sizes {
-		futs = append(futs, p.SubmitWrite(h, data[off:off+s], int64(off)))
-		off += s
-	}
-	for i, f := range futs {
-		if n, err := f.Wait(); err != nil || n != wantN[i] {
-			t.Fatalf("task %d: coalesced n=%d err=%v, uncoalesced n=%d err=nil", i, n, err, wantN[i])
+		gbuf := make([]byte, 2*inPlaceMaxBytes)
+		pattern(gbuf, 1)
+		gc.armed.Store(true)
+		gate = p.SubmitWrite(gh, gbuf, 0)
+		<-gc.entered
+		ops, served = ops+1, served+uint64(len(gbuf))
+	} else if c.closed {
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if st := p.Stats().Async; st.CoalescedTasks == 0 {
-		t.Fatalf("run never coalesced: %+v", st)
+	futs := make([]*Future, 0, len(c.sizes))
+	off := 0
+	for _, n := range c.sizes {
+		futs = append(futs, p.SubmitWrite(h, data[off:off+n*core.EntryBytes], int64(off)))
+		off += n * core.EntryBytes
 	}
-
-	// Failure parity: free the allocation, then submit a coalescible run.
-	// The batch fails, the worker replays each task individually, and every
-	// future reports the exact ErrFreed WriteAt would return.
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	futs = futs[:0]
-	off = 0
-	for _, s := range sizes {
-		futs = append(futs, p.SubmitWrite(h, data[off:off+s], int64(off)))
-		off += s
-	}
-	for i, f := range futs {
-		if n, err := f.Wait(); n != 0 || !errors.Is(err, core.ErrFreed) {
-			t.Fatalf("freed task %d: n=%d err=%v, want 0/ErrFreed", i, n, err)
+	if c.gated {
+		if c.closed {
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(gc.release)
+		if _, err := gate.Wait(); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if c.closed {
+		wantN, wantErr = syncCall()
+	}
+	for i, f := range futs {
+		n, err := f.Wait()
+		if n != wantN[i] || fmt.Sprint(err) != fmt.Sprint(wantErr[i]) {
+			t.Errorf("operation %d: n=%d err=%v, the synchronous call n=%d err=%v", i, n, err, wantN[i], wantErr[i])
+		}
+		if c.closed && !errors.Is(err, core.ErrFreed) {
+			t.Errorf("operation %d on a closed handle: err=%v, want ErrFreed", i, err)
+		}
+		if err == nil {
+			served += uint64(n)
+		}
+	}
+	done := ops
+	if c.closed {
+		done -= uint64(len(c.sizes))
+	}
+	st := door.Stats()
+	if st.Submitted != ops || st.ServedBytes != served || st.Latency.Count != done {
+		t.Errorf("tenant counted %d submitted, %d B served, %d latencies; want %d, %d, %d",
+			st.Submitted, st.ServedBytes, st.Latency.Count, ops, served, done)
+	}
+	if pending := p.scheds[0].pending.Load(); pending != 0 || st.QueueDepth != 0 {
+		t.Errorf("after every Wait: pending %d, queue depth %d, want 0, 0", pending, st.QueueDepth)
+	}
+	as := p.Stats().Async
+	if as.Submitted != ops {
+		t.Errorf("Async.Submitted = %d, want %d", as.Submitted, ops)
+	}
+	return as
+}
+
+// TestOneCompletionSite walks the four ways from submit to finish — served
+// in place, queued alone, coalesced, and coalesced then replayed because the
+// handle was closed while the run sat on the ring — and checks each is
+// completed once, with the synchronous call's result.
+func TestOneCompletionSite(t *testing.T) {
+	chunks := []int{9, 10, 9, 11, 9, 9, 10, 11} // all above inPlaceMaxBytes
+	t.Run("in place", func(t *testing.T) {
+		if as := checkCompletions(t, completionCase{sizes: []int{1}}); as.Inline != 1 || as.CoalescedRuns != 0 {
+			t.Errorf("Async = %+v, want the operation served in place", as)
+		}
+	})
+	t.Run("queued single", func(t *testing.T) {
+		if as := checkCompletions(t, completionCase{sizes: []int{9}}); as.Inline != 0 || as.CoalescedRuns != 0 {
+			t.Errorf("Async = %+v, want the operation queued and run alone", as)
+		}
+	})
+	for _, closed := range []bool{false, true} {
+		name := map[bool]string{false: "coalesced", true: "replayed after Close"}[closed]
+		t.Run(name, func(t *testing.T) {
+			as := checkCompletions(t, completionCase{sizes: chunks, gated: true, closed: closed})
+			if as.Inline != 0 || as.CoalescedRuns != 1 || as.CoalescedTasks != uint64(len(chunks)) {
+				t.Errorf("Async = %+v, want one coalesced run of %d", as, len(chunks))
+			}
+		})
+	}
+}
+
+// TestCoalescedCompletionParity pins the per-operation results of a coalesced
+// run to exactly what uncoalesced execution produces, on an ungated worker
+// that coalesces whatever has piled up: each future reports its own
+// submission's byte count, and a failing run (allocation freed before it was
+// submitted) replays one by one so each future carries the error WriteAt
+// would have returned.
+func TestCoalescedCompletionParity(t *testing.T) {
+	// Unequal chunks, all above inPlaceMaxBytes so each is queued.
+	chunks := []int{9, 10, 9, 11, 9, 9, 10, 9}
+	if as := checkCompletions(t, completionCase{sizes: chunks}); as.CoalescedTasks == 0 {
+		t.Errorf("run never coalesced: %+v", as)
+	}
+	checkCompletions(t, completionCase{sizes: chunks, closed: true})
 }
 
 // TestCloseDuringBackpressure is the regression test for the old
@@ -327,36 +440,6 @@ func TestCloseDuringBackpressure(t *testing.T) {
 	}
 }
 
-// TestFutureDoneSelect covers the lazy Done channel: select-users see the
-// channel close on completion, whether Done is called before or after the
-// operation finishes, and Wait still returns the result afterwards.
-func TestFutureDoneSelect(t *testing.T) {
-	p := newAsyncPool(t, 1, 1, 4)
-	h, err := p.Malloc("done", 8*core.EntryBytes, core.Target1x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, core.EntryBytes)
-	f := p.SubmitWrite(h, buf, 0)
-	<-f.Done() // Done before/during completion: must close
-	if n, err := f.Wait(); err != nil || n != len(buf) {
-		t.Fatalf("Wait after Done: n=%d err=%v", n, err)
-	}
-	// Done called after completion (future already completed, channel
-	// materializes closed).
-	f = p.SubmitWrite(h, buf, 0)
-	for {
-		select {
-		case <-f.Done():
-			if n, err := f.Wait(); err != nil || n != len(buf) {
-				t.Fatalf("late Done: n=%d err=%v", n, err)
-			}
-			return
-		default:
-		}
-	}
-}
-
 // TestFutureDoubleWaitPanics pins the recycled-future guard: a second Wait on
 // a consumed future must panic rather than silently corrupt a recycled one.
 func TestFutureDoubleWaitPanics(t *testing.T) {
@@ -377,4 +460,35 @@ func TestFutureDoubleWaitPanics(t *testing.T) {
 		}
 	}()
 	_, _ = f.Wait()
+}
+
+// TestFutureHoldsNothingAfterFinish: a finished future has let go of its
+// handle and its buffer — served, or refused by a closed pool or by a ring
+// that has shut down — so the pool of futures never pins a caller's buffer.
+// The test looks inside a consumed future, which only it may: one goroutine,
+// nothing submitted in between.
+func TestFutureHoldsNothingAfterFinish(t *testing.T) {
+	p := newAsyncPool(t, 1, 1, 4)
+	h, err := p.Malloc("held", 64*core.EntryBytes, core.Target1x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, f *Future, want error) {
+		t.Helper()
+		if _, err := f.Wait(); !errors.Is(err, want) {
+			t.Errorf("%s: err=%v, want %v", what, err, want)
+		}
+		if f.h != nil || f.buf != nil {
+			t.Errorf("%s: the consumed future still holds h=%p buf=%d B", what, f.h, len(f.buf))
+		}
+	}
+	check("served in place", p.SubmitWrite(h, make([]byte, core.EntryBytes), 0), nil)
+	check("served from the ring", p.SubmitWrite(h, make([]byte, 2*inPlaceMaxBytes), 0), nil)
+	// A ring that shut down under a submit already past the closed check.
+	p.scheds[0].shutdown()
+	check("refused by the ring", p.SubmitRead(h, make([]byte, 2*inPlaceMaxBytes), 0), ErrClosed)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("refused by a closed pool", p.SubmitRead(h, make([]byte, core.EntryBytes), 0), ErrClosed)
 }

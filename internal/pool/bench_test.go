@@ -127,7 +127,7 @@ func benchServe(b *testing.B, chunkBytes int, rebalEvery time.Duration, tenants 
 // entry-aligned offset of its own 256 KiB allocation, 70 % reads. An op
 // here is one operation per caller, so allocs/op is per eight operations
 // and must be zero: small operations on a quiescent shard run in place,
-// with no task checked out and the future recycled by Wait.
+// never queued, the future recycled by Wait.
 func benchRPC(b *testing.B) {
 	const (
 		callers   = 8
@@ -320,11 +320,11 @@ func BenchmarkQoSDequeue(b *testing.B) {
 	})
 	s := newSched(nil, tens, 64)
 	buf := make([]byte, 4<<10)
-	tasks := make([]*task, len(tens))
+	tasks := make([]*Future, len(tens))
 	for i := range tasks {
-		tasks[i] = &task{buf: buf}
+		tasks[i] = &Future{buf: buf}
 	}
-	var run [maxRunTasks]*task
+	var run [maxRunTasks]*Future
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -374,7 +374,7 @@ func BenchmarkRebalanceScan(b *testing.B) {
 
 // BenchmarkSubmitWrite measures one client's submit→complete round trip
 // for a 4 KiB chunk: queue handoff, worker execution and future wake-up.
-// Steady state must not allocate — tasks and futures are pooled.
+// Steady state must not allocate — an operation is one pooled future.
 func BenchmarkSubmitWrite(b *testing.B) {
 	devices := []*core.Device{core.NewDevice(core.Config{DeviceBytes: 4 << 20})}
 	p, err := New(devices, Config{})

@@ -12,7 +12,7 @@ import (
 // end, mirroring benchgate's TestGateCatchesSlowedCodec: measure the real
 // submit→complete path, pin it at its true allocation count (zero), then
 // measure a submit path that allocates per operation — a fresh payload
-// buffer per call, what a de-pooled task or future would cost — and require
+// buffer per call, what a de-pooled future would cost — and require
 // the comparator to fail. This is the in-tree proof that `make bench-gate`
 // rejects per-op garbage on the serving path.
 func TestGateCatchesDepooledFuture(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 	"buddy/internal/core"
 )
 
-// Tests for the run-to-completion path (Pool.serveInPlace): the ordering
+// Tests for the run-to-completion path (Pool.submit, second case): the ordering
 // contract, the telemetry it must keep, and the failure and lifecycle
 // behaviour it must share with the queued path.
 

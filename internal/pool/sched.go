@@ -50,13 +50,13 @@ const (
 
 // taskRing is one tenant's fixed-capacity FIFO on one shard.
 type taskRing struct {
-	buf     []*task
+	buf     []*Future
 	head, n int
 	deficit int64 // DRR byte credit
 }
 
 //buddy:hotpath
-func (r *taskRing) push(t *task) {
+func (r *taskRing) push(t *Future) {
 	i := r.head + r.n
 	if i >= len(r.buf) {
 		i -= len(r.buf)
@@ -66,10 +66,10 @@ func (r *taskRing) push(t *task) {
 }
 
 //buddy:hotpath
-func (r *taskRing) peek() *task { return r.buf[r.head] }
+func (r *taskRing) peek() *Future { return r.buf[r.head] }
 
 //buddy:hotpath
-func (r *taskRing) pop() *task {
+func (r *taskRing) pop() *Future {
 	t := r.buf[r.head]
 	r.buf[r.head] = nil
 	r.head++
@@ -105,7 +105,7 @@ type sched struct {
 	// pending counts the shard's unfinished queued work: tasks on any ring
 	// plus dequeued tasks a worker has not finished executing. Zero means
 	// the shard is quiescent, which is what lets a small operation run in
-	// place without overtaking anything (Pool.serveInPlace).
+	// place without overtaking anything (Pool.submit).
 	pending atomic.Int64
 }
 
@@ -114,7 +114,7 @@ func newSched(dev *core.Device, tens []*tenant, depth int) *sched {
 	s.more.L = &s.mu
 	s.space.L = &s.mu
 	for i := range s.rings {
-		s.rings[i].buf = make([]*task, depth)
+		s.rings[i].buf = make([]*Future, depth)
 	}
 	for i, t := range tens {
 		s.classes[t.cls] = append(s.classes[t.cls], i)
@@ -138,7 +138,7 @@ func (s *sched) shutdown() {
 // space from anyone else.
 //
 //buddy:hotpath
-func (s *sched) enqueue(t *task, tn *tenant) error {
+func (s *sched) enqueue(t *Future, tn *tenant) error {
 	s.mu.Lock()
 	r := &s.rings[tn.idx]
 	for r.n == len(r.buf) && !s.shut {
@@ -152,9 +152,9 @@ func (s *sched) enqueue(t *task, tn *tenant) error {
 	r.push(t)
 	s.total++
 	s.count[tn.cls]++
+	tn.queued.Add(1) // under s.mu, like drr's decrement: a snapshot never reads negative
 	s.more.Signal()
 	s.mu.Unlock()
-	tn.queued.Add(1)
 	return nil
 }
 
@@ -164,7 +164,7 @@ func (s *sched) enqueue(t *task, tn *tenant) error {
 // backlog is drained.
 //
 //buddy:hotpath
-func (s *sched) dequeue(run *[maxRunTasks]*task) int {
+func (s *sched) dequeue(run *[maxRunTasks]*Future) int {
 	s.mu.Lock()
 	for s.total == 0 {
 		if s.shut {
@@ -216,7 +216,7 @@ func (s *sched) dequeue(run *[maxRunTasks]*task) int {
 // quantum would only shrink the coalescing window.
 //
 //buddy:hotpath
-func (s *sched) drr(c int, run *[maxRunTasks]*task) int {
+func (s *sched) drr(c int, run *[maxRunTasks]*Future) int {
 	ten := s.classes[c]
 	for {
 		for k := 0; k < len(ten); k++ {
@@ -272,7 +272,7 @@ func (s *sched) drr(c int, run *[maxRunTasks]*task) int {
 // taskCost is a task's DRR byte cost: payload plus a one-entry floor.
 //
 //buddy:hotpath
-func taskCost(t *task) int64 { return int64(len(t.buf)) + taskCostFloor }
+func taskCost(t *Future) int64 { return int64(len(t.buf)) + taskCostFloor }
 
 // clockFracBits is the clock's resolution: 1/1024 cycle.
 const clockFracBits = 10

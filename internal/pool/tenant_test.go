@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,12 +110,12 @@ func TestSchedWeightedShares(t *testing.T) {
 	// task with its tenant via off.
 	for k := 0; k < perTen; k++ {
 		for idx := 1; idx < len(tens); idx++ {
-			if err := s.enqueue(&task{buf: buf, off: int64(idx)}, tens[idx]); err != nil {
+			if err := s.enqueue(&Future{buf: buf, off: int64(idx)}, tens[idx]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	var run [maxRunTasks]*task
+	var run [maxRunTasks]*Future
 	served := make([]int64, len(tens))
 	total := 0
 	for total < prefix {
@@ -138,6 +139,69 @@ func TestSchedWeightedShares(t *testing.T) {
 		if got < want*0.9 || got > want*1.1 {
 			t.Errorf("tenant %s share = %.3f, want %.3f +-10%%", tens[idx].name, got, want)
 		}
+	}
+}
+
+// TestQueueDepthNeverNegative hammers one ring from two submitters against
+// one draining worker while a sampler reads the tenant's snapshot:
+// TenantStats.QueueDepth counts tasks on the ring, and no interleaving of
+// enqueue and dequeue may show it below zero. (It did when enqueue bumped the
+// count after dropping the scheduler's lock: a worker dequeuing in between
+// left -1 behind until the submitter caught up.)
+func TestQueueDepthNeverNegative(t *testing.T) {
+	// More Ps than a small box has cores: the window is a few instructions
+	// wide, and it takes a thread descheduled inside it to show.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tens, _ := buildTenants(nil)
+	tn := tens[0]
+	s := newSched(nil, tens, 4)
+	const perSubmitter = 100000
+	var low atomic.Int64 // the lowest depth anyone saw
+	sample := func() {
+		if d := tn.stats().QueueDepth; d < low.Load() {
+			low.Store(d)
+		}
+	}
+	stop := make(chan struct{})
+	var sampler, submitters sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sample()
+			}
+		}
+	}()
+	buf := make([]byte, core.EntryBytes)
+	for g := 0; g < 2; g++ {
+		submitters.Add(1)
+		go func() {
+			defer submitters.Done()
+			for i := 0; i < perSubmitter; i++ {
+				if err := s.enqueue(&Future{buf: buf}, tn); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var run [maxRunTasks]*Future
+	for served := 0; served < 2*perSubmitter; {
+		served += s.dequeue(&run)
+		sample() // the drainer sees its own decrement first of all
+	}
+	submitters.Wait()
+	close(stop)
+	sampler.Wait()
+	if got := low.Load(); got < 0 {
+		t.Errorf("QueueDepth read %d, want never below 0", got)
+	}
+	if d := tn.stats().QueueDepth; d != 0 {
+		t.Errorf("QueueDepth = %d after the ring drained, want 0", d)
 	}
 }
 
