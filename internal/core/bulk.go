@@ -124,8 +124,10 @@ func (sp *spanPool) run(n int, r *entrySpan) error {
 	j := spanJobPool.Get().(*spanJob)
 	j.r = r
 	j.err.Store(nil)
-	chunk := (n + width - 1) / width
-	for lo := chunk; lo < n; lo += chunk {
+	// Whole metadata lines, cut at the allocation's: no worker splits a line.
+	chunk := ((n+width-1)/width + EntriesPerMetadataLine - 1) &^ (EntriesPerMetadataLine - 1)
+	first := chunk - r.start%EntriesPerMetadataLine
+	for lo := first; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
 		j.wg.Add(1)
 		select {
@@ -136,7 +138,7 @@ func (sp *spanPool) run(n int, r *entrySpan) error {
 	}
 	// The first chunk runs inline: the caller works instead of idling.
 	j.wg.Add(1)
-	j.run(0, chunk)
+	j.run(0, min(first, n))
 	j.wg.Wait()
 	sp.runMu.RUnlock()
 	var err error
@@ -227,10 +229,11 @@ func (s *entrySpan) runSpan(lo, hi int) error {
 // over entries [start, start+n) of a; data is the span's flat buffer for
 // relocWrite and relocRead, nil otherwise. It returns what the pass charged
 // and, for the relocation kinds, the entries that held a stream and their
-// stored bytes — on an error, those of the entries accounted before it ended. A span below two bulk grains — which spanPool.run would
-// keep inline anyway — is one pass on the caller with the relocPass on its
-// stack; a longer one goes through the span pool of the device a is on with a
-// pooled runner, so the steady state allocates nothing either way.
+// stored bytes — on an error, those of the entries accounted before it ended.
+// A span below two bulk grains, which spanPool.run would keep inline anyway,
+// is one pass on the caller with the relocPass on its stack. A longer one goes
+// through the span pool of the device a is on with a pooled runner. The
+// steady state allocates nothing either way.
 //
 //buddy:hotpath
 func (a *Allocation) spanPass(kind relocKind, start, n int, data []byte) (Cost, int, int64, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"buddy/internal/gen"
@@ -101,6 +102,66 @@ func TestConcurrentDeviceStress(t *testing.T) {
 	_, overflow := d.Tiers()
 	if ot := overflow.Traffic(); ot.WrittenBytes != tr.BuddyWriteBytes {
 		t.Errorf("overflow tier wrote %d, device counter says %d", ot.WrittenBytes, tr.BuddyWriteBytes)
+	}
+}
+
+// TestLineHandOverUnderWriters hammers the entries of one metadata line from
+// several writers while MoveTo hands the line back and forth between two
+// devices a line at a time: every entry must read back as its last write, the
+// allocation must end where the last move put it with exactly a fresh
+// Malloc's reservations, and what left each device must equal what arrived at
+// the other. Run under -race at -cpu 1,4.
+func TestLineHandOverUnderWriters(t *testing.T) {
+	const writers, line, entries = 4, EntriesPerMetadataLine, 4 * EntriesPerMetadataLine
+	src, dst := newTestDevice(4<<20), newTestDevice(4<<20)
+	a, err := src.Malloc("hammered", entries*EntryBytes, Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fillEntries(entries, relocShapes, 31)
+	if err := a.WriteEntries(0, want); err != nil {
+		t.Fatal(err)
+	}
+	images := [2][]byte{make([]byte, EntryBytes), fillEntries(1, []gen.Generator{gen.Random{}}, 3)}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				for i := line + w; i < 2*line; i += writers { // the writers share line 1, entry by entry
+					if err := a.WriteEntry(i, images[k&1]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if done.Load() {
+					for i := line + w; i < 2*line; i += writers {
+						copy(want[i*EntryBytes:], images[k&1])
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	for m := 0; m < 64; m++ {
+		if err := a.MoveTo([]*Device{dst, src}[m%2]); err != nil {
+			t.Error(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	got := make([]byte, len(want))
+	if err := a.ReadEntries(0, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("after the moves: err=%v, every entry its last write=%v", err, bytes.Equal(got, want))
+	}
+	if a.Device() != src || src.DeviceUsed() != entries*int64(Target2x.DeviceBytes()) || dst.DeviceUsed() != 0 {
+		t.Errorf("on src=%v with %d+%d device bytes reserved, want src alone, %d", a.Device() == src,
+			src.DeviceUsed(), dst.DeviceUsed(), entries*Target2x.DeviceBytes())
+	}
+	if out, in := src.Traffic().MigrationBytes, dst.Traffic().MigrationBytes; out == 0 || out != in {
+		t.Errorf("MigrationBytes: %d on the source, %d on the destination, want equal and nonzero", out, in)
 	}
 }
 

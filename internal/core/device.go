@@ -123,8 +123,8 @@ func (t *trafficCounters) reset() {
 }
 
 // entryShards is the number of mutexes striping an allocation's entries.
-// Entries hash to shards by metadata byte (two entries per byte), so the
-// read-modify-write on a shared metadata byte is always serialized.
+// Entries hash to shards by metadata line (64 entries), so the updates of a
+// shared metadata byte and of a relayout's word of moved bits serialize.
 const entryShards = 64
 
 // Device is a Buddy Compression GPU memory: compressed allocations split
@@ -264,7 +264,7 @@ type Allocation struct {
 	EntryCount int
 
 	size   int64                   // requested byte size (EntryCount*128 minus padding)
-	shards [entryShards]sync.Mutex // the entry shard locks: entry i under shards[i/2%entryShards]
+	shards [entryShards]sync.Mutex // the entry shard locks: entry i under shards[i/64%entryShards]
 
 	// The entries: each one's framed compressed stream, in the stream store
 	// (store.go), and its 4-bit sector count, entry i of both guarded by entry
@@ -507,11 +507,12 @@ func (a *Allocation) checkIndex(i int) error {
 // the allocation's own and the key is the entry's index, nothing taken from
 // the current layout, so the same entry keeps the same lock across every
 // relayout, to another device included, which is what lets a relayout hand an
-// entry from the old layout to the new one atomically. Both entries of a
-// metadata pair (2j, 2j+1) hash to the same shard, so the read-modify-write
-// of the byte they share in the MetadataStore stays serialized.
+// entry from the old layout to the new one atomically. The key is the entry's
+// metadata line (§3.2: one 32 B line, 64 entries), so a line's nibbles and
+// its word of a relayout's moved set change under one lock, the mover's one
+// acquisition for the line's hand-over.
 func (a *Allocation) shard(i int) *sync.Mutex {
-	return &a.shards[i/2%entryShards]
+	return &a.shards[i/EntriesPerMetadataLine%entryShards]
 }
 
 // home resolves which layout owns entry i: during a relayout, entries the
@@ -520,7 +521,7 @@ func (a *Allocation) shard(i int) *sync.Mutex {
 // a.mu, which the caller still holds along with the entry's shard lock; the
 // result is stable until both are released.
 func home(cur *layout, m *migration, i int) *layout {
-	if m != nil && m.moved[i] {
+	if m != nil && m.has(i) {
 		return m.next
 	}
 	return cur
@@ -542,11 +543,7 @@ func splitBytes(t TargetRatio, sectors int) (dev, buddy int) {
 	if sectors == 0 {
 		return 32, 0 // minimum one-sector device access
 	}
-	devSectors := sectors
-	if devSectors > t.DeviceSectors() {
-		devSectors = t.DeviceSectors()
-	}
-	return devSectors * 32, t.OverflowSectors(sectors) * 32
+	return min(sectors, t.DeviceSectors()) * 32, t.OverflowSectors(sectors) * 32
 }
 
 // metadataMiss models the metadata-cache lookup on every memory access and

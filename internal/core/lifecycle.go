@@ -22,14 +22,14 @@ import (
 // epoch — the mig pointer with its moved[] bitmap — under a.mu held
 // exclusively, then streams entries to the next layout on the same
 // GOMAXPROCS-bounded span pool as the batch data path, as passes of the
-// entry-table walker (relocate.go). Each entry moves under its shard lock,
-// the same lock every reader and writer takes, and the shard key is fixed
-// at Malloc rather than taken from the layout, so an in-flight WriteAt
-// simply lands in whichever layout owns the entry when it commits. The
-// final swap of a.cur happens under a.mu held exclusively, after which the
-// old layout's reservations are released and its region becomes a hole. A
-// destination whose tier dies mid-move is undone by the same pass run the
-// other way (handBack).
+// entry-table walker (relocate.go). Each metadata line moves under its shard
+// lock, the same lock every reader and writer of its entries takes, and the
+// shard key is fixed at Malloc rather than taken from the layout, so an
+// in-flight WriteAt simply lands in whichever layout owns the entry when it
+// commits. The final swap of a.cur happens under a.mu held exclusively,
+// after which the old layout's reservations are released and its region
+// becomes a hole. A destination whose tier dies mid-move is undone by the
+// same pass run the other way (handBack).
 
 // ErrFreed is returned (wrapped) by every I/O operation on an allocation
 // that has been released with Free or Close.
@@ -53,15 +53,20 @@ type region struct {
 func regionSlots(entries int) int { return entries + entries%2 }
 
 // migration is the relayout epoch of one allocation: the layout its entries
-// are being handed to plus the per-entry handoff bitmap. moved[i] is guarded
-// by entry i's shard lock; the struct is installed, turned around
-// (handBack) and cleared under a.mu held exclusively. relocMigrate passes
-// stream the entries across.
+// are being handed to plus the handoff bitmap, a word per metadata line.
+// moved[w] is guarded by line w's shard lock; the struct is installed, turned
+// around (handBack) and cleared under a.mu held exclusively. relocMigrate
+// passes hand the entries across a line at a time.
 type migration struct {
 	next      *layout
-	moved     []bool // moved[i]: entry i is placed in next
-	transcode bool   // the two layouts' devices frame streams with different codecs
-	back      bool   // handing back: next is the layout the move started from
+	moved     []uint64 // bit i%64 of moved[i/64]: entry i is placed in next
+	transcode bool     // the two layouts' devices frame streams with different codecs
+	back      bool     // handing back: next is the layout the move started from
+}
+
+// has reports whether entry i is placed in next.
+func (m *migration) has(i int) bool {
+	return m.moved[i/EntriesPerMetadataLine]>>(i%EntriesPerMetadataLine)&1 != 0
 }
 
 // grabRegion hands out a region of the given shape, reusing the first
@@ -289,7 +294,8 @@ func (a *Allocation) beginRelayout(dev *Device, target TargetRatio) (*migration,
 	if dev != cur.dev {
 		dev.list(a)
 	}
-	m := &migration{next: next, moved: make([]bool, a.EntryCount), transcode: !cur.dev.SameCodecAs(dev)}
+	lines := (a.EntryCount + EntriesPerMetadataLine - 1) / EntriesPerMetadataLine
+	m := &migration{next: next, moved: make([]uint64, lines), transcode: !cur.dev.SameCodecAs(dev)}
 	a.mu.Lock()
 	a.mig = m
 	a.mu.Unlock()
@@ -300,12 +306,16 @@ func (a *Allocation) beginRelayout(dev *Device, target TargetRatio) (*migration,
 // moved bit flips, so "not yet moved" now names exactly the entries that had
 // reached the abandoned layout, and the same forward pass carries them home.
 // That pass checks no device — the allocation never left the side it is
-// going back to — so a hand-back cannot strand an entry.
+// going back to — so a hand-back cannot strand an entry. Bits past the last
+// entry stay clear.
 func (a *Allocation) handBack(m *migration) {
 	a.mu.Lock()
 	a.cur, m.next, m.back = m.next, a.cur, true
-	for i := range m.moved {
-		m.moved[i] = !m.moved[i]
+	for w := range m.moved {
+		m.moved[w] = ^m.moved[w]
+	}
+	if tail := a.EntryCount % EntriesPerMetadataLine; tail != 0 {
+		m.moved[len(m.moved)-1] &= 1<<tail - 1
 	}
 	a.mu.Unlock()
 }

@@ -184,12 +184,13 @@ func TestFreeCoalescesBothNeighbours(t *testing.T) {
 }
 
 // TestStripesAreTheAllocations: the entry shard locks belong to the
-// allocation — two allocations of one device contend on no stripe, and an
-// allocation moved to another device and back locks entry i with the very
-// mutex it always did.
+// allocation — a metadata line's entries share one stripe, two allocations of
+// one device contend on no stripe, and an allocation moved to another device
+// and back locks entry i with the very mutex it always did.
 func TestStripesAreTheAllocations(t *testing.T) {
-	d, other := newTestDevice(1<<20), newTestDevice(1<<20)
-	a, err := d.Malloc("a", 16<<10, Target2x)
+	d, other := newTestDevice(4<<20), newTestDevice(4<<20)
+	// Past entryShards lines, the last one partial: the stripes wrap.
+	a, err := d.Malloc("a", (entryShards+3)*EntriesPerMetadataLine*EntryBytes-300, Target2x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +198,22 @@ func TestStripesAreTheAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripes := map[*sync.Mutex]bool{}
-	for i := 0; i < a.EntryCount; i++ {
-		stripes[a.shard(i)] = true
-		if a.shard(i) != a.shard(i^1) {
-			t.Fatalf("entries %d and %d share a metadata byte but not a stripe", i, i^1)
+	stripesOf := func(x *Allocation) map[*sync.Mutex]bool {
+		stripes := map[*sync.Mutex]bool{}
+		for i := 0; i < x.EntryCount; i++ {
+			stripes[x.shard(i)] = true
+			if first := i &^ (EntriesPerMetadataLine - 1); x.shard(i) != x.shard(first) {
+				t.Fatalf("%s: entry %d is in entry %d's metadata line but not on its stripe", x.Name, i, first)
+			}
 		}
+		lines := (x.EntryCount + EntriesPerMetadataLine - 1) / EntriesPerMetadataLine
+		if len(stripes) != min(entryShards, lines) {
+			t.Errorf("%s's %d entries use %d stripes, want %d", x.Name, x.EntryCount, len(stripes), min(entryShards, lines))
+		}
+		return stripes
 	}
-	if len(stripes) != min(entryShards, a.EntryCount/2) {
-		t.Errorf("a's %d entries use %d stripes, want %d", a.EntryCount, len(stripes), min(entryShards, a.EntryCount/2))
-	}
+	stripes := stripesOf(a)
+	stripesOf(b)
 	for i := 0; i < b.EntryCount; i++ {
 		if stripes[b.shard(i)] {
 			t.Fatalf("entry %d of b is striped by a mutex of a", i)

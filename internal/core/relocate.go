@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"buddy/internal/compress"
 )
@@ -19,12 +20,13 @@ import (
 // and after its shard lock (table in DESIGN.md "The entry-table walker").
 //
 // A pass takes a.mu read-locked once per sub-batch of spanBatchEntries
-// entries and never across one, both entries of a metadata pair share one
-// acquisition of their shard lock, and the Traffic counters and the slab's
-// meter are flushed once per sub-batch from a relocTally — two of them while
-// a relayout has the allocation's entries on two devices. Per entry stay its
-// home, resolved under the shard lock (an in-flight relayout splits a span
-// between two layouts), and the metadata-cache lookup of a data access. The
+// entries and never across one, a data pass a shard lock once per metadata
+// pair and a relocation pass once per metadata line (the line is the stripe),
+// and the Traffic counters and the slab's meter are flushed once per
+// sub-batch from a relocTally — two of them while a relayout has the
+// allocation's entries on two devices. Per entry stay its home, resolved
+// under the shard lock (an in-flight relayout splits a span between two
+// layouts), and the metadata-cache lookup of a data access. The
 // overflow tier gets the sub-batch's accesses as one span, Backend.Access, in
 // the order they happened: the carve-out only sums them (link occupancy is
 // bytes over rate), the host tier's pager replays them. Every total equals
@@ -208,31 +210,27 @@ func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, h
 		if p.kind >= relocWrite {
 			err = p.accessBatch(a, cur, m, pair, stage, b, e)
 		} else {
-			l, t := cur, &p.tally // every entry's home and tally, outside a relayout
 			for i := b; i < e && err == nil; {
-				n := a.pairLen(i, e)
+				n := min(e-i, EntriesPerMetadataLine-i%EntriesPerMetadataLine) // the rest of i's metadata line
 				sh := a.shard(i)
 				sh.Lock()
-				for k := i; k < i+n && err == nil; k++ {
-					if p.kind == relocMigrate {
-						err = p.handOver(a, cur, m, pair, k)
-						continue
-					}
+				switch p.kind {
+				case relocMigrate:
+					err = p.handOver(a, cur, m, pair, i, n)
+				case relocRebuild:
+					p.rebuild(a, cur, m, i, n)
+				default: // export and import: spans of one, so n is 1
+					l, t := cur, &p.tally // i's home and tally, outside a relayout
 					if m != nil {
-						l = home(cur, m, k) // under the shard lock: whichever layout owns k now
+						l = home(cur, m, i) // under the shard lock: whichever layout owns i now
 						t = p.tallyOf(l, cur)
 					}
-					switch p.kind {
-					case relocExport:
-						stage = p.snapshot(a, l, t, k, stage)
-					case relocImport:
-						if m != nil && l.dev.failed.Load() {
-							err = l.dev.errFailed()
-						} else {
-							p.install(a, l, t, k, stage)
-						}
-					case relocRebuild:
-						p.restream(a, l, t, k)
+					if p.kind == relocExport {
+						stage = p.snapshot(a, l, t, i, stage)
+					} else if m != nil && l.dev.failed.Load() {
+						err = l.dev.errFailed()
+					} else {
+						p.install(a, l, t, i, stage)
 					}
 				}
 				sh.Unlock()
@@ -250,16 +248,6 @@ func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, h
 		b = e
 	}
 	return stage, nil
-}
-
-// pairLen is how many entries from i, within a sub-batch ending at e, share
-// one acquisition of their shard lock: two when i is the lower half of a
-// metadata pair and its upper half is in range.
-func (a *Allocation) pairLen(i, e int) int {
-	if i+1 < e && i&1 == 0 {
-		return 2
-	}
-	return 1
 }
 
 // appendEntry appends src's framed stream under c to dst and returns it with
@@ -301,7 +289,7 @@ func appendEntry(c compress.Codec, dst, src []byte) ([]byte, int) {
 func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *[2][]byte, data []byte, b, e int) error {
 	write, st := p.kind == relocWrite, &a.store
 	for i := b; i < e; {
-		n := a.pairLen(i, e)
+		n := min(e-i, 2-i&1) // the rest of i's metadata pair
 		var (
 			homes [2]*layout // set while a relayout is in flight
 			secs  [2]int
@@ -370,60 +358,112 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 	return nil
 }
 
-// handOver gives entry k, placed in the committed layout cur, to the
-// relayout's next layout. The stream stays where it is, untouched, unless the
-// two devices frame streams differently; what changes hands is the entry's
-// place: its old slot is read on cur's device and its new one written on
-// next's, and when those differ both count the stored bytes as migration
-// traffic. Never-written entries have nothing to move; flipping the epoch
-// bit is enough.
-func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch *[2][]byte, k int) error {
-	if m.moved[k] {
-		return nil
+// perClass holds a number per sector class: a line's entries of it, or the
+// overflow bytes one access of it moves.
+type perClass [compress.SectorsPerEntry + 1]int
+
+// lineBits masks entries [i, i+n) of one metadata line in its moved word.
+func lineBits(i, n int) uint64 {
+	return ^uint64(0) >> (EntriesPerMetadataLine - n) << (i % EntriesPerMetadataLine)
+}
+
+// line charges t the slab side of a line's accesses: reads (or, with store,
+// writes) under tr of the entries h counts by class. It returns how many there
+// were and their stored bytes; their overflow sides went through tier.
+func (t *relocTally) line(store bool, tr TargetRatio, h *perClass) (entries int, stored int64) {
+	bytes, accesses := &t.devRead, &t.loads
+	if store {
+		bytes, accesses = &t.devWrite, &t.stores
 	}
-	next := m.next
-	if st := &a.store; st.written(k) {
+	for s, c := range h {
+		dev, _ := splitBytes(tr, s)
+		*bytes += uint64(c * dev)
+		entries += c
+		stored += int64(c * storedBytes(s))
+	}
+	*accesses += entries
+	return entries, stored
+}
+
+// handOver gives entries [i, i+n) of one metadata line, placed in the
+// committed layout cur, to the relayout's next layout in one step: those not
+// yet moved change hands and their bits are set. A stream stays put unless
+// the two devices frame streams differently; what changes hands is the
+// entry's place: its old slot is read on cur's device and its new one written
+// on next's, and when those differ both count the stored bytes as migration
+// traffic. Overflow accesses join the tallies in entry order, old slot then
+// new, as the host tier's pager replays them; the slab side is charged once
+// per line from its sector histogram. A stream that will not re-encode stays,
+// and so do the entries after it.
+//
+//buddy:hotpath
+func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch *[2][]byte, i, n int) error {
+	w, next, to := i/EntriesPerMetadataLine, m.next, p.tallyOf(m.next, cur)
+	pending := lineBits(i, n) &^ m.moved[w]
+	var from, into perClass         // entries by class: as read from cur, as written to next
+	var oldSpill, newSpill perClass // overflow bytes by class: of cur's slots, of next's
+	for s := range oldSpill {
+		_, oldSpill[s] = splitBytes(cur.target, s)
+		_, newSpill[s] = splitBytes(next.target, s)
+	}
+	var err error
+	for left := pending; left != 0; left &= left - 1 {
+		b := bits.TrailingZeros64(left)
+		k := w*EntriesPerMetadataLine + b
+		if !a.store.written(k) {
+			continue
+		}
 		sectors := a.meta.Get(k)
 		landed := sectors
 		if m.transcode {
-			s, n, err := transcode(cur.dev.cfg.Codec, next.dev.cfg.Codec, st.get(k), scratch[0][:0])
-			switch {
-			case err == nil:
-				st.put(k, s)
-				landed = n
-				a.meta.Set(k, n)
-			case !m.back:
-				return fmt.Errorf("core: entry %d: %w", k, err)
+			if landed, err = a.transcode(cur, m, scratch[0][:0], k, sectors); err != nil {
+				pending &= 1<<b - 1
+				break
 			}
-			// Handing back, an entry that will not decode goes home as it
-			// is: it has to go somewhere, and its next read reports it.
 		}
-		to := p.tallyOf(next, cur)
-		p.tally.access(false, cur.global(k), cur.target, sectors)
-		to.access(true, next.global(k), next.target, landed)
-		p.count(&p.tally, sectors)
-		if to != &p.tally {
-			to.migration += uint64(storedBytes(landed))
+		from[sectors]++
+		into[landed]++
+		if oldSpill[sectors] > 0 {
+			p.tally.tier(false, cur.global(k), oldSpill[sectors])
+		}
+		if newSpill[landed] > 0 {
+			to.tier(true, next.global(k), newSpill[landed])
 		}
 	}
-	m.moved[k] = true
-	return nil
+	m.moved[w] |= pending
+	entries, stored := p.tally.line(false, cur.target, &from)
+	p.tally.migration += uint64(stored)
+	p.entries += entries
+	p.bytes += stored
+	if _, landed := to.line(true, next.target, &into); to != &p.tally {
+		to.migration += uint64(landed)
+	}
+	return err
 }
 
-// transcode re-frames one stored stream for another codec: decoded with
-// from, encoded afresh with to onto dst. The mover's only use of a codec, and
-// only between devices that disagree on one.
-func transcode(from, to compress.Codec, stream, dst []byte) ([]byte, int, error) {
+// transcode re-frames entry k's stream, of class sectors, for the next
+// layout's codec: decoded with cur's, encoded afresh with next's onto scratch
+// and put in its place. It returns the new class. The mover's only use of a
+// codec, and only between devices that disagree on one. Handing back, an
+// entry that will not decode goes home as it is: it has to go somewhere, and
+// its next read reports it.
+func (a *Allocation) transcode(cur *layout, m *migration, scratch []byte, k, sectors int) (int, error) {
 	buf := entryScratchPool.Get().(*[EntryBytes]byte)
 	defer entryScratchPool.Put(buf)
-	if err := from.DecompressInto(buf[:], stream); err != nil {
-		return dst, 0, err
+	err := cur.dev.cfg.Codec.DecompressInto(buf[:], a.store.get(k))
+	if err == nil {
+		s, landed := appendEntry(m.next.dev.cfg.Codec, scratch, buf[:])
+		if len(s) != 0 && len(s) <= MaxStreamBytes {
+			a.store.put(k, s)
+			a.meta.Set(k, landed)
+			return landed, nil
+		}
+		err = fmt.Errorf("re-framed as %d bytes, want 1 to %d: %w", len(s), MaxStreamBytes, compress.ErrCorrupt)
 	}
-	dst, sectors := appendEntry(to, dst, buf[:])
-	if len(dst) == 0 || len(dst) > MaxStreamBytes {
-		return dst, 0, fmt.Errorf("re-framed as %d bytes, want 1 to %d: %w", len(dst), MaxStreamBytes, compress.ErrCorrupt)
+	if m.back {
+		return sectors, nil
 	}
-	return dst, sectors, nil
+	return 0, fmt.Errorf("core: entry %d: %w", k, err)
 }
 
 // snapshot appends entry k's framed stream to stage, charged to its place in
@@ -446,21 +486,34 @@ func (p *relocPass) install(a *Allocation, l *layout, t *relocTally, k int, stre
 	p.count(t, p.sectors)
 }
 
-// restream rebuilds one entry of a failed device tier: the whole stored
-// stream crosses the link from the carve-out copy, the in-budget sectors
-// are re-stored device-side.
-func (p *relocPass) restream(a *Allocation, l *layout, t *relocTally, k int) {
-	if !a.store.written(k) {
-		return
+// rebuild re-streams the written entries of [i, i+n), of one metadata line,
+// into a failed device tier: each whole stored stream crosses the link from
+// the carve-out copy, in entry order, and the in-budget sectors are
+// re-stored, charged from the line's histogram once per layout it is in.
+//
+//buddy:hotpath
+func (p *relocPass) rebuild(a *Allocation, cur *layout, m *migration, i, n int) {
+	w, homes := i/EntriesPerMetadataLine, [2]*layout{cur, cur}
+	var moved uint64 // the line's entries a relayout in flight has placed in next
+	if m != nil {
+		moved, homes[1] = m.moved[w], m.next
 	}
-	sectors := a.meta.Get(k)
-	stored := storedBytes(sectors)
-	dev, _ := splitBytes(l.target, sectors)
-	t.tier(false, l.global(k), stored)
-	t.devWrite += uint64(dev)
-	t.stores++
-	p.entries++
-	p.bytes += int64(stored)
+	var hist [2]perClass // by home
+	for left := lineBits(i, n); left != 0; left &= left - 1 {
+		b := bits.TrailingZeros64(left)
+		k := w*EntriesPerMetadataLine + b
+		if !a.store.written(k) {
+			continue
+		}
+		sectors, h := a.meta.Get(k), moved>>b&1
+		hist[h][sectors]++
+		p.tallyOf(homes[h], cur).tier(false, homes[h].global(k), storedBytes(sectors))
+	}
+	for h, l := range homes {
+		entries, stored := p.tallyOf(l, cur).line(true, l.target, &hist[h])
+		p.entries += entries
+		p.bytes += stored
+	}
 }
 
 // count records one moved entry on t: its stored bytes are the migration

@@ -30,31 +30,44 @@ func refAccess(b Backend, store bool, g, n int) {
 	b.Access([]TierOp{{Entry: g, Bytes: int32(n), Store: store}})
 }
 
+// set places entry i in next: with has, the one way the tests reach a moved
+// set.
+func (m *migration) set(i int) {
+	m.moved[i/EntriesPerMetadataLine] |= 1 << (i % EntriesPerMetadataLine)
+}
+
 // refMigrateEntry hands one entry from the committed layout to the epoch's
-// next one — on the same device or another — and returns the stored bytes it
-// moved.
+// next one — on the same device or another, re-encoded when their codecs
+// differ — and returns the stored bytes it moved.
 func refMigrateEntry(a *Allocation, mig *migration, i int) int64 {
 	a.mu.RLock()
 	old, next := a.cur, mig.next
 	sh := a.shard(i)
 	sh.Lock()
 	gOld, gNew := old.global(i), next.global(i)
-	var devR, budR, devW, budW, stored int
-	if !mig.moved[i] {
+	var devR, budR, devW, budW, stored, landed int
+	if !mig.has(i) {
 		if a.store.get(i) != nil {
 			sectors := a.meta.Get(i)
+			in := sectors
+			if mig.transcode {
+				var err error
+				if in, err = a.transcode(old, mig, make([]byte, 0, MaxStreamBytes), i, sectors); err != nil {
+					panic(err)
+				}
+			}
 			devR, budR = splitBytes(old.target, sectors)
-			devW, budW = splitBytes(next.target, sectors)
-			stored = storedBytes(sectors)
+			devW, budW = splitBytes(next.target, in)
+			stored, landed = storedBytes(sectors), storedBytes(in)
 		}
-		mig.moved[i] = true
+		mig.set(i)
 	}
 	sh.Unlock()
 	if stored > 0 {
 		from, to := old.dev, next.dev
 		from.traffic.migrationBytes.Add(uint64(stored))
 		if to != from {
-			to.traffic.migrationBytes.Add(uint64(stored))
+			to.traffic.migrationBytes.Add(uint64(landed))
 		}
 		refAccess(from.slab, false, gOld, devR)
 		refAccess(to.slab, true, gNew, devW)
@@ -322,7 +335,7 @@ type relocState struct {
 	Primary, Overflow  [2]BackendTraffic
 	LinkRead, LinkWrit [2]float64
 	Layouts            [][]layoutState // per allocation: committed, then next if a relayout is open
-	Moved              [][]bool        // per allocation with a relayout open: which entries next holds
+	Moved              [][]uint64      // per allocation with a relayout open: which entries next holds
 	Meta               [][]uint8
 	Streams            [][][]byte
 	Sectors            [][]int
@@ -544,6 +557,95 @@ func summary(s relocState) any {
 		Primary, Overflow  [2]BackendTraffic
 		LinkRead, LinkWrit [2]float64
 	}{s.Traffic, s.Primary, s.Overflow, s.LinkRead, s.LinkWrit}
+}
+
+// TestLineHandOverMatchesPerEntry holds the mover's line hand-over to the
+// per-entry reference, refMigrateEntry, wherever a line can be cut: every
+// (committed, next) pair of AllRatios, 16x included; on the same device, on
+// another one, and on another that frames streams with a different codec;
+// over the carve-out and over a host tier whose one-page pager faults on
+// every change of page, so the order of a line's overflow ops shows. Each
+// relayout of an allocation whose last line is partial, with never-written
+// gaps, is held open at a cut (inside the first line, around line boundaries,
+// one before the end), then finished forward from mid-line or handed back.
+// After every step the worlds must agree on all relocState compares: Traffic,
+// MigrationBytes included, and both tiers' BackendTraffic, pager faults
+// included, on both devices, and the moved words.
+func TestLineHandOverMatchesPerEntry(t *testing.T) {
+	const entries = 3*EntriesPerMetadataLine + 37
+	bdi, err := compress.ByName("bdi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := fillEntries(entries, relocShapes, 29)
+	for _, c := range []struct {
+		name      string
+		host, far bool
+		codec     compress.Codec // the far device's; nil for the default
+	}{
+		{"carveout/same-device", false, false, nil}, {"carveout/other-device", false, true, nil},
+		{"carveout/transcode", false, true, bdi}, {"host/same-device", true, false, nil},
+		{"host/other-device", true, true, nil}, {"host/transcode", true, true, bdi},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func(codec compress.Codec) *Device {
+				cfg := Config{DeviceBytes: 1 << 20, Codec: codec}
+				if c.host {
+					cfg.Overflow = NewHostBackend(1<<10, 1<<10)
+				}
+				d := NewDevice(cfg)
+				_ = d.Close() // inline, in entry order: the pager's residency depends on it
+				return d
+			}
+			for _, from := range AllRatios {
+				for _, to := range AllRatios {
+					for _, cut := range []int{1, 63, 64, 65, 127, entries - 1} {
+						for _, back := range []bool{false, true} {
+							var states [2][]relocState
+							for k := range states {
+								w := &relocWorld{ref: k == 1, src: mk(nil), dst: mk(c.codec)}
+								a, err := w.src.Malloc("line", entries*EntryBytes, from)
+								if err != nil {
+									t.Fatal(err)
+								}
+								w.allocs = []*Allocation{a}
+								for _, run := range [][2]int{{0, 70}, {80, 150}, {190, entries}} {
+									if err := a.WriteEntries(run[0], data[run[0]*EntryBytes:run[1]*EntryBytes]); err != nil {
+										t.Fatal(err)
+									}
+								}
+								dev := w.src
+								if c.far {
+									dev = w.dst
+								}
+								mig, err := a.beginRelayout(dev, to)
+								if err != nil {
+									t.Fatal(err)
+								}
+								w.migratePart(a, mig, 0, cut)
+								states[k] = append(states[k], w.state())
+								if back {
+									a.handBack(mig)
+								} else {
+									w.migratePart(a, mig, cut/2|1, entries)
+									states[k] = append(states[k], w.state())
+								}
+								w.migratePart(a, mig, 0, entries)
+								a.commitRelayout(mig)
+								states[k] = append(states[k], w.state())
+							}
+							for i := range states[0] {
+								if !reflect.DeepEqual(states[0][i], states[1][i]) {
+									t.Fatalf("%s->%s cut %d hand-back %v, step %d: line and per-entry hand-over diverge\n line      %+v\n per entry %+v",
+										from, to, cut, back, i, summary(states[0][i]), summary(states[1][i]))
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestTransferChargesSourceAfterCommit keeps its name from the days a

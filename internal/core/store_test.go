@@ -271,7 +271,10 @@ func FuzzStoreOps(f *testing.F) {
 // entries nobody writes and that a flipping entry is always one image or the
 // other. Run under -race at -cpu 1,4.
 func TestStoreClassFlipsUnderReaders(t *testing.T) {
-	const writers, entries, flips = 4, 4 * entryShards, 300
+	// Writer w flips the first entry of line w and of line w+entryShards: one
+	// stripe, which no other writer's entries are on.
+	const writers, line, flips = 4, EntriesPerMetadataLine, 300
+	const wrap, entries = line * entryShards, 2 * line * entryShards
 	d := newBulkDevice(t, 16<<20)
 	a, err := d.Malloc("flips", entries*EntryBytes, Target2x)
 	if err != nil {
@@ -280,8 +283,8 @@ func TestStoreClassFlipsUnderReaders(t *testing.T) {
 	images := [2][]byte{make([]byte, EntryBytes), fillEntries(1, []gen.Generator{gen.Random{}}, 3)}
 	still := fillEntries(entries, relocShapes, 5)
 	for w := 0; w < writers; w++ {
-		copy(still[2*w*EntryBytes:], images[1])
-		copy(still[(2*w+2*entryShards)*EntryBytes:], images[1])
+		copy(still[w*line*EntryBytes:], images[1])
+		copy(still[(w*line+wrap)*EntryBytes:], images[1])
 	}
 	if err := a.WriteEntries(0, still); err != nil {
 		t.Fatal(err)
@@ -293,7 +296,7 @@ func TestStoreClassFlipsUnderReaders(t *testing.T) {
 		go func(w int) {
 			defer ww.Done()
 			for k := 0; k < flips; k++ {
-				for _, i := range []int{2 * w, 2*w + 2*entryShards} { // one shard per writer
+				for _, i := range []int{w * line, w*line + wrap} { // one shard per writer
 					if err := a.WriteEntry(i, images[k&1]); err != nil {
 						t.Error(err)
 						return
@@ -312,7 +315,7 @@ func TestStoreClassFlipsUnderReaders(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				flipping := i%(2*entryShards) < 2*writers && i%2 == 0
+				flipping := i%wrap < writers*line && i%line == 0
 				switch {
 				case flipping && (bytes.Equal(got, images[0]) || bytes.Equal(got, images[1])):
 				case !flipping && bytes.Equal(got, still[i*EntryBytes:][:EntryBytes]):

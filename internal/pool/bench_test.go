@@ -228,11 +228,11 @@ func BenchmarkPoolServe(b *testing.B) {
 // kernel, each at steady state on one 16 Ki-entry allocation of mixed
 // compressibility in a two-shard pool: retarget (one Device.Retarget per
 // iteration, alternating between two neighbouring ratios), transfer (one
-// MigrateHandle per iteration, back and forth: destination Malloc, chunked
-// framed-stream handoff, source Free) and recover (Kill plus Recover of the
-// serving shard). ns/entry is wall time over the allocation's entries;
-// allocs/op is per whole move, so the transfer leg also pins that import
-// buffers come a chunk, not an entry, at a time.
+// MigrateHandle per iteration, back and forth: a MoveTo, handed over a
+// metadata line at a time) and recover (Kill plus Recover of the serving
+// shard). ns/entry is wall time over the allocation's entries; allocs/op is
+// per whole move, so it pins that a move allocates a fixed handful of
+// objects (the next layout, the epoch and its moved words), none per entry.
 func BenchmarkRelocate(b *testing.B) {
 	const entries = 16 << 10
 	setup := func(b *testing.B) (*Pool, *FailureInjector, *Handle) {
