@@ -143,10 +143,13 @@ bench-smoke:
 # Short fuzz pass over all six codecs: round trip plus Sizer.Bits == encoded
 # bits (FuzzRoundTrip), and no decoder reading past len(comp)
 # (FuzzDecompressArbitrary's canary suffix); then the stream store against
-# its map oracle over arbitrary put/get sequences (FuzzStoreOps). FUZZTIME is
-# per target; CI runs it at 10s on every PR.
+# its map oracle over arbitrary put/get sequences (FuzzStoreOps), and the
+# metadata store's line class masks against a []int oracle over arbitrary Set
+# sequences (FuzzMetadataLine). FUZZTIME is per target; CI runs it at 10s on
+# every PR.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -fuzz FuzzDecompressArbitrary -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzStoreOps -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzMetadataLine -fuzztime $(FUZZTIME) ./internal/core/

@@ -71,6 +71,84 @@ func TestMetadataStorePacking(t *testing.T) {
 	}
 }
 
+// TestMetadataSetRejectsPastSectorsPerEntry pins Set's range: lineClasses
+// reads three bit-planes, so a nibble above SectorsPerEntry would alias a
+// class.
+func TestMetadataSetRejectsPastSectorsPerEntry(t *testing.T) {
+	m := NewMetadataStore(2)
+	m.Set(1, compress.SectorsPerEntry)
+	for _, bad := range []int{-1, compress.SectorsPerEntry + 1, 15} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Set(0, %d) did not panic", bad)
+				}
+			}()
+			m.Set(0, bad)
+		}()
+	}
+	if m.Get(0) != 0 || m.Get(1) != compress.SectorsPerEntry {
+		t.Errorf("refused Sets changed the store: %d %d", m.Get(0), m.Get(1))
+	}
+}
+
+// checkLineClasses holds every line's class masks to want, the class of each
+// entry, and to Get: each entry in exactly the mask of its class, and no
+// entry past the end in any but class 0.
+func checkLineClasses(t *testing.T, m *MetadataStore, want []int) {
+	t.Helper()
+	for w := 0; w*EntriesPerMetadataLine < len(want); w++ {
+		class := m.lineClasses(w)
+		for b := 0; b < EntriesPerMetadataLine; b++ {
+			k, c := w*EntriesPerMetadataLine+b, 0
+			if k < len(want) {
+				if c = want[k]; m.Get(k) != c {
+					t.Fatalf("entry %d: Get %d, want %d", k, m.Get(k), c)
+				}
+			}
+			for s, mask := range class {
+				if in := mask>>b&1 == 1; in != (s == c) {
+					t.Fatalf("%d entries: entry %d of class %d is in=%v the class-%d mask of line %d", len(want), k, c, in, s, w)
+				}
+			}
+		}
+	}
+}
+
+// TestLineClassesMatchGet reads random classes back as line masks at entry
+// counts on both sides of a line, odd ones included, so the partial tail line
+// and the unused high nibble of an odd count are covered.
+func TestLineClassesMatchGet(t *testing.T) {
+	r := gen.NewRNG(27, 1)
+	for _, n := range []int{1, 63, 64, 65, 127, 129, 4097} {
+		m, want := NewMetadataStore(n), make([]int, n)
+		for k := range want {
+			want[k] = r.Intn(compress.SectorsPerEntry + 1)
+			m.Set(k, want[k])
+		}
+		checkLineClasses(t, m, want)
+	}
+}
+
+// FuzzMetadataLine drives arbitrary Set sequences against a []int oracle and
+// compares every line's class masks after each: two bytes per Set, the entry
+// and the class.
+func FuzzMetadataLine(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 4})
+	f.Add(uint8(64), []byte{63, 3, 64, 1, 0, 2, 64, 0})
+	f.Add(uint8(200), []byte{129, 4, 130, 3, 1, 1, 199, 2, 129, 0})
+	f.Fuzz(func(t *testing.T, entries uint8, ops []byte) {
+		n := 1 + int(entries)
+		m, want := NewMetadataStore(n), make([]int, n)
+		for ; len(ops) >= 2; ops = ops[2:] {
+			k, c := int(ops[0])%n, int(ops[1])%(compress.SectorsPerEntry+1)
+			m.Set(k, c)
+			want[k] = c
+			checkLineClasses(t, m, want)
+		}
+	})
+}
+
 func TestPTERoundTrip(t *testing.T) {
 	f := func(comp bool, target uint8, off uint32) bool {
 		p := PTE{Compressed: comp, Target: TargetRatio(target % 5), BuddyPageOffset: off & 0xFFFFF}

@@ -531,20 +531,22 @@ func (a *Allocation) errFreed() error {
 	return fmt.Errorf("core: allocation %s: %w", a.Name, ErrFreed)
 }
 
-// splitBytes returns the device and overflow byte traffic for one access to
-// an entry of the given compressed sector count under target t.
-func splitBytes(t TargetRatio, sectors int) (dev, buddy int) {
-	if t == Target16x {
-		if sectors == 0 {
-			return 8, 0
+// price is the byte traffic of one access to an entry: dev on the device
+// slab, spill over the link to its overflow slot.
+type price struct{ dev, spill int }
+
+// prices is the price of one access by target ratio and compressed sector
+// count, the split policy of §3.3 tabulated once: the device serves at least
+// one sector and at most the entry's device bytes (a 16x entry's 8 B word),
+// buddy the sectors past the target (all of a 16x entry's).
+var prices = func() (p [Target16x + 1][compress.SectorsPerEntry + 1]price) {
+	for t := range p {
+		for s := range p[t] {
+			p[t][s] = price{min(max(s, 1)*32, TargetRatio(t).DeviceBytes()), TargetRatio(t).OverflowSectors(s) * 32}
 		}
-		return 8, sectors * 32 // metadata word read + whole entry from buddy
 	}
-	if sectors == 0 {
-		return 32, 0 // minimum one-sector device access
-	}
-	return min(sectors, t.DeviceSectors()) * 32, t.OverflowSectors(sectors) * 32
-}
+	return p
+}()
 
 // metadataMiss models the metadata-cache lookup on every memory access and
 // reports a miss, which costs one 32 B device read (§3.2): the caller's tally

@@ -585,16 +585,15 @@ func TestMigrationRaceStress(t *testing.T) {
 	}
 }
 
-// TestSplitBytesProperty checks the placement split for every target ratio
-// across sector counts well past the architectural 0..4 range: the split
-// always decomposes the entry's access bytes exactly, never exceeds the
-// per-entry device budget, agrees with OverflowSectors, and is monotonic in
-// the sector count.
-func TestSplitBytesProperty(t *testing.T) {
+// TestPriceTableProperty checks the placement split for every target ratio
+// and sector class: the price always decomposes the entry's access bytes
+// exactly, never exceeds the per-entry device budget, agrees with
+// OverflowSectors, and is monotonic in the sector count.
+func TestPriceTableProperty(t *testing.T) {
 	for _, target := range AllRatios {
 		prevDev, prevBud := -1, -1
-		for s := 0; s <= 32; s++ {
-			dev, bud := splitBytes(target, s)
+		for s := 0; s <= compress.SectorsPerEntry; s++ {
+			dev, bud := prices[target][s].dev, prices[target][s].spill
 			if dev < 0 || bud < 0 {
 				t.Fatalf("%s/%d: negative split %d/%d", target, s, dev, bud)
 			}

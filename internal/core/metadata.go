@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
 
 	"buddy/internal/cache"
+	"buddy/internal/compress"
 )
 
 // MetadataBitsPerEntry is the per-128 B-entry translation metadata: enough
@@ -32,12 +34,13 @@ func NewMetadataStore(n int) *MetadataStore {
 	return &MetadataStore{packed: make([]uint8, (n+1)/2)}
 }
 
-// Set records the compressed sector count (0..4) for entry i. Values above
-// 15 cannot occur; the store panics on out-of-range input as that is a
-// programming error.
+// Set records the compressed sector count (0..4) for entry i. A codec caps
+// its bits at the raw entry, so larger values cannot occur, and lineClasses
+// reads three bit-planes that assume none do: the store panics on
+// out-of-range input as that is a programming error.
 func (m *MetadataStore) Set(i, sectors int) {
-	if sectors < 0 || sectors > 15 {
-		panic(fmt.Sprintf("core: metadata value %d out of 4-bit range", sectors))
+	if sectors < 0 || sectors > compress.SectorsPerEntry {
+		panic(fmt.Sprintf("core: metadata value %d out of range [0,%d]", sectors, compress.SectorsPerEntry))
 	}
 	idx := i / 2
 	if i%2 == 0 {
@@ -54,6 +57,41 @@ func (m *MetadataStore) Get(i int) int {
 		return int(m.packed[idx] & 0x0F)
 	}
 	return int(m.packed[idx] >> 4)
+}
+
+// lineClasses returns which entries of metadata line w hold each sector
+// class: bit b of class[s] is set when entry w*64+b has class s. The line's
+// 32 B are read as four words and bit j of every nibble is gathered into
+// plane j, the bit-plane transform BPC applies to data; with classes 0..4 the
+// three planes name the class. Past the end of a partial tail line every
+// entry reads as class 0.
+//
+//buddy:hotpath
+func (m *MetadataStore) lineClasses(w int) (class [compress.SectorsPerEntry + 1]uint64) {
+	var line [MetadataLineBytes]byte
+	copy(line[:], m.packed[w*MetadataLineBytes:])
+	var plane [3]uint64
+	for q := 0; q < MetadataLineBytes/8; q++ {
+		x := binary.LittleEndian.Uint64(line[8*q:])
+		for j := range plane {
+			plane[j] |= nibbleBits(x>>j) << (16 * q)
+		}
+	}
+	class[0] = ^(plane[0] | plane[1] | plane[2])
+	class[1] = plane[0] &^ plane[1]
+	class[2] = plane[1] &^ plane[0]
+	class[3] = plane[0] & plane[1]
+	class[4] = plane[2]
+	return class
+}
+
+// nibbleBits packs bit 0 of each of x's sixteen nibbles into the low 16 bits.
+func nibbleBits(x uint64) uint64 {
+	x &= 0x1111111111111111
+	x = (x | x>>3) & 0x0303030303030303
+	x = (x | x>>6) & 0x000F000F000F000F
+	x = (x | x>>12) & 0x000000FF000000FF
+	return (x | x>>24) & 0xFFFF
 }
 
 // Bytes returns the size of the metadata region in bytes.

@@ -61,16 +61,16 @@ type relocTally struct {
 // access charges a read (or, with store, a write) of an entry's placement
 // under target tr.
 func (t *relocTally) access(store bool, g int, tr TargetRatio, sectors int) {
-	dev, bud := splitBytes(tr, sectors)
+	pr := prices[tr][sectors]
 	if store {
-		t.devWrite += uint64(dev)
+		t.devWrite += uint64(pr.dev)
 		t.stores++
 	} else {
-		t.devRead += uint64(dev)
+		t.devRead += uint64(pr.dev)
 		t.loads++
 	}
-	if bud > 0 {
-		t.tier(store, g, bud)
+	if pr.spill > 0 {
+		t.tier(store, g, pr.spill)
 	}
 }
 
@@ -358,8 +358,7 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 	return nil
 }
 
-// perClass holds a number per sector class: a line's entries of it, or the
-// overflow bytes one access of it moves.
+// perClass holds a line's entries of each sector class.
 type perClass [compress.SectorsPerEntry + 1]int
 
 // lineBits masks entries [i, i+n) of one metadata line in its moved word.
@@ -376,8 +375,7 @@ func (t *relocTally) line(store bool, tr TargetRatio, h *perClass) (entries int,
 		bytes, accesses = &t.devWrite, &t.stores
 	}
 	for s, c := range h {
-		dev, _ := splitBytes(tr, s)
-		*bytes += uint64(c * dev)
+		*bytes += uint64(c * prices[tr][s].dev)
 		entries += c
 		stored += int64(c * storedBytes(s))
 	}
@@ -391,52 +389,67 @@ func (t *relocTally) line(store bool, tr TargetRatio, h *perClass) (entries int,
 // the two devices frame streams differently; what changes hands is the
 // entry's place: its old slot is read on cur's device and its new one written
 // on next's, and when those differ both count the stored bytes as migration
-// traffic. Overflow accesses join the tallies in entry order, old slot then
-// new, as the host tier's pager replays them; the slab side is charged once
-// per line from its sector histogram. A stream that will not re-encode stays,
-// and so do the entries after it.
+// traffic. The line is priced, not walked: its classes are read as bit masks,
+// its slab side is charged by popcount, and only the entries whose class
+// overflows a slot of either layout are visited, each appending its old-slot
+// read and new-slot write, in entry order, as the host tier's pager replays
+// them. Metadata above class 0 is only ever set with a stream, so only the
+// line's class-0 entries ask the store whether they were written. Between
+// codecs every written entry is visited and re-encoded; a stream that will
+// not re-encode stays, and so do the entries after it.
 //
 //buddy:hotpath
 func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch *[2][]byte, i, n int) error {
-	w, next, to := i/EntriesPerMetadataLine, m.next, p.tallyOf(m.next, cur)
+	w, base, next, to := i/EntriesPerMetadataLine, i-i%EntriesPerMetadataLine, m.next, p.tallyOf(m.next, cur)
 	pending := lineBits(i, n) &^ m.moved[w]
-	var from, into perClass         // entries by class: as read from cur, as written to next
-	var oldSpill, newSpill perClass // overflow bytes by class: of cur's slots, of next's
-	for s := range oldSpill {
-		_, oldSpill[s] = splitBytes(cur.target, s)
-		_, newSpill[s] = splitBytes(next.target, s)
-	}
-	var err error
-	for left := pending; left != 0; left &= left - 1 {
-		b := bits.TrailingZeros64(left)
-		k := w*EntriesPerMetadataLine + b
-		if !a.store.written(k) {
-			continue
+	class := a.meta.lineClasses(w)
+	written := pending &^ class[0]
+	for zero := pending & class[0]; zero != 0; zero &= zero - 1 {
+		if b := bits.TrailingZeros64(zero); a.store.written(base + b) {
+			written |= 1 << b
 		}
+	}
+	visit := written
+	for s, c := range class {
+		if !m.transcode && prices[cur.target][s].spill+prices[next.target][s].spill == 0 {
+			visit &^= c // fits a slot of both layouts: no TierOp to append
+		}
+	}
+	var landed perClass // entries by class as written to next, when transcoding
+	var err error
+	for left := visit; left != 0; left &= left - 1 {
+		b := bits.TrailingZeros64(left)
+		k := base + b
 		sectors := a.meta.Get(k)
-		landed := sectors
+		into := sectors
 		if m.transcode {
-			if landed, err = a.transcode(cur, m, scratch[0][:0], k, sectors); err != nil {
+			if into, err = a.transcode(cur, m, scratch[0][:0], k, sectors); err != nil {
 				pending &= 1<<b - 1
 				break
 			}
+			landed[into]++
 		}
-		from[sectors]++
-		into[landed]++
-		if oldSpill[sectors] > 0 {
-			p.tally.tier(false, cur.global(k), oldSpill[sectors])
+		if s := prices[cur.target][sectors].spill; s > 0 {
+			p.tally.tier(false, cur.global(k), s)
 		}
-		if newSpill[landed] > 0 {
-			to.tier(true, next.global(k), newSpill[landed])
+		if s := prices[next.target][into].spill; s > 0 {
+			to.tier(true, next.global(k), s)
 		}
 	}
 	m.moved[w] |= pending
+	var from perClass // entries by class as read from cur
+	for s, c := range class {
+		from[s] = bits.OnesCount64(c & written & pending)
+	}
+	if !m.transcode {
+		landed = from
+	}
 	entries, stored := p.tally.line(false, cur.target, &from)
 	p.tally.migration += uint64(stored)
 	p.entries += entries
 	p.bytes += stored
-	if _, landed := to.line(true, next.target, &into); to != &p.tally {
-		to.migration += uint64(landed)
+	if _, arrived := to.line(true, next.target, &landed); to != &p.tally {
+		to.migration += uint64(arrived)
 	}
 	return err
 }

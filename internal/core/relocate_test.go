@@ -38,8 +38,9 @@ func (m *migration) set(i int) {
 
 // refMigrateEntry hands one entry from the committed layout to the epoch's
 // next one — on the same device or another, re-encoded when their codecs
-// differ — and returns the stored bytes it moved.
-func refMigrateEntry(a *Allocation, mig *migration, i int) int64 {
+// differ — and returns the stored bytes it moved. An entry that will not
+// re-encode is left where it is, with the error.
+func refMigrateEntry(a *Allocation, mig *migration, i int) (int64, error) {
 	a.mu.RLock()
 	old, next := a.cur, mig.next
 	sh := a.shard(i)
@@ -53,11 +54,13 @@ func refMigrateEntry(a *Allocation, mig *migration, i int) int64 {
 			if mig.transcode {
 				var err error
 				if in, err = a.transcode(old, mig, make([]byte, 0, MaxStreamBytes), i, sectors); err != nil {
-					panic(err)
+					sh.Unlock()
+					a.mu.RUnlock()
+					return 0, err
 				}
 			}
-			devR, budR = splitBytes(old.target, sectors)
-			devW, budW = splitBytes(next.target, in)
+			devR, budR = prices[old.target][sectors].dev, prices[old.target][sectors].spill
+			devW, budW = prices[next.target][in].dev, prices[next.target][in].spill
 			stored, landed = storedBytes(sectors), storedBytes(in)
 		}
 		mig.set(i)
@@ -81,7 +84,7 @@ func refMigrateEntry(a *Allocation, mig *migration, i int) int64 {
 		}
 	}
 	a.mu.RUnlock()
-	return int64(stored)
+	return int64(stored), nil
 }
 
 // refExportEntry is ExportEntry's per-entry body.
@@ -101,7 +104,7 @@ func refExportEntry(a *Allocation, i int, dst []byte) (stream []byte, sectors in
 	sh.Unlock()
 	if written {
 		stored := storedBytes(sectors)
-		devR, budR := splitBytes(l.target, sectors)
+		devR, budR := prices[l.target][sectors].dev, prices[l.target][sectors].spill
 		d.traffic.migrationBytes.Add(uint64(stored))
 		refAccess(d.slab, false, g, devR)
 		if budR > 0 {
@@ -136,7 +139,7 @@ func refImportEntry(a *Allocation, i int, stream []byte, sectors int) error {
 	a.meta.Set(i, sectors)
 	sh.Unlock()
 	stored := storedBytes(sectors)
-	devW, budW := splitBytes(l.target, sectors)
+	devW, budW := prices[l.target][sectors].dev, prices[l.target][sectors].spill
 	d.traffic.migrationBytes.Add(uint64(stored))
 	refAccess(d.slab, true, g, devW)
 	if budW > 0 {
@@ -164,7 +167,7 @@ func refRebuild(a *Allocation, lo, hi int) (n, moved int64) {
 		}
 		g, d := l.global(i), l.dev
 		stored := storedBytes(sectors)
-		dev, _ := splitBytes(l.target, sectors)
+		dev := prices[l.target][sectors].dev
 		d.traffic.buddyReadBytes.Add(uint64(stored))
 		refAccess(d.overflow, false, g, stored)
 		refAccess(d.slab, true, g, dev)
@@ -223,18 +226,27 @@ func newRelocWorld(ref bool, tier oracleTier) *relocWorld {
 
 // migratePart moves entries [lo, hi) of a into mig's next layout and returns
 // the stored bytes moved.
-func (w *relocWorld) migratePart(a *Allocation, mig *migration, lo, hi int) (moved int64) {
-	if w.ref {
-		for i := lo; i < hi; i++ {
-			moved += refMigrateEntry(a, mig, i)
-		}
-		return moved
-	}
-	_, moved, err := part(a, relocMigrate, lo, hi)
+func (w *relocWorld) migratePart(a *Allocation, mig *migration, lo, hi int) int64 {
+	moved, err := w.tryMigrate(a, mig, lo, hi)
 	if err != nil {
 		panic(err)
 	}
 	return moved
+}
+
+// tryMigrate is migratePart that stops at an entry that will not re-encode,
+// with the entries before it moved, and returns the error.
+func (w *relocWorld) tryMigrate(a *Allocation, mig *migration, lo, hi int) (moved int64, err error) {
+	if w.ref {
+		for i := lo; i < hi && err == nil; i++ {
+			var n int64
+			n, err = refMigrateEntry(a, mig, i)
+			moved += n
+		}
+		return moved, err
+	}
+	_, moved, err = part(a, relocMigrate, lo, hi)
+	return moved, err
 }
 
 // part runs one span worker's share of a pass of kind over a: entries
@@ -565,27 +577,36 @@ func summary(s relocState) any {
 // another one, and on another that frames streams with a different codec;
 // over the carve-out and over a host tier whose one-page pager faults on
 // every change of page, so the order of a line's overflow ops shows. Each
-// relayout of an allocation whose last line is partial, with never-written
-// gaps, is held open at a cut (inside the first line, around line boundaries,
-// one before the end), then finished forward from mid-line or handed back.
-// After every step the worlds must agree on all relocState compares: Traffic,
+// relayout of an allocation whose last line is partial is held open at a cut
+// (inside the first line, around line boundaries, one before the end), then
+// finished forward from mid-line or handed back. Its lines are one of each
+// shape the hand-over prices differently: mixed classes; all zero, which
+// spills under no target, with never-written entries between written zero
+// ones; all incompressible, which spills under every target but 1x and in
+// full under 16x; mixed again with a gap, in the partial tail. The failure
+// cases cut one stream of the incompressible line short mid-line, so a move
+// between codecs stops there and is handed back, as MoveTo does. After every
+// step the worlds must agree on all relocState compares: Traffic,
 // MigrationBytes included, and both tiers' BackendTraffic, pager faults
 // included, on both devices, and the moved words.
 func TestLineHandOverMatchesPerEntry(t *testing.T) {
-	const entries = 3*EntriesPerMetadataLine + 37
+	const line, entries, corruptAt = EntriesPerMetadataLine, 3*EntriesPerMetadataLine + 37, 2*EntriesPerMetadataLine + 22
 	bdi, err := compress.ByName("bdi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := fillEntries(entries, relocShapes, 29)
+	data := slices.Concat(fillEntries(line, relocShapes, 29), fillEntries(line, []gen.Generator{gen.Zeros{}}, 30),
+		fillEntries(line, []gen.Generator{gen.Random{}}, 31), fillEntries(entries-3*line, relocShapes, 32))
 	for _, c := range []struct {
 		name      string
 		host, far bool
 		codec     compress.Codec // the far device's; nil for the default
+		corrupt   bool           // cut entry corruptAt's stream short: it will not re-encode
 	}{
-		{"carveout/same-device", false, false, nil}, {"carveout/other-device", false, true, nil},
-		{"carveout/transcode", false, true, bdi}, {"host/same-device", true, false, nil},
-		{"host/other-device", true, true, nil}, {"host/transcode", true, true, bdi},
+		{"carveout/same-device", false, false, nil, false}, {"carveout/other-device", false, true, nil, false},
+		{"carveout/transcode", false, true, bdi, false}, {"host/same-device", true, false, nil, false},
+		{"host/other-device", true, true, nil, false}, {"host/transcode", true, true, bdi, false},
+		{"carveout/transcode-failure", false, true, bdi, true}, {"host/transcode-failure", true, true, bdi, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			mk := func(codec compress.Codec) *Device {
@@ -602,6 +623,7 @@ func TestLineHandOverMatchesPerEntry(t *testing.T) {
 					for _, cut := range []int{1, 63, 64, 65, 127, entries - 1} {
 						for _, back := range []bool{false, true} {
 							var states [2][]relocState
+							var failed [2][]bool // per step: it stopped at the corrupt entry
 							for k := range states {
 								w := &relocWorld{ref: k == 1, src: mk(nil), dst: mk(c.codec)}
 								a, err := w.src.Malloc("line", entries*EntryBytes, from)
@@ -609,10 +631,13 @@ func TestLineHandOverMatchesPerEntry(t *testing.T) {
 									t.Fatal(err)
 								}
 								w.allocs = []*Allocation{a}
-								for _, run := range [][2]int{{0, 70}, {80, 150}, {190, entries}} {
+								for _, run := range [][2]int{{0, 70}, {80, 200}, {210, entries}} {
 									if err := a.WriteEntries(run[0], data[run[0]*EntryBytes:run[1]*EntryBytes]); err != nil {
 										t.Fatal(err)
 									}
+								}
+								if c.corrupt {
+									corruptStream(a, corruptAt, 1)
 								}
 								dev := w.src
 								if c.far {
@@ -622,17 +647,30 @@ func TestLineHandOverMatchesPerEntry(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								w.migratePart(a, mig, 0, cut)
-								states[k] = append(states[k], w.state())
+								step := func(lo, hi int) {
+									_, err := w.tryMigrate(a, mig, lo, hi)
+									if err != nil && !errors.Is(err, compress.ErrCorrupt) {
+										t.Fatal(err)
+									}
+									failed[k] = append(failed[k], err != nil)
+									states[k] = append(states[k], w.state())
+								}
+								step(0, cut)
 								if back {
 									a.handBack(mig)
 								} else {
-									w.migratePart(a, mig, cut/2|1, entries)
-									states[k] = append(states[k], w.state())
+									step(cut/2|1, entries)
 								}
-								w.migratePart(a, mig, 0, entries)
+								if !mig.back && slices.Contains(failed[k], true) {
+									a.handBack(mig)
+								}
+								step(0, entries)
 								a.commitRelayout(mig)
 								states[k] = append(states[k], w.state())
+							}
+							if !reflect.DeepEqual(failed[0], failed[1]) || c.corrupt && !back && !failed[0][1] {
+								t.Fatalf("%s->%s cut %d hand-back %v: steps stopped at the corrupt entry: line %v, per entry %v",
+									from, to, cut, back, failed[0], failed[1])
 							}
 							for i := range states[0] {
 								if !reflect.DeepEqual(states[0][i], states[1][i]) {

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -230,12 +231,22 @@ func BenchmarkPoolServe(b *testing.B) {
 // iteration, alternating between two neighbouring ratios), transfer (one
 // MigrateHandle per iteration, back and forth: a MoveTo, handed over a
 // metadata line at a time) and recover (Kill plus Recover of the serving
-// shard). ns/entry is wall time over the allocation's entries; allocs/op is
-// per whole move, so it pins that a move allocates a fixed handful of
-// objects (the next layout, the epoch and its moved words), none per entry.
+// shard). The mixed data overflows either target in about half its entries;
+// retarget-lowspill is retarget over data that overflows in one run of
+// entries in sixteen (~6 %, the relocate workload's fleet), where a line
+// costs what its non-spilling entries cost. ns/entry is wall time over the
+// allocation's entries; allocs/op is per whole move, so it pins that a move
+// allocates a fixed handful of objects (the next layout, the epoch and its
+// moved words), none per entry.
 func BenchmarkRelocate(b *testing.B) {
 	const entries = 16 << 10
-	setup := func(b *testing.B) (*Pool, *FailureInjector, *Handle) {
+	mixed := []gen.Generator{
+		gen.SparseFP16{ZeroFrac: 0.7}, gen.Zeros{}, gen.Ramp{Start: 1, Step: 5},
+		gen.Noisy64{NoiseBits: 8, HiStep: 1}, gen.Random{},
+	}
+	lowSpill := append([]gen.Generator{gen.Random{}},
+		slices.Repeat([]gen.Generator{gen.Zeros{}, gen.Noisy64{NoiseBits: 8, HiStep: 1}, gen.Ramp{Start: 1, Step: 5}}, 5)...)
+	setup := func(b *testing.B, shapes []gen.Generator) (*Pool, *FailureInjector, *Handle) {
 		fi := NewFailureInjector()
 		devices := []*core.Device{
 			core.NewDevice(core.Config{DeviceBytes: 8 << 20}),
@@ -247,10 +258,6 @@ func BenchmarkRelocate(b *testing.B) {
 		}
 		b.Cleanup(func() { _ = p.Close() })
 		data := make([]byte, entries*core.EntryBytes)
-		shapes := []gen.Generator{
-			gen.SparseFP16{ZeroFrac: 0.7}, gen.Zeros{}, gen.Ramp{Start: 1, Step: 5},
-			gen.Noisy64{NoiseBits: 8, HiStep: 1}, gen.Random{},
-		}
 		r := gen.NewRNG(9, 1)
 		for e := 0; e < entries; e++ {
 			shapes[e/8%len(shapes)].Fill(data[e*core.EntryBytes:(e+1)*core.EntryBytes], r)
@@ -282,20 +289,24 @@ func BenchmarkRelocate(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
 	}
-	b.Run("retarget", func(b *testing.B) {
-		p, _, h := setup(b)
-		targets := [2]core.TargetRatio{core.Target4by3x, core.Target2x}
-		run(b, func(i int) error {
-			_, err := p.Device(0).Retarget(h.Alloc(), targets[i%2])
-			return err
-		})
-	})
+	retarget := func(shapes []gen.Generator) func(b *testing.B) {
+		return func(b *testing.B) {
+			p, _, h := setup(b, shapes)
+			targets := [2]core.TargetRatio{core.Target4by3x, core.Target2x}
+			run(b, func(i int) error {
+				_, err := p.Device(0).Retarget(h.Alloc(), targets[i%2])
+				return err
+			})
+		}
+	}
+	b.Run("retarget", retarget(mixed))
+	b.Run("retarget-lowspill", retarget(lowSpill))
 	b.Run("transfer", func(b *testing.B) {
-		p, _, h := setup(b)
+		p, _, h := setup(b, mixed)
 		run(b, func(i int) error { return p.MigrateHandle(h, (i+1)%2) })
 	})
 	b.Run("recover", func(b *testing.B) {
-		p, fi, _ := setup(b)
+		p, fi, _ := setup(b, mixed)
 		run(b, func(int) error {
 			if err := fi.Kill(0); err != nil {
 				return err
