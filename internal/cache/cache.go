@@ -47,11 +47,17 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 
 // Access looks up the line containing byte address addr, filling it on a
 // miss (evicting the LRU way). It reports whether the access hit.
-func (c *Cache) Access(addr uint64) bool {
+func (c *Cache) Access(addr uint64) bool { return c.AccessN(addr, 1) }
+
+// AccessN is n >= 1 back-to-back Accesses of addr's line in one tag search:
+// only the first can miss, the other n-1 hit the line it leaves resident, and
+// the line's LRU stamp is the last one's. It reports whether the first hit.
+func (c *Cache) AccessN(addr uint64, n int) bool {
 	line := addr / uint64(c.lineBytes)
 	set := int(line % uint64(c.sets))
 	base := set * c.ways
-	c.clock++
+	c.clock += uint64(n)
+	c.hits += uint64(n - 1)
 	for w := 0; w < c.ways; w++ {
 		if c.valid[base+w] && c.tags[base+w] == line {
 			c.lru[base+w] = c.clock

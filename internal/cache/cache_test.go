@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +113,42 @@ func TestWorkingSetBehaviour(t *testing.T) {
 	}
 	if c.HitRate() > 0.10 {
 		t.Errorf("thrashing scan hit rate %.2f, want ~0", c.HitRate())
+	}
+}
+
+// TestAccessNMatchesAccesses drives two caches with the same random lines,
+// under eviction pressure (24 lines over 8 ways): one takes each run of n
+// accesses as AccessN(a, n), the other as n calls of Access(a). After every
+// run they must agree on the first access's hit, on Hits, Misses and each
+// line's residency, and on the clock and LRU stamps the next eviction reads.
+func TestAccessNMatchesAccesses(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	runs, singles := New(256, 2, 32), New(256, 2, 32) // 4 sets of 2 ways
+	for step := 0; step < 20000; step++ {
+		addr, n := uint64(r.IntN(24*32)), 1+r.IntN(8)
+		if r.IntN(16) == 0 {
+			n = 1 + r.IntN(200)
+		}
+		got := runs.AccessN(addr, n)
+		want := singles.Access(addr)
+		for k := 1; k < n; k++ {
+			if !singles.Access(addr) {
+				t.Fatalf("step %d: access %d of a run missed", step, k+1)
+			}
+		}
+		if got != want || runs.Hits() != singles.Hits() || runs.Misses() != singles.Misses() {
+			t.Fatalf("step %d: AccessN(%d, %d) hit=%v with %d hits %d misses; %d Accesses hit=%v with %d hits %d misses",
+				step, addr, n, got, runs.Hits(), runs.Misses(), n, want, singles.Hits(), singles.Misses())
+		}
+		for a := uint64(0); a < 24*32; a += 32 {
+			if runs.Probe(a) != singles.Probe(a) {
+				t.Fatalf("step %d: line %d resident %v after AccessN, %v after Accesses", step, a/32, runs.Probe(a), singles.Probe(a))
+			}
+		}
+		if runs.clock != singles.clock || !slices.Equal(runs.lru, singles.lru) {
+			t.Fatalf("step %d: clock %d, stamps %v after AccessN; clock %d, stamps %v after Accesses",
+				step, runs.clock, runs.lru, singles.clock, singles.lru)
+		}
 	}
 }
 

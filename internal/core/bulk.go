@@ -164,13 +164,15 @@ func (sp *spanPool) close() {
 	sp.wg.Wait()
 }
 
-// spanScratch is one pass's pooled staging: the two buffers a metadata
-// pair's framed streams are staged in — MaxStreamBytes each, so the
-// steady-state codec path never allocates — and the sub-batch's
-// overflow-tier op lists, one per tally: pooled, not on a builder's stack,
-// because they reach the tier through an interface.
+// spanScratch is one pass's pooled staging: the buffers a metadata line's
+// framed streams are staged in, one per entry — MaxStreamBytes each, carved
+// out of one flat array, so the steady-state codec path never allocates and a
+// fresh scratch is one allocation — and the sub-batch's overflow-tier op
+// lists, one per tally: pooled, not on a builder's stack, because they reach
+// the tier through an interface.
 type spanScratch struct {
-	bufs [2][]byte
+	bufs [EntriesPerMetadataLine][]byte
+	flat [EntriesPerMetadataLine * MaxStreamBytes]byte
 	ops  [2 * spanBatchEntries]TierOp // a same-device relayout reads the old slot and writes the new
 	far  [spanBatchEntries]TierOp
 }
@@ -178,7 +180,7 @@ type spanScratch struct {
 var spanScratchPool = sync.Pool{New: func() any {
 	x := new(spanScratch)
 	for k := range x.bufs {
-		x.bufs[k] = make([]byte, 0, MaxStreamBytes)
+		x.bufs[k] = x.flat[k*MaxStreamBytes:][:0:MaxStreamBytes]
 	}
 	return x
 }}

@@ -18,8 +18,8 @@ import (
 // WriteEntry/ReadEntry are passes of one walker, so a span and the same
 // entries one call at a time must leave two identical worlds bit-identical:
 // Traffic, both tiers' BackendTraffic (pager faults included), link busy
-// cycles per direction, the metadata store, every SectorCount and every
-// stored stream. TestDataPathAccountingPinned holds the same scenario
+// cycles per direction, the metadata cache's hits and misses, the metadata
+// store, every SectorCount and every stored stream. TestDataPathAccountingPinned holds the same scenario
 // against totals captured from the per-kind kernels the walker replaced.
 
 // write stores data at entries [start, start+len/128) of a: as one span, or
@@ -225,17 +225,19 @@ func corruptibleSpan(t *testing.T, entries int) (*Device, *Allocation, []byte) {
 }
 
 // TestSpanReadDecodeErrorAccounting corrupts one stored stream mid-span — at
-// the first and at the second entry of a metadata pair, in the span's second
-// sub-batch — and checks the edge each old read kernel handled on its own:
-// the error names the entry, the entries before it are delivered, and
-// exactly the entries up to and including the failing one are accounted
-// (counters before decode), no more — the pair's other half is snapshotted
-// under the same lock but neither charged nor delivered.
+// the first, the 33rd and the last entry of a metadata line, and at the first
+// entry of the span's second sub-batch, which is mid-line — and checks the
+// edge each old read kernel handled on its own: the error names the entry,
+// the entries before it are delivered, and exactly the entries up to and
+// including the failing one are accounted (counters and metadata-cache
+// lookups before decode), no more — the rest of its line is snapshotted under
+// the same lock but neither charged, looked up nor delivered.
 func TestSpanReadDecodeErrorAccounting(t *testing.T) {
-	const entries, start = 3 * spanBatchEntries, 3
-	// Entries 262 (even: first of its pair) and 267 (second of its pair) hold
-	// relocShapes[2], gen.Random: a raw stream, so half of one cannot decode.
-	for _, bad := range []int{spanBatchEntries + 6, spanBatchEntries + 11} {
+	const entries, start, line = 3 * spanBatchEntries, 1, EntriesPerMetadataLine
+	// Each bad entry is 2 mod 5 and so holds relocShapes[2], gen.Random: a raw
+	// stream, so half of one cannot decode. The sub-batches start at 1, 257
+	// and 513.
+	for _, bad := range []int{8 * line, 5*line + 32, 6*line + 63, start + spanBatchEntries} {
 		d, a, data := corruptibleSpan(t, entries)
 		corruptStream(a, bad, len(a.store.get(bad))/2)
 
@@ -263,6 +265,58 @@ func TestSpanReadDecodeErrorAccounting(t *testing.T) {
 		if got, want := d.overflow.Traffic(), twin.overflow.Traffic(); got != want || got.Loads == 0 {
 			t.Errorf("corrupt entry %d: carve-out traffic %+v, want %+v (non-zero)", bad, got, want)
 		}
+		if gh, gm := metaLookups(d); gh+gm != uint64(bad+1-start) {
+			t.Errorf("corrupt entry %d: %d metadata-cache lookups, want %d", bad, gh+gm, bad+1-start)
+		} else if wh, wm := metaLookups(twin); gh != wh || gm != wm {
+			t.Errorf("corrupt entry %d: metadata cache %d hits %d misses, want %d and %d", bad, gh, gm, wh, wm)
+		}
+	}
+}
+
+// TestSpanOverUnalignedRegion runs spans over an allocation whose region
+// starts two entries into a metadata line of the device's table — a 2-entry
+// allocation took the first two — so each of its lines is looked up in two
+// lines of the metadata cache, and holds them to the same entries one at a
+// time: fills, hits and misses, with everything else relocState compares.
+func TestSpanOverUnalignedRegion(t *testing.T) {
+	const entries = 3*EntriesPerMetadataLine + 5
+	data := fillEntries(entries, relocShapes, 41)
+	var states [2][]relocState
+	for k := range states {
+		w := newRelocWorld(k == 1, oracleTiers[0])
+		if _, err := w.src.Malloc("pad", 2*EntryBytes, Target2x); err != nil {
+			t.Fatal(err)
+		}
+		a, err := w.src.Malloc("a", entries*EntryBytes, Target2x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := a.cur.reg.firstEntry; first%EntriesPerMetadataLine != 2 {
+			t.Fatalf("region starts at entry %d of the table, want 2 into a line", first)
+		}
+		w.allocs = []*Allocation{a}
+		// From a cold cache each: [60, 64) is one line of the allocation and
+		// two of the cache.
+		for _, span := range [][2]int{{60, 64}, {0, entries}, {1, 130}, {62, 66}, {126, entries}} {
+			w.src.ResetTraffic()
+			lo, hi := span[0]*EntryBytes, span[1]*EntryBytes
+			if err := w.write(a, span[0], data[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, hi-lo)
+			if err := w.read(a, span[0], got); err != nil || !bytes.Equal(got, data[lo:hi]) {
+				t.Fatalf("span %v: err=%v match=%v", span, err, bytes.Equal(got, data[lo:hi]))
+			}
+			states[k] = append(states[k], w.state())
+		}
+	}
+	for i := range states[0] {
+		if !reflect.DeepEqual(states[0][i], states[1][i]) {
+			t.Fatalf("step %d: spans and singles diverge\n spans   %+v\n singles %+v", i, summary(states[0][i]), summary(states[1][i]))
+		}
+	}
+	if s := states[0][len(states[0])-1]; s.Traffic[0].MetadataFillBytes == 0 || s.MetaHits[0] == 0 {
+		t.Fatalf("nothing looked up: %+v", summary(s))
 	}
 }
 

@@ -548,11 +548,12 @@ var prices = func() (p [Target16x + 1][compress.SectorsPerEntry + 1]price) {
 	return p
 }()
 
-// metadataMiss models the metadata-cache lookup on every memory access and
-// reports a miss, which costs one 32 B device read (§3.2): the caller's tally
-// charges the line, counted separately so the simulator can weigh it.
-func (d *Device) metadataMiss(globalEntry int) bool {
-	return d.metaEnabled.Load() && !d.mcache.Access(globalEntry)
+// metadataMiss models the metadata-cache lookups of n memory accesses in a
+// row to entries whose metadata shares globalEntry's line and reports a miss
+// (only the first can), which costs one 32 B device read (§3.2): the caller's
+// tally charges the line, counted separately so the simulator can weigh it.
+func (d *Device) metadataMiss(globalEntry, n int) bool {
+	return d.metaEnabled.Load() && !d.mcache.AccessN(globalEntry, n)
 }
 
 // SetMetadataCacheEnabled toggles metadata-cache modeling (used by the

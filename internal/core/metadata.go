@@ -145,12 +145,17 @@ func NewMetadataCache(totalBytes, nSlices, ways int) *MetadataCache {
 	return mc
 }
 
-// Access looks up the metadata line for memory-entry index entry, returning
-// whether it hit. A miss models one extra 32 B device-memory read. The slice
-// is selected by the line address (the DRAM-channel hash of §3.2); the
-// slice-local lookup drops the selection bits so slice id and set index do
-// not alias.
-func (mc *MetadataCache) Access(entry int) bool {
+// Access looks up the metadata line for memory-entry index entry and reports
+// whether it hit. A miss models one extra 32 B device-memory read.
+func (mc *MetadataCache) Access(entry int) bool { return mc.AccessN(entry, 1) }
+
+// AccessN is n >= 1 Accesses in a row of the line that holds entry's metadata
+// — the accesses of n entries that share the line — under one acquisition of
+// the slice's lock, and reports whether the first hit: the rest hit the line
+// it leaves resident. The slice is selected by the line address (the
+// DRAM-channel hash of §3.2); the slice-local lookup drops the selection bits
+// so slice id and set index do not alias.
+func (mc *MetadataCache) AccessN(entry, n int) bool {
 	byteAddr := uint64(entry) * MetadataBitsPerEntry / 8
 	line := byteAddr / MetadataLineBytes
 	var i, local uint64
@@ -162,7 +167,7 @@ func (mc *MetadataCache) Access(entry int) bool {
 		local = line / uint64(len(mc.slices)) * MetadataLineBytes
 	}
 	mc.locks[i].Lock()
-	hit := mc.slices[i].Access(local)
+	hit := mc.slices[i].AccessN(local, n)
 	mc.locks[i].Unlock()
 	return hit
 }

@@ -20,17 +20,18 @@ import (
 // and after its shard lock (table in DESIGN.md "The entry-table walker").
 //
 // A pass takes a.mu read-locked once per sub-batch of spanBatchEntries
-// entries and never across one, a data pass a shard lock once per metadata
-// pair and a relocation pass once per metadata line (the line is the stripe),
-// and the Traffic counters and the slab's meter are flushed once per
-// sub-batch from a relocTally — two of them while a relayout has the
-// allocation's entries on two devices. Per entry stay its home, resolved
-// under the shard lock (an in-flight relayout splits a span between two
-// layouts), and the metadata-cache lookup of a data access. The
-// overflow tier gets the sub-batch's accesses as one span, Backend.Access, in
-// the order they happened: the carve-out only sums them (link occupancy is
-// bytes over rate), the host tier's pager replays them. Every total equals
-// visiting the entries one at a time.
+// entries and never across one, and a shard lock once per metadata line (the
+// line is the stripe); the Traffic counters and the slab's meter are flushed
+// once per sub-batch from a relocTally — two of them while a relayout has the
+// allocation's entries on two devices. A data pass looks the metadata cache
+// up once per run of a line's entries whose metadata shares a device and a
+// line of its cache, and a write puts the line's streams in one call. Per
+// entry stays its home, resolved under the shard lock (an in-flight relayout
+// splits a span between two layouts). The overflow tier gets the sub-batch's
+// accesses as one span, Backend.Access, in the order they happened: the
+// carve-out only sums them (link occupancy is bytes over rate), the host
+// tier's pager replays them. Every total equals visiting the entries one at a
+// time.
 
 // relocKind selects what a pass does to each entry. The order matters twice:
 // kinds from relocImport on need the entry's device tier alive, kinds from
@@ -162,11 +163,12 @@ func (p *relocPass) tallyOf(l, cur *layout) *relocTally {
 // relocate runs pass p over entries [lo, hi) of a. stage is the staging
 // buffer: an export appends the framed stream to it and returns it extended,
 // an import reads the stream from it, a write encodes the entries in it and
-// a read decodes into it; the other kinds pass nil. pair is where the data
-// kinds stage a metadata pair's framed streams between the codec and the
-// table. Both travel beside the pass: the codec is an
-// interface, so whatever reached it through p would move every buffer p
-// refers to — a ReadAt caller's buffer included — to the heap.
+// a read decodes into it; the other kinds pass nil. line is where the data
+// kinds stage a metadata line's framed streams between the codec and the
+// table, and its first buffer a mover's re-encode. Both travel beside the
+// pass: the codec is an interface, so whatever reached it through p would
+// move every buffer p refers to — a ReadAt caller's buffer included — to the
+// heap.
 //
 // Liveness. freed is checked once per sub-batch under the a.mu read lock, so
 // ErrFreed means no entry of that sub-batch or after it was touched. With no
@@ -182,7 +184,7 @@ func (p *relocPass) tallyOf(l, cur *layout) *relocTally {
 // re-encode, ends the pass the same way.
 //
 //buddy:hotpath
-func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, hi int) ([]byte, error) {
+func (a *Allocation) relocate(p *relocPass, line *[EntriesPerMetadataLine][]byte, stage []byte, lo, hi int) ([]byte, error) {
 	for b := lo; b < hi; {
 		e := min(b+spanBatchEntries, hi)
 		a.mu.RLock()
@@ -208,7 +210,7 @@ func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, h
 		}
 		var err error
 		if p.kind >= relocWrite {
-			err = p.accessBatch(a, cur, m, pair, stage, b, e)
+			err = p.accessBatch(a, cur, m, line, stage, b, e)
 		} else {
 			for i := b; i < e && err == nil; {
 				n := min(e-i, EntriesPerMetadataLine-i%EntriesPerMetadataLine) // the rest of i's metadata line
@@ -216,7 +218,7 @@ func (a *Allocation) relocate(p *relocPass, pair *[2][]byte, stage []byte, lo, h
 				sh.Lock()
 				switch p.kind {
 				case relocMigrate:
-					err = p.handOver(a, cur, m, pair, i, n)
+					err = p.handOver(a, cur, m, line[0], i, n)
 				case relocRebuild:
 					p.rebuild(a, cur, m, i, n)
 				default: // export and import: spans of one, so n is 1
@@ -264,40 +266,49 @@ func appendEntry(c compress.Codec, dst, src []byte) ([]byte, int) {
 	return dst, compress.SectorsForBits(bits)
 }
 
-// accessBatch is the data path's step over one sub-batch [b, e), pair by
-// pair. A write is an import with an encode before the lock: both entries of
-// a pair are encoded into the pair buffers first, then metadata and streams
-// commit under the lock — the pair's streams in one put, a copy into the index
-// or in place in the entry's slot while the stream keeps its class, so the
-// steady state allocates nothing; a stream no entry can hold ends the pass
-// before its entry is touched. A read is an export with a decode after the
-// lock: stream and metadata are snapshotted under it (writers rewrite the
-// index and slots in place, so the reference must not leave it) and decoded
-// straight into the caller's buffer — cleared, not decoded, when the stream is
-// the codec's encoding of the all-zero entry, charged all the same.
-// Never-written entries read as zero, like fresh cudaMalloc pages, and still
-// cost the minimum access. Each entry looks up its device's metadata cache
-// and is charged before its decode, so a decode error leaves exactly the
-// entries up to and including the failing one accounted. While a relayout is
-// in flight an entry whose home device is down ends the pass before it is
-// touched, and a write that finds its home under the other codec is encoded
-// again, under the lock: only there is its home known. The pair loop and its
-// arrays live here, not in relocate's, where the relocation kinds would pay
-// for them (measured: +4 % on Recover's 20 ns per entry).
+// encodeEntry is appendEntry onto an emptied staging buffer, with the class
+// in the byte a line's staging keeps it in.
+func encodeEntry(c compress.Codec, buf, src []byte) ([]byte, uint8) {
+	stream, sectors := appendEntry(c, buf[:0], src)
+	return stream, uint8(sectors)
+}
+
+// accessBatch is the data path's step over one sub-batch [b, e), a metadata
+// line at a time, the stripe the relocation kinds step by too. A write is an
+// import with an encode before the lock: the line's entries are encoded into
+// the line staging first, then metadata and streams commit under the line's
+// one shard lock — its streams in one put, a copy into the index or in place
+// in the entry's slot while the stream keeps its class, so the steady state
+// allocates nothing; a stream no entry can hold ends the pass before its entry
+// is touched. A read is an export with a decode after the lock: streams and
+// metadata are snapshotted under it (writers rewrite the index and slots in
+// place, so the reference must not leave it) and decoded straight into the
+// caller's buffer — cleared, not decoded, when the stream is the codec's
+// encoding of the all-zero entry, charged all the same. Never-written entries
+// read as zero, like fresh cudaMalloc pages, and still cost the minimum
+// access. Each entry is charged before its decode and its metadata-cache
+// lookup joins a run (metaRun), looked up when the run ends and before a
+// decode error returns, so a decode error leaves exactly the entries up to
+// and including the failing one accounted. While a relayout is in flight an
+// entry whose home device is down ends the pass before it is touched, and a
+// write that finds its home under the other codec is encoded again, under the
+// lock: only there is its home known. The line loop and its arrays live here,
+// not in relocate's, where the relocation kinds would pay for them (measured:
+// +4 % on Recover's 20 ns per entry).
 //
 //buddy:hotpath
-func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *[2][]byte, data []byte, b, e int) error {
+func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, line *[EntriesPerMetadataLine][]byte, data []byte, b, e int) error {
 	write, st := p.kind == relocWrite, &a.store
 	for i := b; i < e; {
-		n := min(e-i, 2-i&1) // the rest of i's metadata pair
+		n := min(e-i, EntriesPerMetadataLine-i%EntriesPerMetadataLine) // the rest of i's metadata line
 		var (
-			homes [2]*layout // set while a relayout is in flight
-			secs  [2]int
-			down  error // ends the pass after the pair's entries before it
+			secs   [EntriesPerMetadataLine]uint8
+			toNext uint64 // bit k: entry i+k's home is the relayout's next layout
+			down   error  // ends the pass after the line's entries before it
 		)
 		if write {
 			for k := 0; k < n; k++ {
-				pair[k], secs[k] = appendEntry(cur.dev.cfg.Codec, pair[k][:0], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
+				line[k], secs[k] = encodeEntry(cur.dev.cfg.Codec, line[k], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
 			}
 		}
 		sh := a.shard(i)
@@ -309,53 +320,83 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, pair *
 					n, down = k, l.dev.errFailed()
 					break
 				}
-				if write && m.transcode && l != cur {
-					pair[k], secs[k] = appendEntry(l.dev.cfg.Codec, pair[k][:0], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
+				if l != cur {
+					toNext |= 1 << k
+					if write && m.transcode {
+						line[k], secs[k] = encodeEntry(l.dev.cfg.Codec, line[k], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
+					}
 				}
-				homes[k] = l
 			}
 			if write {
-				if len(pair[k]) == 0 || len(pair[k]) > MaxStreamBytes { // only here is the codec that framed it settled
-					n, down = k, a.errStream(i+k, len(pair[k]))
+				if len(line[k]) == 0 || len(line[k]) > MaxStreamBytes { // only here is the codec that framed it settled
+					n, down = k, a.errStream(i+k, len(line[k]))
 					break
 				}
-				a.meta.Set(i+k, secs[k])
+				a.meta.Set(i+k, int(secs[k]))
 			} else {
-				secs[k] = a.meta.Get(i + k)
-				pair[k] = append(pair[k][:0], st.get(i+k)...) // empty: never written
+				secs[k] = uint8(a.meta.Get(i + k))
+				line[k] = append(line[k][:0], st.get(i+k)...) // empty: never written
 			}
 		}
 		if write {
-			st.put(i, pair[:n]...) // the pair at once: the store's lock at most once
+			st.put(i, line[:n]...) // the line at once: the store's lock at most once
 		}
 		sh.Unlock()
+		var run metaRun
 		l, t := cur, &p.tally // every entry's home and tally, outside a relayout
 		for k := 0; k < n; k++ {
 			if m != nil {
-				l = homes[k]
+				l = cur
+				if toNext>>k&1 != 0 {
+					l = m.next
+				}
 				t = p.tallyOf(l, cur)
 			}
 			g := l.global(i + k)
-			if l.dev.metadataMiss(g) {
-				t.fills++
+			if run.n == 0 || l.dev != run.dev || g/EntriesPerMetadataLine != run.g/EntriesPerMetadataLine {
+				run.end() // g's metadata is on another line or device
+				run = metaRun{l.dev, t, g, 0}
 			}
-			t.access(write, g, l.target, secs[k])
+			run.n++
+			t.access(write, g, l.target, int(secs[k]))
 			if write {
 				continue
 			}
 			out := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
-			if len(pair[k]) == 0 || secs[k] == 0 && compress.IsZeroEntryStream(l.dev.cfg.Codec, pair[k]) {
+			if len(line[k]) == 0 || secs[k] == 0 && compress.IsZeroEntryStream(l.dev.cfg.Codec, line[k]) {
 				clear(out)
-			} else if err := l.dev.cfg.Codec.DecompressInto(out, pair[k]); err != nil {
+			} else if err := l.dev.cfg.Codec.DecompressInto(out, line[k]); err != nil {
+				run.end()
 				return fmt.Errorf("core: entry %d of %s: %w", i+k, a.Name, err)
 			}
 		}
+		run.end()
 		if down != nil {
 			return down
 		}
 		i += n
 	}
 	return nil
+}
+
+// metaRun is a run of a data pass's metadata-cache lookups: n accesses in a
+// row, charged to t, to the line of dev's cache that holds entry g's metadata.
+// One metadata line of an allocation can take more than one run: its region
+// need not start on a line, and a relayout in flight splits it between two
+// layouts. It is kept in accessBatch's locals and end has a value receiver: a
+// tally stored through a pointer would move the pass, and the buffers beside
+// it, to the heap.
+type metaRun struct {
+	dev  *Device
+	t    *relocTally
+	g, n int
+}
+
+// end looks the run up: a miss is one fill on its tally.
+func (r metaRun) end() {
+	if r.n != 0 && r.dev.metadataMiss(r.g, r.n) {
+		r.t.fills++
+	}
 }
 
 // perClass holds a line's entries of each sector class.
@@ -395,11 +436,11 @@ func (t *relocTally) line(store bool, tr TargetRatio, h *perClass) (entries int,
 // read and new-slot write, in entry order, as the host tier's pager replays
 // them. Metadata above class 0 is only ever set with a stream, so only the
 // line's class-0 entries ask the store whether they were written. Between
-// codecs every written entry is visited and re-encoded; a stream that will
-// not re-encode stays, and so do the entries after it.
+// codecs every written entry is visited and re-encoded onto scratch; a stream
+// that will not re-encode stays, and so do the entries after it.
 //
 //buddy:hotpath
-func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch *[2][]byte, i, n int) error {
+func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch []byte, i, n int) error {
 	w, base, next, to := i/EntriesPerMetadataLine, i-i%EntriesPerMetadataLine, m.next, p.tallyOf(m.next, cur)
 	pending := lineBits(i, n) &^ m.moved[w]
 	class := a.meta.lineClasses(w)
@@ -423,7 +464,7 @@ func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch *
 		sectors := a.meta.Get(k)
 		into := sectors
 		if m.transcode {
-			if into, err = a.transcode(cur, m, scratch[0][:0], k, sectors); err != nil {
+			if into, err = a.transcode(cur, m, scratch[:0], k, sectors); err != nil {
 				pending &= 1<<b - 1
 				break
 			}

@@ -20,8 +20,9 @@ import (
 // device-wide side tables to layouts. TestRelocationMatchesPerEntry drives
 // the batched kernel and the reference through the same randomized operation
 // sequence on two identical worlds and requires the worlds to be
-// bit-identical afterwards: Traffic, both tiers' BackendTraffic and the
-// link's busy cycles per direction on both devices, every allocation's
+// bit-identical afterwards: Traffic, both tiers' BackendTraffic, the link's
+// busy cycles per direction and the metadata cache's hits and misses on both
+// devices, every allocation's
 // layouts and which entries each holds, its metadata and stored streams, and
 // every SectorCount.
 
@@ -346,6 +347,7 @@ type relocState struct {
 	Traffic            [2]Traffic
 	Primary, Overflow  [2]BackendTraffic
 	LinkRead, LinkWrit [2]float64
+	MetaHits, MetaMiss [2]uint64      // metadata-cache lookups, summed over the device's slices
 	Layouts            [][]layoutState // per allocation: committed, then next if a relayout is open
 	Moved              [][]uint64      // per allocation with a relayout open: which entries next holds
 	Meta               [][]uint8
@@ -360,6 +362,7 @@ func (w *relocWorld) state(extra ...*Allocation) relocState {
 		s.Primary[k] = d.slab.Traffic()
 		s.Overflow[k] = d.overflow.Traffic()
 		s.LinkRead[k], s.LinkWrit[k] = d.LinkOccupancy()
+		s.MetaHits[k], s.MetaMiss[k] = metaLookups(d)
 	}
 	for _, a := range append(append([]*Allocation{}, w.allocs...), extra...) {
 		ls := []layoutState{{a.cur.dev == w.dst, a.cur.target, a.cur.reg}}
@@ -561,6 +564,18 @@ func TestRelocationMatchesPerEntry(t *testing.T) {
 	}
 }
 
+// metaLookups returns d's metadata-cache hits and misses, summed over its
+// slices.
+func metaLookups(d *Device) (hits, misses uint64) {
+	mc := d.mcache
+	for i, c := range mc.slices {
+		mc.locks[i].Lock()
+		hits, misses = hits+c.Hits(), misses+c.Misses()
+		mc.locks[i].Unlock()
+	}
+	return hits, misses
+}
+
 // summary is a relocState without the bulk (streams, metadata, sectors),
 // for failure messages.
 func summary(s relocState) any {
@@ -568,7 +583,8 @@ func summary(s relocState) any {
 		Traffic            [2]Traffic
 		Primary, Overflow  [2]BackendTraffic
 		LinkRead, LinkWrit [2]float64
-	}{s.Traffic, s.Primary, s.Overflow, s.LinkRead, s.LinkWrit}
+		MetaHits, MetaMiss [2]uint64
+	}{s.Traffic, s.Primary, s.Overflow, s.LinkRead, s.LinkWrit, s.MetaHits, s.MetaMiss}
 }
 
 // TestLineHandOverMatchesPerEntry holds the mover's line hand-over to the
@@ -587,8 +603,9 @@ func summary(s relocState) any {
 // cases cut one stream of the incompressible line short mid-line, so a move
 // between codecs stops there and is handed back, as MoveTo does. After every
 // step the worlds must agree on all relocState compares: Traffic,
-// MigrationBytes included, and both tiers' BackendTraffic, pager faults
-// included, on both devices, and the moved words.
+// MigrationBytes included, both tiers' BackendTraffic, pager faults included,
+// and the metadata cache's hits and misses, on both devices, and the moved
+// words.
 func TestLineHandOverMatchesPerEntry(t *testing.T) {
 	const line, entries, corruptAt = EntriesPerMetadataLine, 3*EntriesPerMetadataLine + 37, 2*EntriesPerMetadataLine + 22
 	bdi, err := compress.ByName("bdi")

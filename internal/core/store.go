@@ -22,7 +22,7 @@ import (
 // steady-state write of a serving loop, is a copy in place under the shard
 // lock alone, and so is any write of an inline stream over another or over a
 // never-written entry. Only an entry entering or leaving a slotted class takes
-// mu, once for both entries of a metadata pair. Slots are never split, merged
+// mu, once for a metadata line's entries. Slots are never split, merged
 // or lent: an allocation holds at most one slot per entry for every slotted
 // class its entries have been in (ROADMAP item 5).
 const (
@@ -116,7 +116,7 @@ func (s *streamStore) get(i int) []byte {
 }
 
 // put makes streams — 1 to MaxStreamBytes bytes each, none the store's own —
-// the streams of entries i, i+1, …: one entry's, or a metadata pair's. Caller
+// the streams of entries i, i+1, …: one entry's, or a metadata line's. Caller
 // holds their shard lock.
 //
 //buddy:hotpath
