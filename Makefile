@@ -78,10 +78,11 @@ race:
 
 # Coverage: a whole-repo profile (cover.out, the CI artifact) plus a gate on
 # internal/core — the driver's data path, lifecycle and migration machinery
-# must not lose test coverage. The floor is the post-lifecycle-PR baseline
-# (90.3% measured) minus a small margin for concurrency-dependent branches;
-# raise it when coverage rises, never lower it to make a PR pass.
-COVER_CORE_MIN = 89.0
+# must not lose test coverage. The floor is where coverage stands (96.1-96.2%
+# measured at -cpu 1, 2 and 4) minus a margin for concurrency-dependent
+# branches, so deleting code cannot quietly take its tests' coverage with
+# it; raise it when coverage rises, never lower it to make a PR pass.
+COVER_CORE_MIN = 95.0
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -1

@@ -56,7 +56,7 @@ type Device = core.Device
 // driver handles compression, sector placement and overflow underneath.
 type Allocation = core.Allocation
 
-// Backend is one pluggable storage tier (device slab, NVLink buddy
+// Backend is a device's pluggable overflow storage tier (NVLink buddy
 // carve-out, host unified-memory fallback, ...): a capacity meter plus
 // Access, which accounts a span of accesses in the order they happened.
 type Backend = core.Backend

@@ -65,7 +65,7 @@ func main() {
 	if _, err := buddy.LoadSnapshot(host, data, targets); err != nil {
 		log.Fatal(err)
 	}
-	_, overflow := host.Tiers()
+	overflow := host.Overflow()
 	ot := overflow.Traffic()
 	fmt.Printf("\nhost-fallback tier (%s): %d overflow stores, %d page faults, %.1f MiB migrated\n",
 		overflow.Name(), ot.Stores, ot.Faults, float64(ot.MigratedBytes)/(1<<20))

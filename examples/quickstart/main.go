@@ -100,10 +100,10 @@ func main() {
 	}
 	fmt.Println("compressibility changed from 2 to 4 sectors: addresses unchanged, no data movement")
 
-	// The device is two composed storage tiers; each reports its own
-	// capacity and traffic.
-	primary, overflow := dev.Tiers()
-	pt, ot := primary.Traffic(), overflow.Traffic()
-	fmt.Printf("tier %-14s: %6d B written, %6d B read\n", primary.Name(), pt.WrittenBytes, pt.ReadBytes)
+	// The device is two storage tiers: its own slab, metered by Traffic's
+	// device bytes, and the overflow tier, which reports its own traffic.
+	pt, overflow := dev.Traffic(), dev.Overflow()
+	ot := overflow.Traffic()
+	fmt.Printf("tier %-14s: %6d B written, %6d B read\n", "device-slab", pt.DeviceWriteBytes, pt.DeviceReadBytes)
 	fmt.Printf("tier %-14s: %6d B written, %6d B read\n", overflow.Name(), ot.WrittenBytes, ot.ReadBytes)
 }

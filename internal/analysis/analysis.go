@@ -6,11 +6,10 @@
 // worker pool and records, per entry, the sector class, the exact
 // compressed byte size and an all-zero flag (BuildRun goes further and
 // sizes an allocation once per run while its bytes do not change).
-// Histograms, zero fractions, per-page rollups and class-rounded
-// compression ratios are then cheap lookups, and every consumer (compression-ratio studies, sector
-// histograms, heat-maps, the profiler, compress-point selection, the
-// figure sweeps) shares one index per snapshot x codec instead of
-// re-encoding the data.
+// Sector histograms and class-rounded compression ratios are then cheap
+// lookups, and every consumer (compression-ratio studies, heat-maps, the
+// profiler, compress-point selection, the figure sweeps) shares one index
+// per snapshot x codec instead of re-encoding the data.
 package analysis
 
 import (
@@ -51,9 +50,7 @@ type AllocIndex struct {
 	// input to arbitrary size-class rounding (Fig. 3's eight-size study).
 	size []uint8
 
-	hist        [5]int  // cached sector-class histogram
-	zeroEntries int     // cached count of all-zero entries
-	pageMax     []uint8 // cached per-8KB-page max sector class
+	hist [5]int // cached sector-class histogram
 }
 
 // Entries returns the allocation's entry count.
@@ -83,23 +80,6 @@ func (a *AllocIndex) ZeroPageFrac() float64 {
 	return float64(a.hist[0]) / float64(len(a.class))
 }
 
-// ZeroEntryFrac is the fraction of entries that are entirely zero bytes.
-// It is codec-independent, unlike ZeroPageFrac, and neither bounds the
-// other: most codecs put all-zero entries in class 0, but e.g. FVC encodes
-// one to a full dictionary stream (class 1), while near-zero entries can
-// reach class 0 without being all-zero.
-func (a *AllocIndex) ZeroEntryFrac() float64 {
-	if len(a.class) == 0 {
-		return 0
-	}
-	return float64(a.zeroEntries) / float64(len(a.class))
-}
-
-// PageMax returns the cached per-page rollup: the maximum (least
-// compressible) sector class within each 8 KB page, in page order. The
-// final partial page, if any, rolls up its present entries.
-func (a *AllocIndex) PageMax() []uint8 { return a.pageMax }
-
 // Index is one snapshot's sector-class index under one codec.
 type Index struct {
 	// Codec names the algorithm the index was built with.
@@ -109,7 +89,6 @@ type Index struct {
 
 	hist    [5]int
 	entries int
-	zeros   int
 }
 
 // Entries returns the total entry count across allocations.
@@ -117,9 +96,6 @@ func (x *Index) Entries() int { return x.entries }
 
 // SectorHistogram returns the snapshot-wide sector-class histogram.
 func (x *Index) SectorHistogram() [5]int { return x.hist }
-
-// ZeroEntries returns the snapshot-wide count of all-zero entries.
-func (x *Index) ZeroEntries() int { return x.zeros }
 
 // Find returns the index of the named allocation, or nil.
 func (x *Index) Find(name string) *AllocIndex {
@@ -172,10 +148,9 @@ func build(s *memory.Snapshot, c compress.Codec, prev *memory.Snapshot, prevIdx 
 		}
 		n := a.Entries()
 		ai := &AllocIndex{
-			Name:    a.Name,
-			class:   make([]uint8, n),
-			size:    make([]uint8, n),
-			pageMax: make([]uint8, (n+EntriesPerPage-1)/EntriesPerPage),
+			Name:  a.Name,
+			class: make([]uint8, n),
+			size:  make([]uint8, n),
 		}
 		x.Allocs = append(x.Allocs, ai)
 		fresh = append(fresh, ai)
@@ -214,7 +189,6 @@ func build(s *memory.Snapshot, c compress.Codec, prev *memory.Snapshot, prevIdx 
 		for cl, n := range ai.hist {
 			x.hist[cl] += n
 		}
-		x.zeros += ai.zeroEntries
 	}
 	return x
 }
@@ -241,18 +215,10 @@ func classify(t buildTask, sz *compress.Sizer) {
 	}
 }
 
-// summarize computes the cached histogram, zero count and per-page rollup
-// from the filled class array.
+// summarize computes the cached histogram from the filled class array.
 func (a *AllocIndex) summarize() {
-	for i, c := range a.class {
-		cl := c & classMask
-		a.hist[cl]++
-		if c&zeroFlag != 0 {
-			a.zeroEntries++
-		}
-		if p := i / EntriesPerPage; cl > a.pageMax[p] {
-			a.pageMax[p] = cl
-		}
+	for _, c := range a.class {
+		a.hist[c&classMask]++
 	}
 }
 

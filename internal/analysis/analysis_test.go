@@ -84,39 +84,19 @@ func allZero(e []byte) bool {
 	return true
 }
 
-// TestIndexCachedAggregates pins the cached histogram, zero count and
-// per-page rollup against recomputation from the per-entry classes.
+// TestIndexCachedAggregates pins the cached histograms against
+// recomputation from the per-entry classes.
 func TestIndexCachedAggregates(t *testing.T) {
 	s := testSnapshot(2*EntriesPerPage+9, 11)
 	x := Build(s, compress.NewBPC())
 	var total [5]int
-	var zeros int
 	for _, a := range x.Allocs {
 		var hist [5]int
-		var pageMax []uint8
 		for i := 0; i < a.Entries(); i++ {
-			cl := a.SectorClass(i)
-			hist[cl]++
-			if a.Zero(i) {
-				zeros++
-			}
-			if p := i / EntriesPerPage; p == len(pageMax) {
-				pageMax = append(pageMax, uint8(cl))
-			} else if uint8(cl) > pageMax[p] {
-				pageMax[p] = uint8(cl)
-			}
+			hist[a.SectorClass(i)]++
 		}
 		if a.SectorHistogram() != hist {
 			t.Errorf("%s: cached histogram %v, recomputed %v", a.Name, a.SectorHistogram(), hist)
-		}
-		if got := a.PageMax(); len(got) != len(pageMax) {
-			t.Errorf("%s: page rollup length %d, want %d", a.Name, len(got), len(pageMax))
-		} else {
-			for p := range got {
-				if got[p] != pageMax[p] {
-					t.Errorf("%s: page %d rollup %d, want %d", a.Name, p, got[p], pageMax[p])
-				}
-			}
 		}
 		for cl, n := range hist {
 			total[cl] += n
@@ -125,16 +105,11 @@ func TestIndexCachedAggregates(t *testing.T) {
 	if x.SectorHistogram() != total {
 		t.Errorf("snapshot histogram %v, want %v", x.SectorHistogram(), total)
 	}
-	if x.ZeroEntries() != zeros {
-		t.Errorf("snapshot zero entries %d, want %d", x.ZeroEntries(), zeros)
-	}
 	if x.Find("zeros") == nil || x.Find("no-such") != nil {
 		t.Error("Find broken")
 	}
-	zf := x.Find("zeros")
-	if zf.ZeroPageFrac() != 1 || zf.ZeroEntryFrac() != 1 {
-		t.Errorf("all-zero allocation fracs = %.2f/%.2f, want 1/1",
-			zf.ZeroPageFrac(), zf.ZeroEntryFrac())
+	if zf := x.Find("zeros").ZeroPageFrac(); zf != 1 {
+		t.Errorf("all-zero allocation zero-page fraction = %.2f, want 1", zf)
 	}
 }
 
@@ -261,8 +236,8 @@ func TestParallelBuildDeterministic(t *testing.T) {
 
 // TestBuildRun pins the run builder's sharing contract: BuildRun must equal
 // a per-snapshot Build in every recorded quantity (class, size, histogram,
-// zero count, pageMax, snapshot totals) while sizing an allocation only when
-// its name or bytes changed since the previous snapshot.
+// snapshot totals) while sizing an allocation only when its name or bytes
+// changed since the previous snapshot.
 func TestBuildRun(t *testing.T) {
 	const n = 2*buildGrain + 7 // several grains and a partial page
 	alloc := func(name string, g gen.Generator, entries int) *memory.Allocation {

@@ -96,19 +96,6 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Invalidate removes addr's line if resident.
-func (c *Cache) Invalidate(addr uint64) {
-	line := addr / uint64(c.lineBytes)
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.valid[base+w] = false
-			return
-		}
-	}
-}
-
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	for i := range c.valid {

@@ -313,19 +313,6 @@ func TestZeroCompressor(t *testing.T) {
 	}
 }
 
-func TestOptimisticSize(t *testing.T) {
-	bpc := NewBPC()
-	zero := make([]byte, EntryBytes)
-	if got := OptimisticSize(bpc, zero); got != 0 {
-		t.Errorf("zero entry optimistic size = %d, want 0", got)
-	}
-	rnd := make([]byte, EntryBytes)
-	gen.Random{}.Fill(rnd, gen.NewRNG(4, 1))
-	if got := OptimisticSize(bpc, rnd); got != 128 {
-		t.Errorf("random entry optimistic size = %d, want 128", got)
-	}
-}
-
 func TestCompressorRanking(t *testing.T) {
 	// §2.4: BPC was chosen for its high ratios on GPU-typical data. Verify
 	// BPC's aggregate compressed size over a suite of GPU-typical patterns

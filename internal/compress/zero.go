@@ -41,14 +41,3 @@ func (Zero) DecompressInto(dst, comp []byte) error {
 	}
 	return decodeRawEntry(dst, r)
 }
-
-// OptimisticSize returns the entry's compressed size rounded to the paper's
-// optimistic eight-size study (Fig. 3): all-zero entries take the 0 B class
-// (representable purely in metadata), others round up within
-// OptimisticSizes.
-func OptimisticSize(c Codec, entry []byte) int {
-	if EntryAllZero(entry) {
-		return 0
-	}
-	return RoundToClass((oneShotBits(c, entry)+7)/8, OptimisticSizes)
-}

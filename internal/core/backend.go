@@ -9,12 +9,11 @@ import (
 	"buddy/internal/um"
 )
 
-// Backend is one storage tier for compressed sectors. A Device composes two
-// tiers: a primary tier holding each entry's in-budget sectors and an
-// overflow tier holding the sectors that spill past the target ratio. The
-// paper's design is device slab + NVLink buddy carve-out; the interface
-// exists so other tiers (host unified memory, peer GPUs, disaggregated
-// appliances) slot in without touching the device.
+// Backend is a Device's overflow storage tier: it holds the compressed
+// sectors that spill past an entry's target ratio, while the device's own
+// slab holds the in-budget ones. The paper's overflow tier is the NVLink
+// buddy carve-out; the interface exists so other tiers (host unified memory,
+// peer GPUs, disaggregated appliances) slot in without touching the device.
 //
 // Implementations must be safe for concurrent use: the Device calls Access
 // from many goroutines, holding no lock of its own.
@@ -61,7 +60,7 @@ type BackendTraffic struct {
 }
 
 // capacityMeter implements the Reserve/Release/Used accounting shared by
-// every backend. A negative capacity means unbounded.
+// every tier, the device slab included. A negative capacity means unbounded.
 type capacityMeter struct {
 	name     string
 	capacity int64
@@ -101,7 +100,7 @@ func (m *capacityMeter) Release(n int64) {
 }
 
 // trafficMeter implements the lock-free access counters shared by every
-// backend.
+// tier, the device slab included.
 type trafficMeter struct {
 	loads, stores           atomic.Uint64
 	readBytes, writtenBytes atomic.Uint64
@@ -150,19 +149,6 @@ func (t *trafficMeter) ResetTraffic() {
 	t.stores.Store(0)
 	t.readBytes.Store(0)
 	t.writtenBytes.Store(0)
-}
-
-// SlabBackend is the primary tier: the GPU's own device-memory slab, where
-// each entry's in-budget sectors live at fixed addresses. Its meter is its
-// device's Traffic.DeviceReadBytes/DeviceWriteBytes (Device.Traffic).
-type SlabBackend struct {
-	capacityMeter
-	trafficMeter
-}
-
-// NewSlabBackend builds a device-memory tier of the given capacity.
-func NewSlabBackend(capacity int64) *SlabBackend {
-	return &SlabBackend{capacityMeter: capacityMeter{name: "device-slab", capacity: capacity}}
 }
 
 // CarveoutBackend is the paper's overflow tier: a carve-out of buddy memory

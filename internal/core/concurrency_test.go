@@ -99,8 +99,7 @@ func TestConcurrentDeviceStress(t *testing.T) {
 	}
 	// The overflow tier keeps its own ledger beside the device's (it may be
 	// shared between devices); the slab's meter is the device's.
-	_, overflow := d.Tiers()
-	if ot := overflow.Traffic(); ot.WrittenBytes != tr.BuddyWriteBytes {
+	if ot := d.overflow.Traffic(); ot.WrittenBytes != tr.BuddyWriteBytes {
 		t.Errorf("overflow tier wrote %d, device counter says %d", ot.WrittenBytes, tr.BuddyWriteBytes)
 	}
 }

@@ -149,13 +149,25 @@ func FuzzMetadataLine(f *testing.F) {
 	})
 }
 
-func TestPTERoundTrip(t *testing.T) {
-	f := func(comp bool, target uint8, off uint32) bool {
-		p := PTE{Compressed: comp, Target: TargetRatio(target % 5), BuddyPageOffset: off & 0xFFFFF}
-		return UnpackPTE(p.Pack()) == p
+// TestMetadataCacheSliceCount: the slice count is a power of two, as the
+// hardware's one slice per DRAM channel is; anything else is a
+// configuration error, refused like bad cache geometry.
+func TestMetadataCacheSliceCount(t *testing.T) {
+	for _, n := range []int{1, 2, 8} {
+		mc := NewMetadataCache(64<<10, n, 4)
+		if mc.Access(0) || !mc.Access(EntriesPerMetadataLine-1) {
+			t.Errorf("%d slices: want a cold miss then a hit on the same line", n)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for _, n := range []int{0, 3, 6} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMetadataCache with %d slices did not panic", n)
+				}
+			}()
+			NewMetadataCache(64<<10, n, 4)
+		}()
 	}
 }
 

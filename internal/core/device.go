@@ -44,7 +44,7 @@ type Config struct {
 	// MetadataCacheBytes is the total metadata cache capacity (§3.5:
 	// 4 KB per DRAM-channel slice).
 	MetadataCacheBytes int
-	// MetadataCacheSlices is the number of slices (§3.2: 8).
+	// MetadataCacheSlices is the number of slices, a power of two (§3.2: 8).
 	MetadataCacheSlices int
 	// MetadataCacheWays is the associativity (§3.2: 4).
 	MetadataCacheWays int
@@ -149,7 +149,6 @@ const entryShards = 64
 // unit against concurrent writers to the same range.
 type Device struct {
 	cfg      Config
-	slab     *SlabBackend // primary tier; its meter is Traffic's device bytes
 	overflow Backend
 	mcache   *MetadataCache
 	span     *spanPool // persistent span-worker pool, sized at NewDevice
@@ -167,11 +166,18 @@ type Device struct {
 	totalEntry int
 	holes      []region // retired regions available for reuse
 
-	gbbr        uint64 // global buddy base address (modeled)
-	traffic     trafficCounters
-	metaEnabled atomic.Bool
-	failed      atomic.Bool // device tier killed by Fail, not yet Recovered
-	rebuilding  atomic.Bool // a Recover is running; a second one is refused
+	gbbr uint64 // global buddy base address (modeled)
+	// slab is the primary tier, the GPU's own device memory, where each
+	// entry's in-budget sectors live; its meter is Traffic's device bytes.
+	// It sits beside traffic, the other counters the data path writes,
+	// rather than among the fields span workers only read.
+	slab struct {
+		capacityMeter
+		trafficMeter
+	}
+	traffic    trafficCounters
+	failed     atomic.Bool // device tier killed by Fail, not yet Recovered
+	rebuilding atomic.Bool // a Recover is running; a second one is refused
 }
 
 // ErrOutOfMemory is returned when an allocation does not fit a tier's
@@ -209,17 +215,16 @@ func NewDevice(cfg Config) *Device {
 	}
 	d := &Device{
 		cfg:               cfg,
-		slab:              NewSlabBackend(cfg.DeviceBytes),
 		overflow:          overflow,
 		span:              newSpanPool(runtime.GOMAXPROCS(0)),
 		mcache:            NewMetadataCache(cfg.MetadataCacheBytes, cfg.MetadataCacheSlices, cfg.MetadataCacheWays),
 		linkBytesPerCycle: math.Inf(1),
 		gbbr:              0x4000_0000_0000, // arbitrary carve-out base
 	}
+	d.slab.capacityMeter = capacityMeter{name: "device-slab", capacity: cfg.DeviceBytes}
 	if c, ok := overflow.(*CarveoutBackend); ok {
 		d.linkBytesPerCycle = c.bytesPerCycle
 	}
-	d.metaEnabled.Store(true)
 	if d.span.chunks != nil {
 		// Backstop for devices discarded without Close: retire the span
 		// workers when the device is collected, so a test or sweep that
@@ -323,9 +328,9 @@ func (a *Allocation) Freed() bool {
 	return a.freed
 }
 
-// Tiers returns the device's primary (device-slab) and overflow storage
-// tiers for per-tier inspection.
-func (d *Device) Tiers() (primary, overflow Backend) { return d.slab, d.overflow }
+// Overflow returns the device's overflow storage tier for per-tier
+// inspection; the device slab's own meter is Traffic's device bytes.
+func (d *Device) Overflow() Backend { return d.overflow }
 
 // SameCodecAs reports whether two devices store interchangeable framed
 // streams. Codecs are registry identities, so name equality is the framing
@@ -335,11 +340,8 @@ func (d *Device) SameCodecAs(o *Device) bool {
 	return d.cfg.Codec.Name() == o.cfg.Codec.Name()
 }
 
-// Carveout returns the overflow tier's capacity in bytes; negative means
-// unbounded (e.g. the host unified-memory fallback).
-func (d *Device) Carveout() int64 {
-	return d.overflow.Capacity()
-}
+// DeviceCapacity returns the device slab's capacity in bytes.
+func (d *Device) DeviceCapacity() int64 { return d.slab.Capacity() }
 
 // DeviceUsed returns the device bytes reserved by live allocations.
 func (d *Device) DeviceUsed() int64 { return d.slab.Used() }
@@ -553,12 +555,8 @@ var prices = func() (p [Target16x + 1][compress.SectorsPerEntry + 1]price) {
 // (only the first can), which costs one 32 B device read (§3.2): the caller's
 // tally charges the line, counted separately so the simulator can weigh it.
 func (d *Device) metadataMiss(globalEntry, n int) bool {
-	return d.metaEnabled.Load() && !d.mcache.AccessN(globalEntry, n)
+	return !d.mcache.AccessN(globalEntry, n)
 }
-
-// SetMetadataCacheEnabled toggles metadata-cache modeling (used by the
-// Fig. 5b sweep to re-run with different cache sizes).
-func (d *Device) SetMetadataCacheEnabled(on bool) { d.metaEnabled.Store(on) }
 
 // AllocationCount returns the number of live allocations — the cheap form
 // of len(Allocations()) for occupancy views that do not need the list.

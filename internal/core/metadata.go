@@ -116,31 +116,28 @@ func (m *MetadataStore) OverheadFraction() float64 {
 type MetadataCache struct {
 	slices []*cache.Cache
 	locks  []sync.Mutex
-	// mask/shift replace the slice-select mod/div when the slice count is a
-	// power of two (the hardware configuration: one slice per DRAM channel).
-	// mask == 0 means "not a power of two"; Access then falls back to the
-	// general divide. Both paths compute the same slice id and local address.
+	// mask/shift select the slice and the slice-local line: the slice count
+	// is a power of two (the hardware configuration: one slice per DRAM
+	// channel).
 	mask  uint64
 	shift uint
 }
 
 // NewMetadataCache builds a cache of totalBytes split across nSlices
-// set-associative slices.
+// set-associative slices. It panics unless nSlices is a power of two, which
+// is a configuration error.
 func NewMetadataCache(totalBytes, nSlices, ways int) *MetadataCache {
-	if nSlices <= 0 {
-		nSlices = 1
+	if nSlices <= 0 || nSlices&(nSlices-1) != 0 {
+		panic(fmt.Sprintf("core: metadata cache slice count %d is not a power of two", nSlices))
 	}
-	per := totalBytes / nSlices
 	mc := &MetadataCache{
 		slices: make([]*cache.Cache, nSlices),
 		locks:  make([]sync.Mutex, nSlices),
-	}
-	if nSlices&(nSlices-1) == 0 {
-		mc.mask = uint64(nSlices - 1)
-		mc.shift = uint(bits.TrailingZeros(uint(nSlices)))
+		mask:   uint64(nSlices - 1),
+		shift:  uint(bits.TrailingZeros(uint(nSlices))),
 	}
 	for i := range mc.slices {
-		mc.slices[i] = cache.New(per, ways, MetadataLineBytes)
+		mc.slices[i] = cache.New(totalBytes/nSlices, ways, MetadataLineBytes)
 	}
 	return mc
 }
@@ -158,16 +155,9 @@ func (mc *MetadataCache) Access(entry int) bool { return mc.AccessN(entry, 1) }
 func (mc *MetadataCache) AccessN(entry, n int) bool {
 	byteAddr := uint64(entry) * MetadataBitsPerEntry / 8
 	line := byteAddr / MetadataLineBytes
-	var i, local uint64
-	if mc.mask != 0 {
-		i = line & mc.mask
-		local = (line >> mc.shift) * MetadataLineBytes
-	} else {
-		i = line % uint64(len(mc.slices))
-		local = line / uint64(len(mc.slices)) * MetadataLineBytes
-	}
+	i := line & mc.mask
 	mc.locks[i].Lock()
-	hit := mc.slices[i].AccessN(local, n)
+	hit := mc.slices[i].AccessN((line>>mc.shift)*MetadataLineBytes, n)
 	mc.locks[i].Unlock()
 	return hit
 }
@@ -193,42 +183,5 @@ func (mc *MetadataCache) Reset() {
 		mc.locks[i].Lock()
 		s.Reset()
 		mc.locks[i].Unlock()
-	}
-}
-
-// PageTableOverheadBits is the per-PTE extension Buddy Compression needs:
-// compressed flag, target ratio, and the buddy-page offset from the GBBR
-// (§3.2: "a total overhead of 24 bits per page-table entry").
-const PageTableOverheadBits = 24
-
-// PTE models the extended page-table entry fields (§3.2). It exists to make
-// the translation path explicit and testable; the simulator does not model
-// TLB timing (the paper's design adds no extra TLB lookups).
-type PTE struct {
-	// Compressed marks pages under Buddy Compression.
-	Compressed bool
-	// Target is the page's target compression ratio.
-	Target TargetRatio
-	// BuddyPageOffset is the page's offset from the Global Buddy
-	// Base-address Register in buddy-page units.
-	BuddyPageOffset uint32
-}
-
-// Pack encodes the PTE extension into its 24-bit representation.
-func (p PTE) Pack() uint32 {
-	v := uint32(p.BuddyPageOffset) & 0xFFFFF // 20 bits of offset
-	v |= uint32(p.Target) << 20              // 3 bits of ratio
-	if p.Compressed {
-		v |= 1 << 23
-	}
-	return v
-}
-
-// UnpackPTE decodes a 24-bit PTE extension.
-func UnpackPTE(v uint32) PTE {
-	return PTE{
-		Compressed:      v&(1<<23) != 0,
-		Target:          TargetRatio(v >> 20 & 0x7),
-		BuddyPageOffset: v & 0xFFFFF,
 	}
 }

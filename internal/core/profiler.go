@@ -326,14 +326,9 @@ func bestAchievable(idx []*analysis.Index) float64 {
 	return r
 }
 
-// MeasureSnapshot reports, for a snapshot under given targets, the achieved
-// device ratio and the entry-weighted overflow fraction — used for the
-// over-time studies (Fig. 8) where targets stay fixed while data changes.
-func MeasureSnapshot(s *memory.Snapshot, c compress.Codec, targets map[string]TargetRatio) (ratio, buddyFrac float64) {
-	return MeasureIndex(analysis.Build(s, c), targets)
-}
-
-// MeasureIndex is MeasureSnapshot over a pre-built snapshot index.
+// MeasureIndex reports, for an indexed snapshot under given targets, the
+// achieved device ratio and the entry-weighted overflow fraction — used for
+// the over-time studies (Fig. 8) where targets stay fixed while data changes.
 func MeasureIndex(x *analysis.Index, targets map[string]TargetRatio) (ratio, buddyFrac float64) {
 	var orig, dev, over, entries float64
 	for _, a := range x.Allocs {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"buddy/internal/analysis"
 	"buddy/internal/compress"
 	"buddy/internal/gen"
 	"buddy/internal/memory"
@@ -169,7 +170,8 @@ func TestMeasureSnapshotFixedTargets(t *testing.T) {
 		g       gen.Generator
 	}{{"w", 1024, gen.Blend{A: gen.Zeros{}, B: gen.Random{}, PA: 0.5}}}
 	s := buildSnapshot(t, 0, parts)
-	ratio, buddy := MeasureSnapshot(s, compress.NewBPC(), map[string]TargetRatio{"w": Target2x})
+	x := analysis.Build(s, compress.NewBPC())
+	ratio, buddy := MeasureIndex(x, map[string]TargetRatio{"w": Target2x})
 	if ratio < 1.99 || ratio > 2.01 {
 		t.Errorf("fixed 2x target should report 2x device ratio, got %.2f", ratio)
 	}
@@ -177,7 +179,7 @@ func TestMeasureSnapshotFixedTargets(t *testing.T) {
 		t.Errorf("half-random data under 2x should overflow ~50%%, got %.2f", buddy)
 	}
 	// Unknown allocations default to 1x.
-	ratio2, buddy2 := MeasureSnapshot(s, compress.NewBPC(), nil)
+	ratio2, buddy2 := MeasureIndex(x, nil)
 	if ratio2 != 1 || buddy2 != 0 {
 		t.Errorf("default 1x should give ratio 1 and no overflow, got %.2f/%.2f", ratio2, buddy2)
 	}

@@ -73,8 +73,8 @@ func refMigrateEntry(a *Allocation, mig *migration, i int) (int64, error) {
 		if to != from {
 			to.traffic.migrationBytes.Add(uint64(landed))
 		}
-		refAccess(from.slab, false, gOld, devR)
-		refAccess(to.slab, true, gNew, devW)
+		refAccess(&from.slab, false, gOld, devR)
+		refAccess(&to.slab, true, gNew, devW)
 		if budR > 0 {
 			from.traffic.buddyReadBytes.Add(uint64(budR))
 			refAccess(from.overflow, false, gOld, budR)
@@ -107,7 +107,7 @@ func refExportEntry(a *Allocation, i int, dst []byte) (stream []byte, sectors in
 		stored := storedBytes(sectors)
 		devR, budR := prices[l.target][sectors].dev, prices[l.target][sectors].spill
 		d.traffic.migrationBytes.Add(uint64(stored))
-		refAccess(d.slab, false, g, devR)
+		refAccess(&d.slab, false, g, devR)
 		if budR > 0 {
 			d.traffic.buddyReadBytes.Add(uint64(budR))
 			refAccess(d.overflow, false, g, budR)
@@ -142,7 +142,7 @@ func refImportEntry(a *Allocation, i int, stream []byte, sectors int) error {
 	stored := storedBytes(sectors)
 	devW, budW := prices[l.target][sectors].dev, prices[l.target][sectors].spill
 	d.traffic.migrationBytes.Add(uint64(stored))
-	refAccess(d.slab, true, g, devW)
+	refAccess(&d.slab, true, g, devW)
 	if budW > 0 {
 		d.traffic.buddyWriteBytes.Add(uint64(budW))
 		refAccess(d.overflow, true, g, budW)
@@ -171,7 +171,7 @@ func refRebuild(a *Allocation, lo, hi int) (n, moved int64) {
 		dev := prices[l.target][sectors].dev
 		d.traffic.buddyReadBytes.Add(uint64(stored))
 		refAccess(d.overflow, false, g, stored)
-		refAccess(d.slab, true, g, dev)
+		refAccess(&d.slab, true, g, dev)
 		n++
 		moved += int64(stored)
 	}
@@ -196,9 +196,10 @@ type oracleTier struct {
 	// inline, entry by entry): the carve-out's accounting is sums, so spans
 	// racing each other must still match it on every counter and on link
 	// occupancy. The host tier cannot play — residency depends on the order
-	// pages are touched in — and neither can the metadata cache, whose LRU
-	// fills do: it is modeled off in both worlds. Only `-cpu` above 1 gives a
-	// device span workers to keep.
+	// pages are touched in. The metadata cache can, once it is large enough
+	// never to evict: both worlds get 4 MiB, so every line misses exactly
+	// once, on its first access, in whatever order the spans run. Only
+	// `-cpu` above 1 gives a device span workers to keep.
 	fanout bool
 }
 
@@ -215,8 +216,10 @@ func newRelocWorld(ref bool, tier oracleTier) *relocWorld {
 		if tier.host {
 			cfg.Overflow = NewHostBackend(4<<10, 64<<10)
 		}
+		if tier.fanout {
+			cfg.MetadataCacheBytes = 4 << 20
+		}
 		d := NewDevice(cfg)
-		d.SetMetadataCacheEnabled(!tier.fanout)
 		if ref || !tier.fanout {
 			_ = d.Close()
 		}
@@ -347,7 +350,7 @@ type relocState struct {
 	Traffic            [2]Traffic
 	Primary, Overflow  [2]BackendTraffic
 	LinkRead, LinkWrit [2]float64
-	MetaHits, MetaMiss [2]uint64      // metadata-cache lookups, summed over the device's slices
+	MetaHits, MetaMiss [2]uint64       // metadata-cache lookups, summed over the device's slices
 	Layouts            [][]layoutState // per allocation: committed, then next if a relayout is open
 	Moved              [][]uint64      // per allocation with a relayout open: which entries next holds
 	Meta               [][]uint8

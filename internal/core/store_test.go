@@ -602,8 +602,7 @@ func TestZeroReadNoDecode(t *testing.T) {
 			if err := a.ReadEntries(0, r.got); err != nil {
 				t.Fatal(err)
 			}
-			slab, overflow := d.Tiers()
-			r.traffic, r.slab, r.overflow = d.Traffic(), slab.Traffic(), overflow.Traffic()
+			r.traffic, r.slab, r.overflow = d.Traffic(), d.slab.Traffic(), d.overflow.Traffic()
 			return a, r
 		}
 		a, fast := read(codec)

@@ -108,7 +108,7 @@ func TestClockEqualsPricedLedger(t *testing.T) {
 				// experiments' old serviceCycles, and link occupancy the tier's
 				// bytes over the link's rate, to the last bit.
 				st := p.Stats().Shards[0]
-				_, tier := p.Device(0).Tiers()
+				tier := p.Device(0).Overflow()
 				rate := nvlink.New(nvlink.Config{BandwidthGBs: tc.linkGBs}).BytesPerCycle()
 				if tt := tier.Traffic(); st.ServiceCycles != serviceCycles(st) ||
 					st.LinkReadBusyCycles != float64(tt.ReadBytes)/rate || st.LinkWriteBusyCycles != float64(tt.WrittenBytes)/rate {

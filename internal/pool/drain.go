@@ -118,8 +118,7 @@ func (p *Pool) evacuate(h *Handle, from int) error {
 		if i == from || p.state[i].Load() != shardHealthy {
 			continue
 		}
-		primary, _ := d.Tiers()
-		cands = append(cands, cand{i, primary.Capacity() - d.DeviceUsed()})
+		cands = append(cands, cand{i, d.DeviceCapacity() - d.DeviceUsed()})
 	}
 	if len(cands) == 0 {
 		return fmt.Errorf("pool: evacuate %q off shard %d: no healthy destination", h.name, from)

@@ -214,12 +214,11 @@ func (p *Pool) Placement() Placement { return p.place }
 func (p *Pool) loads() []ShardLoad {
 	out := make([]ShardLoad, len(p.devices))
 	for i, d := range p.devices {
-		primary, _ := d.Tiers()
 		st := p.state[i].Load()
 		out[i] = ShardLoad{
 			Shard:          i,
 			DeviceUsed:     d.DeviceUsed(),
-			DeviceCapacity: primary.Capacity(),
+			DeviceCapacity: d.DeviceCapacity(),
 			BuddyUsed:      d.BuddyUsed(),
 			Allocs:         d.AllocationCount(),
 			Draining:       st == shardDraining,

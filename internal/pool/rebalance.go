@@ -125,9 +125,8 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 			inst = rb.score[i] / sumDelta
 		}
 		rb.share[i] += rebalanceEWMA * (inst - rb.share[i])
-		primary, _ := d.Tiers()
 		var s float64
-		if capacity := primary.Capacity(); capacity > 0 {
+		if capacity := d.DeviceCapacity(); capacity > 0 {
 			s = float64(d.DeviceUsed()) / float64(capacity)
 		}
 		rb.score[i] = s + rb.share[i]

@@ -110,12 +110,12 @@ func (p *Pool) Stats() Stats {
 	st := Stats{Shards: make([]ShardStats, len(p.devices))}
 	var weightedHits, weight float64
 	for i, d := range p.devices {
-		primary, overflow := d.Tiers()
+		overflow := d.Overflow()
 		s := ShardStats{
 			Shard:                i,
 			Allocs:               d.AllocationCount(),
 			DeviceUsed:           d.DeviceUsed(),
-			DeviceCapacity:       primary.Capacity(),
+			DeviceCapacity:       d.DeviceCapacity(),
 			BuddyUsed:            d.BuddyUsed(),
 			BuddyCapacity:        overflow.Capacity(),
 			Traffic:              d.Traffic(),

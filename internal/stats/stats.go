@@ -1,8 +1,8 @@
 // Package stats provides the small statistical helpers used throughout the
 // Buddy Compression reproduction: geometric means for compression-ratio
 // aggregation, Pearson correlation for the simulator-validation study
-// (Fig. 10), histograms for the profiler, and linear regression for the
-// speed-comparison fit lines.
+// (Fig. 10), percentiles, and quantiles of the serving layer's log-bucket
+// latency histograms.
 package stats
 
 import (
@@ -79,29 +79,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// LinReg fits y = a + b*x by least squares and returns (a, b).
-func LinReg(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: zero variance in x")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks. The input is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -125,71 +102,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac, nil
-}
-
-// Histogram counts values into fixed-width buckets over [min, max). Values
-// outside the range are clamped into the first or last bucket. It is used by
-// the profiler to histogram per-entry compressed sizes per allocation.
-type Histogram struct {
-	Min, Max float64
-	Counts   []uint64
-	total    uint64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if max <= min {
-		max = min + 1
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	idx := int((x - h.Min) / (h.Max - h.Min) * float64(n))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Fraction returns the share of observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// CumulativeFraction returns the share of observations in buckets [0, i].
-func (h *Histogram) CumulativeFraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var c uint64
-	for j := 0; j <= i && j < len(h.Counts); j++ {
-		c += h.Counts[j]
-	}
-	return float64(c) / float64(h.total)
-}
-
-// Ratio returns a/b, guarding against division by zero (returns 0).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // LogQuantile returns the q-quantile (0 <= q <= 1) of a sample summarized

@@ -54,16 +54,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestLinReg(t *testing.T) {
-	a, b, err := LinReg([]float64{0, 1, 2}, []float64{1, 3, 5})
-	if err != nil || !almostEq(a, 1, 1e-12) || !almostEq(b, 2, 1e-12) {
-		t.Errorf("fit y=1+2x: a=%f b=%f err=%v", a, b, err)
-	}
-	if _, _, err := LinReg([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Error("zero x-variance should error")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	for p, want := range map[float64]float64{0: 1, 50: 3, 100: 5, 25: 2} {
@@ -73,35 +63,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if _, err := Percentile(nil, 50); err == nil {
 		t.Error("empty percentile should error")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0.5, 3, 7, 11} {
-		h.Add(v)
-	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
-	}
-	// Bucket width 2: -1 clamps to 0, 0.5 -> 0, 3 -> 1, 7 -> 3, 11 clamps to 4.
-	want := []uint64{2, 1, 0, 1, 1}
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Errorf("bucket %d = %d, want %d", i, h.Counts[i], c)
-		}
-	}
-	if !almostEq(h.Fraction(0), 0.4, 1e-12) {
-		t.Errorf("fraction = %f", h.Fraction(0))
-	}
-	if !almostEq(h.CumulativeFraction(4), 1, 1e-12) {
-		t.Errorf("cumulative = %f", h.CumulativeFraction(4))
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(4, 2) != 2 || Ratio(1, 0) != 0 {
-		t.Error("Ratio broken")
 	}
 }
 

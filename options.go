@@ -204,7 +204,8 @@ func WithLink(link LinkConfig) Option {
 }
 
 // WithMetadataCache sizes the sliced, set-associative metadata cache
-// (default 64 KB total, 8 slices, 4 ways; §3.2, Fig. 5).
+// (default 64 KB total, 8 slices, 4 ways; §3.2, Fig. 5). The slice count
+// must be a power of two.
 func WithMetadataCache(totalBytes, slices, ways int) Option {
 	return func(cfg *config) {
 		cfg.core.MetadataCacheBytes = totalBytes

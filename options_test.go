@@ -2,6 +2,7 @@ package buddy
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -11,19 +12,17 @@ import (
 func TestNewDefaults(t *testing.T) {
 	// No options: the paper's final design — 12 GB device, 3x carve-out.
 	dev := New()
-	if got := dev.Carveout(); got != 3*(12<<30) {
+	if got := dev.Overflow().Capacity(); got != 3*(12<<30) {
 		t.Errorf("default carve-out = %d, want %d", got, int64(3*(12<<30)))
 	}
 	if dev.DeviceUsed() != 0 || dev.BuddyUsed() != 0 {
 		t.Error("fresh device reports usage")
 	}
-	primary, overflow := dev.Tiers()
-	if primary.Name() != "device-slab" || overflow.Name() != "buddy-carveout" {
-		t.Errorf("default tiers = %s/%s, want device-slab/buddy-carveout",
-			primary.Name(), overflow.Name())
+	if name := dev.Overflow().Name(); name != "buddy-carveout" {
+		t.Errorf("default overflow tier = %s, want buddy-carveout", name)
 	}
-	if primary.Capacity() != 12<<30 {
-		t.Errorf("default device capacity = %d, want 12 GiB", primary.Capacity())
+	if got := dev.DeviceCapacity(); got != 12<<30 {
+		t.Errorf("default device capacity = %d, want 12 GiB", got)
 	}
 }
 
@@ -34,12 +33,15 @@ func TestNewOptionsOverrideDefaults(t *testing.T) {
 		WithCodec(Codecs()[1]),
 		WithMetadataCache(8<<10, 2, 2),
 	)
-	primary, overflow := dev.Tiers()
-	if primary.Capacity() != 1<<20 {
-		t.Errorf("device capacity = %d, want 1 MiB", primary.Capacity())
+	if got := dev.DeviceCapacity(); got != 1<<20 {
+		t.Errorf("device capacity = %d, want 1 MiB", got)
 	}
-	if overflow.Capacity() != 2<<20 {
-		t.Errorf("carve-out capacity = %d, want 2 MiB", overflow.Capacity())
+	if got := dev.Overflow().Capacity(); got != 2<<20 {
+		t.Errorf("carve-out capacity = %d, want 2 MiB", got)
+	}
+	// A full slab refuses by its tier name.
+	if _, err := dev.Malloc("big", 4<<20, Target2x); !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), "device-slab") {
+		t.Errorf("oversized Malloc: %v, want ErrOutOfMemory naming device-slab", err)
 	}
 	// Unset knobs still default: allocation works end to end.
 	a, err := dev.Malloc("x", 64<<10, Target2x)
@@ -61,11 +63,11 @@ func TestNewOptionsOverrideDefaults(t *testing.T) {
 
 func TestWithHostFallback(t *testing.T) {
 	dev := New(WithDeviceBytes(1<<20), WithHostFallback(0, 64<<10))
-	_, overflow := dev.Tiers()
+	overflow := dev.Overflow()
 	if overflow.Name() != "host-um" {
 		t.Fatalf("overflow tier = %s, want host-um", overflow.Name())
 	}
-	if dev.Carveout() >= 0 {
+	if overflow.Capacity() >= 0 {
 		t.Error("host fallback should report unbounded capacity")
 	}
 	// Incompressible data under an aggressive target overflows to host
@@ -122,7 +124,7 @@ func TestNewPoolOptions(t *testing.T) {
 		t.Fatalf("4-shard pool: %d shards, %d total capacity", len(st.Shards), st.DeviceCapacity)
 	}
 	for i := 0; i < 4; i++ {
-		if got := p4.Device(i).Carveout(); got != 2<<20 {
+		if got := p4.Device(i).Overflow().Capacity(); got != 2<<20 {
 			t.Fatalf("shard %d carve-out = %d, want per-shard 2 MiB", i, got)
 		}
 	}
@@ -160,9 +162,7 @@ func TestNewPoolOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ph.Close()
-	_, o0 := ph.Device(0).Tiers()
-	_, o1 := ph.Device(1).Tiers()
-	if o0 == o1 {
+	if ph.Device(0).Overflow() == ph.Device(1).Overflow() {
 		t.Error("host-fallback tiers must not be shared between shards")
 	}
 	// WithOverflowBackend shares the one instance, by contract.
@@ -172,9 +172,7 @@ func TestNewPoolOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	_, s0 := ps.Device(0).Tiers()
-	_, s1 := ps.Device(1).Tiers()
-	if s0 != s1 || s0 != Backend(shared) {
+	if s0, s1 := ps.Device(0).Overflow(), ps.Device(1).Overflow(); s0 != s1 || s0 != Backend(shared) {
 		t.Error("WithOverflowBackend should install the shared instance on every shard")
 	}
 }
