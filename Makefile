@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-json bench-gate bench-baseline bench-smoke fuzz cover examples lines
+.PHONY: all build vet lint lint-fix test race bench bench-json bench-gate bench-baseline bench-smoke fuzz cover examples lines unreached
 
 all: lint build test
 
@@ -55,6 +55,30 @@ test:
 # line count a PR quotes in CHANGES.md is reproducible.
 lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | sort -n | tail -1
+
+# Reachability: the non-test func declarations under internal/ (lint
+# testdata aside) that no binary links. Every main — cmd/*, examples/* and
+# bench/ (built inside its own module) — is built with inlining off, so each
+# function a binary calls is its own text symbol; `go tool nm` lists them,
+# and a declaration whose symbol is missing from every binary prints as
+# file:line and symbol. What remains is public API reached only through the
+# buddy facade, test oracles and fixtures: review the listing after a PR
+# that adds an internal helper. Output, not a gate; CI prints it.
+unreached:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
+	  $(GO) build -gcflags=all=-l -o $$tmp/ ./cmd/... ./examples/...; \
+	  (cd bench && $(GO) build -gcflags=all=-l -o $$tmp/bench .); \
+	  for b in $$tmp/*; do $(GO) tool nm $$b; done \
+	    | awk '$$2 == "T" && $$3 ~ /^buddy\/internal\// { print $$3 }' > $$tmp/reached; \
+	  find internal -name '*.go' -not -name '*_test.go' -not -path 'internal/lint/testdata/*' | sort \
+	    | xargs awk '/^func / { \
+	        pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); s = $$0; sub(/^func /, "", s); recv = ""; \
+	        if (s ~ /^\(/) { recv = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+	          n = split(recv, w, " "); recv = w[n]; \
+	          recv = (recv ~ /^\*/) ? "(" recv ")." : recv "." } \
+	        if (s ~ /^init\(/) next; \
+	        sub(/[(\[].*/, "", s); print "buddy/" pkg "." recv s, FILENAME ":" FNR }' \
+	    | awk 'NR == FNR { reached[$$1]; next } !($$1 in reached) { print $$2 ": " $$1 }' $$tmp/reached -
 
 # Smoke-run every example binary at reduced scale (the sources are already
 # sized for seconds; serve additionally takes explicit small flags), plus

@@ -218,6 +218,10 @@ var ErrOutOfMemory = core.ErrOutOfMemory
 // device with Device.ApplyReprofile.
 type ReprofilePlan = core.ReprofilePlan
 
+// ReprofileHorizon is the access horizon a checkpoint amortizes a plan's
+// migration over: apply a plan when plan.Worthwhile(ReprofileHorizon).
+const ReprofileHorizon = core.ReprofileHorizon
+
 // ReprofileDecision is one allocation's proposed target change.
 type ReprofileDecision = core.ReprofileDecision
 
@@ -226,8 +230,8 @@ type MigrationStats = core.MigrationStats
 
 // PlanReprofile computes a checkpoint-time target update from fresh
 // profiling snapshots: current maps allocation names to the targets in
-// force (missing names default to 1x). Gate on Device.ReprofileWorthwhile
-// (or ReprofilePlan.Worthwhile) before applying.
+// force (missing names default to 1x). Gate on
+// plan.Worthwhile(ReprofileHorizon) before applying.
 func PlanReprofile(current map[string]TargetRatio, snaps []*Snapshot, c Codec, opt ProfileOptions) *ReprofilePlan {
 	return core.PlanReprofile(current, snaps, c, opt)
 }

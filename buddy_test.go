@@ -103,10 +103,7 @@ func TestLifecycleFacade(t *testing.T) {
 	prof := Profile([]*Snapshot{first}, NewBPC(), FinalDesign())
 	targets := prof.Targets()
 
-	dev := New(
-		WithDeviceBytes(2*int64(first.TotalBytes())),
-		WithReprofileHorizon(1<<30),
-	)
+	dev := New(WithDeviceBytes(2 * int64(first.TotalBytes())))
 	allocs, err := LoadSnapshot(dev, first, targets)
 	if err != nil {
 		t.Fatal(err)

@@ -26,10 +26,7 @@ func main() {
 	// Profile the first snapshot and load it under the chosen targets.
 	prof := buddy.Profile(snaps[:1], buddy.NewBPC(), buddy.FinalDesign())
 	targets := prof.Targets()
-	dev := buddy.New(
-		buddy.WithDeviceBytes(2*int64(snaps[0].TotalBytes())),
-		buddy.WithReprofileHorizon(1<<30),
-	)
+	dev := buddy.New(buddy.WithDeviceBytes(2 * int64(snaps[0].TotalBytes())))
 	allocs, err := buddy.LoadSnapshot(dev, snaps[0], targets)
 	if err != nil {
 		log.Fatal(err)
@@ -40,7 +37,7 @@ func main() {
 	// The serving loop: the wavefields fill in over time, so the mostly-zero
 	// targets chosen at startup overflow more and more accesses to buddy
 	// memory. Each checkpoint measures, plans, and migrates only when the
-	// plan amortizes within the configured horizon.
+	// plan amortizes within the horizon.
 	for t := 1; t < len(snaps); t++ {
 		for _, a := range allocs {
 			if src := snaps[t].Find(a.Name); src != nil {
@@ -52,7 +49,7 @@ func main() {
 		// Re-plan from the device's own target map: it is the ground truth
 		// even when an earlier plan was only partially applied.
 		plan := buddy.PlanReprofile(dev.Targets(), snaps[t:t+1], buddy.NewBPC(), buddy.FinalDesign())
-		if len(plan.Decisions) == 0 || !dev.ReprofileWorthwhile(plan) {
+		if len(plan.Decisions) == 0 || !plan.Worthwhile(buddy.ReprofileHorizon) {
 			fmt.Printf("checkpoint %d: targets still good (predicted buddy %.1f%%)\n",
 				t, plan.BuddyFracBefore*100)
 			continue

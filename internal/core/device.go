@@ -48,11 +48,6 @@ type Config struct {
 	MetadataCacheSlices int
 	// MetadataCacheWays is the associativity (§3.2: 4).
 	MetadataCacheWays int
-	// ReprofileHorizon is the access horizon the device uses when judging
-	// whether a checkpoint-time ReprofilePlan pays for itself (§3.4
-	// extension): the migration cost must be repaid by the buddy-access
-	// reduction within this many memory accesses.
-	ReprofileHorizon int64
 }
 
 // DefaultConfig returns the paper's final design parameters (§3.5) with a
@@ -66,7 +61,6 @@ func DefaultConfig() Config {
 		MetadataCacheBytes:  64 << 10,
 		MetadataCacheSlices: 8,
 		MetadataCacheWays:   4,
-		ReprofileHorizon:    1 << 30,
 	}
 }
 
@@ -205,9 +199,6 @@ func NewDevice(cfg Config) *Device {
 	}
 	if cfg.MetadataCacheWays == 0 {
 		cfg.MetadataCacheWays = def.MetadataCacheWays
-	}
-	if cfg.ReprofileHorizon == 0 {
-		cfg.ReprofileHorizon = def.ReprofileHorizon
 	}
 	overflow := cfg.Overflow
 	if overflow == nil {

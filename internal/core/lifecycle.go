@@ -195,7 +195,7 @@ func storedBytes(sectors int) int {
 // errStale marks a control-plane request the allocation outran between the
 // caller's look and ctl: it left the device the request came through, or its
 // target is no longer the one a reprofile decision was planned against.
-// ApplyReprofile maps it to a skip.
+// Reprofile maps it to a decision not applied.
 var errStale = errors.New("core: the allocation changed since it was looked up")
 
 // Retarget re-lays a live allocation out under a new target compression
@@ -337,8 +337,9 @@ func (a *Allocation) commitRelayout(m *migration) {
 // MigrationStats reports what ApplyReprofile actually did.
 type MigrationStats struct {
 	// Applied counts decisions executed; Skipped counts decisions whose
-	// allocation was gone or whose current target no longer matched the
-	// plan's Old (e.g. freed or retargeted since the plan was computed).
+	// allocation was gone, had left the device, or whose current target no
+	// longer matched the plan's Old (e.g. freed, moved or retargeted since
+	// the plan was computed).
 	Applied, Skipped int
 	// MigratedBytes is the stored compressed bytes re-packed between
 	// layouts — the actual counterpart of ReprofilePlan.TotalMigrationBytes.
@@ -346,10 +347,9 @@ type MigrationStats struct {
 }
 
 // ApplyReprofile executes a checkpoint-time ReprofilePlan on the live
-// device: each decision's allocation is migrated from its Old target to its
-// New one with Retarget, concurrently with reader/writer traffic.
-// Decisions that no longer match the device (allocation freed, moved to
-// another device, or its target already changed) are skipped, so a stale
+// device: each decision goes to the newest live allocation of its name (the
+// one Targets reports) through Reprofile, concurrently with reader/writer
+// traffic. Decisions that no longer match the device are skipped, so a stale
 // plan degrades to a partial application rather than corrupting accounting.
 // On error the already-applied decisions remain in force.
 func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
@@ -363,16 +363,13 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 			st.Skipped++
 			continue
 		}
-		// The stale check happens inside retarget, under ctl: a Free, MoveTo
-		// or Retarget racing in after the lookup turns into a skip, never a
-		// misdirected migration.
-		moved, err := d.retarget(a, dec.New, &dec.Old)
-		if errors.Is(err, ErrFreed) || errors.Is(err, errStale) {
-			st.Skipped++
-			continue
-		}
+		moved, applied, err := d.Reprofile(a, dec)
 		if err != nil {
 			return st, fmt.Errorf("core: reprofile %s %s->%s: %w", dec.Name, dec.Old, dec.New, err)
+		}
+		if !applied {
+			st.Skipped++
+			continue
 		}
 		st.Applied++
 		st.MigratedBytes += moved
@@ -380,13 +377,26 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 	return st, nil
 }
 
-// allocByName returns the first listed allocation with the given name, nil
+// Reprofile applies one reprofile decision to a: a Retarget to dec.New that
+// runs only if a still lives on d at dec.Old. The check happens under ctl,
+// so a Free, MoveTo or Retarget racing in after the caller's lookup turns
+// into applied == false, never a misdirected migration. It returns the
+// stored bytes re-packed.
+func (d *Device) Reprofile(a *Allocation, dec ReprofileDecision) (moved int64, applied bool, err error) {
+	moved, err = d.retarget(a, dec.New, &dec.Old)
+	if errors.Is(err, ErrFreed) || errors.Is(err, errStale) {
+		return 0, false, nil
+	}
+	return moved, err == nil, err
+}
+
+// allocByName returns the newest listed allocation with the given name, nil
 // if none.
 func (d *Device) allocByName(name string) *Allocation {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, a := range d.allocs {
-		if a.Name == name {
+	for i := len(d.allocs) - 1; i >= 0; i-- {
+		if a := d.allocs[i]; a.Name == name {
 			return a
 		}
 	}
@@ -394,9 +404,11 @@ func (d *Device) allocByName(name string) *Allocation {
 }
 
 // Targets returns the name -> target map of the live allocations — the
-// ground-truth "current" input for the next PlanReprofile. Read it from the
-// device after ApplyReprofile rather than mirroring decisions by hand: a
-// skipped decision never applied, so a hand-maintained map would drift.
+// ground-truth "current" input for the next PlanReprofile; a duplicated
+// name reports its newest allocation, the one ApplyReprofile resolves. Read
+// it from the device after ApplyReprofile rather than mirroring decisions by
+// hand: a skipped decision never applied, so a hand-maintained map would
+// drift.
 func (d *Device) Targets() map[string]TargetRatio {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -405,15 +417,4 @@ func (d *Device) Targets() map[string]TargetRatio {
 		m[a.Name] = a.Target()
 	}
 	return m
-}
-
-// ReprofileHorizon returns the access horizon the device amortizes
-// migrations over (the WithReprofileHorizon option).
-func (d *Device) ReprofileHorizon() int64 { return d.cfg.ReprofileHorizon }
-
-// ReprofileWorthwhile reports whether applying the plan pays for itself
-// within the device's configured horizon — the go/no-go a long-running
-// serving loop asks at every checkpoint before calling ApplyReprofile.
-func (d *Device) ReprofileWorthwhile(plan *ReprofilePlan) bool {
-	return plan != nil && plan.Worthwhile(d.cfg.ReprofileHorizon)
 }

@@ -370,10 +370,10 @@ func TestApplyReprofileFromPlan(t *testing.T) {
 		t.Fatalf("plan predicts no buddy-access win: %.3f -> %.3f",
 			plan.BuddyFracBefore, plan.BuddyFracAfter)
 	}
-	if !d.ReprofileWorthwhile(plan) {
+	if !plan.Worthwhile(ReprofileHorizon) {
 		t.Fatal("plan should amortize within the default horizon")
 	}
-	if tiny := NewDevice(Config{DeviceBytes: 1 << 20, ReprofileHorizon: 1}); tiny.ReprofileWorthwhile(plan) {
+	if plan.Worthwhile(1) {
 		t.Error("a 1-access horizon can never repay a migration")
 	}
 

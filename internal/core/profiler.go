@@ -17,27 +17,30 @@ type ProfileOptions struct {
 	// PerAllocation selects per-allocation targets; false reproduces the
 	// naive whole-program conservative target (Fig. 7 "Naive").
 	PerAllocation bool
-	// ZeroPage enables the aggressive 16x mostly-zero target (§3.4).
+	// ZeroPage enables the aggressive 16x mostly-zero target (§3.4) for
+	// allocations at least zeroPageMinFrac zero in every snapshot. The
+	// whole-program ratio is always capped at maxAggregate.
 	ZeroPage bool
-	// ZeroPageMinFrac is the minimum fraction of zero-page-class entries,
+}
+
+const (
+	// zeroPageMinFrac is the minimum fraction of zero-page-class entries,
 	// in every snapshot, for 16x eligibility ("allocations that are mostly
 	// zero, and remain so for the entirety of the run").
-	ZeroPageMinFrac float64
-	// MaxAggregate caps the whole-device compression ratio, limited by the
+	zeroPageMinFrac = 0.90
+	// maxAggregate caps the whole-device compression ratio, limited by the
 	// buddy carve-out (§3.4: "still under 4x").
-	MaxAggregate float64
-}
+	maxAggregate = 4.0
+)
 
 // FinalDesign returns the paper's final configuration: per-allocation
 // targets, 30% Buddy Threshold, zero-page optimization, 4x carve-out cap
 // (§3.5).
 func FinalDesign() ProfileOptions {
 	return ProfileOptions{
-		Threshold:       0.30,
-		PerAllocation:   true,
-		ZeroPage:        true,
-		ZeroPageMinFrac: 0.90,
-		MaxAggregate:    4.0,
+		Threshold:     0.30,
+		PerAllocation: true,
+		ZeroPage:      true,
 	}
 }
 
@@ -121,12 +124,6 @@ func ProfileIndexes(idx []*analysis.Index, opt ProfileOptions) *ProfileResult {
 	if opt.Threshold <= 0 {
 		opt.Threshold = 0.30
 	}
-	if opt.MaxAggregate <= 0 {
-		opt.MaxAggregate = 4.0
-	}
-	if opt.ZeroPageMinFrac <= 0 {
-		opt.ZeroPageMinFrac = 0.90
-	}
 	profiles := collectProfiles(idx)
 	if opt.PerAllocation {
 		for _, p := range profiles {
@@ -144,7 +141,7 @@ func ProfileIndexes(idx []*analysis.Index, opt ProfileOptions) *ProfileResult {
 			p.Target = t
 		}
 	}
-	enforceCarveoutCap(profiles, opt.MaxAggregate)
+	enforceCarveoutCap(profiles)
 	for _, p := range profiles {
 		p.OverflowFrac = overflowFrac(p, p.Target)
 	}
@@ -204,7 +201,7 @@ func overflowFrac(p *AllocationProfile, t TargetRatio) float64 {
 // the Buddy Threshold; 16x additionally requires the allocation to be
 // mostly-zero in every snapshot.
 func chooseTarget(p *AllocationProfile, opt ProfileOptions) TargetRatio {
-	if opt.ZeroPage && p.MinZeroFrac >= opt.ZeroPageMinFrac &&
+	if opt.ZeroPage && p.MinZeroFrac >= zeroPageMinFrac &&
 		overflowFrac(p, Target16x) <= opt.Threshold {
 		return Target16x
 	}
@@ -246,16 +243,11 @@ func naiveTarget(idx []*analysis.Index) TargetRatio {
 }
 
 // enforceCarveoutCap demotes the most aggressive targets until the aggregate
-// device compression ratio is within maxAgg (§3.4: the profiler keeps the
-// overall ratio under 4x, limited by the carve-out region).
-func enforceCarveoutCap(profiles []*AllocationProfile, maxAgg float64) {
+// device compression ratio is within maxAggregate (§3.4: the profiler keeps
+// the overall ratio under 4x, limited by the carve-out region).
+func enforceCarveoutCap(profiles []*AllocationProfile) {
 	for {
-		var orig, dev float64
-		for _, p := range profiles {
-			orig += float64(p.Entries) * 128
-			dev += float64(p.Entries) * float64(p.Target.DeviceBytes())
-		}
-		if dev == 0 || orig/dev <= maxAgg {
+		if ratio, _ := programRatios(profiles, chosen); ratio <= maxAggregate {
 			return
 		}
 		// Demote the largest-footprint allocation at the highest ratio.
@@ -278,22 +270,33 @@ func enforceCarveoutCap(profiles []*AllocationProfile, maxAgg float64) {
 	}
 }
 
-func summarize(profiles []*AllocationProfile, idx []*analysis.Index) *ProfileResult {
-	res := &ProfileResult{Allocations: profiles}
-	var orig, dev, overflowWeighted, entriesTotal float64
+// programRatios sums profiles in order, each under target(p), into the
+// whole-program device compression ratio and the entry-weighted expected
+// buddy-access fraction; each is 0 when its denominator is.
+func programRatios(profiles []*AllocationProfile, target func(*AllocationProfile) TargetRatio) (ratio, buddyFrac float64) {
+	var orig, dev, over, entries float64
 	for _, p := range profiles {
-		orig += float64(p.Entries) * 128
-		dev += float64(p.Entries) * float64(p.Target.DeviceBytes())
-		overflowWeighted += overflowFrac(p, p.Target) * float64(p.Entries)
-		entriesTotal += float64(p.Entries)
+		t, n := target(p), float64(p.Entries)
+		orig += n * 128
+		dev += n * float64(t.DeviceBytes())
+		over += overflowFrac(p, t) * n
+		entries += n
 	}
 	if dev > 0 {
-		res.CompressionRatio = orig / dev
+		ratio = orig / dev
 	}
-	if entriesTotal > 0 {
-		res.BuddyAccessFraction = overflowWeighted / entriesTotal
+	if entries > 0 {
+		buddyFrac = over / entries
 	}
-	res.BestAchievable = bestAchievable(idx)
+	return ratio, buddyFrac
+}
+
+// chosen is the profiled target of p.
+func chosen(p *AllocationProfile) TargetRatio { return p.Target }
+
+func summarize(profiles []*AllocationProfile, idx []*analysis.Index) *ProfileResult {
+	res := &ProfileResult{Allocations: profiles, BestAchievable: bestAchievable(idx)}
+	res.CompressionRatio, res.BuddyAccessFraction = programRatios(profiles, chosen)
 	return res
 }
 
@@ -317,13 +320,9 @@ func bestAchievable(idx []*analysis.Index) float64 {
 		}
 	}
 	if comp == 0 {
-		return 4
+		return maxAggregate
 	}
-	r := orig / comp
-	if r > 4 {
-		r = 4
-	}
-	return r
+	return min(orig/comp, maxAggregate)
 }
 
 // MeasureIndex reports, for an indexed snapshot under given targets, the

@@ -50,6 +50,11 @@ type ReprofilePlan struct {
 	BuddyFracBefore, BuddyFracAfter float64
 }
 
+// ReprofileHorizon is the access horizon a checkpoint amortizes a plan's
+// migration over: plan.Worthwhile(ReprofileHorizon) is the go/no-go a
+// long-running serving loop asks before calling ApplyReprofile.
+const ReprofileHorizon = 1 << 30
+
 // Worthwhile reports whether applying the plan is justified under a simple
 // amortization rule: the migration cost (bytes moved) must be repaid by the
 // buddy-access reduction within horizonAccesses memory accesses, each saved
@@ -69,30 +74,22 @@ func PlanReprofile(current map[string]TargetRatio, snaps []*memory.Snapshot,
 	return PlanReprofileIndexes(current, analysis.BuildRun(snaps, c), opt)
 }
 
-// PlanReprofileIndexes is PlanReprofile over pre-built snapshot indexes.
+// PlanReprofileIndexes is PlanReprofile over pre-built snapshot indexes. The
+// after numbers are the fresh result's own; the before numbers are the same
+// sums over the same profiles under the targets in force.
 func PlanReprofileIndexes(current map[string]TargetRatio, idx []*analysis.Index,
 	opt ProfileOptions) *ReprofilePlan {
 	res := ProfileIndexes(idx, opt)
-	plan := &ReprofilePlan{Result: res}
-
-	var entriesTotal float64
-	var devBefore, devAfter, orig float64
-	var overBefore, overAfter float64
-	for _, p := range res.Allocations {
-		old, ok := current[p.Name]
-		if !ok {
-			old = Target1x
+	inForce := func(p *AllocationProfile) TargetRatio {
+		if t, ok := current[p.Name]; ok {
+			return t
 		}
-		entries := float64(p.Entries)
-		entriesTotal += entries
-		orig += entries * 128
-		devBefore += entries * float64(old.DeviceBytes())
-		devAfter += entries * float64(p.Target.DeviceBytes())
-		oldOver := overflowFrac(p, old)
-		newOver := overflowFrac(p, p.Target)
-		overBefore += oldOver * entries
-		overAfter += newOver * entries
-
+		return Target1x
+	}
+	plan := &ReprofilePlan{Result: res, RatioAfter: res.CompressionRatio, BuddyFracAfter: res.BuddyAccessFraction}
+	plan.RatioBefore, plan.BuddyFracBefore = programRatios(res.Allocations, inForce)
+	for _, p := range res.Allocations {
+		old := inForce(p)
 		if p.Target == old {
 			continue
 		}
@@ -110,25 +107,16 @@ func PlanReprofileIndexes(current map[string]TargetRatio, idx []*analysis.Index,
 		if obs > 0 {
 			perEntry = stored / obs
 		}
+		entries := float64(p.Entries)
 		plan.Decisions = append(plan.Decisions, ReprofileDecision{
 			Name:            p.Name,
 			Old:             old,
 			New:             p.Target,
 			MigrationBytes:  int64(perEntry * entries),
-			OldOverflowFrac: oldOver,
-			NewOverflowFrac: newOver,
+			OldOverflowFrac: overflowFrac(p, old),
+			NewOverflowFrac: p.OverflowFrac,
 		})
 		plan.TotalMigrationBytes += int64(perEntry * entries)
-	}
-	if devBefore > 0 {
-		plan.RatioBefore = orig / devBefore
-	}
-	if devAfter > 0 {
-		plan.RatioAfter = orig / devAfter
-	}
-	if entriesTotal > 0 {
-		plan.BuddyFracBefore = overBefore / entriesTotal
-		plan.BuddyFracAfter = overAfter / entriesTotal
 	}
 	return plan
 }

@@ -61,6 +61,13 @@ func TestPlanReprofileDetectsDrift(t *testing.T) {
 	if plan.BuddyFracAfter > 0.02 {
 		t.Errorf("program-wide updated overflow = %.2f, want ~0", plan.BuddyFracAfter)
 	}
+	// The after numbers are the fresh profile's own, not a second sum.
+	if plan.RatioAfter != plan.Result.CompressionRatio {
+		t.Errorf("RatioAfter %v != Result.CompressionRatio %v", plan.RatioAfter, plan.Result.CompressionRatio)
+	}
+	if plan.BuddyFracAfter != plan.Result.BuddyAccessFraction {
+		t.Errorf("BuddyFracAfter %v != Result.BuddyAccessFraction %v", plan.BuddyFracAfter, plan.Result.BuddyAccessFraction)
+	}
 	// A long-running application amortizes the migration easily; a short
 	// horizon does not (§3.4: "unless the applications are very long
 	// running and the overheads are amortized").

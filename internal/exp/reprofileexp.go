@@ -84,7 +84,7 @@ func Reprofile(scale int) (*ReprofileResult, error) {
 		allocs[ma.Name] = a
 	}
 
-	res := &ReprofileResult{Benchmark: b.Name, Horizon: d.ReprofileHorizon()}
+	res := &ReprofileResult{Benchmark: b.Name, Horizon: core.ReprofileHorizon}
 	for t := 1; t < workloads.Snapshots; t++ {
 		s := workloads.GenerateSnapshot(b, t, scale)
 		for _, ma := range s.Allocations {
@@ -101,7 +101,7 @@ func Reprofile(scale int) (*ReprofileResult, error) {
 			return nil, err
 		}
 		plan := core.PlanReprofileIndexes(d.Targets(), []*analysis.Index{snapshotIndex(b, t, scale, bpc)}, core.FinalDesign())
-		if len(plan.Decisions) > 0 && d.ReprofileWorthwhile(plan) {
+		if len(plan.Decisions) > 0 && plan.Worthwhile(core.ReprofileHorizon) {
 			st, err := d.ApplyReprofile(plan)
 			if err != nil {
 				return nil, err

@@ -412,6 +412,67 @@ func TestApplyReprofileDuplicateName(t *testing.T) {
 	}
 }
 
+// TestApplyReprofileNameRuleDeviceAndPool pins one name rule for both
+// appliers: a name held twice resolves to the newer allocation — the one
+// each applier's own Targets() reports — so a plan built from Targets()
+// retargets that allocation and leaves the older one at its target.
+func TestApplyReprofileNameRuleDeviceAndPool(t *testing.T) {
+	type alloc interface{ Target() core.TargetRatio }
+	type applier struct {
+		malloc  func(core.TargetRatio) (alloc, error)
+		targets func() map[string]core.TargetRatio
+		apply   func(*core.ReprofilePlan) (core.MigrationStats, error)
+	}
+	cases := []struct {
+		name string
+		open func(t *testing.T) applier
+	}{
+		{"device", func(t *testing.T) applier {
+			d := core.NewDevice(core.Config{DeviceBytes: 64 << 10})
+			return applier{
+				func(tr core.TargetRatio) (alloc, error) { return d.Malloc("x", 4<<10, tr) },
+				d.Targets, d.ApplyReprofile,
+			}
+		}},
+		{"pool-1-shard", func(t *testing.T) applier {
+			p := newTestPool(t, 1, nil)
+			return applier{
+				func(tr core.TargetRatio) (alloc, error) { return p.Malloc("x", 4<<10, tr) },
+				p.Targets, p.ApplyReprofile,
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ap := c.open(t)
+			older, err := ap.malloc(core.Target1x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newer, err := ap.malloc(core.Target2x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := ap.targets()["x"]
+			if old != core.Target2x {
+				t.Fatalf("Targets() resolved x to %s, want the newer allocation's 2x", old)
+			}
+			st, err := ap.apply(&core.ReprofilePlan{Decisions: []core.ReprofileDecision{
+				{Name: "x", Old: old, New: core.Target4x},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Applied != 1 || st.Skipped != 0 {
+				t.Fatalf("stats = %+v, want the newer allocation's decision applied", st)
+			}
+			if older.Target() != core.Target1x || newer.Target() != core.Target4x {
+				t.Fatalf("targets after: older %s, newer %s; want 1x / 4x", older.Target(), newer.Target())
+			}
+		})
+	}
+}
+
 // TestConcurrentServeStress is the -race proof for the serving layer:
 // concurrent clients mix synchronous and asynchronous I/O and lifecycle
 // churn across shards, through a fill deep enough to trigger spill-over.

@@ -210,12 +210,11 @@ func (p *Pool) Targets() map[string]core.TargetRatio {
 }
 
 // ApplyReprofile executes a checkpoint-time plan across the fleet: each
-// decision is applied to the live handle of that name (byName), through the
-// device its allocation is on, and the owning tenant's quota follows the new
-// target on the spot. Decisions naming no live allocation, or one whose
-// target is no longer the decision's Old, are skipped, like stale decisions
-// on a single device. On error the already-applied decisions remain in
-// force.
+// decision is applied to the live handle of that name (byName) by its
+// device's Reprofile step, and the owning tenant's quota follows the new
+// target on the spot. Decisions that step does not apply, or that name no
+// live allocation, are skipped, exactly as on a single device. On error the
+// already-applied decisions remain in force.
 func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, error) {
 	var st core.MigrationStats
 	if plan == nil || len(plan.Decisions) == 0 {
@@ -242,19 +241,17 @@ func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, er
 	return st, nil
 }
 
-// retarget applies one reprofile decision to the handle. Under ctl neither a
-// MigrateHandle nor a Close can interleave: the allocation stays on the
-// device the Retarget goes through, the target checked is the one retargeted,
-// and the quota — accounted in exactly the stored bytes a target reserves —
-// is adjusted by the delta the moment the new target is in force, so tenant
-// StoredBytes never disagrees with the handles it sums.
+// retarget applies one reprofile decision to the handle through core's
+// Reprofile step, which makes the freed and stale-target checks. Under ctl
+// neither a MigrateHandle nor a Close can interleave, so the allocation
+// stays on the device the step goes through, and the quota — accounted in
+// exactly the stored bytes a target reserves — is adjusted by the delta the
+// moment the new target is in force, so tenant StoredBytes never disagrees
+// with the handles it sums.
 func (h *Handle) retarget(dec core.ReprofileDecision) (moved int64, applied bool, err error) {
 	h.ctl.Lock()
 	defer h.ctl.Unlock()
-	if h.a.Freed() || h.a.Target() != dec.Old {
-		return 0, false, nil
-	}
-	if moved, err = h.a.Device().Retarget(h.a, dec.New); err != nil {
+	if moved, applied, err = h.a.Device().Reprofile(h.a, dec); !applied {
 		return 0, false, err
 	}
 	q := quotaFor(h.size, dec.New)

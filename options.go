@@ -214,15 +214,6 @@ func WithMetadataCache(totalBytes, slices, ways int) Option {
 	}
 }
 
-// WithReprofileHorizon sets the access horizon (in memory accesses) the
-// device amortizes checkpoint-time migrations over: ApplyReprofile callers
-// gate on Device.ReprofileWorthwhile, which asks whether the plan's
-// migration cost is repaid by its buddy-access reduction within this many
-// accesses (ReprofilePlan.Worthwhile, §3.4 extension). Default 2^30.
-func WithReprofileHorizon(accesses int64) Option {
-	return func(cfg *config) { cfg.core.ReprofileHorizon = accesses }
-}
-
 // WithOverflowBackend replaces the overflow storage tier entirely. The
 // default is the paper's NVLink buddy carve-out of
 // DeviceBytes*CarveoutFactor; any Backend implementation (peer GPU,
