@@ -23,6 +23,9 @@ vet:
 # buddylint itself rejects reason-less or stale directives, so there is
 # no blanket escape hatch; `make lint-fix` prints the recipe.
 #
+# The gofmt step is read-only: it lists the tracked Go files gofmt would
+# rewrite and fails if there are any.
+#
 # The last step keeps modeled time in one place: bytes become cycles in
 # internal/core/cost.go alone, so of the serving stack's non-test files only it
 # may name the Tab. 2 rates (and internal/exp/perfexp.go, which prints and
@@ -30,6 +33,8 @@ vet:
 ONE_COST_HOME = internal/core/cost.go internal/exp/perfexp.go
 lint: vet
 	$(GO) run ./cmd/buddylint ./...
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+	  [ -z "$$unformatted" ] || { echo "lint: gofmt -l lists [$$(echo $$unformatted)]"; exit 1; }
 	@got=$$(find internal/core internal/pool internal/exp -name '*.go' -not -name '*_test.go' \
 	    | xargs grep -lE 'CoreClockGHz|BandwidthGBs' | sort | xargs); \
 	  [ "$$got" = "$(ONE_COST_HOME)" ] \

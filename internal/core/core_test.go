@@ -7,7 +7,52 @@ import (
 
 	"buddy/internal/compress"
 	"buddy/internal/gen"
+	"buddy/internal/nvlink"
 )
+
+// TestDefaultDesign pins what the zero Config builds: the paper's final
+// design (§3.5) with a 12 GB device — BPC, a 36 GB buddy carve-out behind
+// NVLink2, and a 64 KB metadata cache in eight 4-way slices — and that the
+// default tier prices modeled time exactly as the same carve-out passed in
+// explicitly does.
+func TestDefaultDesign(t *testing.T) {
+	d := NewDevice(Config{})
+	defer d.Close()
+	if got, want := d.codec.Name(), compress.NewBPC().Name(); got != want {
+		t.Errorf("default codec = %s, want %s", got, want)
+	}
+	if got := d.DeviceCapacity(); got != 12<<30 {
+		t.Errorf("device slab = %d, want 12 GiB", got)
+	}
+	if o := d.Overflow(); o.Name() != "buddy-carveout" || o.Capacity() != 36<<30 {
+		t.Errorf("overflow tier = %s of %d bytes, want a 36 GiB buddy-carveout", o.Name(), o.Capacity())
+	}
+	if want := nvlink.New(nvlink.DefaultConfig()).BytesPerCycle(); d.linkBytesPerCycle != want {
+		t.Errorf("link rate = %v B/cycle, want NVLink2's %v", d.linkBytesPerCycle, want)
+	}
+	if n := len(d.mcache.slices); n != 8 {
+		t.Errorf("metadata cache has %d slices, want 8", n)
+	}
+	ref := NewMetadataCache(64<<10, 8, 4)
+	r := gen.NewRNG(1, 32)
+	for i := 0; i < 1<<16; i++ {
+		// Four times the entries the cache's lines cover: hits and evictions.
+		e := r.Intn(4 * (64 << 10) * 8 / MetadataBitsPerEntry)
+		if got, want := d.mcache.Access(e), ref.Access(e); got != want {
+			t.Fatalf("access %d (entry %d): hit %v, a 64 KB 8x4-way cache says %v", i, e, got, want)
+		}
+	}
+	if got, want := d.MetadataCacheHitRate(), ref.HitRate(); got != want || got == 0 || got == 1 {
+		t.Errorf("hit rate %v, reference %v: want equal and strictly between 0 and 1", got, want)
+	}
+	explicit := NewDevice(Config{Overflow: NewCarveoutBackend(3*d.DeviceCapacity(), nvlink.DefaultConfig())})
+	defer explicit.Close()
+	for _, c := range []Cost{{1 << 20, 0, 0}, {0, 3 << 10, 1 << 10}, {4096, 96, 4 << 10}} {
+		if got, want := d.Cycles(c), explicit.Cycles(c); got != want {
+			t.Errorf("Cycles(%+v) = %v, the explicit carve-out prices %v", c, got, want)
+		}
+	}
+}
 
 func TestTargetRatioTable(t *testing.T) {
 	cases := []struct {

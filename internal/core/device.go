@@ -21,48 +21,42 @@ const EntryBytes = compress.EntryBytes
 // callers) size their buffers to.
 const MaxStreamBytes = compress.MaxStreamBytes
 
-// Config parameterizes a Buddy Compression device.
+// Config parameterizes a Buddy Compression device. Zero fields select the
+// paper's final design (§3.5) with a 12 GB device (Titan Xp class, as in the
+// DL case study). The geometry §3.2 and §3.5 fix — the default carve-out's
+// size factor and link, the metadata cache's size, slices and ways — is
+// constant; a carve-out of another size or link replaces the default one as
+// Overflow.
 type Config struct {
 	// Codec is the memory compression algorithm (default BPC, §2.4). It
 	// must be safe for concurrent use: the bulk data path fans it out
 	// across a worker pool.
 	Codec compress.Codec
 	// DeviceBytes is the GPU device memory capacity available for
-	// compressed allocations.
+	// compressed allocations (default 12 GB).
 	DeviceBytes int64
-	// CarveoutFactor sizes the buddy carve-out relative to device memory;
-	// 3x supports a 4x maximum target ratio (§3.2).
-	CarveoutFactor int
 	// Overflow is the storage tier for sectors that spill past the target
-	// ratio. Nil selects the paper's design: an NVLink buddy carve-out of
-	// DeviceBytes*CarveoutFactor.
+	// ratio. Nil selects the paper's design: a buddy carve-out of
+	// carveoutFactor x DeviceBytes behind NVLink2. Any other carve-out is
+	// NewCarveoutBackend(capacity, link).
 	Overflow Backend
-	// Link configures the interconnect of the default carve-out tier; zero
-	// rate fields select NVLink2's (150 GB/s full-duplex, nvlink.New).
-	// Ignored when Overflow is set.
-	Link nvlink.Config
-	// MetadataCacheBytes is the total metadata cache capacity (§3.5:
-	// 4 KB per DRAM-channel slice).
-	MetadataCacheBytes int
-	// MetadataCacheSlices is the number of slices, a power of two (§3.2: 8).
-	MetadataCacheSlices int
-	// MetadataCacheWays is the associativity (§3.2: 4).
-	MetadataCacheWays int
 }
 
-// DefaultConfig returns the paper's final design parameters (§3.5) with a
-// 12 GB device (Titan Xp class, as in the DL case study).
-func DefaultConfig() Config {
-	return Config{
-		Codec:               compress.NewBPC(),
-		DeviceBytes:         12 << 30,
-		CarveoutFactor:      3,
-		Link:                nvlink.DefaultConfig(),
-		MetadataCacheBytes:  64 << 10,
-		MetadataCacheSlices: 8,
-		MetadataCacheWays:   4,
-	}
-}
+// The device geometry the paper fixes.
+const (
+	// carveoutFactor sizes the default buddy carve-out relative to device
+	// memory: 3x supports a 4x maximum target ratio (§3.2).
+	carveoutFactor = 3
+	// metadataCacheBytes, metadataCacheSlices and metadataCacheWays shape
+	// the metadata cache: 64 KB in eight 4-way set-associative slices (§3.2;
+	// §3.5: 4 KB per DRAM-channel slice).
+	metadataCacheBytes  = 64 << 10
+	metadataCacheSlices = 8
+	metadataCacheWays   = 4
+	// gbbr is the global buddy base register: the modeled address the
+	// carve-out starts at (arbitrary).
+	gbbr = 0x4000_0000_0000
+)
 
 // Traffic holds a snapshot of a Device's byte-level traffic counters.
 type Traffic struct {
@@ -142,7 +136,7 @@ const entryShards = 64
 // entry operations are atomic; a multi-entry ReadAt/WriteAt is not one atomic
 // unit against concurrent writers to the same range.
 type Device struct {
-	cfg      Config
+	codec    compress.Codec
 	overflow Backend
 	mcache   *MetadataCache
 	span     *spanPool // persistent span-worker pool, sized at NewDevice
@@ -160,7 +154,6 @@ type Device struct {
 	totalEntry int
 	holes      []region // retired regions available for reuse
 
-	gbbr uint64 // global buddy base address (modeled)
 	// slab is the primary tier, the GPU's own device memory, where each
 	// entry's in-budget sectors live; its meter is Traffic's device bytes.
 	// It sits beside traffic, the other counters the data path writes,
@@ -178,39 +171,25 @@ type Device struct {
 // capacity.
 var ErrOutOfMemory = errors.New("core: out of memory")
 
-// NewDevice constructs a device from cfg, applying DefaultConfig values for
-// zero fields.
+// NewDevice constructs a device from cfg, applying the final design's
+// values for zero fields (see Config).
 func NewDevice(cfg Config) *Device {
-	def := DefaultConfig()
 	if cfg.Codec == nil {
-		cfg.Codec = def.Codec
+		cfg.Codec = compress.NewBPC()
 	}
 	if cfg.DeviceBytes == 0 {
-		cfg.DeviceBytes = def.DeviceBytes
-	}
-	if cfg.CarveoutFactor == 0 {
-		cfg.CarveoutFactor = def.CarveoutFactor
-	}
-	if cfg.MetadataCacheBytes == 0 {
-		cfg.MetadataCacheBytes = def.MetadataCacheBytes
-	}
-	if cfg.MetadataCacheSlices == 0 {
-		cfg.MetadataCacheSlices = def.MetadataCacheSlices
-	}
-	if cfg.MetadataCacheWays == 0 {
-		cfg.MetadataCacheWays = def.MetadataCacheWays
+		cfg.DeviceBytes = 12 << 30
 	}
 	overflow := cfg.Overflow
 	if overflow == nil {
-		overflow = NewCarveoutBackend(cfg.DeviceBytes*int64(cfg.CarveoutFactor), cfg.Link)
+		overflow = NewCarveoutBackend(cfg.DeviceBytes*carveoutFactor, nvlink.DefaultConfig())
 	}
 	d := &Device{
-		cfg:               cfg,
+		codec:             cfg.Codec,
 		overflow:          overflow,
 		span:              newSpanPool(runtime.GOMAXPROCS(0)),
-		mcache:            NewMetadataCache(cfg.MetadataCacheBytes, cfg.MetadataCacheSlices, cfg.MetadataCacheWays),
+		mcache:            NewMetadataCache(metadataCacheBytes, metadataCacheSlices, metadataCacheWays),
 		linkBytesPerCycle: math.Inf(1),
-		gbbr:              0x4000_0000_0000, // arbitrary carve-out base
 	}
 	d.slab.capacityMeter = capacityMeter{name: "device-slab", capacity: cfg.DeviceBytes}
 	if c, ok := overflow.(*CarveoutBackend); ok {
@@ -328,7 +307,7 @@ func (d *Device) Overflow() Backend { return d.overflow }
 // contract; interface equality is deliberately not used (codec values need
 // not be comparable).
 func (d *Device) SameCodecAs(o *Device) bool {
-	return d.cfg.Codec.Name() == o.cfg.Codec.Name()
+	return d.codec.Name() == o.codec.Name()
 }
 
 // DeviceCapacity returns the device slab's capacity in bytes.
@@ -486,7 +465,7 @@ func (a *Allocation) DeviceAddress(i int) uint64 {
 // i's overflow slot. Fixed for a given layout, like DeviceAddress.
 func (a *Allocation) BuddyAddress(i int) uint64 {
 	l := a.layout()
-	return l.dev.gbbr + uint64(l.reg.buddyOff) + uint64(i)*uint64(l.target.BuddySlotBytes())
+	return gbbr + uint64(l.reg.buddyOff) + uint64(i)*uint64(l.target.BuddySlotBytes())
 }
 
 func (a *Allocation) checkIndex(i int) error {

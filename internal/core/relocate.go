@@ -308,7 +308,7 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, line *
 		)
 		if write {
 			for k := 0; k < n; k++ {
-				line[k], secs[k] = encodeEntry(cur.dev.cfg.Codec, line[k], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
+				line[k], secs[k] = encodeEntry(cur.dev.codec, line[k], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
 			}
 		}
 		sh := a.shard(i)
@@ -323,7 +323,7 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, line *
 				if l != cur {
 					toNext |= 1 << k
 					if write && m.transcode {
-						line[k], secs[k] = encodeEntry(l.dev.cfg.Codec, line[k], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
+						line[k], secs[k] = encodeEntry(l.dev.codec, line[k], data[(i+k-p.base)*EntryBytes:][:EntryBytes])
 					}
 				}
 			}
@@ -363,9 +363,9 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, line *
 				continue
 			}
 			out := data[(i+k-p.base)*EntryBytes:][:EntryBytes]
-			if len(line[k]) == 0 || secs[k] == 0 && compress.IsZeroEntryStream(l.dev.cfg.Codec, line[k]) {
+			if len(line[k]) == 0 || secs[k] == 0 && compress.IsZeroEntryStream(l.dev.codec, line[k]) {
 				clear(out)
-			} else if err := l.dev.cfg.Codec.DecompressInto(out, line[k]); err != nil {
+			} else if err := l.dev.codec.DecompressInto(out, line[k]); err != nil {
 				run.end()
 				return fmt.Errorf("core: entry %d of %s: %w", i+k, a.Name, err)
 			}
@@ -504,9 +504,9 @@ func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch [
 func (a *Allocation) transcode(cur *layout, m *migration, scratch []byte, k, sectors int) (int, error) {
 	buf := entryScratchPool.Get().(*[EntryBytes]byte)
 	defer entryScratchPool.Put(buf)
-	err := cur.dev.cfg.Codec.DecompressInto(buf[:], a.store.get(k))
+	err := cur.dev.codec.DecompressInto(buf[:], a.store.get(k))
 	if err == nil {
-		s, landed := appendEntry(m.next.dev.cfg.Codec, scratch, buf[:])
+		s, landed := appendEntry(m.next.dev.codec, scratch, buf[:])
 		if len(s) != 0 && len(s) <= MaxStreamBytes {
 			a.store.put(k, s)
 			a.meta.Set(k, landed)

@@ -216,10 +216,10 @@ func newRelocWorld(ref bool, tier oracleTier) *relocWorld {
 		if tier.host {
 			cfg.Overflow = NewHostBackend(4<<10, 64<<10)
 		}
-		if tier.fanout {
-			cfg.MetadataCacheBytes = 4 << 20
-		}
 		d := NewDevice(cfg)
+		if tier.fanout {
+			d.mcache = NewMetadataCache(4<<20, metadataCacheSlices, metadataCacheWays)
+		}
 		if ref || !tier.fanout {
 			_ = d.Close()
 		}

@@ -122,7 +122,7 @@ func spanEligible(t *Future) bool {
 	if t.off%core.EntryBytes != 0 || len(t.buf)%core.EntryBytes != 0 {
 		return false
 	}
-	size := t.h.size
+	size := t.h.a.Size()
 	return t.off+int64(len(t.buf)) <= size-size%core.EntryBytes
 }
 
@@ -303,15 +303,14 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 		f.finish(0, 0, fmt.Errorf("pool: submit on shard %d: %w", shard, ErrClosed))
 	case len(buf) <= inPlaceMaxBytes && s.pending.Load() == 0:
 		p.exec(s, f, false)
+		h.tn.submitted.Add(1) // before inline: Stats reads inline first
 		p.async.inline.Add(1)
-		h.tn.submitted.Add(1)
 	default:
 		// Once enqueue returns nil a worker may have finished f and Wait
 		// recycled it: only a refused future is still this submit's to touch.
 		if err := s.enqueue(f, h.tn); err != nil {
 			f.finish(0, 0, fmt.Errorf("pool: submit on shard %d: %w", shard, err))
 		} else {
-			p.async.queued.Add(1)
 			h.tn.submitted.Add(1)
 		}
 	}

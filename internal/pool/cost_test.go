@@ -14,7 +14,10 @@ import (
 // (0: NVLink2's 150 GB/s) holding one allocation of size bytes under target.
 func costPool(t *testing.T, linkGBs float64, size int64, target core.TargetRatio) (*Pool, *Handle) {
 	t.Helper()
-	d := core.NewDevice(core.Config{DeviceBytes: 4 * size, Link: nvlink.Config{BandwidthGBs: linkGBs}})
+	d := core.NewDevice(core.Config{
+		DeviceBytes: 4 * size,
+		Overflow:    core.NewCarveoutBackend(3*4*size, nvlink.Config{BandwidthGBs: linkGBs}),
+	})
 	p, err := New([]*core.Device{d}, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -109,24 +109,20 @@ func (p *Pool) evacuate(h *Handle, from int) error {
 	if h.Shard() != from {
 		return nil
 	}
-	type cand struct {
-		shard int
-		free  int64
-	}
-	cands := make([]cand, 0, len(p.devices))
-	for i, d := range p.devices {
-		if i == from || p.state[i].Load() != shardHealthy {
-			continue
+	cands := make([]ShardLoad, 0, len(p.devices))
+	for i := range p.devices {
+		if l := p.load(i); i != from && l.available() {
+			cands = append(cands, l)
 		}
-		cands = append(cands, cand{i, d.DeviceCapacity() - d.DeviceUsed()})
 	}
 	if len(cands) == 0 {
-		return fmt.Errorf("pool: evacuate %q off shard %d: no healthy destination", h.name, from)
+		return fmt.Errorf("pool: evacuate %q off shard %d: no healthy destination", h.a.Name, from)
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].free > cands[b].free })
+	free := func(l ShardLoad) int64 { return l.DeviceCapacity - l.DeviceUsed }
+	sort.Slice(cands, func(a, b int) bool { return free(cands[a]) > free(cands[b]) })
 	var errs []error
 	for _, c := range cands {
-		err := p.MigrateHandle(h, c.shard)
+		err := p.MigrateHandle(h, c.Shard)
 		if err == nil {
 			return nil
 		}

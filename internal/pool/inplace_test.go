@@ -98,11 +98,12 @@ func TestInPlaceTelemetry(t *testing.T) {
 		t.Errorf("tenant stats: submitted %d, served %d B, latency count %d; want %d, %d, %d",
 			st.Submitted, st.ServedBytes, st.Latency.Count, ops, ops*len(buf), ops)
 	}
-	if st.QueueDepth != 0 || p.async.queued.Load() != 0 {
+	as := p.Stats().Async
+	if st.QueueDepth != 0 || as.Submitted-as.Inline != 0 {
 		t.Errorf("in-place operations were counted as queued: depth %d, queued %d",
-			st.QueueDepth, p.async.queued.Load())
+			st.QueueDepth, as.Submitted-as.Inline)
 	}
-	if as := p.Stats().Async; as.Submitted != ops || as.Inline != ops {
+	if as.Submitted != ops || as.Inline != ops {
 		t.Errorf("Async = %+v, want Submitted = Inline = %d", as, ops)
 	}
 	// One operation above the threshold takes the scheduler and leaves

@@ -42,12 +42,12 @@ func (p *Pool) MigrateHandle(h *Handle, dstShard int) error {
 	}
 	switch p.state[dstShard].Load() {
 	case shardDraining:
-		return fmt.Errorf("pool: migrate %q to shard %d: %w", h.name, dstShard, ErrShardDraining)
+		return fmt.Errorf("pool: migrate %q to shard %d: %w", h.a.Name, dstShard, ErrShardDraining)
 	case shardFailed:
-		return fmt.Errorf("pool: migrate %q to shard %d: %w", h.name, dstShard, ErrShardFailed)
+		return fmt.Errorf("pool: migrate %q to shard %d: %w", h.a.Name, dstShard, ErrShardFailed)
 	}
 	if err := h.a.MoveTo(p.devices[dstShard]); err != nil {
-		return fmt.Errorf("pool: migrate %q shard %d->%d: %w", h.name, srcShard, dstShard, err)
+		return fmt.Errorf("pool: migrate %q shard %d->%d: %w", h.a.Name, srcShard, dstShard, err)
 	}
 	// Cutover: later submits queue on, and charge the clock of, the new
 	// shard. Operations already queued on the old one still run there; their

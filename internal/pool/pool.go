@@ -133,7 +133,6 @@ type Pool struct {
 
 // asyncCounters is the async serving path's telemetry.
 type asyncCounters struct {
-	queued         atomic.Uint64 // operations accepted onto a scheduler ring
 	inline         atomic.Uint64 // operations served in place by their submitter
 	coalescedTasks atomic.Uint64
 	coalescedRuns  atomic.Uint64
@@ -213,19 +212,24 @@ func (p *Pool) Placement() Placement { return p.place }
 // and the subsequent reservation one atomic placement step.
 func (p *Pool) loads() []ShardLoad {
 	out := make([]ShardLoad, len(p.devices))
-	for i, d := range p.devices {
-		st := p.state[i].Load()
-		out[i] = ShardLoad{
-			Shard:          i,
-			DeviceUsed:     d.DeviceUsed(),
-			DeviceCapacity: d.DeviceCapacity(),
-			BuddyUsed:      d.BuddyUsed(),
-			Allocs:         d.AllocationCount(),
-			Draining:       st == shardDraining,
-			Failed:         st == shardFailed,
-		}
+	for i := range out {
+		out[i] = p.load(i)
 	}
 	return out
+}
+
+// load reads shard i's occupancy and lifecycle flags.
+func (p *Pool) load(i int) ShardLoad {
+	d, st := p.devices[i], p.state[i].Load()
+	return ShardLoad{
+		Shard:          i,
+		DeviceUsed:     d.DeviceUsed(),
+		DeviceCapacity: d.DeviceCapacity(),
+		BuddyUsed:      d.BuddyUsed(),
+		Allocs:         d.AllocationCount(),
+		Draining:       st == shardDraining,
+		Failed:         st == shardFailed,
+	}
 }
 
 // headroom renders the per-shard free device bytes of a load snapshot for
@@ -319,7 +323,7 @@ func (p *Pool) place1(tn *tenant, need int64, name string, size int64, target co
 // adopt wraps a placed allocation in a registered canonical handle owned
 // by the given tenant, carrying the quota bytes charged for it.
 func (p *Pool) adopt(shard int, a *core.Allocation, tn *tenant, quota int64) *Handle {
-	h := &Handle{pool: p, id: p.nextID.Add(1), name: a.Name, size: a.Size(), tn: tn, a: a}
+	h := &Handle{pool: p, id: p.nextID.Add(1), tn: tn, a: a}
 	h.quota.Store(quota)
 	h.shard.Store(int32(shard))
 	p.routeMu.Lock()
@@ -410,8 +414,6 @@ func (p *Pool) Close() error {
 type Handle struct {
 	pool *Pool
 	id   uint64 // stable identity: registry key, age order
-	name string
-	size int64
 	a    *core.Allocation
 
 	// tn is the owning tenant; quota is the stored compressed bytes
@@ -445,10 +447,10 @@ func (h *Handle) Migrating() bool { return h.a.Migrating() }
 func (h *Handle) Alloc() *core.Allocation { return h.a }
 
 // Name returns the allocation's name.
-func (h *Handle) Name() string { return h.name }
+func (h *Handle) Name() string { return h.a.Name }
 
 // Size returns the allocation's requested byte size.
-func (h *Handle) Size() int64 { return h.size }
+func (h *Handle) Size() int64 { return h.a.Size() }
 
 // Target returns the allocation's current target compression ratio.
 func (h *Handle) Target() core.TargetRatio { return h.a.Target() }

@@ -173,7 +173,7 @@ func (p *Pool) rebalanceOnce() {
 	rb.candidate, rb.streak = -1, 0
 	var pick *Handle
 	for _, h := range p.handlesOn(src) {
-		if pick == nil || h.size > pick.size {
+		if pick == nil || h.Size() > pick.Size() {
 			pick = h
 		}
 	}

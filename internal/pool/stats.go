@@ -6,16 +6,13 @@ import (
 	"buddy/internal/core"
 )
 
-// ShardStats is one device's slice of the pool's aggregate view.
+// ShardStats is one device's slice of the pool's aggregate view: its
+// placement view (occupancy and lifecycle flags) plus its traffic.
 type ShardStats struct {
-	// Shard is the shard index.
-	Shard int
-	// Allocs counts live allocations on the shard.
-	Allocs int
-	// DeviceUsed/DeviceCapacity and BuddyUsed/BuddyCapacity are the two
-	// tiers' occupancy (negative capacity means unbounded).
-	DeviceUsed, DeviceCapacity int64
-	BuddyUsed, BuddyCapacity   int64
+	ShardLoad
+	// BuddyCapacity is the overflow tier's capacity (negative means
+	// unbounded).
+	BuddyCapacity int64
 	// Traffic is the device's byte-level traffic snapshot.
 	Traffic core.Traffic
 	// MetadataCacheHitRate is the device's metadata cache hit rate.
@@ -27,15 +24,12 @@ type ShardStats struct {
 	// so they divide by a horizon to give true utilization.
 	LinkReadBusyCycles, LinkWriteBusyCycles float64
 	// ServiceCycles is the shard's modeled serving time since the last
-	// reset: its ledgers — device bytes, and the overflow tier's bytes per
-	// direction — priced by the function that advances its clock
-	// (core.Device.Cycles). Shards serve in parallel, so a fleet's time is
-	// its slowest shard's.
+	// reset: its own ledgers — device bytes, and the buddy bytes per
+	// direction of Traffic — priced by the function that advances its clock
+	// (core.Device.Cycles). An overflow tier shared between shards meters
+	// all of them; this is one shard's share. Shards serve in parallel, so
+	// a fleet's time is its slowest shard's.
 	ServiceCycles float64
-	// Draining and Failed are the shard's lifecycle flags (see Drain and
-	// the failure injector); both false on a healthy shard.
-	Draining bool
-	Failed   bool
 }
 
 // AsyncStats is the async serving path's telemetry: how much of the
@@ -105,35 +99,23 @@ func addTraffic(a, b core.Traffic) core.Traffic {
 }
 
 // Stats aggregates every shard's traffic, capacity and metadata-cache
-// telemetry into one fleet view.
+// telemetry, and every tenant's, into one fleet view.
 func (p *Pool) Stats() Stats {
 	st := Stats{Shards: make([]ShardStats, len(p.devices))}
 	var weightedHits, weight float64
 	for i, d := range p.devices {
-		overflow := d.Overflow()
 		s := ShardStats{
-			Shard:                i,
-			Allocs:               d.AllocationCount(),
-			DeviceUsed:           d.DeviceUsed(),
-			DeviceCapacity:       d.DeviceCapacity(),
-			BuddyUsed:            d.BuddyUsed(),
-			BuddyCapacity:        overflow.Capacity(),
+			ShardLoad:            p.load(i),
+			BuddyCapacity:        d.Overflow().Capacity(),
 			Traffic:              d.Traffic(),
 			MetadataCacheHitRate: d.MetadataCacheHitRate(),
 		}
 		s.LinkReadBusyCycles, s.LinkWriteBusyCycles = d.LinkOccupancy()
-		link := overflow.Traffic()
 		s.ServiceCycles = d.Cycles(core.Cost{
 			DeviceBytes: s.Traffic.DeviceReadBytes + s.Traffic.DeviceWriteBytes,
-			LinkRead:    link.ReadBytes,
-			LinkWrite:   link.WrittenBytes,
+			LinkRead:    s.Traffic.BuddyReadBytes,
+			LinkWrite:   s.Traffic.BuddyWriteBytes,
 		})
-		switch p.state[i].Load() {
-		case shardDraining:
-			s.Draining = true
-		case shardFailed:
-			s.Failed = true
-		}
 		st.Shards[i] = s
 		st.Traffic = addTraffic(st.Traffic, s.Traffic)
 		st.Allocs += s.Allocs
@@ -147,18 +129,18 @@ func (p *Pool) Stats() Stats {
 	if weight > 0 {
 		st.MetadataCacheHitRate = weightedHits / weight
 	}
-	inline := p.async.inline.Load()
+	// Inline is read before the tenants: submit counts an operation on its
+	// tenant first, so the tenants' sum is never behind it.
 	st.Async = AsyncStats{
-		Submitted:      p.async.queued.Load() + inline,
-		Inline:         inline,
+		Inline:         p.async.inline.Load(),
 		CoalescedTasks: p.async.coalescedTasks.Load(),
 		CoalescedRuns:  p.async.coalescedRuns.Load(),
 	}
 	st.Tenants = make([]TenantStats, len(p.tenants))
 	var fleet [latBuckets]uint64
 	for i, t := range p.tenants {
-		st.Tenants[i] = t.stats()
-		t.lat.snapshotInto(&fleet)
+		st.Tenants[i] = t.stats(&fleet)
+		st.Async.Submitted += st.Tenants[i].Submitted
 	}
 	st.Latency = distFrom(&fleet)
 	return st
@@ -193,7 +175,7 @@ func (p *Pool) CompressionRatio() float64 {
 func (p *Pool) byName() map[string]*Handle {
 	m := make(map[string]*Handle)
 	for _, h := range p.Handles() { // ascending shard, then age: the last one wins
-		m[h.name] = h
+		m[h.a.Name] = h
 	}
 	return m
 }
@@ -254,7 +236,7 @@ func (h *Handle) retarget(dec core.ReprofileDecision) (moved int64, applied bool
 	if moved, applied, err = h.a.Device().Reprofile(h.a, dec); !applied {
 		return 0, false, err
 	}
-	q := quotaFor(h.size, dec.New)
+	q := quotaFor(h.a.Size(), dec.New)
 	h.tn.stored.Add(q - h.quota.Swap(q))
 	return moved, true, nil
 }

@@ -183,10 +183,16 @@ type TenantStats struct {
 	Latency LatencyDist
 }
 
-// stats snapshots the tenant's telemetry.
-func (t *tenant) stats() TenantStats {
+// stats snapshots the tenant's telemetry, adding the latency histogram it
+// read into fleet (nil: none), so a fleet sum agrees with its rows.
+func (t *tenant) stats(fleet *[latBuckets]uint64) TenantStats {
 	var counts [latBuckets]uint64
 	t.lat.snapshotInto(&counts)
+	if fleet != nil {
+		for i, c := range counts {
+			fleet[i] += c
+		}
+	}
 	return TenantStats{
 		Name:          t.name,
 		Priority:      t.cls,
@@ -298,4 +304,4 @@ func (tn *Tenant) Malloc(name string, size int64, target core.TargetRatio) (*Han
 }
 
 // Stats snapshots the tenant's serving telemetry.
-func (tn *Tenant) Stats() TenantStats { return tn.t.stats() }
+func (tn *Tenant) Stats() TenantStats { return tn.t.stats(nil) }

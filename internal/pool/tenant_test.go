@@ -158,7 +158,7 @@ func TestQueueDepthNeverNegative(t *testing.T) {
 	const perSubmitter = 100000
 	var low atomic.Int64 // the lowest depth anyone saw
 	sample := func() {
-		if d := tn.stats().QueueDepth; d < low.Load() {
+		if d := tn.stats(nil).QueueDepth; d < low.Load() {
 			low.Store(d)
 		}
 	}
@@ -200,7 +200,7 @@ func TestQueueDepthNeverNegative(t *testing.T) {
 	if got := low.Load(); got < 0 {
 		t.Errorf("QueueDepth read %d, want never below 0", got)
 	}
-	if d := tn.stats().QueueDepth; d != 0 {
+	if d := tn.stats(nil).QueueDepth; d != 0 {
 		t.Errorf("QueueDepth = %d after the ring drained, want 0", d)
 	}
 }
@@ -208,7 +208,7 @@ func TestQueueDepthNeverNegative(t *testing.T) {
 // TestTenantStarvationEscapeValve floods a 1-worker shard with
 // high-priority traffic and requires a low-priority tenant to keep making
 // progress anyway — the escape valve's anti-starvation guarantee, run
-// end-to-end under -race.
+// end-to-end under -race — while the fleet Stats it serves stay consistent.
 func TestTenantStarvationEscapeValve(t *testing.T) {
 	p := newTenantPool(t, 1, map[string]TenantConfig{
 		"hi": {Priority: 3},
@@ -255,6 +255,15 @@ func TestTenantStarvationEscapeValve(t *testing.T) {
 			}
 		}(w)
 	}
+	// Every fleet snapshot taken under the flood sums its tenants once.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			checkStatsSums(t, p.Stats())
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 	// Wait until the flood is actually flowing before starting the
 	// trickle, so the low-priority ops genuinely compete with it.
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -293,6 +302,22 @@ func TestTenantStarvationEscapeValve(t *testing.T) {
 	}
 	if st := hiDoor.Stats(); st.Submitted == 0 {
 		t.Error("flood submitted nothing; starvation test proved nothing")
+	}
+}
+
+// checkStatsSums checks a Stats snapshot taken while submitters run: the
+// fleet latency distribution counts exactly its tenant rows' completions,
+// and no more operations ran in place than were submitted.
+func checkStatsSums(t *testing.T, st Stats) {
+	var count uint64
+	for _, ts := range st.Tenants {
+		count += ts.Latency.Count
+	}
+	if st.Latency.Count != count {
+		t.Errorf("fleet Latency.Count = %d, tenant rows sum to %d", st.Latency.Count, count)
+	}
+	if st.Async.Submitted < st.Async.Inline {
+		t.Errorf("Async.Submitted = %d < Inline = %d", st.Async.Submitted, st.Async.Inline)
 	}
 }
 

@@ -9,22 +9,15 @@ import (
 )
 
 // config gathers everything the options configure: the per-device core
-// configuration plus the pool-level sharding and serving parameters. The
-// overflow tier is carried as a factory: WithHostFallback builds one per
-// shard of a pool (a Backend holds capacity and pager state), as the default
-// carve-out is; WithOverflowBackend hands every shard the same instance.
+// configuration and the pool's. The overflow tier is carried as a factory:
+// WithHostFallback builds one per shard of a pool (a Backend holds capacity
+// and pager state), as the default carve-out is; WithOverflowBackend hands
+// every shard the same instance.
 type config struct {
-	core        core.Config
-	overflow    func() Backend
-	shards      int
-	placement   pool.Placement
-	queueDepth  int
-	injector    *pool.FailureInjector
-	autoRecover bool
-	onRecover   func(RecoveryStats)
-	rebalEvery  time.Duration
-	rebalSkew   float64
-	tenants     map[string]TenantConfig
+	core     core.Config
+	overflow func() Backend
+	shards   int
+	pool     pool.Config
 }
 
 // Option configures a Device built by New or a Pool built by NewPool. The
@@ -40,7 +33,6 @@ type Option func(*config)
 //	dev := buddy.New(
 //		buddy.WithDeviceBytes(1<<30),
 //		buddy.WithCodec(buddy.NewBPC()),
-//		buddy.WithCarveoutFactor(3),
 //	)
 func New(opts ...Option) *Device {
 	var cfg config
@@ -85,16 +77,7 @@ func NewPool(opts ...Option) (*Pool, error) {
 		}
 		devices[i] = core.NewDevice(c)
 	}
-	return pool.New(devices, pool.Config{
-		Placement:         cfg.placement,
-		QueueDepth:        cfg.queueDepth,
-		Injector:          cfg.injector,
-		AutoRecover:       cfg.autoRecover,
-		OnRecover:         cfg.onRecover,
-		RebalanceInterval: cfg.rebalEvery,
-		RebalanceSkew:     cfg.rebalSkew,
-		Tenants:           cfg.tenants,
-	})
+	return pool.New(devices, cfg.pool)
 }
 
 // WithShards sets the number of devices behind a NewPool (default 1). Each
@@ -107,7 +90,7 @@ func WithShards(n int) Option {
 // WithPlacement selects the pool's placement policy (default
 // PlaceLeastUsed). See PlaceLeastUsed, PlaceRoundRobin and PlaceShard.
 func WithPlacement(p Placement) Option {
-	return func(cfg *config) { cfg.placement = p }
+	return func(cfg *config) { cfg.pool.Placement = p }
 }
 
 // WithQueueDepth bounds each shard's asynchronous submission queue:
@@ -115,7 +98,7 @@ func WithPlacement(p Placement) Option {
 // many operations queued (backpressure instead of unbounded buffering).
 // The default is 64.
 func WithQueueDepth(n int) Option {
-	return func(cfg *config) { cfg.queueDepth = n }
+	return func(cfg *config) { cfg.pool.QueueDepth = n }
 }
 
 // WithTenants declares a NewPool's named tenants: per-tenant capacity
@@ -135,7 +118,7 @@ func WithQueueDepth(n int) Option {
 //		}),
 //	)
 func WithTenants(tenants map[string]TenantConfig) Option {
-	return func(cfg *config) { cfg.tenants = tenants }
+	return func(cfg *config) { cfg.pool.Tenants = tenants }
 }
 
 // WithFailureInjector attaches a fault-injection hook to a NewPool: the
@@ -144,7 +127,7 @@ func WithTenants(tenants map[string]TenantConfig) Option {
 // Pool.Recover — or the AutoRecover supervisor — rebuilds it from the
 // buddy carve-out. Ignored by New.
 func WithFailureInjector(fi *FailureInjector) Option {
-	return func(cfg *config) { cfg.injector = fi }
+	return func(cfg *config) { cfg.pool.Injector = fi }
 }
 
 // WithAutoRecover starts the pool's maintenance supervisor: a killed
@@ -153,8 +136,8 @@ func WithFailureInjector(fi *FailureInjector) Option {
 // on the supervisor goroutine). Ignored by New.
 func WithAutoRecover(onRecover func(RecoveryStats)) Option {
 	return func(cfg *config) {
-		cfg.autoRecover = true
-		cfg.onRecover = onRecover
+		cfg.pool.AutoRecover = true
+		cfg.pool.OnRecover = onRecover
 	}
 }
 
@@ -165,8 +148,8 @@ func WithAutoRecover(onRecover func(RecoveryStats)) Option {
 // 0.5). Ignored by New.
 func WithRebalance(interval time.Duration, skew float64) Option {
 	return func(cfg *config) {
-		cfg.rebalEvery = interval
-		cfg.rebalSkew = skew
+		cfg.pool.RebalanceInterval = interval
+		cfg.pool.RebalanceSkew = skew
 	}
 }
 
@@ -186,39 +169,16 @@ func WithDeviceBytes(n int64) Option {
 	return func(cfg *config) { cfg.core.DeviceBytes = n }
 }
 
-// WithCarveoutFactor sizes the buddy carve-out relative to device memory;
-// the default 3x supports a 4x maximum target ratio (§3.2).
-func WithCarveoutFactor(k int) Option {
-	return func(cfg *config) { cfg.core.CarveoutFactor = k }
-}
-
-// LinkConfig describes the interconnect to the buddy carve-out; the zero
-// value is NVLink2 (150 GB/s full-duplex, §2.3).
+// LinkConfig describes the interconnect to the buddy carve-out (see
+// NewCarveoutBackend); the zero value is NVLink2 (150 GB/s full-duplex,
+// §2.3) — the Fig. 11 sweep variable.
 type LinkConfig = nvlink.Config
 
-// WithLink configures the interconnect of the default buddy carve-out tier
-// (bandwidth and clock; its occupancy model has no use for the latency) —
-// the Fig. 11 sweep variable. Each shard of a pool gets its own link.
-func WithLink(link LinkConfig) Option {
-	return func(cfg *config) { cfg.core.Link = link }
-}
-
-// WithMetadataCache sizes the sliced, set-associative metadata cache
-// (default 64 KB total, 8 slices, 4 ways; §3.2, Fig. 5). The slice count
-// must be a power of two.
-func WithMetadataCache(totalBytes, slices, ways int) Option {
-	return func(cfg *config) {
-		cfg.core.MetadataCacheBytes = totalBytes
-		cfg.core.MetadataCacheSlices = slices
-		cfg.core.MetadataCacheWays = ways
-	}
-}
-
 // WithOverflowBackend replaces the overflow storage tier entirely. The
-// default is the paper's NVLink buddy carve-out of
-// DeviceBytes*CarveoutFactor; any Backend implementation (peer GPU,
-// disaggregated appliance, ...) can stand in. With NewPool the single
-// instance is shared by every shard — a fleet spilling into one
+// default is the paper's NVLink buddy carve-out of 3 x DeviceBytes; a
+// NewCarveoutBackend of another size or link, or any Backend implementation
+// (peer GPU, disaggregated appliance, ...), can stand in. With NewPool the
+// single instance is shared by every shard — a fleet spilling into one
 // disaggregated tier; use WithHostFallback or the default carve-out for
 // per-shard overflow.
 func WithOverflowBackend(b Backend) Option {

@@ -29,21 +29,20 @@ func TestNewDefaults(t *testing.T) {
 func TestNewOptionsOverrideDefaults(t *testing.T) {
 	dev := New(
 		WithDeviceBytes(1<<20),
-		WithCarveoutFactor(2),
 		WithCodec(Codecs()[1]),
-		WithMetadataCache(8<<10, 2, 2),
 	)
 	if got := dev.DeviceCapacity(); got != 1<<20 {
 		t.Errorf("device capacity = %d, want 1 MiB", got)
 	}
-	if got := dev.Overflow().Capacity(); got != 2<<20 {
-		t.Errorf("carve-out capacity = %d, want 2 MiB", got)
+	// The carve-out follows the device size at the fixed 3x (§3.2).
+	if got := dev.Overflow().Capacity(); got != 3<<20 {
+		t.Errorf("carve-out capacity = %d, want 3 MiB", got)
 	}
 	// A full slab refuses by its tier name.
 	if _, err := dev.Malloc("big", 4<<20, Target2x); !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), "device-slab") {
 		t.Errorf("oversized Malloc: %v, want ErrOutOfMemory naming device-slab", err)
 	}
-	// Unset knobs still default: allocation works end to end.
+	// Everything else defaults: allocation works end to end.
 	a, err := dev.Malloc("x", 64<<10, Target2x)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,6 @@ func TestNewPoolOptions(t *testing.T) {
 	p4, err := NewPool(
 		WithShards(4),
 		WithDeviceBytes(1<<20),
-		WithCarveoutFactor(2),
 		WithPlacement(PlaceRoundRobin()),
 		WithQueueDepth(2),
 	)
@@ -124,8 +122,11 @@ func TestNewPoolOptions(t *testing.T) {
 		t.Fatalf("4-shard pool: %d shards, %d total capacity", len(st.Shards), st.DeviceCapacity)
 	}
 	for i := 0; i < 4; i++ {
-		if got := p4.Device(i).Overflow().Capacity(); got != 2<<20 {
-			t.Fatalf("shard %d carve-out = %d, want per-shard 2 MiB", i, got)
+		if got := p4.Device(i).Overflow().Capacity(); got != 3<<20 {
+			t.Fatalf("shard %d carve-out = %d, want per-shard 3 MiB", i, got)
+		}
+		if i > 0 && p4.Device(i).Overflow() == p4.Device(0).Overflow() {
+			t.Fatalf("shard %d shares shard 0's carve-out", i)
 		}
 	}
 	// Round-robin placement + async I/O through the public surface.
@@ -220,6 +221,15 @@ func TestSharedOverflowTierLedger(t *testing.T) {
 		if st.Traffic.BuddyReadBytes != want[shard].BuddyReadBytes || st.Traffic.BuddyWriteBytes != want[shard].BuddyWriteBytes {
 			t.Errorf("shard %d counts %d buddy bytes read, %d written, want its own %d and %d", shard,
 				st.Traffic.BuddyReadBytes, st.Traffic.BuddyWriteBytes, want[shard].BuddyReadBytes, want[shard].BuddyWriteBytes)
+		}
+		// A shard's modeled time prices its own ledger, not the shared meter.
+		own := p.Device(shard).Cycles(Cost{
+			DeviceBytes: st.Traffic.DeviceReadBytes + st.Traffic.DeviceWriteBytes,
+			LinkRead:    st.Traffic.BuddyReadBytes,
+			LinkWrite:   st.Traffic.BuddyWriteBytes,
+		})
+		if st.ServiceCycles != own {
+			t.Errorf("shard %d ServiceCycles = %.1f, want %.1f from its own ledger", shard, st.ServiceCycles, own)
 		}
 		sum.ReadBytes += st.Traffic.BuddyReadBytes
 		sum.WrittenBytes += st.Traffic.BuddyWriteBytes
