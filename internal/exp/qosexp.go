@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"buddy/internal/core"
@@ -60,16 +61,11 @@ const (
 	qosLatChunks  = 4
 	qosLatChunk   = 4 << 10
 
-	// qosWarmBytes is the per-tenant served-byte warmup before the share
-	// measurement window opens, skipping the startup transient in which
-	// the earliest-scheduled submitters are served without contention.
-	qosWarmBytes = uint64(2 << 20)
-
 	// qosLaps is how many times each batch stream rewrites its region.
 	// The whole demand is submitted up front, so each tenant's rings hold
-	// qosLaps x region of backlog; sized so the warmup plus the
-	// measurement window drain well under half of it and no ring runs dry
-	// while shares are being measured.
+	// qosLaps x region of backlog; sized so the measurement window drains
+	// about a quarter of it and no ring runs dry while shares are being
+	// measured.
 	qosLaps = 4
 )
 
@@ -233,6 +229,7 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	// exits the batch goroutines early).
 	chunksPerStream := qosLaps * int(wbShard/qosBatchChunk)
 	var batchErr, latErr error
+	var queued atomic.Int32 // submitters whose whole demand is in their ring
 	batchExit := make(chan struct{})
 	go func() {
 		defer close(batchExit)
@@ -245,6 +242,7 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 				futs = append(futs, p.SubmitWrite(h, batchData[off:off+qosBatchChunk], off))
 				off = (off + qosBatchChunk) % wbShard
 			}
+			queued.Add(1)
 			for _, f := range futs {
 				if _, err := f.Wait(); err != nil {
 					return fmt.Errorf("batch%d shard %d: %w", i, s, err)
@@ -282,16 +280,15 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 			bursts++
 		}
 	}()
-	// The heavy share is measured over a steady-state window. The first
-	// ~millisecond of the run is a startup transient: the workers serve
-	// whichever rings filled first in lone-ring mode until every
-	// tenant's submitters are scheduled, which skews cumulative counts
-	// toward the earliest-launched tenant. So: warm up until every batch
-	// tenant has served qosWarmBytes, snapshot a per-tenant base, then
-	// measure served-byte deltas until the heavy tenant serves its
-	// batchBytes demand within the window. Every ring stays backlogged
-	// throughout, so plain round-robin (delta share 1/n) fails the pin
-	// and only a working DRR (share w/(w+n-1)) passes.
+	// The heavy share is measured over a steady-state window. It opens
+	// once every batch submitter has queued its whole demand: until then
+	// a shard whose light submitter has not run yet serves the heavy
+	// tenant alone, and a fleet-wide served-byte warmup cannot tell which
+	// shard that is. From the opening every ring holds a standing
+	// backlog, so the window snapshots a per-tenant base and measures
+	// served-byte deltas until the heavy tenant serves batchBytes, a
+	// quarter of its demand. Plain round-robin (delta share 1/n) fails
+	// the pin and only a working DRR (share w/(w+n-1)) passes.
 	poll := func(cond func() bool) bool {
 		for !cond() {
 			select {
@@ -304,14 +301,7 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 		return true
 	}
 	base := make([]uint64, nBatch)
-	if poll(func() bool {
-		for _, d := range doors {
-			if d.Stats().ServedBytes < qosWarmBytes {
-				return false
-			}
-		}
-		return true
-	}) {
+	if poll(func() bool { return int(queued.Load()) == nBatch*shards }) {
 		for k, d := range doors {
 			base[k] = d.Stats().ServedBytes
 		}

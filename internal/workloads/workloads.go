@@ -22,6 +22,10 @@ package workloads
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"buddy/internal/gen"
 	"buddy/internal/memory"
@@ -488,16 +492,44 @@ func seedFor(bench, region string) uint64 {
 // GenerateSnapshot synthesizes memory dump t (0..Snapshots-1) of benchmark
 // b at 1/scale of its true footprint. Static regions hold identical bytes
 // across snapshots (stable weights and grids); Dynamic regions reshuffle
-// per snapshot. It is a pure function: every call returns freshly generated
-// bytes the caller owns.
+// per snapshot. It is a pure function, safe for concurrent use: every call
+// returns freshly generated bytes the caller owns.
 func GenerateSnapshot(b Benchmark, t int, scale int) *memory.Snapshot {
-	return generate(b, t, scale, nil)
+	snap, fills := layout(b, t, scale, nil, nil)
+	fillAll(fills)
+	return snap
 }
 
-// generate synthesizes dump t; where static is non-nil (an earlier dump of
-// the same run), a non-Dynamic region j takes static's allocation j instead
-// of being filled with the same bytes again.
-func generate(b Benchmark, t, scale int, static *memory.Snapshot) *memory.Snapshot {
+// GenerateRun synthesizes all ten snapshots of benchmark b, bytewise equal
+// to GenerateSnapshot(b, t, scale) for every t, and is safe for concurrent
+// use. A non-Dynamic region is synthesized once and the same
+// *memory.Allocation appears in all ten snapshots, so the run's snapshots
+// are read-only: a write to one static allocation's Data would show in
+// every dump. (analysis.BuildRun recognizes the shared allocation and
+// classifies it once.)
+func GenerateRun(b Benchmark, scale int) []*memory.Snapshot {
+	out := make([]*memory.Snapshot, Snapshots)
+	var fills []fill
+	for t := range out {
+		out[t], fills = layout(b, t, scale, out[0], fills) // out[0] is nil while t == 0
+	}
+	fillAll(fills)
+	return out
+}
+
+// fill is one region's synthesis: its generator writes a's bytes from the
+// region's own seed, so no fill depends on another's RNG stream.
+type fill struct {
+	a    *memory.Allocation
+	g    gen.Generator
+	seed uint64
+}
+
+// layout allocates dump t's regions and appends the fills that synthesize
+// them to fills; where static is non-nil (dump 0 of the same run), a
+// non-Dynamic region j takes static's allocation j instead of being filled
+// with the same bytes again.
+func layout(b Benchmark, t, scale int, static *memory.Snapshot, fills []fill) (*memory.Snapshot, []fill) {
 	if scale <= 0 {
 		scale = DefaultScale
 	}
@@ -520,22 +552,44 @@ func generate(b Benchmark, t, scale int, static *memory.Snapshot) *memory.Snapsh
 		if r.Dynamic {
 			seed += uint64(t) * 0x9E3779B97F4A7C15
 		}
-		r.Gen(t).Fill(a.Data, gen.NewRNG(seed, 7))
+		fills = append(fills, fill{a: a, g: r.Gen(t), seed: seed})
 		snap.Allocations = append(snap.Allocations, a)
 	}
-	return snap
+	return snap, fills
 }
 
-// GenerateRun synthesizes all ten snapshots of benchmark b, bytewise equal
-// to GenerateSnapshot(b, t, scale) for every t. A non-Dynamic region is
-// synthesized once and the same *memory.Allocation appears in all ten
-// snapshots, so the run's snapshots are read-only: a write to one static
-// allocation's Data would show in every dump. (analysis.BuildRun recognizes
-// the shared allocation and classifies it once.)
-func GenerateRun(b Benchmark, scale int) []*memory.Snapshot {
-	out := make([]*memory.Snapshot, Snapshots)
-	for t := range out {
-		out[t] = generate(b, t, scale, out[0]) // out[0] is nil while t == 0
+// synthesizing counts the goroutines running fillAll's loop, across every
+// caller in the process.
+var synthesizing atomic.Int32
+
+// fillAll runs fills largest-first on a work-conserving fan-out: the
+// caller works through the list itself, and before each fill any worker
+// adds a helper goroutine for a core no other synthesizer occupies
+// (synthesizing at most GOMAXPROCS). So concurrent callers (the profile
+// benchmark workload runs two) add no helpers on cores they already fill,
+// and a caller left alone takes over the cores the others free. Fills are
+// claimed with one atomic add each; since every fill draws from its own
+// RNG, the bytes are the same at any width and interleaving.
+func fillAll(fills []fill) {
+	slices.SortStableFunc(fills, func(x, y fill) int { return len(y.a.Data) - len(x.a.Data) })
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	var work func()
+	work = func() {
+		defer synthesizing.Add(-1)
+		for i := next.Add(1) - 1; int(i) < len(fills); i = next.Add(1) - 1 {
+			for int(next.Load()) < len(fills) {
+				if int(synthesizing.Add(1)) > runtime.GOMAXPROCS(0) {
+					synthesizing.Add(-1)
+					break
+				}
+				wg.Add(1)
+				go func() { defer wg.Done(); work() }()
+			}
+			fills[i].g.Fill(fills[i].a.Data, gen.NewRNG(fills[i].seed, 7))
+		}
 	}
-	return out
+	synthesizing.Add(1)
+	work()
+	wg.Wait()
 }
