@@ -2,8 +2,8 @@
 // study reduces to. The paper's profiling pass (§3.3-3.4) and all of its
 // capacity figures ask the same primitive question — "how many 32 B sectors
 // does this 128 B entry compress to?" — so the index answers it exactly
-// once per entry: Build sizes a snapshot across a GOMAXPROCS-bounded
-// worker pool and records, per entry, the sector class, the exact
+// once per entry: Build sizes a snapshot across the cores left idle
+// (par.Run) and records, per entry, the sector class, the exact
 // compressed byte size and an all-zero flag (BuildRun goes further and
 // sizes an allocation once per run while its bytes do not change).
 // Sector histograms and class-rounded compression ratios are then cheap
@@ -14,12 +14,10 @@ package analysis
 
 import (
 	"bytes"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"buddy/internal/compress"
 	"buddy/internal/memory"
+	"buddy/internal/par"
 )
 
 // EntryBytes and PageBytes mirror the memory-layout constants.
@@ -120,10 +118,20 @@ type buildTask struct {
 	lo, hi int
 }
 
+// buildJob is build's fan-out: piece i classifies tasks[i] with a Sizer of
+// its own, since a Sizer is not safe for concurrent use.
+type buildJob struct {
+	tasks []buildTask
+	c     compress.Codec
+}
+
+func (j buildJob) Do(i int) { classify(j.tasks[i], compress.NewSizer(j.c)) }
+
 // Build sizes every entry of s exactly once under codec c and returns the
-// snapshot's sector-class index. The sizing work fans out across a
-// GOMAXPROCS-bounded worker pool (each worker owns one compress.Sizer, so
-// the codec scratch never crosses goroutines); small snapshots run inline.
+// snapshot's sector-class index. The sizing work fans out through par.Run
+// in grains of buildGrain entries (each with its own compress.Sizer, so the
+// codec scratch never crosses goroutines); a snapshot of one grain runs
+// inline.
 // Like the driver's bulk data path, c must be safe for concurrent use —
 // all built-in codecs are stateless and qualify.
 func Build(s *memory.Snapshot, c compress.Codec) *Index {
@@ -159,27 +167,7 @@ func build(s *memory.Snapshot, c compress.Codec, prev *memory.Snapshot, prevIdx 
 		}
 	}
 
-	workers := min(runtime.GOMAXPROCS(0), len(tasks))
-	if workers <= 1 {
-		sz := compress.NewSizer(c)
-		for _, t := range tasks {
-			classify(t, sz)
-		}
-	} else {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sz := compress.NewSizer(c)
-				for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
-					classify(tasks[i], sz)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.Run(len(tasks), buildJob{tasks, c})
 
 	for _, ai := range fresh {
 		ai.summarize()

@@ -199,11 +199,12 @@ func TestSectorHistogramConvenience(t *testing.T) {
 	}
 }
 
-// TestParallelBuildDeterministic drives the worker-pool path from many
+// TestParallelBuildDeterministic drives the fanned-out path from many
 // goroutines at once (meaningful under -race): concurrent builds of the
 // same snapshot must agree with a fresh single build bit for bit.
-// GOMAXPROCS is raised so the internal pool really spawns workers even on
-// single-core CI runners.
+// GOMAXPROCS is raised so par.Run really adds helpers — to the lone build,
+// and to the builders while cores are idle — even on single-core CI
+// runners.
 func TestParallelBuildDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s := testSnapshot(4*EntriesPerPage, 41) // enough entries for many grains

@@ -179,14 +179,13 @@ func BenchmarkMemcpyBulk(b *testing.B) {
 // once, end to end, so every entry that needs one takes its slot from the
 // stream store's allocator — the cost a load pays and the steady-state
 // benchmarks warm away. Beside ns/entry it reports what the store then holds
-// per entry: index, chunks, table and free lists. The device is built one span
-// worker wide, so the write runs inline: which slot meets a chunk's end, and
-// with it which free lists the tails start, depends on how span workers
-// interleave, which would make the allocs/op pin a property of the machine's
-// width.
+// per entry: index, chunks, table and free lists. It runs at GOMAXPROCS 1,
+// so the write runs inline: which slot meets a chunk's end, and with it which
+// free lists the tails start, depends on how fanned-out pieces interleave,
+// which would make the allocs/op pin a property of the machine's width.
 func BenchmarkFirstWrite(b *testing.B) { benchFirstWrite(b, 1) }
 
-// BenchmarkFirstWrite2 is the same load fanned out over two span workers, the
+// BenchmarkFirstWrite2 is the same load fanned out at GOMAXPROCS 2, the
 // store's allocator lock contended: ns/entry only, for the reason above.
 func BenchmarkFirstWrite2(b *testing.B) { benchFirstWrite(b, 2) }
 
@@ -199,9 +198,8 @@ func benchFirstWrite(b *testing.B, workers int) {
 			continue
 		}
 		b.Run(s.name, func(b *testing.B) {
-			procs := runtime.GOMAXPROCS(workers)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			d := NewDevice(Config{DeviceBytes: 64 << 20})
-			runtime.GOMAXPROCS(procs)
 			defer d.Close()
 			data := make([]byte, entries*EntryBytes)
 			s.g.Fill(data, gen.NewRNG(2, 1))

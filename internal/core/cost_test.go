@@ -22,7 +22,7 @@ func (w *relocWorld) ledgers() (c Cost) {
 // TestCostEqualsLedgerDelta is the identity the cost model rests on: what
 // Access returns is what its passes charged, to the byte. Over the relocation
 // oracles' worlds a seeded sequence of reads and writes — spans of one, spans
-// of two bulk grains and more (the span pool's workers at -cpu 4 under
+// of two bulk grains and more (fanned out at -cpu 4 under
 // carveout-fanout), unaligned heads and tails (the read-modify-write edges),
 // never-written entries, the second half racing a MoveTo to the other device
 // held open at a random cut — has the sum of the returned costs equal the
@@ -32,7 +32,7 @@ func TestCostEqualsLedgerDelta(t *testing.T) {
 	for _, tier := range oracleTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 6; seed++ {
-				w := newRelocWorld(false, tier)
+				w := newRelocWorld(t, false, tier)
 				r := gen.NewRNG(seed, 79)
 				for k, n := 0, 2+r.Intn(3); k < n; k++ {
 					entries := 1 + r.Intn(4*spanBatchEntries)

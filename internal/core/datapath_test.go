@@ -146,8 +146,8 @@ func TestSpanMatchesSingles(t *testing.T) {
 	for _, tier := range oracleTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
-				spanSteps, spans := dataScenario(t, newRelocWorld(false, tier), seed)
-				singleSteps, singles := dataScenario(t, newRelocWorld(true, tier), seed)
+				spanSteps, spans := dataScenario(t, newRelocWorld(t, false, tier), seed)
+				singleSteps, singles := dataScenario(t, newRelocWorld(t, true, tier), seed)
 				if !reflect.DeepEqual(spanSteps, singleSteps) {
 					t.Fatalf("seed %d: the two worlds did different things:\n spans   %q\n singles %q", seed, spanSteps, singleSteps)
 				}
@@ -196,7 +196,7 @@ func TestDataPathAccountingPinned(t *testing.T) {
 		{oracleTiers[0], totals{traffic, slab, overflow, linkRead, linkWrite}},
 		{oracleTiers[1], totals{traffic, slab, paged, 0, 0}},
 	} {
-		w := newRelocWorld(false, tc.tier)
+		w := newRelocWorld(t, false, tc.tier)
 		_, states := dataScenario(t, w, 7)
 		s := states[len(states)-1]
 		got := totals{s.Traffic[0], s.Primary[0], s.Overflow[0], s.LinkRead[0], s.LinkWrit[0]}
@@ -206,12 +206,13 @@ func TestDataPathAccountingPinned(t *testing.T) {
 	}
 }
 
-// corruptibleSpan builds a closed (inline, entry-order) device holding one
-// fully written allocation of mixed shapes and returns both with the data.
+// corruptibleSpan runs the rest of t with spans inline, in entry order, and
+// builds a device holding one fully written allocation of mixed shapes; it
+// returns both with the data.
 func corruptibleSpan(t *testing.T, entries int) (*Device, *Allocation, []byte) {
 	t.Helper()
+	serialSpans(t)
 	d := NewDevice(Config{DeviceBytes: 8 << 20})
-	_ = d.Close()
 	a, err := d.Malloc("c", int64(entries)*EntryBytes, Target2x)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +284,7 @@ func TestSpanOverUnalignedRegion(t *testing.T) {
 	data := fillEntries(entries, relocShapes, 41)
 	var states [2][]relocState
 	for k := range states {
-		w := newRelocWorld(k == 1, oracleTiers[0])
+		w := newRelocWorld(t, k == 1, oracleTiers[0])
 		if _, err := w.src.Malloc("pad", 2*EntryBytes, Target2x); err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +327,7 @@ func TestSpanOverUnalignedRegion(t *testing.T) {
 // under a.mu — which Free takes exclusively — what it charged is a whole
 // number of sub-batches: no entry of the refused sub-batch was touched.
 func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
-	const entries = 96 * spanBatchEntries
+	const entries = 384 * spanBatchEntries
 	data := fillEntries(entries, relocShapes, 33)
 	for _, tc := range []struct {
 		name string
@@ -338,8 +339,8 @@ func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
 		{"Free/read", func(d *Device, a *Allocation) { _ = d.Free(a) }, ErrFreed, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			serialSpans(t) // one goroutine per span: sub-batches run in order
 			d := NewDevice(Config{DeviceBytes: 64 << 20})
-			_ = d.Close() // one goroutine per span: sub-batches run in order
 			a, err := d.Malloc("long", entries*EntryBytes, Target2x)
 			if err != nil {
 				t.Fatal(err)

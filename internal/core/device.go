@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,7 +29,7 @@ const MaxStreamBytes = compress.MaxStreamBytes
 type Config struct {
 	// Codec is the memory compression algorithm (default BPC, §2.4). It
 	// must be safe for concurrent use: the bulk data path fans it out
-	// across a worker pool.
+	// over idle cores.
 	Codec compress.Codec
 	// DeviceBytes is the GPU device memory capacity available for
 	// compressed allocations (default 12 GB).
@@ -139,7 +138,10 @@ type Device struct {
 	codec    compress.Codec
 	overflow Backend
 	mcache   *MetadataCache
-	span     *spanPool // persistent span-worker pool, sized at NewDevice
+	// inOrder keeps every span on its caller, in entry order: set when the
+	// overflow tier is a HostBackend, whose pager faults depend on the order
+	// it sees pages in.
+	inOrder bool
 	// linkBytesPerCycle is the per-direction rate Cycles prices buddy bytes at:
 	// the carve-out's link, +Inf when the overflow tier is anything else.
 	linkBytesPerCycle float64
@@ -157,7 +159,7 @@ type Device struct {
 	// slab is the primary tier, the GPU's own device memory, where each
 	// entry's in-budget sectors live; its meter is Traffic's device bytes.
 	// It sits beside traffic, the other counters the data path writes,
-	// rather than among the fields span workers only read.
+	// rather than among the fields a span's pieces only read.
 	slab struct {
 		capacityMeter
 		trafficMeter
@@ -187,29 +189,24 @@ func NewDevice(cfg Config) *Device {
 	d := &Device{
 		codec:             cfg.Codec,
 		overflow:          overflow,
-		span:              newSpanPool(runtime.GOMAXPROCS(0)),
 		mcache:            NewMetadataCache(metadataCacheBytes, metadataCacheSlices, metadataCacheWays),
 		linkBytesPerCycle: math.Inf(1),
 	}
 	d.slab.capacityMeter = capacityMeter{name: "device-slab", capacity: cfg.DeviceBytes}
-	if c, ok := overflow.(*CarveoutBackend); ok {
-		d.linkBytesPerCycle = c.bytesPerCycle
-	}
-	if d.span.chunks != nil {
-		// Backstop for devices discarded without Close: retire the span
-		// workers when the device is collected, so a test or sweep that
-		// churns devices does not accumulate parked goroutines.
-		runtime.AddCleanup(d, func(sp *spanPool) { sp.close() }, d.span)
+	switch o := overflow.(type) {
+	case *CarveoutBackend:
+		d.linkBytesPerCycle = o.bytesPerCycle
+	case *HostBackend:
+		d.inOrder = true
 	}
 	return d
 }
 
-// Close retires the device's persistent span-worker pool. The device and
-// its allocations stay fully usable — batch spans simply run inline on
-// their callers afterwards. Closing twice is a no-op; devices discarded
-// without Close are cleaned up when garbage-collected.
+// Close releases nothing: a device owns no goroutine or other resource —
+// its spans fan out through par.Run's process-wide helpers — and stays
+// fully usable afterwards. It is kept for callers that pair every device
+// they build with a Close. Closing twice is a no-op.
 func (d *Device) Close() error {
-	d.span.close()
 	return nil
 }
 

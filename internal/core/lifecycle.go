@@ -20,8 +20,8 @@ import (
 // ctl (lock order Allocation.ctl -> Device.mu -> Allocation.mu -> entry
 // shards). A relayout reserves the next layout, installs a per-allocation
 // epoch — the mig pointer with its moved[] bitmap — under a.mu held
-// exclusively, then streams entries to the next layout on the same
-// GOMAXPROCS-bounded span pool as the batch data path, as passes of the
+// exclusively, then streams entries to the next layout fanned out through
+// par.Run like the batch data path, as passes of the
 // entry-table walker (relocate.go). Each metadata line moves under its shard
 // lock, the same lock every reader and writer of its entries takes, and the
 // shard key is fixed at Malloc rather than taken from the layout, so an

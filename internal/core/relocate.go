@@ -128,7 +128,7 @@ func (t *relocTally) flush(d *Device, data bool) Cost {
 
 // relocPass is one pass of the walker over a range of one allocation's
 // entries: what to do, the buffers to do it with, and what it did. Nothing
-// in one is shared between span workers.
+// in one is shared between the pieces of a fanned-out span.
 type relocPass struct {
 	kind relocKind
 

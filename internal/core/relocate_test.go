@@ -192,14 +192,15 @@ type relocWorld struct {
 type oracleTier struct {
 	name string
 	host bool
-	// fanout keeps the kernel world's span workers (the reference stays
-	// inline, entry by entry): the carve-out's accounting is sums, so spans
-	// racing each other must still match it on every counter and on link
-	// occupancy. The host tier cannot play — residency depends on the order
-	// pages are touched in. The metadata cache can, once it is large enough
-	// never to evict: both worlds get 4 MiB, so every line misses exactly
-	// once, on its first access, in whatever order the spans run. Only
-	// `-cpu` above 1 gives a device span workers to keep.
+	// fanout runs both worlds at the ambient width, so the kernel world's
+	// spans fan out (the reference's per-entry steps do not): the
+	// carve-out's accounting is sums, so spans racing each other must still
+	// match it on every counter and on link occupancy. The host tier cannot
+	// play — residency depends on the order pages are touched in. The
+	// metadata cache can, once it is large enough never to evict: both
+	// worlds get 4 MiB, so every line misses exactly once, on its first
+	// access, in whatever order the spans run. Only `-cpu` above 1 fans a
+	// span out.
 	fanout bool
 }
 
@@ -207,10 +208,13 @@ var oracleTiers = []oracleTier{
 	{name: "carveout"}, {name: "host-um", host: true}, {name: "carveout-fanout", fanout: true},
 }
 
-// newRelocWorld builds a world. Outside fanout the span pools are closed at
-// once so every span runs inline, in entry order: the pager's residency and
-// the metadata cache's fills depend on it.
-func newRelocWorld(ref bool, tier oracleTier) *relocWorld {
+// newRelocWorld builds a world. Outside fanout the rest of t runs with every
+// span inline, in entry order: the pager's residency and the metadata cache's
+// fills depend on it.
+func newRelocWorld(t *testing.T, ref bool, tier oracleTier) *relocWorld {
+	if !tier.fanout {
+		serialSpans(t)
+	}
 	mk := func() *Device {
 		cfg := Config{DeviceBytes: 8 << 20}
 		if tier.host {
@@ -219,9 +223,6 @@ func newRelocWorld(ref bool, tier oracleTier) *relocWorld {
 		d := NewDevice(cfg)
 		if tier.fanout {
 			d.mcache = NewMetadataCache(4<<20, metadataCacheSlices, metadataCacheWays)
-		}
-		if ref || !tier.fanout {
-			_ = d.Close()
 		}
 		return d
 	}
@@ -253,11 +254,14 @@ func (w *relocWorld) tryMigrate(a *Allocation, mig *migration, lo, hi int) (move
 	return moved, err
 }
 
-// part runs one span worker's share of a pass of kind over a: entries
-// [lo, hi). It returns the entries that held a stream and their stored bytes.
+// part runs one piece of a pass of kind over a: entries [lo, hi). It
+// returns the entries that held a stream and their stored bytes.
 func part(a *Allocation, kind relocKind, lo, hi int) (entries, bytes int64, err error) {
-	s := entrySpan{a: a, kind: kind}
-	err = s.runSpan(lo, hi)
+	s := entrySpan{a: a, kind: kind, start: lo, n: hi - lo, first: hi - lo, chunk: hi - lo}
+	s.Do(0)
+	if p := s.err.Load(); p != nil {
+		err = *p
+	}
 	return s.entries.Load(), s.bytes.Load(), err
 }
 
@@ -427,7 +431,7 @@ func TestRelocationMatchesPerEntry(t *testing.T) {
 	for _, tier := range oracleTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
-				worlds := [2]*relocWorld{newRelocWorld(false, tier), newRelocWorld(true, tier)}
+				worlds := [2]*relocWorld{newRelocWorld(t, false, tier), newRelocWorld(t, true, tier)}
 				var steps [2][]string
 				var states [2][]relocState
 				for k, w := range worlds {
@@ -629,14 +633,13 @@ func TestLineHandOverMatchesPerEntry(t *testing.T) {
 		{"carveout/transcode-failure", false, true, bdi, true}, {"host/transcode-failure", true, true, bdi, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			serialSpans(t) // inline, in entry order: the pager's residency depends on it
 			mk := func(codec compress.Codec) *Device {
 				cfg := Config{DeviceBytes: 1 << 20, Codec: codec}
 				if c.host {
 					cfg.Overflow = NewHostBackend(1<<10, 1<<10)
 				}
-				d := NewDevice(cfg)
-				_ = d.Close() // inline, in entry order: the pager's residency depends on it
-				return d
+				return NewDevice(cfg)
 			}
 			for _, from := range AllRatios {
 				for _, to := range AllRatios {
@@ -715,9 +718,9 @@ func TestLineHandOverMatchesPerEntry(t *testing.T) {
 // destination that dies part-way gets the entries it took handed back, and
 // then what left each device equals what arrived at the other.
 func TestTransferChargesSourceAfterCommit(t *testing.T) {
+	serialSpans(t) // the move runs inline: sub-batches in order
 	src := NewDevice(Config{DeviceBytes: 4 << 20})
 	dst := NewDevice(Config{DeviceBytes: 4 << 20})
-	_ = src.Close() // the move runs inline: sub-batches in order
 	const entries = 2*spanBatchEntries + 37
 	a, err := src.Malloc("m", entries*EntryBytes, Target4x)
 	if err != nil {
@@ -807,16 +810,16 @@ func TestTransferChargesSourceAfterCommit(t *testing.T) {
 	}
 }
 
-// halfMoved builds two inline devices — the second with codec c, nil for the
-// default both then share — and an allocation of 2 sub-batches written in
-// full, with a MoveTo to the second device held open after its first
-// sub-batch: entries [0, spanBatchEntries) live on dst, the rest on src.
+// halfMoved runs the rest of t with spans inline and builds two devices —
+// the second with codec c, nil for the default both then share — and an
+// allocation of 2 sub-batches written in full, with a MoveTo to the second
+// device held open after its first sub-batch: entries [0, spanBatchEntries)
+// live on dst, the rest on src.
 func halfMoved(t *testing.T, c compress.Codec) (src, dst *Device, a *Allocation, mig *migration, data []byte) {
 	t.Helper()
+	serialSpans(t)
 	src = NewDevice(Config{DeviceBytes: 4 << 20})
 	dst = NewDevice(Config{DeviceBytes: 4 << 20, Codec: c})
-	_ = src.Close()
-	_ = dst.Close()
 	const entries = 2 * spanBatchEntries
 	a, err := src.Malloc("half", entries*EntryBytes, Target2x)
 	if err != nil {

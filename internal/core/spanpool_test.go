@@ -10,9 +10,8 @@ import (
 	"buddy/internal/race"
 )
 
-// withWideGOMAXPROCS forces a multi-worker span pool on single-CPU test
-// machines: devices built inside f see GOMAXPROCS(4) and therefore spawn
-// background span workers.
+// withWideGOMAXPROCS runs f at GOMAXPROCS 4, so a span of two bulk grains
+// or more fans out through par.Run even on a single-CPU test machine.
 func withWideGOMAXPROCS(t *testing.T, f func()) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(4)
@@ -20,15 +19,21 @@ func withWideGOMAXPROCS(t *testing.T, f func()) {
 	f()
 }
 
-// TestSpanPoolParallelRoundTrip drives the persistent span-worker pool with
-// real background workers: spans large enough to be partitioned across the
-// pool must round-trip exactly, concurrently from several goroutines.
+// serialSpans runs the rest of t at GOMAXPROCS 1, where par.Run keeps every
+// piece on its caller, in order: a span's sub-batches reach the tiers and
+// the metadata cache in entry order.
+func serialSpans(t *testing.T) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestSpanPoolParallelRoundTrip fans spans out with real helpers: spans
+// large enough to be cut into pieces must round-trip exactly, concurrently
+// from several goroutines.
 func TestSpanPoolParallelRoundTrip(t *testing.T) {
 	withWideGOMAXPROCS(t, func() {
 		d := NewDevice(Config{DeviceBytes: 64 << 20})
-		if d.span.chunks == nil {
-			t.Fatal("span pool spawned no workers at GOMAXPROCS 4")
-		}
 		const span = 8*bulkGrainEntries + 5
 		const writers = 4
 		a, err := d.Malloc("wide", int64(writers*span*EntryBytes), Target2x)
@@ -66,9 +71,9 @@ func TestSpanPoolParallelRoundTrip(t *testing.T) {
 	})
 }
 
-// TestDeviceCloseRetiresSpanWorkers pins the shutdown ordering: Close stops
-// the background workers (in-flight spans finish first), later batch I/O
-// still works — it just runs inline — and Close is idempotent.
+// TestDeviceCloseRetiresSpanWorkers pins what Close leaves: it is
+// idempotent, and the device stays fully usable afterwards — fanned-out
+// spans still round-trip.
 func TestDeviceCloseRetiresSpanWorkers(t *testing.T) {
 	withWideGOMAXPROCS(t, func() {
 		d := NewDevice(Config{DeviceBytes: 16 << 20})
@@ -87,7 +92,7 @@ func TestDeviceCloseRetiresSpanWorkers(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err) // idempotent
 		}
-		// The device stays fully usable after Close; spans run inline.
+		// The device stays fully usable after Close.
 		got := make([]byte, len(data))
 		if err := a.ReadEntries(0, got); err != nil {
 			t.Fatal(err)
@@ -102,8 +107,8 @@ func TestDeviceCloseRetiresSpanWorkers(t *testing.T) {
 }
 
 // TestSpanPoolErrorPropagation corrupts one stored stream inside a large
-// span and checks the first error a partitioned batch read produces comes
-// back through the pool's atomic first-error slot.
+// span and checks the first error a fanned-out batch read produces comes
+// back through the span's atomic first-error slot.
 func TestSpanPoolErrorPropagation(t *testing.T) {
 	withWideGOMAXPROCS(t, func() {
 		d := NewDevice(Config{DeviceBytes: 64 << 20})
@@ -127,9 +132,9 @@ func TestSpanPoolErrorPropagation(t *testing.T) {
 }
 
 // TestSpanDispatchSteadyStateZeroAlloc pins the partitioned batch path at
-// zero allocations: a WriteEntries wide enough to be split across the span
-// workers checks its job out of a pool and hands chunks over a channel, and
-// spanJob.run must not heap-allocate its error slot per chunk.
+// zero allocations: a WriteEntries wide enough to be cut into pieces checks
+// its runner out of a pool and hands it to parked helpers over a channel,
+// and entrySpan.Do must not heap-allocate its error slot per piece.
 func TestSpanDispatchSteadyStateZeroAlloc(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -161,11 +166,10 @@ func TestSpanDispatchSteadyStateZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestSpanRunsRaceDeviceClose keeps partitioned span runs arriving from
-// several goroutines while Device.Close retires the workers: runs that
-// started before the close finish on the pool, later ones run inline, every
-// span round-trips, and (under -race) the close barrier is not a WaitGroup
-// whose counter leaves zero while Close waits on it.
+// TestSpanRunsRaceDeviceClose keeps fanned-out span runs arriving from
+// several goroutines, on fresh devices round after round, with a
+// Device.Close in the middle of each round: every concurrent span
+// round-trips, and (under -race) the helpers' hand-off is race-free.
 func TestSpanRunsRaceDeviceClose(t *testing.T) {
 	withWideGOMAXPROCS(t, func() {
 		const span = 4 * bulkGrainEntries
@@ -209,6 +213,78 @@ func TestSpanRunsRaceDeviceClose(t *testing.T) {
 				t.Fatal(err)
 			}
 			wg.Wait()
+		}
+	})
+}
+
+// TestDevicesStartNoGoroutines pins that a device owns no goroutine: building
+// eight starts none, and fanning spans out on all of them at GOMAXPROCS 4
+// leaves at most three more in the process — par's helpers, shared by every
+// device.
+func TestDevicesStartNoGoroutines(t *testing.T) {
+	withWideGOMAXPROCS(t, func() {
+		before := runtime.NumGoroutine()
+		devices := make([]*Device, 8)
+		for i := range devices {
+			devices[i] = NewDevice(Config{DeviceBytes: 16 << 20})
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("building %d devices started %d goroutines", len(devices), n-before)
+		}
+		const span = 8 * bulkGrainEntries
+		data := make([]byte, span*EntryBytes)
+		gen.SparseFP16{ZeroFrac: 0.5}.Fill(data, gen.NewRNG(9, 1))
+		for _, d := range devices {
+			a, err := d.Malloc("fan", int64(len(data)), Target2x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := a.WriteEntries(0, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := runtime.NumGoroutine(); n > before+3 {
+			t.Fatalf("fan-outs over %d devices at GOMAXPROCS 4 left %d goroutines, want at most 3", len(devices), n-before)
+		}
+	})
+}
+
+// TestHostTierSpansKeepEntryOrder pins the host pager's fault count to entry
+// order: its residency depends on the order pages are touched in, so
+// multi-grain spans written at GOMAXPROCS 4 to a host-tier device must leave
+// the tier's traffic, faults included, equal to a twin's written one entry
+// at a time.
+func TestHostTierSpansKeepEntryOrder(t *testing.T) {
+	withWideGOMAXPROCS(t, func() {
+		const entries, span = 32 * bulkGrainEntries, 6*bulkGrainEntries + 17
+		data := make([]byte, entries*EntryBytes)
+		gen.Random{}.Fill(data, gen.NewRNG(12, 1))
+		var tiers [2]Backend
+		for k := range tiers {
+			d := NewDevice(Config{DeviceBytes: 4 << 20, Overflow: NewHostBackend(4<<10, 32<<10)})
+			a, err := d.Malloc("host", int64(len(data)), Target4x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 6; round++ {
+				for lo := round * 37; lo+span <= entries; lo += span {
+					if k == 1 {
+						for i := lo; i < lo+span; i++ {
+							if err := a.WriteEntry(i, data[i*EntryBytes:][:EntryBytes]); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else if err := a.WriteEntries(lo, data[lo*EntryBytes:][:span*EntryBytes]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tiers[k] = d.Overflow()
+		}
+		if spans, singles := tiers[0].Traffic(), tiers[1].Traffic(); spans != singles {
+			t.Fatalf("host tier after spans %+v, after single entries %+v", spans, singles)
 		}
 	})
 }

@@ -89,18 +89,20 @@ func (t *tripwire) arm(n int64, hook func()) {
 }
 
 // newTripwirePool builds a two-shard pool whose devices' overflow tiers are
-// tripwires over the default carve-out. inline retires the devices' span
-// workers first, so a move runs on its caller, sub-batch after sub-batch.
+// tripwires over the default carve-out. inline runs the rest of t at
+// GOMAXPROCS 1, where every span stays on its caller, so a move runs
+// sub-batch after sub-batch.
 func newTripwirePool(t *testing.T, deviceBytes int64, inline bool, cfg Config) (*Pool, [2]*tripwire) {
 	t.Helper()
+	if inline {
+		old := runtime.GOMAXPROCS(1)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
 	var trips [2]*tripwire
 	devices := make([]*core.Device, 2)
 	for i := range devices {
 		trips[i] = &tripwire{Backend: core.NewCarveoutBackend(3*deviceBytes, nvlink.DefaultConfig())}
 		devices[i] = core.NewDevice(core.Config{DeviceBytes: deviceBytes, Overflow: trips[i]})
-		if inline {
-			_ = devices[i].Close()
-		}
 	}
 	cfg.Placement = Explicit(0)
 	p, err := New(devices, cfg)

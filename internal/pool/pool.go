@@ -46,7 +46,7 @@ type Config struct {
 	// Workers is the number of worker goroutines draining each shard's
 	// queue. Default: GOMAXPROCS spread across the shards, at least one
 	// per shard. Each worker's bulk operations additionally fan out
-	// across the device's own span-worker pool.
+	// over idle cores (par.Run).
 	Workers int
 	// Injector, when non-nil, is attached to the pool: its Kill(shard)
 	// marks that shard's device tier failed mid-serve (the fault-injection

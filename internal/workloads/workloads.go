@@ -22,13 +22,11 @@ package workloads
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"buddy/internal/gen"
 	"buddy/internal/memory"
+	"buddy/internal/par"
 	"buddy/internal/trace"
 )
 
@@ -558,38 +556,18 @@ func layout(b Benchmark, t, scale int, static *memory.Snapshot, fills []fill) (*
 	return snap, fills
 }
 
-// synthesizing counts the goroutines running fillAll's loop, across every
-// caller in the process.
-var synthesizing atomic.Int32
+// fillJob is fillAll's fan-out: piece i is fill i.
+type fillJob []fill
 
-// fillAll runs fills largest-first on a work-conserving fan-out: the
-// caller works through the list itself, and before each fill any worker
-// adds a helper goroutine for a core no other synthesizer occupies
-// (synthesizing at most GOMAXPROCS). So concurrent callers (the profile
+func (f fillJob) Do(i int) { f[i].g.Fill(f[i].a.Data, gen.NewRNG(f[i].seed, 7)) }
+
+// fillAll runs fills largest-first through par.Run, so a fill starts on a
+// core only while no other job occupies it: concurrent callers (the profile
 // benchmark workload runs two) add no helpers on cores they already fill,
-// and a caller left alone takes over the cores the others free. Fills are
-// claimed with one atomic add each; since every fill draws from its own
-// RNG, the bytes are the same at any width and interleaving.
+// and a caller left alone takes over the cores the others free. Since every
+// fill draws from its own RNG, the bytes are the same at any width and
+// interleaving.
 func fillAll(fills []fill) {
 	slices.SortStableFunc(fills, func(x, y fill) int { return len(y.a.Data) - len(x.a.Data) })
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	var work func()
-	work = func() {
-		defer synthesizing.Add(-1)
-		for i := next.Add(1) - 1; int(i) < len(fills); i = next.Add(1) - 1 {
-			for int(next.Load()) < len(fills) {
-				if int(synthesizing.Add(1)) > runtime.GOMAXPROCS(0) {
-					synthesizing.Add(-1)
-					break
-				}
-				wg.Add(1)
-				go func() { defer wg.Done(); work() }()
-			}
-			fills[i].g.Fill(fills[i].a.Data, gen.NewRNG(fills[i].seed, 7))
-		}
-	}
-	synthesizing.Add(1)
-	work()
-	wg.Wait()
+	par.Run(len(fills), fillJob(fills))
 }
