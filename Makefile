@@ -150,7 +150,7 @@ bench-json:
 # overrides the tolerance for one run (CI uses a wider one to absorb shared
 # runner heterogeneity; a lost kernel fast path is a 2-15x cliff either way).
 BENCH_GATE_PKGS = ./internal/compress/ ./internal/core/ ./internal/pool/
-BENCH_GATE_RX = 'BenchmarkAppendCompressed|BenchmarkDecompressInto|BenchmarkSizerBits|BenchmarkVariedStream|BenchmarkWriteEntry|BenchmarkReadEntr(y|ies)|BenchmarkFirstWrite|BenchmarkPoolServe|BenchmarkRelocate|BenchmarkSubmitWrite|BenchmarkRebalanceScan|BenchmarkQoSDequeue'
+BENCH_GATE_RX = 'BenchmarkAppendCompressed|BenchmarkDecompressInto|BenchmarkSizerBits|BenchmarkVaried(Stream|Mix)|BenchmarkWriteEntry|BenchmarkReadEntr(y|ies)|BenchmarkFirstWrite|BenchmarkPoolServe|BenchmarkRelocate|BenchmarkSubmitWrite|BenchmarkRebalanceScan|BenchmarkQoSDequeue'
 BENCH_TOL ?=
 bench-gate:
 	$(GO) test -run '^$$' -bench $(BENCH_GATE_RX) -benchtime 100ms -count 4 $(BENCH_GATE_PKGS) \

@@ -88,6 +88,9 @@ func BenchmarkSizerBits(b *testing.B) {
 
 var sizerSink int
 
+// variedEntries is the entry count of the varied-stream benchmarks.
+const variedEntries = 16384
+
 // BenchmarkVariedStream measures the BPC codec over 16384 distinct
 // 90%-sparse entries instead of one repeated entry: every iteration decodes
 // a different code sequence, so the branch-predictor warmth that makes
@@ -96,9 +99,37 @@ var sizerSink int
 // word-level parse loop and the dense/sparse decode split — and the gate
 // pins it alongside the single-entry matrix.
 func BenchmarkVariedStream(b *testing.B) {
-	const n = 16384
-	data := make([]byte, n*EntryBytes)
+	data := make([]byte, variedEntries*EntryBytes)
 	(gen.SparseFP16{ZeroFrac: 0.9}).Fill(data, gen.NewRNG(7, 1))
+	benchVaried(b, data)
+}
+
+// BenchmarkVariedMix is BenchmarkVariedStream over the fleet's region
+// generators instead of one sparse shape: 16384 distinct entries that cycle
+// through dense low-σ and quantized DL weights, half-sparse fp16
+// activations, noisy HPC fields and incompressible data. The dense weights
+// are mostly raw plane pairs, the shape serve-stream's encode time goes to.
+func BenchmarkVariedMix(b *testing.B) {
+	gens := []gen.Generator{
+		gen.Weights32{Sigma: 0.004, QuantBits: 8},
+		gen.Weights32{Sigma: 0.02, QuantBits: 12},
+		gen.SparseFP16{ZeroFrac: 0.5},
+		gen.Noisy32{NoiseBits: 4, SmoothStep: 1},
+		gen.Noisy64{NoiseBits: 10, HiStep: 1},
+		gen.Random{},
+	}
+	data := make([]byte, variedEntries*EntryBytes)
+	r := gen.NewRNG(7, 2)
+	for i := 0; i < variedEntries; i++ {
+		gens[i%len(gens)].Fill(data[i*EntryBytes:(i+1)*EntryBytes], r)
+	}
+	benchVaried(b, data)
+}
+
+// benchVaried runs the encode and decode sub-benchmarks of the BPC codec
+// over the distinct entries in data, one entry per iteration in turn.
+func benchVaried(b *testing.B, data []byte) {
+	n := len(data) / EntryBytes
 	streams := make([][]byte, n)
 	c := NewBPC()
 	for i := 0; i < n; i++ {

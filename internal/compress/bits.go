@@ -141,11 +141,6 @@ func (r *BitReader) ReadBits(n int) uint64 {
 	return w>>(64-uint(n)) | uint64(b)>>(8-missing)
 }
 
-// Skip consumes n bits without returning them.
-//
-//buddy:hotpath
-func (r *BitReader) Skip(n int) { r.pos += n }
-
 // ReadBytes fills dst with the next len(dst)*8 bits, the read-side mirror of
 // WriteBytes. Byte-aligned readers take one copy (zero-filling past the end
 // of the buffer, like ReadBits); unaligned readers stitch each output byte

@@ -43,9 +43,10 @@ import (
 //	or of all d   bit b == 0  <=>  DBP plane b is zero
 //
 // — and only planes needing the two-ones/single-one/raw discrimination
-// gather actual plane bits, looping over just the non-zero deltas. Sparse
-// entries (runs of equal words) drop out of the delta list up front, so the
-// per-plane work is proportional to the entry's non-zero structure.
+// read actual plane bits, which one butterfly transpose of the masks yields
+// at a fixed cost, two planes per 64-bit word. That packing is also the raw
+// code's layout: when an odd plane and the plane below it are both raw, the
+// word is their two codes back to back, and the pair goes out in one put.
 type BPC struct{}
 
 // NewBPC returns the Bit-Plane Compression codec.
@@ -69,9 +70,11 @@ const (
 // all, and the single raw-vs-compressed decision happens once at the end.
 const bpcStreamWords = 18
 
-// bpcPut appends the low n bits of v (MSB first) to the register buffer at
-// bit cursor pos and returns the advanced cursor. The value is left-aligned
-// once and both the current and the next word are OR-ed unconditionally —
+// bpcPut appends the low n bits of v (MSB first, 0 <= n <= 64) to the
+// register buffer at bit cursor pos and returns the advanced cursor. The
+// value is left-aligned once (n = 0 leaves nothing to OR, since a shift by
+// 64 yields 0) and both the current and the next word are OR-ed
+// unconditionally —
 // when the code does not spill, the second OR contributes zero (a shift by
 // 64 yields 0) — so the put has no does-it-spill branch; the cursor's word
 // alignment is data-dependent and the branch would mispredict about as often
@@ -109,15 +112,30 @@ func bpcPutBase(sb *[bpcStreamWords]uint64, pos int, base uint32) int {
 	}
 }
 
-// bpcRaw emits the raw-fallback frame (flag bit 1 + the 128 entry bytes).
+// bpcRawPlane reports whether a non-zero plane takes the raw code: it has
+// a 1 outside its lowest set bit and the bit above it, so it is neither a
+// one-ones nor a two-adjacent-ones pattern.
+func bpcRawPlane(x uint32) bool {
+	low := x & -x
+	return x&^(low|low<<1) != 0
+}
+
+// bpcRaw emits the raw-fallback frame (flag bit 1 + the 128 entry bytes,
+// 129 bytes in all) with word shifts: each big-endian entry word moves down
+// one bit, and the bit it drops leads the next word (the flag leads the
+// first).
 //
 //buddy:hotpath
 func bpcRaw(dst, entry []byte) ([]byte, int) {
-	var w BitWriter
-	w.Reset(dst)
-	w.WriteBits(1, 1)
-	w.WriteBytes(entry)
-	return w.Bytes(), EntryBytes * 8
+	var frame [EntryBytes + 1]byte
+	carry := uint64(1)
+	for k := 0; k < entryWordCount; k++ {
+		w := binary.BigEndian.Uint64(entry[k*8:])
+		binary.BigEndian.PutUint64(frame[k*8:], carry<<63|w>>1)
+		carry = w
+	}
+	frame[EntryBytes] = byte(carry << 7)
+	return append(dst, frame[:]...), bpcRawBits
 }
 
 // AppendCompressed implements Codec: one encode produces both the framed
@@ -136,21 +154,17 @@ func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 	var sbuf [bpcStreamWords]uint64
 	pos := 1
 
-	// Sparsity pre-pass over the entry's sixteen 64-bit words: compute the
-	// 33-bit deltas and their transition masks. rows holds each mask's low 32
-	// bits two deltas per word (delta 2m in the low lane of rows[m] — the
-	// packed layout transpose32 wants); p32 collects the mask bit-32 column,
-	// which is the whole of plane 32. The body is branch-free on the delta
-	// values: a zero delta contributes nothing to any accumulator (its mask is
-	// zero, and `andE &= 0` agrees with the nnz < 31 correction below), the
-	// idx slot it wrote is either overwritten or never read, and the non-zero
-	// count advances by a flag bit instead of a branch — delta values are the
-	// least predictable data in the entry, and a mispredict costs more than
-	// the handful of ALU ops a zero delta's dead update takes.
+	// Pre-pass over the entry's sixteen 64-bit words: compute the 33-bit
+	// deltas and their transition masks. rows holds each mask's low 32 bits
+	// two deltas per word (delta 2m in the low lane of rows[m] — the packed
+	// layout transpose32 wants); p32 collects the mask bit-32 column, which is
+	// the whole of plane 32. The body is branch-free on the delta values: a
+	// zero delta's all-zero mask adds nothing to orE/orD and clears andE, as
+	// it must (no plane is all-ones then) — delta values are the least
+	// predictable data in the entry, and a mispredict costs more than the
+	// handful of ALU ops a zero delta's dead update takes.
 	var rows [entryWordCount]uint64
-	var idx [bpcDeltas]uint8
 	var p32 uint32
-	nnz := 0
 	orE, andE, orD := uint64(0), bpcMask33, uint64(0)
 	base := binary.LittleEndian.Uint32(entry)
 	prev := int64(0)
@@ -164,49 +178,39 @@ func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 			orD |= d
 			orE |= e
 			andE &= e
-			i := 2*k - 1 // odd: high lane of rows[k-1]
-			rows[k-1] |= e << 32
-			p32 |= uint32(e>>32) << uint(i)
-			idx[nnz] = uint8(i)
-			nnz += int((d | -d) >> 63)
+			rows[k-1] |= e << 32 // delta 2k-1: high lane of rows[k-1]
+			p32 |= uint32(e>>32) << uint(2*k-1)
 		}
 		d := uint64(hi-lo) & bpcMask33
 		e := d ^ (d >> 1)
 		orD |= d
 		orE |= e
 		andE &= e
-		i := 2 * k // even: low lane of rows[k]
-		rows[k] |= e & 0xFFFFFFFF
-		p32 |= uint32(e>>32) << uint(i)
-		idx[nnz] = uint8(i)
-		nnz += int((d | -d) >> 63)
+		rows[k] = e & 0xFFFFFFFF // delta 2k: low lane of rows[k]
+		p32 |= uint32(e>>32) << uint(2*k)
 		prev = hi
-	}
-	if nnz < bpcDeltas {
-		andE = 0 // a zero delta has an all-zero mask, so no plane is all-ones
 	}
 
 	// Planes that the aggregates cannot classify (non-zero, not all-ones,
-	// DBP non-zero) need their 31 bits materialized. When there are many of
-	// them over many deltas, one butterfly transpose produces every plane at
-	// a fixed cost; otherwise per-plane gathers over just the non-zero
-	// deltas are cheaper.
+	// DBP non-zero) are emitted from their 31 bits. When any plane below 32 is
+	// one, a single butterfly transpose turns the rows into planes at a fixed
+	// cost: rows[m] then holds plane 2m in its low lane and plane 2m+1 in its
+	// high lane, with each lane's bit 31 (the absent delta 31) zero.
 	need := orE &^ andE & orD
-	usePlanes := false
-	if g := bits.OnesCount64(need); g*nnz >= 128 {
+	if need&0xFFFFFFFF != 0 {
 		transpose32(&rows)
-		usePlanes = true
 	}
 
 	pos = bpcPutBase(&sbuf, pos, base)
 	// Plane 32 is the p32 column collected by the pre-pass; classifying it
 	// before the loop keeps the per-plane body free of the is-it-the-top-plane
-	// test. The loop then emits one bpcPut per surviving plane: a zero-run hop
-	// (single Len64 instead of a per-plane walk — sparse entries have long
-	// runs) fuses its run code with the code of the plane that ends the run,
-	// so a run+plane pair costs one call, and the code discriminations select
-	// values rather than control flow (a data-dependent outcome is a couple of
-	// conditional moves, not a pipeline flush).
+	// test. The loop then emits one bpcPut per surviving plane, or per raw
+	// plane pair: a zero-run hop (single Len64 instead of a per-plane walk —
+	// sparse entries have long runs) fuses its run code with the code of the
+	// plane that ends the run, so a run+plane pair costs one call, and the
+	// code discriminations select values rather than control flow (a
+	// data-dependent outcome is a couple of conditional moves, not a pipeline
+	// flush).
 	b := bpcPlanes - 1
 	if orE>>uint(b)&1 == 1 {
 		if need>>uint(b)&1 == 1 {
@@ -223,85 +227,55 @@ func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 		}
 		b--
 	}
-	if usePlanes {
-		// Transposed path: every plane's 31 bits are one lane extraction, so
-		// the need test no longer guards expensive work and both it and the
-		// raw-vs-short discrimination reduce to value selects — the only
-		// data-dependent control flow left per plane is the zero-run hop.
-		for b >= 0 {
-			var rv uint64 // pending run code, emitted fused with the next plane
-			rn := 0
-			if orE>>uint(b)&1 == 0 {
-				hb := bits.Len64(orE&(uint64(1)<<uint(b)-1)) - 1
-				rv, rn = 0b001, 3
-				if run := b - hb; run != 1 {
-					rv, rn = 0b01_00000|uint64(run-2), 7
-				}
-				b = hb
-				if b < 0 {
-					pos = bpcPut(&sbuf, pos, rv, rn)
-					break
-				}
+	for b >= 0 {
+		var rv uint64 // pending run code, emitted fused with the next plane
+		rn := 0
+		if orE>>uint(b)&1 == 0 {
+			hb := bits.Len64(orE&(uint64(1)<<uint(b)-1)) - 1
+			rv, rn = 0b001, 3
+			if run := b - hb; run != 1 {
+				rv, rn = 0b01_00000|uint64(run-2), 7
 			}
-			// Both discriminations below are pure mask arithmetic — the plane
-			// class is the least predictable quantity in the stream, and a
-			// mispredicted branch costs more than the dozen ALU ops the masked
-			// selects take.
-			plane := uint32(rows[b>>1] >> (uint(b&1) * 32))
-			tz := bits.TrailingZeros32(plane)
-			pp := uint64(plane >> uint(tz))
-			// mShort = all-ones iff the plane is a one/two-ones pattern
-			// (pp == 1 or pp == 3, i.e. (pp|2)^3 == 0).
-			q := (pp | 2) ^ 3
-			mShort := (q|-q)>>63 - 1
-			// mAgg = all-ones iff the aggregates classify the plane (need bit 0).
-			mAgg := need>>uint(b)&1 - 1
-			vShort := (0b00010|(3-pp)>>1)<<5 | uint64(tz)
-			vRaw := uint64(1)<<bpcDeltas | uint64(plane)
-			vAgg := ^andE >> uint(b) & 1
-			v := (vRaw&^mShort|vShort&mShort)&^mAgg | vAgg&mAgg
-			n := int(32 - 22&mShort&^mAgg - 27&mAgg)
-			pos = bpcPut(&sbuf, pos, rv<<uint(n)|v, rn+n)
-			b--
+			b = hb
+			if b < 0 {
+				pos = bpcPut(&sbuf, pos, rv, rn)
+				break
+			}
 		}
-	} else {
-		for b >= 0 {
-			var rv uint64 // pending run code, emitted fused with the next plane
-			rn := 0
-			if orE>>uint(b)&1 == 0 {
-				hb := bits.Len64(orE&(uint64(1)<<uint(b)-1)) - 1
-				rv, rn = 0b001, 3
-				if run := b - hb; run != 1 {
-					rv, rn = 0b01_00000|uint64(run-2), 7
-				}
-				b = hb
-				if b < 0 {
-					pos = bpcPut(&sbuf, pos, rv, rn)
-					break
-				}
-			}
-			// Planes that must materialize values gather over just the
-			// non-zero deltas; the need test keeps the gather off the
-			// aggregate-classified planes.
-			var v uint64
-			var n int
-			if need>>uint(b)&1 == 1 {
-				var plane uint32
-				for k := 0; k < nnz; k++ {
-					i := idx[k]
-					plane |= uint32(rows[i>>1]>>(uint(i&1)*32+uint(b))&1) << i
-				}
-				tz := bits.TrailingZeros32(plane)
-				v, n = uint64(1)<<bpcDeltas|uint64(plane), 32
-				if p := plane >> uint(tz); p|2 == 3 {
-					v, n = (0b00010|uint64(3-p)>>1)<<5|uint64(tz), 10
-				}
-			} else {
-				v, n = ^andE>>uint(b)&1, 5
-			}
-			pos = bpcPut(&sbuf, pos, rv<<uint(n)|v, rn+n)
-			b--
+		row := rows[b>>1]
+		// Raw pair: an odd plane b and plane b-1 that both need their bits
+		// and are neither one-ones nor two-adjacent-ones planes. The row is
+		// then already their two raw codes back to back — plane b in the
+		// high lane, b-1 in the low, each lane's empty bit 31 taking the raw
+		// flag — so the pair lands with one 64-bit put (a pending run code,
+		// which would not fit beside it, goes first on its own).
+		if b&1 == 1 && need>>uint(b-1)&3 == 3 && bpcRawPlane(uint32(row>>32)) && bpcRawPlane(uint32(row)) {
+			pos = bpcPut(&sbuf, pos, rv, rn)
+			pos = bpcPut(&sbuf, pos, row|1<<63|1<<31, 64)
+			b -= 2
+			continue
 		}
+		// One plane. Both discriminations below are pure mask arithmetic —
+		// the plane class is the least predictable quantity in the stream,
+		// and a mispredicted branch costs more than the dozen ALU ops the
+		// masked selects take. Without a transpose the row holds masks, not
+		// planes, but then mAgg discards it.
+		plane := uint32(row >> (uint(b&1) * 32))
+		tz := bits.TrailingZeros32(plane)
+		pp := uint64(plane >> uint(tz))
+		// mShort = all-ones iff the plane is a one/two-ones pattern
+		// (pp == 1 or pp == 3, i.e. (pp|2)^3 == 0).
+		q := (pp | 2) ^ 3
+		mShort := (q|-q)>>63 - 1
+		// mAgg = all-ones iff the aggregates classify the plane (need bit 0).
+		mAgg := need>>uint(b)&1 - 1
+		vShort := (0b00010|(3-pp)>>1)<<5 | uint64(tz)
+		vRaw := uint64(1)<<bpcDeltas | uint64(plane)
+		vAgg := ^andE >> uint(b) & 1
+		v := (vRaw&^mShort|vShort&mShort)&^mAgg | vAgg&mAgg
+		n := int(32 - 22&mShort&^mAgg - 27&mAgg)
+		pos = bpcPut(&sbuf, pos, rv<<uint(n)|v, rn+n)
+		b--
 	}
 	if bits := pos - 1; bits < bpcRawBits {
 		// One bulk store: the register words are already the big-endian
@@ -338,7 +312,7 @@ func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 //	any other plane                     32
 //
 // — and the last discrimination, which the encoder makes per plane on
-// gathered bits (p = plane >> tz has its low bit set, so p|2 == 3 says no bit
+// transposed bits (p = plane >> tz has its low bit set, so p|2 == 3 says no bit
 // above bit 1 survives: popcount 1, or popcount 2 with the ones adjacent),
 // reads here from per-plane counters kept bit-sliced across the 31 transition
 // masks: ones/twos are the count's two low bits, more is sticky once it
@@ -450,9 +424,8 @@ const (
 // gathering 31x33 bits back into words, the decoder collects the DBX planes
 // as it parses, converts them to per-delta transition masks — one fixed-cost
 // butterfly transpose when the planes are dense, a popcount-proportional
-// scatter when they are sparse, mirroring the encoder's gather-vs-transpose
-// split — then inverts the transition transform with a parallel-prefix XOR
-// and prefix-sums the words.
+// scatter when they are sparse — then inverts the transition transform with
+// a parallel-prefix XOR and prefix-sums the words.
 //
 //buddy:hotpath
 func (BPC) DecompressInto(dst, comp []byte) error {
@@ -468,9 +441,16 @@ func (BPC) DecompressInto(dst, comp []byte) error {
 		w0 = bpcPeekWord(comp, 0)
 	}
 	if w0>>63 == 1 {
-		r := NewBitReader(comp)
-		r.Skip(1)
-		return decodeRawEntry(dst, r)
+		// Raw frame: each entry word is the stream word at the same offset
+		// shifted up past the flag, topped up by the next byte's high bit.
+		if len(comp) <= EntryBytes {
+			return ErrCorrupt
+		}
+		for k := 0; k < entryWordCount; k++ {
+			w := binary.BigEndian.Uint64(comp[k*8:])<<1 | uint64(comp[k*8+8]>>7)
+			binary.BigEndian.PutUint64(dst[k*8:], w)
+		}
+		return nil
 	}
 	var base uint32
 	var pos int // local bit cursor: the parse loop peeks and skips inline
@@ -554,8 +534,7 @@ func (BPC) DecompressInto(dst, comp []byte) error {
 	// planes yields each delta's low 32 bits directly (plane 32 is the 33-bit
 	// sign, which vanishes mod 2^32 and needs no reconstruction at all).
 	// Sparse sets scatter just the DBX bits per delta and invert with the
-	// parallel-prefix XOR instead, which is cheaper below the same ~128-bit
-	// break-even the encoder uses.
+	// parallel-prefix XOR instead, which is cheaper below 48 set bits.
 	wv := base
 	binary.LittleEndian.PutUint32(dst, wv)
 	if pop >= 48 {

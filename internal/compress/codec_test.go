@@ -164,14 +164,16 @@ func TestSizerMatchesSectorsNeeded(t *testing.T) {
 	}
 }
 
-// TestBPCBitsShapeSweep drives the closed-form size kernel against the
-// encoder over a million-odd seeded entries built to flip plane classes:
-// every code length in BPC.Bits is a popcount over an aggregate, so the
-// shapes walk each aggregate's decision boundary — zero-run starts and
-// isolated runs (steps at every bit position), the one/two-adjacent/raw
-// split of the counters (one step, two adjacent steps, two separated steps,
-// alternating words), all-ones and DBP-zero planes (alternation, ramps), and
-// the 1024-bit cap (wide noise, pure random).
+// TestBPCBitsShapeSweep drives the closed-form size kernel and the encoder
+// against the preserved reference encoder over a million-odd seeded entries
+// built to flip plane classes: every code length in BPC.Bits is a popcount
+// over an aggregate, so the shapes walk each aggregate's decision boundary —
+// zero-run starts and isolated runs (steps at every bit position), the
+// one/two-adjacent/raw split of the counters (one step, two adjacent steps,
+// two separated steps, alternating words), all-ones and DBP-zero planes
+// (alternation, ramps), and the 1024-bit cap (wide noise, pure random). The
+// same flips decide whether two neighbouring raw planes are emitted as one
+// pair, so each stream must also match refBPCAppend byte for byte.
 func TestBPCBitsShapeSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-entry sweep")
@@ -179,6 +181,7 @@ func TestBPCBitsShapeSweep(t *testing.T) {
 	bpc := NewBPC()
 	sz := NewSizer(bpc)
 	scratch := make([]byte, 0, MaxStreamBytes)
+	refScratch := make([]byte, 0, MaxStreamBytes)
 	entry := make([]byte, EntryBytes)
 	words := func(f func(i int) uint32) {
 		for i := 0; i < bpcWords; i++ {
@@ -192,6 +195,11 @@ func TestBPCBitsShapeSweep(t *testing.T) {
 		scratch = stream[:0]
 		if got := sz.Bits(entry); got != want {
 			t.Fatalf("%s: Sizer.Bits = %d, AppendCompressed = %d\nentry %x", shape, got, want, entry)
+		}
+		ref, _ := refBPCAppend(refScratch[:0], entry)
+		refScratch = ref[:0]
+		if !bytes.Equal(stream, ref) {
+			t.Fatalf("%s: stream differs from reference\n got %x\nwant %x\nentry %x", shape, stream, ref, entry)
 		}
 		checked++
 	}

@@ -18,7 +18,8 @@ func fuzzEntry(data []byte) []byte {
 // FuzzRoundTrip drives every codec over arbitrary entries: the single-pass
 // stream must decode bit-exactly, encode deterministically, report
 // in-range metadata bits, size identically through a Sizer (the size-only
-// kernel where the codec has one), and reject every truncated prefix with ErrCorrupt.
+// kernel where the codec has one), equal the preserved reference encoder's
+// stream byte for byte, and reject every truncated prefix with ErrCorrupt.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, EntryBytes))
@@ -63,6 +64,9 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			if got := NewSizer(c).Bits(entry); got != bits {
 				t.Fatalf("%s: Sizer.Bits %d != encoded bits %d", c.Name(), got, bits)
+			}
+			if ref, _ := refAppend(c, nil, entry); !bytes.Equal(stream, ref) {
+				t.Fatalf("%s: stream differs from reference\n got %x\nwant %x", c.Name(), stream, ref)
 			}
 			for _, cut := range []int{0, len(stream) / 2, len(stream) - 1} {
 				if cut < 0 || cut >= len(stream) {

@@ -504,13 +504,15 @@ func checkAgainstReference(t *testing.T, c Codec, entry []byte, label string) {
 }
 
 // crossCheckGens is codecGens plus the sparse-activation shapes the word
-// kernels fast-path: the reference equivalence must hold exactly where the
-// sparsity pre-pass fires.
+// kernels fast-path, and the dense low-σ gradients whose entries are mostly
+// raw BPC plane pairs: the reference equivalence must hold exactly where the
+// fast paths fire.
 func crossCheckGens() []gen.Generator {
 	return append(codecGens(),
 		gen.SparseFP16{ZeroFrac: 0.5},
 		gen.SparseFP16{ZeroFrac: 0.7},
 		gen.SparseFP16{ZeroFrac: 0.9},
+		gen.Weights32{Sigma: 0.004, QuantBits: 8},
 	)
 }
 
@@ -547,5 +549,101 @@ func TestWordKernelsMatchReference(t *testing.T) {
 		for _, e := range boundary {
 			checkAgainstReference(t, c, e, "boundary")
 		}
+	}
+}
+
+// bpcEntryOfPlanes builds an entry from its low sixteen DBX planes: bit i of
+// dbx[b] is delta i's transition bit b, planes 16..32 are zero. Each delta
+// is its transition mask with e = d ^ d>>1 inverted, so it stays under 2^16
+// and the words climb from base without wrapping.
+func bpcEntryOfPlanes(base uint32, dbx [16]uint32) []byte {
+	entry := make([]byte, EntryBytes)
+	w := base
+	binary.LittleEndian.PutUint32(entry, w)
+	for i := 0; i < bpcDeltas; i++ {
+		var d uint32
+		for b, p := range dbx {
+			d |= p >> uint(i) & 1 << uint(b)
+		}
+		d ^= d >> 1
+		d ^= d >> 2
+		d ^= d >> 4
+		d ^= d >> 8
+		w += d
+		binary.LittleEndian.PutUint32(entry[(i+1)*4:], w)
+	}
+	return entry
+}
+
+// refBPCPlaneCode names the code the reference encoder gives plane b.
+func refBPCPlaneCode(entry []byte, b int) string {
+	_, dbp := refBPCPlanesOf(entry)
+	dbx := dbp[b] ^ dbp[b+1]
+	tz := bits.TrailingZeros32(dbx)
+	switch {
+	case dbx == 0:
+		return "zero"
+	case dbx == allOnes31:
+		return "all-ones"
+	case dbp[b] == 0:
+		return "dbp-zero"
+	case dbx>>uint(tz) == 3:
+		return "two"
+	case dbx>>uint(tz) == 1:
+		return "one"
+	}
+	return "raw"
+}
+
+// TestBPCRawPairsMatchReference pins the encoder's paired emission of two
+// raw planes (an odd plane and the even one below it) on the shapes next to
+// it: a raw plane whose partner takes a short or an aggregate code must fall
+// back to single-plane codes, a zero-run code pending before a pair must
+// precede it, and the top pair (31, 30) sits right below plane 32. Each
+// case first checks, on the reference's own planes, that it has the shape
+// it names.
+func TestBPCRawPairsMatchReference(t *testing.T) {
+	const r1, r2, r3 = 0x2B5A1C37, 0x1F00A5D3, 0x64C3915E
+	top := make([]byte, EntryBytes)
+	for i := 0; i < bpcWords; i++ {
+		binary.LittleEndian.PutUint32(top[i*4:], uint32(i)*0x9E3779B9&0xC0000000|uint32(i))
+	}
+	for _, tc := range []struct {
+		name  string
+		entry []byte
+		want  map[int]string // plane -> code
+	}{
+		{"raw-over-one", bpcEntryOfPlanes(0x1000, [16]uint32{5: r1, 4: 1 << 7}),
+			map[int]string{5: "raw", 4: "one"}},
+		{"one-over-raw", bpcEntryOfPlanes(0x1000, [16]uint32{5: 1 << 9, 4: r1}),
+			map[int]string{5: "one", 4: "raw"}},
+		{"raw-over-two", bpcEntryOfPlanes(0x1000, [16]uint32{7: r1, 6: 3 << 12}),
+			map[int]string{7: "raw", 6: "two"}},
+		{"two-over-raw", bpcEntryOfPlanes(0x1000, [16]uint32{7: 3 << 29, 6: r2}),
+			map[int]string{7: "two", 6: "raw"}},
+		{"run-before-pair", bpcEntryOfPlanes(7, [16]uint32{9: r1, 8: r2, 3: r3, 2: r1}),
+			map[int]string{10: "zero", 9: "raw", 8: "raw", 4: "zero", 3: "raw", 2: "raw", 1: "zero"}},
+		{"single-zero-before-pair", bpcEntryOfPlanes(0x1000, [16]uint32{13: r1, 11: r2, 10: r3}),
+			map[int]string{13: "raw", 12: "zero", 11: "raw", 10: "raw"}},
+		{"odd-raw-over-all-ones", bpcEntryOfPlanes(0x1000, [16]uint32{3: r1, 2: allOnes31, 1: r2, 0: r3}),
+			map[int]string{3: "raw", 2: "all-ones", 1: "raw", 0: "raw"}},
+		{"odd-raw-over-dbp-zero", bpcEntryOfPlanes(0x1000, [16]uint32{3: r1, 2: r1, 1: r2}),
+			map[int]string{3: "raw", 2: "dbp-zero", 1: "raw", 0: "zero"}},
+		{"odd-raw-over-zero", bpcEntryOfPlanes(0x1000, [16]uint32{3: r1, 1: r2, 0: r3}),
+			map[int]string{3: "raw", 2: "zero", 1: "raw", 0: "raw"}},
+		{"all-low-planes-raw", bpcEntryOfPlanes(0x1000, [16]uint32{r1, r2, r3, r1 ^ r2, r2 ^ r3, r1 ^ r3, r1 >> 1, r2 >> 1,
+			r3 >> 1, r1 >> 2, r2 >> 2, r3 >> 2, r1 >> 3, r2 >> 3, r3 >> 3, r1 ^ r2 ^ r3}),
+			map[int]string{15: "raw", 14: "raw", 1: "raw", 0: "raw"}},
+		{"top-pair", top, map[int]string{31: "raw", 30: "raw"}},
+	} {
+		for b, want := range tc.want {
+			if got := refBPCPlaneCode(tc.entry, b); got != want {
+				t.Fatalf("%s: plane %d is %s, want %s", tc.name, b, got, want)
+			}
+		}
+		if _, n := NewBPC().AppendCompressed(nil, tc.entry); n >= bpcRawBits {
+			t.Fatalf("%s: %d bits takes the raw fallback", tc.name, n)
+		}
+		checkAgainstReference(t, NewBPC(), tc.entry, tc.name)
 	}
 }

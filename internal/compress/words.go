@@ -74,9 +74,9 @@ func EntryAllZero(entry []byte) bool {
 // with constant masks and shifts instead of the 1024 single-bit moves of a
 // naive transpose (or 80 single-lane swaps unpacked). Shifts of 16 or less
 // never leak across lanes because the replicated masks are applied after
-// the shift; the final row-pair round stays inside each word. BPC uses it
-// to turn per-delta transition masks into bit-plane values when enough
-// planes need materializing.
+// the shift; the final row-pair round stays inside each word. BPC's encoder
+// uses it to turn per-delta transition masks into bit-plane values whenever
+// a plane needs its bits, and its decoder to turn dense planes back.
 //
 //buddy:hotpath
 func transpose32(w *[entryWordCount]uint64) {
