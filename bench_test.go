@@ -199,7 +199,7 @@ func BenchmarkDeviceWrite(b *testing.B) {
 	gen.Noisy64{NoiseBits: 8, HiStep: 1}.Fill(entry, gen.NewRNG(2, 1))
 	b.SetBytes(EntryBytes)
 	for i := 0; i < b.N; i++ {
-		if err := alloc.WriteEntry(i%alloc.EntryCount, entry); err != nil {
+		if err := alloc.WriteEntries(i%alloc.EntryCount, entry); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@
 //   - a byte-addressed bulk I/O surface — Allocation satisfies io.ReaderAt
 //     and io.WriterAt, and Memcpy mirrors cudaMemcpy — so callers never
 //     deal in 128 B entries; aligned spans compress and decompress in
-//     parallel across a bounded worker pool (WriteEntries, ReadEntries),
+//     parallel on idle cores (WriteEntries, ReadEntries),
 //   - pluggable storage tiers behind the Backend interface: the paper's
 //     NVLink buddy carve-out, plus a host unified-memory fallback
 //     (WithHostFallback) and room for peer-GPU or disaggregated tiers,
@@ -23,9 +23,9 @@
 //     the baselines via Codecs),
 //   - the synthetic workload suite standing in for the paper's sixteen
 //     benchmarks (Workloads), and
-//   - a self-registering experiment registry that regenerates every table
-//     and figure of the paper's evaluation (ExperimentRegistry,
-//     RunExperiment and cmd/buddysim).
+//   - a static experiment table that regenerates every table and figure of
+//     the paper's evaluation (ExperimentRegistry, RunExperiment and
+//     cmd/buddysim).
 //
 // See DESIGN.md for the system inventory and layer diagram.
 package buddy
@@ -205,7 +205,7 @@ var ErrShardFailed = pool.ErrShardFailed
 var ErrDeviceFailed = core.ErrDeviceFailed
 
 // ErrFreed is returned (wrapped) by every I/O operation on an allocation
-// released with Device.Free or Allocation.Close.
+// released with Allocation.Close.
 var ErrFreed = core.ErrFreed
 
 // ErrOutOfMemory is returned (wrapped) when an allocation or a live

@@ -3,6 +3,7 @@ package buddy
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestPublicAPIFlow(t *testing.T) {
 	for ai, a := range allocs {
 		src := data.Allocations[ai]
 		for i := 0; i < a.EntryCount; i += 37 {
-			if err := a.ReadEntry(i, got); err != nil {
+			if err := a.ReadEntries(i, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, src.Entry(i)) {
@@ -85,9 +86,17 @@ func TestRunExperimentQuick(t *testing.T) {
 	}
 }
 
+// TestExperimentsListMatchesRunner: an unknown name's error lists exactly
+// the names the runner accepts, in table order.
 func TestExperimentsListMatchesRunner(t *testing.T) {
-	if len(Experiments()) != 20 {
-		t.Errorf("want 20 experiments, got %d", len(Experiments()))
+	var names []string
+	for _, e := range ExperimentRegistry() {
+		names = append(names, e.Name)
+	}
+	err := RunExperiment(io.Discard, "no-such", QuickScale())
+	want := `buddy: unknown experiment "no-such" (have ` + strings.Join(names, ", ") + ")"
+	if err == nil || err.Error() != want {
+		t.Errorf("unknown experiment error = %v, want %s", err, want)
 	}
 }
 
@@ -159,11 +168,11 @@ func TestCapacityStory(t *testing.T) {
 	}
 	entry := make([]byte, EntryBytes)
 	gen.Noisy64{NoiseBits: 8, HiStep: 1}.Fill(entry, gen.NewRNG(3, 1))
-	if err := a.WriteEntry(a.EntryCount-1, entry); err != nil {
+	if err := a.WriteEntries(a.EntryCount-1, entry); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, EntryBytes)
-	if err := a.ReadEntry(a.EntryCount-1, got); err != nil {
+	if err := a.ReadEntries(a.EntryCount-1, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(entry, got) {

@@ -1,12 +1,12 @@
 // Command buddysim regenerates the tables and figures of the Buddy
 // Compression paper (ISCA 2020) from the reproduction library. Experiments
-// are discovered through the buddy experiment registry.
+// are listed in the buddy experiment table.
 //
 // Usage:
 //
 //	buddysim -exp fig7            # one experiment at reference fidelity
 //	buddysim -exp all -quick      # every experiment, smoke fidelity
-//	buddysim -list                # list registered experiments
+//	buddysim -list                # list the experiments
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 func main() {
 	expName := flag.String("exp", "", "experiment id (see -list; or 'all')")
 	quick := flag.Bool("quick", false, "run at smoke fidelity (seconds instead of minutes)")
-	list := flag.Bool("list", false, "list registered experiments")
+	list := flag.Bool("list", false, "list the experiments")
 	scale := flag.Int("scale", 0, "override workload footprint divisor")
 	shards := flag.Int("shards", 0, "pool width for the serve experiment (0 = default 4)")
 	tenants := flag.Int("tenants", 0, "batch tenant population for the qos experiment (0 = default 2)")
@@ -28,7 +28,7 @@ func main() {
 	flag.Parse()
 
 	if *list || *expName == "" {
-		fmt.Println("registered experiments:")
+		fmt.Println("experiments:")
 		for _, e := range buddy.ExperimentRegistry() {
 			fmt.Printf("  %-8s %s\n", e.Name, e.Description)
 		}

@@ -36,14 +36,10 @@ func main() {
 			r.Name, r.BaseBatch, r.CompressedBatch, ratioOf(r.Name), (r.Speedup-1)*100)
 	}
 
-	// The full Fig. 13 family is in the experiment registry; render the
+	// The full Fig. 13 family is in the experiment table; render the
 	// training-speedup figure through the same path cmd/buddysim uses.
-	e, ok := buddy.LookupExperiment("fig13b")
-	if !ok {
-		log.Fatal("fig13b missing from the experiment registry")
-	}
-	fmt.Printf("\nregistry experiment %s — %s:\n", e.Name, e.Description)
-	if err := e.Run(os.Stdout, buddy.QuickScale()); err != nil {
+	fmt.Println("\nexperiment fig13b — DL training speedup vs batch size:")
+	if err := buddy.RunExperiment(os.Stdout, "fig13b", buddy.QuickScale()); err != nil {
 		log.Fatal(err)
 	}
 }

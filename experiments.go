@@ -37,39 +37,6 @@ func DefaultScale() ExperimentScale { return ExperimentScale{Workload: 1024, Sim
 // QuickScale runs every experiment in seconds, for CI-style smoke runs.
 func QuickScale() ExperimentScale { return ExperimentScale{Workload: 16384, Sim: 0.2} }
 
-// The paper's tables and figures self-register so cmd/buddysim,
-// cmd/buddyprof and the tests discover them through the registry instead of
-// a hard-coded switch. Registration order follows the paper.
-func init() {
-	for _, e := range []Experiment{
-		{Name: "tab1", Description: "benchmark table: suites, footprints, regions", Run: func(w io.Writer, _ ExperimentScale) error { return runTab1(w) }},
-		{Name: "tab2", Description: "performance-simulator configuration", Run: func(w io.Writer, sc ExperimentScale) error {
-			_, err := fmt.Fprint(w, exp.Tab2(exp.ScaledSimConfig(sc.Sim)))
-			return err
-		}},
-		{Name: "fig3", Description: "per-snapshot BPC compression ratios per benchmark", Run: runFig3},
-		{Name: "sparse", Description: "per-codec compression ratio on sparse fp16 activations (cDMA's 50-90% zero class)", Run: runSparse},
-		{Name: "fig5b", Description: "metadata cache hit rate vs cache size", Run: func(w io.Writer, _ ExperimentScale) error { return runFig5b(w) }},
-		{Name: "fig6", Description: "spatial compressibility heat-maps", Run: runFig6},
-		{Name: "fig7", Description: "compression and buddy traffic: naive vs per-allocation vs final", Run: runFig7},
-		{Name: "fig8", Description: "buddy-access fraction over time under fixed targets", Run: runFig8},
-		{Name: "fig9", Description: "Buddy Threshold sweep per benchmark", Run: runFig9},
-		{Name: "fig10", Description: "simulator correlation against reference cycles", Run: runFig10},
-		{Name: "fig11", Description: "performance vs interconnect bandwidth sweep", Run: runFig11},
-		{Name: "fig12", Description: "Unified Memory oversubscription baseline", Run: func(w io.Writer, _ ExperimentScale) error { return runFig12(w) }},
-		{Name: "fig13a", Description: "DL training footprint vs batch size", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13a(w) }},
-		{Name: "fig13b", Description: "DL training speedup vs batch size", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13b(w) }},
-		{Name: "fig13c", Description: "feasible batch and speedup with Buddy Compression", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13c(w) }},
-		{Name: "fig13d", Description: "training accuracy across batch sizes", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13d(w) }},
-		{Name: "reprofile", Description: "live target-ratio migration on a drifting workload (§3.4 extension)", Run: runReprofile},
-		{Name: "serve", Description: "sharded multi-device serving: aggregate throughput, 1 vs N shards", Run: runServe},
-		{Name: "heal", Description: "self-healing fleet: kill a shard mid-serve, rebuild from buddy memory, measure the dip", Run: runHeal},
-		{Name: "qos", Description: "tenant-aware serving: latency SLO under batch saturation, weighted batch shares, admission control", Run: runQoS},
-	} {
-		RegisterExperiment(e)
-	}
-}
-
 func runTab1(w io.Writer) error {
 	rows := [][]string{}
 	for _, r := range exp.Table1() {

@@ -58,12 +58,6 @@ func (a *AllocIndex) Entries() int { return len(a.class) }
 // the zero-page class (<= 8 B including framing, §3.4).
 func (a *AllocIndex) SectorClass(i int) int { return int(a.class[i] & classMask) }
 
-// Zero reports whether entry i is entirely zero bytes.
-func (a *AllocIndex) Zero(i int) bool { return a.class[i]&zeroFlag != 0 }
-
-// Size returns entry i's exact compressed payload size in bytes (0..128).
-func (a *AllocIndex) Size(i int) int { return int(a.size[i]) }
-
 // SectorHistogram returns the cached count of entries per sector class;
 // index 0 is the zero-page class — the per-allocation histogram the
 // profiler consumes (§3.4 "histogram of the static memory snapshots").
@@ -94,16 +88,6 @@ func (x *Index) Entries() int { return x.entries }
 
 // SectorHistogram returns the snapshot-wide sector-class histogram.
 func (x *Index) SectorHistogram() [5]int { return x.hist }
-
-// Find returns the index of the named allocation, or nil.
-func (x *Index) Find(name string) *AllocIndex {
-	for _, a := range x.Allocs {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
 
 // buildGrain is the entry span a worker claims with one atomic add: sizing
 // an entry costs on the order of 100 ns, so a grain is a few tens of
@@ -264,10 +248,4 @@ func (x *Index) CompressionRatio(classes []int) float64 {
 // the Index when more than one statistic is needed from the same snapshot.
 func CompressionRatio(s *memory.Snapshot, c compress.Codec, classes []int) float64 {
 	return Build(s, c).CompressionRatio(classes)
-}
-
-// SectorHistogram is the one-shot per-allocation histogram convenience.
-func SectorHistogram(a *memory.Allocation, c compress.Codec) [5]int {
-	s := &memory.Snapshot{Allocations: []*memory.Allocation{a}}
-	return Build(s, c).Allocs[0].SectorHistogram()
 }

@@ -64,10 +64,10 @@ func TestIndexMatchesDirectSizing(t *testing.T) {
 				if got, want := idx.SectorClass(i), compress.SectorsForBits(bits); got != want {
 					t.Fatalf("%s/%s entry %d: class %d, want %d", c.Name(), a.Name, i, got, want)
 				}
-				if got, want := idx.Size(i), (bits+7)/8; got != want {
+				if got, want := int(idx.size[i]), (bits+7)/8; got != want {
 					t.Fatalf("%s/%s entry %d: size %d, want %d", c.Name(), a.Name, i, got, want)
 				}
-				if got, want := idx.Zero(i), allZero(e); got != want {
+				if got, want := idx.class[i]&zeroFlag != 0, allZero(e); got != want {
 					t.Fatalf("%s/%s entry %d: zero flag %v, want %v", c.Name(), a.Name, i, got, want)
 				}
 			}
@@ -105,10 +105,9 @@ func TestIndexCachedAggregates(t *testing.T) {
 	if x.SectorHistogram() != total {
 		t.Errorf("snapshot histogram %v, want %v", x.SectorHistogram(), total)
 	}
-	if x.Find("zeros") == nil || x.Find("no-such") != nil {
-		t.Error("Find broken")
-	}
-	if zf := x.Find("zeros").ZeroPageFrac(); zf != 1 {
+	if zeros := x.Allocs[0]; zeros.Name != "zeros" {
+		t.Errorf("first allocation %q, want the zeros generator's", zeros.Name)
+	} else if zf := zeros.ZeroPageFrac(); zf != 1 {
 		t.Errorf("all-zero allocation zero-page fraction = %.2f, want 1", zf)
 	}
 }
@@ -123,7 +122,7 @@ func ratioReference(s *memory.Snapshot, c compress.Codec, classes []int) float64
 		for i := 0; i < a.Entries(); i++ {
 			e := a.Entry(i)
 			orig += EntryBytes
-			size := sz.Bytes(e)
+			size := (sz.Bits(e) + 7) / 8
 			if zeroClass && size <= 1 && allZero(e) {
 				continue
 			}
@@ -189,11 +188,11 @@ func TestDegenerateSnapshots(t *testing.T) {
 }
 
 // TestSectorHistogramConvenience carries over the pre-refactor histogram
-// test against the one-shot helper.
+// test: one allocation's histogram from a Build of it alone.
 func TestSectorHistogramConvenience(t *testing.T) {
 	a := memory.NewAllocation("m", 128*4)
 	gen.Random{}.Fill(a.Data[:256], gen.NewRNG(2, 1)) // entries 0-1 raw, 2-3 zero
-	h := SectorHistogram(a, compress.NewBPC())
+	h := Build(&memory.Snapshot{Allocations: []*memory.Allocation{a}}, compress.NewBPC()).Allocs[0].SectorHistogram()
 	if h[4] != 2 || h[0] != 2 {
 		t.Errorf("histogram %v, want 2 raw + 2 zero-page", h)
 	}
@@ -227,7 +226,7 @@ func TestParallelBuildDeterministic(t *testing.T) {
 		for ai, a := range got.Allocs {
 			ref := want.Allocs[ai]
 			for i := 0; i < a.Entries(); i++ {
-				if a.SectorClass(i) != ref.SectorClass(i) || a.Size(i) != ref.Size(i) || a.Zero(i) != ref.Zero(i) {
+				if a.class[i] != ref.class[i] || a.size[i] != ref.size[i] {
 					t.Fatalf("builder %d: %s entry %d diverges", b, a.Name, i)
 				}
 			}
@@ -280,8 +279,8 @@ func TestBuildRun(t *testing.T) {
 			if want := Build(s, c); !reflect.DeepEqual(run[ti], want) {
 				t.Errorf("%s: BuildRun[%d] differs from Build of the same snapshot:\n got %+v\nwant %+v", c.Name(), ti, run[ti], want)
 			}
-			if run[ti].Entries() != s.TotalEntries() {
-				t.Errorf("%s: index %d: %d entries, want %d", c.Name(), ti, run[ti].Entries(), s.TotalEntries())
+			if want := s.TotalBytes() / EntryBytes; run[ti].Entries() != want {
+				t.Errorf("%s: index %d: %d entries, want %d", c.Name(), ti, run[ti].Entries(), want)
 			}
 			for j, ai := range run[ti].Allocs {
 				if got := ti > 0 && ai == run[ti-1].Allocs[j]; got != reused[ti][j] {

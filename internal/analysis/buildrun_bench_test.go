@@ -23,7 +23,7 @@ func BenchmarkAnalysisBuildRun(b *testing.B) {
 			snaps := workloads.GenerateRun(bm, 8192)
 			entries := 0
 			for _, s := range snaps {
-				entries += s.TotalEntries()
+				entries += s.TotalBytes() / analysis.EntryBytes
 			}
 			bpc := compress.NewBPC()
 			b.ReportAllocs()

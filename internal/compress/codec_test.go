@@ -147,16 +147,13 @@ func TestSectorsForBits(t *testing.T) {
 	}
 }
 
-// TestSizerMatchesSectorsNeeded: the reusable Sizer and the one-shot
-// helpers must agree entry by entry.
+// TestSizerMatchesSectorsNeeded: the reusable Sizer and a direct
+// AppendCompressed must agree entry by entry.
 func TestSizerMatchesSectorsNeeded(t *testing.T) {
 	for _, c := range allCodecs() {
 		sz := NewSizer(c)
 		for gi, g := range codecGens() {
 			entry := entryOf(t, g, 31+uint64(gi))
-			if got, want := sz.Sectors(entry), SectorsNeeded(c, entry); got != want {
-				t.Errorf("%s/%s: Sizer.Sectors = %d, SectorsNeeded = %d", c.Name(), g.Name(), got, want)
-			}
 			if got, want := sz.Bits(entry), bitsOf(c, entry); got != want {
 				t.Errorf("%s/%s: Sizer.Bits = %d, one-shot bits = %d", c.Name(), g.Name(), got, want)
 			}

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // EntryBytes is the paper's compression granularity: a 128 B memory-entry,
@@ -74,25 +73,6 @@ type Codec interface {
 	// dst, which must be EntryBytes long. On error dst's contents are
 	// unspecified.
 	DecompressInto(dst, comp []byte) error
-}
-
-// scratchPool recycles encode scratch buffers for the one-shot helpers;
-// hot paths hold their own buffers instead.
-var scratchPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, MaxStreamBytes)
-		return &b
-	},
-}
-
-// oneShotBits returns the exact payload bit count of entry under c with
-// one encode into pooled scratch. Prefer a Sizer in loops.
-func oneShotBits(c Codec, entry []byte) int {
-	bp := scratchPool.Get().(*[]byte)
-	stream, bits := c.AppendCompressed((*bp)[:0], entry)
-	*bp = stream[:0]
-	scratchPool.Put(bp)
-	return bits
 }
 
 // rawFallback rewinds w to the framing position at byte offset start and
@@ -176,13 +156,6 @@ func (s *Sizer) bitsEncoded(entry []byte) int {
 // touching any data.
 func (s *Sizer) ZeroBits() int { return s.zeroBits }
 
-// Bytes returns the compressed size rounded up to whole bytes.
-func (s *Sizer) Bytes(entry []byte) int { return (s.Bits(entry) + 7) / 8 }
-
-// Sectors returns the 32 B sector count of entry's compressed form — the
-// quantity the 4-bit Buddy metadata stores.
-func (s *Sizer) Sectors(entry []byte) int { return SectorsForBits(s.Bits(entry)) }
-
 // OptimisticSizes are the eight compressed memory-entry sizes assumed by the
 // paper's optimistic capacity study (Fig. 3): 0, 8, 16, 32, 64, 80, 96 and
 // 128 bytes.
@@ -217,13 +190,6 @@ func SectorsForBits(bits int) int {
 	}
 	b := (bits + 7) / 8
 	return (b + SectorBytes - 1) / SectorBytes
-}
-
-// SectorsNeeded returns the sector count of entry's compressed form under c.
-// Prefer a Sizer (or AppendCompressed directly) in loops: this convenience
-// re-encodes the entry each call.
-func SectorsNeeded(c Codec, entry []byte) int {
-	return SectorsForBits(oneShotBits(c, entry))
 }
 
 // ZeroPageBytes is the per-entry device budget of the 16x mostly-zero target

@@ -58,15 +58,17 @@ func TestRoundToClass(t *testing.T) {
 	}
 }
 
+// TestSectorsNeeded checks the sector count the metadata stores for an
+// entry, SectorsForBits of its Sizer bits, at both ends of the range.
 func TestSectorsNeeded(t *testing.T) {
 	zero := make([]byte, EntryBytes)
-	bpc := NewBPC()
-	if got := SectorsNeeded(bpc, zero); got != 0 {
+	sz := NewSizer(NewBPC())
+	if got := SectorsForBits(sz.Bits(zero)); got != 0 {
 		t.Errorf("all-zero entry should need 0 sectors (zero-page), got %d", got)
 	}
 	rnd := make([]byte, EntryBytes)
 	gen.Random{}.Fill(rnd, gen.NewRNG(7, 1))
-	if got := SectorsNeeded(bpc, rnd); got != 4 {
+	if got := SectorsForBits(sz.Bits(rnd)); got != 4 {
 		t.Errorf("random entry should need 4 sectors, got %d", got)
 	}
 }

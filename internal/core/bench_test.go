@@ -62,7 +62,7 @@ func reportNsPerEntry(b *testing.B) {
 const benchEntrySize = 1 << 20
 
 // BenchmarkWriteEntry measures the steady-state compressed write path per
-// entry shape: one encode per entry, pooled scratch, no allocations. The
+// entry shape, one single-entry WriteEntries at a time: one encode per entry, pooled scratch, no allocations. The
 // per-shape ns/entry is what BENCH_baseline.json pins.
 func BenchmarkWriteEntry(b *testing.B) {
 	for _, s := range benchEntryShapes() {
@@ -73,7 +73,7 @@ func BenchmarkWriteEntry(b *testing.B) {
 			// First touch takes each entry's slot in the stream store;
 			// steady state starts once every entry has been written.
 			for i := 0; i < a.EntryCount; i++ {
-				if err := a.WriteEntry(i, entry); err != nil {
+				if err := a.WriteEntries(i, entry); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -81,7 +81,7 @@ func BenchmarkWriteEntry(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := a.WriteEntry(i%a.EntryCount, entry); err != nil {
+				if err := a.WriteEntries(i%a.EntryCount, entry); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -91,7 +91,7 @@ func BenchmarkWriteEntry(b *testing.B) {
 }
 
 // BenchmarkReadEntry measures the steady-state decompressed read path per
-// entry shape.
+// entry shape, one single-entry ReadEntries at a time.
 func BenchmarkReadEntry(b *testing.B) {
 	for _, s := range benchEntryShapes() {
 		b.Run(s.name, func(b *testing.B) {
@@ -99,7 +99,7 @@ func BenchmarkReadEntry(b *testing.B) {
 			entry := make([]byte, EntryBytes)
 			s.g.Fill(entry, gen.NewRNG(2, 1))
 			for i := 0; i < a.EntryCount; i++ {
-				if err := a.WriteEntry(i, entry); err != nil {
+				if err := a.WriteEntries(i, entry); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -108,7 +108,7 @@ func BenchmarkReadEntry(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := a.ReadEntry(i%a.EntryCount, dst); err != nil {
+				if err := a.ReadEntries(i%a.EntryCount, dst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -118,7 +118,7 @@ func BenchmarkReadEntry(b *testing.B) {
 }
 
 // BenchmarkWriteAtBulk pushes an 8 MB aligned span through WriteAt: the
-// aligned interior fans out across the worker pool.
+// aligned interior fans out across idle cores.
 func BenchmarkWriteAtBulk(b *testing.B) {
 	a := benchAlloc(b, benchBulkBytes)
 	data := benchData(benchBulkBytes)

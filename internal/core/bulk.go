@@ -35,7 +35,7 @@ const bulkGrainEntries = 64
 
 // spanBatchEntries bounds how many entries one a.mu read-lock acquisition
 // (and one traffic flush) covers inside a walker pass, so a large span
-// cannot hold off Free or a relayout's cutover for its whole duration.
+// cannot hold off Close or a relayout's cutover for its whole duration.
 const spanBatchEntries = 256
 
 // spanScratch is one pass's pooled staging: the buffers a metadata line's
@@ -194,33 +194,5 @@ func (a *Allocation) WriteEntries(start int, data []byte) error {
 // are read in parallel across idle cores (par.Run).
 func (a *Allocation) ReadEntries(start int, dst []byte) error {
 	_, err := a.accessEntries(relocRead, start, dst)
-	return err
-}
-
-// accessEntry is WriteEntry and ReadEntry: a data pass over a span of one.
-//
-//buddy:hotpath
-func (a *Allocation) accessEntry(kind relocKind, i int, buf []byte) (Cost, error) {
-	if err := a.checkIndex(i); err != nil {
-		return Cost{}, err
-	}
-	if len(buf) != EntryBytes {
-		return Cost{}, fmt.Errorf("core: entry buffer must be %d bytes, got %d", EntryBytes, len(buf))
-	}
-	c, _, _, err := a.spanPass(kind, i, 1, buf)
-	return c, err
-}
-
-// WriteEntry compresses and stores one 128 B entry: WriteEntries as a span
-// of one.
-func (a *Allocation) WriteEntry(i int, data []byte) error {
-	_, err := a.accessEntry(relocWrite, i, data)
-	return err
-}
-
-// ReadEntry fetches and decompresses entry i into dst (128 bytes):
-// ReadEntries as a span of one.
-func (a *Allocation) ReadEntry(i int, dst []byte) error {
-	_, err := a.accessEntry(relocRead, i, dst)
 	return err
 }

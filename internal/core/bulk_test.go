@@ -36,7 +36,7 @@ func TestWriteEntriesReadEntriesRoundTrip(t *testing.T) {
 	}
 	single := make([]byte, EntryBytes)
 	for i := 0; i < entries; i += 37 {
-		if err := a.ReadEntry(i, single); err != nil {
+		if err := a.ReadEntries(i, single); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(single, data[i*EntryBytes:(i+1)*EntryBytes]) {
@@ -167,8 +167,9 @@ func leastAllocs(f func()) float64 {
 }
 
 // TestEntryPathSteadyStateZeroAlloc proves the acceptance criterion: after
-// first touch, WriteEntry and ReadEntry allocate nothing — the codec runs in
-// pooled scratch and a rewrite within a slot class is a copy in place.
+// first touch, single-entry WriteEntries and ReadEntries allocate nothing —
+// the codec runs in pooled scratch and a rewrite within a slot class is a
+// copy in place.
 func TestEntryPathSteadyStateZeroAlloc(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -182,22 +183,22 @@ func TestEntryPathSteadyStateZeroAlloc(t *testing.T) {
 	gen.Noisy64{NoiseBits: 8, HiStep: 1}.Fill(entry, gen.NewRNG(2, 1))
 	dst := make([]byte, EntryBytes)
 	// First touch takes the entry's stream-store slot; not measured.
-	if err := a.WriteEntry(0, entry); err != nil {
+	if err := a.WriteEntries(0, entry); err != nil {
 		t.Fatal(err)
 	}
 	if n := leastAllocs(func() {
-		if err := a.WriteEntry(0, entry); err != nil {
+		if err := a.WriteEntries(0, entry); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("steady-state WriteEntry allocates %.1f/op, want 0", n)
+		t.Errorf("steady-state single-entry WriteEntries allocates %.1f/op, want 0", n)
 	}
 	if n := leastAllocs(func() {
-		if err := a.ReadEntry(0, dst); err != nil {
+		if err := a.ReadEntries(0, dst); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("steady-state ReadEntry allocates %.1f/op, want 0", n)
+		t.Errorf("steady-state single-entry ReadEntries allocates %.1f/op, want 0", n)
 	}
 	if !bytes.Equal(dst, entry) {
 		t.Fatal("round-trip mismatch")
@@ -205,8 +206,8 @@ func TestEntryPathSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestReadEntryDecodeErrorPropagates corrupts a stored stream in place and
-// checks the decode error surfaces through ReadEntry without an
-// intermediate copy path swallowing it.
+// checks the decode error surfaces through a single-entry ReadEntries
+// without an intermediate copy path swallowing it.
 func TestReadEntryDecodeErrorPropagates(t *testing.T) {
 	d := newBulkDevice(t, 16<<20)
 	a, err := d.Malloc("corrupt", 4*EntryBytes, Target1x)
@@ -215,13 +216,13 @@ func TestReadEntryDecodeErrorPropagates(t *testing.T) {
 	}
 	entry := make([]byte, EntryBytes)
 	gen.Random{}.Fill(entry, gen.NewRNG(9, 1))
-	if err := a.WriteEntry(1, entry); err != nil {
+	if err := a.WriteEntries(1, entry); err != nil {
 		t.Fatal(err)
 	}
 	// Reach into the entry table and truncate the stored stream.
 	corruptStream(a, 1, len(a.store.get(1))/2)
 	dst := make([]byte, EntryBytes)
-	if err := a.ReadEntry(1, dst); err == nil {
+	if err := a.ReadEntries(1, dst); err == nil {
 		t.Fatal("want decode error for truncated stored stream")
 	}
 }

@@ -46,14 +46,14 @@ func TestConcurrentDeviceStress(t *testing.T) {
 			// Interleave entry-granular and byte-granular traffic with
 			// concurrent readers and stats polls.
 			for e := 0; e < entriesPer; e++ {
-				if err := a.WriteEntry(e, data[e*EntryBytes:(e+1)*EntryBytes]); err != nil {
+				if err := a.WriteEntries(e, data[e*EntryBytes:(e+1)*EntryBytes]); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			got := make([]byte, EntryBytes)
 			for e := 0; e < entriesPer; e += 3 {
-				if err := a.ReadEntry(e, got); err != nil {
+				if err := a.ReadEntries(e, got); err != nil {
 					t.Error(err)
 					return
 				}
@@ -130,7 +130,7 @@ func TestLineHandOverUnderWriters(t *testing.T) {
 			defer wg.Done()
 			for k := 0; ; k++ {
 				for i := line + w; i < 2*line; i += writers { // the writers share line 1, entry by entry
-					if err := a.WriteEntry(i, images[k&1]); err != nil {
+					if err := a.WriteEntries(i, images[k&1]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -185,11 +185,11 @@ func TestConcurrentSharedEntryWriters(t *testing.T) {
 			defer wg.Done()
 			got := make([]byte, EntryBytes)
 			for i := 0; i < 200; i++ {
-				if err := a.WriteEntry(7, patterns[w]); err != nil {
+				if err := a.WriteEntries(7, patterns[w]); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := a.ReadEntry(7, got); err != nil {
+				if err := a.ReadEntries(7, got); err != nil {
 					t.Error(err)
 					return
 				}
@@ -198,7 +198,7 @@ func TestConcurrentSharedEntryWriters(t *testing.T) {
 	}
 	wg.Wait()
 	got := make([]byte, EntryBytes)
-	if err := a.ReadEntry(7, got); err != nil {
+	if err := a.ReadEntries(7, got); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range patterns {

@@ -107,12 +107,12 @@ func TestMetadataStorePacking(t *testing.T) {
 			t.Fatalf("entry %d: got %d want %d", i, got, i%5)
 		}
 	}
-	if m.Bytes() != 50 {
-		t.Errorf("100 entries should pack into 50 bytes, got %d", m.Bytes())
+	if len(m.packed) != 50 {
+		t.Errorf("100 entries should pack into 50 bytes, got %d", len(m.packed))
 	}
-	// §3.2: 0.4% storage overhead.
-	if f := m.OverheadFraction(); f < 0.0035 || f > 0.0045 {
-		t.Errorf("metadata overhead %.4f, want ~0.0039", f)
+	// §3.2: 4 bits per 128 B entry, a 1/256 ≈ 0.4% storage overhead.
+	if f := float64(len(m.packed)) / (100 * EntryBytes); f != 1.0/256 {
+		t.Errorf("metadata overhead %.4f, want 1/256", f)
 	}
 }
 
@@ -277,10 +277,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	got := make([]byte, 128)
 	for i := 0; i < a.EntryCount; i++ {
 		gens[i%len(gens)].Fill(entry, r)
-		if err := a.WriteEntry(i, entry); err != nil {
+		if err := a.WriteEntries(i, entry); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.ReadEntry(i, got); err != nil {
+		if err := a.ReadEntries(i, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(entry, got) {
@@ -293,7 +293,7 @@ func TestUnwrittenEntriesReadZero(t *testing.T) {
 	d := newTestDevice(1 << 20)
 	a, _ := d.Malloc("fresh", 8<<10, Target4x)
 	got := make([]byte, 128)
-	if err := a.ReadEntry(5, got); err != nil {
+	if err := a.ReadEntries(5, got); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range got {
@@ -326,7 +326,7 @@ func TestAddressesStableUnderCompressibilityChange(t *testing.T) {
 	for _, g := range phases {
 		for i := 0; i < a.EntryCount; i += 7 {
 			g.Fill(entry, r)
-			if err := a.WriteEntry(i, entry); err != nil {
+			if err := a.WriteEntries(i, entry); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -345,7 +345,7 @@ func TestTrafficSplit(t *testing.T) {
 
 	// Compressible entry: no buddy traffic.
 	gen.Ramp{Step: 2}.Fill(entry, gen.NewRNG(1, 1))
-	if err := a.WriteEntry(0, entry); err != nil {
+	if err := a.WriteEntries(0, entry); err != nil {
 		t.Fatal(err)
 	}
 	tr := d.Traffic()
@@ -355,7 +355,7 @@ func TestTrafficSplit(t *testing.T) {
 
 	// Incompressible entry under 2x: 2 sectors device + 2 sectors buddy.
 	gen.Random{}.Fill(entry, gen.NewRNG(2, 1))
-	if err := a.WriteEntry(1, entry); err != nil {
+	if err := a.WriteEntries(1, entry); err != nil {
 		t.Fatal(err)
 	}
 	tr2 := d.Traffic()
@@ -367,7 +367,7 @@ func TestTrafficSplit(t *testing.T) {
 	}
 
 	got := make([]byte, 128)
-	if err := a.ReadEntry(1, got); err != nil {
+	if err := a.ReadEntries(1, got); err != nil {
 		t.Fatal(err)
 	}
 	tr3 := d.Traffic()
@@ -383,7 +383,7 @@ func TestZeroPageTraffic(t *testing.T) {
 	d := newTestDevice(1 << 20)
 	a, _ := d.Malloc("zp", 8<<10, Target16x)
 	entry := make([]byte, 128)
-	if err := a.WriteEntry(0, entry); err != nil { // all zero
+	if err := a.WriteEntries(0, entry); err != nil { // all zero
 		t.Fatal(err)
 	}
 	tr := d.Traffic()
@@ -392,7 +392,7 @@ func TestZeroPageTraffic(t *testing.T) {
 	}
 	// Non-zero data overflows entirely to buddy.
 	gen.Random{}.Fill(entry, gen.NewRNG(3, 1))
-	if err := a.WriteEntry(1, entry); err != nil {
+	if err := a.WriteEntries(1, entry); err != nil {
 		t.Fatal(err)
 	}
 	tr2 := d.Traffic()
@@ -400,7 +400,7 @@ func TestZeroPageTraffic(t *testing.T) {
 		t.Errorf("incompressible at 16x buddy bytes = %d, want 128", tr2.BuddyWriteBytes)
 	}
 	got := make([]byte, 128)
-	if err := a.ReadEntry(1, got); err != nil {
+	if err := a.ReadEntries(1, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, entry) {
@@ -415,7 +415,7 @@ func TestMetadataCacheMissTraffic(t *testing.T) {
 	// Touch entries one metadata line apart: every access misses.
 	n := 0
 	for i := 0; i+EntriesPerMetadataLine < a.EntryCount; i += EntriesPerMetadataLine * 16 {
-		if err := a.WriteEntry(i, entry); err != nil {
+		if err := a.WriteEntries(i, entry); err != nil {
 			t.Fatal(err)
 		}
 		n++
@@ -451,11 +451,11 @@ func TestQuickDeviceRoundTrip(t *testing.T) {
 	f := func(raw [128]byte) bool {
 		i := idx % a.EntryCount
 		idx++
-		if err := a.WriteEntry(i, raw[:]); err != nil {
+		if err := a.WriteEntries(i, raw[:]); err != nil {
 			return false
 		}
 		got := make([]byte, 128)
-		if err := a.ReadEntry(i, got); err != nil {
+		if err := a.ReadEntries(i, got); err != nil {
 			return false
 		}
 		return bytes.Equal(got, raw[:])
@@ -477,10 +477,10 @@ func TestDeviceWithAllCompressors(t *testing.T) {
 		r := gen.NewRNG(4, 2)
 		for i := 0; i < 32; i++ {
 			gen.Noisy32{NoiseBits: uint(i % 24), SmoothStep: 3}.Fill(entry, r)
-			if err := a.WriteEntry(i, entry); err != nil {
+			if err := a.WriteEntries(i, entry); err != nil {
 				t.Fatalf("%s: %v", c.Name(), err)
 			}
-			if err := a.ReadEntry(i, got); err != nil {
+			if err := a.ReadEntries(i, got); err != nil {
 				t.Fatalf("%s: %v", c.Name(), err)
 			}
 			if !bytes.Equal(entry, got) {

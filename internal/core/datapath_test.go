@@ -14,22 +14,22 @@ import (
 	"buddy/internal/nvlink"
 )
 
-// The data path's accounting oracle. WriteEntries/ReadEntries and
-// WriteEntry/ReadEntry are passes of one walker, so a span and the same
+// The data path's accounting oracle. WriteEntries/ReadEntries over a span
+// and over one entry are passes of one walker, so a span and the same
 // entries one call at a time must leave two identical worlds bit-identical:
 // Traffic, both tiers' BackendTraffic (pager faults included), link busy
 // cycles per direction, the metadata cache's hits and misses, the metadata
-// store, every SectorCount and every stored stream. TestDataPathAccountingPinned holds the same scenario
+// store, every entry's sector count and every stored stream. TestDataPathAccountingPinned holds the same scenario
 // against totals captured from the per-kind kernels the walker replaced.
 
 // write stores data at entries [start, start+len/128) of a: as one span, or
-// — in the reference world — one WriteEntry per entry.
+// — in the reference world — one single-entry WriteEntries per entry.
 func (w *relocWorld) write(a *Allocation, start int, data []byte) error {
 	if !w.ref {
 		return a.WriteEntries(start, data)
 	}
 	for k := 0; k < len(data)/EntryBytes; k++ {
-		if err := a.WriteEntry(start+k, data[k*EntryBytes:(k+1)*EntryBytes]); err != nil {
+		if err := a.WriteEntries(start+k, data[k*EntryBytes:(k+1)*EntryBytes]); err != nil {
 			return err
 		}
 	}
@@ -42,7 +42,7 @@ func (w *relocWorld) read(a *Allocation, start int, dst []byte) error {
 		return a.ReadEntries(start, dst)
 	}
 	for k := 0; k < len(dst)/EntryBytes; k++ {
-		if err := a.ReadEntry(start+k, dst[k*EntryBytes:(k+1)*EntryBytes]); err != nil {
+		if err := a.ReadEntries(start+k, dst[k*EntryBytes:(k+1)*EntryBytes]); err != nil {
 			return err
 		}
 	}
@@ -322,9 +322,9 @@ func TestSpanOverUnalignedRegion(t *testing.T) {
 }
 
 // TestSpanEndsAtSubBatchBoundary races Fail against a long write span and
-// Free against a long read span (run under -race): the span ends on the
+// Close against a long read span (run under -race): the span ends on the
 // typed error, and because freed and failed are checked once per sub-batch
-// under a.mu — which Free takes exclusively — what it charged is a whole
+// under a.mu — which Close takes exclusively — what it charged is a whole
 // number of sub-batches: no entry of the refused sub-batch was touched.
 func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
 	const entries = 384 * spanBatchEntries
@@ -336,7 +336,7 @@ func TestSpanEndsAtSubBatchBoundary(t *testing.T) {
 		read bool
 	}{
 		{"Fail/write", func(d *Device, _ *Allocation) { d.Fail() }, ErrDeviceFailed, false},
-		{"Free/read", func(d *Device, a *Allocation) { _ = d.Free(a) }, ErrFreed, true},
+		{"Free/read", func(_ *Device, a *Allocation) { _ = a.Close() }, ErrFreed, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serialSpans(t) // one goroutine per span: sub-batches run in order

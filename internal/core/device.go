@@ -226,7 +226,7 @@ type layout struct {
 func (l *layout) global(i int) int { return l.reg.firstEntry + i }
 
 // Allocation is one compressed cudaMalloc region. It keeps its identity and
-// its entries until Free/Close retires it; what moves is its layout: Retarget
+// its entries until Close retires it; what moves is its layout: Retarget
 // and ApplyReprofile re-lay it out under a new target ratio, MoveTo on
 // another device, both while I/O continues (lifecycle.go).
 type Allocation struct {
@@ -246,19 +246,19 @@ type Allocation struct {
 	// straddle slot boundaries that hardware metadata absorbs; which layout an
 	// entry is placed in — whose slots its traffic is charged to, whose device
 	// has to be alive for it, whose codec framed it — is the relayout epoch's
-	// business (home). Free drops the store.
+	// business (home). Close drops the store.
 	store streamStore
 	meta  *MetadataStore
 
-	// ctl serializes the control plane on this allocation: Free, a relayout
+	// ctl serializes the control plane on this allocation: Close, a relayout
 	// (Retarget, MoveTo) and its device's Recover hold it from start to end.
 	ctl sync.Mutex
 	// mu guards the three fields below. A walker pass read-holds it for one
-	// sub-batch; the writers (Free, a relayout's begin, hand-back and commit)
+	// sub-batch; the writers (Close, a relayout's begin, hand-back and commit)
 	// hold ctl as well.
 	mu    sync.RWMutex
 	cur   *layout    // the committed layout
-	freed bool       // set by Free; all later I/O fails with ErrFreed
+	freed bool       // set by Close; all later I/O fails with ErrFreed
 	mig   *migration // the relayout in flight, nil in steady state
 }
 
@@ -288,7 +288,7 @@ func (a *Allocation) Migrating() bool {
 	return a.mig != nil
 }
 
-// Freed reports whether the allocation has been released with Free/Close.
+// Freed reports whether the allocation has been released with Close.
 func (a *Allocation) Freed() bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -376,7 +376,7 @@ func (d *Device) CompressionRatio() float64 {
 // Malloc reserves a compressed allocation of size bytes with the given
 // target ratio. The device reservation is size/target; the remainder of
 // each entry is reserved in the overflow tier (§3.2). Regions retired by
-// Free are reused when a fitting hole exists, so a steady alloc/free cycle
+// Close are reused when a fitting hole exists, so a steady alloc/free cycle
 // does not grow the modeled entry table. A size past maxStoreEntries entries
 // (about 1.58 GiB, what a stream store can index under any write pattern) is
 // refused like one below 1.
@@ -517,6 +517,14 @@ var prices = func() (p [Target16x + 1][compress.SectorsPerEntry + 1]price) {
 	return p
 }()
 
+// Price is the byte traffic of one whole-entry access to an entry of target t
+// compressed to sectors (0..4), from the §3.3 table above: dev bytes on the
+// device, spill bytes over the link to its buddy slot.
+func (t TargetRatio) Price(sectors int) (dev, spill int) {
+	p := prices[t][sectors]
+	return p.dev, p.spill
+}
+
 // metadataMiss models the metadata-cache lookups of n memory accesses in a
 // row to entries whose metadata shares globalEntry's line and reports a miss
 // (only the first can), which costs one 32 B device read (§3.2): the caller's
@@ -541,17 +549,4 @@ func (d *Device) Allocations() []*Allocation {
 	out := make([]*Allocation, len(d.allocs))
 	copy(out, d.allocs)
 	return out
-}
-
-// SectorCount returns entry i's last committed compressed sector count. It
-// panics on an out-of-range index — a programming error, unlike the error
-// returns of the I/O methods.
-func (a *Allocation) SectorCount(i int) int {
-	if err := a.checkIndex(i); err != nil {
-		panic(err)
-	}
-	sh := a.shard(i)
-	sh.Lock()
-	defer sh.Unlock()
-	return a.meta.Get(i)
 }

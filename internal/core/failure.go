@@ -40,9 +40,6 @@ func (d *Device) errFailed() error {
 // data path is down.
 func (d *Device) Fail() { d.failed.Store(true) }
 
-// Failed reports whether the device tier is currently down.
-func (d *Device) Failed() bool { return d.failed.Load() }
-
 // Recover rebuilds a failed device tier from the buddy carve-out: every
 // written entry of every allocation living on the device is streamed back
 // over the link (buddy-tier read of the stored bytes) and re-stored in the
@@ -64,7 +61,7 @@ func (d *Device) Recover() (entries int, rebuilt int64, err error) {
 	return entries, rebuilt, nil
 }
 
-// rebuildOn is a's share of d's Recover. Holding ctl keeps Free and
+// rebuildOn is a's share of d's Recover. Holding ctl keeps Close and
 // relayouts off a while it is rebuilt, and waits out a MoveTo that was in
 // flight when the tier died: whichever way that ended, a is rebuilt here
 // only if it lives here now. The data path is still down (failed clears
@@ -76,7 +73,7 @@ func (a *Allocation) rebuildOn(d *Device) (entries int, rebuilt int64) {
 	if a.Freed() || a.Device() != d {
 		return 0, 0
 	}
-	// The pass's only error is ErrFreed, and Free waits on ctl.
+	// The pass's only error is ErrFreed, and Close waits on ctl.
 	_, entries, rebuilt, _ = a.spanPass(relocRebuild, 0, a.EntryCount, nil)
 	return entries, rebuilt
 }

@@ -24,11 +24,11 @@ func TestFailBlocksDataPath(t *testing.T) {
 	if _, err := a.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.Failed() {
+	if d.failed.Load() {
 		t.Fatal("fresh device reports failed")
 	}
 	d.Fail()
-	if !d.Failed() {
+	if !d.failed.Load() {
 		t.Fatal("Fail did not mark the device")
 	}
 	before := d.Traffic()
@@ -37,8 +37,8 @@ func TestFailBlocksDataPath(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"WriteEntry", a.WriteEntry(0, entry)},
-		{"ReadEntry", a.ReadEntry(0, entry)},
+		{"WriteEntries/one", a.WriteEntries(0, entry)},
+		{"ReadEntries/one", a.ReadEntries(0, entry)},
 		{"WriteEntries", a.WriteEntries(0, data)},
 		{"ReadEntries", a.ReadEntries(0, data)},
 	}
@@ -97,7 +97,7 @@ func TestRecoverRebuildsFromBuddy(t *testing.T) {
 	if tr.DeviceWriteBytes == 0 {
 		t.Error("rebuild re-stored nothing device-side")
 	}
-	if d.Failed() {
+	if d.failed.Load() {
 		t.Fatal("device still failed after Recover")
 	}
 	got := make([]byte, len(want))

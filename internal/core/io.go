@@ -61,7 +61,7 @@ var entryScratchPool = sync.Pool{New: func() any { return new([EntryBytes]byte) 
 // scratch and copies the window starting at within into dst.
 func (a *Allocation) readPartial(e, within int, dst []byte) (Cost, error) {
 	buf := entryScratchPool.Get().(*[EntryBytes]byte)
-	c, err := a.accessEntry(relocRead, e, buf[:])
+	c, err := a.accessEntries(relocRead, e, buf[:])
 	if err == nil {
 		copy(dst, buf[within:])
 	}
@@ -73,11 +73,11 @@ func (a *Allocation) readPartial(e, within int, dst []byte) (Cost, error) {
 // at offset within, preserving the neighbouring bytes.
 func (a *Allocation) writePartial(e, within int, src []byte) (Cost, error) {
 	buf := entryScratchPool.Get().(*[EntryBytes]byte)
-	c, err := a.accessEntry(relocRead, e, buf[:])
+	c, err := a.accessEntries(relocRead, e, buf[:])
 	if err == nil {
 		copy(buf[within:within+len(src)], src)
 		var w Cost
-		w, err = a.accessEntry(relocWrite, e, buf[:])
+		w, err = a.accessEntries(relocWrite, e, buf[:])
 		c.add(w)
 	}
 	entryScratchPool.Put(buf)

@@ -6,7 +6,7 @@ import (
 	"slices"
 )
 
-// Allocation lifecycle and live relayout. Free retires an allocation —
+// Allocation lifecycle and live relayout. Close retires an allocation —
 // reservations return to their tiers, its region of the modeled address
 // space becomes a reusable hole, and every later I/O fails with ErrFreed. A
 // relayout moves a live allocation onto a new layout while reader/writer
@@ -32,7 +32,7 @@ import (
 // same pass run the other way (handBack).
 
 // ErrFreed is returned (wrapped) by every I/O operation on an allocation
-// that has been released with Free or Close.
+// that has been released with Close.
 var ErrFreed = errors.New("core: allocation freed")
 
 // region is a contiguous reservation in the three allocation spaces: entry
@@ -139,38 +139,22 @@ func (d *Device) freeRegion(r region) {
 	}
 }
 
-// Free releases an allocation: its device and buddy reservations return to
-// their tiers, its region becomes reusable by later Mallocs, and every
-// subsequent I/O on the allocation fails with an error wrapping ErrFreed.
-// Freeing twice is an error, and so is freeing through a device the
-// allocation does not live on. An in-flight ReadAt/WriteAt may complete its
-// current entries; entries it attempts after Free fail like any other I/O.
-func (d *Device) Free(a *Allocation) error {
-	if a == nil {
-		return fmt.Errorf("core: Free of a nil allocation")
-	}
-	return a.free(d)
-}
-
-// Close releases the allocation on whichever device it lives on; Allocation
-// satisfies io.Closer so regions can sit behind defer and resource-managing
-// helpers.
-func (a *Allocation) Close() error { return a.free(nil) }
-
-// free is Free; a non-nil owner must be the allocation's device. Holding ctl
-// guarantees no relayout is in flight on a while it is dismantled.
-func (a *Allocation) free(owner *Device) error {
+// Close releases the allocation on whichever device it lives on: its device
+// and buddy reservations return to their tiers, its region becomes reusable
+// by later Mallocs, and every subsequent I/O on the allocation fails with an
+// error wrapping ErrFreed. Closing twice is an error. An in-flight
+// ReadAt/WriteAt may complete its current entries; entries it attempts after
+// Close fail like any other I/O. Allocation satisfies io.Closer so regions
+// can sit behind defer and resource-managing helpers. Holding ctl guarantees
+// no relayout is in flight on a while it is dismantled.
+func (a *Allocation) Close() error {
 	a.ctl.Lock()
 	defer a.ctl.Unlock()
 	a.mu.Lock()
 	l := a.cur
-	switch {
-	case a.freed:
+	if a.freed {
 		a.mu.Unlock()
 		return a.errFreed()
-	case owner != nil && l.dev != owner:
-		a.mu.Unlock()
-		return fmt.Errorf("core: Free of an allocation not owned by this device")
 	}
 	a.freed = true
 	// Every pass checks freed before it touches an entry, so the streams can
@@ -265,7 +249,7 @@ func (a *Allocation) relayout(dev *Device, target TargetRatio) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The pass's other error is ErrFreed, and Free waits on ctl. Entries
+	// The pass's other error is ErrFreed, and Close waits on ctl. Entries
 	// written concurrently after their move land in the next layout directly.
 	_, _, moved, err := a.spanPass(relocMigrate, 0, a.EntryCount, nil)
 	if err != nil {
@@ -379,7 +363,7 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 
 // Reprofile applies one reprofile decision to a: a Retarget to dec.New that
 // runs only if a still lives on d at dec.Old. The check happens under ctl,
-// so a Free, MoveTo or Retarget racing in after the caller's lookup turns
+// so a Close, MoveTo or Retarget racing in after the caller's lookup turns
 // into applied == false, never a misdirected migration. It returns the
 // stored bytes re-packed.
 func (d *Device) Reprofile(a *Allocation, dec ReprofileDecision) (moved int64, applied bool, err error) {

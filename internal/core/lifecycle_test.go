@@ -42,7 +42,7 @@ func TestFreeReturnsReservationsOnEveryTier(t *testing.T) {
 				t.Fatal("allocations should reserve bytes on both tiers")
 			}
 			for _, a := range allocs {
-				if err := d.Free(a); err != nil {
+				if err := a.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -73,11 +73,11 @@ func TestFreedAllocationErrorsTyped(t *testing.T) {
 		t.Error("Freed() should report true after Close")
 	}
 	buf := make([]byte, EntryBytes)
-	if err := a.WriteEntry(0, buf); !errors.Is(err, ErrFreed) {
-		t.Errorf("WriteEntry after free = %v, want ErrFreed", err)
+	if err := a.WriteEntries(0, buf); !errors.Is(err, ErrFreed) {
+		t.Errorf("WriteEntries after free = %v, want ErrFreed", err)
 	}
-	if err := a.ReadEntry(0, buf); !errors.Is(err, ErrFreed) {
-		t.Errorf("ReadEntry after free = %v, want ErrFreed", err)
+	if err := a.ReadEntries(0, buf); !errors.Is(err, ErrFreed) {
+		t.Errorf("ReadEntries after free = %v, want ErrFreed", err)
 	}
 	if _, err := a.WriteAt(buf, 0); !errors.Is(err, ErrFreed) {
 		t.Errorf("WriteAt after free = %v, want ErrFreed", err)
@@ -88,17 +88,12 @@ func TestFreedAllocationErrorsTyped(t *testing.T) {
 	if _, err := Memcpy(other, a, 128); !errors.Is(err, ErrFreed) {
 		t.Errorf("Memcpy from freed source = %v, want ErrFreed", err)
 	}
-	if err := d.Free(a); !errors.Is(err, ErrFreed) {
-		t.Errorf("double Free = %v, want ErrFreed", err)
+	if err := a.Close(); !errors.Is(err, ErrFreed) {
+		t.Errorf("double Close = %v, want ErrFreed", err)
 	}
 	// The survivor is untouched.
-	if err := other.WriteEntry(0, buf); err != nil {
+	if err := other.WriteEntries(0, buf); err != nil {
 		t.Errorf("free must not disturb other allocations: %v", err)
-	}
-	// Free rejects foreign allocations.
-	d2 := newTestDevice(1 << 20)
-	if err := d2.Free(other); err == nil {
-		t.Error("Free on the wrong device should error")
 	}
 }
 
@@ -123,7 +118,7 @@ func TestFreeMakesEntryTableReusable(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("cycle %d: round-trip mismatch on a reused region", i)
 		}
-		if err := d.Free(a); err != nil {
+		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
 		d.mu.RLock()
@@ -142,7 +137,7 @@ func TestFreeMakesEntryTableReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, EntryBytes)
-	if err := a.ReadEntry(3, got); err != nil {
+	if err := a.ReadEntries(3, got); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range got {
@@ -167,7 +162,7 @@ func TestFreeCoalescesBothNeighbours(t *testing.T) {
 		abc[i] = a
 	}
 	for _, i := range []int{0, 2, 1} {
-		if err := d.Free(abc[i]); err != nil {
+		if err := abc[i].Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +277,7 @@ func TestRetargetPreservesContentsAndAccounting(t *testing.T) {
 	if moved, err := d.Retarget(a, Target2x); err != nil || moved != 0 {
 		t.Errorf("no-op retarget = (%d, %v), want (0, nil)", moved, err)
 	}
-	if err := d.Free(a); err != nil {
+	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Retarget(a, Target4x); !errors.Is(err, ErrFreed) {

@@ -94,19 +94,6 @@ func nibbleBits(x uint64) uint64 {
 	return (x | x>>24) & 0xFFFF
 }
 
-// Bytes returns the size of the metadata region in bytes.
-func (m *MetadataStore) Bytes() int { return len(m.packed) }
-
-// OverheadFraction returns metadata bytes over data bytes: 4 bits per 128 B
-// entry = 1/256 ≈ 0.4% (§3.2).
-func (m *MetadataStore) OverheadFraction() float64 {
-	dataBytes := float64(len(m.packed) * 2 * 128)
-	if dataBytes == 0 {
-		return 0
-	}
-	return float64(len(m.packed)) / dataBytes
-}
-
 // MetadataCache models the sliced, set-associative metadata cache (Fig. 5:
 // 4-way, 64 KB total split into 8 slices, one per DRAM channel; Tab. 2 uses
 // 4 KB per slice). Metadata lines are interleaved across slices with the

@@ -12,7 +12,7 @@ import (
 // steps (§3.3 gives each entry one fixed device slot and one fixed buddy
 // slot): lock its shard, resolve its home, touch its stream, set or read its
 // metadata, charge the two tiers. The data path (WriteEntries/ReadEntries,
-// and WriteEntry/ReadEntry as spans of one) and every mover — a relayout
+// and ReadAt/WriteAt's partial edges as spans of one) and every mover — a relayout
 // (Retarget, ApplyReprofile and MoveTo: committed layout to next layout, on
 // one device or across two), ExportEntry/ImportEntry (a framed stream out of
 // or into an entry) and Recover (re-stream from the carve-out copy) — are

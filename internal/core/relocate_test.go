@@ -24,7 +24,7 @@ import (
 // busy cycles per direction and the metadata cache's hits and misses on both
 // devices, every allocation's
 // layouts and which entries each holds, its metadata and stored streams, and
-// every SectorCount.
+// every entry's sector count.
 
 // refAccess is the reference's tier call: one access, a span of one.
 func refAccess(b Backend, store bool, g, n int) {
@@ -362,6 +362,15 @@ type relocState struct {
 	Sectors            [][]int
 }
 
+// sectorCount is entry i's last committed compressed sector count, read
+// under the entry's shard lock.
+func sectorCount(a *Allocation, i int) int {
+	sh := a.shard(i)
+	sh.Lock()
+	defer sh.Unlock()
+	return a.meta.Get(i)
+}
+
 func (w *relocWorld) state(extra ...*Allocation) relocState {
 	var s relocState
 	for k, d := range []*Device{w.src, w.dst} {
@@ -388,7 +397,7 @@ func (w *relocWorld) state(extra ...*Allocation) relocState {
 		s.Streams = append(s.Streams, streams)
 		sc := make([]int, a.EntryCount)
 		for i := range sc {
-			sc[i] = a.SectorCount(i)
+			sc[i] = sectorCount(a, i)
 		}
 		s.Sectors = append(s.Sectors, sc)
 	}

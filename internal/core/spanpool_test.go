@@ -272,7 +272,7 @@ func TestHostTierSpansKeepEntryOrder(t *testing.T) {
 				for lo := round * 37; lo+span <= entries; lo += span {
 					if k == 1 {
 						for i := lo; i < lo+span; i++ {
-							if err := a.WriteEntry(i, data[i*EntryBytes:][:EntryBytes]); err != nil {
+							if err := a.WriteEntries(i, data[i*EntryBytes:][:EntryBytes]); err != nil {
 								t.Fatal(err)
 							}
 						}

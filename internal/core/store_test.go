@@ -297,7 +297,7 @@ func TestStoreClassFlipsUnderReaders(t *testing.T) {
 			defer ww.Done()
 			for k := 0; k < flips; k++ {
 				for _, i := range []int{w * line, w*line + wrap} { // one shard per writer
-					if err := a.WriteEntry(i, images[k&1]); err != nil {
+					if err := a.WriteEntries(i, images[k&1]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -311,7 +311,7 @@ func TestStoreClassFlipsUnderReaders(t *testing.T) {
 			defer rw.Done()
 			got := make([]byte, EntryBytes)
 			for i := 0; !done.Load(); i = (i + 1) % entries {
-				if err := a.ReadEntry(i, got); err != nil {
+				if err := a.ReadEntries(i, got); err != nil {
 					t.Error(err)
 					return
 				}
@@ -440,7 +440,7 @@ func TestStreamLengthContract(t *testing.T) {
 
 	entry := fillEntries(1, []gen.Generator{gen.Random{}}, 2)
 	entry[0] = 0xFF
-	if err := a.WriteEntry(0, entry); err != nil {
+	if err := a.WriteEntries(0, entry); err != nil {
 		t.Fatal(err)
 	}
 	long := NewDevice(Config{DeviceBytes: 1 << 20, Codec: longCodec{compress.NewBDI()}})
@@ -448,7 +448,7 @@ func TestStreamLengthContract(t *testing.T) {
 	if !errors.Is(err, compress.ErrCorrupt) || !strings.Contains(err.Error(), "entry 0") || a.Device() != d || long.DeviceUsed() != 0 {
 		t.Errorf("move onto an over-emitting codec: %v, on d=%v, %d bytes left reserved", err, a.Device() == d, long.DeviceUsed())
 	}
-	if got := make([]byte, EntryBytes); a.ReadEntry(0, got) != nil || !bytes.Equal(got, entry) {
+	if got := make([]byte, EntryBytes); a.ReadEntries(0, got) != nil || !bytes.Equal(got, entry) {
 		t.Error("the entry did not survive the handed-back move")
 	}
 }

@@ -133,8 +133,8 @@ func Fig13d(cfg Fig13dConfig) []Fig13dRow {
 	if cfg.TrainSamples == 0 {
 		cfg = DefaultFig13dConfig()
 	}
-	train := nn.SyntheticTaskNoise(cfg.TrainSamples, cfg.Dim, cfg.Classes, cfg.Seed, cfg.Seed+1, 2.2)
-	val := nn.SyntheticTaskNoise(cfg.ValSamples, cfg.Dim, cfg.Classes, cfg.Seed, cfg.Seed+2, 2.2)
+	train := nn.SyntheticTask(cfg.TrainSamples, cfg.Dim, cfg.Classes, cfg.Seed, cfg.Seed+1, 2.2)
+	val := nn.SyntheticTask(cfg.ValSamples, cfg.Dim, cfg.Classes, cfg.Seed, cfg.Seed+2, 2.2)
 	const repeats = 3 // average independent runs: SGD is noisy
 	var rows []Fig13dRow
 	for _, b := range cfg.Batches {

@@ -31,18 +31,6 @@ const (
 	ModeBuddy
 )
 
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeIdeal:
-		return "ideal"
-	case ModeBWOnly:
-		return "bw-only"
-	default:
-		return "buddy"
-	}
-}
-
 // Config mirrors Tab. 2's performance simulation parameters.
 type Config struct {
 	// SMs is the number of streaming multiprocessors (P100-class: 56).

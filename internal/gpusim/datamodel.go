@@ -116,29 +116,3 @@ func (m *DataModel) Lookup(addr uint64) (sectors int, target core.TargetRatio) {
 	}
 	return 4, reg.target
 }
-
-// MeanStoredSectors reports the footprint-weighted mean compressed sector
-// count (0-sector entries count as one stored sector), a sanity statistic
-// used in tests.
-func (m *DataModel) MeanStoredSectors() float64 {
-	var sum, weight float64
-	for _, r := range m.regions {
-		var mean, prev float64
-		for s := 0; s < 5; s++ {
-			p := r.cdf[s] - prev
-			prev = r.cdf[s]
-			stored := float64(s)
-			if s == 0 {
-				stored = 1
-			}
-			mean += p * stored
-		}
-		w := float64(r.end - r.start)
-		sum += mean * w
-		weight += w
-	}
-	if weight == 0 {
-		return 4
-	}
-	return sum / weight
-}

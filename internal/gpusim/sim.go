@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"buddy/internal/cache"
+	"buddy/internal/compress"
 	"buddy/internal/core"
 	"buddy/internal/dram"
 	"buddy/internal/nvlink"
@@ -175,6 +176,22 @@ func (m *machine) metaAccess(now float64, addr uint64) float64 {
 	return m.mem.Request(now, metaAddr, core.MetadataLineBytes)
 }
 
+// accessBytes splits access a to an entry compressed to sectors under target
+// into device bytes and buddy-link bytes. An incompressible entry stays raw:
+// it is fetched sector by sector with no decompression, the requested
+// sectors past the target's device budget from its fixed buddy slot. A
+// compressed entry moves whole and fills the full 128 B line (over-fetch for
+// fine-grained accesses, fewer packets for streaming ones, §4.2), priced by
+// core's §3.3 table: at least one device sector, overflow from buddy.
+func accessBytes(a trace.Access, sectors int, target core.TargetRatio) (dev, spill int) {
+	if sectors < compress.SectorsPerEntry {
+		return target.Price(sectors)
+	}
+	req := trace.SectorCount(a.SectorMask)
+	devSec := min(req, target.DeviceSectors())
+	return devSec * compress.SectorBytes, (req - devSec) * compress.SectorBytes
+}
+
 // load returns the completion time of a warp load issued at time now.
 func (m *machine) load(now float64, sm int, a trace.Access, host bool) float64 {
 	reqBytes := trace.SectorCount(a.SectorMask) * 32
@@ -194,91 +211,38 @@ func (m *machine) load(now float64, sm int, a trace.Access, host bool) float64 {
 		m.result.L2Hits++
 		return afterL2
 	}
-
-	switch m.mode {
-	case ModeIdeal:
+	if m.mode == ModeIdeal {
 		m.result.DRAMBytes += uint64(reqBytes)
 		return m.mem.Request(afterL2, line, reqBytes)
-
-	case ModeBWOnly:
-		sectors, _ := m.dm.Lookup(line)
-		if sectors >= 4 {
-			// Incompressible entries stay raw: sector-granular fetch,
-			// no decompression.
-			m.result.DRAMBytes += uint64(reqBytes)
-			return m.mem.Request(afterL2, line, reqBytes)
-		}
-		// Compressed entries transfer whole (minimum one sector) and fill
-		// the full 128 B line: over-fetch for fine-grained accesses,
-		// fewer packets for streaming ones (§4.2).
-		stored := sectors
-		if stored == 0 {
-			stored = 1
-		}
-		bytes := stored * 32
-		m.result.DRAMBytes += uint64(bytes)
-		return m.mem.Request(afterL2, line, bytes) + m.cfg.DecompressLatencyCycles
-
-	default: // ModeBuddy
-		sectors, target := m.dm.Lookup(line)
-		metaDone := m.metaAccess(afterL2, line)
-		if sectors >= 4 {
-			// Uncompressed entry: sector-granular fetch, no decompression;
-			// requested sectors beyond the device budget live in the
-			// entry's fixed buddy slot.
-			req := trace.SectorCount(a.SectorMask)
-			devSec := req
-			if devSec > target.DeviceSectors() {
-				devSec = target.DeviceSectors()
-			}
-			overSec := req - devSec
-			done := afterL2
-			if devSec > 0 {
-				m.result.DRAMBytes += uint64(devSec * 32)
-				done = m.mem.Request(afterL2, line, devSec*32)
-			}
-			if done < metaDone {
-				done = metaDone
-			}
-			if overSec > 0 {
-				m.result.BuddyAccesses++
-				m.result.LinkReadBytes += uint64(overSec * 32)
-				if bd := m.link.Request(metaDone, nvlink.Read, overSec*32); bd > done {
-					done = bd
-				}
-			}
-			return done
-		}
-		// Compressed entry: transferred whole (full-line L2 fill), with
-		// overflow sectors from the buddy slot. Metadata resolves in
-		// parallel with device data (§3.4); the buddy access issues only
-		// once metadata is known.
-		over := target.OverflowSectors(sectors)
-		devBytes := (sectors - over) * 32
-		if target == core.Target16x {
-			devBytes = 8
-		} else if sectors == 0 {
-			devBytes = 32 // minimum one-sector device access
-		}
-		var done float64
-		if devBytes > 0 {
-			m.result.DRAMBytes += uint64(devBytes)
-			done = m.mem.Request(afterL2, line, devBytes)
-		} else {
-			done = afterL2
-		}
-		if done < metaDone {
-			done = metaDone
-		}
-		if over > 0 {
-			m.result.BuddyAccesses++
-			m.result.LinkReadBytes += uint64(over * 32)
-			if bd := m.link.Request(metaDone, nvlink.Read, over*32); bd > done {
-				done = bd
-			}
-		}
-		return done + m.cfg.DecompressLatencyCycles
 	}
+
+	sectors, target := m.dm.Lookup(line)
+	metaDone := afterL2
+	if m.mode == ModeBuddy {
+		metaDone = m.metaAccess(afterL2, line)
+	} else {
+		// Bandwidth-only compression keeps every entry's full 128 B in
+		// device memory: no metadata, no buddy accesses.
+		target = core.Target1x
+	}
+	dev, spill := accessBytes(a, sectors, target)
+	done := afterL2
+	if dev > 0 {
+		m.result.DRAMBytes += uint64(dev)
+		done = m.mem.Request(afterL2, line, dev)
+	}
+	// Metadata resolves in parallel with device data (§3.4); the buddy
+	// access issues only once metadata is known.
+	done = max(done, metaDone)
+	if spill > 0 {
+		m.result.BuddyAccesses++
+		m.result.LinkReadBytes += uint64(spill)
+		done = max(done, m.link.Request(metaDone, nvlink.Read, spill))
+	}
+	if sectors < compress.SectorsPerEntry {
+		done += m.cfg.DecompressLatencyCycles
+	}
+	return done
 }
 
 // store models a write: caches are updated for recency, and write-back
@@ -300,48 +264,24 @@ func (m *machine) store(now float64, sm int, a trace.Access, host bool) float64 
 		m.result.DRAMBytes += uint64(reqBytes)
 		m.mem.Drain(now, line, reqBytes)
 	case ModeBWOnly:
+		// The whole entry is written back, raw ones included.
 		sectors, _ := m.dm.Lookup(line)
-		bytes := storedBytes(sectors)
-		m.result.DRAMBytes += uint64(bytes)
-		m.mem.Drain(now, line, bytes)
+		dev, _ := core.Target1x.Price(sectors)
+		m.result.DRAMBytes += uint64(dev)
+		m.mem.Drain(now, line, dev)
 	default:
 		sectors, target := m.dm.Lookup(line)
 		m.metaAccess(now, line) // metadata is read-modify-written on size change
-		var over int
-		var devBytes int
-		if sectors >= 4 {
-			req := trace.SectorCount(a.SectorMask)
-			devSec := req
-			if devSec > target.DeviceSectors() {
-				devSec = target.DeviceSectors()
-			}
-			over = req - devSec
-			devBytes = devSec * 32
-		} else {
-			over = target.OverflowSectors(sectors)
-			devBytes = (sectors - over) * 32
-			if target == core.Target16x {
-				devBytes = 8
-			} else if sectors == 0 {
-				devBytes = 32
-			}
-		}
-		m.result.DRAMBytes += uint64(devBytes)
-		m.mem.Drain(now, line, devBytes)
-		if over > 0 {
+		dev, spill := accessBytes(a, sectors, target)
+		m.result.DRAMBytes += uint64(dev)
+		m.mem.Drain(now, line, dev)
+		if spill > 0 {
 			m.result.BuddyAccesses++
-			m.result.LinkWriteBytes += uint64(over * 32)
-			m.link.Drain(now, nvlink.Write, over*32)
+			m.result.LinkWriteBytes += uint64(spill)
+			m.link.Drain(now, nvlink.Write, spill)
 		}
 	}
 	return now + m.cfg.StoreLatencyCycles
-}
-
-func storedBytes(sectors int) int {
-	if sectors == 0 {
-		return 32
-	}
-	return sectors * 32
 }
 
 // activeWarps applies the kernel's occupancy to the machine's warp slots.

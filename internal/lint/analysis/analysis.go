@@ -36,8 +36,6 @@ type Analyzer struct {
 	Run func(*Pass) (interface{}, error)
 }
 
-func (a *Analyzer) String() string { return a.Name }
-
 // A Pass provides one analyzer with the parsed, type-checked view of one
 // package plus the Report sink for its diagnostics.
 type Pass struct {
@@ -70,10 +68,6 @@ type Pass struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-func (p *Pass) String() string {
-	return fmt.Sprintf("%s@%s", p.Analyzer.Name, p.Pkg.Path())
 }
 
 // A Diagnostic is one reported finding, tied to a source position.

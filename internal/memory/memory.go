@@ -41,11 +41,6 @@ func (a *Allocation) Entry(i int) []byte {
 	return a.Data[i*EntryBytes : (i+1)*EntryBytes]
 }
 
-// Pages returns the number of 8 KB pages (rounded up).
-func (a *Allocation) Pages() int {
-	return (len(a.Data) + PageBytes - 1) / PageBytes
-}
-
 // A Snapshot is one memory dump: the set of live allocations at a point in
 // the workload's execution. The paper takes ten snapshots per benchmark at
 // kernel boundaries (§3.1). A dump is read-only to its consumers: the
@@ -68,9 +63,6 @@ func (s *Snapshot) TotalBytes() int {
 	}
 	return n
 }
-
-// TotalEntries returns the number of memory-entries across allocations.
-func (s *Snapshot) TotalEntries() int { return s.TotalBytes() / EntryBytes }
 
 // Find returns the allocation with the given name, or nil.
 func (s *Snapshot) Find(name string) *Allocation {

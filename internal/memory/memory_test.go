@@ -9,12 +9,12 @@ func TestNewAllocationAlignment(t *testing.T) {
 	if len(a.Data) != EntryBytes {
 		t.Errorf("size %d, want %d", len(a.Data), EntryBytes)
 	}
-	if a.Entries() != 1 || a.Pages() != 1 {
-		t.Errorf("entries=%d pages=%d", a.Entries(), a.Pages())
+	if a.Entries() != 1 {
+		t.Errorf("entries=%d, want 1", a.Entries())
 	}
 	b := NewAllocation("y", PageBytes+1)
-	if b.Pages() != 2 {
-		t.Errorf("pages=%d, want 2", b.Pages())
+	if b.Entries() != EntriesPerPage+1 {
+		t.Errorf("entries=%d, want %d", b.Entries(), EntriesPerPage+1)
 	}
 }
 
@@ -42,7 +42,7 @@ func TestFindAndTotals(t *testing.T) {
 	if s.Find("b") == nil || s.Find("c") != nil {
 		t.Error("Find broken")
 	}
-	if s.TotalBytes() != 3072 || s.TotalEntries() != 24 {
-		t.Errorf("totals: %d bytes, %d entries", s.TotalBytes(), s.TotalEntries())
+	if s.TotalBytes() != 3072 {
+		t.Errorf("total: %d bytes, want 3072", s.TotalBytes())
 	}
 }

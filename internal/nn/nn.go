@@ -28,14 +28,9 @@ type Dataset struct {
 // SyntheticTask generates a CIFAR-like task: classes are Gaussian clusters
 // with heavy overlap plus label noise, so accuracy saturates below 100% and
 // optimization quality matters. taskSeed fixes the class centers (shared by
-// train and validation splits); sampleSeed draws the samples.
-func SyntheticTask(samples, dim, classes int, taskSeed, sampleSeed uint64) *Dataset {
-	return SyntheticTaskNoise(samples, dim, classes, taskSeed, sampleSeed, 1.6)
-}
-
-// SyntheticTaskNoise is SyntheticTask with an explicit within-class noise
-// level, used to tune task difficulty.
-func SyntheticTaskNoise(samples, dim, classes int, taskSeed, sampleSeed uint64, noise float32) *Dataset {
+// train and validation splits); sampleSeed draws the samples; noise is the
+// within-class spread that sets the task's difficulty.
+func SyntheticTask(samples, dim, classes int, taskSeed, sampleSeed uint64, noise float32) *Dataset {
 	cr := gen.NewRNG(taskSeed, 11)
 	centers := make([][]float32, classes)
 	for c := range centers {

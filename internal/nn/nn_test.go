@@ -3,8 +3,8 @@ package nn
 import "testing"
 
 func TestTrainingLearns(t *testing.T) {
-	train := SyntheticTask(2000, 16, 4, 1, 10)
-	val := SyntheticTask(500, 16, 4, 1, 20)
+	train := SyntheticTask(2000, 16, 4, 1, 10, 1.6)
+	val := SyntheticTask(500, 16, 4, 1, 20, 1.6)
 	m := NewMLP(16, 32, 4, 3)
 	before := m.Accuracy(val)
 	for e := 0; e < 15; e++ {
@@ -20,7 +20,7 @@ func TestTrainingLearns(t *testing.T) {
 }
 
 func TestLossDecreases(t *testing.T) {
-	train := SyntheticTask(1000, 16, 4, 2, 11)
+	train := SyntheticTask(1000, 16, 4, 2, 11, 1.6)
 	m := NewMLP(16, 24, 4, 5)
 	first := m.TrainEpoch(train, 32, 0.05)
 	var last float64
@@ -33,7 +33,7 @@ func TestLossDecreases(t *testing.T) {
 }
 
 func TestDeterministicTraining(t *testing.T) {
-	train := SyntheticTask(500, 8, 3, 3, 12)
+	train := SyntheticTask(500, 8, 3, 3, 12, 1.6)
 	a, b := NewMLP(8, 16, 3, 7), NewMLP(8, 16, 3, 7)
 	for e := 0; e < 3; e++ {
 		la := a.TrainEpoch(train, 16, 0.05)
@@ -47,8 +47,8 @@ func TestDeterministicTraining(t *testing.T) {
 func TestSharedCentersAcrossSplits(t *testing.T) {
 	// Same taskSeed, different sampleSeed: a model trained on one split
 	// must transfer to the other (the Fig. 13d prerequisite).
-	train := SyntheticTask(1500, 16, 4, 9, 1)
-	val := SyntheticTask(400, 16, 4, 9, 2)
+	train := SyntheticTask(1500, 16, 4, 9, 1, 1.6)
+	val := SyntheticTask(400, 16, 4, 9, 2, 1.6)
 	m := NewMLP(16, 32, 4, 3)
 	for e := 0; e < 12; e++ {
 		m.TrainEpoch(train, 64, 0.05)
@@ -59,8 +59,8 @@ func TestSharedCentersAcrossSplits(t *testing.T) {
 }
 
 func TestConvergenceCurveShape(t *testing.T) {
-	train := SyntheticTask(1000, 16, 4, 4, 13)
-	val := SyntheticTask(300, 16, 4, 4, 14)
+	train := SyntheticTask(1000, 16, 4, 4, 13, 1.6)
+	val := SyntheticTask(300, 16, 4, 4, 14, 1.6)
 	curve := ConvergenceCurve(train, val, 64, 8, 21)
 	if len(curve) != 8 {
 		t.Fatalf("want 8 epochs, got %d", len(curve))
@@ -73,7 +73,7 @@ func TestConvergenceCurveShape(t *testing.T) {
 
 func TestBatchSizeOneWorks(t *testing.T) {
 	// Degenerate batch norm (variance 0) must not NaN the model.
-	train := SyntheticTask(64, 8, 2, 5, 15)
+	train := SyntheticTask(64, 8, 2, 5, 15, 1.6)
 	m := NewMLP(8, 8, 2, 9)
 	loss := m.TrainEpoch(train, 1, 0.01)
 	if loss != loss { // NaN check

@@ -29,27 +29,6 @@ func TestBandwidthScaling(t *testing.T) {
 	}
 }
 
-func TestStorageConfigs(t *testing.T) {
-	for _, k := range StorageKinds() {
-		cfg := StorageConfig(k, 150)
-		if cfg.BandwidthGBs != 150 {
-			t.Errorf("%s: bandwidth not applied", k)
-		}
-		if cfg.LatencyCycles <= 0 {
-			t.Errorf("%s: missing latency", k)
-		}
-	}
-	peer := StorageConfig(PeerGPU, 150).LatencyCycles
-	host := StorageConfig(HostCPU, 150).LatencyCycles
-	dis := StorageConfig(Disaggregated, 150).LatencyCycles
-	if !(peer < host && host < dis) {
-		t.Errorf("latency ordering peer(%v) < host(%v) < disaggregated(%v) violated", peer, host, dis)
-	}
-	if HostCPU.String() == "" || PeerGPU.String() == "" || Disaggregated.String() == "" {
-		t.Error("StorageKind String broken")
-	}
-}
-
 func TestPartialConfigDefaultsRateFields(t *testing.T) {
 	// Only the bandwidth given (the Fig. 11 sweep style): the clock must
 	// default so the link has a finite rate, and zero latency is honored.

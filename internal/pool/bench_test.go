@@ -50,11 +50,11 @@ func benchServe(b *testing.B, chunkBytes int, rebalEvery time.Duration, tenants 
 	}
 	defer p.Close()
 	var doors []*Tenant
-	for _, name := range p.TenantNames() {
-		if name == DefaultTenant && tenants != nil {
+	for _, ts := range p.Stats().Tenants {
+		if ts.Name == DefaultTenant && tenants != nil {
 			continue
 		}
-		door, err := p.Tenant(name)
+		door, err := p.Tenant(ts.Name)
 		if err != nil {
 			b.Fatal(err)
 		}

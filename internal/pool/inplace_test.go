@@ -249,8 +249,8 @@ func TestInPlaceSplitsAtMigrationWatermark(t *testing.T) {
 	moved := make(chan error, 1)
 	go func() { moved <- p.MigrateHandle(h, 1) }()
 	<-reached
-	if !h.Migrating() || h.Shard() != 0 {
-		t.Fatalf("held-open move: migrating %v, shard %d", h.Migrating(), h.Shard())
+	if !h.Alloc().Migrating() || h.Shard() != 0 {
+		t.Fatalf("held-open move: migrating %v, shard %d", h.Alloc().Migrating(), h.Shard())
 	}
 
 	buf := make([]byte, 3*core.EntryBytes)
@@ -277,8 +277,8 @@ func TestInPlaceSplitsAtMigrationWatermark(t *testing.T) {
 	if err := <-moved; err != nil {
 		t.Fatal(err)
 	}
-	if h.Shard() != 1 || h.Migrating() || p.Device(0).DeviceUsed() != 0 {
-		t.Fatalf("after the move: shard %d, migrating %v, %d bytes left behind", h.Shard(), h.Migrating(), p.Device(0).DeviceUsed())
+	if h.Shard() != 1 || h.Alloc().Migrating() || p.Device(0).DeviceUsed() != 0 {
+		t.Fatalf("after the move: shard %d, migrating %v, %d bytes left behind", h.Shard(), h.Alloc().Migrating(), p.Device(0).DeviceUsed())
 	}
 	copy(base[off:], buf)
 	all := make([]byte, len(base))

@@ -153,7 +153,7 @@ func TestMigrateHandleMovesData(t *testing.T) {
 	if got := h.Shard(); got != 2 {
 		t.Fatalf("handle routes to shard %d after migration, want 2", got)
 	}
-	if h.Migrating() {
+	if h.Alloc().Migrating() {
 		t.Fatal("handle still reports migrating after cutover")
 	}
 	got := make([]byte, len(want))
@@ -299,7 +299,7 @@ func TestMigrateOOMRollback(t *testing.T) {
 	if got := h.Shard(); got != 0 {
 		t.Fatalf("failed migration moved the route to shard %d", got)
 	}
-	if h.Migrating() {
+	if h.Alloc().Migrating() {
 		t.Fatal("failed migration left the handle mid-move")
 	}
 	if used := devices[1].DeviceUsed(); used != 0 {
@@ -348,8 +348,8 @@ func TestMigrateDestinationKilledBetweenChunks(t *testing.T) {
 	if !errors.Is(err, core.ErrDeviceFailed) {
 		t.Fatalf("move into a killed shard: %v, want core.ErrDeviceFailed", err)
 	}
-	if h.Shard() != 0 || h.Migrating() || h.Alloc().Device() != p.Device(0) {
-		t.Fatalf("after the hand-back: shard %d, migrating %v", h.Shard(), h.Migrating())
+	if h.Shard() != 0 || h.Alloc().Migrating() || h.Alloc().Device() != p.Device(0) {
+		t.Fatalf("after the hand-back: shard %d, migrating %v", h.Shard(), h.Alloc().Migrating())
 	}
 	got := make([]byte, len(want))
 	if _, err := h.ReadAt(got, 0); err != nil {
@@ -543,7 +543,7 @@ func TestMigrateUnderConcurrentIO(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if h.Migrating() {
+	if h.Alloc().Migrating() {
 		t.Error("handle still mid-move after the stress")
 	}
 	for i, d := range p.devices {
@@ -566,10 +566,13 @@ func halfMoveAndRollback(h *Handle, trips [2]*tripwire) error {
 	p := h.pool
 	other := (h.Shard() + 1) % 2
 	dev := p.devices[other]
-	trips[other].arm(20, dev.Fail)
+	// The hook runs under the tripwire's lock, which disarming takes after
+	// it, so failed is settled once arm(0, nil) returns.
+	failed := false
+	trips[other].arm(20, func() { failed = true; dev.Fail() })
 	err := p.MigrateHandle(h, other)
 	trips[other].arm(0, nil)
-	if dev.Failed() {
+	if failed {
 		if _, _, err := dev.Recover(); err != nil {
 			return err
 		}

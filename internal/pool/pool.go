@@ -436,10 +436,6 @@ type Handle struct {
 // source shard until the move has committed.
 func (h *Handle) Shard() int { return int(h.shard.Load()) }
 
-// Migrating reports whether a relayout — a cross-shard move, or a Retarget
-// — is in flight on the allocation.
-func (h *Handle) Migrating() bool { return h.a.Migrating() }
-
 // Alloc returns the underlying device allocation for entry-granular tools.
 // It is the same allocation before, during and after a migration; ask it
 // (Allocation.Device) rather than Shard for the device it is on when the
@@ -479,9 +475,6 @@ func (h *Handle) Close() error {
 	h.tn.release(h.quota.Swap(0))
 	return err
 }
-
-// Owner returns the handle's owning tenant name.
-func (h *Handle) Owner() string { return h.tn.name }
 
 // Memcpy copies n bytes from the start of src to the start of dst through
 // both compression pipelines; the handles may live on different shards

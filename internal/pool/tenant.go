@@ -280,19 +280,6 @@ func (p *Pool) Tenant(name string) (*Tenant, error) {
 	return &Tenant{p: p, t: t}, nil
 }
 
-// TenantNames returns the pool's tenant names, default tenant first, the
-// rest in sorted order — the same order Stats reports them.
-func (p *Pool) TenantNames() []string {
-	out := make([]string, len(p.tenants))
-	for i, t := range p.tenants {
-		out[i] = t.name
-	}
-	return out
-}
-
-// Name returns the tenant's name.
-func (tn *Tenant) Name() string { return tn.t.name }
-
 // Malloc places an allocation owned by the tenant: admission control
 // charges the allocation's stored compressed bytes against the tenant's
 // quota (failing with ErrQuotaExceeded when it does not fit) before

@@ -426,15 +426,14 @@ func TestTenantLatencyStats(t *testing.T) {
 	if fleet.Latency.Count < ops {
 		t.Errorf("fleet Latency.Count = %d, want >= %d", fleet.Latency.Count, ops)
 	}
-	names := p.TenantNames()
-	if len(names) != 2 || names[0] != DefaultTenant || names[1] != "svc" {
-		t.Errorf("TenantNames = %v, want [%s svc]", names, DefaultTenant)
+	if ts := p.Stats().Tenants; len(ts) != 2 || ts[0].Name != DefaultTenant || ts[1].Name != "svc" {
+		t.Errorf("Stats().Tenants = %v, want [%s svc]", ts, DefaultTenant)
 	}
 	if _, err := p.Tenant("nope"); err == nil {
 		t.Error("Tenant(nope) succeeded, want error")
 	}
-	if got := h.Owner(); got != "svc" {
-		t.Errorf("Owner = %q, want svc", got)
+	if got := h.tn.name; got != "svc" {
+		t.Errorf("handle owner = %q, want svc", got)
 	}
 }
 
@@ -476,7 +475,7 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 			if got := h.quota.Load(); got != q {
 				t.Errorf("%s: %s on shard %d is charged %d bytes, its %s target reserves %d", when, h.Name(), h.Shard(), got, h.Target(), q)
 			}
-			want[h.Owner()] += q
+			want[h.tn.name] += q
 		}
 		for _, ts := range p.Stats().Tenants {
 			if ts.StoredBytes != want[ts.Name] {

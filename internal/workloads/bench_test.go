@@ -33,7 +33,7 @@ func benchSynthesis(b *testing.B, label, name string, synth func(Benchmark) []*m
 		for i := 0; i < b.N; i++ {
 			entries = 0
 			for _, s := range synth(bm) {
-				entries += s.TotalEntries()
+				entries += s.TotalBytes() / memory.EntryBytes
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")

@@ -190,7 +190,7 @@ func TestHPGMGStriped(t *testing.T) {
 	if a == nil {
 		t.Fatal("missing level_structs")
 	}
-	h := analysis.SectorHistogram(a, compress.NewBPC())
+	h := analysis.Build(&memory.Snapshot{Allocations: []*memory.Allocation{a}}, compress.NewBPC()).Allocs[0].SectorHistogram()
 	n := a.Entries()
 	incompressible := float64(h[4]) / float64(n)
 	compressible := float64(h[0]+h[1]) / float64(n)

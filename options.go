@@ -155,7 +155,7 @@ func WithRebalance(interval time.Duration, skew float64) Option {
 
 // WithCodec selects the memory compression algorithm (default BPC, §2.4).
 // See Codecs for the implemented baselines. The codec must be safe for
-// concurrent use: the bulk data path fans it out across a worker pool even
+// concurrent use: the bulk data path fans it out across idle cores even
 // within a single ReadAt/WriteAt/Memcpy call (all built-in algorithms are
 // stateless and qualify).
 func WithCodec(c Codec) Option {

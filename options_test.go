@@ -255,12 +255,27 @@ func TestAllocationIsReaderWriterAt(t *testing.T) {
 	}
 }
 
+// TestExperimentRegistry checks the static experiment table: the paper's
+// twenty experiments in paper order, each with a description and a run
+// function, names unique case-insensitively (a literal table can repeat a
+// name silently), and ExperimentRegistry handing out a copy.
 func TestExperimentRegistry(t *testing.T) {
+	paperOrder := []string{"tab1", "tab2", "fig3", "sparse", "fig5b", "fig6", "fig7", "fig8", "fig9", "fig10",
+		"fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig13d", "reprofile", "serve", "heal", "qos"}
 	reg := ExperimentRegistry()
-	if len(reg) != 20 {
-		t.Fatalf("registered experiments = %d, want 20", len(reg))
+	if len(reg) != len(paperOrder) {
+		t.Fatalf("experiments = %d, want %d", len(reg), len(paperOrder))
 	}
-	for _, e := range reg {
+	seen := map[string]bool{}
+	for i, e := range reg {
+		if e.Name != paperOrder[i] {
+			t.Errorf("experiment %d is %q, want %q", i, e.Name, paperOrder[i])
+		}
+		if key := strings.ToLower(e.Name); seen[key] {
+			t.Errorf("experiment name %q repeats", e.Name)
+		} else {
+			seen[key] = true
+		}
 		if e.Description == "" {
 			t.Errorf("experiment %s has no description", e.Name)
 		}
@@ -268,33 +283,45 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("experiment %s has no run function", e.Name)
 		}
 	}
-	if _, ok := LookupExperiment("FIG7"); !ok {
-		t.Error("lookup should be case-insensitive")
+	reg[0] = Experiment{}
+	if ExperimentRegistry()[0].Name != "tab1" {
+		t.Error("ExperimentRegistry returned the table itself")
 	}
-	if _, ok := LookupExperiment("no-such"); ok {
-		t.Error("lookup of unknown name should fail")
-	}
-	// The registry rejects corruption.
-	for _, bad := range []Experiment{
-		{Name: "tab1", Run: func(io.Writer, ExperimentScale) error { return nil }}, // duplicate
-		{Name: "", Run: func(io.Writer, ExperimentScale) error { return nil }},     // unnamed
-		{Name: "x"}, // no run function
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("registering %+v should panic", bad)
-				}
-			}()
-			RegisterExperiment(bad)
-		}()
-	}
-	// Registered order is stable and drives "all".
 	var sb strings.Builder
-	if err := RunExperiment(&sb, "tab1", QuickScale()); err != nil {
-		t.Fatal(err)
+	if err := RunExperiment(&sb, "TAB1", QuickScale()); err != nil {
+		t.Fatalf("names should match case-insensitively: %v", err)
 	}
 	if sb.Len() == 0 {
-		t.Error("registry-run experiment produced no output")
+		t.Error("tab1 produced no output")
+	}
+}
+
+// TestRunExperimentScaleDefaults runs a probe through RunExperiment: each
+// zero field of the caller's scale takes its DefaultScale value and every set
+// field reaches the experiment as given.
+func TestRunExperimentScaleDefaults(t *testing.T) {
+	var got ExperimentScale
+	saved := experiments
+	experiments = []Experiment{{Name: "probe", Description: "records its scale", Run: func(_ io.Writer, sc ExperimentScale) error {
+		got = sc
+		return nil
+	}}}
+	t.Cleanup(func() { experiments = saved })
+	def := DefaultScale()
+	for _, tc := range []struct{ in, want ExperimentScale }{
+		{ExperimentScale{}, def},
+		{ExperimentScale{Shards: 8}, ExperimentScale{Workload: def.Workload, Sim: def.Sim, Shards: 8}},
+		{ExperimentScale{Tenants: 3, QoSSLOCycles: 900}, ExperimentScale{Workload: def.Workload, Sim: def.Sim, Tenants: 3, QoSSLOCycles: 900}},
+		{ExperimentScale{Workload: 16384}, ExperimentScale{Workload: 16384, Sim: def.Sim}},
+		{ExperimentScale{Sim: 0.2}, ExperimentScale{Workload: def.Workload, Sim: 0.2}},
+		{QuickScale(), QuickScale()},
+	} {
+		got = ExperimentScale{}
+		if err := RunExperiment(io.Discard, "probe", tc.in); err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("RunExperiment(%+v) ran the experiment at %+v, want %+v", tc.in, got, tc.want)
+		}
 	}
 }

@@ -3,15 +3,16 @@ package buddy
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-	"sync"
+
+	"buddy/internal/exp"
 )
 
-// Experiment is one regenerable table or figure of the paper's evaluation,
-// registered by name so tools can discover and run it without hard-coded
-// switches.
+// Experiment is one regenerable table or figure of the paper's evaluation.
 type Experiment struct {
-	// Name is the registry key (e.g. "fig7"); matching is case-insensitive.
+	// Name identifies the experiment (e.g. "fig7"); RunExperiment matches it
+	// case-insensitively.
 	Name string
 	// Description says what the experiment regenerates.
 	Description string
@@ -19,70 +20,51 @@ type Experiment struct {
 	Run func(w io.Writer, sc ExperimentScale) error
 }
 
-var expRegistry = struct {
-	sync.RWMutex
-	order  []Experiment
-	byName map[string]int
-}{byName: make(map[string]int)}
-
-// RegisterExperiment adds an experiment to the registry. The package's own
-// experiments self-register at init; external tools may register more. It
-// panics on an empty name, a nil Run, or a duplicate registration —
-// registry corruption is a programming error.
-func RegisterExperiment(e Experiment) {
-	key := strings.ToLower(e.Name)
-	if key == "" || e.Run == nil {
-		panic("buddy: experiment needs a name and a run function")
-	}
-	expRegistry.Lock()
-	defer expRegistry.Unlock()
-	if _, dup := expRegistry.byName[key]; dup {
-		panic(fmt.Sprintf("buddy: experiment %q registered twice", e.Name))
-	}
-	expRegistry.byName[key] = len(expRegistry.order)
-	expRegistry.order = append(expRegistry.order, e)
+// experiments is the paper's evaluation in paper order, what cmd/buddysim,
+// cmd/buddyprof and the tests list and run.
+var experiments = []Experiment{
+	{Name: "tab1", Description: "benchmark table: suites, footprints, regions", Run: func(w io.Writer, _ ExperimentScale) error { return runTab1(w) }},
+	{Name: "tab2", Description: "performance-simulator configuration", Run: func(w io.Writer, sc ExperimentScale) error {
+		_, err := fmt.Fprint(w, exp.Tab2(exp.ScaledSimConfig(sc.Sim)))
+		return err
+	}},
+	{Name: "fig3", Description: "per-snapshot BPC compression ratios per benchmark", Run: runFig3},
+	{Name: "sparse", Description: "per-codec compression ratio on sparse fp16 activations (cDMA's 50-90% zero class)", Run: runSparse},
+	{Name: "fig5b", Description: "metadata cache hit rate vs cache size", Run: func(w io.Writer, _ ExperimentScale) error { return runFig5b(w) }},
+	{Name: "fig6", Description: "spatial compressibility heat-maps", Run: runFig6},
+	{Name: "fig7", Description: "compression and buddy traffic: naive vs per-allocation vs final", Run: runFig7},
+	{Name: "fig8", Description: "buddy-access fraction over time under fixed targets", Run: runFig8},
+	{Name: "fig9", Description: "Buddy Threshold sweep per benchmark", Run: runFig9},
+	{Name: "fig10", Description: "simulator correlation against reference cycles", Run: runFig10},
+	{Name: "fig11", Description: "performance vs interconnect bandwidth sweep", Run: runFig11},
+	{Name: "fig12", Description: "Unified Memory oversubscription baseline", Run: func(w io.Writer, _ ExperimentScale) error { return runFig12(w) }},
+	{Name: "fig13a", Description: "DL training footprint vs batch size", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13a(w) }},
+	{Name: "fig13b", Description: "DL training speedup vs batch size", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13b(w) }},
+	{Name: "fig13c", Description: "feasible batch and speedup with Buddy Compression", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13c(w) }},
+	{Name: "fig13d", Description: "training accuracy across batch sizes", Run: func(w io.Writer, _ ExperimentScale) error { return runFig13d(w) }},
+	{Name: "reprofile", Description: "live target-ratio migration on a drifting workload (§3.4 extension)", Run: runReprofile},
+	{Name: "serve", Description: "sharded multi-device serving: aggregate throughput, 1 vs N shards", Run: runServe},
+	{Name: "heal", Description: "self-healing fleet: kill a shard mid-serve, rebuild from buddy memory, measure the dip", Run: runHeal},
+	{Name: "qos", Description: "tenant-aware serving: latency SLO under batch saturation, weighted batch shares, admission control", Run: runQoS},
 }
 
-// ExperimentRegistry returns the registered experiments in registration
-// order (the package's own follow the paper's figure order).
-func ExperimentRegistry() []Experiment {
-	expRegistry.RLock()
-	defer expRegistry.RUnlock()
-	out := make([]Experiment, len(expRegistry.order))
-	copy(out, expRegistry.order)
-	return out
-}
+// ExperimentRegistry returns the paper's experiments in paper order; the
+// slice is a copy.
+func ExperimentRegistry() []Experiment { return slices.Clone(experiments) }
 
-// LookupExperiment finds a registered experiment by (case-insensitive)
-// name.
-func LookupExperiment(name string) (Experiment, bool) {
-	expRegistry.RLock()
-	defer expRegistry.RUnlock()
-	i, ok := expRegistry.byName[strings.ToLower(name)]
-	if !ok {
-		return Experiment{}, false
-	}
-	return expRegistry.order[i], true
-}
-
-// Experiments lists the registered experiment names.
-func Experiments() []string {
-	reg := ExperimentRegistry()
-	names := make([]string, len(reg))
-	for i, e := range reg {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// RunExperiment regenerates one registered table or figure ("all" runs
-// every one in order) and writes the paper-style rows/series to w.
+// RunExperiment regenerates one table or figure by (case-insensitive) name,
+// or every one in order for "all", and writes the paper-style rows/series to
+// w. A zero field of sc takes its DefaultScale value; a set one is kept.
 func RunExperiment(w io.Writer, name string, sc ExperimentScale) error {
+	def := DefaultScale()
 	if sc.Workload == 0 {
-		sc = DefaultScale()
+		sc.Workload = def.Workload
+	}
+	if sc.Sim == 0 {
+		sc.Sim = def.Sim
 	}
 	if strings.EqualFold(name, "all") {
-		for _, e := range ExperimentRegistry() {
+		for _, e := range experiments {
 			fmt.Fprintf(w, "==== %s ====\n", e.Name)
 			if err := e.Run(w, sc); err != nil {
 				return fmt.Errorf("%s: %w", e.Name, err)
@@ -91,10 +73,12 @@ func RunExperiment(w io.Writer, name string, sc ExperimentScale) error {
 		}
 		return nil
 	}
-	e, ok := LookupExperiment(name)
-	if !ok {
-		return fmt.Errorf("buddy: unknown experiment %q (have %s)",
-			name, strings.Join(Experiments(), ", "))
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		if strings.EqualFold(e.Name, name) {
+			return e.Run(w, sc)
+		}
+		names[i] = e.Name
 	}
-	return e.Run(w, sc)
+	return fmt.Errorf("buddy: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
 }
