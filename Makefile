@@ -28,8 +28,8 @@ vet:
 #
 # The last step keeps modeled time in one place: bytes become cycles in
 # internal/core/cost.go alone, so of the serving stack's non-test files only it
-# may name the Tab. 2 rates (and internal/exp/perfexp.go, which prints and
-# sweeps them for gpusim, a different model).
+# may name the Tab. 2 rates (and internal/exp/perfexp.go, which prints them in
+# Tab. 2 for gpusim, a different model).
 ONE_COST_HOME = internal/core/cost.go internal/exp/perfexp.go
 lint: vet
 	$(GO) run ./cmd/buddylint ./...

@@ -32,7 +32,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 renders the simulator configuration.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if exp.Tab2(gpusim.DefaultConfig()) == "" {
+		if exp.Tab2() == "" {
 			b.Fatal("empty Tab. 2")
 		}
 	}
@@ -229,19 +229,16 @@ func BenchmarkUMOversubscription(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := um.DefaultConfig()
-	cfg.Accesses = 100000
 	for i := 0; i < b.N; i++ {
-		um.RunOversubscription(bench.Trace, uint64(bench.Footprint/64), 0.2, cfg)
+		um.RunOversubscription(bench.Trace, uint64(bench.Footprint/64), 0.2)
 	}
 }
 
 // BenchmarkDLModel measures the analytical case-study model.
 func BenchmarkDLModel(b *testing.B) {
-	cfg := dltrain.DefaultModelConfig()
 	for i := 0; i < b.N; i++ {
 		for _, n := range dltrain.Networks() {
-			dltrain.MaxBatch(n, dltrain.DeviceMemoryBytes, cfg)
+			dltrain.MaxBatch(n, dltrain.DeviceMemoryBytes)
 		}
 	}
 }

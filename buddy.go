@@ -298,17 +298,13 @@ func GenerateRun(b Benchmark, scale int) []*Snapshot {
 }
 
 // LoadSnapshot allocates a snapshot's regions on a device with the given
-// targets (falling back to 1x) and writes every region through the
-// compression pipeline in bulk. It returns the created allocations in
-// order.
+// targets (a missing name is the zero TargetRatio, 1x) and writes every
+// region through the compression pipeline in bulk. It returns the created
+// allocations in order.
 func LoadSnapshot(d *Device, s *Snapshot, targets map[string]TargetRatio) ([]*Allocation, error) {
 	var out []*Allocation
 	for _, a := range s.Allocations {
-		t, ok := targets[a.Name]
-		if !ok {
-			t = Target1x
-		}
-		alloc, err := d.Malloc(a.Name, int64(len(a.Data)), t)
+		alloc, err := d.Malloc(a.Name, int64(len(a.Data)), targets[a.Name])
 		if err != nil {
 			return out, err
 		}

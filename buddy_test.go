@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,6 +85,27 @@ func TestRunExperimentQuick(t *testing.T) {
 	}
 	if err := RunExperiment(&strings.Builder{}, "no-such", sc); err == nil {
 		t.Error("unknown experiment should error")
+	}
+}
+
+// TestModelExperimentsPinned compares the experiments that read only the
+// fixed model constants (Tab. 2, the Fig. 12 Unified Memory testbed, the
+// §4.4 DL training model) byte for byte with their quick-scale output in
+// testdata/pinned: a change to how a model value is held must not change
+// what any figure prints.
+func TestModelExperimentsPinned(t *testing.T) {
+	for _, name := range []string{"tab2", "fig12", "fig13a", "fig13b", "fig13c"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "pinned", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := RunExperiment(&got, name, QuickScale()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s output changed:\n got:\n%s\nwant:\n%s", name, got.Bytes(), want)
+		}
 	}
 }
 

@@ -18,14 +18,10 @@ import (
 
 func main() {
 	bench := flag.String("bench", "", "Tab. 1 benchmark name (e.g. 351.palm, VGG16)")
-	threshold := flag.Float64("threshold", 0.30, "Buddy Threshold (max overflow fraction)")
+	threshold := flag.Float64("threshold", 0.30, "Buddy Threshold (max overflow fraction, 0 to 1)")
 	noZeroPage := flag.Bool("no-zeropage", false, "disable the 16x mostly-zero optimization")
 	scale := flag.Int("scale", 1024, "footprint divisor for synthesis")
 	codec := flag.String("codec", "bpc", "compression algorithm (bpc, bdi, fpc, fvc, cpack, zero)")
-	fig := flag.String("fig", "", "render a whole-suite profiling experiment from the registry (fig7, fig8, fig9, serve, qos) instead of one benchmark")
-	shards := flag.Int("shards", 0, "pool width when -fig serve or qos runs a sharded fleet (0 = default 4)")
-	tenants := flag.Int("tenants", 0, "batch tenant population when -fig qos runs (0 = default 2)")
-	qosSLO := flag.Float64("qos", 0, "latency p99 SLO in modeled cycles when -fig qos runs (0 = default 4000)")
 	flag.Parse()
 
 	c, err := buddy.CodecByName(*codec)
@@ -33,47 +29,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "buddyprof:", err)
 		os.Exit(2)
 	}
-
-	if *fig != "" {
-		if *codec != "bpc" {
-			// The registry experiments are fixed to the paper's BPC; a
-			// silently ignored -codec would mislabel the numbers.
-			fmt.Fprintln(os.Stderr, "buddyprof: -codec applies to single-benchmark profiling, not -fig experiments (which use the paper's BPC)")
-			os.Exit(2)
-		}
-		sc := buddy.QuickScale()
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				sc.Workload = *scale
-			}
-		})
-		if *shards > 0 {
-			sc.Shards = *shards
-		}
-		if *tenants > 0 {
-			sc.Tenants = *tenants
-		}
-		if *qosSLO > 0 {
-			sc.QoSSLOCycles = *qosSLO
-		}
-		if err := buddy.RunExperiment(os.Stdout, *fig, sc); err != nil {
-			fmt.Fprintln(os.Stderr, "buddyprof:", err)
-			os.Exit(1)
-		}
-		return
+	if !(*threshold >= 0 && *threshold <= 1) { // NaN too
+		fmt.Fprintf(os.Stderr, "buddyprof: -threshold %v is outside [0, 1]\n", *threshold)
+		os.Exit(2)
 	}
 	if *bench == "" {
 		fmt.Fprintln(os.Stderr, "buddyprof: -bench is required; available workloads:")
 		for _, b := range buddy.Workloads() {
 			fmt.Fprintf(os.Stderr, "  %s\n", b.Name)
 		}
-		fmt.Fprintln(os.Stderr, "or -fig for the registry's whole-suite profiling experiments:")
-		for _, e := range buddy.ExperimentRegistry() {
-			switch e.Name {
-			case "fig7", "fig8", "fig9", "serve", "qos":
-				fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.Name, e.Description)
-			}
-		}
+		fmt.Fprintln(os.Stderr, "whole-suite profiling figures run in buddysim (e.g. buddysim -exp fig9 -quick)")
 		os.Exit(2)
 	}
 	b, err := buddy.WorkloadByName(*bench)

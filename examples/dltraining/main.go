@@ -14,24 +14,23 @@ import (
 )
 
 func main() {
-	cfg := dltrain.DefaultModelConfig()
 	fmt.Println("DL training with Buddy Compression on a 12 GB GPU")
 	fmt.Println()
 
 	for _, n := range dltrain.Networks() {
-		base := dltrain.MaxBatch(n, dltrain.DeviceMemoryBytes, cfg)
+		base := dltrain.MaxBatch(n, dltrain.DeviceMemoryBytes)
 		fmt.Printf("%-14s %6.1fM params, %5.1f MB activations/sample\n",
 			n.Name, float64(n.TotalParams())/1e6,
-			float64(n.TotalActivationsPerSample())*cfg.ActivationCopies*4/(1<<20))
+			float64(n.TotalActivationsPerSample())*dltrain.ActivationCopies*4/(1<<20))
 		fmt.Printf("  footprint: batch 16 = %.1f GB, batch 64 = %.1f GB, batch 128 = %.1f GB\n",
-			gb(dltrain.Footprint(n, 16, cfg)), gb(dltrain.Footprint(n, 64, cfg)),
-			gb(dltrain.Footprint(n, 128, cfg)))
+			gb(dltrain.Footprint(n, 16)), gb(dltrain.Footprint(n, 64)),
+			gb(dltrain.Footprint(n, 128)))
 		fmt.Printf("  max batch on 12 GB: %d -> throughput %.0f samples/s\n",
-			base, dltrain.Throughput(n, base, cfg))
+			base, dltrain.Throughput(n, base))
 	}
 
 	fmt.Println("\nBuddy Compression batch scaling (Fig. 13c):")
-	for _, r := range dltrain.Fig13c(cfg) {
+	for _, r := range dltrain.Fig13c() {
 		fmt.Printf("  %-14s batch %4d -> %4d with %.2fx compression: %.0f%% faster training\n",
 			r.Name, r.BaseBatch, r.CompressedBatch, ratioOf(r.Name), (r.Speedup-1)*100)
 	}

@@ -25,10 +25,10 @@ func main() {
 	footprint := uint64(bench.Footprint / 64)
 
 	// (a) Unified Memory demand paging at the forced oversubscription.
-	umRes := um.RunOversubscription(bench.Trace, footprint, oversub, um.DefaultConfig())
+	umRes := um.RunOversubscription(bench.Trace, footprint, oversub)
 
 	// (b) Everything pinned in host memory.
-	pinned := um.RunPinned(bench.Trace, footprint, um.DefaultConfig())
+	pinned := um.RunPinned(bench.Trace, footprint)
 
 	// (c) Buddy Compression: the profiled 356.sp compresses well beyond
 	//     1.5x, so a 33% shortfall fits entirely; runtime comes from the

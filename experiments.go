@@ -368,9 +368,11 @@ func runQoS(w io.Writer, sc ExperimentScale) error {
 	return err
 }
 
-// SimConfig exposes the Tab. 2 performance-simulator configuration for
-// advanced users of the timing model.
+// SimConfig holds what a figure or ablation varies around the timing
+// model's fixed Tab. 2 machine: the trace length (OpsPerWarp), the buddy
+// link, the metadata-cache size per L2 slice and the (de)compression
+// latency.
 type SimConfig = gpusim.Config
 
-// DefaultSimConfig returns Tab. 2.
+// DefaultSimConfig returns Tab. 2's values of the swept parameters.
 func DefaultSimConfig() SimConfig { return gpusim.DefaultConfig() }

@@ -55,6 +55,10 @@ func TestDefaultDesign(t *testing.T) {
 }
 
 func TestTargetRatioTable(t *testing.T) {
+	// A target map's missing name reads as the zero value, which must be 1x.
+	if TargetRatio(0) != Target1x {
+		t.Fatalf("the zero TargetRatio is %s, want 1x", TargetRatio(0))
+	}
 	cases := []struct {
 		r       TargetRatio
 		sectors int

@@ -12,7 +12,7 @@ import (
 type ProfileOptions struct {
 	// Threshold is the Buddy Threshold: the maximum fraction of an
 	// allocation's entries allowed to overflow to buddy memory (§3.4;
-	// final design default 30%).
+	// FinalDesign uses 30%). 0 lets no entry overflow.
 	Threshold float64
 	// PerAllocation selects per-allocation targets; false reproduces the
 	// naive whole-program conservative target (Fig. 7 "Naive").
@@ -121,9 +121,6 @@ func Profile(snaps []*memory.Snapshot, c compress.Codec, opt ProfileOptions) *Pr
 // profiling configurations (Fig. 7's three design points, Fig. 9's
 // threshold sweep) without re-encoding anything.
 func ProfileIndexes(idx []*analysis.Index, opt ProfileOptions) *ProfileResult {
-	if opt.Threshold <= 0 {
-		opt.Threshold = 0.30
-	}
 	profiles := collectProfiles(idx)
 	if opt.PerAllocation {
 		for _, p := range profiles {
@@ -331,10 +328,7 @@ func bestAchievable(idx []*analysis.Index) float64 {
 func MeasureIndex(x *analysis.Index, targets map[string]TargetRatio) (ratio, buddyFrac float64) {
 	var orig, dev, over, entries float64
 	for _, a := range x.Allocs {
-		t, ok := targets[a.Name]
-		if !ok {
-			t = Target1x
-		}
+		t := targets[a.Name] // a missing name is the zero TargetRatio, 1x
 		for s, n := range a.SectorHistogram() {
 			if !t.Fits(s) {
 				over += float64(n)

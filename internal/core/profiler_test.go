@@ -151,15 +151,25 @@ func TestProfileCarveoutCap(t *testing.T) {
 	}
 }
 
-func TestProfileDefaultsApplied(t *testing.T) {
+// TestProfileThresholdZero: a Buddy Threshold of 0 lets no entry overflow,
+// so a 5% incompressible share keeps the allocation at 1x instead of the 4x
+// a 30% threshold would pick.
+func TestProfileThresholdZero(t *testing.T) {
+	mix := gen.Blend{A: gen.Noisy32{NoiseBits: 4, SmoothStep: 1}, B: gen.Random{}, PA: 0.95}
 	snaps := []*memory.Snapshot{buildSnapshot(t, 0, []struct {
 		name    string
 		entries int
 		g       gen.Generator
-	}{{"x", 256, gen.Zeros{}}})}
-	res := Profile(snaps, compress.NewBPC(), ProfileOptions{PerAllocation: true, ZeroPage: true})
-	if res.CompressionRatio <= 0 {
-		t.Error("zero-value options should be defaulted, not break the pass")
+	}{{"mix", 4096, mix}})}
+	if res := Profile(snaps, compress.NewBPC(), FinalDesign()); res.BuddyAccessFraction == 0 {
+		t.Fatal("at the 30% threshold the incompressible share should overflow")
+	}
+	opt := FinalDesign()
+	opt.Threshold = 0
+	res := Profile(snaps, compress.NewBPC(), opt)
+	if res.BuddyAccessFraction != 0 {
+		t.Errorf("threshold 0: expected buddy-access fraction %.4f, want 0 (target %s)",
+			res.BuddyAccessFraction, res.Targets()["mix"])
 	}
 }
 

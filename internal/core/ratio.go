@@ -15,7 +15,8 @@ import "fmt"
 // 8 B per entry (§3.4).
 type TargetRatio uint8
 
-// Target ratios in increasing aggressiveness.
+// Target ratios in increasing aggressiveness. Target1x is the zero value, so
+// a target map's missing name reads as 1x.
 const (
 	Target1x TargetRatio = iota
 	Target4by3x

@@ -80,13 +80,9 @@ func PlanReprofile(current map[string]TargetRatio, snaps []*memory.Snapshot,
 func PlanReprofileIndexes(current map[string]TargetRatio, idx []*analysis.Index,
 	opt ProfileOptions) *ReprofilePlan {
 	res := ProfileIndexes(idx, opt)
-	inForce := func(p *AllocationProfile) TargetRatio {
-		if t, ok := current[p.Name]; ok {
-			return t
-		}
-		return Target1x
-	}
 	plan := &ReprofilePlan{Result: res, RatioAfter: res.CompressionRatio, BuddyFracAfter: res.BuddyAccessFraction}
+	// A name missing from current is the zero TargetRatio, 1x.
+	inForce := func(p *AllocationProfile) TargetRatio { return current[p.Name] }
 	plan.RatioBefore, plan.BuddyFracBefore = programRatios(res.Allocations, inForce)
 	for _, p := range res.Allocations {
 		old := inForce(p)

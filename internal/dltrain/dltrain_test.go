@@ -3,11 +3,10 @@ package dltrain
 import "testing"
 
 func TestFootprintMonotone(t *testing.T) {
-	cfg := DefaultModelConfig()
 	for _, n := range Networks() {
 		prev := int64(0)
 		for _, b := range []int{1, 2, 8, 32, 128} {
-			f := Footprint(n, b, cfg)
+			f := Footprint(n, b)
 			if f <= prev {
 				t.Errorf("%s: footprint not monotone at batch %d", n.Name, b)
 			}
@@ -17,27 +16,25 @@ func TestFootprintMonotone(t *testing.T) {
 }
 
 func TestMaxBatchInverseOfFootprint(t *testing.T) {
-	cfg := DefaultModelConfig()
 	for _, n := range Networks() {
-		b := MaxBatch(n, DeviceMemoryBytes, cfg)
+		b := MaxBatch(n, DeviceMemoryBytes)
 		if b < 1 {
 			t.Fatalf("%s: no batch fits 12 GB", n.Name)
 		}
-		if Footprint(n, b, cfg) > DeviceMemoryBytes {
+		if Footprint(n, b) > DeviceMemoryBytes {
 			t.Errorf("%s: MaxBatch %d does not fit", n.Name, b)
 		}
-		if Footprint(n, b+1, cfg) <= DeviceMemoryBytes {
+		if Footprint(n, b+1) <= DeviceMemoryBytes {
 			t.Errorf("%s: MaxBatch %d not maximal", n.Name, b)
 		}
 	}
 }
 
 func TestThroughputKnee(t *testing.T) {
-	cfg := DefaultModelConfig()
 	n, _ := ByName("ResNet50")
-	t8 := Throughput(n, 8, cfg)
-	t64 := Throughput(n, 64, cfg)
-	t512 := Throughput(n, 512, cfg)
+	t8 := Throughput(n, 8)
+	t64 := Throughput(n, 64)
+	t512 := Throughput(n, 512)
 	if t64 <= t8 {
 		t.Error("throughput should grow 8 -> 64")
 	}
@@ -51,13 +48,12 @@ func TestBigLSTMVGGAreCapacityLimited(t *testing.T) {
 	// §4.4: "both of these are unable to fit the mini-batch size of 64,
 	// which [is] needed for good resource utilization" — in our model VGG16
 	// caps at 64 and BigLSTM under 128 on 12 GB.
-	cfg := DefaultModelConfig()
 	vgg, _ := ByName("VGG16")
 	lstm, _ := ByName("BigLSTM")
-	if b := MaxBatch(vgg, DeviceMemoryBytes, cfg); b > 96 {
+	if b := MaxBatch(vgg, DeviceMemoryBytes); b > 96 {
 		t.Errorf("VGG16 max batch %d, want capacity-limited (<= 96)", b)
 	}
-	if b := MaxBatch(lstm, DeviceMemoryBytes, cfg); b > 128 {
+	if b := MaxBatch(lstm, DeviceMemoryBytes); b > 128 {
 		t.Errorf("BigLSTM max batch %d, want capacity-limited (<= 128)", b)
 	}
 }
@@ -81,20 +77,9 @@ func TestByName(t *testing.T) {
 }
 
 func TestIterationSecondsPositive(t *testing.T) {
-	cfg := DefaultModelConfig()
 	for _, n := range Networks() {
-		if s := IterationSeconds(n, 32, cfg); s <= 0 {
+		if s := IterationSeconds(n, 32); s <= 0 {
 			t.Errorf("%s: non-positive iteration time", n.Name)
 		}
-	}
-}
-
-func TestZeroConfigDefaults(t *testing.T) {
-	n, _ := ByName("AlexNet")
-	if Footprint(n, 32, ModelConfig{}) <= 0 {
-		t.Error("zero config should default, not break")
-	}
-	if IterationSeconds(n, 32, ModelConfig{}) <= 0 {
-		t.Error("zero config should default, not break")
 	}
 }

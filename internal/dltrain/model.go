@@ -1,42 +1,29 @@
 package dltrain
 
-// ModelConfig parameterizes the analytical footprint and throughput models.
-type ModelConfig struct {
-	// BytesPerValue is the training precision (FP32).
-	BytesPerValue int
-	// OptimizerCopies counts persistent per-parameter tensors: weights,
-	// gradients, and momentum (SGD+momentum as in Caffe).
-	OptimizerCopies int
+// The analytical footprint and throughput model of the case study's Titan
+// Xp-class GPU (12 GB device memory, §4.4), trained in FP32 with
+// SGD+momentum as in Caffe.
+const (
+	// bytesPerValue is the training precision (FP32).
+	bytesPerValue = 4
+	// optimizerCopies counts persistent per-parameter tensors: weights,
+	// gradients, and momentum.
+	optimizerCopies = 3
 	// ActivationCopies scales per-sample activations: forward tensors plus
 	// backward gradients.
-	ActivationCopies float64
-	// WorkspaceBytes is the framework/cuDNN workspace floor.
-	WorkspaceBytes int64
-	// PeakTFLOPs is the GPU's sustained math throughput (Titan Xp class).
-	PeakTFLOPs float64
-	// MemBWGBs is the device bandwidth.
-	MemBWGBs float64
-	// UtilHalfBatch is the mini-batch size at which the GPU reaches half
+	ActivationCopies = 2
+	// workspaceBytes is the framework/cuDNN workspace floor.
+	workspaceBytes = 512 << 20
+	// peakTFLOPs is the GPU's sustained math throughput.
+	peakTFLOPs = 10
+	// memBWGBs is the device bandwidth.
+	memBWGBs = 548
+	// utilHalfBatch is the mini-batch size at which the GPU reaches half
 	// of its peak utilization (the saturation knee of Fig. 13b).
-	UtilHalfBatch float64
-	// FixedOverheadMs is the per-iteration launch/framework overhead.
-	FixedOverheadMs float64
-}
-
-// DefaultModelConfig returns the Titan Xp-class setup of the case study
-// (12 GB device memory, §4.4).
-func DefaultModelConfig() ModelConfig {
-	return ModelConfig{
-		BytesPerValue:    4,
-		OptimizerCopies:  3,
-		ActivationCopies: 2,
-		WorkspaceBytes:   512 << 20,
-		PeakTFLOPs:       10,
-		MemBWGBs:         548,
-		UtilHalfBatch:    40,
-		FixedOverheadMs:  2,
-	}
-}
+	utilHalfBatch = 40
+	// fixedOverheadMs is the per-iteration launch/framework overhead.
+	fixedOverheadMs = 2
+)
 
 // DeviceMemoryBytes is the case study's GPU capacity (Titan Xp, 12 GB).
 const DeviceMemoryBytes = int64(12) << 30
@@ -44,22 +31,19 @@ const DeviceMemoryBytes = int64(12) << 30
 // Footprint returns the training memory footprint at the given mini-batch
 // size (Fig. 13a): persistent parameter state plus batch-proportional
 // activations plus workspace.
-func Footprint(n *Network, batch int, cfg ModelConfig) int64 {
-	if cfg.BytesPerValue == 0 {
-		cfg = DefaultModelConfig()
-	}
-	params := n.TotalParams() * int64(cfg.BytesPerValue) * int64(cfg.OptimizerCopies)
-	acts := int64(float64(n.TotalActivationsPerSample()) * cfg.ActivationCopies *
-		float64(cfg.BytesPerValue) * float64(batch))
-	return params + acts + cfg.WorkspaceBytes
+func Footprint(n *Network, batch int) int64 {
+	params := n.TotalParams() * bytesPerValue * optimizerCopies
+	acts := int64(float64(n.TotalActivationsPerSample()) * ActivationCopies *
+		bytesPerValue * float64(batch))
+	return params + acts + workspaceBytes
 }
 
 // MaxBatch returns the largest mini-batch whose footprint fits capacity.
-func MaxBatch(n *Network, capacity int64, cfg ModelConfig) int {
+func MaxBatch(n *Network, capacity int64) int {
 	lo, hi := 0, 1<<20
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if Footprint(n, mid, cfg) <= capacity {
+		if Footprint(n, mid) <= capacity {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -72,29 +56,26 @@ func MaxBatch(n *Network, capacity int64, cfg ModelConfig) int {
 // batch: compute time under a batch-dependent utilization curve (small
 // batches underutilize the GPU), memory time for parameter+activation
 // traffic, and fixed overhead — the Paleo/DeLTA-style model of §4.4.
-func IterationSeconds(n *Network, batch int, cfg ModelConfig) float64 {
-	if cfg.BytesPerValue == 0 {
-		cfg = DefaultModelConfig()
-	}
+func IterationSeconds(n *Network, batch int) float64 {
 	flops := float64(n.TotalFLOPsPerSample()) * 3 * float64(batch) // fwd + 2x bwd
-	util := float64(batch) / (float64(batch) + cfg.UtilHalfBatch)
-	compute := flops / (cfg.PeakTFLOPs * 1e12 * util)
+	util := float64(batch) / (float64(batch) + utilHalfBatch)
+	compute := flops / (peakTFLOPs * 1e12 * util)
 
-	bytes := float64(n.TotalParams())*float64(cfg.BytesPerValue)*3 + // read W, write G, momentum
-		float64(n.TotalActivationsPerSample())*cfg.ActivationCopies*
-			float64(cfg.BytesPerValue)*float64(batch)*2
-	mem := bytes / (cfg.MemBWGBs * 1e9)
+	bytes := float64(n.TotalParams())*bytesPerValue*3 + // read W, write G, momentum
+		float64(n.TotalActivationsPerSample())*ActivationCopies*
+			bytesPerValue*float64(batch)*2
+	mem := bytes / (memBWGBs * 1e9)
 
 	t := compute
 	if mem > t {
 		t = mem
 	}
-	return t + cfg.FixedOverheadMs/1e3
+	return t + fixedOverheadMs/1e3
 }
 
 // Throughput returns training throughput in samples per second.
-func Throughput(n *Network, batch int, cfg ModelConfig) float64 {
-	return float64(batch) / IterationSeconds(n, batch, cfg)
+func Throughput(n *Network, batch int) float64 {
+	return float64(batch) / IterationSeconds(n, batch)
 }
 
 // Fig13aPoint is one (batch, footprint) sample.
@@ -105,13 +86,10 @@ type Fig13aPoint struct {
 
 // Fig13a sweeps mini-batch sizes for one network up to the last size that
 // fits the 12 GB device (Fig. 13a stops at the Titan Xp limit).
-func Fig13a(n *Network, batches []int, cfg ModelConfig) []Fig13aPoint {
-	if len(batches) == 0 {
-		batches = []int{1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256}
-	}
+func Fig13a(n *Network) []Fig13aPoint {
 	var out []Fig13aPoint
-	for _, b := range batches {
-		out = append(out, Fig13aPoint{Batch: b, Footprint: Footprint(n, b, cfg)})
+	for _, b := range []int{1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256} {
+		out = append(out, Fig13aPoint{Batch: b, Footprint: Footprint(n, b)})
 	}
 	return out
 }
@@ -124,14 +102,12 @@ type Fig13bPoint struct {
 }
 
 // Fig13b projects throughput speedup versus mini-batch size.
-func Fig13b(n *Network, batches []int, cfg ModelConfig) []Fig13bPoint {
-	if len(batches) == 0 {
-		batches = []int{16, 32, 64, 128, 256}
-	}
-	base := Throughput(n, batches[0], cfg)
+func Fig13b(n *Network) []Fig13bPoint {
+	batches := []int{16, 32, 64, 128, 256}
+	base := Throughput(n, batches[0])
 	var out []Fig13bPoint
 	for _, b := range batches {
-		out = append(out, Fig13bPoint{Batch: b, Speedup: Throughput(n, b, cfg) / base})
+		out = append(out, Fig13bPoint{Batch: b, Speedup: Throughput(n, b) / base})
 	}
 	return out
 }
@@ -149,14 +125,14 @@ type Fig13cRow struct {
 // Fig13c computes the paper's headline case-study result: Buddy Compression
 // enables larger mini-batches worth an average ~14% throughput, with VGG16
 // and BigLSTM around 30% and 28%.
-func Fig13c(cfg ModelConfig) []Fig13cRow {
+func Fig13c() []Fig13cRow {
 	var rows []Fig13cRow
 	for _, n := range Networks() {
-		base := MaxBatch(n, DeviceMemoryBytes, cfg)
-		comp := MaxBatch(n, int64(float64(DeviceMemoryBytes)*n.CompressionRatio), cfg)
+		base := MaxBatch(n, DeviceMemoryBytes)
+		comp := MaxBatch(n, int64(float64(DeviceMemoryBytes)*n.CompressionRatio))
 		base = clampBatch(base)
 		comp = clampBatch(comp)
-		sp := Throughput(n, comp, cfg) / Throughput(n, base, cfg)
+		sp := Throughput(n, comp) / Throughput(n, base)
 		rows = append(rows, Fig13cRow{Name: n.Name, BaseBatch: base, CompressedBatch: comp, Speedup: sp})
 	}
 	return rows

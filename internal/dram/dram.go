@@ -5,7 +5,8 @@
 // access latency. Timestamps are in GPU core cycles.
 package dram
 
-// Config describes an HBM2 stack.
+// Config describes an HBM2 stack. DefaultConfig is the one the simulator
+// models; the record also prices modeled time in internal/core.
 type Config struct {
 	// Channels is the number of independent DRAM channels.
 	Channels int
@@ -32,29 +33,12 @@ type HBM2 struct {
 	busyUntil     []float64
 }
 
-// New constructs the channel model. Like nvlink.New, zero fields default
-// individually to the Tab. 2 point, so a partially specified config (e.g.
-// only the bandwidth of a sweep) keeps its explicit values instead of being
-// replaced wholesale. An explicit zero LatencyCycles is honored when any
-// other field is set; the all-zero Config selects DefaultConfig entirely.
-func New(cfg Config) *HBM2 {
-	def := DefaultConfig()
-	if cfg == (Config{}) {
-		cfg = def
-	}
-	if cfg.Channels <= 0 {
-		cfg.Channels = def.Channels
-	}
-	if cfg.BandwidthGBs <= 0 {
-		cfg.BandwidthGBs = def.BandwidthGBs
-	}
-	if cfg.CoreClockGHz <= 0 {
-		cfg.CoreClockGHz = def.CoreClockGHz
-	}
-	perChan := cfg.BandwidthGBs / cfg.CoreClockGHz / float64(cfg.Channels)
+// New constructs the channel model of DefaultConfig's HBM2 stack.
+func New() *HBM2 {
+	cfg := DefaultConfig()
 	return &HBM2{
 		cfg:           cfg,
-		bytesPerCycle: perChan,
+		bytesPerCycle: cfg.BandwidthGBs / cfg.CoreClockGHz / float64(cfg.Channels),
 		busyUntil:     make([]float64, cfg.Channels),
 	}
 }

@@ -28,7 +28,6 @@ var Fig12Benchmarks = []string{"360.ilbdc", "356.sp", "351.palm"}
 // Fig12 reproduces the UM oversubscription study on the Power9-class
 // configuration (75 GB/s link).
 func Fig12() []Fig12Row {
-	cfg := um.DefaultConfig()
 	var rows []Fig12Row
 	for _, name := range Fig12Benchmarks {
 		b, err := workloads.ByName(name)
@@ -36,7 +35,7 @@ func Fig12() []Fig12Row {
 			panic(err) // static list
 		}
 		footprint := uint64(b.Footprint / 64)
-		points, pinned := um.Sweep(b.Trace, footprint, nil, cfg)
+		points, pinned := um.Sweep(b.Trace, footprint)
 		rows = append(rows, Fig12Row{Name: name, Points: points, Pinned: pinned.RelativeRuntime})
 	}
 	return rows
@@ -54,10 +53,9 @@ type Fig13aRow struct {
 
 // Fig13a computes footprint vs. mini-batch for every network.
 func Fig13a() []Fig13aRow {
-	cfg := dltrain.DefaultModelConfig()
 	var rows []Fig13aRow
 	for _, n := range dltrain.Networks() {
-		rows = append(rows, Fig13aRow{Name: n.Name, Points: dltrain.Fig13a(n, nil, cfg)})
+		rows = append(rows, Fig13aRow{Name: n.Name, Points: dltrain.Fig13a(n)})
 	}
 	return rows
 }
@@ -70,10 +68,9 @@ type Fig13bRow struct {
 
 // Fig13b computes throughput speedup vs. mini-batch.
 func Fig13b() []Fig13bRow {
-	cfg := dltrain.DefaultModelConfig()
 	var rows []Fig13bRow
 	for _, n := range dltrain.Networks() {
-		rows = append(rows, Fig13bRow{Name: n.Name, Points: dltrain.Fig13b(n, nil, cfg)})
+		rows = append(rows, Fig13bRow{Name: n.Name, Points: dltrain.Fig13b(n)})
 	}
 	return rows
 }
@@ -87,7 +84,7 @@ type Fig13cResult struct {
 
 // Fig13c computes the Buddy-enabled larger-batch speedups.
 func Fig13c() *Fig13cResult {
-	rows := dltrain.Fig13c(dltrain.DefaultModelConfig())
+	rows := dltrain.Fig13c()
 	var sp []float64
 	for _, r := range rows {
 		sp = append(sp, r.Speedup)

@@ -6,6 +6,7 @@ import (
 
 	"buddy/internal/compress"
 	"buddy/internal/core"
+	"buddy/internal/dram"
 	"buddy/internal/gpusim"
 	"buddy/internal/stats"
 	"buddy/internal/workloads"
@@ -34,17 +35,18 @@ func ScaledSimConfig(frac float64) gpusim.Config {
 }
 
 // Tab2 renders the simulation parameters (the paper's Tab. 2).
-func Tab2(cfg gpusim.Config) string {
+func Tab2() string {
+	hbm, cfg := dram.DefaultConfig(), gpusim.DefaultConfig()
 	rows := [][]string{
 		{"Core", fmt.Sprintf("%.1f GHz; greedy-then-oldest scheduling; %d SMs; %d warps/SM",
-			cfg.DRAM.CoreClockGHz, cfg.SMs, cfg.WarpsPerSM)},
-		{"L1", fmt.Sprintf("%d KB private per SM, 128 B lines, %d-way", cfg.L1Bytes>>10, cfg.L1Ways)},
+			hbm.CoreClockGHz, gpusim.SMs, gpusim.WarpsPerSM)},
+		{"L1", fmt.Sprintf("%d KB private per SM, 128 B lines, %d-way", gpusim.L1Bytes>>10, gpusim.L1Ways)},
 		{"L2", fmt.Sprintf("%d MB shared, %d slices, 128 B lines, %d ways, sectored",
-			cfg.L2Bytes>>20, cfg.L2Slices, cfg.L2Ways)},
+			gpusim.L2Bytes>>20, gpusim.L2Slices, gpusim.L2Ways)},
 		{"Off-chip", fmt.Sprintf("%d HBM2 channels (%.0f GB/s); NVLink %.0f GB/s full-duplex",
-			cfg.DRAM.Channels, cfg.DRAM.BandwidthGBs, cfg.Link.BandwidthGBs)},
+			hbm.Channels, hbm.BandwidthGBs, cfg.Link.BandwidthGBs)},
 		{"Buddy", fmt.Sprintf("%d KB metadata cache per L2 slice, %d-way; +%.0f cycles (de)compression",
-			cfg.MetaCacheBytesPerSlice>>10, cfg.MetaCacheWays, cfg.DecompressLatencyCycles)},
+			cfg.MetaCacheBytesPerSlice>>10, gpusim.MetaCacheWays, cfg.DecompressLatencyCycles)},
 	}
 	return FormatTable([]string{"Component", "Configuration"}, rows)
 }
@@ -91,7 +93,6 @@ func Fig11(scale int, cfg gpusim.Config, links []float64) *Fig11Result {
 			res.idx150 = i
 		}
 	}
-	nominal := gpusim.DefaultConfig().Link.BandwidthGBs // 150
 	var allBW []float64
 	allBuddy := make([][]float64, len(links))
 	var hpc150, dl150 []float64
@@ -108,10 +109,7 @@ func Fig11(scale int, cfg gpusim.Config, links []float64) *Fig11Result {
 		bw := gpusim.Run(b.Trace, dm, gpusim.ModeBWOnly, cfg)
 		row := Fig11Row{Name: b.Name, Suite: b.Suite, BWOnly: base.Cycles / bw.Cycles}
 		for i, link := range links {
-			// The config's link bandwidth is pre-scaled for shrunk
-			// machines; sweep proportionally to the nominal point.
-			c := cfg.WithLinkBandwidth(cfg.Link.BandwidthGBs * link / nominal)
-			r := gpusim.Run(b.Trace, dm, gpusim.ModeBuddy, c)
+			r := gpusim.Run(b.Trace, dm, gpusim.ModeBuddy, cfg.WithLinkBandwidth(link))
 			rel := base.Cycles / r.Cycles
 			row.Buddy = append(row.Buddy, rel)
 			allBuddy[i] = append(allBuddy[i], rel)

@@ -128,7 +128,7 @@ func TestFig10Validation(t *testing.T) {
 }
 
 func TestTab2Rendering(t *testing.T) {
-	out := Tab2(ScaledSimConfig(1))
+	out := Tab2()
 	for _, want := range []string{"HBM2", "NVLink", "metadata cache", "L2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Tab. 2 output missing %q:\n%s", want, out)

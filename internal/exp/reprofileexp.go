@@ -70,11 +70,7 @@ func Reprofile(scale int) (*ReprofileResult, error) {
 	d := core.NewDevice(core.Config{Codec: bpc, DeviceBytes: 2 * int64(snap0.TotalBytes())})
 	allocs := make(map[string]*core.Allocation, len(snap0.Allocations))
 	for _, ma := range snap0.Allocations {
-		target, ok := targets[ma.Name]
-		if !ok {
-			target = core.Target1x
-		}
-		a, err := d.Malloc(ma.Name, int64(len(ma.Data)), target)
+		a, err := d.Malloc(ma.Name, int64(len(ma.Data)), targets[ma.Name])
 		if err != nil {
 			return nil, fmt.Errorf("exp: reprofile load %s: %w", ma.Name, err)
 		}

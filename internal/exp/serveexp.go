@@ -132,11 +132,7 @@ func buildServeClients(clients, scale int, codec compress.Codec) ([]serveClient,
 			name := fmt.Sprintf("c%d/%s", c, ma.Name)
 			cl.names = append(cl.names, name)
 			cl.data = append(cl.data, ma.Data)
-			t, ok := targets[ma.Name]
-			if !ok {
-				t = core.Target1x
-			}
-			cl.targets[name] = t
+			cl.targets[name] = targets[ma.Name]
 			raw += int64(len(ma.Data))
 		}
 		out[c] = cl

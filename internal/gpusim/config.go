@@ -12,10 +12,7 @@
 // correlation study.
 package gpusim
 
-import (
-	"buddy/internal/dram"
-	"buddy/internal/nvlink"
-)
+import "buddy/internal/nvlink"
 
 // Mode selects the memory-system configuration under test (Fig. 11).
 type Mode int
@@ -31,66 +28,52 @@ const (
 	ModeBuddy
 )
 
-// Config mirrors Tab. 2's performance simulation parameters.
+// Tab. 2's fixed machine: a P100-class GPU whose geometry, cache sizes and
+// hit latencies no figure varies. Its HBM2 memory is dram.DefaultConfig.
+const (
+	// SMs is the number of streaming multiprocessors.
+	SMs = 56
+	// WarpsPerSM is the resident warp count driving latency hiding (max 64
+	// 32-thread warps per SM).
+	WarpsPerSM = 64
+	// L1Bytes/L1Ways: private L1 per SM, 128 B lines.
+	L1Bytes, L1Ways = 24 << 10, 8
+	// L2Bytes/L2Slices/L2Ways: shared sectored L2, 128 B lines.
+	L2Bytes, L2Slices, L2Ways = 4 << 20, 32, 16
+	// MetaCacheWays is the associativity of each slice's metadata cache
+	// (4-way, with the §3.2 32 B metadata line that covers 64 entries).
+	MetaCacheWays = 4
+
+	l1LatencyCycles = 30  // L1 hit latency
+	l2LatencyCycles = 190 // L2 hit latency
+	// storeLatencyCycles is the warp-visible latency of a store (store
+	// buffer); write bandwidth is drained asynchronously.
+	storeLatencyCycles = 20
+)
+
+// Config holds what a figure or ablation varies around Tab. 2's machine.
 type Config struct {
-	// SMs is the number of streaming multiprocessors (P100-class: 56).
-	SMs int
-	// WarpsPerSM is the resident warp count driving latency hiding
-	// (Tab. 2: max 64 32-thread warps per SM).
-	WarpsPerSM int
-	// OpsPerWarp is the number of memory operations simulated per warp.
+	// OpsPerWarp is the number of memory operations simulated per warp:
+	// the trace length that sets run time (Fig. 10 sweeps it).
 	OpsPerWarp int
-
-	// L1Bytes/L1Ways: private L1 per SM (24 KB, 128 B lines).
-	L1Bytes, L1Ways int
-	// L1LatencyCycles is the L1 hit latency.
-	L1LatencyCycles float64
-
-	// L2Bytes/L2Slices/L2Ways: shared sectored L2 (4 MB, 32 slices,
-	// 128 B lines, 16 ways).
-	L2Bytes, L2Slices, L2Ways int
-	// L2LatencyCycles is the L2 hit latency.
-	L2LatencyCycles float64
-
-	// DRAM is the HBM2 model (32 channels, 900 GB/s).
-	DRAM dram.Config
-	// Link is the buddy interconnect (NVLink2: 150 GB/s full-duplex).
+	// Link is the buddy interconnect (NVLink2: 150 GB/s full-duplex;
+	// Fig. 11 sweeps its bandwidth).
 	Link nvlink.Config
-
+	// MetaCacheBytesPerSlice is the metadata cache per L2 slice (4 KB).
+	MetaCacheBytesPerSlice int
 	// DecompressLatencyCycles is the (de)compression latency added to
 	// compressed fills: 11 DRAM cycles at 875 MHz ≈ 16 core cycles at
 	// 1.3 GHz (§4.1, following the BPC paper).
 	DecompressLatencyCycles float64
-
-	// MetaCacheBytesPerSlice/MetaCacheWays: metadata cache per L2 slice
-	// (Tab. 2: 4 KB, 4-way, 128 B lines in the table; we keep the §3.2
-	// 32 B metadata line that covers 64 entries).
-	MetaCacheBytesPerSlice, MetaCacheWays int
-
-	// StoreLatencyCycles is the warp-visible latency of a store (store
-	// buffer); write bandwidth is drained asynchronously.
-	StoreLatencyCycles float64
 }
 
 // DefaultConfig returns Tab. 2.
 func DefaultConfig() Config {
 	return Config{
-		SMs:                     56,
-		WarpsPerSM:              64,
 		OpsPerWarp:              160,
-		L1Bytes:                 24 << 10,
-		L1Ways:                  8,
-		L1LatencyCycles:         30,
-		L2Bytes:                 4 << 20,
-		L2Slices:                32,
-		L2Ways:                  16,
-		L2LatencyCycles:         190,
-		DRAM:                    dram.DefaultConfig(),
 		Link:                    nvlink.DefaultConfig(),
-		DecompressLatencyCycles: 16,
 		MetaCacheBytesPerSlice:  4 << 10,
-		MetaCacheWays:           4,
-		StoreLatencyCycles:      20,
+		DecompressLatencyCycles: 16,
 	}
 }
 

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"time"
 
+	"buddy/internal/dram"
 	"buddy/internal/trace"
 )
 
@@ -27,10 +28,10 @@ func RunDetailed(spec trace.Spec, dm *DataModel, mode Mode, cfg Config) Result {
 		opsLeft int
 		lastUse float64
 	}
-	warpsPerSM := activeWarps(spec, cfg)
-	sms := make([][]*dwarp, cfg.SMs)
+	warpsPerSM := activeWarps(spec)
+	sms := make([][]*dwarp, SMs)
 	live := 0
-	for sm := 0; sm < cfg.SMs; sm++ {
+	for sm := 0; sm < SMs; sm++ {
 		sms[sm] = make([]*dwarp, warpsPerSM)
 		for w := 0; w < warpsPerSM; w++ {
 			id := sm*warpsPerSM + w
@@ -49,7 +50,7 @@ func RunDetailed(spec trace.Spec, dm *DataModel, mode Mode, cfg Config) Result {
 	var cycle float64
 	var lastDone float64
 	for live > 0 {
-		for sm := 0; sm < cfg.SMs; sm++ {
+		for sm := 0; sm < SMs; sm++ {
 			// Greedy-then-oldest: issue from the first ready warp; the
 			// slice order is the age order and we do not rotate, so the
 			// most recently issuing warp keeps priority until it stalls.
@@ -151,13 +152,13 @@ func coalesce(a trace.Access, m *machine, sm int) uint8 {
 // of the compute-issue floor, the DRAM bandwidth floor, and the
 // latency-exposure floor of a latency-hiding machine.
 func Analytic(spec trace.Spec, dm *DataModel, cfg Config) float64 {
-	ops := float64(cfg.SMs * activeWarps(spec, cfg) * cfg.OpsPerWarp)
+	ops := float64(SMs * activeWarps(spec) * cfg.OpsPerWarp)
 	instr := ops
 	if spec.MemRatio > 0 {
 		instr = ops / spec.MemRatio
 	}
 	// Compute floor: SMs issue one instruction per cycle.
-	compute := instr / float64(cfg.SMs)
+	compute := instr / SMs
 
 	// Memory floor: expected bytes per access over aggregate bandwidth.
 	sectors := float64(spec.SectorsPerAccess)
@@ -166,12 +167,13 @@ func Analytic(spec trace.Spec, dm *DataModel, cfg Config) float64 {
 	}
 	missRate := 1 - spec.Locality*0.8
 	bytes := ops * missRate * sectors * 32
-	bw := cfg.DRAM.BandwidthGBs / cfg.DRAM.CoreClockGHz
+	hbm := dram.DefaultConfig()
+	bw := hbm.BandwidthGBs / hbm.CoreClockGHz
 	mem := bytes / bw
 
 	// Latency floor: per-warp serial time with average observed latency.
-	perOp := spec.ComputeIntensity + missRate*cfg.DRAM.LatencyCycles +
-		(1-missRate)*cfg.L2LatencyCycles
+	perOp := spec.ComputeIntensity + missRate*hbm.LatencyCycles +
+		(1-missRate)*l2LatencyCycles
 	lat := float64(cfg.OpsPerWarp) * perOp
 
 	est := compute

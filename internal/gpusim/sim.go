@@ -109,24 +109,23 @@ type machine struct {
 
 func newMachine(cfg Config, mode Mode, dm *DataModel) *machine {
 	m := &machine{cfg: cfg, mode: mode, dm: dm}
-	m.l1 = make([]*cache.Cache, cfg.SMs)
+	m.l1 = make([]*cache.Cache, SMs)
 	for i := range m.l1 {
-		m.l1[i] = cache.New(cfg.L1Bytes, cfg.L1Ways, 128)
+		m.l1[i] = cache.New(L1Bytes, L1Ways, 128)
 	}
-	m.l2 = make([]*cache.Cache, cfg.L2Slices)
-	perSlice := cfg.L2Bytes / cfg.L2Slices
+	m.l2 = make([]*cache.Cache, L2Slices)
 	for i := range m.l2 {
-		m.l2[i] = cache.New(perSlice, cfg.L2Ways, 128)
+		m.l2[i] = cache.New(L2Bytes/L2Slices, L2Ways, 128)
 	}
 	if mode == ModeBuddy {
-		m.meta = make([]*cache.Cache, cfg.L2Slices)
+		m.meta = make([]*cache.Cache, L2Slices)
 		for i := range m.meta {
-			m.meta[i] = cache.New(cfg.MetaCacheBytesPerSlice, cfg.MetaCacheWays, core.MetadataLineBytes)
+			m.meta[i] = cache.New(cfg.MetaCacheBytesPerSlice, MetaCacheWays, core.MetadataLineBytes)
 		}
 	}
-	m.mem = dram.New(cfg.DRAM)
+	m.mem = dram.New()
 	m.link = nvlink.New(cfg.Link)
-	m.smBusy = make([]float64, cfg.SMs)
+	m.smBusy = make([]float64, SMs)
 	return m
 }
 
@@ -204,9 +203,9 @@ func (m *machine) load(now float64, sm int, a trace.Access, host bool) float64 {
 	line := a.Addr &^ 127
 	if m.l1[sm].Access(line) {
 		m.result.L1Hits++
-		return now + m.cfg.L1LatencyCycles
+		return now + l1LatencyCycles
 	}
-	afterL2 := now + m.cfg.L2LatencyCycles
+	afterL2 := now + l2LatencyCycles
 	if m.l2SliceAccess(line) {
 		m.result.L2Hits++
 		return afterL2
@@ -253,7 +252,7 @@ func (m *machine) store(now float64, sm int, a trace.Access, host bool) float64 
 	if host {
 		m.result.LinkWriteBytes += uint64(reqBytes)
 		m.link.Drain(now, nvlink.Write, reqBytes)
-		return now + m.cfg.StoreLatencyCycles
+		return now + storeLatencyCycles
 	}
 	line := a.Addr &^ 127
 	m.l1[sm].Access(line)
@@ -281,12 +280,12 @@ func (m *machine) store(now float64, sm int, a trace.Access, host bool) float64 
 			m.link.Drain(now, nvlink.Write, spill)
 		}
 	}
-	return now + m.cfg.StoreLatencyCycles
+	return now + storeLatencyCycles
 }
 
 // activeWarps applies the kernel's occupancy to the machine's warp slots.
-func activeWarps(spec trace.Spec, cfg Config) int {
-	n := cfg.WarpsPerSM
+func activeWarps(spec trace.Spec) int {
+	n := WarpsPerSM
 	if spec.Occupancy > 0 && spec.Occupancy < 1 {
 		n = int(float64(n) * spec.Occupancy)
 	}
@@ -301,10 +300,10 @@ func activeWarps(spec trace.Spec, cfg Config) int {
 func Run(spec trace.Spec, dm *DataModel, mode Mode, cfg Config) Result {
 	start := time.Now()
 	m := newMachine(cfg, mode, dm)
-	warpsPerSM := activeWarps(spec, cfg)
+	warpsPerSM := activeWarps(spec)
 	var q warpQueue
 	footprint := dm.footprint
-	for sm := 0; sm < cfg.SMs; sm++ {
+	for sm := 0; sm < SMs; sm++ {
 		for w := 0; w < warpsPerSM; w++ {
 			id := sm*warpsPerSM + w
 			q.push(0, &warpState{

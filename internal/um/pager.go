@@ -17,11 +17,11 @@ type Pager struct {
 }
 
 // NewPager builds a pager with the given migration granularity and resident
-// pool capacity in bytes. pageBytes defaults to DefaultConfig().PageBytes;
+// pool capacity in bytes. pageBytes defaults to PageBytes;
 // residentBytes below one page is rounded up to a single-page pool.
 func NewPager(pageBytes int, residentBytes int64) *Pager {
 	if pageBytes <= 0 {
-		pageBytes = DefaultConfig().PageBytes
+		pageBytes = PageBytes
 	}
 	capacity := int(residentBytes / int64(pageBytes))
 	return &Pager{pageBytes: pageBytes, pool: newClockPool(capacity)}

@@ -14,41 +14,26 @@ import (
 	"buddy/internal/trace"
 )
 
-// Config holds the UM system parameters.
-type Config struct {
+// The Fig. 12 testbed: a Power9 host and a V100 on three NVLink2 bricks.
+const (
 	// PageBytes is the migration granularity (UM migrates at 64 KB-2 MB
 	// chunks; 64 KB is the common small-page size on Pascal/Volta).
-	PageBytes int
-	// FaultBatchCycles is the driver cost of servicing a fault batch:
-	// fault delivery, host interrupt, page-table update. Driver-based
-	// handling is "remote and non-distributed" (§3.3) and very expensive.
-	FaultBatchCycles float64
-	// LinkGBs is the interconnect bandwidth (the paper's Fig. 12 testbed:
-	// 3 NVLink2 bricks = 75 GB/s full-duplex).
-	LinkGBs float64
-	// CoreClockGHz converts to cycles.
-	CoreClockGHz float64
-	// DeviceFracBase is the fraction of the working set resident before
-	// forcing oversubscription (1.0 = everything fits).
-	DeviceFracBase float64
-	// Accesses is the number of simulated warp accesses.
-	Accesses int
-	// Warps is the number of concurrent access streams.
-	Warps int
-}
-
-// DefaultConfig mirrors the Fig. 12 testbed.
-func DefaultConfig() Config {
-	return Config{
-		PageBytes:        64 << 10,
-		FaultBatchCycles: 40000, // ~30 us at 1.3 GHz
-		LinkGBs:          75,
-		CoreClockGHz:     1.3,
-		DeviceFracBase:   1.0,
-		Accesses:         300000,
-		Warps:            64,
-	}
-}
+	PageBytes = 64 << 10
+	// faultBatchCycles is the driver cost of servicing a fault batch:
+	// fault delivery, host interrupt, page-table update (~30 us at
+	// 1.3 GHz). Driver-based handling is "remote and non-distributed"
+	// (§3.3) and very expensive.
+	faultBatchCycles = 40000
+	// linkBytesPerCycle is the interconnect rate: 3 NVLink2 bricks =
+	// 75 GB/s full-duplex against a 1.3 GHz core clock.
+	linkBytesPerCycle = 75 / 1.3
+	// migrationCycles is one page's transfer over the link.
+	migrationCycles = PageBytes / linkBytesPerCycle
+	// accesses is the number of simulated warp accesses per run.
+	accesses = 300000
+	// warps is the number of concurrent access streams.
+	warps = 64
+)
 
 // Result reports one oversubscription point.
 type Result struct {
@@ -104,32 +89,23 @@ const baselineCostPerAccess = 4.0
 
 // RunOversubscription simulates spec under forced oversubscription
 // (0.0-0.5) and returns the relative runtime (Fig. 12 solid lines).
-func RunOversubscription(spec trace.Spec, footprint uint64, oversub float64, cfg Config) Result {
-	if cfg.PageBytes == 0 {
-		cfg = DefaultConfig()
-	}
-	pages := int(footprint / uint64(cfg.PageBytes))
+func RunOversubscription(spec trace.Spec, footprint uint64, oversub float64) Result {
+	pages := int(footprint / PageBytes)
 	if pages < 4 {
 		pages = 4
 	}
-	residentCap := int(float64(pages) * (1 - oversub) * cfg.DeviceFracBase)
+	residentCap := int(float64(pages) * (1 - oversub))
 	if residentCap < 1 {
 		residentCap = 1
 	}
 	pool := newClockPool(residentCap)
-	streams := make([]*trace.Stream, cfg.Warps)
-	for w := range streams {
-		streams[w] = trace.NewStream(spec, footprint, 99, w)
-	}
-
-	linkBytesPerCycle := cfg.LinkGBs * 1e9 / (cfg.CoreClockGHz * 1e9)
-	migCycles := float64(cfg.PageBytes) / linkBytesPerCycle
+	streams := newStreams(spec, footprint)
 
 	res := Result{Oversubscription: oversub}
 	var cycles float64
-	for i := 0; i < cfg.Accesses; i++ {
-		a := streams[i%cfg.Warps].Next()
-		page := a.Addr / uint64(cfg.PageBytes)
+	for i := 0; i < accesses; i++ {
+		a := streams[i%warps].Next()
+		page := a.Addr / PageBytes
 		cycles += baselineCostPerAccess
 		if oversub <= 0 {
 			pool.touch(page)
@@ -140,11 +116,11 @@ func RunOversubscription(spec trace.Spec, footprint uint64, oversub float64, cfg
 			// (and, when the pool is full, write-back of the victim,
 			// which the full-duplex link overlaps with the fill).
 			res.Faults++
-			res.MigratedBytes += uint64(cfg.PageBytes)
-			cycles += cfg.FaultBatchCycles + migCycles
+			res.MigratedBytes += PageBytes
+			cycles += faultBatchCycles + migrationCycles
 		}
 	}
-	base := float64(cfg.Accesses) * baselineCostPerAccess
+	base := float64(accesses) * baselineCostPerAccess
 	res.RelativeRuntime = cycles / base
 	return res
 }
@@ -152,19 +128,12 @@ func RunOversubscription(spec trace.Spec, footprint uint64, oversub float64, cfg
 // RunPinned models the compiler flag that pins all allocations in host
 // memory (Fig. 12 dotted lines): no faults, but every access crosses the
 // link and pays remote latency; throughput is limited by link bandwidth.
-func RunPinned(spec trace.Spec, footprint uint64, cfg Config) Result {
-	if cfg.PageBytes == 0 {
-		cfg = DefaultConfig()
-	}
-	linkBytesPerCycle := cfg.LinkGBs * 1e9 / (cfg.CoreClockGHz * 1e9)
-	streams := make([]*trace.Stream, cfg.Warps)
-	for w := range streams {
-		streams[w] = trace.NewStream(spec, footprint, 99, w)
-	}
+func RunPinned(spec trace.Spec, footprint uint64) Result {
+	streams := newStreams(spec, footprint)
 	var busy float64 // link occupancy
 	var cycles float64
-	for i := 0; i < cfg.Accesses; i++ {
-		a := streams[i%cfg.Warps].Next()
+	for i := 0; i < accesses; i++ {
+		a := streams[i%warps].Next()
 		bytes := float64(trace.SectorCount(a.SectorMask) * 32)
 		busy += bytes / linkBytesPerCycle
 		cycles += baselineCostPerAccess
@@ -175,20 +144,25 @@ func RunPinned(spec trace.Spec, footprint uint64, cfg Config) Result {
 	// Remote latency exposure: a slowdown floor versus local memory that
 	// latency hiding cannot fully absorb at UM's concurrency.
 	const remotePenalty = 2.5
-	base := float64(cfg.Accesses) * baselineCostPerAccess
+	base := float64(accesses) * baselineCostPerAccess
 	rel := cycles * remotePenalty / base
 	return Result{RelativeRuntime: rel}
 }
 
 // Sweep runs Fig. 12's x-axis for one benchmark: forced oversubscription
 // levels with the UM migrating mode, plus the pinned-host mode.
-func Sweep(spec trace.Spec, footprint uint64, points []float64, cfg Config) (um []Result, pinned Result) {
-	if len(points) == 0 {
-		points = []float64{0, 0.05, 0.10, 0.20, 0.30, 0.40}
+func Sweep(spec trace.Spec, footprint uint64) (um []Result, pinned Result) {
+	for _, o := range []float64{0, 0.05, 0.10, 0.20, 0.30, 0.40} {
+		um = append(um, RunOversubscription(spec, footprint, o))
 	}
-	for _, o := range points {
-		um = append(um, RunOversubscription(spec, footprint, o, cfg))
+	return um, RunPinned(spec, footprint)
+}
+
+// newStreams opens the testbed's concurrent access streams over footprint.
+func newStreams(spec trace.Spec, footprint uint64) []*trace.Stream {
+	streams := make([]*trace.Stream, warps)
+	for w := range streams {
+		streams[w] = trace.NewStream(spec, footprint, 99, w)
 	}
-	pinned = RunPinned(spec, footprint, cfg)
-	return um, pinned
+	return streams
 }

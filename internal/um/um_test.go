@@ -17,7 +17,7 @@ func specOf(t *testing.T, name string) (s workloads.Benchmark) {
 
 func TestNoOversubscriptionIsBaseline(t *testing.T) {
 	b := specOf(t, "356.sp")
-	r := RunOversubscription(b.Trace, uint64(b.Footprint/64), 0, DefaultConfig())
+	r := RunOversubscription(b.Trace, uint64(b.Footprint/64), 0)
 	if r.RelativeRuntime != 1 {
 		t.Errorf("fully resident run = %.3fx, want 1x", r.RelativeRuntime)
 	}
@@ -28,11 +28,9 @@ func TestNoOversubscriptionIsBaseline(t *testing.T) {
 
 func TestOversubscriptionMonotone(t *testing.T) {
 	b := specOf(t, "360.ilbdc")
-	cfg := DefaultConfig()
-	cfg.Accesses = 100000
 	last := 0.0
 	for _, o := range []float64{0, 0.1, 0.2, 0.4} {
-		r := RunOversubscription(b.Trace, uint64(b.Footprint/64), o, cfg)
+		r := RunOversubscription(b.Trace, uint64(b.Footprint/64), o)
 		if r.RelativeRuntime < last {
 			t.Errorf("runtime decreased at oversubscription %.1f", o)
 		}
@@ -44,12 +42,10 @@ func TestOversubscriptionMonotone(t *testing.T) {
 }
 
 func TestIrregularWorseThanStreaming(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Accesses = 100000
 	ilbdc := specOf(t, "360.ilbdc")
 	sp := specOf(t, "356.sp")
-	ri := RunOversubscription(ilbdc.Trace, uint64(ilbdc.Footprint/64), 0.3, cfg)
-	rs := RunOversubscription(sp.Trace, uint64(sp.Footprint/64), 0.3, cfg)
+	ri := RunOversubscription(ilbdc.Trace, uint64(ilbdc.Footprint/64), 0.3)
+	rs := RunOversubscription(sp.Trace, uint64(sp.Footprint/64), 0.3)
 	if ri.RelativeRuntime <= rs.RelativeRuntime {
 		t.Errorf("irregular ilbdc (%.1fx) should fault more than streaming sp (%.1fx)",
 			ri.RelativeRuntime, rs.RelativeRuntime)
@@ -58,7 +54,7 @@ func TestIrregularWorseThanStreaming(t *testing.T) {
 
 func TestPinnedMode(t *testing.T) {
 	b := specOf(t, "356.sp")
-	r := RunPinned(b.Trace, uint64(b.Footprint/64), DefaultConfig())
+	r := RunPinned(b.Trace, uint64(b.Footprint/64))
 	if r.RelativeRuntime <= 1 {
 		t.Errorf("pinned host memory must cost more than local, got %.2fx", r.RelativeRuntime)
 	}
@@ -69,11 +65,9 @@ func TestPinnedMode(t *testing.T) {
 
 func TestSweepShape(t *testing.T) {
 	b := specOf(t, "351.palm")
-	cfg := DefaultConfig()
-	cfg.Accesses = 50000
-	points, pinned := Sweep(b.Trace, uint64(b.Footprint/64), nil, cfg)
+	points, pinned := Sweep(b.Trace, uint64(b.Footprint/64))
 	if len(points) != 6 {
-		t.Fatalf("default sweep has 6 points, got %d", len(points))
+		t.Fatalf("Fig. 12 sweep has 6 points, got %d", len(points))
 	}
 	if pinned.RelativeRuntime <= 1 {
 		t.Error("pinned result missing")

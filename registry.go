@@ -20,12 +20,12 @@ type Experiment struct {
 	Run func(w io.Writer, sc ExperimentScale) error
 }
 
-// experiments is the paper's evaluation in paper order, what cmd/buddysim,
-// cmd/buddyprof and the tests list and run.
+// experiments is the paper's evaluation in paper order, what the tests and
+// cmd/buddysim list and run (e.g. `buddysim -exp fig9 -quick`).
 var experiments = []Experiment{
 	{Name: "tab1", Description: "benchmark table: suites, footprints, regions", Run: func(w io.Writer, _ ExperimentScale) error { return runTab1(w) }},
-	{Name: "tab2", Description: "performance-simulator configuration", Run: func(w io.Writer, sc ExperimentScale) error {
-		_, err := fmt.Fprint(w, exp.Tab2(exp.ScaledSimConfig(sc.Sim)))
+	{Name: "tab2", Description: "performance-simulator configuration", Run: func(w io.Writer, _ ExperimentScale) error {
+		_, err := fmt.Fprint(w, exp.Tab2())
 		return err
 	}},
 	{Name: "fig3", Description: "per-snapshot BPC compression ratios per benchmark", Run: runFig3},
