@@ -144,13 +144,13 @@ cover:
 	    || { echo "cover: internal/core coverage $$total% fell below the $(COVER_CORE_MIN)% floor"; exit 1; }
 
 # Data-path, analysis-pipeline (incl. BenchmarkAnalysisBuildRun and
-# BenchmarkGenerateRun) and serving-layer benchmarks (incl.
-# BenchmarkPoolServe), human-readable. Pass CPU=1,4 to see the GOMAXPROCS
+# BenchmarkGenerateRun), synthesis-kernel (BenchmarkWeights32Fill) and
+# serving-layer benchmarks (incl. BenchmarkPoolServe), human-readable. Pass CPU=1,4 to see the GOMAXPROCS
 # scaling of the parallel bulk and index-build paths.
 CPU ?=
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(if $(CPU),-cpu $(CPU)) \
-		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/workloads/ ./internal/exp/ ./internal/pool/
+		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/gen/ ./internal/workloads/ ./internal/exp/ ./internal/pool/
 
 # Same benchmarks as one-shot JSON, the artifact CI uploads per PR: codec
 # and bulk-I/O data path plus the analysis pipeline (BenchmarkAnalysisIndex,
@@ -158,7 +158,7 @@ bench:
 # heavy for PR CI.
 bench-json:
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime=1x -count=1 \
-		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/workloads/ ./internal/exp/ ./internal/pool/ > BENCH_pr.json
+		./internal/compress/ ./internal/core/ ./internal/analysis/ ./internal/gen/ ./internal/workloads/ ./internal/exp/ ./internal/pool/ > BENCH_pr.json
 
 # The bench-gate pins per-codec and data-path ns/entry — and, for benchmarks
 # that report them, allocs/op (the async submit path pins at 0, so a
@@ -197,11 +197,14 @@ bench-smoke:
 # (FuzzDecompressArbitrary's canary suffix); then the stream store against
 # its map oracle over arbitrary put/get sequences (FuzzStoreOps), and the
 # metadata store's line class masks against a []int oracle over arbitrary Set
-# sequences (FuzzMetadataLine). FUZZTIME is per target; CI runs it at 10s on
-# every PR.
+# sequences (FuzzMetadataLine); and the block normal sampler against the
+# scalar polar draw with math.Log, values and final RNG state, over arbitrary
+# (seed, stream, count) (FuzzNormals). FUZZTIME is per target; CI runs it at
+# 10s on every PR.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -fuzz FuzzDecompressArbitrary -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzStoreOps -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzMetadataLine -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzNormals -fuzztime $(FUZZTIME) ./internal/gen/

@@ -211,9 +211,12 @@ func (g SparseFP16) Fill(dst []byte, r *RNG) {
 	}
 }
 
-// float16bits converts a float32 to the IEEE 754 binary16 bit pattern with
-// round-to-nearest-even, flushing values below the subnormal range to zero
-// and clamping overflow to infinity.
+// float16bits converts a float32 to the IEEE 754 binary16 bit pattern.
+// Normal results round to nearest, ties to even; subnormal results round
+// half away from zero, not to even. Values below half the smallest
+// subnormal (2⁻²⁵) flush to zero and overflow clamps to infinity. The
+// subnormal rounding is kept as it is because SparseFP16's bytes feed the
+// sparse experiment.
 func float16bits(f float32) uint16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
@@ -252,7 +255,10 @@ type Weights32 struct {
 // Name implements Generator.
 func (Weights32) Name() string { return "weights32" }
 
-// Fill implements Generator.
+// Fill implements Generator. It takes its normals from r.normals a block at
+// a time, the same values NormFloat64 would return one by one.
+//
+//buddy:hotpath
 func (g Weights32) Fill(dst []byte, r *RNG) {
 	sigma := g.Sigma
 	if sigma == 0 {
@@ -262,9 +268,14 @@ func (g Weights32) Fill(dst []byte, r *RNG) {
 	if g.QuantBits > 0 && g.QuantBits < 23 {
 		mask = ^((uint32(1) << g.QuantBits) - 1)
 	}
-	for i := 0; i+4 <= len(dst); i += 4 {
-		w := math.Float32bits(float32(r.NormFloat64()*sigma)) & mask
-		binary.LittleEndian.PutUint32(dst[i:], w)
+	var buf [normBlock]float64
+	for dst = dst[:len(dst)&^3]; len(dst) > 0; {
+		blk := buf[:min(len(dst)/4, normBlock)]
+		r.normals(blk)
+		for _, v := range blk {
+			binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(v*sigma))&mask)
+			dst = dst[4:]
+		}
 	}
 }
 
