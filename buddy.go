@@ -292,7 +292,8 @@ func WorkloadByName(name string) (Benchmark, error) { return workloads.ByName(na
 // GenerateRun synthesizes a benchmark's ten profiling snapshots at 1/scale
 // of its true footprint (statistics are per-entry and scale-free). Treat the
 // snapshots as read-only: a region that does not change over the run is
-// synthesized once and the ten snapshots share its allocation.
+// synthesized once, and every live snapshot holding it, of this run or
+// another, shares its allocation.
 func GenerateRun(b Benchmark, scale int) []*Snapshot {
 	return workloads.GenerateRun(b, scale)
 }

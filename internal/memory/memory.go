@@ -43,9 +43,10 @@ func (a *Allocation) Entry(i int) []byte {
 
 // A Snapshot is one memory dump: the set of live allocations at a point in
 // the workload's execution. The paper takes ten snapshots per benchmark at
-// kernel boundaries (§3.1). A dump is read-only to its consumers: the
-// snapshots of one run may hold the same *Allocation where a region did not
-// change between dumps (workloads.GenerateRun), and analysis.BuildRun relies
+// kernel boundaries (§3.1). A dump is read-only to its consumers: any two
+// live snapshots may hold the same *Allocation where a region's contents
+// are the same (workloads.GenerateSnapshot and GenerateRun share every
+// fill that a live snapshot already holds), and analysis.BuildRun relies
 // on an allocation's bytes staying what they were when it was indexed.
 type Snapshot struct {
 	// Index is the snapshot's position in the run (0..9 for the paper's

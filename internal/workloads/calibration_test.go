@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
+	"weak"
 
 	"buddy/internal/analysis"
 	"buddy/internal/compress"
@@ -129,17 +131,30 @@ func TestStaticRegionsStable(t *testing.T) {
 }
 
 // TestDeterminism: the same (benchmark, snapshot, scale) must synthesize
-// identical bytes on every call.
+// identical bytes on every call. The first snapshot is collected before
+// the second is drawn, so the second is synthesized afresh, not shared.
 func TestDeterminism(t *testing.T) {
 	b, err := ByName("351.palm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := GenerateSnapshot(b, 3, testScale)
-	s2 := GenerateSnapshot(b, 3, testScale)
-	for i := range s1.Allocations {
-		if string(s1.Allocations[i].Data) != string(s2.Allocations[i].Data) {
-			t.Fatalf("allocation %s not deterministic", s1.Allocations[i].Name)
+	first := func() ([]string, weak.Pointer[memory.Allocation]) {
+		s := GenerateSnapshot(b, 3, testScale)
+		var sums []string
+		for _, a := range s.Allocations {
+			sum := sha256.Sum256(a.Data)
+			sums = append(sums, string(sum[:]))
+		}
+		return sums, weak.Make(s.Allocations[0])
+	}
+	sums, w := first()
+	collect(t)
+	if w.Value() != nil {
+		t.Fatal("the first snapshot outlived the collector")
+	}
+	for i, a := range GenerateSnapshot(b, 3, testScale).Allocations {
+		if sum := sha256.Sum256(a.Data); string(sum[:]) != sums[i] {
+			t.Fatalf("allocation %s not deterministic", a.Name)
 		}
 	}
 }

@@ -22,7 +22,10 @@ package workloads
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"weak"
 
 	"buddy/internal/gen"
 	"buddy/internal/memory"
@@ -490,44 +493,121 @@ func seedFor(bench, region string) uint64 {
 // GenerateSnapshot synthesizes memory dump t (0..Snapshots-1) of benchmark
 // b at 1/scale of its true footprint. Static regions hold identical bytes
 // across snapshots (stable weights and grids); Dynamic regions reshuffle
-// per snapshot. It is a pure function, safe for concurrent use: every call
-// returns freshly generated bytes the caller owns.
+// per snapshot. It is a pure function, safe for concurrent use. Synthesis
+// is content-addressed: a region whose fill another live snapshot already
+// holds (the same region, generator, seed and size) is that snapshot's
+// *memory.Allocation, not a copy, so the snapshot is read-only to its
+// caller, as memory.Snapshot says: a write to one of its allocations would
+// show in every snapshot that shares it.
 func GenerateSnapshot(b Benchmark, t int, scale int) *memory.Snapshot {
-	snap, fills := layout(b, t, scale, nil, nil)
-	fillAll(fills)
+	var s synthesis
+	snap := s.layout(b, t, scale)
+	s.run()
 	return snap
 }
 
 // GenerateRun synthesizes all ten snapshots of benchmark b, bytewise equal
 // to GenerateSnapshot(b, t, scale) for every t, and is safe for concurrent
-// use. A non-Dynamic region is synthesized once and the same
-// *memory.Allocation appears in all ten snapshots, so the run's snapshots
-// are read-only: a write to one static allocation's Data would show in
-// every dump. (analysis.BuildRun recognizes the shared allocation and
+// use. Dump 0's allocations are live while dumps 1-9 are laid out, so by
+// the same content addressing a non-Dynamic region is synthesized once and
+// one *memory.Allocation appears in all ten snapshots: the run's snapshots
+// are read-only. (analysis.BuildRun recognizes the shared allocation and
 // classifies it once.)
 func GenerateRun(b Benchmark, scale int) []*memory.Snapshot {
+	var s synthesis
 	out := make([]*memory.Snapshot, Snapshots)
-	var fills []fill
 	for t := range out {
-		out[t], fills = layout(b, t, scale, out[0], fills) // out[0] is nil while t == 0
+		out[t] = s.layout(b, t, scale)
 	}
-	fillAll(fills)
+	s.run()
 	return out
 }
 
+// fillKey is everything a region's bytes are a pure function of: the
+// region's name, its generator value (every gen generator is a comparable
+// struct), its seed and its size. Two layouts with equal keys would fill
+// equal allocations, so they share one.
+type fillKey struct {
+	name string
+	g    gen.Generator
+	seed uint64
+	size int
+}
+
+// fillEntry is one allocation in the fill table, under key k. done is
+// closed once its filler has written the bytes; until then the fill is in
+// flight.
+type fillEntry struct {
+	k    fillKey
+	a    weak.Pointer[memory.Allocation]
+	done chan struct{}
+}
+
+// fillTable maps each key to the allocation that holds its fill while that
+// allocation is live. It holds weak pointers only, so it keeps no snapshot
+// alive, and a cleanup deletes an entry once its allocation dies: at rest
+// the table is empty, and m is nil, since a Go map keeps its peak storage.
+var fillTable struct {
+	mu sync.Mutex
+	m  map[fillKey]*fillEntry
+}
+
+// forget deletes e from the fill table, unless a newer entry has taken its
+// key since its allocation died.
+func forget(e *fillEntry) {
+	fillTable.mu.Lock()
+	defer fillTable.mu.Unlock()
+	if fillTable.m[e.k] == e {
+		delete(fillTable.m, e.k)
+		if len(fillTable.m) == 0 {
+			fillTable.m = nil
+		}
+	}
+}
+
+// intern returns the live allocation registered under k and its entry.
+// When none is live and a is not nil, it registers a under k with a new
+// entry in flight and returns them with mine set.
+func intern(k fillKey, a *memory.Allocation) (live *memory.Allocation, e *fillEntry, mine bool) {
+	fillTable.mu.Lock()
+	defer fillTable.mu.Unlock()
+	if e := fillTable.m[k]; e != nil {
+		if live := e.a.Value(); live != nil {
+			return live, e, false
+		}
+	}
+	if a == nil {
+		return nil, nil, false
+	}
+	if fillTable.m == nil {
+		fillTable.m = make(map[fillKey]*fillEntry)
+	}
+	e = &fillEntry{k: k, a: weak.Make(a), done: make(chan struct{})}
+	fillTable.m[k] = e
+	return a, e, true
+}
+
 // fill is one region's synthesis: its generator writes a's bytes from the
-// region's own seed, so no fill depends on another's RNG stream.
+// region's own seed, so no fill depends on another's RNG stream. done is
+// closed when the bytes are written.
 type fill struct {
 	a    *memory.Allocation
 	g    gen.Generator
 	seed uint64
+	done chan struct{}
 }
 
-// layout allocates dump t's regions and appends the fills that synthesize
-// them to fills; where static is non-nil (dump 0 of the same run), a
-// non-Dynamic region j takes static's allocation j instead of being filled
-// with the same bytes again.
-func layout(b Benchmark, t, scale int, static *memory.Snapshot, fills []fill) (*memory.Snapshot, []fill) {
+// synthesis is one call's pending work: the fills it registered and must
+// run, and the done channels of the fills its snapshots share.
+type synthesis struct {
+	fills []fill
+	waits []chan struct{}
+}
+
+// layout lays out dump t's regions: each takes the live allocation of an
+// equal fill when the table holds one, and is otherwise allocated,
+// registered and queued on s.fills.
+func (s *synthesis) layout(b Benchmark, t, scale int) *memory.Snapshot {
 	if scale <= 0 {
 		scale = DefaultScale
 	}
@@ -536,24 +616,51 @@ func layout(b Benchmark, t, scale int, static *memory.Snapshot, fills []fill) (*
 	if total < 64*memory.PageBytes {
 		total = 64 * memory.PageBytes
 	}
-	for j, r := range b.Regions {
-		if static != nil && !r.Dynamic {
-			snap.Allocations = append(snap.Allocations, static.Allocations[j])
-			continue
-		}
+	for _, r := range b.Regions {
 		size := int(float64(total) * r.Frac)
 		if size < 2*memory.PageBytes {
 			size = 2 * memory.PageBytes
 		}
-		a := memory.NewAllocation(r.Name, size)
 		seed := seedFor(b.Name, r.Name)
 		if r.Dynamic {
 			seed += uint64(t) * 0x9E3779B97F4A7C15
 		}
-		fills = append(fills, fill{a: a, g: r.Gen(t), seed: seed})
-		snap.Allocations = append(snap.Allocations, a)
+		snap.Allocations = append(snap.Allocations, s.region(fillKey{name: r.Name, g: r.Gen(t), seed: seed, size: size}))
 	}
-	return snap, fills
+	return snap
+}
+
+// region returns the allocation holding k's fill: a live one from the
+// table, whose done channel s waits on, or a new one this call registers
+// and will fill. A new allocation is zeroed outside the lock, so intern
+// runs twice on a miss.
+func (s *synthesis) region(k fillKey) *memory.Allocation {
+	a, e, mine := intern(k, nil)
+	if a == nil {
+		a, e, mine = intern(k, memory.NewAllocation(k.name, k.size))
+	}
+	if mine {
+		runtime.AddCleanup(a, forget, e)
+		s.fills = append(s.fills, fill{a: a, g: k.g, seed: k.seed, done: e.done})
+	} else {
+		s.waits = append(s.waits, e.done)
+	}
+	return a
+}
+
+// run fills s's own allocations, marks each done, and only then waits for
+// the fills it shares. A call never blocks before its own fills are done,
+// so two calls that share each other's fills in flight cannot deadlock; a
+// wait on one of its own (a run's dump 1 sharing dump 0's region) finds it
+// closed.
+func (s *synthesis) run() {
+	fillAll(s.fills)
+	for _, f := range s.fills {
+		close(f.done)
+	}
+	for _, w := range s.waits {
+		<-w
+	}
 }
 
 // fillJob is fillAll's fan-out: piece i is fill i.
