@@ -30,7 +30,13 @@ vet:
 # internal/core/cost.go alone, so of the serving stack's non-test files only it
 # may name the Tab. 2 rates (and internal/exp/perfexp.go, which prints them in
 # Tab. 2 for gpusim, a different model).
+#
+# The step after it keeps the paper's evaluation out of the library: the
+# experiment table (internal/exp) and the packages only a figure uses (the
+# timing simulator, the DL training model and its networks, the heat-maps)
+# must not be among the root package's non-test imports.
 ONE_COST_HOME = internal/core/cost.go internal/exp/perfexp.go
+FIGURE_PKGS = exp|gpusim|dltrain|nn|heatmap
 lint: vet
 	$(GO) run ./cmd/buddylint ./...
 	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
@@ -39,6 +45,8 @@ lint: vet
 	    | xargs grep -lE 'CoreClockGHz|BandwidthGBs' | sort | xargs); \
 	  [ "$$got" = "$(ONE_COST_HOME)" ] \
 	    || { echo "lint: CoreClockGHz|BandwidthGBs named in [$$got], want exactly [$(ONE_COST_HOME)]"; exit 1; }
+	@got=$$($(GO) list -deps . | grep -xE 'buddy/internal/($(FIGURE_PKGS))' | xargs); \
+	  [ -z "$$got" ] || { echo "lint: the library (go list -deps .) links [$$got]"; exit 1; }
 	@echo 'lint: ok'
 
 # buddylint has no automatic fixer: findings are fixed in code, or

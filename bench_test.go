@@ -92,7 +92,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	var rows []exp.Fig9Row
 	for i := 0; i < b.N; i++ {
-		rows = exp.Fig9(benchScale, nil)
+		rows = exp.Fig9(benchScale)
 	}
 	b.ReportMetric(rows[0].Points[2].Ratio, "palmAt30%x")
 }
@@ -114,7 +114,7 @@ func BenchmarkFig11(b *testing.B) {
 	cfg := exp.ScaledSimConfig(0.2)
 	var res *exp.Fig11Result
 	for i := 0; i < b.N; i++ {
-		res = exp.Fig11(benchScale*2, cfg, nil)
+		res = exp.Fig11(benchScale*2, cfg)
 	}
 	b.ReportMetric(res.GMeanBWOnly, "bwOnlyX")
 	b.ReportMetric(res.GMeanHPC150, "buddyHPC150X")
@@ -245,9 +245,8 @@ func BenchmarkDLModel(b *testing.B) {
 
 // BenchmarkExperimentRunner exercises the text renderers end to end.
 func BenchmarkExperimentRunner(b *testing.B) {
-	sc := QuickScale()
 	for i := 0; i < b.N; i++ {
-		if err := RunExperiment(io.Discard, "tab1", sc); err != nil {
+		if err := exp.Run(io.Discard, "tab1", exp.Quick); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,12 +20,13 @@
 //   - the profiling pass that chooses per-allocation target compression
 //     ratios under a Buddy Threshold (Profile),
 //   - the hardware compression algorithms the paper evaluates (NewBPC and
-//     the baselines via Codecs),
+//     the baselines via Codecs), and
 //   - the synthetic workload suite standing in for the paper's sixteen
-//     benchmarks (Workloads), and
-//   - a static experiment table that regenerates every table and figure of
-//     the paper's evaluation (ExperimentRegistry, RunExperiment and
-//     cmd/buddysim).
+//     benchmarks (Workloads).
+//
+// The paper's evaluation — every table and figure — is regenerated by the
+// experiment table in internal/exp, which cmd/buddysim runs; the library
+// does not link it.
 //
 // See DESIGN.md for the system inventory and layer diagram.
 package buddy

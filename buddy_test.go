@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"buddy/internal/exp"
 	"buddy/internal/gen"
 )
 
@@ -71,19 +72,19 @@ func TestCodecsRegistry(t *testing.T) {
 }
 
 func TestRunExperimentQuick(t *testing.T) {
-	// Every fast experiment renders without error through the public
-	// runner; the heavier ones are covered by their own tests/benches.
-	sc := QuickScale()
+	// Every fast experiment renders without error through the experiment
+	// table's runner; the heavier ones are covered by their own tests/benches.
+	sc := exp.Quick
 	for _, name := range []string{"tab1", "tab2", "fig8", "fig13a", "fig13b", "fig13c"} {
 		var sb strings.Builder
-		if err := RunExperiment(&sb, name, sc); err != nil {
+		if err := exp.Run(&sb, name, sc); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if sb.Len() == 0 {
 			t.Errorf("%s: empty output", name)
 		}
 	}
-	if err := RunExperiment(&strings.Builder{}, "no-such", sc); err == nil {
+	if err := exp.Run(&strings.Builder{}, "no-such", sc); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
@@ -94,13 +95,28 @@ func TestRunExperimentQuick(t *testing.T) {
 // testdata/pinned: a change to how a model value is held must not change
 // what any figure prints.
 func TestModelExperimentsPinned(t *testing.T) {
-	for _, name := range []string{"tab2", "fig12", "fig13a", "fig13b", "fig13c"} {
+	checkPinned(t, "tab2", "fig12", "fig13a", "fig13b", "fig13c")
+}
+
+// TestSynthesisExperimentsPinned does the same for the deterministic
+// experiments over synthesized snapshots that run in well under a second
+// at quick scale: a change to how an experiment is parameterized, run or
+// printed must not change its output.
+func TestSynthesisExperimentsPinned(t *testing.T) {
+	checkPinned(t, "tab1", "fig3", "sparse", "fig6", "fig7", "fig8", "fig9", "reprofile")
+}
+
+// checkPinned runs each named experiment at exp.Quick and compares its
+// output with testdata/pinned/<name>.txt.
+func checkPinned(t *testing.T, names ...string) {
+	t.Helper()
+	for _, name := range names {
 		want, err := os.ReadFile(filepath.Join("testdata", "pinned", name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if err := RunExperiment(&got, name, QuickScale()); err != nil {
+		if err := exp.Run(&got, name, exp.Quick); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
@@ -113,11 +129,11 @@ func TestModelExperimentsPinned(t *testing.T) {
 // the names the runner accepts, in table order.
 func TestExperimentsListMatchesRunner(t *testing.T) {
 	var names []string
-	for _, e := range ExperimentRegistry() {
+	for _, e := range exp.Experiments() {
 		names = append(names, e.Name)
 	}
-	err := RunExperiment(io.Discard, "no-such", QuickScale())
-	want := `buddy: unknown experiment "no-such" (have ` + strings.Join(names, ", ") + ")"
+	err := exp.Run(io.Discard, "no-such", exp.Quick)
+	want := `exp: unknown experiment "no-such" (have ` + strings.Join(names, ", ") + ")"
 	if err == nil || err.Error() != want {
 		t.Errorf("unknown experiment error = %v, want %s", err, want)
 	}

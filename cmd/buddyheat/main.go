@@ -29,6 +29,9 @@ func main() {
 	flag.Parse()
 
 	c, err := buddy.CodecByName(*codec)
+	if err == nil {
+		err = checkFlags(*snapshot, *scale)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "buddyheat:", err)
 		os.Exit(2)
@@ -54,4 +57,16 @@ func main() {
 	}
 	fmt.Print(m.ASCII(*rows))
 	fmt.Printf("homogeneity index: %.3f\n", m.HomogeneityIndex())
+}
+
+// checkFlags rejects a dump no run has (outside 0..workloads.Snapshots-1)
+// and a footprint divisor below 1.
+func checkFlags(snapshot, scale int) error {
+	if snapshot < 0 || snapshot >= workloads.Snapshots {
+		return fmt.Errorf("-snapshot %d is outside 0..%d", snapshot, workloads.Snapshots-1)
+	}
+	if scale < 1 {
+		return fmt.Errorf("-scale %d is below 1", scale)
+	}
+	return nil
 }

@@ -14,23 +14,23 @@ import (
 	"os"
 
 	"buddy"
+	"buddy/internal/workloads"
 )
 
 func main() {
 	bench := flag.String("bench", "", "Tab. 1 benchmark name (e.g. 351.palm, VGG16)")
 	threshold := flag.Float64("threshold", 0.30, "Buddy Threshold (max overflow fraction, 0 to 1)")
 	noZeroPage := flag.Bool("no-zeropage", false, "disable the 16x mostly-zero optimization")
-	scale := flag.Int("scale", 1024, "footprint divisor for synthesis")
+	scale := flag.Int("scale", workloads.DefaultScale, "footprint divisor for synthesis")
 	codec := flag.String("codec", "bpc", "compression algorithm (bpc, bdi, fpc, fvc, cpack, zero)")
 	flag.Parse()
 
 	c, err := buddy.CodecByName(*codec)
+	if err == nil {
+		err = checkFlags(*threshold, *scale)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "buddyprof:", err)
-		os.Exit(2)
-	}
-	if !(*threshold >= 0 && *threshold <= 1) { // NaN too
-		fmt.Fprintf(os.Stderr, "buddyprof: -threshold %v is outside [0, 1]\n", *threshold)
 		os.Exit(2)
 	}
 	if *bench == "" {
@@ -60,4 +60,16 @@ func main() {
 	}
 	fmt.Printf("compression %.2fx, expected buddy-access fraction %.2f%%, best achievable %.2fx\n",
 		res.CompressionRatio, res.BuddyAccessFraction*100, res.BestAchievable)
+}
+
+// checkFlags rejects a Buddy Threshold outside [0, 1] (NaN too) and a
+// footprint divisor below 1.
+func checkFlags(threshold float64, scale int) error {
+	if !(threshold >= 0 && threshold <= 1) {
+		return fmt.Errorf("-threshold %v is outside [0, 1]", threshold)
+	}
+	if scale < 1 {
+		return fmt.Errorf("-scale %d is below 1", scale)
+	}
+	return nil
 }

@@ -9,8 +9,8 @@ import (
 	"log"
 	"os"
 
-	"buddy"
 	"buddy/internal/dltrain"
+	"buddy/internal/exp"
 )
 
 func main() {
@@ -38,7 +38,7 @@ func main() {
 	// The full Fig. 13 family is in the experiment table; render the
 	// training-speedup figure through the same path cmd/buddysim uses.
 	fmt.Println("\nexperiment fig13b — DL training speedup vs batch size:")
-	if err := buddy.RunExperiment(os.Stdout, "fig13b", buddy.QuickScale()); err != nil {
+	if err := exp.Run(os.Stdout, "fig13b", exp.Quick); err != nil {
 		log.Fatal(err)
 	}
 }

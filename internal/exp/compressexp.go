@@ -20,10 +20,6 @@ import (
 	"buddy/internal/workloads"
 )
 
-// DefaultScale is the footprint divisor used by the figure computations;
-// per-entry statistics are scale-free (see workloads.DefaultScale).
-const DefaultScale = workloads.DefaultScale
-
 // ---------------------------------------------------------------------------
 // Tab. 1
 // ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ func Fig3(scale int) *Fig3Result {
 // Sparse-activation sweep: per-codec ratio on cDMA-style activation data
 // ---------------------------------------------------------------------------
 
-// SparseZeroFracs are the default activation zero fractions, the 50-90%
+// SparseZeroFracs are the sweep's activation zero fractions, the 50-90%
 // range cDMA (Rhu et al.) reports for post-ReLU DL activation traffic.
 var SparseZeroFracs = []float64{0.5, 0.7, 0.9}
 
@@ -113,21 +109,15 @@ type SparseResult struct {
 }
 
 // SparseSweep measures every registered codec on synthetic fp16 activation
-// pools (gen.SparseFP16) at each zero fraction — the Fig. 3-style view of
-// the data class the codecs' zero-run fast paths target. One pool is
+// pools (gen.SparseFP16) at each of SparseZeroFracs — the Fig. 3-style view
+// of the data class the codecs' zero-run fast paths target. One pool is
 // synthesized per zero fraction and shared across codecs, so the rows are
 // directly comparable; ratios use the same optimistic eight-size rounding
 // as Fig. 3.
-func SparseSweep(scale int, zeroFracs []float64) *SparseResult {
-	if scale <= 0 {
-		scale = DefaultScale
-	}
-	if len(zeroFracs) == 0 {
-		zeroFracs = SparseZeroFracs
-	}
-	res := &SparseResult{ZeroFracs: zeroFracs}
-	snaps := make([]*memory.Snapshot, len(zeroFracs))
-	for i, zf := range zeroFracs {
+func SparseSweep(scale int) *SparseResult {
+	res := &SparseResult{ZeroFracs: SparseZeroFracs}
+	snaps := make([]*memory.Snapshot, len(SparseZeroFracs))
+	for i, zf := range SparseZeroFracs {
 		// A 1 GB activation pool before scaling: comparable sample counts
 		// to a mid-size Tab. 1 benchmark region.
 		size := int(int64(1<<30) / int64(scale))
@@ -291,17 +281,18 @@ type Fig9Row struct {
 	Best       float64
 }
 
-// Fig9 sweeps the Buddy Threshold (paper: 10% to 40%) under the final
+// fig9Thresholds are the Buddy Thresholds Fig. 9 sweeps (paper: 10% to
+// 40%).
+var fig9Thresholds = []float64{0.10, 0.20, 0.30, 0.40}
+
+// Fig9 sweeps the Buddy Threshold over fig9Thresholds under the final
 // design and reports the unconstrained best-achievable ratio.
-func Fig9(scale int, thresholds []float64) []Fig9Row {
-	if len(thresholds) == 0 {
-		thresholds = []float64{0.10, 0.20, 0.30, 0.40}
-	}
+func Fig9(scale int) []Fig9Row {
 	var rows []Fig9Row
 	for _, b := range workloads.Table1() {
 		idx := runIndexes(b, scale, compress.NewBPC())
-		row := Fig9Row{Name: b.Name, Suite: b.Suite, Thresholds: thresholds}
-		for _, th := range thresholds {
+		row := Fig9Row{Name: b.Name, Suite: b.Suite, Thresholds: fig9Thresholds}
+		for _, th := range fig9Thresholds {
 			opt := core.FinalDesign()
 			opt.Threshold = th
 			r := core.ProfileIndexes(idx, opt)

@@ -84,9 +84,9 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestSparseSweepShape(t *testing.T) {
-	res := SparseSweep(testScale, nil)
+	res := SparseSweep(testScale)
 	if len(res.ZeroFracs) != 3 || res.ZeroFracs[0] != 0.5 || res.ZeroFracs[2] != 0.9 {
-		t.Fatalf("default zero fractions = %v, want cDMA's 0.5/0.7/0.9", res.ZeroFracs)
+		t.Fatalf("zero fractions = %v, want cDMA's 0.5/0.7/0.9", res.ZeroFracs)
 	}
 	byCodec := map[string][]float64{}
 	for _, r := range res.Rows {
@@ -122,7 +122,7 @@ func TestSparseSweepShape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	skipFidelitySweepUnderRace(t)
-	rows := Fig9(testScale, nil)
+	rows := Fig9(testScale)
 	for _, row := range rows {
 		// Ratio non-decreasing and buddy fraction non-decreasing in the
 		// threshold; every point's ratio at most best-achievable-ish.

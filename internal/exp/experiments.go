@@ -1,4 +1,4 @@
-package buddy
+package exp
 
 import (
 	"fmt"
@@ -6,50 +6,43 @@ import (
 	"sort"
 	"strings"
 
-	"buddy/internal/exp"
-	"buddy/internal/gpusim"
+	"buddy/internal/workloads"
 )
 
-// ExperimentScale controls workload synthesis size for the experiment
-// runners (footprint divisor; statistics are per-entry and scale-free).
-type ExperimentScale struct {
-	// Workload is the footprint divisor for data synthesis (default 1024).
+// Scale is what separates a reference run of the experiment table from a
+// smoke run: the footprint divisor for data synthesis (statistics are
+// per-entry and scale-free) and the fraction of Tab. 2's simulated trace
+// length.
+type Scale struct {
 	Workload int
-	// Sim scales the performance simulator's trace length (1.0 = the full
-	// Tab. 2 run length).
-	Sim float64
-	// Shards is the pool width for the sharded-serving experiment
-	// (0 = the default 4); the cmds' -shards flag lands here.
-	Shards int
-	// Tenants is the batch tenant population for the qos experiment
-	// (0 = the default exp.QoSBatchTenants); the cmds' -tenants flag
-	// lands here.
-	Tenants int
-	// QoSSLOCycles is the qos experiment's latency-tenant p99 bound in
-	// modeled cycles (0 = the default exp.QoSDefaultSLOCycles); the cmds'
-	// -qos flag lands here.
-	QoSSLOCycles float64
+	Sim      float64
 }
 
-// DefaultScale runs at the repository's reference fidelity.
-func DefaultScale() ExperimentScale { return ExperimentScale{Workload: 1024, Sim: 1.0} }
+var (
+	// Reference runs at the repository's reference fidelity.
+	Reference = Scale{Workload: workloads.DefaultScale, Sim: 1}
+	// Quick runs every experiment in seconds, for CI-style smoke runs.
+	Quick = Scale{Workload: 16384, Sim: 0.2}
+)
 
-// QuickScale runs every experiment in seconds, for CI-style smoke runs.
-func QuickScale() ExperimentScale { return ExperimentScale{Workload: 16384, Sim: 0.2} }
+// ---------------------------------------------------------------------------
+// Printers: each experiment's result as the paper-style rows or series the
+// experiment table (registry.go) writes
+// ---------------------------------------------------------------------------
 
 func runTab1(w io.Writer) error {
 	rows := [][]string{}
-	for _, r := range exp.Table1() {
+	for _, r := range Table1() {
 		rows = append(rows, []string{r.Name, r.Suite.String(),
 			fmt.Sprintf("%.2f GB", float64(r.Footprint)/(1<<30)),
 			fmt.Sprintf("%d", r.Regions)})
 	}
-	_, err := fmt.Fprint(w, exp.FormatTable([]string{"Benchmark", "Suite", "Footprint", "Regions"}, rows))
+	_, err := fmt.Fprint(w, FormatTable([]string{"Benchmark", "Suite", "Footprint", "Regions"}, rows))
 	return err
 }
 
-func runFig3(w io.Writer, sc ExperimentScale) error {
-	res := exp.Fig3(sc.Workload)
+func runFig3(w io.Writer, sc Scale) error {
+	res := Fig3(sc.Workload)
 	rows := [][]string{}
 	for _, r := range res.Rows {
 		series := make([]string, len(r.Ratios))
@@ -59,14 +52,14 @@ func runFig3(w io.Writer, sc ExperimentScale) error {
 		rows = append(rows, []string{r.Name, r.Suite.String(),
 			fmt.Sprintf("%.2f", r.Mean), strings.Join(series, " ")})
 	}
-	fmt.Fprint(w, exp.FormatTable([]string{"Benchmark", "Suite", "Mean", "Snapshots 0..9"}, rows))
+	fmt.Fprint(w, FormatTable([]string{"Benchmark", "Suite", "Mean", "Snapshots 0..9"}, rows))
 	_, err := fmt.Fprintf(w, "GMEAN_HPC %.2f (paper 2.51)   GMEAN_DL %.2f (paper 1.85)\n",
 		res.GMeanHPC, res.GMeanDL)
 	return err
 }
 
-func runSparse(w io.Writer, sc ExperimentScale) error {
-	res := exp.SparseSweep(sc.Workload, nil)
+func runSparse(w io.Writer, sc Scale) error {
+	res := SparseSweep(sc.Workload)
 	header := []string{"Codec"}
 	for _, zf := range res.ZeroFracs {
 		header = append(header, fmt.Sprintf("%d%% zero", int(zf*100)))
@@ -79,12 +72,12 @@ func runSparse(w io.Writer, sc ExperimentScale) error {
 		}
 		rows = append(rows, cells)
 	}
-	_, err := fmt.Fprint(w, exp.FormatTable(header, rows))
+	_, err := fmt.Fprint(w, FormatTable(header, rows))
 	return err
 }
 
 func runFig5b(w io.Writer) error {
-	rows := exp.Fig5b(nil)
+	rows := Fig5b(nil)
 	table := [][]string{}
 	for _, r := range rows {
 		cells := []string{r.Name}
@@ -97,12 +90,12 @@ func runFig5b(w io.Writer) error {
 	for _, kb := range rows[0].SizesKB {
 		header = append(header, fmt.Sprintf("%dKB", kb))
 	}
-	_, err := fmt.Fprint(w, exp.FormatTable(header, table))
+	_, err := fmt.Fprint(w, FormatTable(header, table))
 	return err
 }
 
-func runFig6(w io.Writer, sc ExperimentScale) error {
-	for _, m := range exp.Fig6(sc.Workload) {
+func runFig6(w io.Writer, sc Scale) error {
+	for _, m := range Fig6(sc.Workload) {
 		if _, err := fmt.Fprintln(w, m.ASCII(24)); err != nil {
 			return err
 		}
@@ -110,8 +103,8 @@ func runFig6(w io.Writer, sc ExperimentScale) error {
 	return nil
 }
 
-func runFig7(w io.Writer, sc ExperimentScale) error {
-	res := exp.Fig7(sc.Workload)
+func runFig7(w io.Writer, sc Scale) error {
+	res := Fig7(sc.Workload)
 	rows := [][]string{}
 	for _, r := range res.Rows {
 		rows = append(rows, []string{r.Name, r.Suite.String(),
@@ -119,7 +112,7 @@ func runFig7(w io.Writer, sc ExperimentScale) error {
 			fmt.Sprintf("%.2fx/%4.1f%%", r.PerAlloc.Ratio, r.PerAlloc.BuddyFrac*100),
 			fmt.Sprintf("%.2fx/%4.1f%%", r.Final.Ratio, r.Final.BuddyFrac*100)})
 	}
-	fmt.Fprint(w, exp.FormatTable(
+	fmt.Fprint(w, FormatTable(
 		[]string{"Benchmark", "Suite", "Naive", "Per-Allocation", "Final (zero-page)"}, rows))
 	_, err := fmt.Fprintf(w,
 		"GMEAN  naive HPC %.2fx/%.1f%% DL %.2fx/%.1f%% | final HPC %.2fx/%.2f%% DL %.2fx/%.1f%% (paper: 1.57/8 1.18/32 | 1.9/0.08 1.5/4)\n",
@@ -128,8 +121,8 @@ func runFig7(w io.Writer, sc ExperimentScale) error {
 	return err
 }
 
-func runFig8(w io.Writer, sc ExperimentScale) error {
-	for _, r := range exp.Fig8(sc.Workload) {
+func runFig8(w io.Writer, sc Scale) error {
+	for _, r := range Fig8(sc.Workload) {
 		fmt.Fprintf(w, "%s (ratio %.2fx):", r.Name, r.Points[0].Ratio)
 		for _, p := range r.Points {
 			fmt.Fprintf(w, " %.3f", p.BuddyFrac)
@@ -139,8 +132,8 @@ func runFig8(w io.Writer, sc ExperimentScale) error {
 	return nil
 }
 
-func runFig9(w io.Writer, sc ExperimentScale) error {
-	rows := exp.Fig9(sc.Workload, nil)
+func runFig9(w io.Writer, sc Scale) error {
+	rows := Fig9(sc.Workload)
 	table := [][]string{}
 	for _, r := range rows {
 		cells := []string{r.Name}
@@ -155,12 +148,12 @@ func runFig9(w io.Writer, sc ExperimentScale) error {
 		header = append(header, fmt.Sprintf("BT=%.0f%%", th*100))
 	}
 	header = append(header, "Best")
-	_, err := fmt.Fprint(w, exp.FormatTable(header, table))
+	_, err := fmt.Fprint(w, FormatTable(header, table))
 	return err
 }
 
-func runFig10(w io.Writer, sc ExperimentScale) error {
-	res := exp.Fig10(sc.Workload, exp.ScaledSimConfig(sc.Sim))
+func runFig10(w io.Writer, sc Scale) error {
+	res := Fig10(sc.Workload, ScaledSimConfig(sc.Sim))
 	fmt.Fprintf(w, "correlation(log cycles, sim vs reference) = %.3f (paper 0.989 vs silicon)\n",
 		res.CorrelationLog)
 	fmt.Fprintf(w, "fast mode %.3fs vs detailed mode %.3fs: %.1fx faster (cycle agreement %.2f)\n",
@@ -173,8 +166,8 @@ func runFig10(w io.Writer, sc ExperimentScale) error {
 	return nil
 }
 
-func runFig11(w io.Writer, sc ExperimentScale) error {
-	res := exp.Fig11(sc.Workload, exp.ScaledSimConfig(sc.Sim), nil)
+func runFig11(w io.Writer, sc Scale) error {
+	res := Fig11(sc.Workload, ScaledSimConfig(sc.Sim))
 	table := [][]string{}
 	for _, r := range res.Rows {
 		cells := []string{r.Name, r.Suite.String(), fmt.Sprintf("%.3f", r.BWOnly)}
@@ -189,14 +182,14 @@ func runFig11(w io.Writer, sc ExperimentScale) error {
 		header = append(header, fmt.Sprintf("Buddy@%.0f", l))
 	}
 	header = append(header, "BuddyShare")
-	fmt.Fprint(w, exp.FormatTable(header, table))
+	fmt.Fprint(w, FormatTable(header, table))
 	_, err := fmt.Fprintf(w, "GMEAN bw-only %.3f (paper 1.055) | buddy@150 HPC %.3f DL %.3f (paper 0.99 / 0.978)\n",
 		res.GMeanBWOnly, res.GMeanHPC150, res.GMeanDL150)
 	return err
 }
 
 func runFig12(w io.Writer) error {
-	for _, r := range exp.Fig12() {
+	for _, r := range Fig12() {
 		fmt.Fprintf(w, "%-10s pinned=%.1fx  um:", r.Name, r.Pinned)
 		for _, p := range r.Points {
 			fmt.Fprintf(w, " %.0f%%=%.1fx", p.Oversubscription*100, p.RelativeRuntime)
@@ -207,7 +200,7 @@ func runFig12(w io.Writer) error {
 }
 
 func runFig13a(w io.Writer) error {
-	for _, r := range exp.Fig13a() {
+	for _, r := range Fig13a() {
 		fmt.Fprintf(w, "%-14s", r.Name)
 		for _, p := range r.Points {
 			fmt.Fprintf(w, " b%d=%.1fGB", p.Batch, float64(p.Footprint)/(1<<30))
@@ -218,7 +211,7 @@ func runFig13a(w io.Writer) error {
 }
 
 func runFig13b(w io.Writer) error {
-	for _, r := range exp.Fig13b() {
+	for _, r := range Fig13b() {
 		fmt.Fprintf(w, "%-14s", r.Name)
 		for _, p := range r.Points {
 			fmt.Fprintf(w, " b%d=%.2fx", p.Batch, p.Speedup)
@@ -229,26 +222,26 @@ func runFig13b(w io.Writer) error {
 }
 
 func runFig13c(w io.Writer) error {
-	res := exp.Fig13c()
+	res := Fig13c()
 	rows := [][]string{}
 	for _, r := range res.Rows {
 		rows = append(rows, []string{r.Name, fmt.Sprintf("%d", r.BaseBatch),
 			fmt.Sprintf("%d", r.CompressedBatch), fmt.Sprintf("%.2fx", r.Speedup)})
 	}
-	fmt.Fprint(w, exp.FormatTable([]string{"Network", "Batch@12GB", "Batch w/ Buddy", "Speedup"}, rows))
+	fmt.Fprint(w, FormatTable([]string{"Network", "Batch@12GB", "Batch w/ Buddy", "Speedup"}, rows))
 	_, err := fmt.Fprintf(w, "mean speedup %.2fx (paper ~1.14x; VGG16/BigLSTM highest)\n", res.Mean)
 	return err
 }
 
 func runFig13d(w io.Writer) error {
-	for _, r := range exp.Fig13d(exp.DefaultFig13dConfig()) {
+	for _, r := range Fig13d(DefaultFig13dConfig()) {
 		fmt.Fprintf(w, "batch %3d: final accuracy %.3f (jitter %.4f)\n", r.Batch, r.Final, r.Jitter)
 	}
 	return nil
 }
 
-func runReprofile(w io.Writer, sc ExperimentScale) error {
-	res, err := exp.Reprofile(sc.Workload)
+func runReprofile(w io.Writer, sc Scale) error {
+	res, err := Reprofile(sc.Workload)
 	if err != nil {
 		return err
 	}
@@ -270,15 +263,15 @@ func runReprofile(w io.Writer, sc ExperimentScale) error {
 			fmt.Sprintf("%.2fx", s.Ratio),
 		})
 	}
-	fmt.Fprint(w, exp.FormatTable(
+	fmt.Fprint(w, FormatTable(
 		[]string{"Snapshot", "Buddy(stale)", "Checkpoint action", "Buddy(after)", "Ratio"}, rows))
 	_, err = fmt.Fprintf(w, "%s: %d checkpoints reprofiled, %d KiB migrated (horizon %d accesses)\n",
 		res.Benchmark, applied, migrated>>10, res.Horizon)
 	return err
 }
 
-func runServe(w io.Writer, sc ExperimentScale) error {
-	res, err := exp.Serve(sc.Workload, sc.Shards)
+func runServe(w io.Writer, sc Scale) error {
+	res, err := Serve(sc.Workload)
 	if err != nil {
 		return err
 	}
@@ -292,7 +285,7 @@ func runServe(w io.Writer, sc ExperimentScale) error {
 			fmt.Sprintf("%.2fs", p.WallSeconds),
 		})
 	}
-	fmt.Fprint(w, exp.FormatTable(
+	fmt.Fprint(w, FormatTable(
 		[]string{"Shards", "Modeled GB/s", "Service cycles", "Meta hit", "Wall"}, rows))
 	fmt.Fprintf(w,
 		"%d clients (%d DL + %d HPC working sets), %.1f MiB served per configuration\n"+
@@ -308,8 +301,8 @@ func runServe(w io.Writer, sc ExperimentScale) error {
 	return err
 }
 
-func runHeal(w io.Writer, sc ExperimentScale) error {
-	res, err := exp.Heal(sc.Workload, sc.Shards)
+func runHeal(w io.Writer, sc Scale) error {
+	res, err := Heal(sc.Workload)
 	if err != nil {
 		return err
 	}
@@ -320,7 +313,7 @@ func runHeal(w io.Writer, sc ExperimentScale) error {
 		{"C: recovered", fmt.Sprintf("%.2f", res.RecoveredGBs),
 			fmt.Sprintf("%.0f%% of baseline", res.RecoveryRatio*100)},
 	}
-	fmt.Fprint(w, exp.FormatTable([]string{"Round", "Modeled GB/s", "Notes"}, rows))
+	fmt.Fprint(w, FormatTable([]string{"Round", "Modeled GB/s", "Notes"}, rows))
 	fmt.Fprintf(w,
 		"%d clients on %d shards; rebuild: %d entries, %d KiB over the buddy link in %s; lost bytes: %d\n",
 		res.Clients, res.Shards, res.RebuiltEntries, res.RebuiltBytes>>10, res.RecoveryWall, res.LostBytes)
@@ -330,8 +323,8 @@ func runHeal(w io.Writer, sc ExperimentScale) error {
 	return err
 }
 
-func runQoS(w io.Writer, sc ExperimentScale) error {
-	res, err := exp.QoS(sc.Workload, sc.Shards, sc.Tenants, sc.QoSSLOCycles)
+func runQoS(w io.Writer, sc Scale) error {
+	res, err := QoS(sc.Workload)
 	if err != nil {
 		return err
 	}
@@ -348,7 +341,7 @@ func runQoS(w io.Writer, sc ExperimentScale) error {
 			fmt.Sprintf("%d", ts.Rejected),
 		})
 	}
-	fmt.Fprint(w, exp.FormatTable(
+	fmt.Fprint(w, FormatTable(
 		[]string{"Tenant", "Prio", "Weight", "Served MiB", "p50 cyc", "p99 cyc", "Submitted", "Rejected"}, rows))
 	verdict := func(ok bool) string {
 		if ok {
@@ -361,18 +354,9 @@ func runQoS(w io.Writer, sc ExperimentScale) error {
 		res.SLOCycles, verdict(res.SLOMet), res.Bursts, res.BatchTenants)
 	fmt.Fprintf(w,
 		"heavy batch share %.3f vs entitled %.3f (weights %d:1, steady window %d MiB): %s\n",
-		res.HeavyShare, res.EntitledShare, exp.QoSHeavyWeight, res.BatchBytes>>20, verdict(res.ShareMet))
+		res.HeavyShare, res.EntitledShare, QoSHeavyWeight, res.BatchBytes>>20, verdict(res.ShareMet))
 	_, err = fmt.Fprintf(w,
 		"admission control: over-quota Malloc rejected typed=%v; %d shards, wall %.2fs\n",
 		res.QuotaRejected, res.Shards, res.WallSeconds)
 	return err
 }
-
-// SimConfig holds what a figure or ablation varies around the timing
-// model's fixed Tab. 2 machine: the trace length (OpsPerWarp), the buddy
-// link, the metadata-cache size per L2 slice and the (de)compression
-// latency.
-type SimConfig = gpusim.Config
-
-// DefaultSimConfig returns Tab. 2's values of the swept parameters.
-func DefaultSimConfig() SimConfig { return gpusim.DefaultConfig() }

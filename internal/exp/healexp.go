@@ -158,12 +158,9 @@ func healRound(p *pool.Pool, handles [][]*pool.Handle, data [][][]byte, retried 
 }
 
 // Heal runs the failure-recovery experiment: the serve client population
-// against shards shards (<= 1 selects the default 4), one of which is
-// killed mid-round. scale is the workload footprint divisor.
-func Heal(scale, shards int) (*HealResult, error) {
-	if shards <= 1 {
-		shards = 4
-	}
+// against serveShards shards, one of which is killed mid-round. scale is the
+// workload footprint divisor.
+func Heal(scale int) (*HealResult, error) {
 	codec := &healCountingCodec{inner: compress.NewBPC()}
 	clients, raw, err := buildServeClients(ServeClients, scale, codec)
 	if err != nil {
@@ -171,7 +168,7 @@ func Heal(scale, shards int) (*HealResult, error) {
 	}
 	fi := pool.NewFailureInjector()
 	recovered := make(chan pool.RecoveryStats, 1)
-	p, err := newFleet(shards, 2*raw, codec, pool.Config{
+	p, err := newFleet(serveShards, 2*raw, codec, pool.Config{
 		Injector:    fi,
 		AutoRecover: true,
 		OnRecover:   func(rs pool.RecoveryStats) { recovered <- rs },
@@ -198,7 +195,7 @@ func Heal(scale, shards int) (*HealResult, error) {
 			data[c] = append(data[c], cl.data[i])
 		}
 	}
-	res := &HealResult{Shards: shards, Clients: len(clients)}
+	res := &HealResult{Shards: serveShards, Clients: len(clients)}
 
 	// Round A: baseline.
 	var retried atomic.Int64
@@ -212,7 +209,7 @@ func Heal(scale, shards int) (*HealResult, error) {
 	// Round B: kill the busiest shard as soon as the round is in flight.
 	kill := 0
 	var most int64
-	for i := 0; i < shards; i++ {
+	for i := 0; i < serveShards; i++ {
 		if u := p.Device(i).DeviceUsed(); u > most {
 			most, kill = u, i
 		}
@@ -292,7 +289,7 @@ func Heal(scale, shards int) (*HealResult, error) {
 		}
 	}
 	if pick != nil {
-		dst := (kill + 1) % shards
+		dst := (kill + 1) % serveShards
 		p.ResetTraffic()
 		enc, dec := codec.encodes.Load(), codec.decodes.Load()
 		if err := p.MigrateHandle(pick, dst); err != nil {

@@ -9,7 +9,7 @@ import "testing"
 // symmetric migration accounting. Smoke scale keeps the test in CI budget;
 // the modeled metric is scale-free.
 func TestHealRecovery(t *testing.T) {
-	res, err := Heal(16384, 4)
+	res, err := Heal(16384)
 	if err != nil {
 		t.Fatal(err)
 	}

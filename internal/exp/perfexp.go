@@ -77,24 +77,19 @@ type Fig11Result struct {
 	GMeanBuddy  []float64
 	GMeanHPC150 float64
 	GMeanDL150  float64
-	idx150      int
 }
+
+// fig11Links are the buddy-link bandwidths in GB/s Fig. 11 sweeps; 150 is
+// NVLink2, the point the per-suite means quote.
+var fig11Links = []float64{50, 100, 150, 200}
 
 // Fig11 runs the performance study: bandwidth-only compression and Buddy
 // Compression across link bandwidths, each normalized to the uncompressed
 // ideal GPU at 150 GB/s.
-func Fig11(scale int, cfg gpusim.Config, links []float64) *Fig11Result {
-	if len(links) == 0 {
-		links = []float64{50, 100, 150, 200}
-	}
-	res := &Fig11Result{Links: links, idx150: -1}
-	for i, l := range links {
-		if l == 150 {
-			res.idx150 = i
-		}
-	}
+func Fig11(scale int, cfg gpusim.Config) *Fig11Result {
+	res := &Fig11Result{Links: fig11Links}
 	var allBW []float64
-	allBuddy := make([][]float64, len(links))
+	allBuddy := make([][]float64, len(fig11Links))
 	var hpc150, dl150 []float64
 
 	for _, b := range workloads.Table1() {
@@ -108,7 +103,7 @@ func Fig11(scale int, cfg gpusim.Config, links []float64) *Fig11Result {
 		base := gpusim.Run(b.Trace, ideal, gpusim.ModeIdeal, cfg)
 		bw := gpusim.Run(b.Trace, dm, gpusim.ModeBWOnly, cfg)
 		row := Fig11Row{Name: b.Name, Suite: b.Suite, BWOnly: base.Cycles / bw.Cycles}
-		for i, link := range links {
+		for i, link := range fig11Links {
 			r := gpusim.Run(b.Trace, dm, gpusim.ModeBuddy, cfg.WithLinkBandwidth(link))
 			rel := base.Cycles / r.Cycles
 			row.Buddy = append(row.Buddy, rel)

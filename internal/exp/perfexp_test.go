@@ -16,7 +16,7 @@ func TestFig11Shape(t *testing.T) {
 		t.Skip("full performance sweep")
 	}
 	skipFidelitySweepUnderRace(t)
-	res := Fig11(16384, perfTestConfig(), nil)
+	res := Fig11(16384, perfTestConfig())
 	byName := map[string]Fig11Row{}
 	for _, r := range res.Rows {
 		byName[r.Name] = r

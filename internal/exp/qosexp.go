@@ -38,21 +38,19 @@ import (
 // over-quota Malloc to show the typed rejection.
 
 const (
-	// QoSBatchTenants is the default batch tenant population; the cmds'
-	// -tenants flag overrides it.
+	// QoSBatchTenants is the batch tenant population.
 	QoSBatchTenants = 2
 
 	// QoSHeavyWeight is the heavy batch tenant's DRR weight (the rest
 	// weigh 1).
 	QoSHeavyWeight = 3
 
-	// QoSDefaultSLOCycles is the default p99 SLO bound for the latency
-	// tenant, in modeled device+link cycles; the cmds' -qos flag
-	// overrides it. A latency burst itself costs ~52 cycles at 2x (16 KiB of
-	// 90 %-zero fp16 charges 8 KB to the device and 4.6 KB to the link) and a
-	// 64 KiB batch chunk ~175 — the bound is dominated by the batch runs the
-	// burst may queue behind.
-	QoSDefaultSLOCycles = 4000
+	// QoSSLOCycles is the p99 SLO bound for the latency tenant, in
+	// modeled device+link cycles. A latency burst itself costs ~52 cycles
+	// at 2x (16 KiB of 90 %-zero fp16 charges 8 KB to the device and 4.6 KB
+	// to the link) and a 64 KiB batch chunk ~175 — the bound is dominated by
+	// the batch runs the burst may queue behind.
+	QoSSLOCycles = 4000
 
 	// qosBatchChunk is the batch streams' submit granularity and
 	// qosLatBurst the latency tenant's closed-loop burst, submitted as
@@ -100,12 +98,12 @@ type QoSResult struct {
 	WallSeconds float64
 }
 
-// qosTenantConfigs builds the experiment's tenant set: nBatch batch
-// tenants in class 0 (batch0 heavy) and one latency tenant in class 1
+// qosTenantConfigs builds the experiment's tenant set: QoSBatchTenants
+// batch tenants in class 0 (batch0 heavy) and one latency tenant in class 1
 // with a quota covering exactly its regions.
-func qosTenantConfigs(nBatch, shards int, latRegion int64) map[string]pool.TenantConfig {
-	cfgs := make(map[string]pool.TenantConfig, nBatch+1)
-	for i := 0; i < nBatch; i++ {
+func qosTenantConfigs(latRegion int64) map[string]pool.TenantConfig {
+	cfgs := make(map[string]pool.TenantConfig, QoSBatchTenants+1)
+	for i := 0; i < QoSBatchTenants; i++ {
 		w := 1
 		if i == 0 {
 			w = QoSHeavyWeight
@@ -115,77 +113,64 @@ func qosTenantConfigs(nBatch, shards int, latRegion int64) map[string]pool.Tenan
 	perRegion := ((latRegion + core.EntryBytes - 1) / core.EntryBytes) * int64(core.Target2x.DeviceBytes())
 	cfgs["latency"] = pool.TenantConfig{
 		Priority:      1,
-		CapacityBytes: int64(shards) * perRegion,
+		CapacityBytes: int64(serveShards) * perRegion,
 	}
 	return cfgs
 }
 
-// QoS runs the tenant-aware serving experiment. scale is the footprint
-// divisor (larger = smaller batch demand floor), shards the pool width
-// (<= 0 selects 4), nBatch the batch tenant count (<= 0 selects
-// QoSBatchTenants) and sloCycles the latency p99 bound (<= 0 selects
-// QoSDefaultSLOCycles).
-func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
-	if shards <= 0 {
-		shards = 4
-	}
-	if nBatch <= 0 {
-		nBatch = QoSBatchTenants
-	}
-	if sloCycles <= 0 {
-		sloCycles = QoSDefaultSLOCycles
-	}
-	if scale <= 0 {
-		scale = 1024
-	}
+// QoS runs the tenant-aware serving experiment: QoSBatchTenants batch
+// tenants and one latency tenant held to QoSSLOCycles, on serveShards
+// shards. scale is the footprint divisor (larger = smaller batch demand
+// floor).
+func QoS(scale int) (*QoSResult, error) {
 	// Each batch tenant streams batchBytes split evenly across the
 	// shards; the latency tenant keeps one small region per shard.
 	batchBytes := int64(12 << 20)
 	if flo := int64(2<<30) / int64(scale); flo > batchBytes {
 		batchBytes = flo
 	}
-	wbShard := batchBytes / int64(shards) / qosBatchChunk * qosBatchChunk
+	wbShard := batchBytes / int64(serveShards) / qosBatchChunk * qosBatchChunk
 	if wbShard < qosBatchChunk {
 		wbShard = qosBatchChunk
 	}
-	batchBytes = wbShard * int64(shards)
+	batchBytes = wbShard * int64(serveShards)
 	const latRegion = int64(64 << 10)
 
 	// Per-shard device capacity: every tenant's per-shard reservation at
 	// 2x, doubled for slack.
-	devPerShard := (wbShard*int64(nBatch)/2 + latRegion) * 2
+	devPerShard := (wbShard*int64(QoSBatchTenants)/2 + latRegion) * 2
 	// Rings deep enough to hold each batch stream's entire pre-submitted
 	// demand: the contention the scheduler arbitrates is a standing
 	// backlog, not a refill race between submitter goroutines and
 	// workers (on a small host the latter turns fair shares into
 	// lone-ring ping-pong).
 	depth := qosLaps * int(wbShard/qosBatchChunk)
-	p, err := newFleet(shards, devPerShard*int64(shards), nil, pool.Config{
+	p, err := newFleet(serveShards, devPerShard*int64(serveShards), nil, pool.Config{
 		Placement:  pool.RoundRobin(),
 		QueueDepth: depth,
-		Tenants:    qosTenantConfigs(nBatch, shards, latRegion),
+		Tenants:    qosTenantConfigs(latRegion),
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
 
-	// One region per shard per tenant: shards consecutive round-robin
-	// Mallocs land on shards distinct shards.
+	// One region per shard per tenant: serveShards consecutive round-robin
+	// Mallocs land on serveShards distinct shards.
 	rng := gen.NewRNG(11, 1)
 	batchData := make([]byte, wbShard)
 	(gen.SparseFP16{ZeroFrac: 0.9}).Fill(batchData, rng)
 	latData := make([]byte, latRegion)
 	(gen.SparseFP16{ZeroFrac: 0.9}).Fill(latData, rng)
 
-	doors := make([]*pool.Tenant, nBatch)
-	regions := make([][]*pool.Handle, nBatch)
-	for i := 0; i < nBatch; i++ {
+	doors := make([]*pool.Tenant, QoSBatchTenants)
+	regions := make([][]*pool.Handle, QoSBatchTenants)
+	for i := 0; i < QoSBatchTenants; i++ {
 		if doors[i], err = p.Tenant(fmt.Sprintf("batch%d", i)); err != nil {
 			return nil, err
 		}
-		regions[i] = make([]*pool.Handle, shards)
-		for s := 0; s < shards; s++ {
+		regions[i] = make([]*pool.Handle, serveShards)
+		for s := 0; s < serveShards; s++ {
 			if regions[i][s], err = doors[i].Malloc(fmt.Sprintf("b%d/r%d", i, s), wbShard, core.Target2x); err != nil {
 				return nil, err
 			}
@@ -195,8 +180,8 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	latRegions := make([]*pool.Handle, shards)
-	for s := 0; s < shards; s++ {
+	latRegions := make([]*pool.Handle, serveShards)
+	for s := 0; s < serveShards; s++ {
 		if latRegions[s], err = latDoor.Malloc(fmt.Sprintf("lat/r%d", s), latRegion, core.Target2x); err != nil {
 			return nil, err
 		}
@@ -212,10 +197,10 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 
 	start := time.Now()
 	res := &QoSResult{
-		Shards:        shards,
-		BatchTenants:  nBatch,
-		SLOCycles:     sloCycles,
-		EntitledShare: float64(QoSHeavyWeight) / float64(QoSHeavyWeight+nBatch-1),
+		Shards:        serveShards,
+		BatchTenants:  QoSBatchTenants,
+		SLOCycles:     QoSSLOCycles,
+		EntitledShare: float64(QoSHeavyWeight) / float64(QoSHeavyWeight+QoSBatchTenants-1),
 		QuotaRejected: quotaRejected,
 		BatchBytes:    batchBytes,
 	}
@@ -233,8 +218,8 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	batchExit := make(chan struct{})
 	go func() {
 		defer close(batchExit)
-		batchErr = fanOut(nBatch*shards, func(k int) error {
-			i, s := k/shards, k%shards
+		batchErr = fanOut(QoSBatchTenants*serveShards, func(k int) error {
+			i, s := k/serveShards, k%serveShards
 			h := regions[i][s]
 			futs := make([]*pool.Future, 0, chunksPerStream)
 			var off int64
@@ -266,7 +251,7 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 				return
 			default:
 			}
-			h := latRegions[bursts%shards]
+			h := latRegions[bursts%serveShards]
 			for k := range futs {
 				futs[k] = p.SubmitWrite(h, latData[:qosLatChunk], int64(k*qosLatChunk))
 			}
@@ -300,8 +285,8 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 		}
 		return true
 	}
-	base := make([]uint64, nBatch)
-	if poll(func() bool { return int(queued.Load()) == nBatch*shards }) {
+	base := make([]uint64, QoSBatchTenants)
+	if poll(func() bool { return int(queued.Load()) == QoSBatchTenants*serveShards }) {
 		for k, d := range doors {
 			base[k] = d.Stats().ServedBytes
 		}
@@ -329,7 +314,7 @@ func QoS(scale, shards, nBatch int, sloCycles float64) (*QoSResult, error) {
 	st := p.Stats()
 	res.Tenants = st.Tenants
 	lat := latDoor.Stats()
-	res.SLOMet = lat.Latency.P99 <= sloCycles
+	res.SLOMet = lat.Latency.P99 <= QoSSLOCycles
 	res.ShareMet = res.HeavyShare >= 0.9*res.EntitledShare
 	return res, nil
 }

@@ -9,15 +9,15 @@ import "testing"
 // batch served bytes (plain round-robin would give it 1/n and fail), and
 // the over-quota probe is refused with the typed error.
 func TestQoSIsolationAndShares(t *testing.T) {
-	res, err := QoS(16384, 4, 2, 0)
+	res, err := QoS(16384)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Shards != 4 || res.BatchTenants != QoSBatchTenants {
 		t.Fatalf("ran %d shards, %d batch tenants; want 4, %d", res.Shards, res.BatchTenants, QoSBatchTenants)
 	}
-	if res.SLOCycles != QoSDefaultSLOCycles {
-		t.Fatalf("SLO = %.0f, want default %.0f", res.SLOCycles, float64(QoSDefaultSLOCycles))
+	if res.SLOCycles != QoSSLOCycles {
+		t.Fatalf("SLO = %.0f, want %.0f", res.SLOCycles, float64(QoSSLOCycles))
 	}
 	if !res.QuotaRejected {
 		t.Error("over-quota probe was not refused with ErrQuotaExceeded")

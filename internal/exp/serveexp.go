@@ -34,6 +34,9 @@ import (
 // ServeClients is the concurrent client population of the experiment.
 const ServeClients = 8
 
+// serveShards is the pool width of the serve, heal and qos experiments.
+const serveShards = 4
+
 // serveBenchmarks is the mixed DL+HPC population the clients cycle
 // through: four DL and four HPC working sets of distinct compressibility.
 var serveBenchmarks = []string{
@@ -283,12 +286,8 @@ func serveChunkedPool(p *pool.Pool, clients []serveClient) (int64, error) {
 
 // Serve runs the sharded-serving experiment: ServeClients concurrent
 // clients streaming mixed DL+HPC working sets, once against 1 shard and
-// once against shards shards, at equal total device capacity. shards <= 0
-// selects the default 4; an explicit 1 runs the baseline alone.
-func Serve(scale, shards int) (*ServeResult, error) {
-	if shards <= 0 {
-		shards = 4
-	}
+// once against serveShards shards, at equal total device capacity.
+func Serve(scale int) (*ServeResult, error) {
 	codec := compress.NewBPC()
 	clients, raw, err := buildServeClients(ServeClients, scale, codec)
 	if err != nil {
@@ -303,11 +302,7 @@ func Serve(scale, shards int) (*ServeResult, error) {
 		Clients:    ServeClients,
 		Benchmarks: serveBenchmarks,
 	}
-	widths := []int{1, shards}
-	if shards == 1 {
-		widths = widths[:1]
-	}
-	for _, width := range widths {
+	for _, width := range []int{1, serveShards} {
 		p, err := newFleet(width, totalDevice, codec, pool.Config{})
 		if err != nil {
 			return nil, err
@@ -343,8 +338,7 @@ func Serve(scale, shards int) (*ServeResult, error) {
 	// configuration, but the clients submit in 4 KiB pieces. This is the
 	// client shape the workers' run coalescing serves; the telemetry reports
 	// how much of the submitted traffic it captured.
-	width := widths[len(widths)-1]
-	p, err := newFleet(width, totalDevice, codec, pool.Config{})
+	p, err := newFleet(serveShards, totalDevice, codec, pool.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +354,7 @@ func Serve(scale, shards int) (*ServeResult, error) {
 	}
 	res.Chunked = &ServeChunked{
 		ChunkBytes:    serveChunkBytes,
-		Shards:        width,
+		Shards:        serveShards,
 		WallSeconds:   wall.Seconds(),
 		WallGBs:       float64(payload) / wall.Seconds() / 1e9,
 		Submitted:     st.Async.Submitted,

@@ -9,7 +9,7 @@ import "testing"
 // modeled metric is scale-free (per-entry traffic over per-entry service
 // time), so the ratio holds at reference fidelity too.
 func TestServeShardedThroughput(t *testing.T) {
-	res, err := Serve(16384, 4)
+	res, err := Serve(16384)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,25 +48,5 @@ func TestServeShardedThroughput(t *testing.T) {
 	if c.Inline != 0 {
 		t.Fatalf("%d of %d 4 KiB submits were served in place; they are above the in-place threshold and must queue",
 			c.Inline, c.Submitted)
-	}
-}
-
-// TestServeWidthSelection covers the shards<=0 fallback the cmds rely on
-// and the explicit width-1 baseline-only run.
-func TestServeWidthSelection(t *testing.T) {
-	res, err := Serve(16384, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Points[len(res.Points)-1].Shards; got != 4 {
-		t.Fatalf("default width = %d, want 4", got)
-	}
-	one, err := Serve(16384, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one.Points) != 1 || one.Points[0].Shards != 1 || one.Speedup != 1 {
-		t.Fatalf("explicit width 1: points=%+v speedup=%v, want the baseline alone",
-			one.Points, one.Speedup)
 	}
 }

@@ -98,9 +98,9 @@ type machine struct {
 	cfg    Config
 	mode   Mode
 	dm     *DataModel
-	l1     []*cache.Cache // per SM
-	l2     []*cache.Cache // per slice
-	meta   []*cache.Cache // per slice (Buddy mode)
+	l1     []*cache.Cache      // per SM
+	l2     []*cache.Cache      // per slice
+	meta   *core.MetadataCache // sliced like the L2 (Buddy mode)
 	mem    *dram.HBM2
 	link   *nvlink.Link
 	smBusy []float64 // per-SM issue-slot occupancy (1 instruction/cycle)
@@ -118,10 +118,7 @@ func newMachine(cfg Config, mode Mode, dm *DataModel) *machine {
 		m.l2[i] = cache.New(L2Bytes/L2Slices, L2Ways, 128)
 	}
 	if mode == ModeBuddy {
-		m.meta = make([]*cache.Cache, L2Slices)
-		for i := range m.meta {
-			m.meta[i] = cache.New(cfg.MetaCacheBytesPerSlice, MetaCacheWays, core.MetadataLineBytes)
-		}
+		m.meta = core.NewMetadataCache(L2Slices*cfg.MetaCacheBytesPerSlice, L2Slices, MetaCacheWays)
 	}
 	m.mem = dram.New()
 	m.link = nvlink.New(cfg.Link)
@@ -158,21 +155,19 @@ func (m *machine) l2SliceAccess(line uint64) bool {
 
 // metaAccess models the metadata-cache lookup for the entry at addr; it
 // returns the completion time of the metadata fetch (issue time on a hit).
-// Metadata lines are interleaved across slices by their own line address —
-// the same hashing as regular physical interleaving (§3.2) — so one line's
-// 64 entries always consult the same slice.
+// core.MetadataCache interleaves metadata lines across the L2Slices slices
+// by their own line address — the same hashing as regular physical
+// interleaving (§3.2) — so one line's 64 entries always consult the same
+// slice.
 func (m *machine) metaAccess(now float64, addr uint64) float64 {
-	metaAddr := addr >> 7 * core.MetadataBitsPerEntry / 8
-	metaLine := metaAddr / core.MetadataLineBytes
-	slice := int(metaLine % uint64(len(m.meta)))
-	local := metaLine / uint64(len(m.meta)) * core.MetadataLineBytes
-	if m.meta[slice].Access(local) {
+	entry := addr >> 7
+	if m.meta.Access(int(entry)) {
 		m.result.MetaHits++
 		return now
 	}
 	m.result.MetaMisses++
 	m.result.DRAMBytes += core.MetadataLineBytes
-	return m.mem.Request(now, metaAddr, core.MetadataLineBytes)
+	return m.mem.Request(now, entry*core.MetadataBitsPerEntry/8, core.MetadataLineBytes)
 }
 
 // accessBytes splits access a to an entry compressed to sectors under target

@@ -145,8 +145,11 @@ func coalescible(prev, next *Future) bool {
 // worker drains one shard's scheduler. Each dequeue hands it a window of
 // operations from a single tenant's ring (the scheduler's priority/DRR
 // choice), and the window is executed as maximal coalescible runs, in that
-// ring's FIFO order — per-tenant ordering is preserved exactly; coalescing
-// never reorders and never crosses tenants.
+// ring's FIFO order: coalescing never reorders and never crosses tenants.
+// With one worker per shard that makes each submitter's operations take
+// effect in submission order. A second worker on the shard may run the
+// ring's next window while this one is still running, so with Workers > 1
+// the order holds within a window only, and per-submitter FIFO is given up.
 //
 //buddy:hotpath
 func (p *Pool) worker(shard int) {

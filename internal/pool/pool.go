@@ -46,7 +46,9 @@ type Config struct {
 	// Workers is the number of worker goroutines draining each shard's
 	// queue. Default: GOMAXPROCS spread across the shards, at least one
 	// per shard. Each worker's bulk operations additionally fan out
-	// over idle cores (par.Run).
+	// over idle cores (par.Run). One worker keeps a shard FIFO per
+	// submitter (last write wins per offset); with more, workers run
+	// windows of the same ring concurrently and that order is given up.
 	Workers int
 	// Injector, when non-nil, is attached to the pool: its Kill(shard)
 	// marks that shard's device tier failed mid-serve (the fault-injection
@@ -63,12 +65,8 @@ type Config struct {
 	// RebalanceInterval enables the rebalancer watcher: every interval the
 	// supervisor scans per-shard pressure (device occupancy + link busy
 	// cycles) and live-migrates an allocation off the most saturated shard
-	// when the skew exceeds RebalanceSkew. Zero disables rebalancing.
+	// when the skew reaches rebalanceSkew (0.5). Zero disables rebalancing.
 	RebalanceInterval time.Duration
-	// RebalanceSkew is the normalized pressure gap (0..2 scale: occupancy
-	// fraction plus normalized link-busy delta) between the hottest and
-	// coldest shard that triggers a migration. Default 0.5.
-	RebalanceSkew float64
 	// Tenants declares the pool's named tenants: capacity quota, scheduling
 	// weight and priority class per name (see TenantConfig). The default
 	// tenant always exists and owns untenanted traffic; an entry named
@@ -156,9 +154,6 @@ func New(devices []*core.Device, cfg Config) (*Pool, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = defaultQueueDepth
 	}
-	if cfg.RebalanceSkew <= 0 {
-		cfg.RebalanceSkew = defaultRebalanceSkew
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = (runtime.GOMAXPROCS(0) + len(devices) - 1) / len(devices)
@@ -187,7 +182,7 @@ func New(devices []*core.Device, cfg Config) (*Pool, error) {
 	}
 	if cfg.AutoRecover || cfg.RebalanceInterval > 0 {
 		p.failures = make(chan int, len(devices))
-		p.rebal = newRebalancer(len(devices), cfg.RebalanceSkew)
+		p.rebal = newRebalancer(len(devices))
 		p.maintWG.Add(1)
 		go p.maintain()
 	}

@@ -10,12 +10,12 @@ import "time"
 // OnRecover callback included — is recovered and the loop re-enters, so
 // one bad tick can never silently kill the pool's self-healing.
 
-// defaultRebalanceSkew is the pressure gap between the hottest and coldest
-// shard that triggers a migration. Pressure is device occupancy fraction
+// rebalanceSkew is the pressure gap between the hottest and coldest shard
+// that triggers a migration. Pressure is device occupancy fraction
 // (0..1) plus the shard's share of the fleet's recent link-busy growth
 // (0..1), so 0.5 means "half a device of imbalance, or a strongly lopsided
 // link, or some of both".
-const defaultRebalanceSkew = 0.5
+const rebalanceSkew = 0.5
 
 // rebalanceEWMA smooths each shard's busy share across scans: a single
 // scan window is short enough that whichever shard happened to serve the
@@ -35,7 +35,6 @@ const rebalanceStreak = 3
 // (rebalanceScan) is allocation-free — it runs forever on a ticker inside
 // serving processes, pinned by BenchmarkRebalanceScan.
 type rebalancer struct {
-	skew      float64
 	score     []float64 // per-shard pressure scratch
 	busy      []float64 // last link busy-cycle snapshot, per shard
 	share     []float64 // EWMA-smoothed busy share, per shard
@@ -43,9 +42,8 @@ type rebalancer struct {
 	streak    int       // consecutive scans electing candidate
 }
 
-func newRebalancer(shards int, skew float64) *rebalancer {
+func newRebalancer(shards int) *rebalancer {
 	return &rebalancer{
-		skew:      skew,
 		score:     make([]float64, shards),
 		busy:      make([]float64, shards),
 		share:     make([]float64, shards),
@@ -143,7 +141,7 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 			dst = i
 		}
 	}
-	if src < 0 || src == dst || rb.score[src]-rb.score[dst] < rb.skew {
+	if src < 0 || src == dst || rb.score[src]-rb.score[dst] < rebalanceSkew {
 		return 0, 0, false
 	}
 	return src, dst, true

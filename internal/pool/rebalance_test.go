@@ -42,7 +42,7 @@ func TestRebalanceScanZeroAlloc(t *testing.T) {
 }
 
 // TestRebalancerMovesHotAllocation drives the watcher end to end: all load
-// lands on shard 0, the skew crosses the threshold, and the supervisor
+// lands on shard 0, the skew reaches the threshold, and the supervisor
 // live-migrates an allocation to the idle shard without anyone asking.
 func TestRebalancerMovesHotAllocation(t *testing.T) {
 	devices := []*core.Device{
@@ -52,7 +52,6 @@ func TestRebalancerMovesHotAllocation(t *testing.T) {
 	p, err := New(devices, Config{
 		Placement:         Explicit(0),
 		RebalanceInterval: 2 * time.Millisecond,
-		RebalanceSkew:     0.3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -144,12 +144,11 @@ func WithAutoRecover(onRecover func(RecoveryStats)) Option {
 // WithRebalance enables the pool's rebalancer watcher: every interval the
 // supervisor scans per-shard pressure (device occupancy plus link busy
 // cycles) and live-migrates an allocation off the most saturated shard when
-// the hottest-to-coldest skew exceeds the threshold (0 selects the default
-// 0.5). Ignored by New.
-func WithRebalance(interval time.Duration, skew float64) Option {
+// the hottest-to-coldest pressure skew reaches 0.5 (half a device of
+// imbalance, a strongly lopsided link, or some of both). Ignored by New.
+func WithRebalance(interval time.Duration) Option {
 	return func(cfg *config) {
 		cfg.pool.RebalanceInterval = interval
-		cfg.pool.RebalanceSkew = skew
 	}
 }
 

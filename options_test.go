@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"buddy/internal/exp"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -258,11 +260,11 @@ func TestAllocationIsReaderWriterAt(t *testing.T) {
 // TestExperimentRegistry checks the static experiment table: the paper's
 // twenty experiments in paper order, each with a description and a run
 // function, names unique case-insensitively (a literal table can repeat a
-// name silently), and ExperimentRegistry handing out a copy.
+// name silently), and exp.Experiments handing out a copy.
 func TestExperimentRegistry(t *testing.T) {
 	paperOrder := []string{"tab1", "tab2", "fig3", "sparse", "fig5b", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig13d", "reprofile", "serve", "heal", "qos"}
-	reg := ExperimentRegistry()
+	reg := exp.Experiments()
 	if len(reg) != len(paperOrder) {
 		t.Fatalf("experiments = %d, want %d", len(reg), len(paperOrder))
 	}
@@ -283,45 +285,15 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("experiment %s has no run function", e.Name)
 		}
 	}
-	reg[0] = Experiment{}
-	if ExperimentRegistry()[0].Name != "tab1" {
-		t.Error("ExperimentRegistry returned the table itself")
+	reg[0] = exp.Experiment{}
+	if exp.Experiments()[0].Name != "tab1" {
+		t.Error("exp.Experiments returned the table itself")
 	}
 	var sb strings.Builder
-	if err := RunExperiment(&sb, "TAB1", QuickScale()); err != nil {
+	if err := exp.Run(&sb, "TAB1", exp.Quick); err != nil {
 		t.Fatalf("names should match case-insensitively: %v", err)
 	}
 	if sb.Len() == 0 {
 		t.Error("tab1 produced no output")
-	}
-}
-
-// TestRunExperimentScaleDefaults runs a probe through RunExperiment: each
-// zero field of the caller's scale takes its DefaultScale value and every set
-// field reaches the experiment as given.
-func TestRunExperimentScaleDefaults(t *testing.T) {
-	var got ExperimentScale
-	saved := experiments
-	experiments = []Experiment{{Name: "probe", Description: "records its scale", Run: func(_ io.Writer, sc ExperimentScale) error {
-		got = sc
-		return nil
-	}}}
-	t.Cleanup(func() { experiments = saved })
-	def := DefaultScale()
-	for _, tc := range []struct{ in, want ExperimentScale }{
-		{ExperimentScale{}, def},
-		{ExperimentScale{Shards: 8}, ExperimentScale{Workload: def.Workload, Sim: def.Sim, Shards: 8}},
-		{ExperimentScale{Tenants: 3, QoSSLOCycles: 900}, ExperimentScale{Workload: def.Workload, Sim: def.Sim, Tenants: 3, QoSSLOCycles: 900}},
-		{ExperimentScale{Workload: 16384}, ExperimentScale{Workload: 16384, Sim: def.Sim}},
-		{ExperimentScale{Sim: 0.2}, ExperimentScale{Workload: def.Workload, Sim: 0.2}},
-		{QuickScale(), QuickScale()},
-	} {
-		got = ExperimentScale{}
-		if err := RunExperiment(io.Discard, "probe", tc.in); err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
-			t.Errorf("RunExperiment(%+v) ran the experiment at %+v, want %+v", tc.in, got, tc.want)
-		}
 	}
 }
