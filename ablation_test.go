@@ -116,19 +116,30 @@ func BenchmarkAblationBuddyThresholdExtremes(b *testing.B) {
 
 // BenchmarkAblationReprofile measures the checkpoint-time re-profiling
 // extension (§3.4) on the drifting 355.seismic: the plan's migration cost
-// versus the buddy-access reduction it buys.
+// versus the buddy-access reduction it buys, planned live from a device
+// loaded at the first dump's targets and holding the last dump's data.
 func BenchmarkAblationReprofile(b *testing.B) {
 	bench, err := workloads.ByName("355.seismic")
 	if err != nil {
 		b.Fatal(err)
 	}
-	early := []*memory.Snapshot{workloads.GenerateSnapshot(bench, 0, 16384)}
-	late := []*memory.Snapshot{workloads.GenerateSnapshot(bench, 9, 16384)}
-	bpc := compress.NewBPC()
-	initial := core.Profile(early, bpc, core.FinalDesign())
+	early := workloads.GenerateSnapshot(bench, 0, 16384)
+	late := workloads.GenerateSnapshot(bench, 9, 16384)
+	initial := core.Profile([]*memory.Snapshot{early}, compress.NewBPC(), core.FinalDesign())
+	dev := New(WithDeviceBytes(2 * int64(early.TotalBytes())))
+	allocs, err := LoadSnapshot(dev, early, initial.Targets())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, a := range allocs {
+		if _, err := a.WriteAt(late.Find(a.Name).Data, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
 	var plan *core.ReprofilePlan
 	for i := 0; i < b.N; i++ {
-		plan = core.PlanReprofile(initial.Targets(), late, bpc, core.FinalDesign())
+		plan = core.PlanReprofile(allocs, core.FinalDesign())
 	}
 	b.ReportMetric(plan.BuddyFracBefore*100, "staleBuddy%")
 	b.ReportMetric(plan.BuddyFracAfter*100, "freshBuddy%")

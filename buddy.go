@@ -215,8 +215,8 @@ var ErrOutOfMemory = core.ErrOutOfMemory
 
 // ReprofilePlan is a checkpoint-time target-update plan (§3.4 extension):
 // which allocations should change ratio, what that buys, and what the
-// migration costs. Compute one with PlanReprofile and execute it on a live
-// device with Device.ApplyReprofile.
+// migration costs. Compute one with PlanReprofile and execute it on the live
+// device with Device.ApplyReprofile (or on a pool with Pool.ApplyReprofile).
 type ReprofilePlan = core.ReprofilePlan
 
 // ReprofileHorizon is the access horizon a checkpoint amortizes a plan's
@@ -229,12 +229,12 @@ type ReprofileDecision = core.ReprofileDecision
 // MigrationStats reports what Device.ApplyReprofile actually did.
 type MigrationStats = core.MigrationStats
 
-// PlanReprofile computes a checkpoint-time target update from fresh
-// profiling snapshots: current maps allocation names to the targets in
-// force (missing names default to 1x). Gate on
-// plan.Worthwhile(ReprofileHorizon) before applying.
-func PlanReprofile(current map[string]TargetRatio, snaps []*Snapshot, c Codec, opt ProfileOptions) *ReprofilePlan {
-	return core.PlanReprofile(current, snaps, c, opt)
+// PlanReprofile computes a checkpoint-time target update for live
+// allocations — a device's (Device.Allocations) or a pool's (each
+// Handle.Alloc) — from their own 4-bit metadata, against the targets they
+// are at. Gate on plan.Worthwhile(ReprofileHorizon) before applying.
+func PlanReprofile(allocs []*Allocation, opt ProfileOptions) *ReprofilePlan {
+	return core.PlanReprofile(allocs, opt)
 }
 
 // Codec is the single-pass, allocation-free compression API: one

@@ -165,7 +165,7 @@ func TestLifecycleFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan := PlanReprofile(targets, []*Snapshot{last}, NewBPC(), FinalDesign())
+	plan := PlanReprofile(dev.Allocations(), FinalDesign())
 	if len(plan.Decisions) == 0 {
 		t.Fatal("drifting workload should produce reprofile decisions")
 	}

@@ -21,8 +21,12 @@ func main() {
 	expName := flag.String("exp", "", "experiment id (see -list; or 'all')")
 	quick := flag.Bool("quick", false, "run at smoke fidelity (seconds instead of minutes)")
 	list := flag.Bool("list", false, "list the experiments")
-	scale := flag.Int("scale", 0, "override workload footprint divisor")
+	scale := flag.Int("scale", 0, "override workload footprint divisor (0: the preset's)")
 	flag.Parse()
+	if err := checkFlags(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "buddysim:", err)
+		os.Exit(2)
+	}
 
 	if *list || *expName == "" {
 		fmt.Println("experiments:")
@@ -45,4 +49,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "buddysim:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects a negative footprint divisor; 0 keeps the preset's.
+func checkFlags(scale int) error {
+	if scale < 0 {
+		return fmt.Errorf("-scale %d is negative", scale)
+	}
+	return nil
 }

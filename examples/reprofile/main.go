@@ -46,9 +46,10 @@ func main() {
 				}
 			}
 		}
-		// Re-plan from the device's own target map: it is the ground truth
-		// even when an earlier plan was only partially applied.
-		plan := buddy.PlanReprofile(dev.Targets(), snaps[t:t+1], buddy.NewBPC(), buddy.FinalDesign())
+		// Re-plan from the device itself: each allocation's metadata is its
+		// profile and its target the one in force, even when an earlier plan
+		// was only partially applied.
+		plan := buddy.PlanReprofile(dev.Allocations(), buddy.FinalDesign())
 		if len(plan.Decisions) == 0 || !plan.Worthwhile(buddy.ReprofileHorizon) {
 			fmt.Printf("checkpoint %d: targets still good (predicted buddy %.1f%%)\n",
 				t, plan.BuddyFracBefore*100)
@@ -59,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, dec := range plan.Decisions {
-			fmt.Printf("checkpoint %d: %-12s %s -> %s\n", t, dec.Name, dec.Old, dec.New)
+			fmt.Printf("checkpoint %d: %-12s %s -> %s\n", t, dec.Alloc.Name, dec.Old, dec.New)
 		}
 		fmt.Printf("checkpoint %d: migrated %d KiB live, buddy accesses %.1f%% -> %.1f%%, ratio %.2fx\n",
 			t, st.MigratedBytes>>10, plan.BuddyFracBefore*100, plan.BuddyFracAfter*100,

@@ -63,15 +63,6 @@ func (a *AllocIndex) SectorClass(i int) int { return int(a.class[i] & classMask)
 // profiler consumes (§3.4 "histogram of the static memory snapshots").
 func (a *AllocIndex) SectorHistogram() [5]int { return a.hist }
 
-// ZeroPageFrac is the fraction of entries in the zero-page sector class
-// (class 0) — the 16x-eligibility statistic of §3.4.
-func (a *AllocIndex) ZeroPageFrac() float64 {
-	if len(a.class) == 0 {
-		return 0
-	}
-	return float64(a.hist[0]) / float64(len(a.class))
-}
-
 // Index is one snapshot's sector-class index under one codec.
 type Index struct {
 	// Codec names the algorithm the index was built with.

@@ -107,8 +107,8 @@ func TestIndexCachedAggregates(t *testing.T) {
 	}
 	if zeros := x.Allocs[0]; zeros.Name != "zeros" {
 		t.Errorf("first allocation %q, want the zeros generator's", zeros.Name)
-	} else if zf := zeros.ZeroPageFrac(); zf != 1 {
-		t.Errorf("all-zero allocation zero-page fraction = %.2f, want 1", zf)
+	} else if z := zeros.SectorHistogram()[0]; z != zeros.Entries() {
+		t.Errorf("all-zero allocation has %d of %d entries in the zero-page class", z, zeros.Entries())
 	}
 }
 

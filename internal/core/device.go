@@ -138,6 +138,9 @@ type Device struct {
 	codec    compress.Codec
 	overflow Backend
 	mcache   *MetadataCache
+	// zeroClass is the codec's sector class of the all-zero entry: how a
+	// never-written entry, which reads as zeros, profiles (ClassHistogram).
+	zeroClass int
 	// inOrder keeps every span on its caller, in entry order: set when the
 	// overflow tier is a HostBackend, whose pager faults depend on the order
 	// it sees pages in.
@@ -188,6 +191,7 @@ func NewDevice(cfg Config) *Device {
 	}
 	d := &Device{
 		codec:             cfg.Codec,
+		zeroClass:         compress.SectorsForBits(compress.ZeroEntryBits(cfg.Codec)),
 		overflow:          overflow,
 		mcache:            NewMetadataCache(metadataCacheBytes, metadataCacheSlices, metadataCacheWays),
 		linkBytesPerCycle: math.Inf(1),

@@ -331,25 +331,20 @@ type MigrationStats struct {
 }
 
 // ApplyReprofile executes a checkpoint-time ReprofilePlan on the live
-// device: each decision goes to the newest live allocation of its name (the
-// one Targets reports) through Reprofile, concurrently with reader/writer
-// traffic. Decisions that no longer match the device are skipped, so a stale
-// plan degrades to a partial application rather than corrupting accounting.
-// On error the already-applied decisions remain in force.
+// device: each decision goes to its allocation through Reprofile,
+// concurrently with reader/writer traffic. Decisions that no longer match
+// the device are skipped, so a stale plan degrades to a partial application
+// rather than corrupting accounting. On error the already-applied decisions
+// remain in force.
 func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 	var st MigrationStats
 	if plan == nil {
 		return st, nil
 	}
 	for _, dec := range plan.Decisions {
-		a := d.allocByName(dec.Name)
-		if a == nil {
-			st.Skipped++
-			continue
-		}
-		moved, applied, err := d.Reprofile(a, dec)
+		moved, applied, err := d.Reprofile(dec)
 		if err != nil {
-			return st, fmt.Errorf("core: reprofile %s %s->%s: %w", dec.Name, dec.Old, dec.New, err)
+			return st, fmt.Errorf("core: reprofile %s %s->%s: %w", dec.Alloc.Name, dec.Old, dec.New, err)
 		}
 		if !applied {
 			st.Skipped++
@@ -361,44 +356,19 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 	return st, nil
 }
 
-// Reprofile applies one reprofile decision to a: a Retarget to dec.New that
-// runs only if a still lives on d at dec.Old. The check happens under ctl,
-// so a Close, MoveTo or Retarget racing in after the caller's lookup turns
-// into applied == false, never a misdirected migration. It returns the
-// stored bytes re-packed.
-func (d *Device) Reprofile(a *Allocation, dec ReprofileDecision) (moved int64, applied bool, err error) {
-	moved, err = d.retarget(a, dec.New, &dec.Old)
+// Reprofile applies one reprofile decision: a Retarget of dec.Alloc to
+// dec.New that runs only if the allocation still lives on d at dec.Old. The
+// check happens under ctl, so a Close, MoveTo or Retarget racing in after
+// the plan was made turns into applied == false, never a misdirected
+// migration; a decision without an allocation is not applied either. It
+// returns the stored bytes re-packed.
+func (d *Device) Reprofile(dec ReprofileDecision) (moved int64, applied bool, err error) {
+	if dec.Alloc == nil {
+		return 0, false, nil
+	}
+	moved, err = d.retarget(dec.Alloc, dec.New, &dec.Old)
 	if errors.Is(err, ErrFreed) || errors.Is(err, errStale) {
 		return 0, false, nil
 	}
 	return moved, err == nil, err
-}
-
-// allocByName returns the newest listed allocation with the given name, nil
-// if none.
-func (d *Device) allocByName(name string) *Allocation {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for i := len(d.allocs) - 1; i >= 0; i-- {
-		if a := d.allocs[i]; a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// Targets returns the name -> target map of the live allocations — the
-// ground-truth "current" input for the next PlanReprofile; a duplicated
-// name reports its newest allocation, the one ApplyReprofile resolves. Read
-// it from the device after ApplyReprofile rather than mirroring decisions by
-// hand: a skipped decision never applied, so a hand-maintained map would
-// drift.
-func (d *Device) Targets() map[string]TargetRatio {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	m := make(map[string]TargetRatio, len(d.allocs))
-	for _, a := range d.allocs {
-		m[a.Name] = a.Target()
-	}
-	return m
 }

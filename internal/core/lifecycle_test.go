@@ -357,9 +357,9 @@ func TestApplyReprofileFromPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := PlanReprofile(targets, []*memory.Snapshot{late}, bpc, FinalDesign())
-	if len(plan.Decisions) != 1 || plan.Decisions[0].New != Target2x {
-		t.Fatalf("plan = %+v, want one 16x->2x decision", plan.Decisions)
+	plan := PlanReprofile(d.Allocations(), FinalDesign())
+	if len(plan.Decisions) != 1 || plan.Decisions[0].Alloc != a || plan.Decisions[0].New != Target2x {
+		t.Fatalf("plan = %+v, want one 16x->2x decision for w", plan.Decisions)
 	}
 	if plan.BuddyFracAfter >= plan.BuddyFracBefore {
 		t.Fatalf("plan predicts no buddy-access win: %.3f -> %.3f",
@@ -383,9 +383,9 @@ func TestApplyReprofileFromPlan(t *testing.T) {
 	if got := a.Target(); got != Target2x {
 		t.Fatalf("target after ApplyReprofile = %s, want 2x", got)
 	}
-	// Actual migration cost matches the plan's estimate (both count stored
-	// bytes: 8 per zero-class entry, 32 per sector otherwise).
-	if diff := st.MigratedBytes - plan.TotalMigrationBytes; diff < -1 || diff > 1 {
+	// Actual migration cost is the plan's estimate (both count stored bytes:
+	// 8 per zero-class entry, 32 per sector otherwise).
+	if st.MigratedBytes != plan.TotalMigrationBytes {
 		t.Errorf("migrated %d bytes, plan estimated %d", st.MigratedBytes, plan.TotalMigrationBytes)
 	}
 	if got := d.Traffic().MigrationBytes - before.MigrationBytes; int64(got) != st.MigratedBytes {
@@ -405,13 +405,15 @@ func TestApplyReprofileFromPlan(t *testing.T) {
 	if !bytes.Equal(got, late.Allocations[0].Data) {
 		t.Error("contents corrupted by ApplyReprofile")
 	}
-	// A stale plan (targets no longer match) degrades to skips.
+	// A stale plan (targets no longer match) degrades to skips, and so does a
+	// decision without an allocation.
+	plan.Decisions = append(plan.Decisions, ReprofileDecision{Old: Target2x, New: Target4x})
 	st2, err := d.ApplyReprofile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Applied != 0 || st2.Skipped != 1 {
-		t.Errorf("stale plan stats = %+v, want 1 skipped", st2)
+	if st2.Applied != 0 || st2.Skipped != 2 {
+		t.Errorf("stale plan stats = %+v, want 2 skipped", st2)
 	}
 	// The new placement actually reduces buddy traffic on this data.
 	d.ResetTraffic()

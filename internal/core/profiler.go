@@ -119,9 +119,33 @@ func Profile(snaps []*memory.Snapshot, c compress.Codec, opt ProfileOptions) *Pr
 // ProfileIndexes is Profile over pre-built snapshot indexes — the entry
 // point for sweeps that reuse one index per snapshot x codec across many
 // profiling configurations (Fig. 7's three design points, Fig. 9's
-// threshold sweep) without re-encoding anything.
+// threshold sweep) without re-encoding anything. An allocation is known by
+// its name across snapshots: each snapshot's instance is one observation of
+// the same profile.
 func ProfileIndexes(idx []*analysis.Index, opt ProfileOptions) *ProfileResult {
-	profiles := collectProfiles(idx)
+	byName := make(map[string]*AllocationProfile)
+	var profiles []*AllocationProfile
+	snaps := make([]perClass, len(idx))
+	for i, x := range idx {
+		for _, a := range x.Allocs {
+			p := byName[a.Name]
+			if p == nil {
+				p = &AllocationProfile{Name: a.Name, MinZeroFrac: 1}
+				byName[a.Name] = p
+				profiles = append(profiles, p)
+			}
+			p.observe(a.SectorHistogram())
+		}
+		snaps[i] = x.SectorHistogram()
+	}
+	return chooseTargets(profiles, snaps, opt)
+}
+
+// chooseTargets runs target selection over profiles whose observations are
+// in, given the program-wide sector histogram of each snapshot they came
+// from (the naive target and the best-achievable marker are whole-program
+// statistics).
+func chooseTargets(profiles []*AllocationProfile, snaps []perClass, opt ProfileOptions) *ProfileResult {
 	if opt.PerAllocation {
 		for _, p := range profiles {
 			p.Target = chooseTarget(p, opt)
@@ -133,7 +157,7 @@ func ProfileIndexes(idx []*analysis.Index, opt ProfileOptions) *ProfileResult {
 		// sector-granular compression. Averages hide variance, so this
 		// choice both compresses less than per-allocation targets and
 		// overflows far more entries to buddy memory.
-		t := naiveTarget(idx)
+		t := naiveTarget(snaps)
 		for _, p := range profiles {
 			p.Target = t
 		}
@@ -142,40 +166,28 @@ func ProfileIndexes(idx []*analysis.Index, opt ProfileOptions) *ProfileResult {
 	for _, p := range profiles {
 		p.OverflowFrac = overflowFrac(p, p.Target)
 	}
-	return summarize(profiles, idx)
+	res := &ProfileResult{Allocations: profiles, BestAchievable: bestAchievable(snaps)}
+	res.CompressionRatio, res.BuddyAccessFraction = programRatios(profiles)
+	return res
 }
 
-func collectProfiles(idx []*analysis.Index) []*AllocationProfile {
-	index := make(map[string]*AllocationProfile)
-	var order []*AllocationProfile
-	for _, x := range idx {
-		for _, a := range x.Allocs {
-			p := index[a.Name]
-			if p == nil {
-				p = &AllocationProfile{Name: a.Name, MinZeroFrac: 1}
-				index[a.Name] = p
-				order = append(order, p)
-			}
-			// Entries is the allocation's full size: take the largest
-			// instance so a snapshot where it is empty (or still growing)
-			// doesn't zero its weight in the aggregate ratios.
-			if n := a.Entries(); n > p.Entries {
-				p.Entries = n
-			}
-			h := a.SectorHistogram()
-			for s := range h {
-				p.Hist[s] += h[s]
-			}
-			// An empty instance carries no evidence about the data; it must
-			// not drag MinZeroFrac to 0 and veto the 16x zero-page target.
-			if a.Entries() > 0 {
-				if zf := a.ZeroPageFrac(); zf < p.MinZeroFrac {
-					p.MinZeroFrac = zf
-				}
-			}
-		}
+// observe adds one snapshot's sector histogram of the allocation: h[s]
+// entries compressed to s sectors.
+func (p *AllocationProfile) observe(h perClass) {
+	n := 0
+	for s, c := range h {
+		p.Hist[s] += c
+		n += c
 	}
-	return order
+	// Entries is the allocation's full size: take the largest instance so a
+	// snapshot where it is empty (or still growing) doesn't zero its weight
+	// in the aggregate ratios.
+	p.Entries = max(p.Entries, n)
+	// An empty instance carries no evidence about the data; it must not drag
+	// MinZeroFrac to 0 and veto the 16x zero-page target.
+	if n > 0 {
+		p.MinZeroFrac = min(p.MinZeroFrac, float64(h[0])/float64(n))
+	}
 }
 
 // overflowFrac is the fraction of profiled entries that would overflow to
@@ -214,11 +226,11 @@ func chooseTarget(p *AllocationProfile, opt ProfileOptions) TargetRatio {
 // over snapshots of the sector-quantized compression ratio (entries below
 // one sector still cost a sector without the zero-page mode), rounded down
 // to an allowed target.
-func naiveTarget(idx []*analysis.Index) TargetRatio {
+func naiveTarget(snaps []perClass) TargetRatio {
 	prog := 4.0
-	for _, x := range idx {
+	for _, h := range snaps {
 		var orig, comp float64
-		for s, n := range x.SectorHistogram() {
+		for s, n := range h {
 			sec := s
 			if sec == 0 {
 				sec = 1
@@ -244,7 +256,7 @@ func naiveTarget(idx []*analysis.Index) TargetRatio {
 // the overall ratio under 4x, limited by the carve-out region).
 func enforceCarveoutCap(profiles []*AllocationProfile) {
 	for {
-		if ratio, _ := programRatios(profiles, chosen); ratio <= maxAggregate {
+		if ratio, _ := programRatios(profiles); ratio <= maxAggregate {
 			return
 		}
 		// Demote the largest-footprint allocation at the highest ratio.
@@ -267,16 +279,16 @@ func enforceCarveoutCap(profiles []*AllocationProfile) {
 	}
 }
 
-// programRatios sums profiles in order, each under target(p), into the
+// programRatios sums profiles in order, each under its Target, into the
 // whole-program device compression ratio and the entry-weighted expected
 // buddy-access fraction; each is 0 when its denominator is.
-func programRatios(profiles []*AllocationProfile, target func(*AllocationProfile) TargetRatio) (ratio, buddyFrac float64) {
+func programRatios(profiles []*AllocationProfile) (ratio, buddyFrac float64) {
 	var orig, dev, over, entries float64
 	for _, p := range profiles {
-		t, n := target(p), float64(p.Entries)
+		n := float64(p.Entries)
 		orig += n * 128
-		dev += n * float64(t.DeviceBytes())
-		over += overflowFrac(p, t) * n
+		dev += n * float64(p.Target.DeviceBytes())
+		over += overflowFrac(p, p.Target) * n
 		entries += n
 	}
 	if dev > 0 {
@@ -288,26 +300,17 @@ func programRatios(profiles []*AllocationProfile, target func(*AllocationProfile
 	return ratio, buddyFrac
 }
 
-// chosen is the profiled target of p.
-func chosen(p *AllocationProfile) TargetRatio { return p.Target }
-
-func summarize(profiles []*AllocationProfile, idx []*analysis.Index) *ProfileResult {
-	res := &ProfileResult{Allocations: profiles, BestAchievable: bestAchievable(idx)}
-	res.CompressionRatio, res.BuddyAccessFraction = programRatios(profiles, chosen)
-	return res
-}
-
 // bestAchievable computes the sector-granular compression the data itself
 // admits (zero-page entries at 8 B), averaged over snapshots and capped at
 // the 4x carve-out limit — the "best achievable compression ratio assuming
 // no constraints are placed on the buddy-memory accesses" of Fig. 9.
-func bestAchievable(idx []*analysis.Index) float64 {
-	if len(idx) == 0 {
+func bestAchievable(snaps []perClass) float64 {
+	if len(snaps) == 0 {
 		return 1
 	}
 	var orig, comp float64
-	for _, x := range idx {
-		for s, n := range x.SectorHistogram() {
+	for _, h := range snaps {
+		for s, n := range h {
 			orig += 128 * float64(n)
 			if s == 0 {
 				comp += 8 * float64(n)

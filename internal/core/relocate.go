@@ -399,7 +399,8 @@ func (r metaRun) end() {
 	}
 }
 
-// perClass holds a line's entries of each sector class.
+// perClass counts entries by sector class: a line's, an allocation's or a
+// snapshot's.
 type perClass [compress.SectorsPerEntry + 1]int
 
 // lineBits masks entries [i, i+n) of one metadata line in its moved word.

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"buddy/internal/analysis"
+	"math/bits"
+
 	"buddy/internal/compress"
-	"buddy/internal/memory"
 )
 
 // The paper keeps a single static target ratio per allocation because
@@ -12,16 +12,16 @@ import (
 // periodically updated for long running applications, e.g., for DL
 // training, the target ratio update can be combined with checkpointing."
 //
-// PlanReprofile is that checkpoint-time pass: given the targets currently
-// in force and fresh profiling snapshots, it reports which allocations
-// should change, what the whole-program compression and buddy-access
-// numbers become, and how many bytes each change migrates — the inputs a
-// framework needs to decide whether the update pays for itself.
+// PlanReprofile is that checkpoint-time pass. The profiler needs one sector
+// histogram per allocation, and a live allocation holds it in its 4-bit
+// metadata (§3.2), so nothing is copied to the host or re-encoded. The plan
+// says which allocations should change, what the whole-program compression
+// and buddy-access numbers become, and how many bytes each change migrates.
 
 // ReprofileDecision describes one allocation's proposed target change.
 type ReprofileDecision struct {
-	// Name of the allocation.
-	Name string
+	// Alloc is the allocation the decision was planned for.
+	Alloc *Allocation
 	// Old and New are the current and proposed target ratios.
 	Old, New TargetRatio
 	// MigrationBytes is the data that must move to apply the change: the
@@ -64,55 +64,86 @@ func (p *ReprofilePlan) Worthwhile(horizonAccesses int64) bool {
 	return saved > float64(p.TotalMigrationBytes)
 }
 
-// PlanReprofile computes a checkpoint-time target update. current maps
-// allocation names to the targets in force (missing names default to 1x);
-// snaps are fresh profiling dumps of the current data. The fresh dumps are
-// indexed once (see internal/analysis); callers that already hold indexes
-// use PlanReprofileIndexes.
-func PlanReprofile(current map[string]TargetRatio, snaps []*memory.Snapshot,
-	c compress.Codec, opt ProfileOptions) *ReprofilePlan {
-	return PlanReprofileIndexes(current, analysis.BuildRun(snaps, c), opt)
+// ClassHistogram counts the allocation's entries by compressed sector class,
+// from its metadata: per line, under the line's stripe, the line's class
+// masks are popcounted, so under concurrent writers the result is a sum of
+// per-line snapshots. A never-written entry reads as zeros and counts under
+// its codec's zero-entry class (1 under FVC and C-PACK), as a snapshot of its
+// bytes profiles. Mid-relayout each entry counts under its home layout's
+// codec. A freed allocation reports no entries.
+//
+//buddy:hotpath
+func (a *Allocation) ClassHistogram() (h [compress.SectorsPerEntry + 1]int) {
+	for base := 0; base < a.EntryCount; base += EntriesPerMetadataLine {
+		a.mu.RLock()
+		cur, m := a.cur, a.mig
+		if a.freed {
+			a.mu.RUnlock()
+			return [compress.SectorsPerEntry + 1]int{}
+		}
+		sh := a.shard(base)
+		sh.Lock()
+		class := a.meta.lineClasses(base / EntriesPerMetadataLine)
+		class[0] &= lineBits(0, min(a.EntryCount-base, EntriesPerMetadataLine)) // a partial tail line's past-end entries read class 0
+		if cur.dev.zeroClass != 0 || m != nil && m.next.dev.zeroClass != 0 {
+			for zero := class[0]; zero != 0; zero &= zero - 1 {
+				if k := base + bits.TrailingZeros64(zero); !a.store.written(k) {
+					h[0]--
+					h[home(cur, m, k).dev.zeroClass]++
+				}
+			}
+		}
+		sh.Unlock()
+		a.mu.RUnlock()
+		for s, c := range class {
+			h[s] += bits.OnesCount64(c)
+		}
+	}
+	return h
 }
 
-// PlanReprofileIndexes is PlanReprofile over pre-built snapshot indexes. The
-// after numbers are the fresh result's own; the before numbers are the same
-// sums over the same profiles under the targets in force.
-func PlanReprofileIndexes(current map[string]TargetRatio, idx []*analysis.Index,
-	opt ProfileOptions) *ReprofilePlan {
-	res := ProfileIndexes(idx, opt)
-	plan := &ReprofilePlan{Result: res, RatioAfter: res.CompressionRatio, BuddyFracAfter: res.BuddyAccessFraction}
-	// A name missing from current is the zero TargetRatio, 1x.
-	inForce := func(p *AllocationProfile) TargetRatio { return current[p.Name] }
-	plan.RatioBefore, plan.BuddyFracBefore = programRatios(res.Allocations, inForce)
-	for _, p := range res.Allocations {
-		old := inForce(p)
-		if p.Target == old {
+// PlanReprofile computes a checkpoint-time target update for live
+// allocations: each one's ClassHistogram is one snapshot's observation, run
+// through the same target selection as ProfileIndexes, against the target it
+// is at now. Decisions carry their allocation: nothing is resolved by name.
+func PlanReprofile(allocs []*Allocation, opt ProfileOptions) *ReprofilePlan {
+	profiles := make([]*AllocationProfile, len(allocs))
+	old := make([]TargetRatio, len(allocs))
+	var program perClass
+	for i, a := range allocs {
+		h := a.ClassHistogram()
+		old[i] = a.Target()
+		profiles[i] = &AllocationProfile{Name: a.Name, MinZeroFrac: 1, Target: old[i]}
+		profiles[i].observe(h)
+		for s, n := range h {
+			program[s] += n
+		}
+	}
+	plan := &ReprofilePlan{}
+	// Until selection, each profile's Target is the one in force.
+	plan.RatioBefore, plan.BuddyFracBefore = programRatios(profiles)
+	plan.Result = chooseTargets(profiles, []perClass{program}, opt)
+	plan.RatioAfter, plan.BuddyFracAfter = plan.Result.CompressionRatio, plan.Result.BuddyAccessFraction
+	for i, p := range profiles {
+		if p.Target == old[i] {
 			continue
 		}
-		// Migration: every entry's stored sectors are rewritten into the
-		// new layout; stored size comes from the profiled histogram, in the
-		// same storedBytes unit the live migration counts, so this estimate
-		// and MigrationStats.MigratedBytes compare 1:1.
-		var stored float64
-		var obs float64
+		// Migration: every entry's stored sectors are rewritten into the new
+		// layout, in the storedBytes unit the live migration counts, so this
+		// estimate and MigrationStats.MigratedBytes compare 1:1.
+		var cost int64
 		for s, n := range p.Hist {
-			stored += float64(storedBytes(s)) * float64(n)
-			obs += float64(n)
+			cost += int64(storedBytes(s) * n)
 		}
-		perEntry := 128.0
-		if obs > 0 {
-			perEntry = stored / obs
-		}
-		entries := float64(p.Entries)
 		plan.Decisions = append(plan.Decisions, ReprofileDecision{
-			Name:            p.Name,
-			Old:             old,
+			Alloc:           allocs[i],
+			Old:             old[i],
 			New:             p.Target,
-			MigrationBytes:  int64(perEntry * entries),
-			OldOverflowFrac: overflowFrac(p, old),
+			MigrationBytes:  cost,
+			OldOverflowFrac: overflowFrac(p, old[i]),
 			NewOverflowFrac: p.OverflowFrac,
 		})
-		plan.TotalMigrationBytes += int64(perEntry * entries)
+		plan.TotalMigrationBytes += cost
 	}
 	return plan
 }

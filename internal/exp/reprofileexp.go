@@ -51,7 +51,7 @@ type ReprofileResult struct {
 // Reprofile runs the §3.4 periodic-target-update extension end to end on a
 // live Device: profile snapshot 0, load it, then at every later snapshot
 // drift the contents in place, measure the buddy-access fraction under the
-// stale targets, plan a re-profile from the fresh snapshot's index, and —
+// stale targets, plan a re-profile from the device's own metadata, and —
 // when the plan amortizes within the device's horizon — apply it with
 // ApplyReprofile while the device stays live. The before/after fractions
 // and migration cost per checkpoint are the experiment's figure.
@@ -96,7 +96,7 @@ func Reprofile(scale int) (*ReprofileResult, error) {
 		if step.StaleBuddyFrac, err = readPassBuddyFrac(d); err != nil {
 			return nil, err
 		}
-		plan := core.PlanReprofileIndexes(d.Targets(), []*analysis.Index{snapshotIndex(b, t, scale, bpc)}, core.FinalDesign())
+		plan := core.PlanReprofile(d.Allocations(), core.FinalDesign())
 		if len(plan.Decisions) > 0 && plan.Worthwhile(core.ReprofileHorizon) {
 			st, err := d.ApplyReprofile(plan)
 			if err != nil {

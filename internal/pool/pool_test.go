@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"buddy/internal/core"
+	"buddy/internal/gen"
 )
 
 // newTestPool builds a pool of n small devices (64 KiB slab, 3x carve-out
@@ -333,28 +334,50 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
+// allocsOf is the allocations of the pool's live handles, the input a live
+// reprofile plan is made from.
+func allocsOf(p *Pool) []*core.Allocation {
+	var out []*core.Allocation
+	for _, h := range p.Handles() {
+		out = append(out, h.Alloc())
+	}
+	return out
+}
+
+// TestApplyReprofileFanout plans a reprofile from the fleet's live metadata
+// and applies it across shards; a decision for an allocation no handle holds
+// — on a device outside the pool, under a name a handle has — is skipped.
 func TestApplyReprofileFanout(t *testing.T) {
 	p := newTestPool(t, 2, RoundRobin())
-	data := make([]byte, 4<<10)
-	// Highly compressible data so any target is achievable.
-	h0, err := p.Malloc("w0", int64(len(data)), core.Target1x)
-	if err != nil {
-		t.Fatal(err)
+	const size = 4 << 10
+	fill := map[string]gen.Generator{
+		"w0":      gen.Noisy64{NoiseBits: 8, HiStep: 1}, // 2-sector entries: 2x
+		"w1":      gen.Zeros{},                          // mostly zero: 16x
+		"ballast": gen.Random{},                         // incompressible: stays 1x
 	}
-	h1, err := p.Malloc("w1", int64(len(data)), core.Target1x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range []*Handle{h0, h1} {
-		if _, err := h.WriteAt(data, 0); err != nil {
+	handles := map[string]*Handle{}
+	data := map[string][]byte{}
+	for _, name := range []string{"w0", "w1", "ballast"} { // shards 0, 1, 0
+		h, err := p.Malloc(name, size, core.Target1x)
+		if err != nil {
 			t.Fatal(err)
 		}
+		data[name] = make([]byte, size)
+		fill[name].Fill(data[name], gen.NewRNG(3, 1))
+		if _, err := h.WriteAt(data[name], 0); err != nil {
+			t.Fatal(err)
+		}
+		handles[name] = h
 	}
-	plan := &core.ReprofilePlan{Decisions: []core.ReprofileDecision{
-		{Name: "w0", Old: core.Target1x, New: core.Target2x},
-		{Name: "w1", Old: core.Target1x, New: core.Target4x},
-		{Name: "ghost", Old: core.Target1x, New: core.Target2x}, // owned nowhere
-	}}
+	stray, err := core.NewDevice(core.Config{DeviceBytes: 64 << 10}).Malloc("w0", size, core.Target1x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := core.PlanReprofile(allocsOf(p), core.FinalDesign())
+	if len(plan.Decisions) != 2 {
+		t.Fatalf("plan = %+v, want decisions for w0 and w1", plan.Decisions)
+	}
+	plan.Decisions = append(plan.Decisions, core.ReprofileDecision{Alloc: stray, Old: core.Target1x, New: core.Target2x})
 	st, err := p.ApplyReprofile(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -362,114 +385,18 @@ func TestApplyReprofileFanout(t *testing.T) {
 	if st.Applied != 2 || st.Skipped != 1 {
 		t.Fatalf("stats = %+v, want 2 applied / 1 skipped", st)
 	}
-	if h0.Target() != core.Target2x || h1.Target() != core.Target4x {
-		t.Fatalf("targets after fan-out: %s / %s", h0.Target(), h1.Target())
+	if w0, w1, b := handles["w0"].Target(), handles["w1"].Target(), handles["ballast"].Target(); w0 != core.Target2x || w1 != core.Target16x || b != core.Target1x {
+		t.Fatalf("targets after fan-out: w0 %s, w1 %s, ballast %s; want 2x, 16x, 1x", w0, w1, b)
 	}
-	if tg := p.Targets(); tg["w0"] != core.Target2x || tg["w1"] != core.Target4x {
-		t.Fatalf("pool Targets() = %v", tg)
+	if stray.Target() != core.Target1x {
+		t.Errorf("the allocation outside the pool went to %s", stray.Target())
 	}
 	// Data survives the migrations.
-	got := make([]byte, len(data))
-	if _, err := h0.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("w0 after migration: err=%v match=%v", err, bytes.Equal(got, data))
-	}
-}
-
-// TestApplyReprofileDuplicateName pins the duplicate-name contract: both
-// Targets() and ApplyReprofile resolve a name living on several shards to
-// the highest-indexed shard's allocation, so a plan computed from
-// Targets() is checked against the same allocation it described.
-func TestApplyReprofileDuplicateName(t *testing.T) {
-	p := newTestPool(t, 2, RoundRobin())
-	data := make([]byte, 4<<10)
-	h0, err := p.Malloc("dup", int64(len(data)), core.Target1x) // shard 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := p.Malloc("dup", int64(len(data)), core.Target2x) // shard 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range []*Handle{h0, h1} {
-		if _, err := h.WriteAt(data, 0); err != nil {
-			t.Fatal(err)
+	for name, h := range handles {
+		got := make([]byte, size)
+		if _, err := h.ReadAt(got, 0); err != nil || !bytes.Equal(got, data[name]) {
+			t.Fatalf("%s after migration: err=%v match=%v", name, err, bytes.Equal(got, data[name]))
 		}
-	}
-	if got := p.Targets()["dup"]; got != core.Target2x {
-		t.Fatalf("Targets() resolved dup to %s, want the highest shard's %s", got, core.Target2x)
-	}
-	st, err := p.ApplyReprofile(&core.ReprofilePlan{Decisions: []core.ReprofileDecision{
-		{Name: "dup", Old: core.Target2x, New: core.Target4x},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Applied != 1 || st.Skipped != 0 {
-		t.Fatalf("stats = %+v, want the highest shard's allocation applied", st)
-	}
-	if h0.Target() != core.Target1x || h1.Target() != core.Target4x {
-		t.Fatalf("targets after: shard0 %s shard1 %s, want 1x / 4x", h0.Target(), h1.Target())
-	}
-}
-
-// TestApplyReprofileNameRuleDeviceAndPool pins one name rule for both
-// appliers: a name held twice resolves to the newer allocation — the one
-// each applier's own Targets() reports — so a plan built from Targets()
-// retargets that allocation and leaves the older one at its target.
-func TestApplyReprofileNameRuleDeviceAndPool(t *testing.T) {
-	type alloc interface{ Target() core.TargetRatio }
-	type applier struct {
-		malloc  func(core.TargetRatio) (alloc, error)
-		targets func() map[string]core.TargetRatio
-		apply   func(*core.ReprofilePlan) (core.MigrationStats, error)
-	}
-	cases := []struct {
-		name string
-		open func(t *testing.T) applier
-	}{
-		{"device", func(t *testing.T) applier {
-			d := core.NewDevice(core.Config{DeviceBytes: 64 << 10})
-			return applier{
-				func(tr core.TargetRatio) (alloc, error) { return d.Malloc("x", 4<<10, tr) },
-				d.Targets, d.ApplyReprofile,
-			}
-		}},
-		{"pool-1-shard", func(t *testing.T) applier {
-			p := newTestPool(t, 1, nil)
-			return applier{
-				func(tr core.TargetRatio) (alloc, error) { return p.Malloc("x", 4<<10, tr) },
-				p.Targets, p.ApplyReprofile,
-			}
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			ap := c.open(t)
-			older, err := ap.malloc(core.Target1x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			newer, err := ap.malloc(core.Target2x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := ap.targets()["x"]
-			if old != core.Target2x {
-				t.Fatalf("Targets() resolved x to %s, want the newer allocation's 2x", old)
-			}
-			st, err := ap.apply(&core.ReprofilePlan{Decisions: []core.ReprofileDecision{
-				{Name: "x", Old: old, New: core.Target4x},
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Applied != 1 || st.Skipped != 0 {
-				t.Fatalf("stats = %+v, want the newer allocation's decision applied", st)
-			}
-			if older.Target() != core.Target1x || newer.Target() != core.Target4x {
-				t.Fatalf("targets after: older %s, newer %s; want 1x / 4x", older.Target(), newer.Target())
-			}
-		})
 	}
 }
 

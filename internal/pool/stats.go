@@ -168,50 +168,32 @@ func (p *Pool) CompressionRatio() float64 {
 	return orig / dev
 }
 
-// byName resolves allocation names to live handles. Names are unique per
-// shard by convention but the pool does not enforce global uniqueness; a
-// duplicate name resolves to the handle on the highest shard (the newest
-// one there).
-func (p *Pool) byName() map[string]*Handle {
-	m := make(map[string]*Handle)
-	for _, h := range p.Handles() { // ascending shard, then age: the last one wins
-		m[h.a.Name] = h
-	}
-	return m
-}
-
-// Targets returns the fleet-wide name -> target map of live allocations —
-// the "current" input for the next PlanReprofile — with duplicate names
-// resolved as ApplyReprofile resolves them (byName).
-func (p *Pool) Targets() map[string]core.TargetRatio {
-	m := make(map[string]core.TargetRatio)
-	for name, h := range p.byName() {
-		m[name] = h.Target()
-	}
-	return m
-}
-
-// ApplyReprofile executes a checkpoint-time plan across the fleet: each
-// decision is applied to the live handle of that name (byName) by its
-// device's Reprofile step, and the owning tenant's quota follows the new
-// target on the spot. Decisions that step does not apply, or that name no
-// live allocation, are skipped, exactly as on a single device. On error the
-// already-applied decisions remain in force.
+// ApplyReprofile executes a checkpoint-time plan across the fleet — one
+// made by core.PlanReprofile over the handles' allocations (Handle.Alloc):
+// each decision is applied to the live handle that holds its allocation by
+// that allocation's device's Reprofile step, and the owning tenant's quota
+// follows the new target on the spot. Decisions that step does not apply,
+// or whose allocation no live handle holds, are skipped, exactly as on a
+// single device. On error the already-applied decisions remain in force.
 func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, error) {
 	var st core.MigrationStats
 	if plan == nil || len(plan.Decisions) == 0 {
 		return st, nil
 	}
-	handles := p.byName()
+	live := p.Handles()
+	handles := make(map[*core.Allocation]*Handle, len(live))
+	for _, h := range live {
+		handles[h.a] = h
+	}
 	for _, dec := range plan.Decisions {
-		h := handles[dec.Name]
+		h := handles[dec.Alloc]
 		if h == nil {
 			st.Skipped++
 			continue
 		}
 		moved, applied, err := h.retarget(dec)
 		if err != nil {
-			return st, fmt.Errorf("pool: reprofile %s %s->%s on shard %d: %w", dec.Name, dec.Old, dec.New, h.Shard(), err)
+			return st, fmt.Errorf("pool: reprofile %s %s->%s on shard %d: %w", h.a.Name, dec.Old, dec.New, h.Shard(), err)
 		}
 		if !applied {
 			st.Skipped++
@@ -233,7 +215,7 @@ func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, er
 func (h *Handle) retarget(dec core.ReprofileDecision) (moved int64, applied bool, err error) {
 	h.ctl.Lock()
 	defer h.ctl.Unlock()
-	if moved, applied, err = h.a.Device().Reprofile(h.a, dec); !applied {
+	if moved, applied, err = h.a.Device().Reprofile(dec); !applied {
 		return 0, false, err
 	}
 	q := quotaFor(h.a.Size(), dec.New)

@@ -439,13 +439,14 @@ func TestTenantLatencyStats(t *testing.T) {
 
 // TestApplyReprofileRacesMigration runs checkpoint reprofiles against a
 // mover that keeps every handle — two of them sharing a name — circling the
-// shards, and a churner closing and re-creating one. A reprofile that went
-// around the handle (by name, through whichever device listed it) could
-// retarget an allocation the pool was about to drop, or charge a handle for
-// a target it no longer had; through the handle's ctl the books must balance
-// at every quiescent point: each tenant's StoredBytes is the sum of what its
-// live handles reserve at their current targets, and a final reprofile with
-// nothing racing it leaves every handle at the target it names. Run under
+// shards, and a churner closing and re-creating one. A plan names
+// allocations, not names: a reprofile that went around the handle (through
+// whichever device listed the allocation) could retarget an allocation the
+// pool was about to drop, or charge a handle for a target it no longer had;
+// through the handle's ctl the books must balance at every quiescent point:
+// each tenant's StoredBytes is the sum of what its live handles reserve at
+// their current targets, and a final reprofile with nothing racing it leaves
+// every handle, both "dup"s included, at the target it names. Run under
 // -race.
 func TestApplyReprofileRacesMigration(t *testing.T) {
 	p := newTenantPool(t, 3, map[string]TenantConfig{"a": {}, "b": {}})
@@ -516,8 +517,9 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 	applied := 0
 	for round := 0; round < 60; round++ {
 		plan := &core.ReprofilePlan{}
-		for name, old := range p.Targets() {
-			plan.Decisions = append(plan.Decisions, core.ReprofileDecision{Name: name, Old: old, New: flip[old]})
+		for _, h := range p.Handles() {
+			old := h.Target()
+			plan.Decisions = append(plan.Decisions, core.ReprofileDecision{Alloc: h.Alloc(), Old: old, New: flip[old]})
 		}
 		st, err := p.ApplyReprofile(plan)
 		if err != nil {
@@ -533,17 +535,16 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 	balanced("after the race")
 
 	final := &core.ReprofilePlan{}
-	for name, old := range p.Targets() {
-		if old != core.Target4x {
-			final.Decisions = append(final.Decisions, core.ReprofileDecision{Name: name, Old: old, New: core.Target4x})
+	for _, h := range p.Handles() {
+		if old := h.Target(); old != core.Target4x {
+			final.Decisions = append(final.Decisions, core.ReprofileDecision{Alloc: h.Alloc(), Old: old, New: core.Target4x})
 		}
 	}
 	if st, err := p.ApplyReprofile(final); err != nil || st.Applied != len(final.Decisions) {
 		t.Fatalf("final reprofile: %+v, err %v; want all %d decisions applied", st, err, len(final.Decisions))
 	}
-	named := p.byName()
 	for _, h := range p.Handles() {
-		if named[h.Name()] == h && h.Target() != core.Target4x {
+		if h.Target() != core.Target4x {
 			t.Errorf("%s on shard %d is at %s after a reprofile that named it", h.Name(), h.Shard(), h.Target())
 		}
 		got := make([]byte, allocBytes)
