@@ -116,9 +116,10 @@ unreached:
 
 # Smoke-run every example binary at reduced scale (the sources are already
 # sized for seconds; serve additionally takes explicit small flags), plus
-# the heal experiment at smoke fidelity — the failure-recovery path stays
-# exercised end to end, not merely unit-tested. CI runs this so the
-# examples stay executable, not merely compilable.
+# the serve and heal experiments at smoke fidelity — the shared client round
+# both drive, and heal's failure-recovery path, stay exercised end to end,
+# not merely unit-tested. CI runs this so the examples stay executable, not
+# merely compilable.
 examples:
 	@set -e; for d in examples/*/ ; do \
 	  name=$$(basename $$d); \
@@ -127,8 +128,10 @@ examples:
 	  echo "examples: run $$name $$args"; \
 	  $(GO) run ./examples/$$name $$args >/dev/null; \
 	done
-	@echo "examples: run buddysim -exp heal -quick"
-	@$(GO) run ./cmd/buddysim -exp heal -quick >/dev/null
+	@set -e; for e in serve heal; do \
+	  echo "examples: run buddysim -exp $$e -quick"; \
+	  $(GO) run ./cmd/buddysim -exp $$e -quick >/dev/null; \
+	done
 	@echo 'examples: ok'
 
 race:

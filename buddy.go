@@ -111,6 +111,12 @@ type Handle = pool.Handle
 // pending result. Wait is the only way to observe it and must be called
 // exactly once: it recycles the future, so a second Wait panics and a
 // retained pointer may already belong to a later submission.
+//
+// A shard completes each submitter's operations in submission order only
+// while it has one worker, which NewPool gives it when GOMAXPROCS ≤ the
+// shard count. Otherwise two in-flight operations on overlapping bytes may
+// complete in either order: wait for a write before submitting an operation
+// that must see it.
 type Future = pool.Future
 
 // PoolStats is the pool-wide aggregate of per-shard telemetry: summed

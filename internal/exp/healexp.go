@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -98,65 +97,6 @@ func healThroughput(p *pool.Pool, payload int64) float64 {
 	return core.ThroughputGBs(payload, worst)
 }
 
-// healRound streams one write+read-back pass of every client's resident
-// set through the submission queues. Operations that fail because the
-// device tier is down are retried until the supervisor brings the shard
-// back; retried counts them. Returns the payload bytes acknowledged.
-func healRound(p *pool.Pool, handles [][]*pool.Handle, data [][][]byte, retried *atomic.Int64, started chan<- struct{}) (int64, error) {
-	var (
-		payload atomic.Int64
-		once    sync.Once
-	)
-	err := fanOut(len(handles), func(c int) error {
-		var moved int64
-		do := func(h *pool.Handle, buf []byte, read bool) error {
-			for {
-				var f *pool.Future
-				if read {
-					f = p.SubmitRead(h, buf, 0)
-				} else {
-					f = p.SubmitWrite(h, buf, 0)
-				}
-				if started != nil {
-					once.Do(func() { close(started) })
-				}
-				n, err := f.Wait()
-				if err == nil {
-					moved += int64(n)
-					return nil
-				}
-				if !errors.Is(err, core.ErrDeviceFailed) {
-					return err
-				}
-				// The shard died under us; the supervisor is rebuilding it.
-				// Back off and resubmit.
-				retried.Add(1)
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-		var scratch []byte
-		for i, h := range handles[c] {
-			// Rewrite the resident contents (write-back), then read them
-			// back: the expected bytes never change, so a kill at any point
-			// leaves every region either acknowledged-new or untouched — both
-			// equal to the recorded contents.
-			buf := data[c][i]
-			if err := do(h, buf, false); err != nil {
-				return err
-			}
-			if cap(scratch) < len(buf) {
-				scratch = make([]byte, len(buf))
-			}
-			if err := do(h, scratch[:len(buf)], true); err != nil {
-				return err
-			}
-		}
-		payload.Add(moved)
-		return nil
-	})
-	return payload.Load(), err
-}
-
 // Heal runs the failure-recovery experiment: the serve client population
 // against serveShards shards, one of which is killed mid-round. scale is the
 // workload footprint divisor.
@@ -179,20 +119,18 @@ func Heal(scale int) (*HealResult, error) {
 	defer p.Close()
 
 	// Resident working set: allocated once, contents fixed for the whole
-	// experiment (rounds rewrite the same bytes).
-	handles := make([][]*pool.Handle, len(clients))
-	data := make([][][]byte, len(clients))
-	for c, cl := range clients {
-		for i, name := range cl.names {
-			h, err := p.Malloc(name, int64(len(cl.data[i])), cl.targets[name])
-			if err != nil {
+	// experiment (rounds rewrite the same bytes, so a kill at any point
+	// leaves every region either acknowledged-new or untouched — both equal
+	// to the recorded contents).
+	pl, err := place(p, clients)
+	if err != nil {
+		return nil, fmt.Errorf("exp: heal resident set: %w", err)
+	}
+	for c, hs := range pl.handles {
+		for i, h := range hs {
+			if _, err := h.WriteAt(clients[c].data[i], 0); err != nil {
 				return nil, fmt.Errorf("exp: heal resident set: %w", err)
 			}
-			if _, err := h.WriteAt(cl.data[i], 0); err != nil {
-				return nil, fmt.Errorf("exp: heal resident set: %w", err)
-			}
-			handles[c] = append(handles[c], h)
-			data[c] = append(data[c], cl.data[i])
 		}
 	}
 	res := &HealResult{Shards: serveShards, Clients: len(clients)}
@@ -200,7 +138,7 @@ func Heal(scale int) (*HealResult, error) {
 	// Round A: baseline.
 	var retried atomic.Int64
 	p.ResetTraffic()
-	payload, err := healRound(p, handles, data, &retried, nil)
+	payload, err := pl.round(0, &retried, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: heal baseline round: %w", err)
 	}
@@ -217,24 +155,20 @@ func Heal(scale int) (*HealResult, error) {
 	res.KilledShard = kill
 	p.ResetTraffic()
 	started := make(chan struct{})
-	type roundOut struct {
-		payload int64
-		err     error
-	}
-	outc := make(chan roundOut, 1)
+	done := make(chan struct{})
 	go func() {
-		pl, err := healRound(p, handles, data, &retried, started)
-		outc <- roundOut{pl, err}
+		defer close(done)
+		payload, err = pl.round(0, &retried, started)
 	}()
 	<-started
 	if err := fi.Kill(kill); err != nil {
 		return nil, fmt.Errorf("exp: heal kill: %w", err)
 	}
-	out := <-outc
-	if out.err != nil {
-		return nil, fmt.Errorf("exp: heal failure round: %w", out.err)
+	<-done
+	if err != nil {
+		return nil, fmt.Errorf("exp: heal failure round: %w", err)
 	}
-	res.FailureGBs = healThroughput(p, out.payload)
+	res.FailureGBs = healThroughput(p, payload)
 	res.Retried = retried.Load()
 	select {
 	case rs := <-recovered:
@@ -247,7 +181,7 @@ func Heal(scale int) (*HealResult, error) {
 
 	// Round C: post-recovery throughput; the acceptance ratio.
 	p.ResetTraffic()
-	payload, err = healRound(p, handles, data, &retried, nil)
+	payload, err = pl.round(0, &retried, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: heal recovered round: %w", err)
 	}
@@ -259,9 +193,9 @@ func Heal(scale int) (*HealResult, error) {
 	// Zero lost bytes: every resident region must hold exactly the bytes
 	// the clients acknowledged.
 	var scratch []byte
-	for c := range handles {
-		for i, h := range handles[c] {
-			want := data[c][i]
+	for c, hs := range pl.handles {
+		for i, h := range hs {
+			want := clients[c].data[i]
 			if cap(scratch) < len(want) {
 				scratch = make([]byte, len(want))
 			}
@@ -280,11 +214,14 @@ func Heal(scale int) (*HealResult, error) {
 	// Quiesced migration leg: move the largest resident allocation off the
 	// recovered shard and pin the tentpole invariants — no codec
 	// round-trips between codec-matched shards, symmetric migration bytes.
-	var pick *pool.Handle
-	for c := range handles {
-		for _, h := range handles[c] {
+	var (
+		pick *pool.Handle
+		want []byte
+	)
+	for c, hs := range pl.handles {
+		for i, h := range hs {
 			if h.Shard() == kill && (pick == nil || h.Size() > pick.Size()) {
-				pick = h
+				pick, want = h, clients[c].data[i]
 			}
 		}
 	}
@@ -300,28 +237,13 @@ func Heal(scale int) (*HealResult, error) {
 		res.MigrationBytesSrc = p.Device(kill).Traffic().MigrationBytes
 		res.MigrationBytesDst = p.Device(dst).Traffic().MigrationBytes
 		// The moved data must still match.
-		want := bytesOf(handles, data, pick)
-		if want != nil {
-			got := make([]byte, len(want))
-			if _, err := pick.ReadAt(got, 0); err != nil {
-				return nil, fmt.Errorf("exp: heal migration readback: %w", err)
-			}
-			if !bytes.Equal(got, want) {
-				return nil, errors.New("exp: heal: migration corrupted resident data")
-			}
+		got := make([]byte, len(want))
+		if _, err := pick.ReadAt(got, 0); err != nil {
+			return nil, fmt.Errorf("exp: heal migration readback: %w", err)
+		}
+		if !bytes.Equal(got, want) {
+			return nil, errors.New("exp: heal: migration corrupted resident data")
 		}
 	}
 	return res, nil
-}
-
-// bytesOf returns the resident contents recorded for the given handle.
-func bytesOf(handles [][]*pool.Handle, data [][][]byte, h *pool.Handle) []byte {
-	for c := range handles {
-		for i, hh := range handles[c] {
-			if hh == h {
-				return data[c][i]
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -179,46 +180,100 @@ func newFleet(width int, totalDevice int64, codec compress.Codec, cfg pool.Confi
 	return pool.New(devices, cfg)
 }
 
-// servePool runs the full client population against one pool: each client
-// concurrently allocates its regions, streams every region in through the
-// async submission queues, then reads the whole working set back. It
-// returns the payload bytes moved.
-func servePool(p *pool.Pool, clients []serveClient) (int64, error) {
-	var payload atomic.Int64
-	err := fanOut(len(clients), func(c int) error {
-		cl := &clients[c]
-		handles := make([]*pool.Handle, len(cl.names))
-		var futs []*pool.Future
+// placed is a client population placed on one pool: handles[c][i] holds
+// clients[c].data[i].
+type placed struct {
+	p       *pool.Pool
+	clients []serveClient
+	handles [][]*pool.Handle
+}
+
+// place allocates every client's regions on p in client order, one Malloc
+// at a time, so placement on a quiet pool is deterministic.
+func place(p *pool.Pool, clients []serveClient) (*placed, error) {
+	pl := &placed{p: p, clients: clients, handles: make([][]*pool.Handle, len(clients))}
+	for c, cl := range clients {
 		for i, name := range cl.names {
 			h, err := p.Malloc(name, int64(len(cl.data[i])), cl.targets[name])
 			if err != nil {
-				return err
+				return nil, err
 			}
-			handles[i] = h
-			futs = append(futs, p.SubmitWrite(h, cl.data[i], 0))
+			pl.handles[c] = append(pl.handles[c], h)
 		}
-		var moved int64
-		for i, f := range futs {
-			n, err := f.Wait()
-			if err != nil {
-				return fmt.Errorf("write %s: %w", cl.names[i], err)
+	}
+	return pl, nil
+}
+
+// round streams one write and read-back pass of every client's regions
+// through the submission queues, the clients concurrently: each submits
+// all its writes in chunk-byte pieces (0: one submit per region) open-loop
+// and waits for them, then does the same for its reads. With retried
+// non-nil an operation that fails because its shard's device tier is down
+// is counted there and resubmitted after a short back-off, until the shard
+// is back. started, when non-nil, is closed after the round's first
+// submit. Every submitted future is waited on, an error notwithstanding.
+// Returns the payload bytes acknowledged and the first error.
+func (pl *placed) round(chunk int, retried *atomic.Int64, started chan<- struct{}) (int64, error) {
+	var (
+		payload atomic.Int64
+		once    sync.Once
+	)
+	type op struct {
+		h   *pool.Handle
+		buf []byte
+		off int64
+		f   *pool.Future
+	}
+	err := fanOut(len(pl.clients), func(c int) error {
+		var (
+			moved int64
+			first error
+			ops   []op
+		)
+		for _, read := range []bool{false, true} {
+			submit, what := pl.p.SubmitWrite, "write"
+			if read {
+				submit, what = pl.p.SubmitRead, "read"
 			}
-			moved += int64(n)
-		}
-		// Read the working set back through the queues.
-		futs = futs[:0]
-		for _, h := range handles {
-			futs = append(futs, p.SubmitRead(h, make([]byte, h.Size()), 0))
-		}
-		for i, f := range futs {
-			n, err := f.Wait()
-			if err != nil {
-				return fmt.Errorf("read %s: %w", cl.names[i], err)
+			ops = ops[:0]
+			for i, h := range pl.handles[c] {
+				buf := pl.clients[c].data[i]
+				if read {
+					buf = make([]byte, len(buf))
+				}
+				step := chunk
+				if step == 0 {
+					step = len(buf)
+				}
+				for off := 0; off < len(buf); off += step {
+					piece := buf[off:min(off+step, len(buf))]
+					ops = append(ops, op{h, piece, int64(off), submit(h, piece, int64(off))})
+					if started != nil {
+						once.Do(func() { close(started) })
+					}
+				}
 			}
-			moved += int64(n)
+			for _, o := range ops {
+				n, err := o.f.Wait()
+				for retried != nil && errors.Is(err, core.ErrDeviceFailed) {
+					// The shard died under us and is being rebuilt: back
+					// off and resubmit.
+					retried.Add(1)
+					time.Sleep(200 * time.Microsecond)
+					n, err = submit(o.h, o.buf, o.off).Wait()
+				}
+				if err == nil {
+					moved += int64(n)
+				} else if first == nil {
+					first = fmt.Errorf("%s %s: %w", what, o.h.Name(), err)
+				}
+			}
+			if first != nil {
+				break
+			}
 		}
 		payload.Add(moved)
-		return nil
+		return first
 	})
 	return payload.Load(), err
 }
@@ -227,62 +282,6 @@ func servePool(p *pool.Pool, clients []serveClient) (int64, error) {
 // entries — small enough that coalescing matters, large enough that the
 // queues stay saturated.
 const serveChunkBytes = 4096
-
-// serveChunkedPool streams the client population through one pool in
-// serveChunkBytes pieces: every client submits all of a region's chunk
-// writes open-loop before waiting, then does the same for the read-back, so
-// the shard queues always hold runs of adjacent tasks for the workers to
-// coalesce. Returns the payload bytes moved.
-func serveChunkedPool(p *pool.Pool, clients []serveClient) (int64, error) {
-	var payload atomic.Int64
-	err := fanOut(len(clients), func(c int) error {
-		cl := &clients[c]
-		var moved int64
-		var futs []*pool.Future
-		stream := func(h *pool.Handle, buf []byte, read bool) {
-			for off := 0; off < len(buf); off += serveChunkBytes {
-				end := min(off+serveChunkBytes, len(buf))
-				if read {
-					futs = append(futs, p.SubmitRead(h, buf[off:end], int64(off)))
-				} else {
-					futs = append(futs, p.SubmitWrite(h, buf[off:end], int64(off)))
-				}
-			}
-		}
-		drain := func(what string) error {
-			for _, f := range futs {
-				n, err := f.Wait()
-				if err != nil {
-					return fmt.Errorf("chunked %s: %w", what, err)
-				}
-				moved += int64(n)
-			}
-			futs = futs[:0]
-			return nil
-		}
-		handles := make([]*pool.Handle, len(cl.names))
-		for i, name := range cl.names {
-			h, err := p.Malloc(name, int64(len(cl.data[i])), cl.targets[name])
-			if err != nil {
-				return err
-			}
-			handles[i] = h
-			stream(h, cl.data[i], false)
-		}
-		if err := drain("write"); err != nil {
-			return err
-		}
-		for i, h := range handles {
-			stream(h, make([]byte, h.Size()), true)
-			if err := drain("read " + cl.names[i]); err != nil {
-				return err
-			}
-		}
-		payload.Add(moved)
-		return nil
-	})
-	return payload.Load(), err
-}
 
 // Serve runs the sharded-serving experiment: ServeClients concurrent
 // clients streaming mixed DL+HPC working sets, once against 1 shard and
@@ -298,25 +297,35 @@ func Serve(scale int) (*ServeResult, error) {
 	// the comparison is that both configurations hold the same fleet.
 	totalDevice := 2 * raw
 
+	// leg places the clients on a fresh width-shard fleet and times one
+	// round of chunk-byte submits against it.
+	leg := func(width, chunk int) (payload int64, wall time.Duration, st pool.Stats, err error) {
+		p, err := newFleet(width, totalDevice, codec, pool.Config{})
+		if err != nil {
+			return 0, 0, st, err
+		}
+		pl, err := place(p, clients)
+		if err == nil {
+			start := time.Now()
+			payload, err = pl.round(chunk, nil, nil)
+			wall = time.Since(start)
+			st = p.Stats()
+		}
+		if cerr := p.Close(); err == nil {
+			err = cerr
+		}
+		return payload, wall, st, err
+	}
+
 	res := &ServeResult{
 		Clients:    ServeClients,
 		Benchmarks: serveBenchmarks,
 	}
 	for _, width := range []int{1, serveShards} {
-		p, err := newFleet(width, totalDevice, codec, pool.Config{})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		payload, err := servePool(p, clients)
-		wall := time.Since(start)
-		if cerr := p.Close(); err == nil {
-			err = cerr
-		}
+		payload, wall, st, err := leg(width, 0)
 		if err != nil {
 			return nil, fmt.Errorf("exp: serve %d shards: %w", width, err)
 		}
-		st := p.Stats()
 		pt := ServePoint{
 			Shards:          width,
 			WallSeconds:     wall.Seconds(),
@@ -338,17 +347,7 @@ func Serve(scale int) (*ServeResult, error) {
 	// configuration, but the clients submit in 4 KiB pieces. This is the
 	// client shape the workers' run coalescing serves; the telemetry reports
 	// how much of the submitted traffic it captured.
-	p, err := newFleet(serveShards, totalDevice, codec, pool.Config{})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	payload, err := serveChunkedPool(p, clients)
-	wall := time.Since(start)
-	st := p.Stats()
-	if cerr := p.Close(); err == nil {
-		err = cerr
-	}
+	payload, wall, st, err := leg(serveShards, serveChunkBytes)
 	if err != nil {
 		return nil, fmt.Errorf("exp: serve chunked: %w", err)
 	}

@@ -327,13 +327,22 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 // queue is at its configured depth. A small write to a quiescent shard is
 // executed before SubmitWrite returns (see submit). The steady-state
 // submit→complete path allocates nothing.
+//
+// Order holds per submitter only while the owning shard has one worker:
+// when GOMAXPROCS ≤ the pool's shard count under the default Workers, or
+// when Workers is 1. Each submitter's operations then take effect in
+// submission order (last write wins per offset). With more workers, two
+// in-flight submits to overlapping bytes may complete in either order; wait
+// for the first before submitting the second when order matters.
 func (p *Pool) SubmitWrite(h *Handle, data []byte, off int64) *Future {
 	return p.submit(opWrite, h, data, off)
 }
 
 // SubmitRead asynchronously reads into dst from byte offset off of the
 // handle's allocation. The caller must not touch dst until the future
-// completes.
+// completes. A read orders against in-flight writes to the same bytes as
+// SubmitWrite says: in submission order only while the shard has one
+// worker.
 func (p *Pool) SubmitRead(h *Handle, dst []byte, off int64) *Future {
 	return p.submit(opRead, h, dst, off)
 }

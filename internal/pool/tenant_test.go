@@ -446,8 +446,9 @@ func TestTenantLatencyStats(t *testing.T) {
 // through the handle's ctl the books must balance at every quiescent point:
 // each tenant's StoredBytes is the sum of what its live handles reserve at
 // their current targets, and a final reprofile with nothing racing it leaves
-// every handle, both "dup"s included, at the target it names. Run under
-// -race.
+// every handle, both "dup"s included, at the target it names. The mover and
+// the churner count what they do, and the test fails unless both ran during
+// the reprofile rounds, at any GOMAXPROCS. Run under -race.
 func TestApplyReprofileRacesMigration(t *testing.T) {
 	p := newTenantPool(t, 3, map[string]TenantConfig{"a": {}, "b": {}})
 	const allocBytes = 300 * core.EntryBytes
@@ -485,6 +486,7 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 		}
 	}
 	var stop atomic.Bool
+	var moves, churns atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // the mover
@@ -495,6 +497,8 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			moves.Add(1)
+			runtime.Gosched()
 		}
 	}()
 	go func() { // the churner, on the last handle
@@ -511,8 +515,18 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			churns.Add(1)
+			runtime.Gosched()
 		}
 	}()
+	// The rounds start once both have run, and all three yield after each
+	// step: at GOMAXPROCS 1 a round loop that never yields would finish
+	// before either of them ran at all, and one that never got the
+	// processor back would wait out whole time slices.
+	for (moves.Load() == 0 || churns.Load() == 0) && !t.Failed() {
+		runtime.Gosched()
+	}
+	moved, churned := moves.Load(), churns.Load()
 	flip := map[core.TargetRatio]core.TargetRatio{core.Target2x: core.Target4x, core.Target4x: core.Target2x}
 	applied := 0
 	for round := 0; round < 60; round++ {
@@ -526,11 +540,16 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 		applied += st.Applied
+		runtime.Gosched()
 	}
+	moved, churned = moves.Load()-moved, churns.Load()-churned
 	stop.Store(true)
 	wg.Wait()
 	if applied == 0 {
 		t.Fatal("no reprofile decision was ever applied; the race was never run")
+	}
+	if moved == 0 || churned == 0 {
+		t.Fatalf("%d moves and %d churns ran during the reprofile rounds; the race was never run", moved, churned)
 	}
 	balanced("after the race")
 
