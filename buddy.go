@@ -178,13 +178,6 @@ const DefaultTenant = pool.DefaultTenant
 // CapacityBytes.
 var ErrQuotaExceeded = pool.ErrQuotaExceeded
 
-// MemcpyHandles copies n bytes from the start of src to the start of dst
-// through both compression pipelines; the handles may live on different
-// shards — the pool equivalent of a peer-to-peer cudaMemcpy.
-func MemcpyHandles(dst, src *Handle, n int64) (int64, error) {
-	return pool.Memcpy(dst, src, n)
-}
-
 // FailureInjector kills shards of the Pool it is attached to (see
 // WithFailureInjector) — the fault hook behind failure-recovery testing
 // and the heal experiment.

@@ -314,12 +314,9 @@ func runHeal(w io.Writer, sc Scale) error {
 			fmt.Sprintf("%.0f%% of baseline", res.RecoveryRatio*100)},
 	}
 	fmt.Fprint(w, FormatTable([]string{"Round", "Modeled GB/s", "Notes"}, rows))
-	fmt.Fprintf(w,
+	_, err = fmt.Fprintf(w,
 		"%d clients on %d shards; rebuild: %d entries, %d KiB over the buddy link in %s; lost bytes: %d\n",
 		res.Clients, res.Shards, res.RebuiltEntries, res.RebuiltBytes>>10, res.RecoveryWall, res.LostBytes)
-	_, err = fmt.Fprintf(w,
-		"quiesced migration: %d decodes, %d encodes (codec-matched => 0/0); migration bytes src=%d dst=%d\n",
-		res.MigrateDecodes, res.MigrateEncodes, res.MigrationBytesSrc, res.MigrationBytesDst)
 	return err
 }
 

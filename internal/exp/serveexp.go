@@ -210,14 +210,10 @@ func place(p *pool.Pool, clients []serveClient) (*placed, error) {
 // and waits for them, then does the same for its reads. With retried
 // non-nil an operation that fails because its shard's device tier is down
 // is counted there and resubmitted after a short back-off, until the shard
-// is back. started, when non-nil, is closed after the round's first
-// submit. Every submitted future is waited on, an error notwithstanding.
+// is back. Every submitted future is waited on, an error notwithstanding.
 // Returns the payload bytes acknowledged and the first error.
-func (pl *placed) round(chunk int, retried *atomic.Int64, started chan<- struct{}) (int64, error) {
-	var (
-		payload atomic.Int64
-		once    sync.Once
-	)
+func (pl *placed) round(chunk int, retried *atomic.Int64) (int64, error) {
+	var payload atomic.Int64
 	type op struct {
 		h   *pool.Handle
 		buf []byte
@@ -248,16 +244,13 @@ func (pl *placed) round(chunk int, retried *atomic.Int64, started chan<- struct{
 				for off := 0; off < len(buf); off += step {
 					piece := buf[off:min(off+step, len(buf))]
 					ops = append(ops, op{h, piece, int64(off), submit(h, piece, int64(off))})
-					if started != nil {
-						once.Do(func() { close(started) })
-					}
 				}
 			}
 			for _, o := range ops {
 				n, err := o.f.Wait()
 				for retried != nil && errors.Is(err, core.ErrDeviceFailed) {
-					// The shard died under us and is being rebuilt: back
-					// off and resubmit.
+					// The shard's device tier is down until it is rebuilt:
+					// back off and resubmit.
 					retried.Add(1)
 					time.Sleep(200 * time.Microsecond)
 					n, err = submit(o.h, o.buf, o.off).Wait()
@@ -307,7 +300,7 @@ func Serve(scale int) (*ServeResult, error) {
 		pl, err := place(p, clients)
 		if err == nil {
 			start := time.Now()
-			payload, err = pl.round(chunk, nil, nil)
+			payload, err = pl.round(chunk, nil)
 			wall = time.Since(start)
 			st = p.Stats()
 		}

@@ -193,40 +193,61 @@ func TestMigrateHandleMovesData(t *testing.T) {
 
 // TestMigrateZeroDecode asserts the tentpole's no-decode guarantee: when
 // source and destination run the same codec, MigrateHandle streams framed
-// entries shard-to-shard without a single decode (or re-encode) round-trip.
+// entries shard-to-shard without a single decode (or re-encode) round-trip,
+// and both ends account the same migration bytes — also off a source whose
+// device tier was killed and rebuilt from the carve-out before the move.
 func TestMigrateZeroDecode(t *testing.T) {
-	cc := &countingCodec{inner: compress.NewBPC()}
-	p := newCodecPool(t, cc, cc)
-	// Nonzero data: all-zero entries shortcut the codec entirely and would
-	// vacuously pass.
-	want := make([]byte, 16<<10)
-	pattern(want, 11)
-	h, err := p.Malloc("z", int64(len(want)), core.Target2x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteAt(want, 0); err != nil {
-		t.Fatal(err)
-	}
-	enc, dec := cc.encodes.Load(), cc.decodes.Load()
-	if enc == 0 {
-		t.Fatal("writes did not reach the codec; the counter proves nothing")
-	}
-	if err := p.MigrateHandle(h, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d := cc.decodes.Load() - dec; d != 0 {
-		t.Errorf("codec-matched migration decoded %d entries, want 0", d)
-	}
-	if d := cc.encodes.Load() - enc; d != 0 {
-		t.Errorf("codec-matched migration re-encoded %d entries, want 0", d)
-	}
-	got := make([]byte, len(want))
-	if _, err := h.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("data corrupted across stream migration")
+	for _, rebuilt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rebuilt=%v", rebuilt), func(t *testing.T) {
+			cc := &countingCodec{inner: compress.NewBPC()}
+			p := newCodecPool(t, cc, cc)
+			// Nonzero data: all-zero entries shortcut the codec entirely and
+			// would vacuously pass.
+			want := make([]byte, 16<<10)
+			pattern(want, 11)
+			h, err := p.Malloc("z", int64(len(want)), core.Target2x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.WriteAt(want, 0); err != nil {
+				t.Fatal(err)
+			}
+			if rebuilt {
+				// What FailureInjector.Kill does, then the rebuild.
+				if err := p.failShard(0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Recover(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.ResetTraffic()
+			enc, dec := cc.encodes.Load(), cc.decodes.Load()
+			if enc == 0 {
+				t.Fatal("writes did not reach the codec; the counter proves nothing")
+			}
+			if err := p.MigrateHandle(h, 1); err != nil {
+				t.Fatal(err)
+			}
+			if d := cc.decodes.Load() - dec; d != 0 {
+				t.Errorf("codec-matched migration decoded %d entries, want 0", d)
+			}
+			if d := cc.encodes.Load() - enc; d != 0 {
+				t.Errorf("codec-matched migration re-encoded %d entries, want 0", d)
+			}
+			st, dt := p.devices[0].Traffic(), p.devices[1].Traffic()
+			if st.MigrationBytes == 0 || st.MigrationBytes != dt.MigrationBytes {
+				t.Errorf("MigrationBytes src=%d dst=%d, want equal and nonzero",
+					st.MigrationBytes, dt.MigrationBytes)
+			}
+			got := make([]byte, len(want))
+			if _, err := h.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("data corrupted across stream migration")
+			}
+		})
 	}
 }
 

@@ -470,12 +470,3 @@ func (h *Handle) Close() error {
 	h.tn.release(h.quota.Swap(0))
 	return err
 }
-
-// Memcpy copies n bytes from the start of src to the start of dst through
-// both compression pipelines; the handles may live on different shards
-// (the pool equivalent of a peer-to-peer cudaMemcpy). A handle mid-move is
-// read and written like any other: each entry is served by the device that
-// owns it at that moment.
-func Memcpy(dst, src *Handle, n int64) (int64, error) {
-	return core.Memcpy(dst.a, src.a, n)
-}

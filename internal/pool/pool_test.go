@@ -133,7 +133,7 @@ func TestHandleRoutesIO(t *testing.T) {
 	if dst.Shard() == hs[1].Shard() {
 		t.Fatal("test wants a cross-shard pair")
 	}
-	if _, err := Memcpy(dst, hs[1], n); err != nil {
+	if _, err := core.Memcpy(dst.Alloc(), hs[1].Alloc(), n); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, n)

@@ -155,7 +155,7 @@ func TestNewPoolOptions(t *testing.T) {
 		t.Fatal("pool async round-trip mismatch")
 	}
 	// Cross-shard handle copy.
-	if _, err := MemcpyHandles(hs[3], hs[0], 1<<10); err != nil {
+	if _, err := Memcpy(hs[3].Alloc(), hs[0].Alloc(), 1<<10); err != nil {
 		t.Fatal(err)
 	}
 
