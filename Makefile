@@ -35,8 +35,16 @@ vet:
 # experiment table (internal/exp) and the packages only a figure uses (the
 # timing simulator, the DL training model and its networks, the heat-maps)
 # must not be among the root package's non-test imports.
+#
+# The final step keeps the driver and the pool free of wall-clock triggers:
+# no non-test file of internal/core or internal/pool arms a timer, ticks or
+# sleeps, so every scan, retry and rebuild there runs at a call its caller
+# made (a ticker of the caller's own, a deterministic driver's virtual
+# clock). time.Now and time.Since stay allowed: RecoveryStats.Elapsed reads
+# the clock, it never waits on it.
 ONE_COST_HOME = internal/core/cost.go internal/exp/perfexp.go
 FIGURE_PKGS = exp|gpusim|dltrain|nn|heatmap
+NO_TIMERS = time\.(NewTicker|Tick|After|AfterFunc|NewTimer|Sleep)\b
 lint: vet
 	$(GO) run ./cmd/buddylint ./...
 	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
@@ -47,6 +55,9 @@ lint: vet
 	    || { echo "lint: CoreClockGHz|BandwidthGBs named in [$$got], want exactly [$(ONE_COST_HOME)]"; exit 1; }
 	@got=$$($(GO) list -deps . | grep -xE 'buddy/internal/($(FIGURE_PKGS))' | xargs); \
 	  [ -z "$$got" ] || { echo "lint: the library (go list -deps .) links [$$got]"; exit 1; }
+	@got=$$(find internal/core internal/pool -name '*.go' -not -name '*_test.go' \
+	    | xargs grep -nE '$(NO_TIMERS)'); \
+	  [ -z "$$got" ] || { echo "lint: a timer or sleep in internal/core or internal/pool:"; echo "$$got"; exit 1; }
 	@echo 'lint: ok'
 
 # buddylint has no automatic fixer: findings are fixed in code, or

@@ -99,7 +99,9 @@ func Memcpy(dst, src *Allocation, n int64) (int64, error) {
 // Pool is a shard router over N independent Devices behind one front door:
 // placement, spill-over, async batched serving and aggregate stats for a
 // fleet of buddy-compressed GPUs. Build one with NewPool. It is safe for
-// concurrent use by multiple goroutines.
+// concurrent use by multiple goroutines. Its control plane is calls —
+// MigrateHandle, Drain/Reopen, Recover, Rebalance — made when the caller
+// chooses: the pool runs no background goroutine beside its shard workers.
 type Pool = pool.Pool
 
 // Handle is an allocation placed on one of a Pool's shards; it routes
@@ -180,7 +182,8 @@ var ErrQuotaExceeded = pool.ErrQuotaExceeded
 
 // FailureInjector kills shards of the Pool it is attached to (see
 // WithFailureInjector) — the fault hook behind failure-recovery testing
-// and the heal experiment.
+// and the heal experiment. A killed shard stays failed until the caller
+// rebuilds it with Pool.Recover.
 type FailureInjector = pool.FailureInjector
 
 // NewFailureInjector returns an unattached injector; pass it to NewPool

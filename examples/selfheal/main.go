@@ -1,10 +1,14 @@
 // Selfheal: the pool as a self-healing fleet. A failure injector kills
-// one shard's device tier mid-serve; in-flight operations on that shard
-// fail with a typed error while the auto-recovery supervisor rebuilds the
-// lost device state from the buddy carve-out (which behaves as a
-// write-through mirror, so nothing acknowledged is lost). Afterwards the
-// example drains a shard for "maintenance" — live-migrating its residents
-// to the shard with the most headroom — and reopens it.
+// one shard's device tier mid-serve; every read routed to that shard fails
+// with a typed error, every other read is served, and the program then
+// rebuilds the lost device state from the buddy carve-out with
+// Pool.Recover (the carve-out behaves as a write-through mirror, so
+// nothing acknowledged is lost). Afterwards it drains a shard for
+// "maintenance" — live-migrating its residents to the shard with the most
+// headroom — reopens it, and asks the rebalancer for one scan. Recovery
+// and rebalancing are calls the program makes; the pool runs no
+// background goroutine for either, so every count it prints is the same
+// every run.
 package main
 
 import (
@@ -26,18 +30,16 @@ func main() {
 		perShard = int64(clients) * workset * 2 / shards
 	)
 	fi := buddy.NewFailureInjector()
-	recovered := make(chan buddy.RecoveryStats, 1)
 	p, err := buddy.NewPool(
 		buddy.WithShards(shards),
 		buddy.WithDeviceBytes(perShard),
 		buddy.WithFailureInjector(fi),
-		buddy.WithAutoRecover(func(rs buddy.RecoveryStats) { recovered <- rs }),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer p.Close()
-	fmt.Printf("pool: %d shards x %d KiB, auto-recovery on\n", shards, perShard>>10)
+	fmt.Printf("pool: %d shards x %d KiB\n", shards, perShard>>10)
 
 	// Resident working sets, one per client.
 	handles := make([]*buddy.Handle, clients)
@@ -55,19 +57,28 @@ func main() {
 		handles[c] = h
 	}
 
-	// Kill shard 0 mid-serve: operations routed there fail with a typed
-	// error until the supervisor rebuilds it from buddy memory.
+	// Kill shard 0 mid-serve: reads routed there fail with a typed error,
+	// and only those, until the shard is rebuilt from buddy memory.
 	if err := fi.Kill(0); err != nil {
 		log.Fatal(err)
 	}
 	buf := make([]byte, workset)
 	failedOps := 0
-	for _, h := range handles {
-		if _, err := h.ReadAt(buf, 0); errors.Is(err, buddy.ErrDeviceFailed) {
+	for c, h := range handles {
+		_, err := h.ReadAt(buf, 0)
+		switch dead := h.Shard() == 0; {
+		case dead && errors.Is(err, buddy.ErrDeviceFailed):
 			failedOps++
+		case dead:
+			log.Fatalf("client %d on the killed shard: read err = %v, want ErrDeviceFailed", c, err)
+		case err != nil:
+			log.Fatalf("client %d on healthy shard %d: %v", c, h.Shard(), err)
 		}
 	}
-	rs := <-recovered
+	rs, err := p.Recover(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("shard %d killed: %d reads hit the dead tier; rebuilt %d entries (%d KiB over the buddy link) in %s\n",
 		rs.Shard, failedOps, rs.Entries, rs.RebuiltBytes>>10, rs.Elapsed.Round(time.Microsecond))
 
@@ -101,6 +112,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("shard 1 drained and reopened: %d handles still serving through live migration\n", moved)
+
+	// One rebalancer scan: it elects the hottest shard, and a move waits for
+	// the same election on consecutive calls, which a caller's ticker makes.
+	migrated, err := p.Rebalance()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("one Rebalance scan: moved=%v\n", migrated)
 
 	st := p.Stats()
 	for _, s := range st.Shards {

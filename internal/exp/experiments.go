@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"time"
 
 	"buddy/internal/workloads"
 )
@@ -309,7 +310,7 @@ func runHeal(w io.Writer, sc Scale) error {
 	rows := [][]string{
 		{"A: baseline", fmt.Sprintf("%.2f", res.BaselineGBs), "-"},
 		{fmt.Sprintf("B: shard %d killed", res.KilledShard), fmt.Sprintf("%.2f", res.FailureGBs),
-			fmt.Sprintf("%d retried ops", res.Retried)},
+			fmt.Sprintf("%d retried ops, %s wall", res.Retried, res.FailureWall.Round(time.Microsecond))},
 		{"C: recovered", fmt.Sprintf("%.2f", res.RecoveredGBs),
 			fmt.Sprintf("%.0f%% of baseline", res.RecoveryRatio*100)},
 	}

@@ -40,11 +40,18 @@ type HealResult struct {
 	Clients int
 	// BaselineGBs, FailureGBs and RecoveredGBs are the modeled serving
 	// throughputs of the three rounds: before, during and after the
-	// failure. FailureGBs includes the rebuild traffic (a refused operation
-	// costs no modeled traffic), so it is the dip.
+	// failure, each the round's payload over its busiest shard's modeled
+	// cycles. FailureGBs counts the served traffic plus the rebuild's own
+	// traffic on the killed shard's ledgers. A refused operation costs no
+	// modeled traffic and the time blocked on the dead shard is on no
+	// ledger, so it does not see how long the clients waited, nor how many
+	// operations retried: FailureWall does.
 	BaselineGBs  float64
 	FailureGBs   float64
 	RecoveredGBs float64
+	// FailureWall is round B's wall-clock time, from its first submit to
+	// its last completion, the wait for the rebuild included.
+	FailureWall time.Duration
 	// RecoveryRatio is RecoveredGBs over BaselineGBs — the acceptance
 	// criterion (>= 0.9).
 	RecoveryRatio float64
@@ -139,9 +146,11 @@ func Heal(scale int) (*HealResult, error) {
 		return nil, fmt.Errorf("exp: heal kill: %w", err)
 	}
 	done := make(chan error, 1)
+	start := time.Now()
 	go func() {
 		var err error
 		payload, err = pl.round(0, &retried)
+		res.FailureWall = time.Since(start)
 		done <- err
 	}()
 	// Serve through the failure until an operation has met the dead shard

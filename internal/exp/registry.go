@@ -42,7 +42,7 @@ var experiments = []Experiment{
 	{Name: "fig13d", Description: "training accuracy across batch sizes", Run: func(w io.Writer, _ Scale) error { return runFig13d(w) }},
 	{Name: "reprofile", Description: "live target-ratio migration on a drifting workload (§3.4 extension)", Run: runReprofile},
 	{Name: "serve", Description: "sharded multi-device serving: aggregate throughput, 1 vs N shards", Run: runServe},
-	{Name: "heal", Description: "self-healing fleet: serve through a dead shard, rebuild it from buddy memory once the round retries, check the bytes, measure the dip", Run: runHeal},
+	{Name: "heal", Description: "self-healing fleet: serve through a dead shard, rebuild it from buddy memory once the round retries, check the bytes; round B's modeled GB/s counts the rebuild's traffic, its wall time the wait", Run: runHeal},
 	{Name: "qos", Description: "tenant-aware serving: latency SLO under batch saturation, weighted batch shares, admission control", Run: runQoS},
 }
 

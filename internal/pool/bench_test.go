@@ -26,13 +26,13 @@ import (
 
 // benchServe drives 8 concurrent clients, each streaming a 256 KiB
 // working set (write + read-back) into a 4-shard pool in chunkBytes
-// submissions. rebalEvery > 0 additionally runs the rebalancer watcher on
-// that interval throughout — the "watched" leg pins that an aggressively
-// ticking watcher costs the serve path nothing measurable. tenants, when
-// non-nil, configures the pool's tenant set and spreads the clients
-// round-robin across the named tenants — the "tenants" leg pins that
-// classed, weighted-fair dequeue costs roughly what the single-ring path
-// does.
+// submissions. rebalEvery > 0 additionally runs a watcher goroutine that
+// calls Rebalance on that interval throughout — the "watched" leg pins
+// that an aggressively ticking watcher costs the serve path nothing
+// measurable. tenants, when non-nil, configures the pool's tenant set and
+// spreads the clients round-robin across the named tenants — the "tenants"
+// leg pins that classed, weighted-fair dequeue costs roughly what the
+// single-ring path does.
 func benchServe(b *testing.B, chunkBytes int, rebalEvery time.Duration, tenants map[string]TenantConfig) {
 	const (
 		clients    = 8
@@ -44,11 +44,30 @@ func benchServe(b *testing.B, chunkBytes int, rebalEvery time.Duration, tenants 
 	for i := range devices {
 		devices[i] = core.NewDevice(core.Config{DeviceBytes: shardBytes})
 	}
-	p, err := New(devices, Config{RebalanceInterval: rebalEvery, Tenants: tenants})
+	p, err := New(devices, Config{Tenants: tenants})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer p.Close()
+	if rebalEvery > 0 {
+		tick := time.NewTicker(rebalEvery)
+		stop, watched := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(watched)
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					if _, err := p.Rebalance(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}
+		}()
+		defer func() { close(stop); <-watched; tick.Stop() }()
+	}
 	var doors []*Tenant
 	for _, ts := range p.Stats().Tenants {
 		if ts.Name == DefaultTenant && tenants != nil {
@@ -206,7 +225,7 @@ func BenchmarkPoolServe(b *testing.B) {
 	b.Run("rpc", benchRPC)
 	b.Run("bulk", func(b *testing.B) { benchServe(b, 64<<10, 0, nil) })
 	b.Run("chunked", func(b *testing.B) { benchServe(b, 4<<10, 0, nil) })
-	// Same bulk traffic with the rebalancer watcher ticking every 100 µs —
+	// Same bulk traffic with a watcher calling Rebalance every 100 µs —
 	// far hotter than any deployment would run it. The baseline pins this
 	// leg at the bulk leg's ns/entry, so a watcher that starts costing the
 	// serve path real time fails the gate.
@@ -352,17 +371,16 @@ func BenchmarkQoSDequeue(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tasks)), "ns/entry")
 }
 
-// BenchmarkRebalanceScan pins the watcher's per-tick cost: one pressure
+// BenchmarkRebalanceScan pins the watcher's per-call cost: one pressure
 // scan over a 4-shard fleet with live load. The gate pins allocs/op at
-// zero — the scan runs forever inside serving processes and must stay
-// allocation-free.
+// zero — a serving process may call Rebalance for as long as it runs, so
+// the scan must stay allocation-free.
 func BenchmarkRebalanceScan(b *testing.B) {
 	devices := make([]*core.Device, 4)
 	for i := range devices {
 		devices[i] = core.NewDevice(core.Config{DeviceBytes: 4 << 20})
 	}
-	// A long interval arms the rebalancer without ticking mid-measurement.
-	p, err := New(devices, Config{RebalanceInterval: time.Hour})
+	p, err := New(devices, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

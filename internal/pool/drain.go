@@ -49,8 +49,8 @@ func (p *Pool) checkShard(op string, shard int) error {
 // working throughout — their routes follow the moves. The shard stays in
 // the draining state after Drain returns, even on error, until Reopen;
 // draining an already-draining shard fails with ErrShardDraining, a failed
-// shard with ErrShardFailed, and a closed pool with ErrClosed (Close
-// retires the maintenance plane along with the queues).
+// shard with ErrShardFailed, and a closed pool with ErrClosed, as
+// Rebalance does.
 func (p *Pool) Drain(shard int) error {
 	if err := p.checkShard("Drain", shard); err != nil {
 		return err
@@ -137,7 +137,8 @@ func (p *Pool) evacuate(h *Handle, from int) error {
 // FailureInjector kills shards of the pool it is attached to — the fault
 // hook behind the heal experiment and the failure tests. Construct it with
 // NewFailureInjector, hand it to the pool via Config.Injector (or
-// buddy.WithFailureInjector), then Kill shards mid-serve.
+// buddy.WithFailureInjector), then Kill shards mid-serve; Pool.Recover
+// brings a killed shard back.
 type FailureInjector struct {
 	mu sync.Mutex
 	p  *Pool
@@ -156,9 +157,9 @@ func (fi *FailureInjector) attach(p *Pool) {
 // Kill marks the shard's device tier failed, mid-serve: in-flight
 // operations that already passed the device's failure check complete, and
 // every subsequent data-path operation on the shard fails with an error
-// wrapping core.ErrDeviceFailed until recovery. Killing an already-failed
-// shard fails with ErrShardFailed. If the pool runs with AutoRecover, the
-// supervisor rebuilds the shard in the background.
+// wrapping core.ErrDeviceFailed until a caller rebuilds it with
+// Pool.Recover; Kill only marks the shard. Killing an already-failed shard
+// fails with ErrShardFailed.
 func (fi *FailureInjector) Kill(shard int) error {
 	fi.mu.Lock()
 	p := fi.p
@@ -183,21 +184,7 @@ func (p *Pool) failShard(shard int) error {
 		}
 	}
 	p.devices[shard].Fail()
-	p.notifyFailure(shard)
 	return nil
-}
-
-// notifyFailure wakes the supervisor, if one is running. The channel holds
-// one slot per shard and a shard cannot fail twice without recovering, so
-// the send never drops.
-func (p *Pool) notifyFailure(shard int) {
-	if p.failures == nil {
-		return
-	}
-	select {
-	case p.failures <- shard:
-	default:
-	}
 }
 
 // RecoveryStats reports one shard recovery.

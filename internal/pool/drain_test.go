@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"buddy/internal/core"
 )
@@ -255,57 +254,5 @@ func TestDrainDuringBackpressure(t *testing.T) {
 		if _, err := f.Wait(); err != nil {
 			t.Errorf("future failed across drain: %v", err)
 		}
-	}
-}
-
-// TestAutoRecoverSupervisor pins the supervisor path: with AutoRecover on,
-// a killed shard comes back without anyone calling Recover, and the
-// OnRecover hook observes the rebuild.
-func TestAutoRecoverSupervisor(t *testing.T) {
-	fi := NewFailureInjector()
-	devices := []*core.Device{
-		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
-		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
-	}
-	recovered := make(chan RecoveryStats, 2)
-	p, err := New(devices, Config{
-		Placement:   Explicit(0),
-		Injector:    fi,
-		AutoRecover: true,
-		OnRecover:   func(rs RecoveryStats) { recovered <- rs },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = p.Close() })
-	h, err := p.Malloc("x", 8<<10, core.Target2x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, 8<<10)
-	pattern(want, 21)
-	if _, err := h.WriteAt(want, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fi.Kill(0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case rs := <-recovered:
-		if rs.Shard != 0 || rs.Entries == 0 || rs.RebuiltBytes == 0 {
-			t.Errorf("implausible recovery stats: %+v", rs)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("supervisor never recovered the shard")
-	}
-	if p.Stats().Shards[0].Failed {
-		t.Error("shard still failed after auto-recovery")
-	}
-	got := make([]byte, len(want))
-	if _, err := h.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("data lost across auto-recovery")
 	}
 }

@@ -8,9 +8,11 @@
 //
 // Placement is not final: MigrateHandle moves an allocation to another
 // shard's device while traffic continues (core's MoveTo), Drain evacuates a
-// shard for maintenance, and a failed shard's entries are rebuilt from the
-// buddy carve-out (see migrate.go, drain.go and rebalance.go for the
-// self-healing layer).
+// shard for maintenance, Recover rebuilds a failed shard's entries from the
+// buddy carve-out, and Rebalance moves an allocation off a saturated shard
+// (see migrate.go, drain.go and rebalance.go). These are calls: the pool
+// owns no goroutine but its shard workers, so recovery and rebalancing run
+// when, and on whichever goroutine, the caller chooses.
 package pool
 
 import (
@@ -21,7 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"buddy/internal/core"
 )
@@ -51,22 +52,9 @@ type Config struct {
 	// windows of the same ring concurrently and that order is given up.
 	Workers int
 	// Injector, when non-nil, is attached to the pool: its Kill(shard)
-	// marks that shard's device tier failed mid-serve (the fault-injection
-	// hook the heal experiment drives).
+	// marks that shard's device tier failed mid-serve until Recover
+	// rebuilds it (the fault-injection hook the heal experiment drives).
 	Injector *FailureInjector
-	// AutoRecover starts the pool's supervisor goroutine; when a shard is
-	// killed it rebuilds the device tier from the buddy carve-out without
-	// operator intervention.
-	AutoRecover bool
-	// OnRecover, when non-nil, is invoked from the supervisor after each
-	// automatic recovery completes (instrumentation hook; it must not block
-	// for long — recovery of other shards queues behind it).
-	OnRecover func(RecoveryStats)
-	// RebalanceInterval enables the rebalancer watcher: every interval the
-	// supervisor scans per-shard pressure (device occupancy + link busy
-	// cycles) and live-migrates an allocation off the most saturated shard
-	// when the skew reaches rebalanceSkew (0.5). Zero disables rebalancing.
-	RebalanceInterval time.Duration
 	// Tenants declares the pool's named tenants: capacity quota, scheduling
 	// weight and priority class per name (see TenantConfig). The default
 	// tenant always exists and owns untenanted traffic; an entry named
@@ -103,30 +91,22 @@ type Pool struct {
 	tenants      []*tenant
 	tenantByName map[string]*tenant
 
-	// Close protocol: closed flips first, then stop retires the maintenance
-	// supervisor and each shard's scheduler shuts down (waking submitters
-	// parked on full rings, which fail with ErrClosed), then Close takes
-	// subMu exclusively — every submit holds it shared from its closed check
-	// to its return, whether it enqueues or runs in place — so no submit is
-	// in flight past that point, while the workers finish the queued backlog
-	// and exit. An RWMutex, not a WaitGroup: submits keep arriving after
+	// Close protocol: closed flips first, then each shard's scheduler shuts
+	// down (waking submitters parked on full rings, which fail with
+	// ErrClosed), then Close takes subMu exclusively — every submit holds it
+	// shared from its closed check to its return, whether it enqueues or
+	// runs in place — so no submit is in flight past that point, while the
+	// workers finish the queued backlog and exit. An RWMutex, not a WaitGroup: submits keep arriving after
 	// Close has begun waiting, which a WaitGroup does not allow.
 	closed atomic.Bool
-	stop   chan struct{}
 	subMu  sync.RWMutex
 	scheds []*sched
 	wg     sync.WaitGroup // shard workers
 
 	async asyncCounters
 
-	// Maintenance supervisor (rebalance.go): a single goroutine reacting
-	// to failure notifications and the rebalance ticker.
-	autoRecover bool
-	onRecover   func(RecoveryStats)
-	rebalEvery  time.Duration
-	rebal       *rebalancer
-	failures    chan int
-	maintWG     sync.WaitGroup
+	// rebal is Rebalance's scan state, kept between calls (rebalance.go).
+	rebal *rebalancer
 }
 
 // asyncCounters is the async serving path's telemetry.
@@ -159,15 +139,12 @@ func New(devices []*core.Device, cfg Config) (*Pool, error) {
 		workers = (runtime.GOMAXPROCS(0) + len(devices) - 1) / len(devices)
 	}
 	p := &Pool{
-		devices:     devices,
-		place:       cfg.Placement,
-		handles:     make(map[uint64]*Handle),
-		state:       make([]atomic.Int32, len(devices)),
-		stop:        make(chan struct{}),
-		scheds:      make([]*sched, len(devices)),
-		autoRecover: cfg.AutoRecover,
-		onRecover:   cfg.OnRecover,
-		rebalEvery:  cfg.RebalanceInterval,
+		devices: devices,
+		place:   cfg.Placement,
+		handles: make(map[uint64]*Handle),
+		state:   make([]atomic.Int32, len(devices)),
+		scheds:  make([]*sched, len(devices)),
+		rebal:   newRebalancer(len(devices)),
 	}
 	p.tenants, p.tenantByName = buildTenants(cfg.Tenants)
 	for i := range p.scheds {
@@ -179,12 +156,6 @@ func New(devices []*core.Device, cfg Config) (*Pool, error) {
 	}
 	if cfg.Injector != nil {
 		cfg.Injector.attach(p)
-	}
-	if cfg.AutoRecover || cfg.RebalanceInterval > 0 {
-		p.failures = make(chan int, len(devices))
-		p.rebal = newRebalancer(len(devices))
-		p.maintWG.Add(1)
-		go p.maintain()
 	}
 	return p, nil
 }
@@ -370,17 +341,16 @@ func (p *Pool) handlesOn(shard int) []*Handle {
 }
 
 // Close shuts the async serving layer down: it waits for every queued
-// operation to drain, then stops the workers and the maintenance
-// supervisor. Submits blocked on a full queue at close time fail their
-// futures with ErrClosed instead of deadlocking; already-queued operations
-// complete normally. Allocations and the devices themselves stay usable
-// through their handles; Close only retires the submission queues and the
-// supervisor. Closing twice is an error.
+// operation to drain, then stops the workers. Submits blocked on a full
+// queue at close time fail their futures with ErrClosed instead of
+// deadlocking; already-queued operations complete normally. Allocations and
+// the devices themselves stay usable through their handles; Close only
+// retires the submission queues, and Drain and Rebalance, which fail with
+// ErrClosed afterwards. Closing twice is an error.
 func (p *Pool) Close() error {
 	if !p.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	close(p.stop) // retire the maintenance supervisor
 	// Shutting a scheduler down wakes submitters parked on full rings
 	// (their enqueues fail with ErrClosed) and lets the workers finish the
 	// queued backlog and exit; a submit that raced past the closed check
@@ -394,7 +364,6 @@ func (p *Pool) Close() error {
 	p.subMu.Lock()
 	p.subMu.Unlock()
 	p.wg.Wait()
-	p.maintWG.Wait()
 	return nil
 }
 

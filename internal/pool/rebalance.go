@@ -1,14 +1,15 @@
 package pool
 
-import "time"
+import (
+	"fmt"
+	"sync"
+)
 
-// The maintenance supervisor: one goroutine per pool (started only when
-// Config enables AutoRecover or rebalancing) that reacts to shard-failure
-// notifications and, on a ticker, watches per-shard pressure skew and
-// live-migrates allocations off saturated shards. The goroutine runs under
-// a restart supervisor: a panic anywhere in a maintenance action — a user
-// OnRecover callback included — is recovered and the loop re-enters, so
-// one bad tick can never silently kill the pool's self-healing.
+// The rebalancer: Rebalance watches per-shard pressure skew across calls
+// and live-migrates an allocation off a saturated shard. The pool starts no
+// goroutine for it and keeps no clock: a caller that wants a watcher calls
+// Rebalance on its own schedule (a ticker, a scheduler's virtual clock, a
+// test's loop), so every scan happens at a point the caller chose.
 
 // rebalanceSkew is the pressure gap between the hottest and coldest shard
 // that triggers a migration. Pressure is device occupancy fraction
@@ -26,15 +27,17 @@ const rebalanceSkew = 0.5
 const rebalanceEWMA = 0.2
 
 // rebalanceStreak is how many consecutive scans must elect the same
-// hottest shard before the watcher migrates anything off it — hysteresis
+// hottest shard before Rebalance migrates anything off it — hysteresis
 // against one-window noise (migrating a live allocation is far too
 // expensive to do on a fluke).
 const rebalanceStreak = 3
 
-// rebalancer holds the watcher's preallocated scan state. The scan itself
-// (rebalanceScan) is allocation-free — it runs forever on a ticker inside
-// serving processes, pinned by BenchmarkRebalanceScan.
+// rebalancer holds the scan state Rebalance keeps between calls, under mu,
+// so concurrent calls serialize. The scan itself (rebalanceScan) is
+// allocation-free — a serving process may call it every few microseconds,
+// pinned by BenchmarkRebalanceScan.
 type rebalancer struct {
+	mu        sync.Mutex
 	score     []float64 // per-shard pressure scratch
 	busy      []float64 // last link busy-cycle snapshot, per shard
 	share     []float64 // EWMA-smoothed busy share, per shard
@@ -51,47 +54,6 @@ func newRebalancer(shards int) *rebalancer {
 	}
 }
 
-// maintain is the supervisor loop; it exits only when the pool closes.
-func (p *Pool) maintain() {
-	defer p.maintWG.Done()
-	for !p.superviseOnce() {
-		// A maintenance action panicked; superviseOnce recovered it and we
-		// restart the loop with fresh ticker state (supervisor idiom).
-	}
-}
-
-// superviseOnce runs the supervisor until the pool closes (returns true)
-// or a maintenance action panics (recovered; returns false so maintain
-// restarts it).
-func (p *Pool) superviseOnce() (done bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			done = false
-		}
-	}()
-	var tickC <-chan time.Time
-	if p.rebalEvery > 0 {
-		tick := time.NewTicker(p.rebalEvery)
-		defer tick.Stop()
-		tickC = tick.C
-	}
-	for {
-		select {
-		case <-p.stop:
-			return true
-		case shard := <-p.failures:
-			if p.autoRecover {
-				rs, err := p.Recover(shard)
-				if err == nil && p.onRecover != nil {
-					p.onRecover(rs)
-				}
-			}
-		case <-tickC:
-			p.rebalanceOnce()
-		}
-	}
-}
-
 // rebalanceScan recomputes per-shard pressure and returns the (src, dst)
 // pair of a migration worth making, if the skew between the hottest and
 // coldest healthy shard exceeds the threshold. Pressure is device
@@ -99,7 +61,7 @@ func (p *Pool) superviseOnce() (done bool) {
 // growth since the previous scan — a shard can be hot by footprint or by
 // interconnect saturation. Allocation-free by construction: it reads the
 // capacity meters and link occupancy directly rather than building a
-// Stats snapshot.
+// Stats snapshot. Caller holds rebal.mu.
 //
 //buddy:hotpath
 func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
@@ -147,25 +109,34 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 	return src, dst, true
 }
 
-// rebalanceOnce runs one watcher tick: scan, and once the same hottest
-// shard has been elected rebalanceStreak scans in a row, live-migrate its
-// largest allocation to the coldest shard. Failures (racing drain,
-// destination filled up since the scan) are left for the next tick rather
-// than retried — the watcher converges, it does not thrash.
-func (p *Pool) rebalanceOnce() {
+// Rebalance runs one scan of per-shard pressure (device occupancy plus the
+// shard's smoothed share of link busy-cycle growth since the previous
+// call). Once the same hottest shard has been elected on rebalanceStreak
+// (3) consecutive calls with a skew of at least rebalanceSkew (0.5) over
+// the coldest healthy shard, it live-migrates that shard's largest
+// allocation to the coldest one and reports moved. The migration's error
+// is returned, not retried: a fresh streak is needed before the next move,
+// so the watcher converges rather than thrashes. Concurrent calls
+// serialize; after Close it fails with ErrClosed.
+func (p *Pool) Rebalance() (moved bool, err error) {
+	if p.closed.Load() {
+		return false, fmt.Errorf("pool: Rebalance: %w", ErrClosed)
+	}
 	rb := p.rebal
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
 	src, dst, ok := p.rebalanceScan()
 	if !ok {
 		rb.candidate, rb.streak = -1, 0
-		return
+		return false, nil
 	}
 	if src != rb.candidate {
 		rb.candidate, rb.streak = src, 1
-		return
+		return false, nil
 	}
 	rb.streak++
 	if rb.streak < rebalanceStreak {
-		return
+		return false, nil
 	}
 	// Migrate, then demand a fresh streak before the next move.
 	rb.candidate, rb.streak = -1, 0
@@ -176,7 +147,10 @@ func (p *Pool) rebalanceOnce() {
 		}
 	}
 	if pick == nil {
-		return
+		return false, nil
 	}
-	_ = p.MigrateHandle(pick, dst)
+	if err := p.MigrateHandle(pick, dst); err != nil {
+		return false, fmt.Errorf("pool: Rebalance: %w", err)
+	}
+	return true, nil
 }

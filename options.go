@@ -1,8 +1,6 @@
 package buddy
 
 import (
-	"time"
-
 	"buddy/internal/core"
 	"buddy/internal/nvlink"
 	"buddy/internal/pool"
@@ -123,33 +121,10 @@ func WithTenants(tenants map[string]TenantConfig) Option {
 
 // WithFailureInjector attaches a fault-injection hook to a NewPool: the
 // injector's Kill(shard) marks that shard's device tier failed mid-serve
-// (operations fail with errors wrapping ErrDeviceFailed) until
-// Pool.Recover — or the AutoRecover supervisor — rebuilds it from the
-// buddy carve-out. Ignored by New.
+// (operations fail with errors wrapping ErrDeviceFailed) until the caller
+// rebuilds it from the buddy carve-out with Pool.Recover. Ignored by New.
 func WithFailureInjector(fi *FailureInjector) Option {
 	return func(cfg *config) { cfg.pool.Injector = fi }
-}
-
-// WithAutoRecover starts the pool's maintenance supervisor: a killed
-// shard's device tier is rebuilt from the buddy carve-out automatically.
-// onRecover, if non-nil, observes each recovery (instrumentation; it runs
-// on the supervisor goroutine). Ignored by New.
-func WithAutoRecover(onRecover func(RecoveryStats)) Option {
-	return func(cfg *config) {
-		cfg.pool.AutoRecover = true
-		cfg.pool.OnRecover = onRecover
-	}
-}
-
-// WithRebalance enables the pool's rebalancer watcher: every interval the
-// supervisor scans per-shard pressure (device occupancy plus link busy
-// cycles) and live-migrates an allocation off the most saturated shard when
-// the hottest-to-coldest pressure skew reaches 0.5 (half a device of
-// imbalance, a strongly lopsided link, or some of both). Ignored by New.
-func WithRebalance(interval time.Duration) Option {
-	return func(cfg *config) {
-		cfg.pool.RebalanceInterval = interval
-	}
 }
 
 // WithCodec selects the memory compression algorithm (default BPC, §2.4).
