@@ -148,7 +148,8 @@ func PlaceRoundRobin() Placement { return pool.RoundRobin() }
 // applies when it is full).
 func PlaceShard(shard int) Placement { return pool.Explicit(shard) }
 
-// ErrPoolClosed is returned (wrapped) by operations on a closed Pool.
+// ErrPoolClosed is returned (wrapped) by every submit and control call made
+// once Pool.Close has begun; handles keep their I/O and Close.
 var ErrPoolClosed = pool.ErrClosed
 
 // Tenant is a named tenant's front door on a Pool: Malloc places

@@ -266,7 +266,7 @@ func (p *Pool) exec(s *sched, f *Future, queued bool) {
 const inPlaceMaxBytes = 8 * core.EntryBytes
 
 // submit checks a future out for one operation and routes it to the handle's
-// shard, three ways. A closed pool fails it at once. An operation of at most
+// shard, three ways. A closed shard fails it at once. An operation of at most
 // inPlaceMaxBytes that finds the shard with nothing pending — nothing on any
 // tenant ring, nothing dequeued and still executing — runs to completion on
 // the submitter's goroutine (exec) and its future returns finished: with
@@ -292,17 +292,14 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 	f.kind, f.h, f.buf, f.off = kind, h, buf, off
 	f.waited.Store(false)
 	f.wg.Add(1)
-	// subMu is read-held from the closed check to the return. Close stores
-	// the flag, shuts the schedulers down, then takes subMu exclusively:
-	// either this submit observes closed, or Close waits for it — it runs in
-	// place before Close returns, or its enqueue lands before shutdown (and
-	// drains) or returns ErrClosed from the scheduler itself.
-	p.subMu.RLock()
 	shard := h.Shard()
 	s := p.scheds[shard]
 	f.stamp = s.clock.Load()
+	// Either enter finds the shard closed, or Close waits for this submit:
+	// it runs in place before Close returns, or its enqueue lands before the
+	// shard closes (and drains) or the scheduler refuses it with ErrClosed.
 	switch {
-	case p.closed.Load():
+	case s.enter()&closedBit != 0:
 		f.finish(0, 0, fmt.Errorf("pool: submit on shard %d: %w", shard, ErrClosed))
 	case len(buf) <= inPlaceMaxBytes && s.pending.Load() == 0:
 		p.exec(s, f, false)
@@ -317,7 +314,7 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 			h.tn.submitted.Add(1)
 		}
 	}
-	p.subMu.RUnlock()
+	s.exit()
 	return f
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -464,11 +465,16 @@ func TestFutureDoubleWaitPanics(t *testing.T) {
 
 // TestFutureHoldsNothingAfterFinish: a finished future has let go of its
 // handle and its buffer — served, or refused by a closed pool or by a ring
-// that has shut down — so the pool of futures never pins a caller's buffer.
-// The test looks inside a consumed future, which only it may: one goroutine,
-// nothing submitted in between.
+// that closed under it — so the pool of futures never pins a caller's buffer.
+// The test looks inside a consumed future, which only it may: nothing is
+// submitted between its Wait and the look.
 func TestFutureHoldsNothingAfterFinish(t *testing.T) {
-	p := newAsyncPool(t, 1, 1, 4)
+	gc := &gatedCodec{Codec: compress.NewBPC(), entered: make(chan struct{}), release: make(chan struct{})}
+	dev := core.NewDevice(core.Config{DeviceBytes: 4 << 20, Codec: gc})
+	p, err := New([]*core.Device{dev}, Config{Workers: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, err := p.Malloc("held", 64*core.EntryBytes, core.Target1x)
 	if err != nil {
 		t.Fatal(err)
@@ -484,10 +490,29 @@ func TestFutureHoldsNothingAfterFinish(t *testing.T) {
 	}
 	check("served in place", p.SubmitWrite(h, make([]byte, core.EntryBytes), 0), nil)
 	check("served from the ring", p.SubmitWrite(h, make([]byte, 2*inPlaceMaxBytes), 0), nil)
-	// A ring that shut down under a submit already past the closed check.
-	p.scheds[0].shutdown()
-	check("refused by the ring", p.SubmitRead(h, make([]byte, 2*inPlaceMaxBytes), 0), ErrClosed)
-	if err := p.Close(); err != nil {
+	// A submit already in flight on the shard when Close closes it: parked
+	// on a full ring (the worker held mid-write, the depth-1 ring filled
+	// behind it), it is refused by the ring, not at its enter.
+	big := make([]byte, 2*inPlaceMaxBytes)
+	gc.armed.Store(true)
+	held := p.SubmitWrite(h, big, 0)
+	<-gc.entered
+	queued := p.SubmitWrite(h, big, 0)
+	parked := make(chan *Future)
+	go func() { parked <- p.SubmitRead(h, make([]byte, 2*inPlaceMaxBytes), 0) }()
+	for p.scheds[0].life.Load()&countMask == 0 {
+		runtime.Gosched()
+	}
+	closed := make(chan error)
+	go func() { closed <- p.Close() }()
+	check("refused by the ring", <-parked, ErrClosed)
+	close(gc.release)
+	for _, f := range []*Future{held, queued} {
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	check("refused by a closed pool", p.SubmitRead(h, make([]byte, core.EntryBytes), 0), ErrClosed)

@@ -3,27 +3,38 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"buddy/internal/core"
 )
 
-// Shard lifecycle: every shard is healthy, draining, or failed.
+// Shard lifecycle: every shard is healthy, draining or failed, and Close
+// takes it, whatever its state, to closed, which it never leaves.
 //
 //	healthy  --Drain-->  draining  --Reopen-->  healthy
 //	healthy/draining  --Kill-->  failed  --Recover-->  healthy
+//	healthy/draining/failed  --Close-->  closed
 //
 // Draining and failed shards accept no new placements (Malloc skips them,
 // MigrateHandle refuses them as destinations). A draining shard keeps
 // serving its residents until Drain's evacuation moves them off; a failed
 // shard fails every data-path operation with core.ErrDeviceFailed until
-// Recover rebuilds its device tier from the buddy carve-out.
+// Recover rebuilds its device tier from the buddy carve-out. A closed shard
+// refuses every call with ErrClosed and keeps its state for Stats.
+//
+// A shard's lifecycle is one word, sched.life: the closed bit, the state,
+// and the count of calls in flight on the shard (sched.enter).
 const (
-	shardHealthy int32 = iota
-	shardDraining
-	shardFailed
+	closedBit     = 1 << 63
+	stateShift    = 61
+	stateMask     = 3 << stateShift
+	countMask     = 1<<stateShift - 1
+	shardHealthy  = 0 << stateShift
+	shardDraining = 1 << stateShift
+	shardFailed   = 2 << stateShift
 )
 
 // ErrShardDraining is returned (wrapped) when an operation targets a shard
@@ -35,11 +46,48 @@ var ErrShardDraining = errors.New("pool: shard draining")
 // whose device tier has been killed and not yet recovered.
 var ErrShardFailed = errors.New("pool: shard failed")
 
-func (p *Pool) checkShard(op string, shard int) error {
+// refusal is what a call allowed from the states in from finds in word w:
+// nil, ErrClosed whatever the state once the shard has closed, or the error
+// for the state it is in.
+func refusal(w uint64, from ...uint64) error {
+	switch st := w & stateMask; {
+	case w&closedBit != 0:
+		return ErrClosed
+	case slices.Contains(from, st):
+		return nil
+	case st == shardDraining:
+		return ErrShardDraining
+	case st == shardFailed:
+		return ErrShardFailed
+	}
+	return errors.New("pool: shard has not failed")
+}
+
+// transition moves the shard from one of the states in from to state to in
+// one CAS on the whole word, retried only when the in-flight count moved, so
+// the count and the closed bit pass through. It is a call in flight on the
+// shard, so Close waits for it and for step, which (if not nil) runs once
+// the state is checked and before the CAS. op names the call in errors.
+func (p *Pool) transition(op string, shard int, to uint64, step func() error, from ...uint64) error {
 	if shard < 0 || shard >= len(p.devices) {
 		return fmt.Errorf("pool: %s on shard %d of %d", op, shard, len(p.devices))
 	}
-	return nil
+	s := p.scheds[shard]
+	w := s.enter()
+	defer s.exit()
+	for {
+		err := refusal(w, from...)
+		if err == nil && step != nil {
+			err, step = step(), nil
+		}
+		if err != nil {
+			return fmt.Errorf("pool: %s shard %d: %w", op, shard, err)
+		}
+		if s.life.CompareAndSwap(w, w&^stateMask|to) {
+			return nil
+		}
+		w = s.life.Load()
+	}
 }
 
 // Drain evacuates every allocation off the shard for maintenance: the
@@ -47,22 +95,11 @@ func (p *Pool) checkShard(op string, shard int) error {
 // allocation is live-migrated to the healthy shard with the most free
 // device bytes (falling through the rest in headroom order). Handles keep
 // working throughout — their routes follow the moves. The shard stays in
-// the draining state after Drain returns, even on error, until Reopen;
-// draining an already-draining shard fails with ErrShardDraining, a failed
-// shard with ErrShardFailed, and a closed pool with ErrClosed, as
-// Rebalance does.
+// the draining state after Drain returns, even on error, until Reopen. A
+// draining, failed or closed shard refuses with its state's error.
 func (p *Pool) Drain(shard int) error {
-	if err := p.checkShard("Drain", shard); err != nil {
+	if err := p.transition("Drain", shard, shardDraining, nil, shardHealthy); err != nil {
 		return err
-	}
-	if p.closed.Load() {
-		return fmt.Errorf("pool: Drain shard %d: %w", shard, ErrClosed)
-	}
-	if !p.state[shard].CompareAndSwap(shardHealthy, shardDraining) {
-		if p.state[shard].Load() == shardFailed {
-			return fmt.Errorf("pool: Drain shard %d: %w", shard, ErrShardFailed)
-		}
-		return fmt.Errorf("pool: Drain shard %d: %w", shard, ErrShardDraining)
 	}
 	// Evacuate until a sweep finds the shard empty: a migration that was
 	// already past its destination reservation when the drain began can
@@ -92,14 +129,7 @@ func (p *Pool) Drain(shard int) error {
 // Reopen returns a drained shard to service. Reopening a healthy shard is
 // a no-op; a failed shard must go through Recover instead.
 func (p *Pool) Reopen(shard int) error {
-	if err := p.checkShard("Reopen", shard); err != nil {
-		return err
-	}
-	if p.state[shard].Load() == shardFailed {
-		return fmt.Errorf("pool: Reopen shard %d: %w", shard, ErrShardFailed)
-	}
-	p.state[shard].CompareAndSwap(shardDraining, shardHealthy)
-	return nil
+	return p.transition("Reopen", shard, shardHealthy, nil, shardDraining, shardHealthy)
 }
 
 // evacuate moves one handle off the given shard, trying healthy
@@ -139,31 +169,20 @@ func (p *Pool) evacuate(h *Handle, from int) error {
 // NewFailureInjector, hand it to the pool via Config.Injector (or
 // buddy.WithFailureInjector), then Kill shards mid-serve; Pool.Recover
 // brings a killed shard back.
-type FailureInjector struct {
-	mu sync.Mutex
-	p  *Pool
-}
+type FailureInjector struct{ p atomic.Pointer[Pool] }
 
 // NewFailureInjector returns an unattached injector; the pool it is passed
 // to attaches itself at construction.
 func NewFailureInjector() *FailureInjector { return &FailureInjector{} }
-
-func (fi *FailureInjector) attach(p *Pool) {
-	fi.mu.Lock()
-	fi.p = p
-	fi.mu.Unlock()
-}
 
 // Kill marks the shard's device tier failed, mid-serve: in-flight
 // operations that already passed the device's failure check complete, and
 // every subsequent data-path operation on the shard fails with an error
 // wrapping core.ErrDeviceFailed until a caller rebuilds it with
 // Pool.Recover; Kill only marks the shard. Killing an already-failed shard
-// fails with ErrShardFailed.
+// fails with ErrShardFailed, and any shard of a closed pool with ErrClosed.
 func (fi *FailureInjector) Kill(shard int) error {
-	fi.mu.Lock()
-	p := fi.p
-	fi.mu.Unlock()
+	p := fi.p.Load()
 	if p == nil {
 		return errors.New("pool: failure injector not attached to a pool")
 	}
@@ -171,17 +190,8 @@ func (fi *FailureInjector) Kill(shard int) error {
 }
 
 func (p *Pool) failShard(shard int) error {
-	if err := p.checkShard("Kill", shard); err != nil {
+	if err := p.transition("Kill", shard, shardFailed, nil, shardHealthy, shardDraining); err != nil {
 		return err
-	}
-	for {
-		st := p.state[shard].Load()
-		if st == shardFailed {
-			return fmt.Errorf("pool: Kill shard %d: %w", shard, ErrShardFailed)
-		}
-		if p.state[shard].CompareAndSwap(st, shardFailed) {
-			break
-		}
 	}
 	p.devices[shard].Fail()
 	return nil
@@ -202,24 +212,17 @@ type RecoveryStats struct {
 
 // Recover rebuilds a failed shard's device tier from the buddy carve-out
 // (see core.Device.Recover for the traffic model) and returns it to
-// service. Recovering a shard that has not failed is an error.
+// service. Recovering a shard that has not failed is an error. Close waits
+// for a rebuild in flight; one it overtakes leaves the shard failed.
 func (p *Pool) Recover(shard int) (RecoveryStats, error) {
-	if err := p.checkShard("Recover", shard); err != nil {
+	st, start := RecoveryStats{Shard: shard}, time.Now()
+	err := p.transition("Recover", shard, shardHealthy, func() (err error) {
+		st.Entries, st.RebuiltBytes, err = p.devices[shard].Recover()
+		return err
+	}, shardFailed)
+	if err != nil {
 		return RecoveryStats{}, err
 	}
-	if p.state[shard].Load() != shardFailed {
-		return RecoveryStats{}, fmt.Errorf("pool: Recover shard %d: shard has not failed", shard)
-	}
-	start := time.Now()
-	entries, rebuilt, err := p.devices[shard].Recover()
-	if err != nil {
-		return RecoveryStats{}, fmt.Errorf("pool: Recover shard %d: %w", shard, err)
-	}
-	p.state[shard].Store(shardHealthy)
-	return RecoveryStats{
-		Shard:        shard,
-		Entries:      entries,
-		RebuiltBytes: rebuilt,
-		Elapsed:      time.Since(start),
-	}, nil
+	st.Elapsed = time.Since(start)
+	return st, nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"buddy/internal/core"
@@ -255,4 +257,164 @@ func TestDrainDuringBackpressure(t *testing.T) {
 			t.Errorf("future failed across drain: %v", err)
 		}
 	}
+}
+
+// TestControlPlaneRefusesAfterClose pins closed as the state every shard
+// ends in: after Close, every submit and control call — the ones that move
+// a handle, kill or rebuild a shard, change its state or place an
+// allocation — refuses with ErrClosed, while the live handle keeps its I/O
+// and its Close.
+func TestControlPlaneRefusesAfterClose(t *testing.T) {
+	fi := NewFailureInjector()
+	devices := []*core.Device{
+		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
+		core.NewDevice(core.Config{DeviceBytes: 64 << 10}),
+	}
+	p, err := New(devices, Config{Injector: fi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := p.Malloc("live", 8*core.EntryBytes, core.Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 8*core.EntryBytes)
+	pattern(data, 4)
+	if _, err := h.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	home := h.Shard()
+	other := 1 - home
+	plan := &core.ReprofilePlan{Decisions: []core.ReprofileDecision{{Alloc: h.Alloc(), Old: core.Target2x, New: core.Target1x}}}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"MigrateHandle", func() error { return p.MigrateHandle(h, other) }},
+		{"Kill", func() error { return fi.Kill(other) }},
+		{"Recover", func() error { _, err := p.Recover(other); return err }},
+		{"Reopen", func() error { return p.Reopen(other) }},
+		{"Drain", func() error { return p.Drain(other) }},
+		{"Rebalance", func() error { _, err := p.Rebalance(); return err }},
+		{"ApplyReprofile", func() error { _, err := p.ApplyReprofile(plan); return err }},
+		{"Malloc", func() error { _, err := p.Malloc("late", 1<<10, core.Target1x); return err }},
+		{"SubmitWrite", func() error { _, err := p.SubmitWrite(h, data[:core.EntryBytes], 0).Wait(); return err }},
+	}
+	for _, c := range calls {
+		if err := c.call(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: %v, want ErrClosed", c.name, err)
+		}
+	}
+	if st := p.Stats(); h.Shard() != home || st.Shards[other].Failed || st.Shards[other].Draining || h.Target() != core.Target2x {
+		t.Errorf("a refused call changed the fleet: handle on shard %d (placed on %d), shard %d %+v, target %s",
+			h.Shard(), home, other, st.Shards[other].ShardLoad, h.Target())
+	}
+	pattern(data, 5)
+	if _, err := h.WriteAt(data, 0); err != nil {
+		t.Fatalf("WriteAt after Close: %v", err)
+	}
+	got := make([]byte, len(data))
+	if _, err := h.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("ReadAt after Close: err=%v, match=%v", err, bytes.Equal(got, data))
+	}
+	if err := h.Close(); err != nil {
+		t.Fatalf("Handle.Close after Close: %v", err)
+	}
+}
+
+// TestCloseStopsDataAndControlPlane closes the pool while submitters write
+// small (in-place) and large (queued) operations to one handle and a
+// migrator moves that handle between two shards in a loop. Every operation
+// succeeds or fails with ErrClosed; once Close has returned no device's
+// traffic moves, and the migrator's next call is refused.
+func TestCloseStopsDataAndControlPlane(t *testing.T) {
+	devices := []*core.Device{
+		core.NewDevice(core.Config{DeviceBytes: 1 << 20}),
+		core.NewDevice(core.Config{DeviceBytes: 1 << 20}),
+	}
+	p, err := New(devices, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries = 64
+	h, err := p.Malloc("contended", entries*core.EntryBytes, core.Target2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const submitters = 4
+	var wg sync.WaitGroup
+	var ops, moves atomic.Int64
+	done := make(chan struct{})
+	for c := 0; c < submitters; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			small := make([]byte, core.EntryBytes)
+			large := make([]byte, 2*inPlaceMaxBytes)
+			pattern(small, byte(c))
+			pattern(large, byte(c+submitters))
+			for i := 0; ; i++ {
+				buf := small
+				if i%2 == 1 {
+					buf = large
+				}
+				off := int64((c*8+i)%(entries-len(buf)/core.EntryBytes)) * core.EntryBytes
+				if _, err := p.SubmitWrite(h, buf, off).Wait(); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("submitter %d: %v, want nil or ErrClosed", c, err)
+					}
+					return
+				}
+				ops.Add(1)
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() { // migrator
+		defer wg.Done()
+		for {
+			err := p.MigrateHandle(h, 1-h.Shard())
+			if errors.Is(err, ErrClosed) {
+				return
+			}
+			if err != nil {
+				t.Errorf("MigrateHandle: %v", err)
+				return
+			}
+			moves.Add(1)
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for ops.Load() < 4*submitters || moves.Load() < 4 {
+		runtime.Gosched()
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	traffic := func() (out []core.Traffic) {
+		for i := range devices {
+			out = append(out, p.Device(i).Traffic())
+		}
+		return out
+	}
+	before := traffic()
+	close(done)
+	wg.Wait()
+	for i, tr := range traffic() {
+		if b := before[i]; tr.Writes != b.Writes || tr.Reads != b.Reads || tr.MigrationBytes != b.MigrationBytes {
+			t.Errorf("shard %d moved after Close returned: writes %d->%d, reads %d->%d, migration bytes %d->%d",
+				i, b.Writes, tr.Writes, b.Reads, tr.Reads, b.MigrationBytes, tr.MigrationBytes)
+		}
+	}
+	if err := p.MigrateHandle(h, 1-h.Shard()); !errors.Is(err, ErrClosed) {
+		t.Errorf("migration after Close: %v, want ErrClosed", err)
+	}
+	t.Logf("%d operations and %d moves before Close", ops.Load(), moves.Load())
 }

@@ -22,8 +22,8 @@ import (
 // MigrateHandle live-migrates h's allocation to dstShard. It blocks until
 // the move commits (or is handed back) and is safe to call while other
 // goroutines read and write the handle; migrating to the handle's current
-// shard is a no-op. Handles from another pool, and draining and failed
-// destinations, are refused; a full destination fails with
+// shard is a no-op. Handles from another pool, draining and failed
+// destinations, and a closed pool are refused; a full destination fails with
 // core.ErrOutOfMemory before anything moves. Migrating *off* a failed shard
 // works — the framed streams survive in the carve-out mirror — which is
 // what drain-style evacuation of a dead tier relies on.
@@ -36,15 +36,16 @@ func (p *Pool) MigrateHandle(h *Handle, dstShard int) error {
 	}
 	h.ctl.Lock()
 	defer h.ctl.Unlock()
+	// The move is a call in flight on its destination: Close waits for it.
+	dst := p.scheds[dstShard]
+	w := dst.enter()
+	defer dst.exit()
 	srcShard := h.Shard()
-	if srcShard == dstShard {
+	if srcShard == dstShard && w&closedBit == 0 {
 		return nil
 	}
-	switch p.state[dstShard].Load() {
-	case shardDraining:
-		return fmt.Errorf("pool: migrate %q to shard %d: %w", h.a.Name, dstShard, ErrShardDraining)
-	case shardFailed:
-		return fmt.Errorf("pool: migrate %q to shard %d: %w", h.a.Name, dstShard, ErrShardFailed)
+	if err := refusal(w, shardHealthy); err != nil {
+		return fmt.Errorf("pool: migrate %q to shard %d: %w", h.a.Name, dstShard, err)
 	}
 	if err := h.a.MoveTo(p.devices[dstShard]); err != nil {
 		return fmt.Errorf("pool: migrate %q shard %d->%d: %w", h.a.Name, srcShard, dstShard, err)

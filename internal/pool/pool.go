@@ -64,7 +64,8 @@ type Config struct {
 	Tenants map[string]TenantConfig
 }
 
-// ErrClosed is returned (wrapped) by operations on a closed pool.
+// ErrClosed is returned (wrapped) by every submit and control call made
+// once Pool.Close has begun.
 var ErrClosed = errors.New("pool: closed")
 
 // Pool is a shard router over N independent devices. It is safe for
@@ -82,25 +83,12 @@ type Pool struct {
 	handles map[uint64]*Handle
 	nextID  atomic.Uint64
 
-	// state holds each shard's lifecycle state (shardHealthy/Draining/
-	// Failed); see drain.go for the state machine.
-	state []atomic.Int32
-
 	// Tenancy: tenants[0] is the default tenant; the rest follow in sorted
 	// name order. Every shard's scheduler indexes its rings by tenant.idx.
 	tenants      []*tenant
 	tenantByName map[string]*tenant
 
-	// Close protocol: closed flips first, then each shard's scheduler shuts
-	// down (waking submitters parked on full rings, which fail with
-	// ErrClosed), then Close takes subMu exclusively — every submit holds it
-	// shared from its closed check to its return, whether it enqueues or
-	// runs in place — so no submit is in flight past that point, while the
-	// workers finish the queued backlog and exit. An RWMutex, not a WaitGroup: submits keep arriving after
-	// Close has begun waiting, which a WaitGroup does not allow.
-	closed atomic.Bool
-	subMu  sync.RWMutex
-	scheds []*sched
+	scheds []*sched       // per shard: the scheduler and its lifecycle word
 	wg     sync.WaitGroup // shard workers
 
 	async asyncCounters
@@ -142,7 +130,6 @@ func New(devices []*core.Device, cfg Config) (*Pool, error) {
 		devices: devices,
 		place:   cfg.Placement,
 		handles: make(map[uint64]*Handle),
-		state:   make([]atomic.Int32, len(devices)),
 		scheds:  make([]*sched, len(devices)),
 		rebal:   newRebalancer(len(devices)),
 	}
@@ -155,7 +142,7 @@ func New(devices []*core.Device, cfg Config) (*Pool, error) {
 		}
 	}
 	if cfg.Injector != nil {
-		cfg.Injector.attach(p)
+		cfg.Injector.p.Store(p)
 	}
 	return p, nil
 }
@@ -186,7 +173,7 @@ func (p *Pool) loads() []ShardLoad {
 
 // load reads shard i's occupancy and lifecycle flags.
 func (p *Pool) load(i int) ShardLoad {
-	d, st := p.devices[i], p.state[i].Load()
+	d, st := p.devices[i], p.scheds[i].life.Load()&stateMask
 	return ShardLoad{
 		Shard:          i,
 		DeviceUsed:     d.DeviceUsed(),
@@ -235,7 +222,7 @@ func (p *Pool) Malloc(name string, size int64, target core.TargetRatio) (*Handle
 // the allocation's stored compressed bytes against the tenant's quota
 // before placement, and refunds the charge when no shard fits.
 func (p *Pool) mallocTenant(tn *tenant, name string, size int64, target core.TargetRatio) (*Handle, error) {
-	if p.closed.Load() {
+	if p.closing() {
 		return nil, fmt.Errorf("pool: Malloc %q: %w", name, ErrClosed)
 	}
 	need := quotaFor(size, target)
@@ -261,14 +248,12 @@ func (p *Pool) place1(tn *tenant, need int64, name string, size int64, target co
 		return nil, fmt.Errorf("pool: placement %s picked shard %d of %d",
 			p.place.Name(), start, len(p.devices))
 	}
-	available := 0
 	var errs []error
 	for k := 0; k < len(p.devices); k++ {
 		i := (start + k) % len(p.devices)
-		if p.state[i].Load() != shardHealthy {
+		if p.scheds[i].life.Load()&stateMask != shardHealthy {
 			continue
 		}
-		available++
 		a, err := p.devices[i].Malloc(name, size, target)
 		if err == nil {
 			return p.adopt(i, a, tn, need), nil
@@ -278,7 +263,7 @@ func (p *Pool) place1(tn *tenant, need int64, name string, size int64, target co
 		}
 		errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 	}
-	if available == 0 {
+	if len(errs) == 0 {
 		return nil, fmt.Errorf("pool: %q (%d bytes): no shard accepts placements (%s)",
 			name, size, headroom(loads))
 	}
@@ -340,32 +325,26 @@ func (p *Pool) handlesOn(shard int) []*Handle {
 	return out
 }
 
-// Close shuts the async serving layer down: it waits for every queued
-// operation to drain, then stops the workers. Submits blocked on a full
-// queue at close time fail their futures with ErrClosed instead of
-// deadlocking; already-queued operations complete normally. Allocations and
-// the devices themselves stay usable through their handles; Close only
-// retires the submission queues, and Drain and Rebalance, which fail with
-// ErrClosed afterwards. Closing twice is an error.
+// Close retires submission and the whole control plane: every later
+// submit, Malloc, MigrateHandle, Drain, Reopen, Rebalance, ApplyReprofile,
+// Recover and Kill fails with ErrClosed. It waits for the calls in flight
+// on each shard and for the queued operations, which complete normally;
+// submits parked on a full queue fail with ErrClosed. Once it returns no
+// pool call touches a device. Handles keep their I/O and Close. Closing
+// twice is an error.
 func (p *Pool) Close() error {
-	if !p.closed.CompareAndSwap(false, true) {
-		return ErrClosed
-	}
-	// Shutting a scheduler down wakes submitters parked on full rings
-	// (their enqueues fail with ErrClosed) and lets the workers finish the
-	// queued backlog and exit; a submit that raced past the closed check
-	// either lands before the shutdown (and is drained) or is refused by
-	// the scheduler itself.
+	// Shard 0 closes first, so a second Close stops there and closing reads it.
 	for _, s := range p.scheds {
-		s.shutdown()
+		if s.close() {
+			return ErrClosed
+		}
 	}
-	// Barrier, nothing to protect: in-flight submits finish before the lock
-	// is granted, later ones observe closed.
-	p.subMu.Lock()
-	p.subMu.Unlock()
 	p.wg.Wait()
 	return nil
 }
+
+// closing reports whether Close has begun.
+func (p *Pool) closing() bool { return p.scheds[0].life.Load()&closedBit != 0 }
 
 // Handle is a placed allocation. The core allocation behind it is the same
 // one for the handle's whole life — a live migration moves the allocation's

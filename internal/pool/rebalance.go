@@ -93,7 +93,7 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 	}
 	src, dst = -1, -1
 	for i := range p.devices {
-		if p.state[i].Load() != shardHealthy {
+		if p.scheds[i].life.Load()&stateMask != shardHealthy {
 			continue
 		}
 		if src < 0 || rb.score[i] > rb.score[src] {
@@ -119,7 +119,7 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 // so the watcher converges rather than thrashes. Concurrent calls
 // serialize; after Close it fails with ErrClosed.
 func (p *Pool) Rebalance() (moved bool, err error) {
-	if p.closed.Load() {
+	if p.closing() {
 		return false, fmt.Errorf("pool: Rebalance: %w", ErrClosed)
 	}
 	rb := p.rebal

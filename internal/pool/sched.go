@@ -82,10 +82,15 @@ func (r *taskRing) pop() *Future {
 
 // sched is one shard's scheduler.
 type sched struct {
+	// life is the shard's lifecycle word (drain.go). Every submit on the
+	// shard writes it twice, so it has a cache line to itself.
+	_    [64]byte
+	life atomic.Uint64
+	_    [56]byte
+
 	mu    sync.Mutex
-	more  sync.Cond // workers wait here for queued work
+	more  sync.Cond // workers wait here for queued work, and Close for the in-flight count
 	space sync.Cond // submitters wait here for ring space
-	shut  bool
 
 	tens    []*tenant // pool's tenants, by index
 	rings   []taskRing
@@ -122,14 +127,44 @@ func newSched(dev *core.Device, tens []*tenant, depth int) *sched {
 	return s
 }
 
-// shutdown wakes every parked submitter (their enqueues fail with
-// ErrClosed) and lets workers drain the remaining backlog and exit.
-func (s *sched) shutdown() {
+// enter counts a call in flight on the shard, which Close waits for, until
+// its exit; it returns the word it found, and a call finding closed refuses.
+//
+//buddy:hotpath
+func (s *sched) enter() uint64 { return s.life.Add(1) }
+
+// exit ends a call enter counted. The last one out of a closed shard wakes
+// Close, under mu, so the wake-up cannot fall between Close's check and wait.
+//
+//buddy:hotpath
+func (s *sched) exit() {
+	if w := s.life.Add(^uint64(0)); w&closedBit != 0 && w&countMask == 0 {
+		s.mu.Lock()
+		s.more.Broadcast()
+		s.mu.Unlock()
+	}
+}
+
+// close sets the closed bit (a CAS loop: go1.24.0 on amd64 miscompiles a
+// loop testing Uint64.Or's result) or reports it set already. Then it wakes
+// parked submitters (refused) and idle workers (which exit once the backlog
+// drains), and waits until no call is in flight on the shard.
+func (s *sched) close() (already bool) {
+	w := s.life.Load()
+	for w&closedBit == 0 && !s.life.CompareAndSwap(w, w|closedBit) {
+		w = s.life.Load()
+	}
+	if w&closedBit != 0 {
+		return true
+	}
 	s.mu.Lock()
-	s.shut = true
 	s.space.Broadcast()
 	s.more.Broadcast()
+	for s.life.Load()&countMask != 0 {
+		s.more.Wait()
+	}
 	s.mu.Unlock()
+	return false
 }
 
 // enqueue appends a task to its tenant's ring, blocking while the ring is
@@ -141,10 +176,10 @@ func (s *sched) shutdown() {
 func (s *sched) enqueue(t *Future, tn *tenant) error {
 	s.mu.Lock()
 	r := &s.rings[tn.idx]
-	for r.n == len(r.buf) && !s.shut {
+	for r.n == len(r.buf) && s.life.Load()&closedBit == 0 {
 		s.space.Wait()
 	}
-	if s.shut {
+	if s.life.Load()&closedBit != 0 {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -160,14 +195,14 @@ func (s *sched) enqueue(t *Future, tn *tenant) error {
 
 // dequeue fills run with the next window of tasks — all from one tenant,
 // in that tenant's FIFO order — and returns how many, blocking while the
-// shard is idle. Returns 0 only when the scheduler has shut down and the
-// backlog is drained.
+// shard is idle. Returns 0 only when the shard has closed and the backlog
+// is drained.
 //
 //buddy:hotpath
 func (s *sched) dequeue(run *[maxRunTasks]*Future) int {
 	s.mu.Lock()
 	for s.total == 0 {
-		if s.shut {
+		if s.life.Load()&closedBit != 0 {
 			s.mu.Unlock()
 			return 0
 		}

@@ -175,8 +175,12 @@ func (p *Pool) CompressionRatio() float64 {
 // follows the new target on the spot. Decisions that step does not apply,
 // or whose allocation no live handle holds, are skipped, exactly as on a
 // single device. On error the already-applied decisions remain in force.
+// After Close it fails with ErrClosed.
 func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, error) {
 	var st core.MigrationStats
+	if p.closing() {
+		return st, fmt.Errorf("pool: ApplyReprofile: %w", ErrClosed)
+	}
 	if plan == nil || len(plan.Decisions) == 0 {
 		return st, nil
 	}
@@ -211,10 +215,16 @@ func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, er
 // stays on the device the step goes through, and the quota — accounted in
 // exactly the stored bytes a target reserves — is adjusted by the delta the
 // moment the new target is in force, so tenant StoredBytes never disagrees
-// with the handles it sums.
+// with the handles it sums. Close waits for the relayout.
 func (h *Handle) retarget(dec core.ReprofileDecision) (moved int64, applied bool, err error) {
 	h.ctl.Lock()
 	defer h.ctl.Unlock()
+	s := h.pool.scheds[h.Shard()]
+	w := s.enter()
+	defer s.exit()
+	if w&closedBit != 0 {
+		return 0, false, ErrClosed
+	}
 	if moved, applied, err = h.a.Device().Reprofile(dec); !applied {
 		return 0, false, err
 	}
