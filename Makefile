@@ -85,8 +85,10 @@ lines:
 # bench/ (built inside its own module) — is built with inlining off, so each
 # function a binary calls is its own text symbol; `go tool nm` lists them,
 # and a declaration whose symbol is missing from every binary prints as
-# file:line and symbol. The recipe fails when the listing grows past the
-# entries kept on purpose, each with its reason:
+# file:line and symbol. An assembly function's symbol carries an .abi0
+# suffix, which the listing strips so that it matches its Go declaration.
+# The recipe fails when the listing grows past the entries kept on purpose,
+# each with its reason:
 #
 #   pool (*Pool).ApplyReprofile and (*Handle).retarget: a fleet's reprofile,
 #     keyed by allocation; kept for the fleet steward (ROADMAP 3(d)) and
@@ -110,7 +112,7 @@ unreached:
 	  $(GO) build -gcflags=all=-l -o $$tmp/ ./cmd/... ./examples/...; \
 	  (cd bench && $(GO) build -gcflags=all=-l -o $$tmp/bench .); \
 	  for b in $$tmp/*; do $(GO) tool nm $$b; done \
-	    | awk '$$2 == "T" && $$3 ~ /^buddy\/internal\// { print $$3 }' > $$tmp/reached; \
+	    | awk '$$2 == "T" && $$3 ~ /^buddy\/internal\// { sub(/\.abi0$$/, "", $$3); print $$3 }' > $$tmp/reached; \
 	  find internal -name '*.go' -not -name '*_test.go' -not -path 'internal/lint/testdata/*' | sort \
 	    | xargs awk '/^func / { \
 	        pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); s = $$0; sub(/^func /, "", s); recv = ""; \

@@ -183,3 +183,23 @@ func BenchmarkDecompressInto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTranspose32 measures BPC's 32x32 bit transpose under each kernel,
+// on a dense matrix (no all-zero word pair for the butterfly to skip).
+func BenchmarkTranspose32(b *testing.B) {
+	var w [entryWordCount]uint64
+	r := gen.NewRNG(1, 1)
+	for i := range w {
+		w[i] = r.Uint64()
+	}
+	for _, k := range transposeKernels() {
+		b.Run(k, func(b *testing.B) {
+			if !selectTranspose(b, k) {
+				b.SkipNow()
+			}
+			for i := 0; i < b.N; i++ {
+				transpose32(&w)
+			}
+		})
+	}
+}

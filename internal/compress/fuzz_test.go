@@ -20,6 +20,7 @@ func fuzzEntry(data []byte) []byte {
 // in-range metadata bits, size identically through a Sizer (the size-only
 // kernel where the codec has one), equal the preserved reference encoder's
 // stream byte for byte, and reject every truncated prefix with ErrCorrupt.
+// Each input runs under every transpose kernel this CPU has.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, EntryBytes))
@@ -42,7 +43,7 @@ func FuzzRoundTrip(f *testing.F) {
 		sparse90[i] = byte(0x3C + i)
 	}
 	f.Add(sparse90)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	roundTrip := func(t *testing.T, data []byte) {
 		entry := fuzzEntry(data)
 		dst := make([]byte, EntryBytes)
 		for _, c := range Registry() {
@@ -80,6 +81,14 @@ func FuzzRoundTrip(f *testing.F) {
 			// Restore dst for the next codec (truncated decodes scribble).
 			if err := c.DecompressInto(dst, stream); err != nil {
 				t.Fatalf("%s: re-decode: %v", c.Name(), err)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range transposeKernels() {
+			if selectTranspose(t, k) {
+				t.Logf("transpose kernel: %s", k)
+				roundTrip(t, data)
 			}
 		}
 	})

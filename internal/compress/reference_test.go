@@ -520,8 +520,12 @@ func crossCheckGens() []gen.Generator {
 // word-level kernel must emit byte-identical streams and bit counts to the
 // preserved pre-rewrite encoder over every generator shape and a battery of
 // adversarial structural entries (all-zero, every single-set-bit position,
-// boundary patterns).
+// boundary patterns). It runs under each transpose kernel.
 func TestWordKernelsMatchReference(t *testing.T) {
+	eachTranspose(t, wordKernelsMatchReference)
+}
+
+func wordKernelsMatchReference(t *testing.T) {
 	for _, c := range allCodecs() {
 		for gi, g := range crossCheckGens() {
 			for seed := uint64(0); seed < 8; seed++ {
@@ -601,8 +605,12 @@ func refBPCPlaneCode(entry []byte, b int) string {
 // back to single-plane codes, a zero-run code pending before a pair must
 // precede it, and the top pair (31, 30) sits right below plane 32. Each
 // case first checks, on the reference's own planes, that it has the shape
-// it names.
+// it names. It runs under each transpose kernel.
 func TestBPCRawPairsMatchReference(t *testing.T) {
+	eachTranspose(t, bpcRawPairsMatchReference)
+}
+
+func bpcRawPairsMatchReference(t *testing.T) {
 	const r1, r2, r3 = 0x2B5A1C37, 0x1F00A5D3, 0x64C3915E
 	top := make([]byte, EntryBytes)
 	for i := 0; i < bpcWords; i++ {

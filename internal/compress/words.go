@@ -66,20 +66,22 @@ func EntryAllZero(entry []byte) bool {
 	return or == 0
 }
 
-// transpose32 transposes a 32x32 bit matrix held two rows per 64-bit word —
-// row 2m in the low lane of w[m], row 2m+1 in the high lane — in place:
-// afterwards bit i of row b equals what bit b of row i was. The five
+// transposeButterfly transposes a 32x32 bit matrix held two rows per 64-bit
+// word — row 2m in the low lane of w[m], row 2m+1 in the high lane — in
+// place: afterwards bit i of row b equals what bit b of row i was. The five
 // butterfly rounds of masked swaps (Hacker's Delight 7-3) run on both
 // 32-bit lanes per operation, so the whole transpose is ~48 word operations
 // with constant masks and shifts instead of the 1024 single-bit moves of a
 // naive transpose (or 80 single-lane swaps unpacked). Shifts of 16 or less
 // never leak across lanes because the replicated masks are applied after
 // the shift; the final row-pair round stays inside each word. BPC's encoder
-// uses it to turn per-delta transition masks into bit-plane values whenever
-// a plane needs its bits, and its decoder to turn dense planes back.
+// uses it, through transpose32, to turn per-delta transition masks into
+// bit-plane values whenever a plane needs its bits, and its decoder to turn
+// dense planes back. It is the oracle for the GFNI kernel and the transpose
+// wherever that kernel cannot run.
 //
 //buddy:hotpath
-func transpose32(w *[entryWordCount]uint64) {
+func transposeButterfly(w *[entryWordCount]uint64) {
 	// The first two rounds skip word pairs that are entirely zero: sparse
 	// entries reach the transpose with most rows empty, and a dead pair costs
 	// one OR-and-test instead of five ALU ops. Later rounds have already mixed

@@ -6,10 +6,14 @@ import (
 	"buddy/internal/gen"
 )
 
-// TestTranspose32 pins the orientation of the packed butterfly transpose
+// TestTranspose32 pins the orientation of transpose32, under each kernel,
 // against the naive definition: bit i of output row b == bit b of input row
 // i, with row 2m in the low lane of word m and row 2m+1 in the high lane.
 func TestTranspose32(t *testing.T) {
+	eachTranspose(t, transpose32Orientation)
+}
+
+func transpose32Orientation(t *testing.T) {
 	var orig [32]uint32
 	var a, keep [entryWordCount]uint64
 	r := gen.NewRNG(99, 1)
@@ -32,6 +36,20 @@ func TestTranspose32(t *testing.T) {
 	transpose32(&a)
 	if a != keep {
 		t.Fatal("transpose32 is not an involution")
+	}
+}
+
+// eachTranspose runs f as one subtest per transpose kernel, named after it,
+// with transpose32 dispatching to that kernel; a kernel this CPU cannot run
+// is skipped with the reason logged.
+func eachTranspose(t *testing.T, f func(t *testing.T)) {
+	for _, k := range transposeKernels() {
+		t.Run(k, func(t *testing.T) {
+			if !selectTranspose(t, k) {
+				t.SkipNow()
+			}
+			f(t)
+		})
 	}
 }
 

@@ -304,7 +304,7 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 	case len(buf) <= inPlaceMaxBytes && s.pending.Load() == 0:
 		p.exec(s, f, false)
 		h.tn.submitted.Add(1) // before inline: Stats reads inline first
-		p.async.inline.Add(1)
+		s.inline.Add(1)
 	default:
 		// Once enqueue returns nil a worker may have finished f and Wait
 		// recycled it: only a refused future is still this submit's to touch.

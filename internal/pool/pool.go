@@ -99,7 +99,6 @@ type Pool struct {
 
 // asyncCounters is the async serving path's telemetry.
 type asyncCounters struct {
-	inline         atomic.Uint64 // operations served in place by their submitter
 	coalescedTasks atomic.Uint64
 	coalescedRuns  atomic.Uint64
 }

@@ -83,10 +83,13 @@ func (r *taskRing) pop() *Future {
 // sched is one shard's scheduler.
 type sched struct {
 	// life is the shard's lifecycle word (drain.go). Every submit on the
-	// shard writes it twice, so it has a cache line to itself.
-	_    [64]byte
-	life atomic.Uint64
-	_    [56]byte
+	// shard writes it twice, so it has a cache line to itself, shared only
+	// with inline, which an in-place submit writes between those two
+	// writes.
+	_      [64]byte
+	life   atomic.Uint64
+	inline atomic.Uint64 // operations served in place by their submitter
+	_      [48]byte
 
 	mu    sync.Mutex
 	more  sync.Cond // workers wait here for queued work, and Close for the in-flight count

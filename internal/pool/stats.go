@@ -132,9 +132,11 @@ func (p *Pool) Stats() Stats {
 	// Inline is read before the tenants: submit counts an operation on its
 	// tenant first, so the tenants' sum is never behind it.
 	st.Async = AsyncStats{
-		Inline:         p.async.inline.Load(),
 		CoalescedTasks: p.async.coalescedTasks.Load(),
 		CoalescedRuns:  p.async.coalescedRuns.Load(),
+	}
+	for _, s := range p.scheds {
+		st.Async.Inline += s.inline.Load()
 	}
 	st.Tenants = make([]TenantStats, len(p.tenants))
 	var fleet [latBuckets]uint64

@@ -529,7 +529,11 @@ func TestApplyReprofileRacesMigration(t *testing.T) {
 	moved, churned := moves.Load(), churns.Load()
 	flip := map[core.TargetRatio]core.TargetRatio{core.Target2x: core.Target4x, core.Target4x: core.Target2x}
 	applied := 0
-	for round := 0; round < 60; round++ {
+	// At least 60 rounds, and on until both helpers have advanced inside
+	// them: one the scheduler gave no time slice during the first 60 has
+	// raced nothing yet. The cap only bounds a hang; reaching it fails below.
+	const minRounds, maxRounds = 60, 100000
+	for round := 0; round < maxRounds && (round < minRounds || moves.Load() == moved || churns.Load() == churned); round++ {
 		plan := &core.ReprofilePlan{}
 		for _, h := range p.Handles() {
 			old := h.Target()
