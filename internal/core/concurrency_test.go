@@ -145,7 +145,7 @@ func TestLineHandOverUnderWriters(t *testing.T) {
 		}(w)
 	}
 	for m := 0; m < 64; m++ {
-		if err := a.MoveTo([]*Device{dst, src}[m%2]); err != nil {
+		if _, err := a.MoveTo([]*Device{dst, src}[m%2], a.Target()); err != nil {
 			t.Error(err)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // traffic continues: under a new target ratio (Retarget, and ApplyReprofile
 // driving it from a checkpoint-time ReprofilePlan — the §3.4 extension: "the
 // target ratios can be periodically updated for long running applications"),
-// on another device (MoveTo, under the pool's MigrateHandle and Drain), or
-// both. It is one mechanism whichever of the two changes.
+// on another device, or both (MoveTo, behind every move the pool makes). It
+// is one mechanism whichever of the two changes.
 //
 // Concurrency scheme: the control plane of one allocation serializes on its
 // ctl (lock order Allocation.ctl -> Device.mu -> Allocation.mu -> entry
@@ -176,10 +176,8 @@ func storedBytes(sectors int) int {
 	return sectors * 32
 }
 
-// errStale marks a control-plane request the allocation outran between the
-// caller's look and ctl: it left the device the request came through, or its
-// target is no longer the one a reprofile decision was planned against.
-// Reprofile maps it to a decision not applied.
+// errStale marks a Retarget the allocation outran between the caller's look
+// and ctl: it left the device the request came through.
 var errStale = errors.New("core: the allocation changed since it was looked up")
 
 // Retarget re-lays a live allocation out under a new target compression
@@ -188,40 +186,25 @@ var errStale = errors.New("core: the allocation changed since it was looked up")
 // cost a ReprofilePlan estimates), 0 when the allocation is at target
 // already.
 func (d *Device) Retarget(a *Allocation, target TargetRatio) (int64, error) {
-	return d.retarget(a, target, nil)
-}
-
-// retarget is Retarget with an optional expected current target: when
-// expectOld is non-nil and the allocation's target no longer matches (a
-// concurrent Retarget won the race since the caller looked), it fails with
-// errStale instead of migrating, as it does for an allocation that has left
-// d. The checks run under ctl, where no control-plane operation can
-// interleave.
-func (d *Device) retarget(a *Allocation, target TargetRatio, expectOld *TargetRatio) (int64, error) {
 	if a == nil {
 		return 0, fmt.Errorf("core: Retarget of a nil allocation")
 	}
 	a.ctl.Lock()
 	defer a.ctl.Unlock()
-	cur := a.layout()
-	if cur.dev != d {
+	if a.layout().dev != d {
 		return 0, fmt.Errorf("core: Retarget of %s through a device it does not live on: %w", a.Name, errStale)
-	}
-	if expectOld != nil && cur.target != *expectOld {
-		return 0, fmt.Errorf("core: %s is at %s, plan expected %s: %w", a.Name, cur.target, *expectOld, errStale)
 	}
 	return a.relayout(d, target)
 }
 
-// MoveTo moves a live allocation to dst, target ratio unchanged; see
-// relayout. Moving to the device it is on is a no-op. Moving off a failed
-// device works: the streams are the carve-out mirror's surviving copy, which
-// is what evacuating a dead tier reads.
-func (a *Allocation) MoveTo(dst *Device) error {
+// MoveTo re-lays a live allocation out on dst under target (another device,
+// ratio, or both; see relayout), returning the stored bytes re-packed. Moving
+// off a failed device works: the streams are the carve-out mirror's
+// surviving copy, which is what evacuating a dead tier reads.
+func (a *Allocation) MoveTo(dst *Device, target TargetRatio) (int64, error) {
 	a.ctl.Lock()
 	defer a.ctl.Unlock()
-	_, err := a.relayout(dst, a.layout().target)
-	return err
+	return a.relayout(dst, target)
 }
 
 // relayout moves a onto a fresh layout on dev under target — the one
@@ -363,11 +346,16 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 // migration; a decision without an allocation is not applied either. It
 // returns the stored bytes re-packed.
 func (d *Device) Reprofile(dec ReprofileDecision) (moved int64, applied bool, err error) {
-	if dec.Alloc == nil {
+	a := dec.Alloc
+	if a == nil {
 		return 0, false, nil
 	}
-	moved, err = d.retarget(dec.Alloc, dec.New, &dec.Old)
-	if errors.Is(err, ErrFreed) || errors.Is(err, errStale) {
+	a.ctl.Lock()
+	defer a.ctl.Unlock()
+	if cur := a.layout(); cur.dev != d || cur.target != dec.Old {
+		return 0, false, nil
+	}
+	if moved, err = a.relayout(d, dec.New); errors.Is(err, ErrFreed) {
 		return 0, false, nil
 	}
 	return moved, err == nil, err

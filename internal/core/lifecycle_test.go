@@ -219,7 +219,7 @@ func TestStripesAreTheAllocations(t *testing.T) {
 		before[i] = a.shard(i)
 	}
 	for _, to := range []*Device{other, d} {
-		if err := a.MoveTo(to); err != nil {
+		if _, err := a.MoveTo(to, a.Target()); err != nil {
 			t.Fatal(err)
 		}
 		for i, sh := range before {

@@ -758,7 +758,7 @@ func TestTransferChargesSourceAfterCommit(t *testing.T) {
 	}
 
 	dst.Fail()
-	if err := a.MoveTo(dst); !errors.Is(err, ErrDeviceFailed) {
+	if _, err := a.MoveTo(dst, a.Target()); !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("move into a failed device: %v, want ErrDeviceFailed", err)
 	}
 	untouched("a move into a failed device")
@@ -767,7 +767,7 @@ func TestTransferChargesSourceAfterCommit(t *testing.T) {
 	}
 
 	full := NewDevice(Config{DeviceBytes: entries * 16}) // half a Target4x layout
-	if err := a.MoveTo(full); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := a.MoveTo(full, a.Target()); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("move into a full device: %v, want ErrOutOfMemory", err)
 	}
 	untouched("a move into a full device")
@@ -779,7 +779,7 @@ func TestTransferChargesSourceAfterCommit(t *testing.T) {
 	if err := gone.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := gone.MoveTo(dst); !errors.Is(err, ErrFreed) {
+	if _, err := gone.MoveTo(dst, gone.Target()); !errors.Is(err, ErrFreed) {
 		t.Fatalf("move of a freed allocation: %v, want ErrFreed", err)
 	}
 	untouched("a move of a freed allocation")
@@ -975,7 +975,7 @@ func TestMoveToAcrossCodecs(t *testing.T) {
 	// Back again, through MoveTo, with one stream cut short.
 	bad := cut + 5
 	corruptStream(a, bad, 1)
-	err = a.MoveTo(src)
+	_, err = a.MoveTo(src, a.Target())
 	if !errors.Is(err, compress.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("entry %d", bad)) {
 		t.Fatalf("move over a corrupt stream: %v, want ErrCorrupt naming entry %d", err, bad)
 	}

@@ -444,7 +444,7 @@ func TestStreamLengthContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := NewDevice(Config{DeviceBytes: 1 << 20, Codec: longCodec{compress.NewBDI()}})
-	err = a.MoveTo(long)
+	_, err = a.MoveTo(long, a.Target())
 	if !errors.Is(err, compress.ErrCorrupt) || !strings.Contains(err.Error(), "entry 0") || a.Device() != d || long.DeviceUsed() != 0 {
 		t.Errorf("move onto an over-emitting codec: %v, on d=%v, %d bytes left reserved", err, a.Device() == d, long.DeviceUsed())
 	}
@@ -515,9 +515,10 @@ func TestRelocationHeapFlat(t *testing.T) {
 	var heap3 uint64
 	for round := 1; round <= 33; round++ {
 		for k, a := range allocs {
-			must(a.MoveTo(away))
 			target := a.Target()
-			_, err := away.Retarget(a, AllRatios[(k+1)%3])
+			_, err := a.MoveTo(away, target)
+			must(err)
+			_, err = away.Retarget(a, AllRatios[(k+1)%3])
 			must(err)
 			_, err = away.Retarget(a, target)
 			must(err)
@@ -533,7 +534,8 @@ func TestRelocationHeapFlat(t *testing.T) {
 		_, _, err := away.Recover()
 		must(err)
 		for _, a := range allocs {
-			must(a.MoveTo(home))
+			_, err := a.MoveTo(home, a.Target())
+			must(err)
 		}
 		switch owned, heap := reading(); round {
 		case 3:

@@ -1,10 +1,10 @@
 package pool
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -105,13 +105,13 @@ func (p *Pool) Drain(shard int) error {
 	// already past its destination reservation when the drain began can
 	// still land here, so one pass is not proof of emptiness.
 	for {
-		hs := p.handlesOn(shard)
-		if len(hs) == 0 {
-			return nil
-		}
-		moved := 0
+		left, moved := 0, 0
 		var errs []error
-		for _, h := range hs {
+		for _, h := range p.Handles() {
+			if h.Shard() != shard {
+				continue
+			}
+			left++
 			switch err := p.evacuate(h, shard); {
 			case err == nil:
 				moved++
@@ -119,9 +119,12 @@ func (p *Pool) Drain(shard int) error {
 				errs = append(errs, err)
 			}
 		}
-		if moved == 0 {
+		switch {
+		case left == 0:
+			return nil
+		case moved == 0:
 			return fmt.Errorf("pool: Drain shard %d: %d allocations not evacuated: %w",
-				shard, len(hs), errors.Join(errs...))
+				shard, left, errors.Join(errs...))
 		}
 	}
 }
@@ -132,36 +135,42 @@ func (p *Pool) Reopen(shard int) error {
 	return p.transition("Reopen", shard, shardHealthy, nil, shardDraining, shardHealthy)
 }
 
-// evacuate moves one handle off the given shard, trying healthy
-// destinations in descending free-device-bytes order and skipping full
-// ones. A handle that already moved (racing evacuation) counts as done.
+// evacuate moves one handle off the given shard to the first destination
+// of evacuationOrder with room. A skip (the handle moved, was retargeted or
+// freed since) counts as done: the next sweep sees where it went.
 func (p *Pool) evacuate(h *Handle, from int) error {
-	if h.Shard() != from {
-		return nil
-	}
-	cands := make([]ShardLoad, 0, len(p.devices))
-	for i := range p.devices {
-		if l := p.load(i); i != from && l.available() {
-			cands = append(cands, l)
-		}
-	}
-	if len(cands) == 0 {
+	at := site{from, h.Target()}
+	order := evacuationOrder(p.loads(), from)
+	if len(order) == 0 {
 		return fmt.Errorf("pool: evacuate %q off shard %d: no healthy destination", h.a.Name, from)
 	}
-	free := func(l ShardLoad) int64 { return l.DeviceCapacity - l.DeviceUsed }
-	sort.Slice(cands, func(a, b int) bool { return free(cands[a]) > free(cands[b]) })
 	var errs []error
-	for _, c := range cands {
-		err := p.MigrateHandle(h, c.Shard)
+	for _, to := range order {
+		_, _, err := p.apply(move{h, at, site{to, at.target}})
 		if err == nil {
 			return nil
 		}
-		errs = append(errs, err)
+		errs = append(errs, fmt.Errorf("pool: migrate %q shard %d->%d: %w", h.a.Name, from, to, err))
 		if !errors.Is(err, core.ErrOutOfMemory) {
 			break
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// evacuationOrder ranks the destinations for an allocation leaving shard
+// from: every other shard that accepts placements, the most free device
+// bytes first, ties in shard order.
+func evacuationOrder(loads []ShardLoad, from int) []int {
+	var order []int
+	for i, l := range loads {
+		if i != from && l.available() {
+			order = append(order, i)
+		}
+	}
+	free := func(i int) int64 { return loads[i].DeviceCapacity - loads[i].DeviceUsed }
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(free(b), free(a)) })
+	return order
 }
 
 // FailureInjector kills shards of the pool it is attached to — the fault

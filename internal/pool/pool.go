@@ -6,11 +6,10 @@
 // one GPU with one buddy-memory link; the pool is the front door a serving
 // system puts in front of the fleet.
 //
-// Placement is not final: MigrateHandle moves an allocation to another
-// shard's device while traffic continues (core's MoveTo), Drain evacuates a
-// shard for maintenance, Recover rebuilds a failed shard's entries from the
-// buddy carve-out, and Rebalance moves an allocation off a saturated shard
-// (see migrate.go, drain.go and rebalance.go). These are calls: the pool
+// Placement is not final: MigrateHandle, ApplyReprofile (new targets),
+// Drain (maintenance) and Rebalance (a saturated shard) plan moves, and one
+// executor makes each through core's relayout (migrate.go); Recover
+// rebuilds a failed shard from the buddy carve-out. These are calls: the pool
 // owns no goroutine but its shard workers, so recovery and rebalancing run
 // when, and on whichever goroutine, the caller chooses.
 package pool
@@ -160,8 +159,8 @@ func (p *Pool) Placement() Placement { return p.place }
 // may legitimately retain what it is handed (a policy tracking load history,
 // say), so the pool never exposes a reused scratch buffer — an earlier
 // revision aliased one here and a retaining policy saw it silently mutate
-// under later Mallocs. Caller must hold allocMu, which makes the snapshot
-// and the subsequent reservation one atomic placement step.
+// under later Mallocs. Malloc holds allocMu across the snapshot and the
+// reservation, which makes them one atomic placement step.
 func (p *Pool) loads() []ShardLoad {
 	out := make([]ShardLoad, len(p.devices))
 	for i := range out {
@@ -309,21 +308,6 @@ func (p *Pool) Handles() []*Handle {
 	return out
 }
 
-// handlesOn returns the live handles currently routed to the given shard,
-// oldest first.
-func (p *Pool) handlesOn(shard int) []*Handle {
-	p.routeMu.Lock()
-	var out []*Handle
-	for _, h := range p.handles {
-		if h.Shard() == shard {
-			out = append(out, h)
-		}
-	}
-	p.routeMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
 // Close retires submission and the whole control plane: every later
 // submit, Malloc, MigrateHandle, Drain, Reopen, Rebalance, ApplyReprofile,
 // Recover and Kill fails with ErrClosed. It waits for the calls in flight
@@ -360,12 +344,12 @@ type Handle struct {
 
 	// tn is the owning tenant; quota is the stored compressed bytes
 	// charged against it — Swap'd to zero exactly once on Close, and
-	// adjusted under ctl when a reprofile changes the target.
+	// Swap'd to the new target's reservation under ctl by every move.
 	tn    *tenant
 	quota atomic.Int64
 
-	// ctl serializes the pool's control plane on the handle (MigrateHandle,
-	// Close, ApplyReprofile's retarget); it is taken before the allocation's
+	// ctl serializes the pool's control plane on the handle (Close, and
+	// apply, which makes every move); it is taken before the allocation's
 	// own ctl and before pool.routeMu (Close holds it across forget; nothing
 	// acquires it under routeMu). shard is written under it, once a move has
 	// committed, and read without it.

@@ -84,7 +84,7 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 		if sumDelta > 0 {
 			inst = rb.score[i] / sumDelta
 		}
-		rb.share[i] += rebalanceEWMA * (inst - rb.share[i])
+		rb.share[i] += float64(rebalanceEWMA * (inst - rb.share[i]))
 		var s float64
 		if capacity := d.DeviceCapacity(); capacity > 0 {
 			s = float64(d.DeviceUsed()) / float64(capacity)
@@ -114,9 +114,10 @@ func (p *Pool) rebalanceScan() (src, dst int, ok bool) {
 // call). Once the same hottest shard has been elected on rebalanceStreak
 // (3) consecutive calls with a skew of at least rebalanceSkew (0.5) over
 // the coldest healthy shard, it live-migrates that shard's largest
-// allocation to the coldest one and reports moved. The migration's error
-// is returned, not retried: a fresh streak is needed before the next move,
-// so the watcher converges rather than thrashes. Concurrent calls
+// allocation to the coldest one and reports moved (not if another call
+// moved, retargeted or freed it since). The migration's error is returned,
+// not retried: a fresh streak is needed before the next move, so the
+// watcher converges rather than thrashes. Concurrent calls
 // serialize; after Close it fails with ErrClosed.
 func (p *Pool) Rebalance() (moved bool, err error) {
 	if p.closing() {
@@ -141,16 +142,18 @@ func (p *Pool) Rebalance() (moved bool, err error) {
 	// Migrate, then demand a fresh streak before the next move.
 	rb.candidate, rb.streak = -1, 0
 	var pick *Handle
-	for _, h := range p.handlesOn(src) {
-		if pick == nil || h.Size() > pick.Size() {
+	for _, h := range p.Handles() {
+		if h.Shard() == src && (pick == nil || h.Size() > pick.Size()) {
 			pick = h
 		}
 	}
 	if pick == nil {
 		return false, nil
 	}
-	if err := p.MigrateHandle(pick, dst); err != nil {
-		return false, fmt.Errorf("pool: Rebalance: %w", err)
+	at := site{src, pick.Target()}
+	_, moved, err = p.apply(move{pick, at, site{dst, at.target}})
+	if err != nil {
+		return false, fmt.Errorf("pool: Rebalance: migrate %q shard %d->%d: %w", pick.a.Name, src, dst, err)
 	}
-	return true, nil
+	return moved, nil
 }

@@ -321,7 +321,7 @@ const clockFracBits = 10
 //
 //buddy:hotpath
 func (s *sched) advance(cost core.Cost) uint64 {
-	return s.clock.Add(uint64(s.dev.Cycles(cost)*(1<<clockFracBits) + 0.5))
+	return s.clock.Add(uint64(float64(s.dev.Cycles(cost)*(1<<clockFracBits)) + 0.5))
 }
 
 // latency is the modeled completion latency of a task stamped at stamp and

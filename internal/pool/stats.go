@@ -123,7 +123,7 @@ func (p *Pool) Stats() Stats {
 		st.DeviceCapacity += s.DeviceCapacity
 		st.BuddyUsed += s.BuddyUsed
 		accesses := float64(s.Traffic.Reads + s.Traffic.Writes)
-		weightedHits += s.MetadataCacheHitRate * accesses
+		weightedHits += float64(s.MetadataCacheHitRate * accesses)
 		weight += accesses
 	}
 	if weight > 0 {
@@ -161,8 +161,8 @@ func (p *Pool) ResetTraffic() {
 func (p *Pool) CompressionRatio() float64 {
 	var orig, dev float64
 	for _, h := range p.Handles() {
-		orig += float64(h.a.EntryCount) * core.EntryBytes
-		dev += float64(h.a.EntryCount) * float64(h.Target().DeviceBytes())
+		orig += float64(float64(h.a.EntryCount) * core.EntryBytes)
+		dev += float64(float64(h.a.EntryCount) * float64(h.Target().DeviceBytes()))
 	}
 	if dev == 0 {
 		return 1
@@ -172,12 +172,12 @@ func (p *Pool) CompressionRatio() float64 {
 
 // ApplyReprofile executes a checkpoint-time plan across the fleet — one
 // made by core.PlanReprofile over the handles' allocations (Handle.Alloc):
-// each decision is applied to the live handle that holds its allocation by
-// that allocation's device's Reprofile step, and the owning tenant's quota
-// follows the new target on the spot. Decisions that step does not apply,
-// or whose allocation no live handle holds, are skipped, exactly as on a
-// single device. On error the already-applied decisions remain in force.
-// After Close it fails with ErrClosed.
+// each decision moves the live handle holding its allocation from its shard
+// at Old to the same shard at New, its tenant's quota following. Decisions
+// whose allocation no live handle holds, or whose handle has moved, been
+// retargeted or freed since, are skipped, as on a single device. On error
+// the already-applied decisions remain in force. After Close it fails with
+// ErrClosed.
 func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, error) {
 	var st core.MigrationStats
 	if p.closing() {
@@ -197,9 +197,10 @@ func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, er
 			st.Skipped++
 			continue
 		}
-		moved, applied, err := h.retarget(dec)
+		shard := h.Shard()
+		moved, applied, err := p.apply(move{h, site{shard, dec.Old}, site{shard, dec.New}})
 		if err != nil {
-			return st, fmt.Errorf("pool: reprofile %s %s->%s on shard %d: %w", h.a.Name, dec.Old, dec.New, h.Shard(), err)
+			return st, fmt.Errorf("pool: reprofile %s %s->%s on shard %d: %w", h.a.Name, dec.Old, dec.New, shard, err)
 		}
 		if !applied {
 			st.Skipped++
@@ -209,28 +210,4 @@ func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, er
 		st.MigratedBytes += moved
 	}
 	return st, nil
-}
-
-// retarget applies one reprofile decision to the handle through core's
-// Reprofile step, which makes the freed and stale-target checks. Under ctl
-// neither a MigrateHandle nor a Close can interleave, so the allocation
-// stays on the device the step goes through, and the quota — accounted in
-// exactly the stored bytes a target reserves — is adjusted by the delta the
-// moment the new target is in force, so tenant StoredBytes never disagrees
-// with the handles it sums. Close waits for the relayout.
-func (h *Handle) retarget(dec core.ReprofileDecision) (moved int64, applied bool, err error) {
-	h.ctl.Lock()
-	defer h.ctl.Unlock()
-	s := h.pool.scheds[h.Shard()]
-	w := s.enter()
-	defer s.exit()
-	if w&closedBit != 0 {
-		return 0, false, ErrClosed
-	}
-	if moved, applied, err = h.a.Device().Reprofile(dec); !applied {
-		return 0, false, err
-	}
-	q := quotaFor(h.a.Size(), dec.New)
-	h.tn.stored.Add(q - h.quota.Swap(q))
-	return moved, true, nil
 }
