@@ -115,10 +115,10 @@ type Handle = pool.Handle
 // retained pointer may already belong to a later submission.
 //
 // A shard completes each submitter's operations in submission order only
-// while it has one worker, which NewPool gives it when GOMAXPROCS ≤ the
-// shard count. Otherwise two in-flight operations on overlapping bytes may
-// complete in either order: wait for a write before submitting an operation
-// that must see it.
+// with one worker, and the handle does not move (NewPool gives a shard one
+// worker when GOMAXPROCS ≤ the shard count; MigrateHandle moves a handle).
+// Otherwise two in-flight operations on overlapping bytes may complete in
+// either order: wait for a write before submitting one that must see it.
 type Future = pool.Future
 
 // PoolStats is the pool-wide aggregate of per-shard telemetry: summed

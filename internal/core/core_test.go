@@ -111,18 +111,19 @@ func TestMetadataStorePacking(t *testing.T) {
 			t.Fatalf("entry %d: got %d want %d", i, got, i%5)
 		}
 	}
-	if len(m.packed) != 50 {
-		t.Errorf("100 entries should pack into 50 bytes, got %d", len(m.packed))
+	// Storage rounds up to whole 32 B lines: 100 entries take two.
+	if n := len(m.planes) * 8; n != 2*MetadataLineBytes {
+		t.Errorf("100 entries should take 64 bytes, got %d", n)
 	}
 	// §3.2: 4 bits per 128 B entry, a 1/256 ≈ 0.4% storage overhead.
-	if f := float64(len(m.packed)) / (100 * EntryBytes); f != 1.0/256 {
+	if f := float64(len(m.planes)*8) / (2 * EntriesPerMetadataLine * EntryBytes); f != 1.0/256 {
 		t.Errorf("metadata overhead %.4f, want 1/256", f)
 	}
 }
 
-// TestMetadataSetRejectsPastSectorsPerEntry pins Set's range: lineClasses
-// reads three bit-planes, so a nibble above SectorsPerEntry would alias a
-// class.
+// TestMetadataSetRejectsPastSectorsPerEntry pins Set's range: a metadata
+// line is read as three bit-planes, so a class above SectorsPerEntry would
+// alias another.
 func TestMetadataSetRejectsPastSectorsPerEntry(t *testing.T) {
 	m := NewMetadataStore(2)
 	m.Set(1, compress.SectorsPerEntry)
@@ -141,19 +142,31 @@ func TestMetadataSetRejectsPastSectorsPerEntry(t *testing.T) {
 	}
 }
 
-// checkLineClasses holds every line's class masks to want, the class of each
-// entry, and to Get: each entry in exactly the mask of its class, and no
-// entry past the end in any but class 0.
+// checkLineClasses holds every line's class masks and entries to want, the
+// class of each entry, and to Get: each entry in exactly the mask of its
+// class and read back by at, no entry past the end in any but class 0, and
+// plane 3 and every past-the-end bit of a partial tail line zero, which
+// ClassHistogram's tail mask and handOver's class-0 rule rely on.
 func checkLineClasses(t *testing.T, m *MetadataStore, want []int) {
 	t.Helper()
 	for w := 0; w*EntriesPerMetadataLine < len(want); w++ {
-		class := m.lineClasses(w)
+		line := m.line(w)
+		class := line.classes()
+		past := ^lineBits(0, min(len(want)-w*EntriesPerMetadataLine, EntriesPerMetadataLine))
+		for j, p := range m.planes[w*MetadataBitsPerEntry:][:MetadataBitsPerEntry] {
+			if j == MetadataBitsPerEntry-1 && p != 0 || p&past != 0 {
+				t.Fatalf("%d entries: plane %d of line %d is %#x, past-the-end bits %#x", len(want), j, w, p, past)
+			}
+		}
 		for b := 0; b < EntriesPerMetadataLine; b++ {
 			k, c := w*EntriesPerMetadataLine+b, 0
 			if k < len(want) {
 				if c = want[k]; m.Get(k) != c {
 					t.Fatalf("entry %d: Get %d, want %d", k, m.Get(k), c)
 				}
+			}
+			if got := line.at(b); got != c {
+				t.Fatalf("%d entries: entry %d of line %d: at %d, want %d", len(want), k, w, got, c)
 			}
 			for s, mask := range class {
 				if in := mask>>b&1 == 1; in != (s == c) {
@@ -165,8 +178,8 @@ func checkLineClasses(t *testing.T, m *MetadataStore, want []int) {
 }
 
 // TestLineClassesMatchGet reads random classes back as line masks at entry
-// counts on both sides of a line, odd ones included, so the partial tail line
-// and the unused high nibble of an odd count are covered.
+// counts on both sides of a line, odd ones included, so partial tail lines
+// and their past-the-end bits are covered.
 func TestLineClassesMatchGet(t *testing.T) {
 	r := gen.NewRNG(27, 1)
 	for _, n := range []int{1, 63, 64, 65, 127, 129, 4097} {

@@ -481,9 +481,9 @@ func (a *Allocation) checkIndex(i int) error {
 // the current layout, so the same entry keeps the same lock across every
 // relayout, to another device included, which is what lets a relayout hand an
 // entry from the old layout to the new one atomically. The key is the entry's
-// metadata line (§3.2: one 32 B line, 64 entries), so a line's nibbles and
-// its word of a relayout's moved set change under one lock, the mover's one
-// acquisition for the line's hand-over.
+// metadata line (§3.2: one 32 B line, 64 entries), so a line's metadata
+// planes and its word of a relayout's moved set change under one lock, the
+// mover's one acquisition for the line's hand-over.
 func (a *Allocation) shard(i int) *sync.Mutex {
 	return &a.shards[i/EntriesPerMetadataLine%entryShards]
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -24,74 +23,67 @@ const MetadataLineBytes = 32
 const EntriesPerMetadataLine = MetadataLineBytes * 8 / MetadataBitsPerEntry
 
 // MetadataStore holds the dedicated device-memory region with 4 bits per
-// memory-entry, packed two entries per byte.
+// memory-entry, each 32 B line as its four bit-planes: word 4w+j holds bit j
+// of the classes of line w's 64 entries, bit b for entry w*64+b. Classes are
+// 0..4, so plane 3 stays zero; it keeps a line at §3.2's 32 B.
 type MetadataStore struct {
-	packed []uint8
+	planes []uint64
 }
 
-// NewMetadataStore sizes a store for n memory-entries.
+// NewMetadataStore sizes a store for n memory-entries, in whole lines.
 func NewMetadataStore(n int) *MetadataStore {
-	return &MetadataStore{packed: make([]uint8, (n+1)/2)}
+	lines := (n + EntriesPerMetadataLine - 1) / EntriesPerMetadataLine
+	return &MetadataStore{planes: make([]uint64, lines*MetadataBitsPerEntry)}
 }
 
 // Set records the compressed sector count (0..4) for entry i. A codec caps
-// its bits at the raw entry, so larger values cannot occur, and lineClasses
+// its bits at the raw entry, so larger values cannot occur, and a metaLine
 // reads three bit-planes that assume none do: the store panics on
 // out-of-range input as that is a programming error.
 func (m *MetadataStore) Set(i, sectors int) {
 	if sectors < 0 || sectors > compress.SectorsPerEntry {
 		panic(fmt.Sprintf("core: metadata value %d out of range [0,%d]", sectors, compress.SectorsPerEntry))
 	}
-	idx := i / 2
-	if i%2 == 0 {
-		m.packed[idx] = m.packed[idx]&0xF0 | uint8(sectors)
-	} else {
-		m.packed[idx] = m.packed[idx]&0x0F | uint8(sectors)<<4
+	w, bit := i/EntriesPerMetadataLine*MetadataBitsPerEntry, uint64(1)<<(i%EntriesPerMetadataLine)
+	for j, p := range m.planes[w : w+3] {
+		m.planes[w+j] = p&^bit | uint64(sectors>>j&1)*bit
 	}
 }
 
 // Get returns the compressed sector count for entry i.
 func (m *MetadataStore) Get(i int) int {
-	idx := i / 2
-	if i%2 == 0 {
-		return int(m.packed[idx] & 0x0F)
-	}
-	return int(m.packed[idx] >> 4)
+	return m.line(i / EntriesPerMetadataLine).at(i % EntriesPerMetadataLine)
 }
 
-// lineClasses returns which entries of metadata line w hold each sector
-// class: bit b of class[s] is set when entry w*64+b has class s. The line's
-// 32 B are read as four words and bit j of every nibble is gathered into
-// plane j, the bit-plane transform BPC applies to data; with classes 0..4 the
-// three planes name the class. Past the end of a partial tail line every
-// entry reads as class 0.
+// line reads metadata line w: three loads, no gather.
 //
 //buddy:hotpath
-func (m *MetadataStore) lineClasses(w int) (class [compress.SectorsPerEntry + 1]uint64) {
-	var line [MetadataLineBytes]byte
-	copy(line[:], m.packed[w*MetadataLineBytes:])
-	var plane [3]uint64
-	for q := 0; q < MetadataLineBytes/8; q++ {
-		x := binary.LittleEndian.Uint64(line[8*q:])
-		for j := range plane {
-			plane[j] |= nibbleBits(x>>j) << (16 * q)
-		}
-	}
-	class[0] = ^(plane[0] | plane[1] | plane[2])
-	class[1] = plane[0] &^ plane[1]
-	class[2] = plane[1] &^ plane[0]
-	class[3] = plane[0] & plane[1]
-	class[4] = plane[2]
-	return class
+func (m *MetadataStore) line(w int) metaLine {
+	p := (*[MetadataBitsPerEntry]uint64)(m.planes[w*MetadataBitsPerEntry:])
+	return metaLine{p[0], p[1], p[2]}
 }
 
-// nibbleBits packs bit 0 of each of x's sixteen nibbles into the low 16 bits.
-func nibbleBits(x uint64) uint64 {
-	x &= 0x1111111111111111
-	x = (x | x>>3) & 0x0303030303030303
-	x = (x | x>>6) & 0x000F000F000F000F
-	x = (x | x>>12) & 0x000000FF000000FF
-	return (x | x>>24) & 0xFFFF
+// metaLine is a metadata line as read, its planes that can be non-zero: bit b
+// of pj is bit j of entry b's class, and an entry past the end of a partial
+// tail line reads as class 0. Fields, not an array, keep it in registers.
+type metaLine struct{ p0, p1, p2 uint64 }
+
+// at returns the class of the line's entry b.
+func (l metaLine) at(b int) int {
+	return int(l.p0>>b&1 | l.p1>>b&1<<1 | l.p2>>b&1<<2)
+}
+
+// classes returns which of the line's entries hold each sector class: bit b
+// of class[s] is set when entry b has class s.
+//
+//buddy:hotpath
+func (l metaLine) classes() (class [compress.SectorsPerEntry + 1]uint64) {
+	class[0] = ^(l.p0 | l.p1 | l.p2)
+	class[1] = l.p0 &^ l.p1
+	class[2] = l.p1 &^ l.p0
+	class[3] = l.p0 & l.p1
+	class[4] = l.p2
+	return class
 }
 
 // MetadataCache models the sliced, set-associative metadata cache (Fig. 5:

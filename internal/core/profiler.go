@@ -235,8 +235,8 @@ func naiveTarget(snaps []perClass) TargetRatio {
 			if sec == 0 {
 				sec = 1
 			}
-			orig += 128 * float64(n)
-			comp += float64(sec*32) * float64(n)
+			orig += float64(128 * float64(n))
+			comp += float64(float64(sec*32) * float64(n))
 		}
 		if comp > 0 && orig/comp < prog {
 			prog = orig / comp
@@ -286,9 +286,9 @@ func programRatios(profiles []*AllocationProfile) (ratio, buddyFrac float64) {
 	var orig, dev, over, entries float64
 	for _, p := range profiles {
 		n := float64(p.Entries)
-		orig += n * 128
-		dev += n * float64(p.Target.DeviceBytes())
-		over += overflowFrac(p, p.Target) * n
+		orig += float64(n * 128)
+		dev += float64(n * float64(p.Target.DeviceBytes()))
+		over += float64(overflowFrac(p, p.Target) * n)
 		entries += n
 	}
 	if dev > 0 {
@@ -311,11 +311,11 @@ func bestAchievable(snaps []perClass) float64 {
 	var orig, comp float64
 	for _, h := range snaps {
 		for s, n := range h {
-			orig += 128 * float64(n)
+			orig += float64(128 * float64(n))
 			if s == 0 {
-				comp += 8 * float64(n)
+				comp += float64(8 * float64(n))
 			} else {
-				comp += float64(s*32) * float64(n)
+				comp += float64(float64(s*32) * float64(n))
 			}
 		}
 	}
@@ -339,8 +339,8 @@ func MeasureIndex(x *analysis.Index, targets map[string]TargetRatio) (ratio, bud
 		}
 		n := float64(a.Entries())
 		entries += n
-		orig += n * 128
-		dev += n * float64(t.DeviceBytes())
+		orig += float64(n * 128)
+		dev += float64(n * float64(t.DeviceBytes()))
 	}
 	if dev > 0 {
 		ratio = orig / dev

@@ -313,6 +313,7 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, line *
 		}
 		sh := a.shard(i)
 		sh.Lock()
+		meta := a.meta.line(i / EntriesPerMetadataLine) // what a read snapshots
 		for k := 0; k < n; k++ {
 			if m != nil {
 				l := home(cur, m, i+k) // a write lands in whichever layout owns the entry at commit
@@ -334,7 +335,7 @@ func (p *relocPass) accessBatch(a *Allocation, cur *layout, m *migration, line *
 				}
 				a.meta.Set(i+k, int(secs[k]))
 			} else {
-				secs[k] = uint8(a.meta.Get(i + k))
+				secs[k] = uint8(meta.at(i%EntriesPerMetadataLine + k))
 				line[k] = append(line[k][:0], st.get(i+k)...) // empty: never written
 			}
 		}
@@ -431,20 +432,21 @@ func (t *relocTally) line(store bool, tr TargetRatio, h *perClass) (entries int,
 // the two devices frame streams differently; what changes hands is the
 // entry's place: its old slot is read on cur's device and its new one written
 // on next's, and when those differ both count the stored bytes as migration
-// traffic. The line is priced, not walked: its classes are read as bit masks,
-// its slab side is charged by popcount, and only the entries whose class
-// overflows a slot of either layout are visited, each appending its old-slot
-// read and new-slot write, in entry order, as the host tier's pager replays
-// them. Metadata above class 0 is only ever set with a stream, so only the
-// line's class-0 entries ask the store whether they were written. Between
-// codecs every written entry is visited and re-encoded onto scratch; a stream
-// that will not re-encode stays, and so do the entries after it.
+// traffic. The line is priced, not walked: it is read once, its classes are
+// masks, its slab side is charged by popcount, and only the entries whose
+// class overflows a slot of either layout are visited, each appending its
+// old-slot read and new-slot write, in entry order, as the host tier's pager
+// replays them. Metadata above class 0 is only ever set with a stream, so
+// only the line's class-0 entries ask the store whether they were written.
+// Between codecs every written entry is visited and re-encoded onto scratch;
+// a stream that will not re-encode stays, and so do the entries after it.
 //
 //buddy:hotpath
 func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch []byte, i, n int) error {
 	w, base, next, to := i/EntriesPerMetadataLine, i-i%EntriesPerMetadataLine, m.next, p.tallyOf(m.next, cur)
 	pending := lineBits(i, n) &^ m.moved[w]
-	class := a.meta.lineClasses(w)
+	meta := a.meta.line(w)
+	class := meta.classes()
 	written := pending &^ class[0]
 	for zero := pending & class[0]; zero != 0; zero &= zero - 1 {
 		if b := bits.TrailingZeros64(zero); a.store.written(base + b) {
@@ -462,7 +464,7 @@ func (p *relocPass) handOver(a *Allocation, cur *layout, m *migration, scratch [
 	for left := visit; left != 0; left &= left - 1 {
 		b := bits.TrailingZeros64(left)
 		k := base + b
-		sectors := a.meta.Get(k)
+		sectors := meta.at(b)
 		into := sectors
 		if m.transcode {
 			if into, err = a.transcode(cur, m, scratch[:0], k, sectors); err != nil {
@@ -554,13 +556,14 @@ func (p *relocPass) rebuild(a *Allocation, cur *layout, m *migration, i, n int) 
 		moved, homes[1] = m.moved[w], m.next
 	}
 	var hist [2]perClass // by home
+	meta := a.meta.line(w)
 	for left := lineBits(i, n); left != 0; left &= left - 1 {
 		b := bits.TrailingZeros64(left)
 		k := w*EntriesPerMetadataLine + b
 		if !a.store.written(k) {
 			continue
 		}
-		sectors, h := a.meta.Get(k), moved>>b&1
+		sectors, h := meta.at(b), moved>>b&1
 		hist[h][sectors]++
 		p.tallyOf(homes[h], cur).tier(false, homes[h].global(k), storedBytes(sectors))
 	}

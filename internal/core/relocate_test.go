@@ -357,7 +357,7 @@ type relocState struct {
 	MetaHits, MetaMiss [2]uint64       // metadata-cache lookups, summed over the device's slices
 	Layouts            [][]layoutState // per allocation: committed, then next if a relayout is open
 	Moved              [][]uint64      // per allocation with a relayout open: which entries next holds
-	Meta               [][]uint8
+	Meta               [][]uint64
 	Streams            [][][]byte
 	Sectors            [][]int
 }
@@ -387,7 +387,7 @@ func (w *relocWorld) state(extra ...*Allocation) relocState {
 			s.Moved = append(s.Moved, slices.Clone(m.moved))
 		}
 		s.Layouts = append(s.Layouts, ls)
-		s.Meta = append(s.Meta, bytes.Clone(a.meta.packed))
+		s.Meta = append(s.Meta, slices.Clone(a.meta.planes))
 		streams := make([][]byte, a.EntryCount)
 		for i := range streams {
 			if st := a.store.get(i); st != nil {

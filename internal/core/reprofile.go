@@ -83,7 +83,7 @@ func (a *Allocation) ClassHistogram() (h [compress.SectorsPerEntry + 1]int) {
 		}
 		sh := a.shard(base)
 		sh.Lock()
-		class := a.meta.lineClasses(base / EntriesPerMetadataLine)
+		class := a.meta.line(base / EntriesPerMetadataLine).classes()
 		class[0] &= lineBits(0, min(a.EntryCount-base, EntriesPerMetadataLine)) // a partial tail line's past-end entries read class 0
 		if cur.dev.zeroClass != 0 || m != nil && m.next.dev.zeroClass != 0 {
 			for zero := class[0]; zero != 0; zero &= zero - 1 {

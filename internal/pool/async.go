@@ -325,12 +325,13 @@ func (p *Pool) submit(kind opKind, h *Handle, buf []byte, off int64) *Future {
 // executed before SubmitWrite returns (see submit). The steady-state
 // submit→complete path allocates nothing.
 //
-// Order holds per submitter only while the owning shard has one worker:
-// when GOMAXPROCS ≤ the pool's shard count under the default Workers, or
-// when Workers is 1. Each submitter's operations then take effect in
-// submission order (last write wins per offset). With more workers, two
-// in-flight submits to overlapping bytes may complete in either order; wait
-// for the first before submitting the second when order matters.
+// Order holds per submitter only with one worker, and the handle does not
+// move: each submitter's operations then take effect in submission order
+// (last write wins per offset). A shard has one worker when GOMAXPROCS ≤ the
+// shard count under the default Workers, or when Workers is 1; a move
+// (MigrateHandle and the like) queues later submits on another shard.
+// Otherwise two in-flight submits to overlapping bytes may complete in either
+// order: wait for the first before submitting the second when order matters.
 func (p *Pool) SubmitWrite(h *Handle, data []byte, off int64) *Future {
 	return p.submit(opWrite, h, data, off)
 }
@@ -338,8 +339,8 @@ func (p *Pool) SubmitWrite(h *Handle, data []byte, off int64) *Future {
 // SubmitRead asynchronously reads into dst from byte offset off of the
 // handle's allocation. The caller must not touch dst until the future
 // completes. A read orders against in-flight writes to the same bytes as
-// SubmitWrite says: in submission order only while the shard has one
-// worker.
+// SubmitWrite says: in submission order only with one worker, and the
+// handle does not move.
 func (p *Pool) SubmitRead(h *Handle, dst []byte, off int64) *Future {
 	return p.submit(opRead, h, dst, off)
 }
