@@ -110,7 +110,12 @@ func BenchmarkVariedStream(b *testing.B) {
 // activations, noisy HPC fields and incompressible data. The dense weights
 // are mostly raw plane pairs, the shape serve-stream's encode time goes to.
 func BenchmarkVariedMix(b *testing.B) {
-	gens := []gen.Generator{
+	benchVaried(b, variedMixData())
+}
+
+// variedMixGens are BenchmarkVariedMix's region generators.
+func variedMixGens() []gen.Generator {
+	return []gen.Generator{
 		gen.Weights32{Sigma: 0.004, QuantBits: 8},
 		gen.Weights32{Sigma: 0.02, QuantBits: 12},
 		gen.SparseFP16{ZeroFrac: 0.5},
@@ -118,12 +123,18 @@ func BenchmarkVariedMix(b *testing.B) {
 		gen.Noisy64{NoiseBits: 10, HiStep: 1},
 		gen.Random{},
 	}
+}
+
+// variedMixData is BenchmarkVariedMix's 16384 entries, cycling through
+// variedMixGens.
+func variedMixData() []byte {
+	gens := variedMixGens()
 	data := make([]byte, variedEntries*EntryBytes)
 	r := gen.NewRNG(7, 2)
 	for i := 0; i < variedEntries; i++ {
 		gens[i%len(gens)].Fill(data[i*EntryBytes:(i+1)*EntryBytes], r)
 	}
-	benchVaried(b, data)
+	return data
 }
 
 // benchVaried runs the encode and decode sub-benchmarks of the BPC codec
@@ -184,22 +195,55 @@ func BenchmarkDecompressInto(b *testing.B) {
 	}
 }
 
-// BenchmarkTranspose32 measures BPC's 32x32 bit transpose under each kernel,
-// on a dense matrix (no all-zero word pair for the butterfly to skip).
-func BenchmarkTranspose32(b *testing.B) {
-	var w [entryWordCount]uint64
-	r := gen.NewRNG(1, 1)
-	for i := range w {
-		w[i] = r.Uint64()
-	}
-	for _, k := range transposeKernels() {
+// BenchmarkBPCFront measures BPC's encode pre-pass alone under each kernel
+// set, over BenchmarkVariedMix's entries: the deltas, transition masks,
+// aggregates and plane transpose that bpcFront returns to the emitter.
+func BenchmarkBPCFront(b *testing.B) {
+	data := variedMixData()
+	for _, k := range bpcKernels() {
 		b.Run(k, func(b *testing.B) {
-			if !selectTranspose(b, k) {
+			if !selectKernel(b, k) {
 				b.SkipNow()
 			}
+			var rows [entryWordCount]uint64
+			var sink uint64
 			for i := 0; i < b.N; i++ {
-				transpose32(&w)
+				j := i % variedEntries
+				p32, orE, andE, orD := bpcFront((*[EntryBytes]byte)(data[j*EntryBytes:]), &rows)
+				sink += uint64(p32) + orE + andE + orD + rows[j%entryWordCount]
 			}
+			sizerSink = int(sink)
+			reportNsPerEntry(b)
+		})
+	}
+}
+
+// BenchmarkBPCBack measures BPC's dense decode rebuild alone under each
+// kernel set, over the DBX planes of BenchmarkVariedMix's entries: the
+// suffix XOR, plane transpose and prefix sum that bpcBack writes an entry
+// with.
+func BenchmarkBPCBack(b *testing.B) {
+	data := variedMixData()
+	planes := make([][bpcPlanes]uint32, variedEntries)
+	bases := make([]uint32, variedEntries)
+	for j := range planes {
+		var dbp [bpcPlanes + 1]uint32
+		bases[j], dbp = refBPCPlanesOf(data[j*EntryBytes : (j+1)*EntryBytes])
+		for p := range planes[j] {
+			planes[j][p] = dbp[p] ^ dbp[p+1]
+		}
+	}
+	for _, k := range bpcKernels() {
+		b.Run(k, func(b *testing.B) {
+			if !selectKernel(b, k) {
+				b.SkipNow()
+			}
+			var dst [EntryBytes]byte
+			for i := 0; i < b.N; i++ {
+				j := i % variedEntries
+				bpcBack(&planes[j], bases[j], &dst)
+			}
+			reportNsPerEntry(b)
 		})
 	}
 }

@@ -43,7 +43,7 @@ import (
 //	or of all d   bit b == 0  <=>  DBP plane b is zero
 //
 // — and only planes needing the two-ones/single-one/raw discrimination
-// read actual plane bits, which one butterfly transpose of the masks yields
+// read actual plane bits, which one 32x32 bit transpose of the masks yields
 // at a fixed cost, two planes per 64-bit word. That packing is also the raw
 // code's layout: when an odd plane and the plane below it are both raw, the
 // word is their two codes back to back, and the pair goes out in one put.
@@ -154,61 +154,24 @@ func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 	var sbuf [bpcStreamWords]uint64
 	pos := 1
 
-	// Pre-pass over the entry's sixteen 64-bit words: compute the 33-bit
-	// deltas and their transition masks. rows holds each mask's low 32 bits
-	// two deltas per word (delta 2m in the low lane of rows[m] — the packed
-	// layout transpose32 wants); p32 collects the mask bit-32 column, which is
-	// the whole of plane 32. The body is branch-free on the delta values: a
-	// zero delta's all-zero mask adds nothing to orE/orD and clears andE, as
-	// it must (no plane is all-ones then) — delta values are the least
-	// predictable data in the entry, and a mispredict costs more than the
-	// handful of ALU ops a zero delta's dead update takes.
+	// The pre-pass (bpcFront) yields the aggregates, plane 32 (p32) and,
+	// whenever a plane below 32 is in need, planes 0..31 in rows: plane 2m in
+	// the low lane of rows[m], plane 2m+1 in its high lane, each lane's bit 31
+	// (the absent delta 31) zero. Planes that the aggregates cannot classify
+	// (non-zero, not all-ones, DBP non-zero) are emitted from those 31 bits.
 	var rows [entryWordCount]uint64
-	var p32 uint32
-	orE, andE, orD := uint64(0), bpcMask33, uint64(0)
-	base := binary.LittleEndian.Uint32(entry)
-	prev := int64(0)
-	for k := 0; k < entryWordCount; k++ {
-		w64 := binary.LittleEndian.Uint64(entry[k*8:])
-		lo := int64(uint32(w64))
-		hi := int64(w64 >> 32)
-		if k > 0 {
-			d := uint64(lo-prev) & bpcMask33
-			e := d ^ (d >> 1)
-			orD |= d
-			orE |= e
-			andE &= e
-			rows[k-1] |= e << 32 // delta 2k-1: high lane of rows[k-1]
-			p32 |= uint32(e>>32) << uint(2*k-1)
-		}
-		d := uint64(hi-lo) & bpcMask33
-		e := d ^ (d >> 1)
-		orD |= d
-		orE |= e
-		andE &= e
-		rows[k] = e & 0xFFFFFFFF // delta 2k: low lane of rows[k]
-		p32 |= uint32(e>>32) << uint(2*k)
-		prev = hi
-	}
-
-	// Planes that the aggregates cannot classify (non-zero, not all-ones,
-	// DBP non-zero) are emitted from their 31 bits. When any plane below 32 is
-	// one, a single butterfly transpose turns the rows into planes at a fixed
-	// cost: rows[m] then holds plane 2m in its low lane and plane 2m+1 in its
-	// high lane, with each lane's bit 31 (the absent delta 31) zero.
+	p32, orE, andE, orD := bpcFront((*[EntryBytes]byte)(entry), &rows)
 	need := orE &^ andE & orD
-	if need&0xFFFFFFFF != 0 {
-		transpose32(&rows)
-	}
+	base := binary.LittleEndian.Uint32(entry)
 
 	pos = bpcPutBase(&sbuf, pos, base)
-	// Plane 32 is the p32 column collected by the pre-pass; classifying it
-	// before the loop keeps the per-plane body free of the is-it-the-top-plane
-	// test. The loop then emits one bpcPut per surviving plane, or per raw
-	// plane pair: a zero-run hop (single Len64 instead of a per-plane walk —
-	// sparse entries have long runs) fuses its run code with the code of the
-	// plane that ends the run, so a run+plane pair costs one call, and the
-	// code discriminations select values rather than control flow (a
+	// Plane 32 is p32, the deltas' borrows; classifying it before the loop
+	// keeps the per-plane body free of the is-it-the-top-plane test. The loop
+	// then emits one bpcPut per surviving plane, or per raw plane pair: a
+	// zero-run hop (single Len64 instead of a per-plane walk — sparse entries
+	// have long runs) fuses its run code with the code of the plane that ends
+	// the run, so a run+plane pair costs one call, and the code
+	// discriminations select values rather than control flow (a
 	// data-dependent outcome is a couple of conditional moves, not a pipeline
 	// flush).
 	b := bpcPlanes - 1
@@ -299,6 +262,51 @@ func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 		return append(dst, tmp[:nb]...), bits
 	}
 	return bpcRaw(dst, entry)
+}
+
+// bpcFrontGo is the encoder's pre-pass over the entry's sixteen 64-bit
+// words: the 33-bit deltas and their transition masks e = d ^ d>>1. rows
+// gets each mask's low 32 bits two deltas per word (delta 2m in the low lane
+// of rows[m]), transposed into planes (plane 2m in the low lane, 2m+1 in the
+// high) when any plane below 32 is in need; p32 collects the mask bit-32
+// column, which is the whole of plane 32, and orE, andE and orD are the
+// aggregates the emitter classifies planes by. The body is branch-free on
+// the delta values: a zero delta's all-zero mask adds nothing to orE/orD
+// and clears andE, as it must (no plane is all-ones then) — delta values are
+// the least predictable data in the entry, and a mispredict costs more than
+// the handful of ALU ops a zero delta's dead update takes. It is the oracle
+// for bpcFrontGFNI and the pre-pass wherever that kernel cannot run.
+//
+//buddy:hotpath
+func bpcFrontGo(entry *[EntryBytes]byte, rows *[entryWordCount]uint64) (p32 uint32, orE, andE, orD uint64) {
+	andE = bpcMask33
+	prev := int64(0)
+	for k := 0; k < entryWordCount; k++ {
+		w64 := binary.LittleEndian.Uint64(entry[k*8:])
+		lo := int64(uint32(w64))
+		hi := int64(w64 >> 32)
+		if k > 0 {
+			d := uint64(lo-prev) & bpcMask33
+			e := d ^ (d >> 1)
+			orD |= d
+			orE |= e
+			andE &= e
+			rows[k-1] |= e << 32 // delta 2k-1: high lane of rows[k-1]
+			p32 |= uint32(e>>32) << uint(2*k-1)
+		}
+		d := uint64(hi-lo) & bpcMask33
+		e := d ^ (d >> 1)
+		orD |= d
+		orE |= e
+		andE &= e
+		rows[k] = e & 0xFFFFFFFF // delta 2k: low lane of rows[k]
+		p32 |= uint32(e>>32) << uint(2*k)
+		prev = hi
+	}
+	if need := orE &^ andE & orD; need&0xFFFFFFFF != 0 {
+		transposeButterfly(rows)
+	}
+	return p32, orE, andE, orD
 }
 
 // Bits is the size-only kernel Sizer resolves: AppendCompressed's exact
@@ -422,10 +430,10 @@ const (
 
 // DecompressInto implements Codec. Instead of rebuilding 33 DBP planes and
 // gathering 31x33 bits back into words, the decoder collects the DBX planes
-// as it parses, converts them to per-delta transition masks — one fixed-cost
-// butterfly transpose when the planes are dense, a popcount-proportional
-// scatter when they are sparse — then inverts the transition transform with
-// a parallel-prefix XOR and prefix-sums the words.
+// as it parses and turns them into per-delta values — a suffix XOR and one
+// fixed-cost transpose when the planes are dense (bpcBack), a
+// popcount-proportional scatter and a parallel-prefix XOR per delta when
+// they are sparse — then prefix-sums the words.
 //
 //buddy:hotpath
 func (BPC) DecompressInto(dst, comp []byte) error {
@@ -527,32 +535,16 @@ func (BPC) DecompressInto(dst, comp []byte) error {
 		return ErrCorrupt
 	}
 
-	// Rebuild the deltas from the collected DBX planes. Dense plane sets (most
-	// varied real data) first invert DBX back to DBP with one running
-	// suffix-XOR over the 32 low planes — 32 XORs replace the per-delta
-	// parallel-prefix chain — then one 32x32 butterfly transpose of the DBP
-	// planes yields each delta's low 32 bits directly (plane 32 is the 33-bit
-	// sign, which vanishes mod 2^32 and needs no reconstruction at all).
-	// Sparse sets scatter just the DBX bits per delta and invert with the
-	// parallel-prefix XOR instead, which is cheaper below 48 set bits.
-	wv := base
-	binary.LittleEndian.PutUint32(dst, wv)
+	// Rebuild the deltas from the collected DBX planes: dense plane sets (most
+	// varied real data) in one fixed-cost pass, bpcBack; sparse sets scatter
+	// just the DBX bits per delta and invert with the parallel-prefix XOR
+	// instead, which is cheaper below 48 set bits.
 	if pop >= 48 {
-		var rows [entryWordCount]uint64
-		dbp := planes[bpcPlanes-1] // DBP[32] == DBX[32], since DBP[33] == 0
-		for m := entryWordCount - 1; m >= 0; m-- {
-			hi := dbp ^ planes[2*m+1]
-			lo := hi ^ planes[2*m]
-			rows[m] = uint64(lo) | uint64(hi)<<32
-			dbp = lo
-		}
-		transpose32(&rows)
-		for i := 0; i < bpcDeltas; i++ {
-			wv += uint32(rows[i>>1] >> (uint(i&1) * 32))
-			binary.LittleEndian.PutUint32(dst[(i+1)*4:], wv)
-		}
+		bpcBack(&planes, base, (*[EntryBytes]byte)(dst))
 		return nil
 	}
+	wv := base
+	binary.LittleEndian.PutUint32(dst, wv)
 	var trans [bpcDeltas]uint64
 	for ; nz != 0; nz &= nz - 1 {
 		b := bits.TrailingZeros64(nz)
@@ -574,4 +566,31 @@ func (BPC) DecompressInto(dst, comp []byte) error {
 		binary.LittleEndian.PutUint32(dst[(i+1)*4:], wv)
 	}
 	return nil
+}
+
+// bpcBackGo is the decoder's dense rebuild: it inverts DBX back to DBP with
+// one running suffix-XOR over the 32 low planes — 32 XORs replace the
+// per-delta parallel-prefix chain — then one 32x32 butterfly transpose of the
+// DBP planes yields each delta's low 32 bits directly (plane 32 is the 33-bit
+// sign, which vanishes mod 2^32 and needs no reconstruction at all), and
+// base plus the deltas' running sums are the entry's words. It is the oracle
+// for bpcBackGFNI and the rebuild wherever that kernel cannot run.
+//
+//buddy:hotpath
+func bpcBackGo(planes *[bpcPlanes]uint32, base uint32, dst *[EntryBytes]byte) {
+	var rows [entryWordCount]uint64
+	dbp := planes[bpcPlanes-1] // DBP[32] == DBX[32], since DBP[33] == 0
+	for m := entryWordCount - 1; m >= 0; m-- {
+		hi := dbp ^ planes[2*m+1]
+		lo := hi ^ planes[2*m]
+		rows[m] = uint64(lo) | uint64(hi)<<32
+		dbp = lo
+	}
+	transposeButterfly(&rows)
+	wv := base
+	binary.LittleEndian.PutUint32(dst[:], wv)
+	for i := 0; i < bpcDeltas; i++ {
+		wv += uint32(rows[i>>1] >> (uint(i&1) * 32))
+		binary.LittleEndian.PutUint32(dst[(i+1)*4:], wv)
+	}
 }

@@ -20,7 +20,7 @@ func fuzzEntry(data []byte) []byte {
 // in-range metadata bits, size identically through a Sizer (the size-only
 // kernel where the codec has one), equal the preserved reference encoder's
 // stream byte for byte, and reject every truncated prefix with ErrCorrupt.
-// Each input runs under every transpose kernel this CPU has.
+// Each input runs under every BPC kernel set this CPU has.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, EntryBytes))
@@ -85,9 +85,9 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, k := range transposeKernels() {
-			if selectTranspose(t, k) {
-				t.Logf("transpose kernel: %s", k)
+		for _, k := range bpcKernels() {
+			if selectKernel(t, k) {
+				t.Logf("bpc kernels: %s", k)
 				roundTrip(t, data)
 			}
 		}
@@ -101,6 +101,8 @@ func FuzzRoundTrip(f *testing.F) {
 // (len < cap) of a buffer whose suffix is a canary pattern, and the two
 // outcomes — error class and the 128 bytes left in dst — must agree. A
 // decoder that peeks past len(comp) sees the canary in one and not the other.
+// Each input is decoded under every BPC kernel set this CPU has, and the
+// sets must agree on both too.
 func FuzzDecompressArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
@@ -109,7 +111,11 @@ func FuzzDecompressArbitrary(f *testing.F) {
 	f.Add(make([]byte, 132))        // all-zero stream: zero frame bits + padding
 	f.Add([]byte{0x00, 0x80})       // short stream with one set bit
 	f.Add([]byte{0x40, 0x00, 0x01}) // sparse stream: run codes then a one
-	f.Fuzz(func(t *testing.T, comp []byte) {
+	type outcome struct {
+		err error
+		dst [EntryBytes]byte
+	}
+	decode := func(t *testing.T, comp []byte, got []outcome) {
 		const canaryLen = 64
 		alone := make([]byte, len(comp))
 		copy(alone, comp)
@@ -121,7 +127,7 @@ func FuzzDecompressArbitrary(f *testing.F) {
 		}
 		want := bytes.Clone(canary)
 		dst, dstFramed := make([]byte, EntryBytes), make([]byte, EntryBytes)
-		for _, c := range Registry() {
+		for i, c := range Registry() {
 			clear(dst)
 			clear(dstFramed)
 			err := c.DecompressInto(dst, alone)
@@ -135,6 +141,27 @@ func FuzzDecompressArbitrary(f *testing.F) {
 			}
 			if !bytes.Equal(canary, want) {
 				t.Fatalf("%s: decoder wrote past len(comp)", c.Name())
+			}
+			got[i] = outcome{err: err, dst: [EntryBytes]byte(dst)}
+		}
+	}
+	f.Fuzz(func(t *testing.T, comp []byte) {
+		var first []outcome
+		for _, k := range bpcKernels() {
+			if !selectKernel(t, k) {
+				continue
+			}
+			got := make([]outcome, len(Registry()))
+			decode(t, comp, got)
+			if first == nil {
+				first = got
+				continue
+			}
+			for i, c := range Registry() {
+				if !errors.Is(got[i].err, first[i].err) || got[i].dst != first[i].dst {
+					t.Fatalf("%s: kernels %s and %s disagree: (%v, %x) vs (%v, %x)",
+						c.Name(), bpcKernels()[0], k, first[i].err, first[i].dst, got[i].err, got[i].dst)
+				}
 			}
 		}
 	})

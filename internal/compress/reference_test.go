@@ -520,9 +520,9 @@ func crossCheckGens() []gen.Generator {
 // word-level kernel must emit byte-identical streams and bit counts to the
 // preserved pre-rewrite encoder over every generator shape and a battery of
 // adversarial structural entries (all-zero, every single-set-bit position,
-// boundary patterns). It runs under each transpose kernel.
+// boundary patterns). It runs under each BPC kernel set.
 func TestWordKernelsMatchReference(t *testing.T) {
-	eachTranspose(t, wordKernelsMatchReference)
+	eachKernel(t, wordKernelsMatchReference)
 }
 
 func wordKernelsMatchReference(t *testing.T) {
@@ -605,9 +605,9 @@ func refBPCPlaneCode(entry []byte, b int) string {
 // back to single-plane codes, a zero-run code pending before a pair must
 // precede it, and the top pair (31, 30) sits right below plane 32. Each
 // case first checks, on the reference's own planes, that it has the shape
-// it names. It runs under each transpose kernel.
+// it names. It runs under each BPC kernel set.
 func TestBPCRawPairsMatchReference(t *testing.T) {
-	eachTranspose(t, bpcRawPairsMatchReference)
+	eachKernel(t, bpcRawPairsMatchReference)
 }
 
 func bpcRawPairsMatchReference(t *testing.T) {

@@ -1,9 +1,12 @@
 package compress
 
-// On amd64 the 32x32 bit transpose runs as one GFNI pass when the CPU and
-// the OS allow it (transpose_amd64.s), and as the butterfly otherwise. The
-// kernel views the matrix as its 128 bytes, row r at bytes 4r..4r+3, and as
-// sixteen 8x8 blocks: block (R, C) is byte C of rows 8R..8R+7, and its
+// On amd64 each half of BPC's data-parallel work — the encoder's delta and
+// transition pre-pass, the decoder's dense rebuild — runs as one AVX-512
+// pass (transpose_amd64.s) when the CPU and the OS allow it, and as its
+// pure-Go twin otherwise. Both passes hold the entry's 128 bytes in two ZMM
+// registers and share one 32x32 bit transpose, TRANSPOSE32. It views the
+// matrix as its 128 bytes, row r at bytes 4r..4r+3, and as sixteen 8x8
+// blocks: block (R, C) is byte C of rows 8R..8R+7, and its
 // transpose is block (C, R) of the result. transposeGather lays the blocks
 // out one per quadword for VPERMI2B, transposeScatter puts each transposed
 // block back for VPERMB.
@@ -33,24 +36,40 @@ func init() {
 	}
 }
 
-// transpose32 transposes the 32x32 bit matrix in w in place (see
-// transposeButterfly for the layout), in one GFNI pass where the CPU has
-// it.
+// bpcFront is BPC's encode pre-pass (see bpcFrontGo), in one AVX-512 pass
+// over the entry where the CPU has it.
 //
 //buddy:hotpath
-func transpose32(w *[entryWordCount]uint64) {
+func bpcFront(entry *[EntryBytes]byte, rows *[entryWordCount]uint64) (p32 uint32, orE, andE, orD uint64) {
 	if useGFNI {
-		transposeGFNI(w)
-		return
+		return bpcFrontGFNI(entry, rows)
 	}
-	transposeButterfly(w)
+	return bpcFrontGo(entry, rows)
 }
 
-// transposeGFNI is transposeButterfly in six AVX-512 instructions; it needs
+// bpcBack is BPC's dense decode rebuild (see bpcBackGo), in one AVX-512 pass
+// over the planes where the CPU has it.
+//
+//buddy:hotpath
+func bpcBack(planes *[bpcPlanes]uint32, base uint32, dst *[EntryBytes]byte) {
+	if useGFNI {
+		bpcBackGFNI(planes, base, dst)
+		return
+	}
+	bpcBackGo(planes, base, dst)
+}
+
+// bpcFrontGFNI is bpcFrontGo with the transpose always run; it needs
 // AVX512F, AVX512BW, AVX512VBMI and GFNI (gfniSupported).
 //
 //go:noescape
-func transposeGFNI(w *[entryWordCount]uint64)
+func bpcFrontGFNI(entry *[EntryBytes]byte, rows *[entryWordCount]uint64) (p32 uint32, orE, andE, orD uint64)
+
+// bpcBackGFNI is bpcBackGo; it needs AVX512F, AVX512BW, AVX512VBMI and GFNI
+// (gfniSupported).
+//
+//go:noescape
+func bpcBackGFNI(planes *[bpcPlanes]uint32, base uint32, dst *[EntryBytes]byte)
 
 // cpuid runs CPUID for leaf eaxArg, subleaf ecxArg.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -58,9 +77,9 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv returns the low half of XCR0, the state components the OS saves.
 func xgetbv() (eax uint32)
 
-// gfniSupported reports whether transposeGFNI can run: the CPU has AVX512F,
-// AVX512BW, AVX512VBMI and GFNI, and the OS saves the SSE, AVX, opmask and
-// ZMM state (XCR0 bits 1, 2, 5, 6 and 7).
+// gfniSupported reports whether the AVX-512 kernels can run: the CPU has
+// AVX512F, AVX512BW, AVX512VBMI and GFNI, and the OS saves the SSE, AVX,
+// opmask and ZMM state (XCR0 bits 1, 2, 5, 6 and 7).
 func gfniSupported() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

@@ -4,7 +4,7 @@ package compress
 
 import "testing"
 
-func transposeKernels() []string { return []string{"butterfly"} }
+func bpcKernels() []string { return []string{"butterfly"} }
 
-// selectTranspose reports whether kernel is the one transpose32 runs here.
-func selectTranspose(tb testing.TB, kernel string) bool { return kernel == "butterfly" }
+// selectKernel reports whether kernel is the BPC kernel set that runs here.
+func selectKernel(tb testing.TB, kernel string) bool { return kernel == "butterfly" }

@@ -74,11 +74,10 @@ func EntryAllZero(entry []byte) bool {
 // with constant masks and shifts instead of the 1024 single-bit moves of a
 // naive transpose (or 80 single-lane swaps unpacked). Shifts of 16 or less
 // never leak across lanes because the replicated masks are applied after
-// the shift; the final row-pair round stays inside each word. BPC's encoder
-// uses it, through transpose32, to turn per-delta transition masks into
-// bit-plane values whenever a plane needs its bits, and its decoder to turn
-// dense planes back. It is the oracle for the GFNI kernel and the transpose
-// wherever that kernel cannot run.
+// the shift; the final row-pair round stays inside each word. BPC's pure-Go
+// halves use it: the encoder's pre-pass (bpcFrontGo) to turn per-delta
+// transition masks into bit-plane values whenever a plane needs its bits,
+// the decoder's rebuild (bpcBackGo) to turn dense planes back.
 //
 //buddy:hotpath
 func transposeButterfly(w *[entryWordCount]uint64) {

@@ -6,14 +6,12 @@ import (
 	"buddy/internal/gen"
 )
 
-// TestTranspose32 pins the orientation of transpose32, under each kernel,
-// against the naive definition: bit i of output row b == bit b of input row
-// i, with row 2m in the low lane of word m and row 2m+1 in the high lane.
+// TestTranspose32 pins the orientation of transposeButterfly against the
+// naive definition: bit i of output row b == bit b of input row i, with row
+// 2m in the low lane of word m and row 2m+1 in the high lane. The AVX-512
+// kernels' transpose is held to it through their pure-Go twins
+// (TestGFNIKernelsMatchButterfly).
 func TestTranspose32(t *testing.T) {
-	eachTranspose(t, transpose32Orientation)
-}
-
-func transpose32Orientation(t *testing.T) {
 	var orig [32]uint32
 	var a, keep [entryWordCount]uint64
 	r := gen.NewRNG(99, 1)
@@ -22,7 +20,7 @@ func transpose32Orientation(t *testing.T) {
 		a[i>>1] |= uint64(orig[i]) << (uint(i&1) * 32)
 	}
 	keep = a
-	transpose32(&a)
+	transposeButterfly(&a)
 	for b := 0; b < 32; b++ {
 		var want uint32
 		for i := 0; i < 32; i++ {
@@ -33,19 +31,19 @@ func transpose32Orientation(t *testing.T) {
 		}
 	}
 	// Involution: transposing twice restores the input.
-	transpose32(&a)
+	transposeButterfly(&a)
 	if a != keep {
-		t.Fatal("transpose32 is not an involution")
+		t.Fatal("transposeButterfly is not an involution")
 	}
 }
 
-// eachTranspose runs f as one subtest per transpose kernel, named after it,
-// with transpose32 dispatching to that kernel; a kernel this CPU cannot run
-// is skipped with the reason logged.
-func eachTranspose(t *testing.T, f func(t *testing.T)) {
-	for _, k := range transposeKernels() {
+// eachKernel runs f as one subtest per BPC kernel set, named after it, with
+// bpcFront and bpcBack dispatching to that set; a set this CPU cannot run is
+// skipped with the reason logged.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range bpcKernels() {
 		t.Run(k, func(t *testing.T) {
-			if !selectTranspose(t, k) {
+			if !selectKernel(t, k) {
 				t.SkipNow()
 			}
 			f(t)

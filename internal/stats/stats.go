@@ -50,7 +50,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -72,9 +72,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
 }
@@ -100,8 +100,8 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if lo == hi {
 		return cp[lo], nil
 	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
+	frac := float64(rank) - float64(lo)
+	return float64(cp[lo]*(1-frac)) + float64(cp[hi]*frac), nil
 }
 
 // LogQuantile returns the q-quantile (0 <= q <= 1) of a sample summarized
@@ -145,8 +145,8 @@ func LogQuantile(counts []uint64, q float64) float64 {
 		}
 		lo := math.Exp2(float64(b - 1))
 		hi := math.Exp2(float64(b))
-		frac := (rank - cum) / float64(c)
-		return lo + frac*(hi-lo)
+		frac := (float64(rank) - cum) / float64(c)
+		return lo + float64(frac*(hi-lo))
 	}
 	// Fell off the end (rank == total with trailing zero buckets).
 	for b := len(counts) - 1; b >= 0; b-- {
