@@ -147,17 +147,7 @@ func benchVaried(b *testing.B, data []byte) {
 		s, _ := c.AppendCompressed(nil, data[i*EntryBytes:(i+1)*EntryBytes])
 		streams[i] = s
 	}
-	b.Run("encode", func(b *testing.B) {
-		scratch := make([]byte, 0, MaxStreamBytes)
-		b.SetBytes(EntryBytes)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s, _ := c.AppendCompressed(scratch[:0], data[(i%n)*EntryBytes:(i%n+1)*EntryBytes])
-			scratch = s[:0]
-		}
-		reportNsPerEntry(b)
-	})
+	b.Run("encode", func(b *testing.B) { benchEncode(b, data) })
 	b.Run("decode", func(b *testing.B) {
 		dst := make([]byte, EntryBytes)
 		b.SetBytes(EntryBytes)
@@ -170,6 +160,23 @@ func benchVaried(b *testing.B, data []byte) {
 		}
 		reportNsPerEntry(b)
 	})
+}
+
+// benchEncode times the BPC codec's AppendCompressed over the distinct
+// entries in data, one entry per iteration in turn, into a reused scratch
+// buffer.
+func benchEncode(b *testing.B, data []byte) {
+	n := len(data) / EntryBytes
+	c := NewBPC()
+	scratch := make([]byte, 0, MaxStreamBytes)
+	b.SetBytes(EntryBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, _ := c.AppendCompressed(scratch[:0], data[(i%n)*EntryBytes:(i%n+1)*EntryBytes])
+		scratch = s[:0]
+	}
+	reportNsPerEntry(b)
 }
 
 // BenchmarkDecompressInto measures one full decode into caller memory, per
@@ -197,7 +204,8 @@ func BenchmarkDecompressInto(b *testing.B) {
 
 // BenchmarkBPCFront measures BPC's encode pre-pass alone under each kernel
 // set, over BenchmarkVariedMix's entries: the deltas, transition masks,
-// aggregates and plane transpose that bpcFront returns to the emitter.
+// aggregates, plane transpose and plane codes that bpcFront returns to the
+// emitter.
 func BenchmarkBPCFront(b *testing.B) {
 	data := variedMixData()
 	for _, k := range bpcKernels() {
@@ -205,15 +213,31 @@ func BenchmarkBPCFront(b *testing.B) {
 			if !selectKernel(b, k) {
 				b.SkipNow()
 			}
-			var rows [entryWordCount]uint64
+			var codes bpcCodes
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				j := i % variedEntries
-				p32, orE, andE, orD := bpcFront((*[EntryBytes]byte)(data[j*EntryBytes:]), &rows)
-				sink += uint64(p32) + orE + andE + orD + rows[j%entryWordCount]
+				p32, orE, andE, orD, total := bpcFront((*[EntryBytes]byte)(data[j*EntryBytes:]), &codes)
+				sink += uint64(p32) + orE + andE + orD + uint64(total) + codes.pair[j%entryWordCount]
 			}
 			sizerSink = int(sink)
 			reportNsPerEntry(b)
+		})
+	}
+}
+
+// BenchmarkBPCEncode is BenchmarkVariedMix's encode under each kernel set:
+// the whole of AppendCompressed, so against BenchmarkBPCFront it attributes
+// the encode between the pre-pass and the emitter, and its butterfly row is
+// the encode wherever the AVX-512 kernels cannot run.
+func BenchmarkBPCEncode(b *testing.B) {
+	data := variedMixData()
+	for _, k := range bpcKernels() {
+		b.Run(k, func(b *testing.B) {
+			if !selectKernel(b, k) {
+				b.SkipNow()
+			}
+			benchEncode(b, data)
 		})
 	}
 }

@@ -44,9 +44,11 @@ import (
 //
 // — and only planes needing the two-ones/single-one/raw discrimination
 // read actual plane bits, which one 32x32 bit transpose of the masks yields
-// at a fixed cost, two planes per 64-bit word. That packing is also the raw
-// code's layout: when an odd plane and the plane below it are both raw, the
-// word is their two codes back to back, and the pair goes out in one put.
+// at a fixed cost, two planes per 64-bit word. Every plane code is at most
+// 32 bits, so the pre-pass turns each word into a pair code: plane 2m+1's
+// code followed by plane 2m's, at most 64 bits, with its length. The
+// stream's size is then known before emission, and emission is one
+// accumulator over the base code, plane 32's code and sixteen pair codes.
 type BPC struct{}
 
 // NewBPC returns the Bit-Plane Compression codec.
@@ -64,60 +66,96 @@ const (
 	bpcMask33  = (uint64(1) << bpcPlanes) - 1
 )
 
-// bpcStreamWords sizes the stack register buffer the encoder emits into.
-// The worst case stream is 1 frame bit + a 33-bit base code + 33 raw planes
-// (1090 bits), under 18x64 — so the emission loop needs no overflow check at
-// all, and the single raw-vs-compressed decision happens once at the end.
-const bpcStreamWords = 18
+// bpcStreamWords sizes the stack register buffer the emitter stores into: a
+// stream that goes out compressed is at most 1024 bits, its frame bit
+// included, so its last store lands in word 16 at most.
+const bpcStreamWords = 17
 
-// bpcPut appends the low n bits of v (MSB first, 0 <= n <= 64) to the
-// register buffer at bit cursor pos and returns the advanced cursor. The
-// value is left-aligned once (n = 0 leaves nothing to OR, since a shift by
-// 64 yields 0) and both the current and the next word are OR-ed
-// unconditionally —
-// when the code does not spill, the second OR contributes zero (a shift by
-// 64 yields 0) — so the put has no does-it-spill branch; the cursor's word
-// alignment is data-dependent and the branch would mispredict about as often
-// as not. The buffer has a spare word past the worst-case stream, so wi+1 is
-// always in range. No length tracking, no byte appends: this is what lets
-// the encoder skip the BitWriter entirely until the final bulk store.
-//
-//buddy:hotpath
-func bpcPut(sb *[bpcStreamWords]uint64, pos int, v uint64, n int) int {
-	lv := v << uint(64-n)
-	off := uint(pos) & 63
-	wi := pos >> 6
-	sb[wi] |= lv >> off
-	sb[wi+1] |= lv << (64 - off)
-	return pos + n
+// bpcCodes is the encode pre-pass's plane codes for planes 0..31, two per
+// word in the transpose's lane order: pair[m] is plane 2m+1's code followed
+// by plane 2m's, left-aligned (the stream is MSB first, so the higher plane
+// leads), and n[m] is its length in bits, 0 to 64. A plane inside a zero run
+// has the empty code; the run's code sits on its top plane.
+type bpcCodes struct {
+	pair [entryWordCount]uint64
+	n    [entryWordCount]uint8
 }
 
-// bpcPutBase emits the base-symbol code (zero / 4-, 8-, 16-bit
-// sign-extended / raw), prefix and payload pre-merged into one put.
+// bpcBaseCode returns the base-symbol code (zero / 4-, 8-, 16-bit
+// sign-extended / raw), prefix and payload merged, and its length.
 //
 //buddy:hotpath
-func bpcPutBase(sb *[bpcStreamWords]uint64, pos int, base uint32) int {
+func bpcBaseCode(base uint32) (uint64, int) {
 	v := int32(base)
 	switch {
 	case v == 0:
-		return bpcPut(sb, pos, 0b000, 3)
+		return 0b000, 3
 	case v >= -8 && v < 8:
-		return bpcPut(sb, pos, 0b001_0000|uint64(base)&0xF, 7)
+		return 0b001_0000 | uint64(base)&0xF, 7
 	case v >= -128 && v < 128:
-		return bpcPut(sb, pos, 0b010<<8|uint64(base)&0xFF, 11)
+		return 0b010<<8 | uint64(base)&0xFF, 11
 	case v >= -32768 && v < 32768:
-		return bpcPut(sb, pos, 0b011<<16|uint64(base)&0xFFFF, 19)
+		return 0b011<<16 | uint64(base)&0xFFFF, 19
 	default:
-		return bpcPut(sb, pos, 1<<32|uint64(base), 33)
+		return 1<<32 | uint64(base), 33
 	}
 }
 
-// bpcRawPlane reports whether a non-zero plane takes the raw code: it has
-// a 1 outside its lowest set bit and the bit above it, so it is neither a
-// one-ones nor a two-adjacent-ones pattern.
-func bpcRawPlane(x uint32) bool {
-	low := x & -x
-	return x&^(low|low<<1) != 0
+// bpcNeedCode returns the code and length of a plane in need (non-zero, not
+// all-ones, DBP non-zero) from its DBX bits x (bit 31 zero): 0b0001t + the
+// 5-bit position of its lowest 1 (10 bits) when x is one 1 (t = 1) or two
+// adjacent 1s (t = 0), else 1 + the 31 bits (32). The selects are mask
+// arithmetic: the plane class is the least predictable quantity in the
+// stream, and a mispredicted branch costs more than the ALU ops.
+//
+//buddy:hotpath
+func bpcNeedCode(x uint32) (uint64, uint64) {
+	tz := uint64(bits.TrailingZeros32(x))
+	pp := uint64(x >> (tz & 31))
+	// mShort = all-ones iff pp == 1 or pp == 3, i.e. (pp|2)^3 == 0.
+	q := (pp | 2) ^ 3
+	mShort := (q|-q)>>63 - 1
+	v := (uint64(1)<<bpcDeltas|uint64(x))&^mShort | ((0b00010|(3-pp)>>1)<<5|tz)&mShort
+	return v, 32 - 22&mShort
+}
+
+// bpcShortCode returns plane x's short code, left-aligned, and its length
+// when isShort is 1 (x is one 1 or two adjacent 1s), else l and n as given.
+func bpcShortCode(x uint32, isShort, l, n uint64) (uint64, uint64) {
+	if isShort == 0 {
+		return l, n
+	}
+	v, _ := bpcNeedCode(x)
+	return v << 54, 10
+}
+
+// bpcRunCode returns the code and length of a run of run >= 1 all-zero DBX
+// planes: 001 for one plane (3 bits), 01 + (run-2) (7 bits) otherwise.
+//
+//buddy:hotpath
+func bpcRunCode(run uint64) (uint64, uint64) {
+	r := run - 1
+	mOne := (r|-r)>>63 - 1
+	return (30+run)&^mOne | 1&mOne, 7 - 4&mOne
+}
+
+// bpcPlane32Code returns plane 32's code and length from its DBX bits p32
+// and the aggregates, under either kernel set. The classes are disjoint
+// masks: in need (bpcNeedCode), non-zero but not in need (all-ones 00000 or
+// DBP-zero 00001), or zero, where plane 32 tops a run down to the highest
+// non-zero plane below it.
+//
+//buddy:hotpath
+func bpcPlane32Code(p32 uint32, orE, andE, orD uint64) (uint64, int) {
+	const b = bpcPlanes - 1
+	v, n := bpcNeedCode(p32)
+	vRun, nRun := bpcRunCode(b + 1 - uint64(bits.Len32(uint32(orE))))
+	mZero := orE>>b&1 - 1
+	mNeed := -((orE &^ andE & orD) >> b & 1)
+	mAgg := ^mZero &^ mNeed
+	v = v&mNeed | ^andE>>b&1&mAgg | vRun&mZero
+	n = n&mNeed | 5&mAgg | nRun&mZero
+	return v, int(n)
 }
 
 // bpcRaw emits the raw-fallback frame (flag bit 1 + the 128 entry bytes,
@@ -138,147 +176,94 @@ func bpcRaw(dst, entry []byte) ([]byte, int) {
 	return append(dst, frame[:]...), bpcRawBits
 }
 
+// bpcPut appends the n-bit code lv (0 <= n <= 64, left-aligned, zero past
+// bit n) at bit pos of the stream, whose word pos>>6 is acc, left-aligned,
+// and returns the advanced state. The word is stored whole every time — a
+// plain store, no read-modify-write of the buffer — and when the code
+// crosses into the next word its leftover bits start that word, picked by a
+// conditional move rather than a branch, since where a code ends is the
+// least predictable quantity in the stream.
+//
+//buddy:hotpath
+func bpcPut(sb *[bpcStreamWords]uint64, acc uint64, pos uint, lv uint64, n uint) (uint64, uint) {
+	w := pos >> 6
+	acc |= lv >> (pos & 63)
+	sb[w] = acc
+	left := lv << 1 << (^pos & 63)
+	pos += n
+	if pos>>6 != w {
+		acc = left
+	}
+	return acc, pos
+}
+
 // AppendCompressed implements Codec: one encode produces both the framed
 // stream (first bit 0 = BPC stream, 1 = raw 128 bytes) and the payload bit
-// count, capped at the raw 1024 bits. The register buffer absorbs even the
-// worst-case encoding, so the emission loop runs checkless and the raw
-// fallback decision happens exactly once, at the end.
+// count, capped at the raw 1024 bits. The pre-pass (bpcFront) returns every
+// code of planes 0..31 as sixteen pair codes and their total length, so the
+// stream's size is known before a bit of it is written: at 1024 bits or
+// more the entry goes straight to the raw frame, and otherwise the frame
+// bit, the base code, plane 32 and the pairs go out through one accumulator
+// with no per-class branch.
 //
 //buddy:hotpath
 func (BPC) AppendCompressed(dst, entry []byte) ([]byte, int) {
 	checkEntry(entry)
-	// The stream builds in a stack register buffer: each code lands with one
-	// or two shift-ors at a bit cursor, and the finished stream stores to dst
-	// in a single pass at the end. pos starts past the frame bit (0 = BPC
-	// stream), already present as the zero MSB of sbuf[0].
-	var sbuf [bpcStreamWords]uint64
-	pos := 1
-
-	// The pre-pass (bpcFront) yields the aggregates, plane 32 (p32) and,
-	// whenever a plane below 32 is in need, planes 0..31 in rows: plane 2m in
-	// the low lane of rows[m], plane 2m+1 in its high lane, each lane's bit 31
-	// (the absent delta 31) zero. Planes that the aggregates cannot classify
-	// (non-zero, not all-ones, DBP non-zero) are emitted from those 31 bits.
-	var rows [entryWordCount]uint64
-	p32, orE, andE, orD := bpcFront((*[EntryBytes]byte)(entry), &rows)
-	need := orE &^ andE & orD
-	base := binary.LittleEndian.Uint32(entry)
-
-	pos = bpcPutBase(&sbuf, pos, base)
-	// Plane 32 is p32, the deltas' borrows; classifying it before the loop
-	// keeps the per-plane body free of the is-it-the-top-plane test. The loop
-	// then emits one bpcPut per surviving plane, or per raw plane pair: a
-	// zero-run hop (single Len64 instead of a per-plane walk — sparse entries
-	// have long runs) fuses its run code with the code of the plane that ends
-	// the run, so a run+plane pair costs one call, and the code
-	// discriminations select values rather than control flow (a
-	// data-dependent outcome is a couple of conditional moves, not a pipeline
-	// flush).
-	b := bpcPlanes - 1
-	if orE>>uint(b)&1 == 1 {
-		if need>>uint(b)&1 == 1 {
-			tz := bits.TrailingZeros32(p32)
-			v, n := uint64(1)<<bpcDeltas|uint64(p32), 32
-			if p := p32 >> uint(tz); p|2 == 3 {
-				v, n = (0b00010|uint64(3-p)>>1)<<5|uint64(tz), 10
-			}
-			pos = bpcPut(&sbuf, pos, v, n)
-		} else {
-			// all-ones DBX (00000) when every delta transitions, else DBP-zero
-			// (00001): the codes differ in one bit, read out of andE directly.
-			pos = bpcPut(&sbuf, pos, ^andE>>uint(b)&1, 5)
-		}
-		b--
+	var c bpcCodes
+	p32, orE, andE, orD, pairBits := bpcFront((*[EntryBytes]byte)(entry), &c)
+	hv, hn := bpcBaseCode(binary.LittleEndian.Uint32(entry))
+	v32, n32 := bpcPlane32Code(p32, orE, andE, orD)
+	bits := hn + n32 + pairBits
+	if bits >= bpcRawBits {
+		return bpcRaw(dst, entry)
 	}
-	for b >= 0 {
-		var rv uint64 // pending run code, emitted fused with the next plane
-		rn := 0
-		if orE>>uint(b)&1 == 0 {
-			hb := bits.Len64(orE&(uint64(1)<<uint(b)-1)) - 1
-			rv, rn = 0b001, 3
-			if run := b - hb; run != 1 {
-				rv, rn = 0b01_00000|uint64(run-2), 7
-			}
-			b = hb
-			if b < 0 {
-				pos = bpcPut(&sbuf, pos, rv, rn)
-				break
-			}
-		}
-		row := rows[b>>1]
-		// Raw pair: an odd plane b and plane b-1 that both need their bits
-		// and are neither one-ones nor two-adjacent-ones planes. The row is
-		// then already their two raw codes back to back — plane b in the
-		// high lane, b-1 in the low, each lane's empty bit 31 taking the raw
-		// flag — so the pair lands with one 64-bit put (a pending run code,
-		// which would not fit beside it, goes first on its own).
-		if b&1 == 1 && need>>uint(b-1)&3 == 3 && bpcRawPlane(uint32(row>>32)) && bpcRawPlane(uint32(row)) {
-			pos = bpcPut(&sbuf, pos, rv, rn)
-			pos = bpcPut(&sbuf, pos, row|1<<63|1<<31, 64)
-			b -= 2
-			continue
-		}
-		// One plane. Both discriminations below are pure mask arithmetic —
-		// the plane class is the least predictable quantity in the stream,
-		// and a mispredicted branch costs more than the dozen ALU ops the
-		// masked selects take. Without a transpose the row holds masks, not
-		// planes, but then mAgg discards it.
-		plane := uint32(row >> (uint(b&1) * 32))
-		tz := bits.TrailingZeros32(plane)
-		pp := uint64(plane >> uint(tz))
-		// mShort = all-ones iff the plane is a one/two-ones pattern
-		// (pp == 1 or pp == 3, i.e. (pp|2)^3 == 0).
-		q := (pp | 2) ^ 3
-		mShort := (q|-q)>>63 - 1
-		// mAgg = all-ones iff the aggregates classify the plane (need bit 0).
-		mAgg := need>>uint(b)&1 - 1
-		vShort := (0b00010|(3-pp)>>1)<<5 | uint64(tz)
-		vRaw := uint64(1)<<bpcDeltas | uint64(plane)
-		vAgg := ^andE >> uint(b) & 1
-		v := (vRaw&^mShort|vShort&mShort)&^mAgg | vAgg&mAgg
-		n := int(32 - 22&mShort&^mAgg - 27&mAgg)
-		pos = bpcPut(&sbuf, pos, rv<<uint(n)|v, rn+n)
-		b--
+	// The frame bit (0 = BPC stream) is the zero MSB above the base code.
+	var sb [bpcStreamWords]uint64
+	acc, pos := hv<<uint(63-hn), uint(1+hn)
+	acc, pos = bpcPut(&sb, acc, pos, v32<<uint(64-n32), uint(n32))
+	for m := entryWordCount - 1; m >= 0; m-- {
+		acc, pos = bpcPut(&sb, acc, pos, c.pair[m], uint(c.n[m]))
 	}
-	if bits := pos - 1; bits < bpcRawBits {
-		// One bulk store: the register words are already the big-endian
-		// stream bytes, zero-padded past pos like the BitWriter would pad.
-		// When dst has the full register-buffer width spare (every pooled
-		// scratch does — cap is MaxStreamBytes), the words store straight into
-		// it; the tmp bounce only runs for short caller buffers.
-		nw := (pos + 63) >> 6
-		nb := (pos + 7) >> 3
-		if n := len(dst); cap(dst)-n >= bpcStreamWords*8 {
-			buf := dst[n : n+bpcStreamWords*8]
-			for j := 0; j < nw; j++ {
-				binary.BigEndian.PutUint64(buf[j*8:], sbuf[j])
-			}
-			return dst[: n+nb : cap(dst)], bits
-		}
-		var tmp [bpcStreamWords * 8]byte
+	sb[pos>>6] = acc
+
+	// One bulk store: the register words are already the big-endian stream
+	// bytes, zero-padded past pos like the BitWriter would pad. When dst has
+	// the full register-buffer width spare (every pooled scratch does — cap
+	// is MaxStreamBytes), the words store straight into it; the tmp bounce
+	// only runs for short caller buffers.
+	nw := int(pos+63) >> 6
+	nb := int(pos+7) >> 3
+	if n := len(dst); cap(dst)-n >= bpcStreamWords*8 {
+		buf := dst[n : n+bpcStreamWords*8]
 		for j := 0; j < nw; j++ {
-			binary.BigEndian.PutUint64(tmp[j*8:], sbuf[j])
+			binary.BigEndian.PutUint64(buf[j*8:], sb[j])
 		}
-		return append(dst, tmp[:nb]...), bits
+		return dst[: n+nb : cap(dst)], bits
 	}
-	return bpcRaw(dst, entry)
+	var tmp [bpcStreamWords * 8]byte
+	for j := 0; j < nw; j++ {
+		binary.BigEndian.PutUint64(tmp[j*8:], sb[j])
+	}
+	return append(dst, tmp[:nb]...), bits
 }
 
 // bpcFrontGo is the encoder's pre-pass over the entry's sixteen 64-bit
-// words: the 33-bit deltas and their transition masks e = d ^ d>>1. rows
-// gets each mask's low 32 bits two deltas per word (delta 2m in the low lane
-// of rows[m]), transposed into planes (plane 2m in the low lane, 2m+1 in the
-// high) when any plane below 32 is in need; p32 collects the mask bit-32
-// column, which is the whole of plane 32, and orE, andE and orD are the
-// aggregates the emitter classifies planes by. The body is branch-free on
+// words: the 33-bit deltas and their transition masks e = d ^ d>>1, whose
+// bit-plane b is DBX plane b. p32 collects the mask bit-32 column, which is
+// the whole of plane 32; orE, andE and orD are the aggregates planes are
+// classified by. When any plane below 32 is in need, the masks' low 32 bits
+// are transposed into planes (plane 2m in the low lane of a word, 2m+1 in
+// the high), and each plane's code is selected by its class; codes gets them
+// in pairs, and total is their summed length. The delta loop is branch-free on
 // the delta values: a zero delta's all-zero mask adds nothing to orE/orD
-// and clears andE, as it must (no plane is all-ones then) — delta values are
-// the least predictable data in the entry, and a mispredict costs more than
-// the handful of ALU ops a zero delta's dead update takes. It is the oracle
-// for bpcFrontGFNI and the pre-pass wherever that kernel cannot run.
+// and clears andE, as it must (no plane is all-ones then) — delta values
+// are the least predictable data in the entry, and a mispredict costs more
+// than the handful of ALU ops a zero delta's dead update takes. It is the
+// oracle for bpcFrontGFNI and the pre-pass wherever that kernel cannot run.
 //
 //buddy:hotpath
-func bpcFrontGo(entry *[EntryBytes]byte, rows *[entryWordCount]uint64) (p32 uint32, orE, andE, orD uint64) {
+func bpcFrontGo(entry *[EntryBytes]byte, codes *bpcCodes) (p32 uint32, orE, andE, orD uint64, total int) {
+	var rows [entryWordCount]uint64
 	andE = bpcMask33
 	prev := int64(0)
 	for k := 0; k < entryWordCount; k++ {
@@ -303,10 +288,52 @@ func bpcFrontGo(entry *[EntryBytes]byte, rows *[entryWordCount]uint64) (p32 uint
 		p32 |= uint32(e>>32) << uint(2*k)
 		prev = hi
 	}
-	if need := orE &^ andE & orD; need&0xFFFFFFFF != 0 {
-		transposeButterfly(rows)
+	// Without a transpose the rows hold masks, not planes, but then no plane
+	// below 32 is in need and no code reads their bits.
+	need := orE &^ andE & orD
+	if need&0xFFFFFFFF != 0 {
+		transposeButterfly(&rows)
 	}
-	return p32, orE, andE, orD
+	// Each plane's code, left-aligned, two planes per row. The codes of the
+	// planes not in need come first: an aggregate-coded plane's 00000 or
+	// 00001, and each run's code on its top plane (a zero plane under a
+	// non-zero one); a plane inside a run keeps the empty code.
+	var fixL [32]uint64
+	var fixN [32]uint8
+	for agg := orE &^ need & 0xFFFFFFFF; agg != 0; agg &= agg - 1 {
+		b := bits.TrailingZeros64(agg)
+		fixL[b], fixN[b] = (^andE>>b&1)<<59, 5
+	}
+	for top := ^orE & (orE >> 1) & 0xFFFFFFFF; top != 0; top &= top - 1 {
+		b := bits.TrailingZeros64(top)
+		v, n := bpcRunCode(uint64(b + 1 - bits.Len64(orE&(uint64(1)<<b-1))))
+		fixL[b], fixN[b] = v<<(64-n), uint8(n)
+	}
+	// A plane in need is raw (1 + its 31 bits) unless it is short. Short
+	// planes are rare, so a lane-wise test finds them and only they take a
+	// branch. The test runs on both lanes of a row at once: a plane's bit 31
+	// is zero, so x ^ 0x7FFFFFFF + 1 (2^31 - x) negates it without a carry
+	// into the other lane, and x &^ (l | l<<1) + 0x7FFFFFFF sets bit 31
+	// exactly when that remainder is non-zero.
+	const lane31, laneOne, laneTop = 0x7FFFFFFF_7FFFFFFF, 0x00000001_00000001, 0x80000000_80000000
+	for m, row := range &rows {
+		ll, nl := row<<32|1<<63, uint64(32)
+		lh, nh := row&^0xFFFFFFFF|1<<63, uint64(32)
+		l := row & (row ^ lane31 + laneOne) // each plane's lowest 1
+		z := ^(row&^(l|l<<1) + lane31) & laneTop
+		if short := (z>>31 | z>>62) & need & 3; short != 0 {
+			ll, nl = bpcShortCode(uint32(row), short&1, ll, nl)
+			lh, nh = bpcShortCode(uint32(row>>32), short>>1, lh, nh)
+		}
+		ml, mh := -(need & 1), -(need >> 1 & 1)
+		ll, nl = ll&ml|fixL[2*m], nl&ml|uint64(fixN[2*m])
+		lh, nh = lh&mh|fixL[2*m+1], nh&mh|uint64(fixN[2*m+1])
+		codes.pair[m] = lh | ll>>(nh&63)
+		codes.n[m] = uint8(nl + nh)
+		total += int(nl + nh)
+		need >>= 2
+	}
+	return p32, orE, andE, orD, total
 }
 
 // Bits is the size-only kernel Sizer resolves: AppendCompressed's exact
@@ -478,8 +505,6 @@ func (BPC) DecompressInto(dst, comp []byte) error {
 		}
 	}
 	var planes [bpcPlanes]uint32
-	var nz uint64    // mask of planes with a non-zero DBX
-	pop := 0         // total DBX bits, the sparse path's scatter cost
 	acc := uint32(0) // DBP plane b+1 while processing plane b
 	b := bpcPlanes - 1
 	for b >= 0 {
@@ -527,8 +552,6 @@ func (BPC) DecompressInto(dst, comp []byte) error {
 		}
 		acc ^= dbx
 		planes[b] = dbx
-		nz |= uint64(1) << uint(b)
-		pop += bits.OnesCount32(dbx)
 		b--
 	}
 	if pos > len(comp)*8 {
@@ -536,19 +559,26 @@ func (BPC) DecompressInto(dst, comp []byte) error {
 	}
 
 	// Rebuild the deltas from the collected DBX planes: dense plane sets (most
-	// varied real data) in one fixed-cost pass, bpcBack; sparse sets scatter
-	// just the DBX bits per delta and invert with the parallel-prefix XOR
-	// instead, which is cheaper below 48 set bits.
-	if pop >= 48 {
+	// varied real data) in one fixed-cost pass, bpcBack; under the pure-Go
+	// kernels sparse sets scatter just the DBX bits per delta and invert with
+	// the parallel-prefix XOR instead, which is cheaper below 48 set bits.
+	// The AVX-512 rebuild costs less than the scatter at any count, so only
+	// the pure-Go kernels count the bits.
+	pop := 0
+	if !useGFNI {
+		for _, p := range &planes {
+			pop += bits.OnesCount32(p)
+		}
+	}
+	if useGFNI || pop >= 48 {
 		bpcBack(&planes, base, (*[EntryBytes]byte)(dst))
 		return nil
 	}
 	wv := base
 	binary.LittleEndian.PutUint32(dst, wv)
 	var trans [bpcDeltas]uint64
-	for ; nz != 0; nz &= nz - 1 {
-		b := bits.TrailingZeros64(nz)
-		for m := planes[b]; m != 0; m &= m - 1 {
+	for b, p := range &planes {
+		for m := p; m != 0; m &= m - 1 {
 			trans[bits.TrailingZeros32(m)] |= 1 << uint(b)
 		}
 	}

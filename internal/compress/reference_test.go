@@ -655,3 +655,57 @@ func bpcRawPairsMatchReference(t *testing.T) {
 		checkAgainstReference(t, NewBPC(), tc.entry, tc.name)
 	}
 }
+
+// bpcEntryOfBits finds an entry whose BPC stream, uncapped, is exactly want
+// payload bits: random words, all shifted down by a random 0..7 bits, a
+// random run of them set equal and the base shifted down by 0..31 more, so
+// zero runs, short planes and the base code vary the length.
+func bpcEntryOfBits(t *testing.T, want int) *[EntryBytes]byte {
+	t.Helper()
+	r := gen.NewRNG(47, 3)
+	for try := 0; try < 1<<16; try++ {
+		var entry [EntryBytes]byte
+		shift := uint(r.Uint64() % 8)
+		lo, hi := int(r.Uint64()%bpcWords), int(r.Uint64()%bpcWords)
+		for i := 0; i < bpcWords; i++ {
+			w := uint32(r.Uint64()) >> shift
+			if i > lo && i <= hi {
+				w = binary.LittleEndian.Uint32(entry[4*(i-1):])
+			}
+			if i == 0 {
+				w >>= uint(r.Uint64() % 32) // every base code length
+			}
+			binary.LittleEndian.PutUint32(entry[4*i:], w)
+		}
+		if bpcStreamBits(&entry) == want {
+			return &entry
+		}
+	}
+	t.Fatalf("no entry of %d stream bits found", want)
+	return nil
+}
+
+// bpcStreamBits is the BPC stream's payload length before the raw cap, from
+// the pure-Go kernels.
+func bpcStreamBits(entry *[EntryBytes]byte) int {
+	p32, orE, andE, orD, total := bpcFrontGo(entry, new(bpcCodes))
+	_, hn := bpcBaseCode(binary.LittleEndian.Uint32(entry[:]))
+	_, n32 := bpcPlane32Code(p32, orE, andE, orD)
+	return hn + n32 + total
+}
+
+// TestBPCRawEdgeMatchesReference pins the raw fallback's edge: a stream of
+// 1023 payload bits goes out compressed, one of 1024 as the raw frame, both
+// byte for byte the reference's, under each BPC kernel set.
+func TestBPCRawEdgeMatchesReference(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		for _, want := range []int{bpcRawBits - 1, bpcRawBits} {
+			entry := bpcEntryOfBits(t, want)
+			stream, n := NewBPC().AppendCompressed(nil, entry[:])
+			if n != want || (stream[0]>>7 == 1) != (want == bpcRawBits) {
+				t.Fatalf("stream of %d bits: encoded %d bits, frame bit %d", want, n, stream[0]>>7)
+			}
+			checkAgainstReference(t, NewBPC(), entry[:], "raw edge")
+		}
+	})
+}

@@ -40,11 +40,11 @@ func init() {
 // over the entry where the CPU has it.
 //
 //buddy:hotpath
-func bpcFront(entry *[EntryBytes]byte, rows *[entryWordCount]uint64) (p32 uint32, orE, andE, orD uint64) {
+func bpcFront(entry *[EntryBytes]byte, codes *bpcCodes) (p32 uint32, orE, andE, orD uint64, total int) {
 	if useGFNI {
-		return bpcFrontGFNI(entry, rows)
+		return bpcFrontGFNI(entry, codes)
 	}
-	return bpcFrontGo(entry, rows)
+	return bpcFrontGo(entry, codes)
 }
 
 // bpcBack is BPC's dense decode rebuild (see bpcBackGo), in one AVX-512 pass
@@ -59,14 +59,28 @@ func bpcBack(planes *[bpcPlanes]uint32, base uint32, dst *[EntryBytes]byte) {
 	bpcBackGo(planes, base, dst)
 }
 
-// bpcFrontGFNI is bpcFrontGo with the transpose always run; it needs
-// AVX512F, AVX512BW, AVX512VBMI and GFNI (gfniSupported).
+// bpcFrontGFNI is bpcFrontGo with the transpose always run and every plane
+// code computed lane-wise; it needs AVX512F, AVX512BW, AVX512CD, AVX512VBMI
+// and GFNI (gfniSupported).
 //
 //go:noescape
-func bpcFrontGFNI(entry *[EntryBytes]byte, rows *[entryWordCount]uint64) (p32 uint32, orE, andE, orD uint64)
+func bpcFrontGFNI(entry *[EntryBytes]byte, codes *bpcCodes) (p32 uint32, orE, andE, orD uint64, total int)
+
+// bpcCodeConsts are bpcFrontGFNI's broadcast constants, in the order it
+// loads them: the raw and short code lengths (32, 10), the short code's base
+// 0b00011<<5 | 31 and its two-ones offset 0b00001<<5, the aggregate length
+// 5, the DBP-zero and one-plane-run code 1, the run code's base
+// 0b01<<5 - 1, the run lengths 7 and 3, and the quadword 64 (the last two
+// words).
+var bpcCodeConsts = [11]uint32{32, 10, 0x7F, 0x20, 5, 1, 31, 7, 3, 64, 0}
+
+// bpcRunShift is lane b's shift in bpcFrontGFNI's run-length step, 31-b: it
+// moves the zero planes below plane b to the top of the lane.
+var bpcRunShift = [32]uint32{31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16,
+	15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
 
 // bpcBackGFNI is bpcBackGo; it needs AVX512F, AVX512BW, AVX512VBMI and GFNI
-// (gfniSupported).
+// (gfniSupported checks AVX512CD too, for bpcFrontGFNI).
 //
 //go:noescape
 func bpcBackGFNI(planes *[bpcPlanes]uint32, base uint32, dst *[EntryBytes]byte)
@@ -78,8 +92,8 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 // gfniSupported reports whether the AVX-512 kernels can run: the CPU has
-// AVX512F, AVX512BW, AVX512VBMI and GFNI, and the OS saves the SSE, AVX,
-// opmask and ZMM state (XCR0 bits 1, 2, 5, 6 and 7).
+// AVX512F, AVX512BW, AVX512CD, AVX512VBMI and GFNI, and the OS saves the
+// SSE, AVX, opmask and ZMM state (XCR0 bits 1, 2, 5, 6 and 7).
 func gfniSupported() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -94,11 +108,12 @@ func gfniSupported() bool {
 	}
 	const (
 		avx512f    = 1 << 16 // leaf 7 EBX
+		avx512cd   = 1 << 28 // leaf 7 EBX
 		avx512bw   = 1 << 30 // leaf 7 EBX
 		avx512vbmi = 1 << 1  // leaf 7 ECX
 		gfni       = 1 << 8  // leaf 7 ECX
 	)
 	_, ebx7, ecx7, _ := cpuid(7, 0)
-	return ebx7&(avx512f|avx512bw) == avx512f|avx512bw &&
+	return ebx7&(avx512f|avx512cd|avx512bw) == avx512f|avx512cd|avx512bw &&
 		ecx7&(avx512vbmi|gfni) == avx512vbmi|gfni
 }

@@ -61,9 +61,9 @@ func IterationSeconds(n *Network, batch int) float64 {
 	util := float64(batch) / (float64(batch) + utilHalfBatch)
 	compute := flops / (peakTFLOPs * 1e12 * util)
 
-	bytes := float64(n.TotalParams())*bytesPerValue*3 + // read W, write G, momentum
-		float64(n.TotalActivationsPerSample())*ActivationCopies*
-			bytesPerValue*float64(batch)*2
+	bytes := float64(float64(n.TotalParams())*bytesPerValue*3) + // read W, write G, momentum
+		float64(float64(float64(n.TotalActivationsPerSample())*ActivationCopies*
+			bytesPerValue*float64(batch))*2)
 	mem := bytes / (memBWGBs * 1e9)
 
 	t := compute

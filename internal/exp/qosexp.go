@@ -62,9 +62,13 @@ const (
 	// qosLaps is how many times each batch stream rewrites its region.
 	// The whole demand is submitted up front, so each tenant's rings hold
 	// qosLaps x region of backlog; sized so the measurement window drains
-	// about a quarter of it and no ring runs dry while shares are being
-	// measured.
-	qosLaps = 4
+	// a sixteenth of it and no ring runs dry while shares are being
+	// measured. The workers serve while the submitters are still queueing,
+	// and on a small host a submitter can wait several scheduler time
+	// slices for a core: at 4 laps, with BPC encoding a 64 KiB chunk in
+	// about 50 µs, a ring could be served out before the window opened (on
+	// a 2-vCPU Xeon the heavy share read 0.01–0.55 in 25 of 40 runs).
+	qosLaps = 16
 )
 
 // QoSResult is the qos experiment's outcome.
@@ -272,7 +276,7 @@ func QoS(scale int) (*QoSResult, error) {
 	// shard that is. From the opening every ring holds a standing
 	// backlog, so the window snapshots a per-tenant base and measures
 	// served-byte deltas until the heavy tenant serves batchBytes, a
-	// quarter of its demand. Plain round-robin (delta share 1/n) fails
+	// sixteenth of its demand. Plain round-robin (delta share 1/n) fails
 	// the pin and only a working DRR (share w/(w+n-1)) passes.
 	poll := func(cond func() bool) bool {
 		for !cond() {

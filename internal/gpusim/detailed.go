@@ -165,15 +165,15 @@ func Analytic(spec trace.Spec, dm *DataModel, cfg Config) float64 {
 	if sectors <= 0 {
 		sectors = 4
 	}
-	missRate := 1 - spec.Locality*0.8
+	missRate := 1 - float64(spec.Locality*0.8)
 	bytes := ops * missRate * sectors * 32
 	hbm := dram.DefaultConfig()
 	bw := hbm.BandwidthGBs / hbm.CoreClockGHz
 	mem := bytes / bw
 
 	// Latency floor: per-warp serial time with average observed latency.
-	perOp := spec.ComputeIntensity + missRate*hbm.LatencyCycles +
-		(1-missRate)*l2LatencyCycles
+	perOp := spec.ComputeIntensity + float64(missRate*hbm.LatencyCycles) +
+		float64((1-missRate)*l2LatencyCycles)
 	lat := float64(cfg.OpsPerWarp) * perOp
 
 	est := compute
